@@ -19,7 +19,7 @@ instead be given as a flat list of diagonal energies)::
       operators: [ ... ]         # bare/efficient: list of matrices
       # groups: [ [ ... ], ... ] # inefficient: list of operator lists
       # generator: [ ... ]       # weak: Hermitian matrix, norm <= 1
-      # epsilon: 0.1             # weak: strength in (0, 1)
+      # epsilon: 0.1             # weak: strength in (0, 1); [1e-6, 0.5] in continuous mode
     transform:                   # transform mode only
       h2: [0.0, 0.0]
     continuous:                  # continuous mode only
@@ -42,6 +42,7 @@ import numpy as np
 import yaml
 
 from .errors import ParseError, UnknownParameterError, ValidationError
+from .feedback import CONTINUOUS_EPSILON_RANGE
 from .linalg import HERMITICITY_TOL, dagger
 from .measurement import MeasurementModel
 from .thermo import Hamiltonian
@@ -274,8 +275,15 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
                 raise ValidationError("constants.k", f"must be > 0, got {k!r}")
 
     model = _parse_measurement(_get(data, "measurement", ""), "measurement", dim)
-    if mode == "continuous" and model.kind.value != "weak":
-        raise ValidationError("measurement.kind", "continuous mode requires a weak model")
+    if mode == "continuous":
+        if model.kind.value != "weak":
+            raise ValidationError("measurement.kind", "continuous mode requires a weak model")
+        lo, hi = CONTINUOUS_EPSILON_RANGE
+        if not lo <= model.strength <= hi:
+            raise ValidationError(
+                "measurement.epsilon",
+                f"continuous mode needs it in [{lo:g}, {hi:g}], got {model.strength!r}",
+            )
 
     h2 = None
     if mode == "transform":

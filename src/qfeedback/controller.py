@@ -222,6 +222,7 @@ def finalize_branches(
     """
     n = joint.n_outcomes
     d = joint.system_dim
+    rho_t = thermal_state(h, temperature, k)
     probabilities = []
     branch_entropies = []
     endpoints = []
@@ -235,13 +236,12 @@ def finalize_branches(
         s_n = von_neumann_entropy(branch)
         probabilities.append(p)
         branch_entropies.append(s_bath - (s_initial - s_n))
-        endpoints.append(thermal_state(h, temperature, k))
+        endpoints.append(rho_t)
     for a, b in zip(endpoints, endpoints[1:]):
         gap = trace_distance(a, b)
         if gap > tol:
             raise BranchMismatchError(f"branch endpoints differ by {gap:.3e}")
 
-    rho_t = endpoints[0] if endpoints else thermal_state(h, temperature, k)
     p_vec = np.array(probabilities)
     p_vec = p_vec / p_vec.sum()
     controller = np.diag(p_vec.astype(complex))
@@ -393,10 +393,8 @@ def run_controller_cycle(
 
     controller_final = joint_final.controller_state()
     controller_reset, bath = reset_controller(controller_final, bath)
-    zero = np.zeros((model.n_outcomes, model.n_outcomes), dtype=complex)
-    zero[0, 0] = 1.0
     controller_closure = trace_distance(
-        controller_reset, DensityMatrix.from_matrix(zero, where="|0><0|")
+        controller_reset, DensityMatrix.from_vector(np.eye(model.n_outcomes)[0])
     )
     # bath gain: isothermal stage took (S - S_n) out per branch, reset put
     # S({p_n}) back in; net is ΔS_tot

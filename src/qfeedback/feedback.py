@@ -25,7 +25,7 @@ from .errors import (
     NonPositiveTemperatureError,
     PlanMismatchError,
 )
-from .linalg import dagger, eig_hermitian, hermitize
+from .linalg import dagger, hermitize
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
@@ -44,6 +44,8 @@ from .thermo import (
 )
 
 DEFAULT_LAMBDA_FLOOR = 1e-12
+# Weak-measurement strengths run_continuous accepts; config validation reads it.
+CONTINUOUS_EPSILON_RANGE = (1e-6, 0.5)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def plan_feedback(
     """
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
-    dec_state = eig_hermitian(record.state.matrix)
+    dec_state = record.state.eig
     lam_raw = dec_state.eigenvalues
     if float(lam_raw.max()) < lambda_floor:
         raise DegenerateStateError("entire spectrum below the clamping floor")
@@ -159,7 +161,7 @@ def plan_feedback(
     lam = np.maximum(lam_raw, lambda_floor)
     lam = lam / lam.sum()
 
-    dec_h = eig_hermitian(h.matrix)
+    dec_h = h.eig
     # ascending energies, so the descending populations land on them in order
     energy_basis = dec_h.eigenvectors[:, ::-1]
     basis_unitary = energy_basis @ dagger(dec_state.eigenvectors)
@@ -264,7 +266,7 @@ class _BranchResult:
 def _run_branches(
     outcomes: MeasurementOutcomes,
     h_start: Hamiltonian,
-    h_end: Hamiltonian,
+    rho_end: DensityMatrix,
     temperature: float,
     k: float,
     e_initial: float,
@@ -278,13 +280,12 @@ def _run_branches(
             record, h_start, temperature, k=k, e_initial=e_initial, lambda_floor=lambda_floor
         )
         state, work_steps = execute_plan(record, plan, h_start, temperature, k=k)
-        # isothermal stage from the branch Hamiltonian to h_end: work equals
-        # the free-energy drop at fixed T; state tracks the instantaneous
-        # thermal state, so the endpoint is thermal for h_end exactly.
+        # isothermal stage from the branch Hamiltonian to the end one: work
+        # equals the free-energy drop at fixed T; state tracks the instantaneous
+        # thermal state, so the endpoint is rho_end, the end thermal state.
         work_iso = (e_initial - target_energy) + isothermal_work(
             target_entropy, record.entropy, temperature, k
         )
-        endpoint = thermal_state(h_end, temperature, k)
         branches.append(
             _BranchResult(
                 ledger=OutcomeLedger(
@@ -295,7 +296,7 @@ def _run_branches(
                     delta_e=record.energy - e_initial,
                     work=work_steps + work_iso,
                 ),
-                endpoint=endpoint,
+                endpoint=rho_end,
                 clamped=plan.clamped or state.clamped,
             )
         )
@@ -316,7 +317,7 @@ def _run(
     s_initial = von_neumann_entropy(rho_initial)
     f_initial = e_initial - k * temperature * s_initial
 
-    rho_target = thermal_state(h2, temperature, k)
+    rho_target = rho_initial if h2 is h1 else thermal_state(h2, temperature, k)
     e_target = average_energy(rho_target, h2)
     s_target = von_neumann_entropy(rho_target)
     f_target = e_target - k * temperature * s_target
@@ -325,7 +326,7 @@ def _run(
     branches = _run_branches(
         outcomes,
         h1,
-        h2,
+        rho_target,
         temperature,
         k,
         e_initial,
@@ -420,26 +421,24 @@ def run_continuous(
     """Drive repeated weak-measurement cycles, one per time step.
 
     Each cycle returns the system to its thermal state, so the steps are
-    independent and identically ledgered; the result reports the cumulative
-    work and the per-step ΔS_meas(ε)/ε² ratio that exposes the quadratic
-    weak-measurement scaling.
+    independent and identically ledgered: one cycle is computed and its work
+    scaled by ``n_steps``.  The result reports the cumulative work and the
+    per-step ΔS_meas(ε)/ε² ratio that exposes the quadratic weak-measurement
+    scaling.
     """
-    if not 1e-6 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon must lie in [1e-6, 0.5], got {epsilon!r}")
+    lo, hi = CONTINUOUS_EPSILON_RANGE
+    if not lo <= epsilon <= hi:
+        raise ValueError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     model = MeasurementModel.weak(generator, epsilon)
-    ledgers = [
-        run_cycle(h, temperature, model, k=k, lambda_floor=lambda_floor, p_floor=p_floor)
-        for _ in range(n_steps)
-    ]
-    first = ledgers[0]
+    cycle = run_cycle(h, temperature, model, k=k, lambda_floor=lambda_floor, p_floor=p_floor)
     return ContinuousResult(
         epsilon=epsilon,
         n_steps=n_steps,
-        per_cycle=first,
-        cumulative_work_total=float(sum(l.work_total for l in ledgers)),
-        cumulative_work_fb=float(sum(l.work_fb for l in ledgers)),
-        delta_s_meas_per_step=first.delta_s_meas,
-        scaling_ratio=first.delta_s_meas / epsilon**2,
+        per_cycle=cycle,
+        cumulative_work_total=n_steps * cycle.work_total,
+        cumulative_work_fb=n_steps * cycle.work_fb,
+        delta_s_meas_per_step=cycle.delta_s_meas,
+        scaling_ratio=cycle.delta_s_meas / epsilon**2,
     )

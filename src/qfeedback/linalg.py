@@ -25,6 +25,11 @@ HERMITICITY_TOL = 1e-10
 # off-diagonal Frobenius norm target, relative to ||M||_F
 JACOBI_REL_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
+# At or below this |a_pq| (zero, or deep in the subnormals) 1/|a_pq| overflows,
+# so the element's phase cannot be formed.
+_PHASE_MIN = 2.0**-1024
+# Beyond this |tau|, tau * tau overflows and the rotation angle is zero.
+_TAU_MAX = math.sqrt(np.finfo(float).max)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -84,14 +89,15 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     """
     apq = a[p, q]
     mag = abs(apq)
-    if mag == 0.0:
-        a[q, p] = 0.0
+    if mag <= _PHASE_MIN:
+        # far too small to move the diagonal: drop the pair instead of rotating
+        a[p, q] = a[q, p] = 0.0
         return
     phase = apq / mag  # e^{i phi}; diag(1, e^{-i phi}) makes the 2x2 block real
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    if math.isinf(tau):
-        t = 0.0
-    else:
+    gap = a[q, q].real - a[p, p].real
+    t = 0.0  # the angle when tau = gap / (2|a_pq|) is too large to square
+    if abs(gap) <= 2.0 * mag * _TAU_MAX:
+        tau = gap / (2.0 * mag)
         t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
         if tau < 0.0:
             t = -t
@@ -158,6 +164,9 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDe
         component = vectors[k, j]
         if abs(component) > 0.0:
             vectors[:, j] *= component.conjugate() / abs(component)
+    # read-only: states and Hamiltonians hand one decomposition to many callers
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 

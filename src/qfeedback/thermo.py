@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,15 @@ from .errors import (
     NotADistributionError,
     NotHermitianError,
 )
-from .linalg import HERMITICITY_TOL, dagger, eig_hermitian, hermitize, is_hermitian, max_abs
+from .linalg import (
+    HERMITICITY_TOL,
+    EigenDecomposition,
+    dagger,
+    eig_hermitian,
+    hermitize,
+    is_hermitian,
+    max_abs,
+)
 
 STATE_TOL = 1e-10  # Hermiticity / trace / eigenvalue-floor tolerance for states
 
@@ -33,9 +42,17 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Hermitian operator carrying the system's energy units."""
+    """Hermitian operator carrying the system's energy units.
+
+    ``eig`` is the decomposition of ``matrix``, computed on first use and then
+    kept, so every caller reads the same spectrum.
+    """
 
     matrix: np.ndarray
+
+    @cached_property
+    def eig(self) -> EigenDecomposition:
+        return eig_hermitian(self.matrix)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "Hamiltonian":
@@ -71,10 +88,18 @@ class DensityMatrix:
     repairs) eigenvalues down to -1e-10: such drift is clamped to zero, the
     spectrum renormalized, and the ``clamped`` flag set so ledgers can report
     it.  Anything worse raises :class:`InvalidStateError`.
+
+    ``eig`` is the decomposition of ``matrix``.  An unclamped state keeps the
+    one :meth:`from_matrix` computed for its checks, which is exactly the
+    matrix it stores; any other state computes it on first use.
     """
 
     matrix: np.ndarray
     clamped: bool = False
+
+    @cached_property
+    def eig(self) -> EigenDecomposition:
+        return eig_hermitian(self.matrix)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
@@ -103,7 +128,9 @@ class DensityMatrix:
             v = dec.eigenvectors
             m = hermitize(v @ np.diag(lam.astype(complex)) @ dagger(v))
             return cls(matrix=_freeze(m), clamped=True)
-        return cls(matrix=_freeze(m), clamped=False)
+        rho = cls(matrix=_freeze(m), clamped=False)
+        rho.__dict__["eig"] = dec  # dec decomposed exactly the stored matrix
+        return rho
 
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "DensityMatrix":
@@ -125,7 +152,7 @@ class DensityMatrix:
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending."""
-        return eig_hermitian(self.matrix).eigenvalues
+        return self.eig.eigenvalues
 
 
 @dataclass(frozen=True)
@@ -149,7 +176,7 @@ def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> Density
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if k <= 0.0:
         raise ValueError(f"Boltzmann constant must be > 0, got {k!r}")
-    dec = eig_hermitian(h.matrix)
+    dec = h.eig
     energies = dec.eigenvalues
     weights = np.exp(-(energies - energies.min()) / (k * temperature))
     weights = weights / weights.sum()
@@ -160,7 +187,7 @@ def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> Density
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[ρ ln ρ] in nats, with the 0·ln 0 = 0 convention."""
-    lam = eig_hermitian(rho.matrix).eigenvalues
+    lam = rho.eig.eigenvalues
     if lam[-1] < -STATE_TOL:
         raise InvalidStateError(f"eigenvalue {lam[-1]:.3e} below -{STATE_TOL:g}")
     lam = np.clip(lam, 0.0, None)

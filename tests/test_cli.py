@@ -47,6 +47,20 @@ measurement:
 numerics: {lambda_floor: 0.99}
 """
 
+CONTINUOUS_CONFIG = """\
+scenario_id: tmp-continuous
+run: {mode: continuous}
+system: {dim: 2, hamiltonian: [0.0, 1.0]}
+bath: {temperature: 1.0}
+measurement:
+  kind: weak
+  generator:
+    - [[1.0, 0.0], [0.0, 0.0]]
+    - [[0.0, 0.0], [-1.0, 0.0]]
+  epsilon: 0.3
+continuous: {steps: 3}
+"""
+
 PRESETS = (
     "szilard",
     "energy-measurement",
@@ -132,6 +146,23 @@ class TestRun:
         path.write_text(BAD_TEMPERATURE)
         assert main(["run", str(path)]) == 1
         assert "bath.temperature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["0.7", "1.0e-7"])
+    def test_continuous_epsilon_out_of_range(self, tmp_path, capsys, epsilon):
+        # weak models accept any strength in (0, 1); continuous mode needs
+        # [1e-6, 0.5], and validate must reject what run cannot run
+        path = tmp_path / "continuous.yaml"
+        path.write_text(CONTINUOUS_CONFIG.replace("epsilon: 0.3", f"epsilon: {epsilon}"))
+        assert main(["validate", str(path)]) == 1
+        assert "measurement.epsilon" in capsys.readouterr().err
+        assert main(["run", str(path)]) == 1
+        assert "measurement.epsilon" in capsys.readouterr().err
+
+    def test_continuous_epsilon_in_range(self, tmp_path, capsys):
+        path = tmp_path / "continuous.yaml"
+        path.write_text(CONTINUOUS_CONFIG)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
 
     def test_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "degenerate.yaml"

@@ -1,0 +1,71 @@
+"""Eig-call budget of one cycle on fresh inputs.  Each Hermitian matrix is
+diagonalized once and its spectrum carried on the frozen state or Hamiltonian
+that owns it, so these ceilings hold."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from qfeedback import linalg
+from qfeedback.controller import run_controller_cycle
+from qfeedback.feedback import run_continuous, run_cycle
+from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
+from qfeedback.thermo import Hamiltonian
+
+from conftest import PAULI_Z
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts eig_hermitian calls made through every qfeedback module that binds it."""
+    calls = []
+    solver = linalg.eig_hermitian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qfeedback" and getattr(module, "eig_hermitian", None) is solver:
+            monkeypatch.setattr(module, "eig_hermitian", counting)
+    return calls
+
+
+def fresh_inputs(make_model, n, dim=3):
+    rng = np.random.default_rng(100 + n)
+    return random_hamiltonian(dim, rng), make_model(dim, n, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_efficient_cycle(eig_calls, n):
+    h, model = fresh_inputs(random_efficient_model, n)
+    eig_calls.clear()
+    run_cycle(h, 1.0, model)
+    assert len(eig_calls) <= 5 * n + 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bare_cycle(eig_calls, n):
+    h, model = fresh_inputs(random_bare_model, n)
+    eig_calls.clear()
+    run_cycle(h, 1.0, model)
+    assert len(eig_calls) <= 6 * n + 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_controller_cycle(eig_calls, n):
+    h, model = fresh_inputs(random_bare_model, n)
+    eig_calls.clear()
+    run_controller_cycle(h, 1.0, model)
+    assert len(eig_calls) <= 6 * n + 11
+
+
+def test_continuous_cost_does_not_grow_with_steps(eig_calls):
+    counts = []
+    for steps in (1, 10):
+        h = Hamiltonian.diagonal([0.0, 1.0])
+        eig_calls.clear()
+        run_continuous(h, 1.0, PAULI_Z, 0.1, steps)
+        counts.append(len(eig_calls))
+    assert counts[0] == counts[1] > 0

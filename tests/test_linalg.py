@@ -115,6 +115,22 @@ class TestEigHermitian:
         eig_hermitian(m)
         np.testing.assert_array_equal(m, keep)
 
+    def test_subnormal_off_diagonal(self):
+        # 1/|a_pq| overflows for a subnormal element, so its rotation phase
+        # cannot be formed; the element is dropped instead of turning to NaN
+        m = np.array([[1.0, 7e-314, 0.3], [7e-314, 2.0, 0.1], [0.3, 0.1, 0.5]], dtype=complex)
+        dec = eig_hermitian(m)
+        assert np.all(np.isfinite(dec.eigenvalues))
+        assert np.all(np.isfinite(dec.eigenvectors))
+        assert reconstruction_residual(m) < 1e-12
+
+    def test_result_is_read_only(self, rng):
+        dec = eig_hermitian(random_hermitian(3, rng))
+        with pytest.raises(ValueError):
+            dec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0] = 0.0
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))

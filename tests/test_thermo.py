@@ -12,7 +12,7 @@ from qfeedback.errors import (
     NotADistributionError,
     NotHermitianError,
 )
-from qfeedback.linalg import dagger, max_abs
+from qfeedback.linalg import dagger, eig_hermitian, max_abs
 from qfeedback.sampling import random_density_matrix, random_hamiltonian, random_unitary
 from qfeedback.thermo import (
     DensityMatrix,
@@ -54,6 +54,13 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 5.0
 
+    def test_carried_eig_matches_a_fresh_one(self, rng):
+        h = random_hamiltonian(3, rng)
+        fresh = eig_hermitian(h.matrix)
+        assert h.eig.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert h.eig.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+        assert h.eig is h.eig
+
 
 class TestDensityMatrix:
     def test_valid_state(self):
@@ -82,6 +89,26 @@ class TestDensityMatrix:
         v = np.array([1.0, 1.0]) / math.sqrt(2.0)
         rho = DensityMatrix.from_vector(v)
         np.testing.assert_allclose(rho.matrix, 0.5 * (np.eye(2) + PAULI_X), atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]),
+            np.diag([1.0 + 5e-11, -5e-11]).astype(complex),  # clamped
+        ],
+        ids=["unclamped", "clamped"],
+    )
+    def test_carried_eig_matches_a_fresh_one(self, m):
+        rho = DensityMatrix.from_matrix(m)
+        assert rho.clamped == (m[1, 1].real < 0)
+        fresh = eig_hermitian(rho.matrix)
+        assert rho.eig.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert rho.eig.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+        assert rho.eig is rho.eig
+        with pytest.raises(ValueError):
+            rho.eig.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            rho.eig.eigenvectors[0, 0] = 0.0
 
 
 class TestThermalState:
