@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     IncompleteModelError,
+    InputError,
     InvalidModelError,
     InvalidStateError,
     IoError,
@@ -22,6 +23,7 @@ from .errors import (
     NonUnitaryBlockError,
     NotADistributionError,
     NotHermitianError,
+    NumericalError,
     ParseError,
     PlanMismatchError,
     QFeedbackError,
@@ -60,7 +62,6 @@ from .measurement import (
     ValidationReport,
     apply,
     average_post_state,
-    bare_part,
     entropy_reduction,
     measurement_energy_cost,
     validate,

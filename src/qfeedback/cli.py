@@ -9,29 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 from .config import ScenarioConfig, parse_config, with_value
-from .controller import run_controller_cycle
-from .errors import (
-    BranchMismatchError,
-    ConfigError,
-    DegenerateStateError,
-    DimensionMismatchError,
-    DomainError,
-    InvalidModelError,
-    InvalidStateError,
-    IoError,
-    NoConvergenceError,
-    NonPositiveTemperatureError,
-    NonUnitaryBlockError,
-    NotADistributionError,
-    NotHermitianError,
-    PlanMismatchError,
-    UnknownParameterError,
-)
+from .controller import SECOND_LAW_TOL, run_controller_cycle
+from .errors import InputError, IoError, NumericalError, ValidationError
 from .feedback import run_continuous, run_cycle, run_transform
 from .ledger import (
     LedgerRow,
@@ -43,27 +27,6 @@ from .ledger import (
     row_from_transform,
 )
 from .measurement import validate
-
-VALIDATION_ERRORS = (
-    ConfigError,
-    InvalidModelError,
-    UnknownParameterError,
-    NonPositiveTemperatureError,
-    DimensionMismatchError,
-    NotADistributionError,
-    NotHermitianError,
-)
-NUMERICAL_ERRORS = (
-    NoConvergenceError,
-    DomainError,
-    PlanMismatchError,
-    BranchMismatchError,
-    DegenerateStateError,
-    NonUnitaryBlockError,
-    InvalidStateError,
-)
-
-SECOND_LAW_TOL = -1e-9
 
 
 def load_config(name: str) -> ScenarioConfig:
@@ -83,87 +46,69 @@ def load_config(name: str) -> ScenarioConfig:
     raise IoError(f"no such config file or preset: {name}")
 
 
-def _outcome_entry(outcome) -> dict:
-    return {
-        "n": outcome.n,
-        "probability": outcome.probability,
-        "entropy": outcome.entropy,
-        "energy": outcome.energy,
-        "delta_e": outcome.delta_e,
-        "work": outcome.work,
-    }
-
-
 def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
-    """Dispatch one scenario; returns its ledger row and a detail tree."""
+    """Dispatch one scenario; returns its ledger row and a detail tree.  A
+    numerical failure is re-raised with the scenario id in front."""
     h = config.hamiltonian
     t = config.temperature
-    if config.mode == "cycle":
-        ledger = run_cycle(
-            h, t, config.model, k=config.k,
-            lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-        )
-        row = row_from_cycle(config, ledger)
-        detail = {
-            "outcomes": [_outcome_entry(o) for o in ledger.outcomes],
-            "heat_from_bath": ledger.heat_from_bath,
-            "dropped_outcomes": ledger.dropped_outcomes,
-        }
-    elif config.mode == "transform":
-        result = run_transform(
-            h, config.h2, t, config.model, k=config.k,
-            lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-        )
-        row = row_from_transform(config, result)
-        detail = {
-            "outcomes": [_outcome_entry(o) for o in result.ledger.outcomes],
-            "free_energy_initial": result.free_energy_initial,
-            "free_energy_final": result.free_energy_final,
-            "heat_from_bath": result.ledger.heat_from_bath,
-        }
-    elif config.mode == "continuous":
-        result = run_continuous(
-            h, t, config.model.generator, config.model.strength, config.steps,
-            k=config.k, lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-        )
-        row = row_from_continuous(config, result)
-        detail = {
-            "epsilon": result.epsilon,
-            "n_steps": result.n_steps,
-            "work_per_step": result.per_cycle.work_fb,
-            "delta_s_meas_per_step": result.delta_s_meas_per_step,
-            "scaling_ratio": result.scaling_ratio,
-        }
-    else:
-        result = run_controller_cycle(
-            h, t, config.model, k=config.k,
-            lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-        )
-        row = row_from_controller(config, result)
-        detail = {
-            "branch_probabilities": list(result.probabilities),
-            "branch_entropies": list(result.branch_entropies),
-            "bath_entropy_increase": result.bath_entropy_increase,
-            "system_closure": result.system_closure,
-            "controller_closure": result.controller_closure,
-            "second_law_verdict": result.report.verdict,
-        }
-    return row, detail
-
-
-def _emit_rows(rows, args) -> None:
-    if args.output:
-        emit(rows, args.format, args.output)
-    else:
-        emit(rows, args.format, sys.stdout)
+    try:
+        if config.mode == "cycle":
+            ledger = run_cycle(
+                h, t, config.model, k=config.k,
+                lambda_floor=config.lambda_floor, p_floor=config.p_floor,
+            )
+            row = row_from_cycle(config, ledger)
+            detail = {
+                "outcomes": [asdict(o) for o in ledger.outcomes],
+                "heat_from_bath": ledger.heat_from_bath,
+                "dropped_outcomes": ledger.dropped_outcomes,
+            }
+        elif config.mode == "transform":
+            result = run_transform(
+                h, config.h2, t, config.model, k=config.k,
+                lambda_floor=config.lambda_floor, p_floor=config.p_floor,
+            )
+            row = row_from_transform(config, result)
+            detail = {
+                "outcomes": [asdict(o) for o in result.ledger.outcomes],
+                "free_energy_initial": result.free_energy_initial,
+                "free_energy_final": result.free_energy_final,
+                "heat_from_bath": result.ledger.heat_from_bath,
+            }
+        elif config.mode == "continuous":
+            result = run_continuous(
+                h, t, config.model.generator, config.model.strength, config.steps,
+                k=config.k, lambda_floor=config.lambda_floor, p_floor=config.p_floor,
+            )
+            row = row_from_continuous(config, result)
+            detail = {
+                "epsilon": result.epsilon,
+                "n_steps": result.n_steps,
+                "work_per_step": result.per_cycle.work_fb,
+                "delta_s_meas_per_step": result.delta_s_meas_per_step,
+                "scaling_ratio": result.scaling_ratio,
+            }
+        else:
+            result = run_controller_cycle(
+                h, t, config.model, k=config.k,
+                lambda_floor=config.lambda_floor, p_floor=config.p_floor,
+            )
+            row = row_from_controller(config, result)
+            detail = {
+                "branch_probabilities": list(result.probabilities),
+                "branch_entropies": list(result.branch_entropies),
+                "bath_entropy_increase": result.bath_entropy_increase,
+                "system_closure": result.system_closure,
+                "controller_closure": result.controller_closure,
+                "second_law_verdict": result.report.verdict,
+            }
+        return row, detail
+    except NumericalError as exc:
+        raise type(exc)(f"{config.scenario_id}: {exc}") from exc
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
-    try:
-        row, detail = run_scenario(config)
-    except NUMERICAL_ERRORS as exc:
-        raise type(exc)(f"{config.scenario_id}: {exc}") from exc
+    row, detail = run_scenario(load_config(args.config))
     if args.detail:
         if args.output:
             emit([row], args.format, args.output)
@@ -171,25 +116,26 @@ def cmd_run(args) -> int:
         json.dump(payload, sys.stdout, indent=2, default=float)
         sys.stdout.write("\n")
     else:
-        _emit_rows([row], args)
+        emit([row], args.format, args.output or sys.stdout)
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ValidationError("--values", str(exc)) from None
     variants = [with_value(config, args.param, v) for v in values]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(variants)))) as pool:
-        results = list(pool.map(run_scenario, variants))
-    rows = [row for row, _ in results]
-    _emit_rows(rows, args)
+    rows = [run_scenario(variant)[0] for variant in variants]
+    emit(rows, args.format, args.output or sys.stdout)
     return 0
 
 
 def cmd_validate(args) -> int:
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
     report = validate(config.model)
@@ -265,10 +211,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VALIDATION_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (IoError, OSError) as exc:

@@ -4,7 +4,6 @@ Layout (all matrices are nested [re, im] pairs, row-major; Hamiltonians may
 instead be given as a flat list of diagonal energies)::
 
     scenario_id: szilard
-    seed: 0                      # optional; env QFEEDBACK_SEED overrides this default
     run:
       mode: cycle                # cycle | transform | continuous | controller
     system:
@@ -27,27 +26,26 @@ instead be given as a flat list of diagonal energies)::
     numerics:                    # optional
       lambda_floor: 1.0e-12
       p_floor: 1.0e-14
-      tolerance: 1.0e-9
 
-Unknown keys anywhere are rejected with the offending field path.
+Unknown keys anywhere are rejected with the offending field path, and so are
+numbers that are not finite.
 """
 
 from __future__ import annotations
 
 import copy
-import os
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
-from .errors import ParseError, UnknownParameterError, ValidationError
-from .feedback import CONTINUOUS_EPSILON_RANGE
+from .errors import DomainError, ParseError, UnknownParameterError, ValidationError
+from .feedback import CONTINUOUS_EPSILON_RANGE, DEFAULT_LAMBDA_FLOOR
 from .linalg import HERMITICITY_TOL, dagger
-from .measurement import MeasurementModel
+from .measurement import DEFAULT_P_FLOOR, MeasurementModel
 from .thermo import Hamiltonian
 
-SEED_ENV_VAR = "QFEEDBACK_SEED"
 MODES = ("cycle", "transform", "continuous", "controller")
 KINDS = ("bare", "efficient", "inefficient", "weak")
 
@@ -64,12 +62,10 @@ class ScenarioConfig:
     temperature: float
     k: float
     model: MeasurementModel
-    seed: int
     h2: Hamiltonian | None
     steps: int
     lambda_floor: float
     p_floor: float
-    tolerance: float
     raw: dict = field(repr=False, compare=False)
 
 
@@ -95,10 +91,20 @@ def _get(node: dict, key: str, path: str, required: bool = True):
     return node[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(path, f"must be a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -114,13 +120,9 @@ def _as_str(value, path: str) -> str:
 
 
 def _parse_entry(node, path: str) -> complex:
-    if (
-        not isinstance(node, (list, tuple))
-        or len(node) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in node)
-    ):
+    if not isinstance(node, (list, tuple)) or len(node) != 2:
         raise ValidationError(path, "matrix entry must be a [re, im] pair of numbers")
-    return complex(node[0], node[1])
+    return complex(_as_float(node[0], f"{path}[0]"), _as_float(node[1], f"{path}[1]"))
 
 
 def _parse_matrix(node, path: str, dim: int | None = None) -> np.ndarray:
@@ -150,15 +152,17 @@ def _check_hermitian(m: np.ndarray, path: str):
 
 
 def _parse_hamiltonian(node, path: str, dim: int) -> Hamiltonian:
-    if isinstance(node, list) and node and all(
-        not isinstance(x, bool) and isinstance(x, (int, float)) for x in node
-    ):
+    if isinstance(node, list) and node and all(_is_number(x) for x in node):
         if len(node) != dim:
             raise ValidationError(path, f"expected {dim} diagonal energies, got {len(node)}")
-        return Hamiltonian.diagonal([float(x) for x in node])
-    m = _parse_matrix(node, path, dim)
-    _check_hermitian(m, path)
-    return Hamiltonian.from_matrix(m)
+        m = np.diag([_as_float(x, f"{path}[{i}]") for i, x in enumerate(node)])
+    else:
+        m = _parse_matrix(node, path, dim)
+        _check_hermitian(m, path)
+    try:
+        return Hamiltonian.from_matrix(m)
+    except DomainError as exc:
+        raise ValidationError(path, str(exc)) from None
 
 
 def _parse_measurement(node, path: str, dim: int) -> MeasurementModel:
@@ -215,7 +219,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
         "",
         {
             "scenario_id",
-            "seed",
             "run",
             "system",
             "bath",
@@ -227,22 +230,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
         },
     )
     scenario_id = _as_str(_get(data, "scenario_id", ""), "scenario_id")
-
-    if "seed" in data:
-        seed = _as_int(data["seed"], "seed")
-    else:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ValidationError(
-                    "seed", f"environment variable {SEED_ENV_VAR}={env!r} is not an integer"
-                ) from None
-        else:
-            seed = 0
-    if not -(2**63) <= seed < 2**64:
-        raise ValidationError("seed", "must fit in 64 bits")
 
     run = _expect_mapping(_get(data, "run", ""), "run")
     _reject_unknown(run, "run", {"mode"})
@@ -275,6 +262,8 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
                 raise ValidationError("constants.k", f"must be > 0, got {k!r}")
 
     model = _parse_measurement(_get(data, "measurement", ""), "measurement", dim)
+    if mode == "controller" and model.kind.value not in ("bare", "weak"):
+        raise ValidationError("measurement.kind", "controller mode requires a bare or weak model")
     if mode == "continuous":
         if model.kind.value != "weak":
             raise ValidationError("measurement.kind", "continuous mode requires a weak model")
@@ -300,15 +289,16 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
             _reject_unknown(continuous, "continuous", {"steps"})
             if "steps" in continuous:
                 steps = _as_int(continuous["steps"], "continuous.steps")
+                _as_float(steps, "continuous.steps")  # the work per step is scaled by it
                 if steps < 1:
                     raise ValidationError("continuous.steps", f"must be >= 1, got {steps}")
     elif "continuous" in data:
         raise ValidationError("continuous", "only valid when run.mode is continuous")
 
-    lambda_floor, p_floor, tolerance = 1e-12, 1e-14, 1e-9
+    lambda_floor, p_floor = DEFAULT_LAMBDA_FLOOR, DEFAULT_P_FLOOR
     if "numerics" in data:
         numerics = _expect_mapping(data["numerics"], "numerics")
-        _reject_unknown(numerics, "numerics", {"lambda_floor", "p_floor", "tolerance"})
+        _reject_unknown(numerics, "numerics", {"lambda_floor", "p_floor"})
         if "lambda_floor" in numerics:
             lambda_floor = _as_float(numerics["lambda_floor"], "numerics.lambda_floor")
             if not 0.0 < lambda_floor < 1.0:
@@ -317,10 +307,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
             p_floor = _as_float(numerics["p_floor"], "numerics.p_floor")
             if not 0.0 <= p_floor < 1.0:
                 raise ValidationError("numerics.p_floor", "must lie in [0, 1)")
-        if "tolerance" in numerics:
-            tolerance = _as_float(numerics["tolerance"], "numerics.tolerance")
-            if tolerance <= 0.0:
-                raise ValidationError("numerics.tolerance", "must be > 0")
 
     return ScenarioConfig(
         scenario_id=scenario_id,
@@ -330,12 +316,10 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
         temperature=temperature,
         k=k,
         model=model,
-        seed=seed,
         h2=h2,
         steps=steps,
         lambda_floor=lambda_floor,
         p_floor=p_floor,
-        tolerance=tolerance,
         raw=copy.deepcopy(data),
     )
 
@@ -395,21 +379,5 @@ def with_value(config: ScenarioConfig, dotted: str, value: float) -> ScenarioCon
         container[key] = int(value)  # keep integer fields integral
     else:
         container[key] = value
-    updated = parse_dict(tree, source=f"{config.scenario_id}[{dotted}={value:g}]")
     tag = f"{config.scenario_id}[{dotted}={value:g}]"
-    return ScenarioConfig(
-        scenario_id=tag,
-        mode=updated.mode,
-        dim=updated.dim,
-        hamiltonian=updated.hamiltonian,
-        temperature=updated.temperature,
-        k=updated.k,
-        model=updated.model,
-        seed=updated.seed,
-        h2=updated.h2,
-        steps=updated.steps,
-        lambda_floor=updated.lambda_floor,
-        p_floor=updated.p_floor,
-        tolerance=updated.tolerance,
-        raw=tree,
-    )
+    return replace(parse_dict(tree, source=tag), scenario_id=tag, raw=tree)

@@ -23,12 +23,13 @@ from .errors import (
     NonUnitaryBlockError,
 )
 from .linalg import dagger, dephase_blocks, hermitize, max_abs, partial_trace, tensor
-from .feedback import FeedbackPlan, plan_feedback
+from .feedback import DEFAULT_LAMBDA_FLOOR, FeedbackPlan, plan_feedback
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
     ModelKind,
     apply,
+    measurement_energy_cost,
     validate,
 )
 from .thermo import (
@@ -42,6 +43,11 @@ from .thermo import (
     trace_distance,
     von_neumann_entropy,
 )
+
+# A cycle passes the second law when ΔS_tot ≥ SECOND_LAW_TOL, and preserved
+# the universe's entropy (is efficient) when ΔS_tot < EFFICIENCY_TOL.
+SECOND_LAW_TOL = -1e-9
+EFFICIENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ class SecondLawReport:
     shannon_outcomes: float
     delta_s_meas: float
     delta_s_tot: float
-    verdict: bool  # ΔS_tot ≥ -1e-9
-    efficiency_flag: bool  # ΔS_tot < 1e-8: cycle preserved universe entropy
+    verdict: bool  # ΔS_tot ≥ SECOND_LAW_TOL
+    efficiency_flag: bool  # ΔS_tot < EFFICIENCY_TOL: cycle preserved universe entropy
 
 
 def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
@@ -278,16 +284,17 @@ def total_entropy_assembled(joint_final: JointState, bath: BathLedger) -> float:
 
 
 def second_law_verdict(probabilities, delta_s_meas: float) -> SecondLawReport:
-    """ΔS_tot = S({p_n}) - ΔS_meas, with pass/fail at -1e-9 and an efficiency
-    flag when the cycle preserved universe entropy (< 1e-8)."""
+    """ΔS_tot = S({p_n}) - ΔS_meas, with pass/fail at ``SECOND_LAW_TOL`` and an
+    efficiency flag when the cycle preserved universe entropy
+    (< ``EFFICIENCY_TOL``)."""
     shannon = shannon_entropy(probabilities)
     delta_s_tot = shannon - delta_s_meas
     return SecondLawReport(
         shannon_outcomes=shannon,
         delta_s_meas=delta_s_meas,
         delta_s_tot=delta_s_tot,
-        verdict=bool(delta_s_tot >= -1e-9),
-        efficiency_flag=bool(delta_s_tot < 1e-8),
+        verdict=bool(delta_s_tot >= SECOND_LAW_TOL),
+        efficiency_flag=bool(delta_s_tot < EFFICIENCY_TOL),
     )
 
 
@@ -333,7 +340,7 @@ def run_controller_cycle(
     model: MeasurementModel,
     k: float = 1.0,
     s_bath: float = 0.0,
-    lambda_floor: float = 1e-12,
+    lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ControllerCycleResult:
     """One full cycle in the measurement-free picture: correlate, feed back,
@@ -374,9 +381,7 @@ def run_controller_cycle(
     probabilities = probabilities / probabilities.sum()
     delta_s_meas = initial.entropy - float(np.dot(probabilities, branch_entropies))
     # measurement work read from the pre-feedback blocks via the records
-    delta_e_meas = float(
-        sum(r.probability * r.energy for r in records) - initial.energy
-    )
+    delta_e_meas = measurement_energy_cost(records, initial.energy)
 
     joint_final, bath = finalize_branches(
         joint,

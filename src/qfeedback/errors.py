@@ -1,7 +1,9 @@
 """Exception hierarchy for the feedback-control simulator.
 
-Every error raised by this package derives from :class:`QFeedbackError`, so
-callers (notably the CLI) can map failures onto exit codes in one place.
+Every error raised by this package derives from :class:`QFeedbackError`.
+Below it, :class:`InputError` marks a bad scenario, model or argument (CLI
+exit code 1) and :class:`NumericalError` a computation that failed on valid
+input (exit code 2); :class:`IoError` (exit code 3) stands apart.
 """
 
 
@@ -9,35 +11,45 @@ class QFeedbackError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitianError(QFeedbackError):
+class InputError(QFeedbackError):
+    """The caller's input is invalid; the CLI exits with code 1."""
+
+
+class NumericalError(QFeedbackError):
+    """A computation on valid input failed; the CLI exits with code 2."""
+
+
+class NotHermitianError(InputError):
     """Matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class NoConvergenceError(QFeedbackError):
+class NoConvergenceError(NumericalError):
     """Iterative eigensolver hit its sweep cap before converging."""
 
 
-class DomainError(QFeedbackError):
-    """Scalar function undefined at an eigenvalue of its matrix argument."""
+class DomainError(NumericalError):
+    """A value left the range where the computation is defined: a scalar
+    function at an eigenvalue of its matrix argument, or a result that
+    overflowed to a non-finite number."""
 
 
-class DimensionMismatchError(QFeedbackError):
+class DimensionMismatchError(InputError):
     """Operands have incompatible dimensions."""
 
 
-class NonPositiveTemperatureError(QFeedbackError):
+class NonPositiveTemperatureError(InputError):
     """Thermal construction requires T > 0."""
 
 
-class InvalidStateError(QFeedbackError):
+class InvalidStateError(NumericalError):
     """Matrix is not a valid density matrix (Hermitian, unit trace, PSD)."""
 
 
-class NotADistributionError(QFeedbackError):
+class NotADistributionError(InputError):
     """Vector is not a probability distribution within tolerance."""
 
 
-class InvalidModelError(QFeedbackError):
+class InvalidModelError(InputError):
     """Measurement model fails completeness or positivity requirements."""
 
 
@@ -45,27 +57,27 @@ class IncompleteModelError(InvalidModelError):
     """Operator family does not resolve the identity, so it cannot be dilated."""
 
 
-class DegenerateStateError(QFeedbackError):
-    """Entire population spectrum sits below the clamping floor."""
+class DegenerateStateError(NumericalError):
+    """Every population (or outcome probability) sits below its floor."""
 
 
-class PlanMismatchError(QFeedbackError):
+class PlanMismatchError(NumericalError):
     """Executing a feedback plan did not land on the promised thermal state."""
 
 
-class NonUnitaryBlockError(QFeedbackError):
+class NonUnitaryBlockError(NumericalError):
     """A controlled-unitary block is not unitary within tolerance."""
 
 
-class BranchMismatchError(QFeedbackError):
+class BranchMismatchError(NumericalError):
     """Per-branch endpoints disagree where the protocol requires identity."""
 
 
-class UnknownParameterError(QFeedbackError):
+class UnknownParameterError(InputError):
     """Sweep parameter path does not name a numeric config field."""
 
 
-class ConfigError(QFeedbackError):
+class ConfigError(InputError):
     """Problem with a scenario config; carries the offending field path."""
 
     def __init__(self, path: str, message: str):

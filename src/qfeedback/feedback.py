@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateStateError,
+    DomainError,
     NonPositiveTemperatureError,
     PlanMismatchError,
 )
@@ -32,6 +33,8 @@ from .measurement import (
     MeasurementOutcomes,
     OutcomeRecord,
     apply,
+    entropy_reduction,
+    measurement_energy_cost,
 )
 from .thermo import (
     DensityMatrix,
@@ -167,8 +170,15 @@ def plan_feedback(
     basis_unitary = energy_basis @ dagger(dec_state.eigenvectors)
 
     levels = -k * temperature * np.log(lam)
+    if not np.isfinite(levels).all():
+        raise DomainError(
+            f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite "
+            f"(kT = {k * temperature!r})"
+        )
+    # hermitized first: the round-off of V diag(levels) V† grows with the levels,
+    # and an exactly Hermitian matrix passes the check at any energy scale
     target = Hamiltonian.from_matrix(
-        energy_basis @ np.diag(levels.astype(complex)) @ dagger(energy_basis)
+        hermitize(energy_basis @ np.diag(levels.astype(complex)) @ dagger(energy_basis))
     )
     shift = e_initial - float(np.dot(lam, levels))
     return FeedbackPlan(
@@ -336,10 +346,8 @@ def _run(
     )
 
     p = np.array([b.ledger.probability for b in branches])
-    delta_e_meas = float(sum(b.ledger.probability * b.ledger.energy for b in branches)) - e_initial
-    delta_s_meas = s_initial - float(
-        sum(b.ledger.probability * b.ledger.entropy for b in branches)
-    )
+    delta_e_meas = measurement_energy_cost(outcomes, e_initial)
+    delta_s_meas = entropy_reduction(outcomes, s_initial)
     work_total = float(sum(b.ledger.probability * b.ledger.work for b in branches))
     work_fb = work_total - delta_e_meas
 

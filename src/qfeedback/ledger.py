@@ -13,11 +13,9 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .controller import ControllerCycleResult
-from .errors import IoError
+from .controller import EFFICIENCY_TOL, ControllerCycleResult
+from .errors import DomainError, IoError
 from .feedback import ContinuousResult, CycleLedger, TransformResult
-
-EFFICIENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class LedgerRow:
         for name in FLOAT_COLUMNS:
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"ledger column {name} is not finite: {value!r}")
+                raise DomainError(f"ledger column {name} is not finite: {value!r}")
 
 
 COLUMNS = tuple(f.name for f in fields(LedgerRow))

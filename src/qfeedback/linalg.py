@@ -78,9 +78,18 @@ class PolarFactors:
     positive: np.ndarray
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """||A||_F, recomputed on A scaled by its largest entry when the squares
+    overflow (entries beyond about 1e154)."""
+    norm = float(np.linalg.norm(a))
+    if math.isinf(norm):
+        scale = max_abs(a)
+        norm = scale * float(np.linalg.norm(a / scale))
+    return norm
+
+
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    return _frobenius(a - np.diag(np.diag(a)))
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -141,7 +150,9 @@ def eig_hermitian(m: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDe
     n = a0.shape[0]
     a = hermitize(a0)
     v = np.eye(n, dtype=complex)
-    target = JACOBI_REL_TOL * float(np.linalg.norm(a))
+    target = JACOBI_REL_TOL * _frobenius(a)
+    if not math.isfinite(target):
+        raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
     for _ in range(max_sweeps):
         if _offdiag_norm(a) <= target:
             break

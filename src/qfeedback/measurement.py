@@ -23,17 +23,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidModelError, NotHermitianError
-from .linalg import (
-    PolarFactors,
-    dagger,
-    eig_hermitian,
-    hermitize,
-    is_hermitian,
-    matrix_function,
-    max_abs,
-    polar_decompose,
+from .errors import (
+    DegenerateStateError,
+    DimensionMismatchError,
+    InvalidModelError,
+    NotHermitianError,
 )
+from .linalg import dagger, eig_hermitian, is_hermitian, matrix_function, max_abs
 from .thermo import DensityMatrix, Hamiltonian, average_energy, von_neumann_entropy
 
 COMPLETENESS_TOL = 1e-10
@@ -184,13 +180,6 @@ class MeasurementOutcomes(Sequence):
         return np.array([r.probability for r in self.records])
 
 
-def bare_part(a: np.ndarray) -> PolarFactors:
-    """Split a measurement operator A = U P into its feedback-absorbable
-    unitary U and the bare (positive) part P that does the information
-    extraction."""
-    return polar_decompose(a)
-
-
 def apply(
     model: MeasurementModel,
     rho: DensityMatrix,
@@ -201,7 +190,8 @@ def apply(
     p_n = Σ_j Tr[A_nj† A_nj ρ].
 
     Outcomes with p_n < ``p_floor`` are dropped (their conditional state is
-    undefined) and the surviving probabilities renormalized proportionally.
+    undefined) and the surviving probabilities renormalized proportionally;
+    :class:`DegenerateStateError` is raised when none survives.
     """
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
@@ -222,6 +212,8 @@ def apply(
             dropped.append(n)
             continue
         raw.append((n, p, numerator))
+    if not raw:
+        raise DegenerateStateError(f"every outcome probability is below p_floor {p_floor:g}")
 
     total = sum(p for _, p, _ in raw)
     records = []

@@ -1,7 +1,9 @@
 """Command-line front end: exit codes, preset resolution, ledger files,
 determinism of the emitted CSV bytes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -9,9 +11,11 @@ import sys
 from importlib import resources
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qfeedback.cli import load_config, main, run_scenario
-from qfeedback.config import SEED_ENV_VAR, with_value
+from qfeedback.config import KINDS, MODES, with_value
 from qfeedback.errors import IoError
 from qfeedback.ledger import emit_csv, emit_json, parse_csv, parse_json
 
@@ -77,11 +81,6 @@ def expected_text(name):
         .joinpath("presets", "expected", f"{name}.csv")
         .read_text()
     )
-
-
-@pytest.fixture(autouse=True)
-def _no_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 class TestLoadConfig:
@@ -200,6 +199,20 @@ class TestSweep:
                      "--values", "1,2"])
         assert code == 1
 
+    def test_non_numeric_values(self, capsys):
+        code = main(["sweep", "weak-sweep", "--param", "measurement.epsilon",
+                     "--values", "0.1,abc"])
+        assert code == 1
+        assert "--values" in capsys.readouterr().err
+
+    def test_numerical_failure_names_variant(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.yaml"
+        path.write_text(DEGENERATE_CONFIG)
+        code = main(["sweep", str(path), "--param", "measurement.epsilon",
+                     "--values", "0.3"])
+        assert code == 2
+        assert "tmp-degenerate[measurement.epsilon=0.3]: " in capsys.readouterr().err
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "weak-sweep", "--param", "measurement.epsilon",
@@ -221,6 +234,41 @@ class TestValidate:
 
     def test_missing(self, capsys):
         assert main(["validate", "nowhere"]) == 3
+
+    def test_generator_norm_above_one_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "weak.yaml"
+        path.write_text(CONTINUOUS_CONFIG.replace("[-1.0, 0.0]]", "[-2.0, 0.0]]"))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("invalid: generator norm")
+
+    @pytest.mark.parametrize("key, section", [("seed", None), ("tolerance", "numerics")])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key, section):
+        tree = yaml.safe_load(GOOD_CONFIG)
+        (tree.setdefault(section, {}) if section else tree)[key] = 1
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["validate", str(path)]) == 1
+        where = f"{section}.{key}" if section else key
+        assert f"{where}: unknown key" in capsys.readouterr().err
+
+    # each of these printed "config ok" and then made `run` exit 1
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("temperature: 1.0", "temperature: .nan"),
+            ("temperature: 1.0", "temperature: .inf"),
+            ("temperature: 1.0", "temperature: 1.0e+308"),
+            ("temperature: 1.0", "temperature: 1.0e+300\nconstants:\n  k: 1.0e+300"),
+            ("hamiltonian: [0.0, 0.0]", "hamiltonian: [1.0e+308, -1.0e+308]"),
+        ],
+    )
+    def test_ok_means_run_does_not_reject(self, tmp_path, capsys, old, new):
+        text = resources.files("qfeedback").joinpath("presets", "szilard.yaml").read_text()
+        assert old in text
+        path = tmp_path / "szilard.yaml"
+        path.write_text(text.replace(old, new))
+        if main(["validate", str(path)]) == 0:
+            assert main(["run", str(path)]) in (0, 2)
 
 
 class TestReport:
@@ -299,6 +347,123 @@ class TestSerializationRoundTrip:
         edited = with_value(config, "measurement.epsilon", 0.25)
         row, _ = run_scenario(edited)
         assert row.scenario_id == "weak-sweep[measurement.epsilon=0.25]"
+
+
+# Values at and beyond every bound a config field has, plus non-numbers.
+EDGE_VALUES = st.sampled_from(
+    [0, 1, -1, 2, 7, 2**64, 10**400, 0.0, -0.0, 5e-324, 1e-300, 1e-7, 1e-6, 0.5, 0.7,
+     1.0, 1.5, -1.0, 1e300, 1e308, -1e308, math.inf, -math.inf, math.nan, True, "1", None]
+)
+FINITE = st.floats(-3.0, 3.0)
+
+
+def _entry(value):
+    return [value, 0.0]
+
+
+def _hermitian(data, dim):
+    m = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        m[i][i] = _entry(data.draw(FINITE))
+        for j in range(i + 1, dim):
+            re, im = data.draw(FINITE), data.draw(FINITE)
+            m[i][j], m[j][i] = [re, im], [re, -im]
+    return m
+
+
+def _hamiltonian(data, dim):
+    scale = data.draw(st.sampled_from([1.0, 1e8, 1e160, 1e300]))
+    if data.draw(st.booleans()):
+        return [scale * data.draw(FINITE) for _ in range(dim)]
+    return [[[scale * re, scale * im] for re, im in row] for row in _hermitian(data, dim)]
+
+
+def _measurement(data, kind, dim):
+    """A valid model of the kind: projectors onto a random partition of the
+    basis, rotated by a cyclic shift for efficient models and split in two
+    Kraus operators per outcome for inefficient ones."""
+    if kind == "weak":
+        generator = [[_entry(data.draw(st.floats(-1.0, 1.0)) if i == j else 0.0)
+                      for j in range(dim)] for i in range(dim)]
+        return {"kind": kind, "generator": generator,
+                "epsilon": data.draw(st.floats(1e-6, 0.5))}
+    n_out = data.draw(st.integers(1, 3))
+    labels = [data.draw(st.integers(0, n_out - 1)) for _ in range(dim)]
+    shift = 1 if kind == "efficient" else 0
+    ops = [[[_entry(1.0 if labels[j] == n and i == (j + shift) % dim else 0.0)
+             for j in range(dim)] for i in range(dim)] for n in range(n_out)]
+    if kind == "inefficient":
+        half = [[[[x * math.sqrt(0.5), y] for x, y in row] for row in op] for op in ops]
+        return {"kind": kind, "groups": [[op, op] for op in half]}
+    return {"kind": kind, "operators": ops}
+
+
+def _leaves(node, path=()):
+    """Paths of every number in a config tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+@st.composite
+def config_trees(draw):
+    data = draw(st.data())
+    mode, kind = draw(st.sampled_from(MODES)), draw(st.sampled_from(KINDS))
+    if mode == "continuous" and draw(st.booleans()):
+        kind = "weak"
+    dim = draw(st.integers(1, 6))
+    tree = {
+        "scenario_id": "fuzz",
+        "run": {"mode": mode},
+        "system": {"dim": dim, "hamiltonian": _hamiltonian(data, dim)},
+        "bath": {"temperature": draw(st.floats(0.1, 10.0))},
+        "measurement": _measurement(data, kind, dim),
+    }
+    if draw(st.booleans()):
+        tree["constants"] = {"k": draw(st.floats(0.5, 2.0))}
+    if mode == "transform":
+        tree["transform"] = {"h2": _hamiltonian(data, dim)}
+    if mode == "continuous":
+        tree["continuous"] = {"steps": draw(st.integers(1, 5))}
+    if draw(st.booleans()):
+        tree["numerics"] = {"lambda_floor": draw(st.sampled_from([1e-14, 1e-12, 1e-6])),
+                            "p_floor": draw(st.sampled_from([0.0, 1e-14, 1e-3]))}
+    leaves = _leaves(tree)
+    scalars = [path for path in leaves if len(path) == 2]  # dim, temperature, steps, ...
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(scalars) | st.sampled_from(leaves))
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(EDGE_VALUES)
+    return tree
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.yaml"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=config_trees())
+def test_config_fuzz_exit_codes(fuzz_path, tree):
+    """No config makes main raise; exit codes stay in {0, 1, 2, 3}; and a
+    config that validates never makes run exit with a validation failure."""
+    fuzz_path.write_text(yaml.safe_dump(tree))
+    validated = _quiet_main(["validate", str(fuzz_path)])
+    ran = _quiet_main(["run", str(fuzz_path)])
+    assert validated in (0, 1, 2, 3) and ran in (0, 1, 2, 3)
+    if validated == 0:
+        assert ran != 1
 
 
 def test_console_script_installed():

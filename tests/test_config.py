@@ -1,11 +1,11 @@
-"""Config parsing: strict key trees, field-path errors, seeds, sweep edits."""
+"""Config parsing: strict key trees, field-path errors, sweep edits."""
 
 import copy
 
 import numpy as np
 import pytest
 
-from qfeedback.config import SEED_ENV_VAR, parse_config, parse_dict, with_value
+from qfeedback.config import parse_config, parse_dict, with_value
 from qfeedback.errors import ParseError, UnknownParameterError, ValidationError
 
 
@@ -37,20 +37,17 @@ def minimal(mode="cycle"):
 
 
 class TestParseDict:
-    def test_minimal_cycle(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    def test_minimal_cycle(self):
         config = parse_dict(minimal())
         assert config.scenario_id == "unit"
         assert config.mode == "cycle"
         assert config.dim == 2
         assert config.temperature == 1.0
         assert config.k == 1.0
-        assert config.seed == 0
         assert config.h2 is None
         assert config.steps == 1
         assert config.lambda_floor == 1e-12
         assert config.p_floor == 1e-14
-        assert config.tolerance == 1e-9
         assert config.model.kind.value == "bare"
         np.testing.assert_allclose(np.diag(config.hamiltonian.matrix).real, [0.0, 1.0])
 
@@ -67,12 +64,11 @@ class TestParseDict:
     def test_optional_sections(self):
         data = minimal()
         data["constants"] = {"k": 2.5}
-        data["numerics"] = {"lambda_floor": 1e-10, "p_floor": 0.0, "tolerance": 1e-6}
+        data["numerics"] = {"lambda_floor": 1e-10, "p_floor": 0.0}
         config = parse_dict(data)
         assert config.k == 2.5
         assert config.lambda_floor == 1e-10
         assert config.p_floor == 0.0
-        assert config.tolerance == 1e-6
 
     def test_transform_mode(self):
         config = parse_dict(minimal("transform"))
@@ -228,49 +224,28 @@ class TestRejection:
         data["measurement"] = {"kind": "inefficient", "groups": [[]]}
         self.check(data, "measurement.groups[0]")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_numbers_name_their_field(self, value):
+        data = minimal()
+        data["bath"]["temperature"] = value
+        self.check(data, "bath.temperature")
+        data = minimal()
+        data["system"]["hamiltonian"][1] = value
+        self.check(data, "system.hamiltonian[1]")
+        data = minimal()
+        data["measurement"]["operators"][0][0][0][1] = value
+        self.check(data, "measurement.operators[0][0][0][1]")
+
+    def test_controller_mode_needs_positive_operators(self):
+        data = minimal("controller")
+        data["measurement"]["kind"] = "efficient"
+        self.check(data, "measurement.kind")
+
     def test_numerics_ranges(self):
-        for key, bad in (("lambda_floor", 0.0), ("p_floor", 1.0), ("tolerance", 0.0)):
+        for key, bad in (("lambda_floor", 0.0), ("p_floor", 1.0)):
             data = minimal()
             data["numerics"] = {key: bad}
             self.check(data, f"numerics.{key}")
-
-
-class TestSeed:
-    def test_default_zero(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        assert parse_dict(minimal()).seed == 0
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "17")
-        assert parse_dict(minimal()).seed == 17
-
-    def test_config_seed_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "17")
-        data = minimal()
-        data["seed"] = 5
-        assert parse_dict(data).seed == 5
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(ValidationError) as err:
-            parse_dict(minimal())
-        assert err.value.path == "seed"
-
-    def test_64bit_bounds(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        data = minimal()
-        data["seed"] = 2**64 - 1
-        assert parse_dict(data).seed == 2**64 - 1
-        data["seed"] = 2**64
-        with pytest.raises(ValidationError):
-            parse_dict(data)
-
-    def test_seed_must_be_int(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        data = minimal()
-        data["seed"] = 1.5
-        with pytest.raises(ValidationError):
-            parse_dict(data)
 
 
 class TestParseText:

@@ -124,6 +124,18 @@ class TestEigHermitian:
         assert np.all(np.isfinite(dec.eigenvectors))
         assert reconstruction_residual(m) < 1e-12
 
+    def test_entries_whose_squares_overflow(self):
+        # a Frobenius norm of inf made the convergence test pass at once, and
+        # the matrix came back undiagonalized
+        m = np.array([[0.0, 1e200j], [-1e200j, 1.0]], dtype=complex)
+        dec = eig_hermitian(m)
+        np.testing.assert_allclose(dec.eigenvalues, [1e200, -1e200], rtol=1e-14)
+        assert max_abs(dec.reconstruct() - m) < 1e-14 * 1e200
+
+    def test_norm_beyond_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            eig_hermitian(np.full((2, 2), 1e308, dtype=complex))
+
     def test_result_is_read_only(self, rng):
         dec = eig_hermitian(random_hermitian(3, rng))
         with pytest.raises(ValueError):

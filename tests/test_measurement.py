@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfeedback.errors import DimensionMismatchError, InvalidModelError, NotHermitianError
-from qfeedback.linalg import dagger, max_abs
+from qfeedback.errors import (
+    DegenerateStateError,
+    DimensionMismatchError,
+    InvalidModelError,
+    NotHermitianError,
+)
+from qfeedback.linalg import dagger, max_abs, polar_decompose
 from qfeedback.measurement import (
     MeasurementModel,
     ModelKind,
     apply,
     average_post_state,
-    bare_part,
     entropy_reduction,
     measurement_energy_cost,
     validate,
@@ -113,6 +117,15 @@ class TestApply:
         np.testing.assert_allclose(
             np.diag(records[0].state.matrix).real, [0.75, 0.25], atol=1e-12
         )
+
+    def test_every_outcome_below_floor(self):
+        with pytest.raises(DegenerateStateError):
+            apply(
+                MeasurementModel.bare([PROJ_0, PROJ_1]),
+                DensityMatrix.maximally_mixed(2),
+                Hamiltonian.zero(2),
+                p_floor=0.7,
+            )
 
     def test_x_projectors_on_thermal(self):
         h = Hamiltonian.diagonal([0.0, 1.0])
@@ -214,7 +227,7 @@ class TestBarePart:
     def test_decomposes_kraus_operator(self, rng):
         model = random_efficient_model(3, 2, rng)
         for (a,) in model.groups:
-            fac = bare_part(a)
+            fac = polar_decompose(a)
             assert max_abs(fac.unitary @ fac.positive - a) < 1e-10
 
     def test_undoing_unitary_equals_bare(self, rng):
@@ -222,7 +235,7 @@ class TestBarePart:
         rho = random_density_matrix(3, rng)
         model = random_efficient_model(3, 2, rng)
         for (a,) in model.groups:
-            fac = bare_part(a)
+            fac = polar_decompose(a)
             via_a = dagger(fac.unitary) @ (a @ rho.matrix @ dagger(a)) @ fac.unitary
             via_p = fac.positive @ rho.matrix @ dagger(fac.positive)
             assert max_abs(via_a - via_p) < 1e-10
