@@ -8,7 +8,6 @@ S({p_n}) - ΔS_meas ≥ 0 across system, controller, and bath.
 """
 
 from .errors import (
-    BranchMismatchError,
     ConfigError,
     DegenerateStateError,
     DimensionMismatchError,

@@ -207,7 +207,10 @@ def _parse_measurement(node, path: str, dim: int) -> MeasurementModel:
     epsilon = _as_float(_get(node, "epsilon", path), f"{path}.epsilon")
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"{path}.epsilon", f"must lie in (0, 1), got {epsilon!r}")
-    return MeasurementModel.weak(generator, epsilon)
+    try:
+        return MeasurementModel.weak(generator, epsilon)
+    except DomainError as exc:
+        raise ValidationError(f"{path}.generator", str(exc)) from None
 
 
 def parse_dict(data, source: str = "<config>") -> ScenarioConfig:

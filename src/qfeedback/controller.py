@@ -11,13 +11,12 @@ controller, and bath then gives ΔS_tot = S({p_n}) - ΔS_meas ≥ 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
 from .errors import (
-    BranchMismatchError,
     DimensionMismatchError,
-    IncompleteModelError,
     InvalidModelError,
     InvalidStateError,
     NonUnitaryBlockError,
@@ -30,7 +29,7 @@ from .measurement import (
     ModelKind,
     apply,
     measurement_energy_cost,
-    validate,
+    require_valid,
 )
 from .thermo import (
     DensityMatrix,
@@ -48,6 +47,9 @@ from .thermo import (
 # the universe's entropy (is efficient) when ΔS_tot < EFFICIENCY_TOL.
 SECOND_LAW_TOL = -1e-9
 EFFICIENCY_TOL = 1e-8
+# Largest entry allowed in U†U - I of a feedback block, and in the
+# off-diagonal part of a controller about to be reset.
+STRUCTURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,18 @@ class JointState:
 
     def probabilities(self) -> np.ndarray:
         return np.array([self.block_probability(n) for n in range(self.n_outcomes)])
+
+    def branch_entropies(self, p_floor: float) -> dict[int, float]:
+        """S_n of the system state p_n ρ_n / p_n in each diagonal block whose
+        probability reaches ``p_floor``, keyed by controller index."""
+        p = self.probabilities()
+        return {
+            n: von_neumann_entropy(
+                DensityMatrix.from_matrix(self.block(n, n) / p[n], where=f"branch {n}")
+            )
+            for n in range(self.n_outcomes)
+            if p[n] >= p_floor
+        }
 
     def controller_state(self) -> DensityMatrix:
         reduced = partial_trace(
@@ -122,14 +136,7 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
         raise InvalidModelError(
             f"controller correlation needs positive operators, got kind {model.kind.value}"
         )
-    report = validate(model)
-    if report.completeness_residual > 1e-8:
-        raise IncompleteModelError(
-            f"operators do not resolve the identity "
-            f"(residual {report.completeness_residual:.3e})"
-        )
-    if not report.ok:
-        raise InvalidModelError(f"model failed validation:\n{report.describe()}")
+    require_valid(model)
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
     d = rho.dim
@@ -152,7 +159,7 @@ def feedback_unitary(plans) -> np.ndarray:
     for item in plans:
         u = item.basis_unitary if isinstance(item, FeedbackPlan) else np.asarray(item, complex)
         residual = max_abs(dagger(u) @ u - np.eye(u.shape[0]))
-        if residual > 1e-10:
+        if residual > STRUCTURE_TOL:
             raise NonUnitaryBlockError(
                 f"block {len(blocks)} unitarity residual {residual:.3e}"
             )
@@ -211,56 +218,36 @@ def decohere_via_ancilla(joint: JointState) -> JointState:
 
 def finalize_branches(
     joint: JointState,
-    h: Hamiltonian,
-    temperature: float,
+    rho_t: DensityMatrix,
+    branch_entropies: Mapping[int, float],
     s_initial: float,
-    e_initial: float,
-    k: float = 1.0,
     s_bath: float = 0.0,
-    p_floor: float = DEFAULT_P_FLOOR,
-    tol: float = 1e-8,
 ) -> tuple[JointState, BathLedger]:
-    """Replace every branch's system state by its isothermal endpoint.
+    """Replace every branch's system state by the isothermal endpoint ρ_T.
 
-    All branches must land on the same thermal state (they share entropy,
-    temperature, and average energy), so the joint state factors as
-    ρ_C ⊗ ρ_T.  The bath ledger records S_B - (S - S_n) per branch.
+    ``branch_entropies`` holds S_n for each surviving branch, keyed by
+    controller index; a branch it leaves out was dropped and gets weight 0.
+    Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T.  The
+    bath ledger records S_B - (S - S_n) per branch.
     """
     n = joint.n_outcomes
-    d = joint.system_dim
-    rho_t = thermal_state(h, temperature, k)
-    probabilities = []
-    branch_entropies = []
-    endpoints = []
-    for i in range(n):
-        p = joint.block_probability(i)
-        if p < p_floor:
-            probabilities.append(0.0)
-            branch_entropies.append(s_bath)  # empty branch: bath untouched
-            continue
-        branch = DensityMatrix.from_matrix(joint.block(i, i) / p, where=f"branch {i}")
-        s_n = von_neumann_entropy(branch)
-        probabilities.append(p)
-        branch_entropies.append(s_bath - (s_initial - s_n))
-        endpoints.append(rho_t)
-    for a, b in zip(endpoints, endpoints[1:]):
-        gap = trace_distance(a, b)
-        if gap > tol:
-            raise BranchMismatchError(f"branch endpoints differ by {gap:.3e}")
-
-    p_vec = np.array(probabilities)
+    p_vec = np.array(
+        [joint.block_probability(i) if i in branch_entropies else 0.0 for i in range(n)]
+    )
     p_vec = p_vec / p_vec.sum()
-    controller = np.diag(p_vec.astype(complex))
-    final = tensor(controller, rho_t.matrix)
+    final = tensor(np.diag(p_vec.astype(complex)), rho_t.matrix)
     joint_final = JointState(
         matrix=DensityMatrix.from_matrix(final, where="finalized joint"),
         n_outcomes=n,
-        system_dim=d,
+        system_dim=joint.system_dim,
     )
     ledger = BathLedger(
         initial_entropy=s_bath,
-        branch_entropies=tuple(branch_entropies),
-        reset_addition=0.0,
+        # an empty branch leaves the bath untouched
+        branch_entropies=tuple(
+            s_bath - (s_initial - branch_entropies[i]) if i in branch_entropies else s_bath
+            for i in range(n)
+        ),
     )
     return joint_final, ledger
 
@@ -305,13 +292,11 @@ def reset_controller(
     into the bath: controller returns to |0⟩⟨0| and the bath entropy grows by
     the controller's record entropy S({p_n})."""
     off = controller.matrix - np.diag(np.diag(controller.matrix))
-    if max_abs(off) > 1e-10:
+    if max_abs(off) > STRUCTURE_TOL:
         raise InvalidStateError("controller must be diagonal in the record basis")
     record_entropy = von_neumann_entropy(controller)
-    reset = np.zeros((controller.dim, controller.dim), dtype=complex)
-    reset[0, 0] = 1.0
     return (
-        DensityMatrix.from_matrix(reset, where="reset controller"),
+        DensityMatrix.from_vector(np.eye(controller.dim)[0]),
         replace(bath, reset_addition=bath.reset_addition + record_entropy),
     )
 
@@ -372,26 +357,16 @@ def run_controller_cycle(
     # branch data read back from the joint state (pre-finalize blocks hold the
     # rotated p_n ρ_n, whose entropies and probabilities are basis-invariant)
     p = joint.probabilities()
-    kept = [n for n in range(model.n_outcomes) if p[n] >= p_floor]
-    branch_states = [
-        DensityMatrix.from_matrix(joint.block(n, n) / p[n], where=f"branch {n}") for n in kept
-    ]
-    branch_entropies = tuple(von_neumann_entropy(s) for s in branch_states)
-    probabilities = np.array([p[n] for n in kept])
-    probabilities = probabilities / probabilities.sum()
+    entropies = joint.branch_entropies(p_floor)
+    kept = list(entropies)
+    branch_entropies = tuple(entropies.values())
+    probabilities = p[kept] / p[kept].sum()
     delta_s_meas = initial.entropy - float(np.dot(probabilities, branch_entropies))
     # measurement work read from the pre-feedback blocks via the records
     delta_e_meas = measurement_energy_cost(records, initial.energy)
 
     joint_final, bath = finalize_branches(
-        joint,
-        h,
-        temperature,
-        s_initial=initial.entropy,
-        e_initial=initial.energy,
-        k=k,
-        s_bath=s_bath,
-        p_floor=p_floor,
+        joint, rho_t, entropies, s_initial=initial.entropy, s_bath=s_bath
     )
     report = second_law_verdict(probabilities, delta_s_meas)
     system_closure = trace_distance(joint_final.system_state(), rho_t)

@@ -69,10 +69,6 @@ class NonUnitaryBlockError(NumericalError):
     """A controlled-unitary block is not unitary within tolerance."""
 
 
-class BranchMismatchError(NumericalError):
-    """Per-branch endpoints disagree where the protocol requires identity."""
-
-
 class UnknownParameterError(InputError):
     """Sweep parameter path does not name a numeric config field."""
 

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .controller import EFFICIENCY_TOL, ControllerCycleResult
 from .errors import DomainError, IoError
@@ -53,14 +53,8 @@ FLOAT_COLUMNS = tuple(
 BOOL_COLUMNS = ("efficiency_flag", "clamp_flag")
 
 
-def _cycle_thermo(ledger: CycleLedger):
-    e = ledger.energy_initial
-    s = ledger.entropy_initial
-    return e, s, e - ledger.k * ledger.temperature * s
-
-
 def row_from_cycle(config, ledger: CycleLedger, mode: str = "cycle") -> LedgerRow:
-    e, s, f = _cycle_thermo(ledger)
+    e, s = ledger.energy_initial, ledger.entropy_initial
     return LedgerRow(
         scenario_id=config.scenario_id,
         mode=mode,
@@ -68,7 +62,7 @@ def row_from_cycle(config, ledger: CycleLedger, mode: str = "cycle") -> LedgerRo
         T=ledger.temperature,
         E=e,
         S=s,
-        F=f,
+        F=e - ledger.k * ledger.temperature * s,
         n_outcomes=len(ledger.outcomes),
         delta_E_meas=ledger.delta_e_meas,
         delta_S_meas=ledger.delta_s_meas,
@@ -84,20 +78,16 @@ def row_from_cycle(config, ledger: CycleLedger, mode: str = "cycle") -> LedgerRo
 
 
 def row_from_transform(config, result: TransformResult) -> LedgerRow:
-    base = row_from_cycle(config, result.ledger, mode="transform")
-    return LedgerRow(**{**_as_dict(base), "delta_F": result.delta_f})
+    return replace(row_from_cycle(config, result.ledger, mode="transform"), delta_F=result.delta_f)
 
 
 def row_from_continuous(config, result: ContinuousResult) -> LedgerRow:
     """Continuous runs report cumulative work over all steps; the entropy and
     energy columns are per-step (every step is an identical closed cycle)."""
-    base = row_from_cycle(config, result.per_cycle, mode="continuous")
-    return LedgerRow(
-        **{
-            **_as_dict(base),
-            "work_total": result.cumulative_work_total,
-            "work_fb": result.cumulative_work_fb,
-        }
+    return replace(
+        row_from_cycle(config, result.per_cycle, mode="continuous"),
+        work_total=result.cumulative_work_total,
+        work_fb=result.cumulative_work_fb,
     )
 
 
@@ -184,16 +174,22 @@ def parse_csv(text: str) -> list[LedgerRow]:
     for record in reader:
         if not record:
             continue
+        line = reader.line_num
+        if len(record) != len(COLUMNS):
+            raise IoError(f"line {line}: {len(record)} fields, expected {len(COLUMNS)}")
         kwargs = {}
         for name, text_value in zip(COLUMNS, record):
             if name in BOOL_COLUMNS:
                 kwargs[name] = text_value == "true"
-            elif name in ("dim", "n_outcomes"):
-                kwargs[name] = int(text_value)
             elif name in ("scenario_id", "mode"):
                 kwargs[name] = text_value
             else:
-                kwargs[name] = float(text_value)
+                convert = int if name in ("dim", "n_outcomes") else float
+                try:
+                    kwargs[name] = convert(text_value)
+                except ValueError:
+                    what = f"{text_value!r} is not a valid {convert.__name__}"
+                    raise IoError(f"line {line}, column {name}: {what}") from None
         rows.append(LedgerRow(**kwargs))
     return rows
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateStateError,
     DimensionMismatchError,
+    IncompleteModelError,
     InvalidModelError,
     NotHermitianError,
 )
@@ -34,6 +36,13 @@ from .thermo import DensityMatrix, Hamiltonian, average_energy, von_neumann_entr
 
 COMPLETENESS_TOL = 1e-10
 DEFAULT_P_FLOOR = 1e-14
+
+
+def _frozen(a) -> np.ndarray:
+    """Read-only complex copy: a model's operators cannot change under its report."""
+    m = np.array(a, dtype=complex)
+    m.setflags(write=False)
+    return m
 
 
 class ModelKind(str, Enum):
@@ -45,7 +54,11 @@ class ModelKind(str, Enum):
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Tagged family of measurement operators, grouped by outcome."""
+    """Tagged family of measurement operators, grouped by outcome.
+
+    The builders store read-only copies of the operators and generator, so
+    ``report``, computed on first use and then kept, stays true of them.
+    """
 
     kind: ModelKind
     groups: tuple[tuple[np.ndarray, ...], ...]
@@ -54,17 +67,15 @@ class MeasurementModel:
 
     @classmethod
     def bare(cls, operators: Sequence[np.ndarray]) -> "MeasurementModel":
-        ops = tuple(np.asarray(p, dtype=complex) for p in operators)
-        return cls(kind=ModelKind.BARE, groups=tuple((p,) for p in ops))
+        return cls(kind=ModelKind.BARE, groups=tuple((_frozen(p),) for p in operators))
 
     @classmethod
     def efficient(cls, operators: Sequence[np.ndarray]) -> "MeasurementModel":
-        ops = tuple(np.asarray(a, dtype=complex) for a in operators)
-        return cls(kind=ModelKind.EFFICIENT, groups=tuple((a,) for a in ops))
+        return cls(kind=ModelKind.EFFICIENT, groups=tuple((_frozen(a),) for a in operators))
 
     @classmethod
     def inefficient(cls, groups: Sequence[Sequence[np.ndarray]]) -> "MeasurementModel":
-        packed = tuple(tuple(np.asarray(a, dtype=complex) for a in g) for g in groups)
+        packed = tuple(tuple(_frozen(a) for a in g) for g in groups)
         if any(len(g) == 0 for g in packed):
             raise InvalidModelError("every outcome needs at least one operator")
         return cls(kind=ModelKind.INEFFICIENT, groups=packed)
@@ -72,7 +83,7 @@ class MeasurementModel:
     @classmethod
     def weak(cls, generator: np.ndarray, strength: float) -> "MeasurementModel":
         """Two-outcome weak model P_± = sqrt((I ± εB)/2)."""
-        b = np.asarray(generator, dtype=complex)
+        b = _frozen(generator)
         if not is_hermitian(b):
             raise NotHermitianError("weak-measurement generator must be Hermitian")
         norm = float(np.abs(eig_hermitian(b).eigenvalues).max()) if b.size else 0.0
@@ -86,10 +97,29 @@ class MeasurementModel:
         p_minus = matrix_function((eye - strength * b) / 2.0, sqrt)
         return cls(
             kind=ModelKind.WEAK,
-            groups=((p_plus,), (p_minus,)),
+            groups=((_frozen(p_plus),), (_frozen(p_minus),)),
             generator=b,
             strength=float(strength),
         )
+
+    @cached_property
+    def report(self) -> "ValidationReport":
+        """Completeness and, for bare and weak operators, positivity."""
+        residual = self.completeness_residual()
+        bad: list[tuple[int, float]] = []
+        # a non-finite residual means operators beyond the float range: the model
+        # is invalid already, and its spectra cannot be computed
+        if self.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
+            for n, group in enumerate(self.groups):
+                p = group[0]
+                if not is_hermitian(p):
+                    bad.append((n, max_abs(p - dagger(p))))
+                    continue
+                lam_min = float(eig_hermitian(p).eigenvalues[-1])
+                if lam_min < -COMPLETENESS_TOL:
+                    bad.append((n, lam_min))
+        ok = residual <= COMPLETENESS_TOL and not bad
+        return ValidationReport(ok=ok, completeness_residual=residual, non_positive=tuple(bad))
 
     @property
     def dim(self) -> int:
@@ -100,11 +130,12 @@ class MeasurementModel:
         return len(self.groups)
 
     def completeness_residual(self) -> float:
-        """Max-abs entry of Σ A†A - I."""
+        """Max-abs entry of Σ A†A - I; not finite for entries beyond about 1e154."""
         total = np.zeros((self.dim, self.dim), dtype=complex)
-        for group in self.groups:
-            for a in group:
-                total += dagger(a) @ a
+        with np.errstate(over="ignore", invalid="ignore"):
+            for group in self.groups:
+                for a in group:
+                    total += dagger(a) @ a
         return max_abs(total - np.eye(self.dim))
 
 
@@ -126,20 +157,18 @@ class ValidationReport:
 
 
 def validate(model: MeasurementModel) -> ValidationReport:
-    """Check completeness and, for bare operators, positivity."""
-    residual = model.completeness_residual()
-    bad: list[tuple[int, float]] = []
-    if model.kind in (ModelKind.BARE, ModelKind.WEAK):
-        for n, group in enumerate(model.groups):
-            p = group[0]
-            if not is_hermitian(p):
-                bad.append((n, max_abs(p - dagger(p))))
-                continue
-            lam_min = float(eig_hermitian(p).eigenvalues[-1])
-            if lam_min < -COMPLETENESS_TOL:
-                bad.append((n, lam_min))
-    ok = residual <= COMPLETENESS_TOL and not bad
-    return ValidationReport(ok=ok, completeness_residual=residual, non_positive=tuple(bad))
+    """The model's kept :attr:`~MeasurementModel.report`."""
+    return model.report
+
+
+def require_valid(model: MeasurementModel) -> None:
+    """Raise :class:`IncompleteModelError` if the operators do not resolve the
+    identity, :class:`InvalidModelError` if they fail any other check."""
+    report = validate(model)
+    if not report.ok:
+        complete = report.completeness_residual <= COMPLETENESS_TOL
+        error = InvalidModelError if complete else IncompleteModelError
+        raise error(f"model failed validation:\n{report.describe()}")
 
 
 @dataclass(frozen=True)
@@ -197,9 +226,7 @@ def apply(
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
     if rho.dim != h.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != Hamiltonian dim {h.dim}")
-    report = validate(model)
-    if not report.ok:
-        raise InvalidModelError(f"model failed validation:\n{report.describe()}")
+    require_valid(model)
 
     raw: list[tuple[int, float, np.ndarray]] = []
     dropped: list[int] = []

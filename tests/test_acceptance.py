@@ -39,7 +39,12 @@ from qfeedback.linalg import (
     polar_decompose,
     tensor,
 )
-from qfeedback.measurement import MeasurementModel, apply, measurement_energy_cost
+from qfeedback.measurement import (
+    DEFAULT_P_FLOOR,
+    MeasurementModel,
+    apply,
+    measurement_energy_cost,
+)
 from qfeedback.sampling import (
     ginibre,
     random_efficient_model,
@@ -269,8 +274,9 @@ def test_criterion_6_controller_equivalence():
             plan_feedback(r, h, temperature, e_initial=e0).basis_unitary for r in records
         ]
         moved = apply_joint_unitary(joint, feedback_unitary(blocks))
+        decohered = decohere_controller(moved)
         final, _ = finalize_branches(
-            decohere_controller(moved), h, temperature, s_initial=s0, e_initial=e0
+            decohered, rho_t, decohered.branch_entropies(DEFAULT_P_FLOOR), s_initial=s0
         )
         product = DensityMatrix.from_matrix(
             tensor(final.controller_state().matrix, final.system_state().matrix)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qfeedback.cli import load_config, main, run_scenario
 from qfeedback.config import KINDS, MODES, with_value
 from qfeedback.errors import IoError
-from qfeedback.ledger import emit_csv, emit_json, parse_csv, parse_json
+from qfeedback.ledger import COLUMNS, emit_csv, emit_json, parse_csv, parse_json
 
 LN2 = math.log(2.0)
 
@@ -241,6 +241,25 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("invalid: generator norm")
 
+    # an entry near the float limit makes the model invalid (exit 1): a bare
+    # operator fails the model check, a weak generator fails config parsing
+    @pytest.mark.parametrize(
+        "text, old, where",
+        [
+            (GOOD_CONFIG, "- [[[1.0, 0.0]", "completeness residual: inf"),
+            (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "measurement.generator"),
+        ],
+        ids=["bare-operator", "weak-generator"],
+    )
+    def test_out_of_range_operator_is_invalid(self, tmp_path, capsys, text, old, where):
+        assert old in text
+        path = tmp_path / "huge.yaml"
+        path.write_text(text.replace(old, old.replace("1.0", "1.0e+308")))
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert where in captured.out + captured.err
+
     @pytest.mark.parametrize("key, section", [("seed", None), ("tolerance", "numerics")])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key, section):
         tree = yaml.safe_load(GOOD_CONFIG)
@@ -296,6 +315,24 @@ class TestReport:
 
     def test_missing_file(self, capsys):
         assert main(["report", str("/no/such/ledger.csv")]) == 3
+
+    @pytest.mark.parametrize("column", ["T", "dim"])
+    def test_non_numeric_field(self, tmp_path, capsys, column):
+        path = tmp_path / "ledger.csv"
+        self.run_to_file("szilard", path)
+        header, row = path.read_text().splitlines()
+        fields = row.split(",")
+        fields[COLUMNS.index(column)] = "x"
+        path.write_text(f"{header}\n{','.join(fields)}\n")
+        assert main(["report", str(path)]) == 3
+        assert f"line 2, column {column}: 'x'" in capsys.readouterr().err
+
+    def test_short_row(self, tmp_path, capsys):
+        path = tmp_path / "ledger.csv"
+        self.run_to_file("szilard", path)
+        path.write_text(path.read_text().rsplit(",", 1)[0] + "\n")
+        assert main(["report", str(path)]) == 3
+        assert f"line 2: {len(COLUMNS) - 1} fields" in capsys.readouterr().err
 
 
 class TestExpectedLedgers:

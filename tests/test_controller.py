@@ -29,7 +29,7 @@ from qfeedback.errors import (
     NonUnitaryBlockError,
 )
 from qfeedback.linalg import dagger, max_abs
-from qfeedback.measurement import MeasurementModel, apply
+from qfeedback.measurement import DEFAULT_P_FLOOR, MeasurementModel, apply
 from qfeedback.sampling import random_bare_model, random_hamiltonian, random_unitary
 from qfeedback.thermo import (
     DensityMatrix,
@@ -185,8 +185,9 @@ class TestFinalizeAndLedger:
     def test_factorization(self):
         joint, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        e = average_energy(rho, H2LEVEL)
-        final, bath = finalize_branches(joint, H2LEVEL, 1.0, s_initial=s, e_initial=e)
+        final, bath = finalize_branches(
+            joint, rho, joint.branch_entropies(DEFAULT_P_FLOOR), s_initial=s
+        )
         from qfeedback.linalg import tensor
 
         factored = tensor(final.controller_state().matrix, rho.matrix)
@@ -200,7 +201,11 @@ class TestFinalizeAndLedger:
         model = MeasurementModel.bare([PROJ_0, PROJ_1])
         joint = decohere_controller(correlate(rho, model))
         final, bath = finalize_branches(
-            joint, Hamiltonian.zero(2), 1.0, s_initial=LN2, e_initial=0.0, s_bath=2.0
+            joint,
+            thermal_state(Hamiltonian.zero(2), 1.0),
+            joint.branch_entropies(DEFAULT_P_FLOOR),
+            s_initial=LN2,
+            s_bath=2.0,
         )
         np.testing.assert_allclose(
             final.controller_state().matrix, np.eye(2) / 2.0, atol=1e-12
@@ -211,10 +216,9 @@ class TestFinalizeAndLedger:
     def test_total_entropy_literal_vs_assembled(self):
         joint, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        e = average_energy(rho, H2LEVEL)
         s_bath = 1.5
         final, bath = finalize_branches(
-            joint, H2LEVEL, 1.0, s_initial=s, e_initial=e, s_bath=s_bath
+            joint, rho, joint.branch_entropies(DEFAULT_P_FLOOR), s_initial=s, s_bath=s_bath
         )
         p = final.probabilities()
         branch_s = [0.0, 0.0]  # x-projector outcomes are pure

@@ -1,6 +1,7 @@
 """Eig-call budget of one cycle on fresh inputs.  Each Hermitian matrix is
 diagonalized once and its spectrum carried on the frozen state or Hamiltonian
-that owns it, so these ceilings hold."""
+that owns it, and a measurement model keeps its validation report, so these
+ceilings hold."""
 
 import sys
 
@@ -10,8 +11,9 @@ import pytest
 from qfeedback import linalg
 from qfeedback.controller import run_controller_cycle
 from qfeedback.feedback import run_continuous, run_cycle
+from qfeedback.measurement import apply, validate
 from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
-from qfeedback.thermo import Hamiltonian
+from qfeedback.thermo import Hamiltonian, thermal_state
 
 from conftest import PAULI_Z
 
@@ -58,7 +60,18 @@ def test_controller_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
-    assert len(eig_calls) <= 6 * n + 11
+    assert len(eig_calls) <= 3 * n + 10
+
+
+def test_model_is_checked_once(eig_calls):
+    h, model = fresh_inputs(random_bare_model, 3)
+    rho = thermal_state(h, 1.0)
+    validate(model)
+    eig_calls.clear()
+    validate(model)
+    assert len(eig_calls) == 0
+    outcomes = apply(model, rho, h)
+    assert len(eig_calls) == len(outcomes)  # one per outcome state, none for the model
 
 
 def test_continuous_cost_does_not_grow_with_steps(eig_calls):

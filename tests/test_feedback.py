@@ -146,6 +146,20 @@ class TestExecutePlan:
         with pytest.raises(PlanMismatchError):
             execute_plan(other, plan, H2LEVEL, 1.0)
 
+    def test_lands_at_large_energies(self):
+        # the landed state is compared with the thermal state of H_n: the shift
+        # c_n cancels in it, and at |E| ~ 1e8 H_n + c_n·I would cost the
+        # eigenvectors more than the 1e-9 the check allows
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            h = random_hamiltonian(6, rng, scale=1e8)
+            rho = thermal_state(h, 1.0)
+            e = average_energy(rho, h)
+            for record in apply(random_efficient_model(6, 3, rng), rho, h):
+                plan = plan_feedback(record, h, 1.0, e_initial=e)
+                state, _ = execute_plan(record, plan, h, 1.0)
+                assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
+
 
 class TestIsothermal:
     def test_identity(self):

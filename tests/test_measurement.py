@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qfeedback.errors import (
     DegenerateStateError,
     DimensionMismatchError,
+    IncompleteModelError,
     InvalidModelError,
     NotHermitianError,
 )
@@ -89,6 +90,31 @@ class TestModelConstruction:
         with pytest.raises(InvalidModelError):
             MeasurementModel.inefficient([[]])
 
+    def test_operators_are_read_only_copies(self):
+        ops = [PROJ_0.copy(), PROJ_1.copy()]
+        generator = PAULI_Z.copy()
+        for model in (
+            MeasurementModel.bare(ops),
+            MeasurementModel.efficient(ops),
+            MeasurementModel.inefficient([ops]),
+            MeasurementModel.weak(generator, 0.3),
+        ):
+            for group in model.groups:
+                for a in group:
+                    with pytest.raises(ValueError):
+                        a[0, 0] = 0.5
+            if model.generator is not None:
+                with pytest.raises(ValueError):
+                    model.generator[0, 0] = 0.5
+        ops[0][0, 0] = 0.5  # the caller's arrays stay theirs
+        generator[0, 0] = 0.5
+
+    def test_out_of_range_operator_is_invalid(self):
+        huge = np.array([[1e308, 0.0], [0.0, 0.0]], dtype=complex)
+        report = validate(MeasurementModel.bare([huge, PROJ_1]))
+        assert not report.ok
+        assert math.isinf(report.completeness_residual)
+
 
 def matrix_sqrt(m):
     from qfeedback.linalg import matrix_function
@@ -158,6 +184,11 @@ class TestApply:
                 DensityMatrix.maximally_mixed(3),
                 Hamiltonian.zero(3),
             )
+
+    def test_rejects_incomplete_model(self):
+        half = MeasurementModel.bare([np.eye(2, dtype=complex) * 0.5])
+        with pytest.raises(IncompleteModelError):
+            apply(half, DensityMatrix.maximally_mixed(2), Hamiltonian.zero(2))
 
 
 class TestAveragePostState:
@@ -298,3 +329,4 @@ def test_inefficient_completeness_property(seed):
     assert validate(model).ok
     records = apply(model, random_density_matrix(dim, rng), Hamiltonian.zero(dim))
     assert float(records.probabilities.sum()) == pytest.approx(1.0, abs=1e-9)
+
