@@ -51,12 +51,10 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
     numerical failure is re-raised with the scenario id in front."""
     h = config.hamiltonian
     t = config.temperature
+    constants = dict(k=config.k, lambda_floor=config.lambda_floor, p_floor=config.p_floor)
     try:
         if config.mode == "cycle":
-            ledger = run_cycle(
-                h, t, config.model, k=config.k,
-                lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-            )
+            ledger = run_cycle(h, t, config.model, **constants)
             row = row_from_cycle(config, ledger)
             detail = {
                 "outcomes": [asdict(o) for o in ledger.outcomes],
@@ -64,10 +62,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
                 "dropped_outcomes": ledger.dropped_outcomes,
             }
         elif config.mode == "transform":
-            result = run_transform(
-                h, config.h2, t, config.model, k=config.k,
-                lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-            )
+            result = run_transform(h, config.h2, t, config.model, **constants)
             row = row_from_transform(config, result)
             detail = {
                 "outcomes": [asdict(o) for o in result.ledger.outcomes],
@@ -76,10 +71,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
                 "heat_from_bath": result.ledger.heat_from_bath,
             }
         elif config.mode == "continuous":
-            result = run_continuous(
-                h, t, config.model.generator, config.model.strength, config.steps,
-                k=config.k, lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-            )
+            result = run_continuous(h, t, config.model, config.steps, **constants)
             row = row_from_continuous(config, result)
             detail = {
                 "epsilon": result.epsilon,
@@ -89,10 +81,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
                 "scaling_ratio": result.scaling_ratio,
             }
         else:
-            result = run_controller_cycle(
-                h, t, config.model, k=config.k,
-                lambda_floor=config.lambda_floor, p_floor=config.p_floor,
-            )
+            result = run_controller_cycle(h, t, config.model, **constants)
             row = row_from_controller(config, result)
             detail = {
                 "branch_probabilities": list(result.probabilities),

@@ -82,12 +82,10 @@ def _reject_unknown(node: dict, path: str, known):
             raise ValidationError(where, "unknown key")
 
 
-def _get(node: dict, key: str, path: str, required: bool = True):
+def _get(node: dict, key: str, path: str):
     if key not in node:
-        if required:
-            where = f"{path}.{key}" if path else key
-            raise ValidationError(where, "missing required key")
-        return None
+        where = f"{path}.{key}" if path else key
+        raise ValidationError(where, "missing required key")
     return node[key]
 
 

@@ -22,12 +22,13 @@ from .errors import (
     NonUnitaryBlockError,
 )
 from .linalg import dagger, dephase_blocks, hermitize, max_abs, partial_trace, tensor
-from .feedback import DEFAULT_LAMBDA_FLOOR, FeedbackPlan, plan_feedback
+from .feedback import DEFAULT_LAMBDA_FLOOR, plan_feedback
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
     ModelKind,
     apply,
+    is_dropped,
     measurement_energy_cost,
     require_valid,
 )
@@ -35,7 +36,6 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
-    average_energy,
     shannon_entropy,
     thermal_state,
     thermo_reading,
@@ -81,15 +81,15 @@ class JointState:
         return np.array([self.block_probability(n) for n in range(self.n_outcomes)])
 
     def branch_entropies(self, p_floor: float) -> dict[int, float]:
-        """S_n of the system state p_n ρ_n / p_n in each diagonal block whose
-        probability reaches ``p_floor``, keyed by controller index."""
+        """S_n of the system state p_n ρ_n / p_n in each diagonal block that
+        :func:`~qfeedback.measurement.is_dropped` keeps, keyed by controller index."""
         p = self.probabilities()
         return {
             n: von_neumann_entropy(
                 DensityMatrix.from_matrix(self.block(n, n) / p[n], where=f"branch {n}")
             )
             for n in range(self.n_outcomes)
-            if p[n] >= p_floor
+            if not is_dropped(p[n], p_floor)
         }
 
     def controller_state(self) -> DensityMatrix:
@@ -152,12 +152,11 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     )
 
 
-def feedback_unitary(plans) -> np.ndarray:
-    """Controlled unitary Σ_n |n⟩⟨n| ⊗ U_n from per-outcome plans (or raw
-    unitary blocks)."""
+def feedback_unitary(unitaries) -> np.ndarray:
+    """Controlled unitary Σ_n |n⟩⟨n| ⊗ U_n from the per-outcome blocks U_n."""
     blocks = []
-    for item in plans:
-        u = item.basis_unitary if isinstance(item, FeedbackPlan) else np.asarray(item, complex)
+    for item in unitaries:
+        u = np.asarray(item, complex)
         residual = max_abs(dagger(u) @ u - np.eye(u.shape[0]))
         if residual > STRUCTURE_TOL:
             raise NonUnitaryBlockError(
@@ -333,7 +332,7 @@ def run_controller_cycle(
     itself; the per-outcome feedback unitaries are planned from the
     equivalent measurement records."""
     rho_t = thermal_state(h, temperature, k)
-    initial = thermo_reading(rho_t, h, temperature, k, thermal=True)
+    initial = thermo_reading(rho_t, h, temperature, k)
 
     joint = correlate(rho_t, model)
     records = apply(model, rho_t, h, p_floor=p_floor)

@@ -23,14 +23,15 @@ import numpy as np
 from .errors import (
     DegenerateStateError,
     DomainError,
+    InvalidModelError,
     NonPositiveTemperatureError,
     PlanMismatchError,
 )
-from .linalg import dagger, hermitize
+from .linalg import dagger, hermitize, spectral_matrix
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
-    MeasurementOutcomes,
+    ModelKind,
     OutcomeRecord,
     apply,
     entropy_reduction,
@@ -39,9 +40,11 @@ from .measurement import (
 from .thermo import (
     DensityMatrix,
     Hamiltonian,
+    ThermoReading,
     average_energy,
     shannon_entropy,
     thermal_state,
+    thermo_reading,
     trace_distance,
     von_neumann_entropy,
 )
@@ -179,9 +182,7 @@ def plan_feedback(
         )
     # hermitized first: the round-off of V diag(levels) V† grows with the levels,
     # and an exactly Hermitian matrix passes the check at any energy scale
-    target = Hamiltonian.from_matrix(
-        hermitize(energy_basis @ np.diag(levels.astype(complex)) @ dagger(energy_basis))
-    )
+    target = Hamiltonian.from_matrix(spectral_matrix(energy_basis, levels))
     shift = e_initial - float(np.dot(lam, levels))
     return FeedbackPlan(
         outcome=record.n,
@@ -268,53 +269,6 @@ def quasi_static_work(
     return work_out
 
 
-@dataclass(frozen=True)
-class _BranchResult:
-    ledger: OutcomeLedger
-    endpoint: DensityMatrix
-    clamped: bool
-
-
-def _run_branches(
-    outcomes: MeasurementOutcomes,
-    h_start: Hamiltonian,
-    rho_end: DensityMatrix,
-    temperature: float,
-    k: float,
-    e_initial: float,
-    target_energy: float,
-    target_entropy: float,
-    lambda_floor: float,
-) -> list[_BranchResult]:
-    branches = []
-    for record in outcomes:
-        plan = plan_feedback(
-            record, h_start, temperature, k=k, e_initial=e_initial, lambda_floor=lambda_floor
-        )
-        state, work_steps = execute_plan(record, plan, h_start, temperature, k=k)
-        # isothermal stage from the branch Hamiltonian to the end one: work
-        # equals the free-energy drop at fixed T; state tracks the instantaneous
-        # thermal state, so the endpoint is rho_end, the end thermal state.
-        work_iso = (e_initial - target_energy) + isothermal_work(
-            target_entropy, record.entropy, temperature, k
-        )
-        branches.append(
-            _BranchResult(
-                ledger=OutcomeLedger(
-                    n=record.n,
-                    probability=record.probability,
-                    entropy=record.entropy,
-                    energy=record.energy,
-                    delta_e=record.energy - e_initial,
-                    work=work_steps + work_iso,
-                ),
-                endpoint=rho_end,
-                clamped=plan.clamped or state.clamped,
-            )
-        )
-    return branches
-
-
 def _run(
     h1: Hamiltonian,
     h2: Hamiltonian,
@@ -323,63 +277,64 @@ def _run(
     k: float,
     lambda_floor: float,
     p_floor: float,
-) -> tuple[CycleLedger, float, float]:
+) -> tuple[CycleLedger, ThermoReading, ThermoReading]:
     rho_initial = thermal_state(h1, temperature, k)
-    e_initial = average_energy(rho_initial, h1)
-    s_initial = von_neumann_entropy(rho_initial)
-    f_initial = e_initial - k * temperature * s_initial
-
+    initial = thermo_reading(rho_initial, h1, temperature, k)
     rho_target = rho_initial if h2 is h1 else thermal_state(h2, temperature, k)
-    e_target = average_energy(rho_target, h2)
-    s_target = von_neumann_entropy(rho_target)
-    f_target = e_target - k * temperature * s_target
+    target = thermo_reading(rho_target, h2, temperature, k)
+    e_initial = initial.energy
 
     outcomes = apply(model, rho_initial, h1, p_floor=p_floor)
-    branches = _run_branches(
-        outcomes,
-        h1,
-        rho_target,
-        temperature,
-        k,
-        e_initial,
-        e_target,
-        s_target,
-        lambda_floor,
-    )
+    branches = []
+    clamp = rho_initial.clamped
+    for record in outcomes:
+        plan = plan_feedback(
+            record, h1, temperature, k=k, e_initial=e_initial, lambda_floor=lambda_floor
+        )
+        state, work_steps = execute_plan(record, plan, h1, temperature, k=k)
+        clamp = clamp or plan.clamped or state.clamped
+        # isothermal stage from the branch Hamiltonian to h2: work equals the
+        # free-energy drop at fixed T, and the state tracks the instantaneous
+        # thermal state, so every branch ends on rho_target.
+        work_iso = (e_initial - target.energy) + isothermal_work(
+            target.entropy, record.entropy, temperature, k
+        )
+        branches.append(
+            OutcomeLedger(
+                n=record.n,
+                probability=record.probability,
+                entropy=record.entropy,
+                energy=record.energy,
+                delta_e=record.energy - e_initial,
+                work=work_steps + work_iso,
+            )
+        )
 
-    p = np.array([b.ledger.probability for b in branches])
     delta_e_meas = measurement_energy_cost(outcomes, e_initial)
-    delta_s_meas = entropy_reduction(outcomes, s_initial)
-    work_total = float(sum(b.ledger.probability * b.ledger.work for b in branches))
-    work_fb = work_total - delta_e_meas
-
+    delta_s_meas = entropy_reduction(outcomes, initial.entropy)
+    work_total = float(sum(b.probability * b.work for b in branches))
     final = DensityMatrix.from_matrix(
-        sum(b.ledger.probability * b.endpoint.matrix for b in branches),
-        where="cycle endpoint",
+        sum(b.probability * rho_target.matrix for b in branches), where="cycle endpoint"
     )
-    closure = trace_distance(final, rho_target)
-
-    shannon = shannon_entropy(p)
+    shannon = shannon_entropy(np.array([b.probability for b in branches]))
     ledger = CycleLedger(
         energy_initial=e_initial,
-        entropy_initial=s_initial,
+        entropy_initial=initial.entropy,
         temperature=temperature,
         k=k,
-        outcomes=tuple(b.ledger for b in branches),
+        outcomes=tuple(branches),
         delta_e_meas=delta_e_meas,
         delta_s_meas=delta_s_meas,
         shannon_outcomes=shannon,
         work_total=work_total,
-        work_fb=work_fb,
+        work_fb=work_total - delta_e_meas,
         delta_s_tot=shannon - delta_s_meas,
         heat_from_bath=k * temperature * delta_s_meas,
-        closure_distance=closure,
-        clamp_flag=bool(
-            rho_initial.clamped or final.clamped or any(b.clamped for b in branches)
-        ),
+        closure_distance=trace_distance(final, rho_target),
+        clamp_flag=bool(clamp or final.clamped),
         dropped_outcomes=outcomes.dropped,
     )
-    return ledger, f_initial, f_target
+    return ledger, initial, target
 
 
 def run_cycle(
@@ -408,11 +363,11 @@ def run_transform(
 ) -> TransformResult:
     """Like :func:`run_cycle` but the closing expansion targets the thermal
     state of ``h2``; the net work picks up the free-energy drop ΔF."""
-    ledger, f1, f2 = _run(h1, h2, temperature, model, k, lambda_floor, p_floor)
+    ledger, initial, target = _run(h1, h2, temperature, model, k, lambda_floor, p_floor)
     return TransformResult(
-        delta_f=f1 - f2,
-        free_energy_initial=f1,
-        free_energy_final=f2,
+        delta_f=initial.free_energy - target.free_energy,
+        free_energy_initial=initial.free_energy,
+        free_energy_final=target.free_energy,
         work_fb=ledger.work_fb,
         ledger=ledger,
     )
@@ -421,14 +376,14 @@ def run_transform(
 def run_continuous(
     h: Hamiltonian,
     temperature: float,
-    generator: np.ndarray,
-    epsilon: float,
+    model: MeasurementModel,
     n_steps: int,
     k: float = 1.0,
     lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ContinuousResult:
-    """Drive repeated weak-measurement cycles, one per time step.
+    """Drive repeated cycles of one weak measurement, one per time step; its
+    strength ``model.strength`` is the ε of the scaling readout.
 
     Each cycle returns the system to its thermal state, so the steps are
     independent and identically ledgered: one cycle is computed and its work
@@ -436,12 +391,14 @@ def run_continuous(
     per-step ΔS_meas(ε)/ε² ratio that exposes the quadratic weak-measurement
     scaling.
     """
+    if model.kind is not ModelKind.WEAK:
+        raise InvalidModelError(f"continuous runs need a weak model, got kind {model.kind.value}")
+    epsilon = model.strength
     lo, hi = CONTINUOUS_EPSILON_RANGE
     if not lo <= epsilon <= hi:
         raise ValueError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
-    model = MeasurementModel.weak(generator, epsilon)
     cycle = run_cycle(h, temperature, model, k=k, lambda_floor=lambda_floor, p_floor=p_floor)
     return ContinuousResult(
         epsilon=epsilon,

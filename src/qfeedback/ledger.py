@@ -179,17 +179,23 @@ def parse_csv(text: str) -> list[LedgerRow]:
             raise IoError(f"line {line}: {len(record)} fields, expected {len(COLUMNS)}")
         kwargs = {}
         for name, text_value in zip(COLUMNS, record):
+            where = f"line {line}, column {name}"
             if name in BOOL_COLUMNS:
+                if text_value not in ("true", "false"):
+                    raise IoError(f"{where}: {text_value!r} is not true or false")
                 kwargs[name] = text_value == "true"
             elif name in ("scenario_id", "mode"):
                 kwargs[name] = text_value
             else:
                 convert = int if name in ("dim", "n_outcomes") else float
                 try:
-                    kwargs[name] = convert(text_value)
+                    value = convert(text_value)
                 except ValueError:
-                    what = f"{text_value!r} is not a valid {convert.__name__}"
-                    raise IoError(f"line {line}, column {name}: {what}") from None
+                    value = math.nan
+                if not math.isfinite(value):
+                    what = f"{text_value!r} is not a valid finite {convert.__name__}"
+                    raise IoError(f"{where}: {what}")
+                kwargs[name] = value
         rows.append(LedgerRow(**kwargs))
     return rows
 

@@ -42,6 +42,19 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2.0
 
 
+def spectral_matrix(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(x) V†, hermitized: the product's round-off is not exactly Hermitian."""
+    return hermitize(vectors @ np.diag(values.astype(complex)) @ dagger(vectors))
+
+
+def read_only(m) -> np.ndarray:
+    """Read-only C-ordered complex copy: what a frozen state, Hamiltonian or
+    measurement model stores, so nothing can change it under a kept spectrum."""
+    out = np.array(m, dtype=complex, order="C")
+    out.setflags(write=False)
+    return out
+
+
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-magnitude norm."""
     return float(np.max(np.abs(m))) if m.size else 0.0
@@ -199,9 +212,7 @@ def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
         if isinstance(y, complex) or not math.isfinite(y):
             raise DomainError(f"f({lam!r}) = {y!r} is not a finite real value")
         values[i] = y
-    v = dec.eigenvectors
-    out = v @ np.diag(values.astype(complex)) @ dagger(v)
-    return hermitize(out)
+    return spectral_matrix(dec.eigenvectors, values)
 
 
 def polar_decompose(a: np.ndarray) -> PolarFactors:
@@ -216,7 +227,7 @@ def polar_decompose(a: np.ndarray) -> PolarFactors:
     dec = eig_hermitian(hermitize(dagger(a) @ a))
     svals = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
     w = dec.eigenvectors
-    p = hermitize(w @ np.diag(svals.astype(complex)) @ dagger(w))
+    p = spectral_matrix(w, svals)
 
     s_max = float(svals[0]) if n else 0.0
     cutoff = n * np.finfo(float).eps * s_max

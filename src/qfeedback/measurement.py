@@ -31,18 +31,11 @@ from .errors import (
     InvalidModelError,
     NotHermitianError,
 )
-from .linalg import dagger, eig_hermitian, is_hermitian, matrix_function, max_abs
+from .linalg import dagger, eig_hermitian, is_hermitian, matrix_function, max_abs, read_only
 from .thermo import DensityMatrix, Hamiltonian, average_energy, von_neumann_entropy
 
 COMPLETENESS_TOL = 1e-10
 DEFAULT_P_FLOOR = 1e-14
-
-
-def _frozen(a) -> np.ndarray:
-    """Read-only complex copy: a model's operators cannot change under its report."""
-    m = np.array(a, dtype=complex)
-    m.setflags(write=False)
-    return m
 
 
 class ModelKind(str, Enum):
@@ -67,15 +60,15 @@ class MeasurementModel:
 
     @classmethod
     def bare(cls, operators: Sequence[np.ndarray]) -> "MeasurementModel":
-        return cls(kind=ModelKind.BARE, groups=tuple((_frozen(p),) for p in operators))
+        return cls(kind=ModelKind.BARE, groups=tuple((read_only(p),) for p in operators))
 
     @classmethod
     def efficient(cls, operators: Sequence[np.ndarray]) -> "MeasurementModel":
-        return cls(kind=ModelKind.EFFICIENT, groups=tuple((_frozen(a),) for a in operators))
+        return cls(kind=ModelKind.EFFICIENT, groups=tuple((read_only(a),) for a in operators))
 
     @classmethod
     def inefficient(cls, groups: Sequence[Sequence[np.ndarray]]) -> "MeasurementModel":
-        packed = tuple(tuple(_frozen(a) for a in g) for g in groups)
+        packed = tuple(tuple(read_only(a) for a in g) for g in groups)
         if any(len(g) == 0 for g in packed):
             raise InvalidModelError("every outcome needs at least one operator")
         return cls(kind=ModelKind.INEFFICIENT, groups=packed)
@@ -83,7 +76,7 @@ class MeasurementModel:
     @classmethod
     def weak(cls, generator: np.ndarray, strength: float) -> "MeasurementModel":
         """Two-outcome weak model P_± = sqrt((I ± εB)/2)."""
-        b = _frozen(generator)
+        b = read_only(generator)
         if not is_hermitian(b):
             raise NotHermitianError("weak-measurement generator must be Hermitian")
         norm = float(np.abs(eig_hermitian(b).eigenvalues).max()) if b.size else 0.0
@@ -97,7 +90,7 @@ class MeasurementModel:
         p_minus = matrix_function((eye - strength * b) / 2.0, sqrt)
         return cls(
             kind=ModelKind.WEAK,
-            groups=((_frozen(p_plus),), (_frozen(p_minus),)),
+            groups=((read_only(p_plus),), (read_only(p_minus),)),
             generator=b,
             strength=float(strength),
         )
@@ -209,6 +202,12 @@ class MeasurementOutcomes(Sequence):
         return np.array([r.probability for r in self.records])
 
 
+def is_dropped(p: float, p_floor: float) -> bool:
+    """An outcome with probability ``p`` is dropped when p is not positive (its
+    conditional state p_n ρ_n / p_n is undefined) or below ``p_floor``."""
+    return p <= 0.0 or p < p_floor
+
+
 def apply(
     model: MeasurementModel,
     rho: DensityMatrix,
@@ -218,8 +217,8 @@ def apply(
     """Apply a measurement to ρ: branch n gets Σ_j A_nj ρ A_nj† / p_n with
     p_n = Σ_j Tr[A_nj† A_nj ρ].
 
-    Outcomes with p_n < ``p_floor`` are dropped (their conditional state is
-    undefined) and the surviving probabilities renormalized proportionally;
+    Outcomes that :func:`is_dropped` rejects are removed and the surviving
+    probabilities renormalized proportionally;
     :class:`DegenerateStateError` is raised when none survives.
     """
     if model.dim != rho.dim:
@@ -235,7 +234,7 @@ def apply(
         for a in group:
             numerator += a @ rho.matrix @ dagger(a)
         p = float(np.trace(numerator).real)
-        if p < p_floor:
+        if is_dropped(p, p_floor):
             dropped.append(n)
             continue
         raw.append((n, p, numerator))

@@ -43,11 +43,22 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.from_matrix(m / np.trace(m).real)
 
 
+def _inv_sqrt_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """(Σ M_n)^{-1/2}, the normalizer that makes a PSD family resolve the identity."""
+    return matrix_function(hermitize(sum(parts)), lambda x: 1.0 / math.sqrt(x))
+
+
+def _normalized_ginibre(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """A_n = G_n (Σ G†G)^{-1/2} for ``count`` Ginibre draws, so Σ A_n†A_n = I."""
+    gs = [ginibre(dim, rng) for _ in range(count)]
+    inv_sqrt = _inv_sqrt_sum([dagger(g) @ g for g in gs])
+    return [g @ inv_sqrt for g in gs]
+
+
 def _positive_parts(dim: int, n_parts: int, rng: np.random.Generator) -> list[np.ndarray]:
     """PSD matrices M_n with Σ M_n = I, via inverse-square-root normalization."""
     parts = [dagger(g) @ g for g in (ginibre(dim, rng) for _ in range(n_parts))]
-    total = hermitize(sum(parts))
-    inv_sqrt = matrix_function(total, lambda x: 1.0 / math.sqrt(x))
+    inv_sqrt = _inv_sqrt_sum(parts)
     return [hermitize(inv_sqrt @ m @ inv_sqrt) for m in parts]
 
 
@@ -60,10 +71,7 @@ def random_bare_model(dim: int, n_outcomes: int, rng: np.random.Generator) -> Me
 
 def random_efficient_model(dim: int, n_outcomes: int, rng: np.random.Generator) -> MeasurementModel:
     """General operators A_n = G_n (Σ G†G)^{-1/2}; nontrivial polar parts."""
-    gs = [ginibre(dim, rng) for _ in range(n_outcomes)]
-    total = hermitize(sum(dagger(g) @ g for g in gs))
-    inv_sqrt = matrix_function(total, lambda x: 1.0 / math.sqrt(x))
-    return MeasurementModel.efficient([g @ inv_sqrt for g in gs])
+    return MeasurementModel.efficient(_normalized_ginibre(dim, n_outcomes, rng))
 
 
 def random_inefficient_model(
@@ -73,10 +81,7 @@ def random_inefficient_model(
     ops_per_outcome: int = 2,
 ) -> MeasurementModel:
     """Outcome groups of several Kraus operators each (information discarded)."""
-    gs = [ginibre(dim, rng) for _ in range(n_outcomes * ops_per_outcome)]
-    total = hermitize(sum(dagger(g) @ g for g in gs))
-    inv_sqrt = matrix_function(total, lambda x: 1.0 / math.sqrt(x))
-    normalized = [g @ inv_sqrt for g in gs]
+    normalized = _normalized_ginibre(dim, n_outcomes * ops_per_outcome, rng)
     groups = [
         normalized[i * ops_per_outcome : (i + 1) * ops_per_outcome] for i in range(n_outcomes)
     ]

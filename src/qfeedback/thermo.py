@@ -30,15 +30,11 @@ from .linalg import (
     hermitize,
     is_hermitian,
     max_abs,
+    read_only,
+    spectral_matrix,
 )
 
 STATE_TOL = 1e-10  # Hermiticity / trace / eigenvalue-floor tolerance for states
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m = np.ascontiguousarray(m, dtype=complex)
-    m.setflags(write=False)
-    return m
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class Hamiltonian:
             raise DomainError("Hamiltonian entries are not finite")
         if not is_hermitian(m, HERMITICITY_TOL):
             raise NotHermitianError("Hamiltonian is not Hermitian within 1e-10")
-        return cls(matrix=_freeze(h))
+        return cls(matrix=read_only(h))
 
     @classmethod
     def diagonal(cls, energies) -> "Hamiltonian":
@@ -128,11 +124,9 @@ class DensityMatrix:
             )
         if lam_min < 0.0:
             lam = np.clip(dec.eigenvalues, 0.0, None)
-            lam = lam / lam.sum()
-            v = dec.eigenvectors
-            m = hermitize(v @ np.diag(lam.astype(complex)) @ dagger(v))
-            return cls(matrix=_freeze(m), clamped=True)
-        rho = cls(matrix=_freeze(m), clamped=False)
+            m = spectral_matrix(dec.eigenvectors, lam / lam.sum())
+            return cls(matrix=read_only(m), clamped=True)
+        rho = cls(matrix=read_only(m), clamped=False)
         rho.__dict__["eig"] = dec  # dec decomposed exactly the stored matrix
         return rho
 
@@ -144,11 +138,11 @@ class DensityMatrix:
         if norm == 0.0:
             raise InvalidStateError("cannot build a state from the zero vector")
         v = v / norm
-        return cls(matrix=_freeze(np.outer(v, v.conj())), clamped=False)
+        return cls(matrix=read_only(np.outer(v, v.conj())), clamped=False)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(matrix=_freeze(np.eye(dim, dtype=complex) / dim), clamped=False)
+        return cls(matrix=read_only(np.eye(dim, dtype=complex) / dim), clamped=False)
 
     @property
     def dim(self) -> int:
@@ -161,13 +155,11 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class ThermoReading:
-    """Snapshot of E, S, and F for one state; T recorded only when the state
-    is declared thermal at that temperature."""
+    """Snapshot of E, S, and F for one state at a reference temperature."""
 
     energy: float
     entropy: float
     free_energy: float
-    temperature: float | None = None
 
 
 def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> DensityMatrix:
@@ -183,10 +175,17 @@ def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> Density
     dec = h.eig
     energies = dec.eigenvalues
     weights = np.exp(-(energies - energies.min()) / (k * temperature))
-    weights = weights / weights.sum()
-    v = dec.eigenvectors
-    m = hermitize(v @ np.diag(weights.astype(complex)) @ dagger(v))
+    m = spectral_matrix(dec.eigenvectors, weights / weights.sum())
     return DensityMatrix.from_matrix(m, where="thermal state")
+
+
+def _nats(p: np.ndarray) -> float:
+    """-Σ p ln p over non-negative weights, with the 0·ln 0 = 0 convention."""
+    s = 0.0
+    for q in p:
+        if q > 0.0:
+            s -= q * math.log(q)
+    return max(s, 0.0)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -194,12 +193,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lam = rho.eig.eigenvalues
     if lam[-1] < -STATE_TOL:
         raise InvalidStateError(f"eigenvalue {lam[-1]:.3e} below -{STATE_TOL:g}")
-    lam = np.clip(lam, 0.0, None)
-    s = 0.0
-    for p in lam:
-        if p > 0.0:
-            s -= p * math.log(p)
-    return max(s, 0.0)
+    return _nats(np.clip(lam, 0.0, None))
 
 
 def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -212,27 +206,18 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     return value.real
 
 
-def free_energy(rho: DensityMatrix, h: Hamiltonian, temperature: float, k: float = 1.0) -> float:
-    """Helmholtz free energy F = E - kT·S (S in nats)."""
-    return average_energy(rho, h) - k * temperature * von_neumann_entropy(rho)
-
-
 def thermo_reading(
-    rho: DensityMatrix,
-    h: Hamiltonian,
-    temperature: float,
-    k: float = 1.0,
-    thermal: bool = False,
+    rho: DensityMatrix, h: Hamiltonian, temperature: float, k: float = 1.0
 ) -> ThermoReading:
-    """E, S, F of a state at a reference temperature."""
+    """E, S, and the Helmholtz free energy F = E - kT·S (S in nats) of a state."""
     e = average_energy(rho, h)
     s = von_neumann_entropy(rho)
-    return ThermoReading(
-        energy=e,
-        entropy=s,
-        free_energy=e - k * temperature * s,
-        temperature=temperature if thermal else None,
-    )
+    return ThermoReading(energy=e, entropy=s, free_energy=e - k * temperature * s)
+
+
+def free_energy(rho: DensityMatrix, h: Hamiltonian, temperature: float, k: float = 1.0) -> float:
+    """Helmholtz free energy F = E - kT·S (S in nats)."""
+    return thermo_reading(rho, h, temperature, k).free_energy
 
 
 def shannon_entropy(p) -> float:
@@ -243,12 +228,7 @@ def shannon_entropy(p) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise NotADistributionError(f"entries sum to {total!r}, not 1 within 1e-9")
-    p = np.clip(p, 0.0, None) / total
-    s = 0.0
-    for q in p:
-        if q > 0.0:
-            s -= q * math.log(q)
-    return max(s, 0.0)
+    return _nats(np.clip(p, 0.0, None) / total)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

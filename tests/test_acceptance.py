@@ -320,7 +320,7 @@ def test_criterion_7_isothermal_integrator():
 
 def test_criterion_8_weak_readout_scaling():
     h = Hamiltonian.zero(2)
-    ratio = lambda eps: run_continuous(h, 1.0, PAULI_Z, eps, 1).scaling_ratio
+    ratio = lambda eps: run_continuous(h, 1.0, MeasurementModel.weak(PAULI_Z, eps), 1).scaling_ratio
     r_coarse = ratio(0.1)
     r_fine = ratio(0.05)
     drift = abs(r_coarse - r_fine) / abs(r_fine)

@@ -65,6 +65,10 @@ measurement:
 continuous: {steps: 3}
 """
 
+ZERO_OUTCOME_CONFIG = GOOD_CONFIG + """\
+    - [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+"""
+
 PRESETS = (
     "szilard",
     "energy-measurement",
@@ -162,6 +166,19 @@ class TestRun:
         path.write_text(CONTINUOUS_CONFIG)
         assert main(["validate", str(path)]) == 0
         assert main(["run", str(path)]) == 0
+
+    @pytest.mark.parametrize("mode", ["cycle", "controller"])
+    def test_zero_probability_outcome_at_zero_p_floor(self, tmp_path, capsys, mode):
+        # the third operator is zero, so its outcome has p = 0 exactly; a zero
+        # p_floor must still drop it instead of dividing 0 by 0
+        config = ZERO_OUTCOME_CONFIG.replace("mode: cycle", f"mode: {mode}")
+        rows = []
+        for numerics in ("", "numerics: {p_floor: 0.0}\n"):
+            path = tmp_path / "zero-outcome.yaml"
+            path.write_text(config + numerics)
+            assert main(["run", str(path)]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
 
     def test_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "degenerate.yaml"
@@ -316,16 +333,29 @@ class TestReport:
     def test_missing_file(self, capsys):
         assert main(["report", str("/no/such/ledger.csv")]) == 3
 
-    @pytest.mark.parametrize("column", ["T", "dim"])
-    def test_non_numeric_field(self, tmp_path, capsys, column):
+    @pytest.mark.parametrize(
+        "column, text",
+        [
+            pytest.param("T", "x", id="T"),
+            pytest.param("dim", "x", id="dim"),
+            # exit 3, not 2 from the row's own finite check
+            pytest.param("T", "nan", id="T-nan"),
+            pytest.param("work_fb", "inf", id="work_fb-inf"),
+            pytest.param("delta_S_tot", "-inf", id="delta_S_tot--inf"),
+            # a flag spelled other than true/false must not read as false
+            pytest.param("efficiency_flag", "True", id="efficiency_flag-True"),
+            pytest.param("clamp_flag", "1", id="clamp_flag-1"),
+        ],
+    )
+    def test_non_numeric_field(self, tmp_path, capsys, column, text):
         path = tmp_path / "ledger.csv"
         self.run_to_file("szilard", path)
         header, row = path.read_text().splitlines()
         fields = row.split(",")
-        fields[COLUMNS.index(column)] = "x"
+        fields[COLUMNS.index(column)] = text
         path.write_text(f"{header}\n{','.join(fields)}\n")
         assert main(["report", str(path)]) == 3
-        assert f"line 2, column {column}: 'x'" in capsys.readouterr().err
+        assert f"line 2, column {column}: {text!r}" in capsys.readouterr().err
 
     def test_short_row(self, tmp_path, capsys):
         path = tmp_path / "ledger.csv"

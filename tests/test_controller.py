@@ -179,7 +179,7 @@ class TestFinalizeAndLedger:
         from qfeedback.feedback import plan_feedback
 
         plans = [plan_feedback(r, H2LEVEL, 1.0, e_initial=e) for r in records]
-        joint = apply_joint_unitary(joint, feedback_unitary(plans))
+        joint = apply_joint_unitary(joint, feedback_unitary([p.basis_unitary for p in plans]))
         return decohere_controller(joint), rho
 
     def test_factorization(self):

@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 from qfeedback import linalg
+from qfeedback.cli import main
 from qfeedback.controller import run_controller_cycle
 from qfeedback.feedback import run_continuous, run_cycle
-from qfeedback.measurement import apply, validate
-from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
+from qfeedback.measurement import MeasurementModel, apply, validate
+from qfeedback.sampling import (
+    random_bare_model,
+    random_efficient_model,
+    random_hamiltonian,
+    random_hermitian,
+)
 from qfeedback.thermo import Hamiltonian, thermal_state
 
 from conftest import PAULI_Z
@@ -78,7 +84,49 @@ def test_continuous_cost_does_not_grow_with_steps(eig_calls):
     counts = []
     for steps in (1, 10):
         h = Hamiltonian.diagonal([0.0, 1.0])
+        model = MeasurementModel.weak(PAULI_Z, 0.1)
         eig_calls.clear()
-        run_continuous(h, 1.0, PAULI_Z, 0.1, steps)
+        run_continuous(h, 1.0, model, steps)
         counts.append(len(eig_calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_continuous_costs_one_cycle(eig_calls):
+    """run_continuous runs the model it is given: no rebuild, one cycle."""
+    counts = []
+    for run in (
+        lambda h, model: run_continuous(h, 1.0, model, 5),
+        lambda h, model: run_cycle(h, 1.0, model),
+    ):
+        rng = np.random.default_rng(7)
+        h = random_hamiltonian(3, rng)
+        generator = random_hermitian(3, rng)
+        model = MeasurementModel.weak(generator / np.abs(np.linalg.eigvalsh(generator)).max(), 0.2)
+        eig_calls.clear()
+        run(h, model)
+        counts.append(len(eig_calls))
+    assert counts[0] == counts[1] > 0
+
+
+CONTINUOUS_CONFIG = """\
+scenario_id: budget-continuous
+run: {mode: continuous}
+system: {dim: 2, hamiltonian: [0.0, 1.0]}
+bath: {temperature: 1.0}
+measurement:
+  kind: weak
+  generator:
+    - [[1.0, 0.0], [0.0, 0.0]]
+    - [[0.0, 0.0], [-1.0, 0.0]]
+  epsilon: 0.3
+continuous: {steps: 3}
+"""
+
+
+def test_cli_continuous_run(eig_calls, tmp_path, capsys):
+    """Config parsing builds the weak model once; the run reuses it."""
+    path = tmp_path / "continuous.yaml"
+    path.write_text(CONTINUOUS_CONFIG)
+    eig_calls.clear()
+    assert main(["run", str(path)]) == 0
+    assert len(eig_calls) <= 19

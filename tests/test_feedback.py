@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfeedback.errors import DegenerateStateError, PlanMismatchError
+from qfeedback.errors import DegenerateStateError, InvalidModelError, PlanMismatchError
 from qfeedback.feedback import (
     execute_plan,
     isothermal_work,
@@ -274,23 +274,31 @@ class TestRunTransform:
             assert abs(residual) < 1e-8
 
 
+def weak_z(epsilon):
+    return MeasurementModel.weak(PAULI_Z, epsilon)
+
+
 class TestRunContinuous:
     def test_epsilon_guards(self):
-        z = PAULI_Z
         with pytest.raises(ValueError):
-            run_continuous(Hamiltonian.zero(2), 1.0, z, 1e-7, 1)
+            run_continuous(Hamiltonian.zero(2), 1.0, weak_z(1e-7), 1)
         with pytest.raises(ValueError):
-            run_continuous(Hamiltonian.zero(2), 1.0, z, 0.6, 1)
+            run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.6), 1)
+
+    def test_rejects_non_weak_model(self):
+        model = MeasurementModel.bare([PROJ_0, PROJ_1])
+        with pytest.raises(InvalidModelError, match="weak"):
+            run_continuous(Hamiltonian.zero(2), 1.0, model, 1)
 
     def test_quadratic_scaling(self):
-        r1 = run_continuous(Hamiltonian.zero(2), 1.0, PAULI_Z, 0.1, 1)
-        r2 = run_continuous(Hamiltonian.zero(2), 1.0, PAULI_Z, 0.05, 1)
+        r1 = run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.1), 1)
+        r2 = run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.05), 1)
         assert abs(r1.scaling_ratio - r2.scaling_ratio) / r2.scaling_ratio < 0.05
         assert r2.scaling_ratio == pytest.approx(0.5, rel=0.05)
 
     def test_cumulative_work_additivity(self):
-        single = run_continuous(Hamiltonian.zero(2), 1.0, PAULI_Z, 0.1, 1)
-        ten = run_continuous(Hamiltonian.zero(2), 1.0, PAULI_Z, 0.1, 10)
+        single = run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.1), 1)
+        ten = run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.1), 10)
         assert ten.cumulative_work_total == pytest.approx(
             10.0 * single.cumulative_work_total, abs=1e-10
         )

@@ -156,11 +156,10 @@ class TestEntropyAndEnergy:
     def test_thermal_reading(self):
         h = Hamiltonian.diagonal([0.0, 1.0])
         rho = thermal_state(h, 1.0)
-        reading = thermo_reading(rho, h, 1.0, thermal=True)
+        reading = thermo_reading(rho, h, 1.0)
         assert reading.energy == pytest.approx(E_THERMAL, abs=1e-12)
         assert reading.entropy == pytest.approx(S_THERMAL, abs=1e-12)
         assert reading.free_energy == pytest.approx(E_THERMAL - S_THERMAL, abs=1e-12)
-        assert reading.temperature == 1.0
 
     def test_free_energy_matches_log_partition(self):
         # F(T) = -kT ln Z for a thermal state
