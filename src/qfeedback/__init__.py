@@ -8,6 +8,7 @@ S({p_n}) - ΔS_meas ≥ 0 across system, controller, and bath.
 """
 
 from .errors import (
+    ArgumentRangeError,
     ConfigError,
     DegenerateStateError,
     DimensionMismatchError,
@@ -31,14 +32,12 @@ from .errors import (
 )
 from .linalg import (
     EigenDecomposition,
-    PolarFactors,
     dagger,
     dephase_blocks,
     eig_hermitian,
     hermitize,
     matrix_function,
     partial_trace,
-    polar_decompose,
     tensor,
 )
 from .thermo import (
@@ -60,7 +59,6 @@ from .measurement import (
     OutcomeRecord,
     ValidationReport,
     apply,
-    average_post_state,
     entropy_reduction,
     measurement_energy_cost,
     validate,
@@ -87,14 +85,11 @@ from .controller import (
     apply_joint_unitary,
     correlate,
     decohere_controller,
-    decohere_via_ancilla,
     feedback_unitary,
     finalize_branches,
     reset_controller,
     run_controller_cycle,
     second_law_verdict,
-    total_entropy,
-    total_entropy_assembled,
 )
 from .config import ScenarioConfig, parse_config, with_value
 from .ledger import (
@@ -103,7 +98,6 @@ from .ledger import (
     emit_csv,
     emit_json,
     parse_csv,
-    parse_json,
     row_from_controller,
     row_from_continuous,
     row_from_cycle,

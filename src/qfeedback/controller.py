@@ -190,31 +190,6 @@ def decohere_controller(joint: JointState) -> JointState:
     return replace(joint, matrix=DensityMatrix.from_matrix(m, where="decohered joint"))
 
 
-def decohere_via_ancilla(joint: JointState) -> JointState:
-    """Same map, built explicitly: maximally entangle the controller basis
-    with an N-dim auxiliary through a generalized CNOT, then trace the
-    auxiliary out.  Kept as the independent construction the fast path is
-    checked against."""
-    n = joint.n_outcomes
-    d = joint.system_dim
-    shift = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        shift[(j + 1) % n, j] = 1.0
-    aux0 = np.zeros((n, n), dtype=complex)
-    aux0[0, 0] = 1.0
-    total = tensor(joint.matrix.matrix, aux0)
-    u = np.zeros((n * d * n, n * d * n), dtype=complex)
-    power = np.eye(n, dtype=complex)
-    for ctrl in range(n):
-        proj = np.zeros((n, n), dtype=complex)
-        proj[ctrl, ctrl] = 1.0
-        u += tensor(tensor(proj, np.eye(d, dtype=complex)), power)
-        power = shift @ power
-    total = u @ total @ dagger(u)
-    reduced = partial_trace(total, (n * d, n), over="B")
-    return replace(joint, matrix=DensityMatrix.from_matrix(reduced, where="decohered joint"))
-
-
 def finalize_branches(
     joint: JointState,
     rho_t: DensityMatrix,
@@ -249,24 +224,6 @@ def finalize_branches(
         ),
     )
     return joint_final, ledger
-
-
-def total_entropy(probabilities, branch_system_entropies, s_bath: float = 0.0) -> float:
-    """S({p_n}) + Σ p_n S_n + S_B, the universe entropy after the cycle."""
-    p = np.asarray(probabilities, dtype=float)
-    s_n = np.asarray(branch_system_entropies, dtype=float)
-    return shannon_entropy(p) + float(np.dot(p, s_n)) + s_bath
-
-
-def total_entropy_assembled(joint_final: JointState, bath: BathLedger) -> float:
-    """Universe entropy read off the assembled final structure: the
-    controller-bath composite is classical over distinguishable branches, and
-    the system factor rides along in its thermal state."""
-    p = joint_final.probabilities()
-    controller_bath = von_neumann_entropy(joint_final.controller_state()) + float(
-        np.dot(p, np.asarray(bath.branch_entropies))
-    )
-    return controller_bath + von_neumann_entropy(joint_final.system_state())
 
 
 def second_law_verdict(probabilities, delta_s_meas: float) -> SecondLawReport:

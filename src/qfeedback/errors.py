@@ -24,7 +24,7 @@ class NotHermitianError(InputError):
 
 
 class NoConvergenceError(NumericalError):
-    """Iterative eigensolver hit its sweep cap before converging."""
+    """The LAPACK eigensolver did not converge."""
 
 
 class DomainError(NumericalError):
@@ -39,6 +39,12 @@ class DimensionMismatchError(InputError):
 
 class NonPositiveTemperatureError(InputError):
     """Thermal construction requires T > 0."""
+
+
+class ArgumentRangeError(InputError, ValueError):
+    """A numeric argument lies outside its allowed range (a step count below
+    1, a readout strength or Boltzmann constant out of range).  Also a
+    ``ValueError``, as Python code expects of a bad argument value."""
 
 
 class InvalidStateError(NumericalError):

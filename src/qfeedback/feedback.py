@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ArgumentRangeError,
     DegenerateStateError,
     DomainError,
     InvalidModelError,
@@ -255,7 +256,7 @@ def quasi_static_work(
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
+        raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
     a = h_start.matrix
     b = h_end.matrix
     work_out = 0.0
@@ -396,9 +397,9 @@ def run_continuous(
     epsilon = model.strength
     lo, hi = CONTINUOUS_EPSILON_RANGE
     if not lo <= epsilon <= hi:
-        raise ValueError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
+        raise ArgumentRangeError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
     if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
+        raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
     cycle = run_cycle(h, temperature, model, k=k, lambda_floor=lambda_floor, p_floor=p_floor)
     return ContinuousResult(
         epsilon=epsilon,

@@ -199,7 +199,3 @@ def parse_csv(text: str) -> list[LedgerRow]:
         rows.append(LedgerRow(**kwargs))
     return rows
 
-
-def parse_json(text: str) -> list[LedgerRow]:
-    data = json.loads(text)
-    return [LedgerRow(**entry) for entry in data]

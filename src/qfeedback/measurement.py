@@ -257,14 +257,6 @@ def apply(
     return MeasurementOutcomes(records=tuple(records), dropped=tuple(dropped))
 
 
-def average_post_state(records: Sequence[OutcomeRecord]) -> DensityMatrix:
-    """ρ_after = Σ p_n ρ_n."""
-    acc = np.zeros_like(records[0].state.matrix)
-    for r in records:
-        acc = acc + r.probability * r.state.matrix
-    return DensityMatrix.from_matrix(acc, where="average post-measurement state")
-
-
 def measurement_energy_cost(records: Sequence[OutcomeRecord], e_initial: float) -> float:
     """Average energy the measurement pumped into the system:
     ΔE_meas = Σ p_n E_n - E."""

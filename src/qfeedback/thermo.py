@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ArgumentRangeError,
     DimensionMismatchError,
     DomainError,
     InvalidStateError,
@@ -171,7 +172,7 @@ def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> Density
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if k <= 0.0:
-        raise ValueError(f"Boltzmann constant must be > 0, got {k!r}")
+        raise ArgumentRangeError(f"Boltzmann constant must be > 0, got {k!r}")
     dec = h.eig
     energies = dec.eigenvalues
     weights = np.exp(-(energies - energies.min()) / (k * temperature))

@@ -1,0 +1,230 @@
+"""Reference implementations the tests check the program against.
+
+None of these runs in a scenario.  Each is an independent construction of
+something the program computes another way: a cyclic Jacobi eigensolver for
+LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
+universe entropy summed literally and read off the assembled final state,
+and the average post-measurement state.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from qfeedback.controller import BathLedger, JointState
+from qfeedback.errors import NoConvergenceError
+from qfeedback.ledger import LedgerRow
+from qfeedback.linalg import (
+    EigenDecomposition,
+    _frobenius,
+    dagger,
+    eig_hermitian,
+    hermitize,
+    partial_trace,
+    spectral_matrix,
+    tensor,
+)
+from qfeedback.thermo import DensityMatrix, shannon_entropy, von_neumann_entropy
+
+# off-diagonal Frobenius norm target, relative to ||M||_F
+JACOBI_REL_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 100
+# At or below this |a_pq| (zero, or deep in the subnormals) 1/|a_pq| overflows,
+# so the element's phase cannot be formed.
+_PHASE_MIN = 2.0**-1024
+# Beyond this |tau|, tau * tau overflows and the rotation angle is zero.
+_TAU_MAX = math.sqrt(np.finfo(float).max)
+
+
+def reconstruct(dec: EigenDecomposition) -> np.ndarray:
+    """V diag(λ) V†, not hermitized, so a residual shows the factors' own error."""
+    v = dec.eigenvectors
+    return v @ np.diag(dec.eigenvalues.astype(complex)) @ dagger(v)
+
+
+def _offdiag_norm(a: np.ndarray) -> float:
+    return _frobenius(a - np.diag(np.diag(a)))
+
+
+def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    """Zero the (p, q) element of Hermitian ``a`` by a complex Givens rotation,
+    accumulating the rotation into ``v``.  Modifies both arrays in place.
+    """
+    apq = a[p, q]
+    mag = abs(apq)
+    if mag <= _PHASE_MIN:
+        # far too small to move the diagonal: drop the pair instead of rotating
+        a[p, q] = a[q, p] = 0.0
+        return
+    phase = apq / mag  # e^{i phi}; diag(1, e^{-i phi}) makes the 2x2 block real
+    gap = a[q, q].real - a[p, p].real
+    t = 0.0  # the angle when tau = gap / (2|a_pq|) is too large to square
+    if abs(gap) <= 2.0 * mag * _TAU_MAX:
+        tau = gap / (2.0 * mag)
+        t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
+        if tau < 0.0:
+            t = -t
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    phase_c = phase.conjugate()
+
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - s * phase_c * col_q
+    a[:, q] = s * col_p + c * phase_c * col_q
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - s * phase * row_q
+    a[q, :] = s * row_p + c * phase * row_q
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+
+    vcol_p = v[:, p].copy()
+    vcol_q = v[:, q].copy()
+    v[:, p] = c * vcol_p - s * phase_c * vcol_q
+    v[:, q] = s * vcol_p + c * phase_c * vcol_q
+
+
+def jacobi_eig(m: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Converges when the off-diagonal Frobenius norm drops below
+    ``JACOBI_REL_TOL * ||M||_F`` and raises :class:`NoConvergenceError` after
+    ``max_sweeps`` sweeps otherwise.  Eigenvalues come back sorted descending;
+    eigenvector phases are left as the rotations made them.
+    """
+    a = hermitize(np.asarray(m, dtype=complex))
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    target = JACOBI_REL_TOL * _frobenius(a)
+    for _ in range(max_sweeps):
+        if _offdiag_norm(a) <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _jacobi_rotate(a, v, p, q)
+    else:
+        if _offdiag_norm(a) > target:
+            raise NoConvergenceError(
+                f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal norm {_offdiag_norm(a):.3e}, target {target:.3e})"
+            )
+    eigenvalues = np.real(np.diag(a)).copy()
+    order = np.argsort(-eigenvalues, kind="stable")
+    return EigenDecomposition(eigenvalues=eigenvalues[order], eigenvectors=v[:, order])
+
+
+@dataclass(frozen=True)
+class PolarFactors:
+    """A = U P with U unitary and P positive semidefinite."""
+
+    unitary: np.ndarray
+    positive: np.ndarray
+
+
+def polar_decompose(a: np.ndarray) -> PolarFactors:
+    """Polar factorization A = U P with P = sqrt(A†A).
+
+    When A is singular, U is completed on the null space of P by Gram-Schmidt
+    over the standard basis vectors taken in index order, which makes the
+    result deterministic.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    dec = eig_hermitian(hermitize(dagger(a) @ a))
+    svals = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    w = dec.eigenvectors
+    p = spectral_matrix(w, svals)
+
+    s_max = float(svals[0]) if n else 0.0
+    cutoff = n * np.finfo(float).eps * s_max
+    columns: list[np.ndarray | None] = []
+    for j in range(n):
+        if svals[j] > cutoff:
+            columns.append((a @ w[:, j]) / svals[j])
+        else:
+            columns.append(None)
+
+    present = [c for c in columns if c is not None]
+    for j in range(n):
+        if columns[j] is not None:
+            continue
+        for k in range(n):
+            candidate = np.zeros(n, dtype=complex)
+            candidate[k] = 1.0
+            for existing in present:
+                candidate -= np.vdot(existing, candidate) * existing
+            norm = float(np.linalg.norm(candidate))
+            if norm > 1e-6:
+                candidate /= norm
+                # second orthogonalization pass for numerical cleanliness
+                for existing in present:
+                    candidate -= np.vdot(existing, candidate) * existing
+                candidate /= float(np.linalg.norm(candidate))
+                columns[j] = candidate
+                present.append(candidate)
+                break
+
+    u = np.column_stack(columns) @ dagger(w)
+    return PolarFactors(unitary=u, positive=p)
+
+
+def decohere_via_ancilla(joint: JointState) -> JointState:
+    """The controller's block dephasing, built explicitly: maximally entangle
+    the controller basis with an N-dim auxiliary through a generalized CNOT,
+    then trace the auxiliary out."""
+    n = joint.n_outcomes
+    d = joint.system_dim
+    shift = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        shift[(j + 1) % n, j] = 1.0
+    aux0 = np.zeros((n, n), dtype=complex)
+    aux0[0, 0] = 1.0
+    total = tensor(joint.matrix.matrix, aux0)
+    u = np.zeros((n * d * n, n * d * n), dtype=complex)
+    power = np.eye(n, dtype=complex)
+    for ctrl in range(n):
+        proj = np.zeros((n, n), dtype=complex)
+        proj[ctrl, ctrl] = 1.0
+        u += tensor(tensor(proj, np.eye(d, dtype=complex)), power)
+        power = shift @ power
+    total = u @ total @ dagger(u)
+    reduced = partial_trace(total, (n * d, n), over="B")
+    return replace(joint, matrix=DensityMatrix.from_matrix(reduced, where="decohered joint"))
+
+
+def total_entropy(probabilities, branch_system_entropies, s_bath: float = 0.0) -> float:
+    """S({p_n}) + Σ p_n S_n + S_B, the universe entropy after the cycle."""
+    p = np.asarray(probabilities, dtype=float)
+    s_n = np.asarray(branch_system_entropies, dtype=float)
+    return shannon_entropy(p) + float(np.dot(p, s_n)) + s_bath
+
+
+def total_entropy_assembled(joint_final: JointState, bath: BathLedger) -> float:
+    """Universe entropy read off the assembled final structure: the
+    controller-bath composite is classical over distinguishable branches, and
+    the system factor rides along in its thermal state."""
+    p = joint_final.probabilities()
+    controller_bath = von_neumann_entropy(joint_final.controller_state()) + float(
+        np.dot(p, np.asarray(bath.branch_entropies))
+    )
+    return controller_bath + von_neumann_entropy(joint_final.system_state())
+
+
+def average_post_state(records) -> DensityMatrix:
+    """ρ_after = Σ p_n ρ_n."""
+    acc = np.zeros_like(records[0].state.matrix)
+    for r in records:
+        acc = acc + r.probability * r.state.matrix
+    return DensityMatrix.from_matrix(acc, where="average post-measurement state")
+
+
+def parse_json(text: str) -> list[LedgerRow]:
+    """Inverse of ``ledger.emit_json``."""
+    return [LedgerRow(**entry) for entry in json.loads(text)]

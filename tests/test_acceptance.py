@@ -36,7 +36,6 @@ from qfeedback.linalg import (
     eig_hermitian,
     matrix_function,
     max_abs,
-    polar_decompose,
     tensor,
 )
 from qfeedback.measurement import (
@@ -59,6 +58,8 @@ from qfeedback.thermo import (
     trace_distance,
     von_neumann_entropy,
 )
+
+from oracles import polar_decompose
 
 LN2 = math.log(2.0)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

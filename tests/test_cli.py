@@ -10,6 +10,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,7 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qfeedback.cli import load_config, main, run_scenario
 from qfeedback.config import KINDS, MODES, with_value
 from qfeedback.errors import IoError
-from qfeedback.ledger import COLUMNS, emit_csv, emit_json, parse_csv, parse_json
+from qfeedback.ledger import COLUMNS, emit_csv, emit_json, parse_csv
+
+from oracles import parse_json
 
 LN2 = math.log(2.0)
 
@@ -187,6 +190,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "tmp-degenerate" in err
+
+    def test_eigensolver_failure_is_numerical(self, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["run", "szilard"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
 
 
 class TestSweep:

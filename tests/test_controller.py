@@ -13,14 +13,11 @@ from qfeedback.controller import (
     apply_joint_unitary,
     correlate,
     decohere_controller,
-    decohere_via_ancilla,
     feedback_unitary,
     finalize_branches,
     reset_controller,
     run_controller_cycle,
     second_law_verdict,
-    total_entropy,
-    total_entropy_assembled,
 )
 from qfeedback.errors import (
     IncompleteModelError,
@@ -41,6 +38,7 @@ from qfeedback.thermo import (
 )
 
 from conftest import PAULI_X, PAULI_Z, PROJ_0, PROJ_1, PROJ_X_MINUS, PROJ_X_PLUS
+from oracles import decohere_via_ancilla, total_entropy, total_entropy_assembled
 
 LN2 = math.log(2.0)
 H2LEVEL = Hamiltonian.diagonal([0.0, 1.0])

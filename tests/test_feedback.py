@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfeedback.errors import DegenerateStateError, InvalidModelError, PlanMismatchError
+from qfeedback.errors import (
+    DegenerateStateError,
+    InputError,
+    InvalidModelError,
+    PlanMismatchError,
+)
 from qfeedback.feedback import (
     execute_plan,
     isothermal_work,
@@ -177,6 +182,11 @@ class TestIsothermal:
         h = Hamiltonian.diagonal([0.3, 1.7])
         assert quasi_static_work(h, h, 1.0, 7) == 0.0
 
+    def test_quasi_static_rejects_no_steps(self):
+        h = Hamiltonian.diagonal([0.3, 1.7])
+        with pytest.raises(InputError):
+            quasi_static_work(h, h, 1.0, 0)
+
     def test_first_order_convergence(self):
         h1 = Hamiltonian.diagonal([0.0, 2.0])
         h2 = Hamiltonian.zero(2)
@@ -284,6 +294,12 @@ class TestRunContinuous:
             run_continuous(Hamiltonian.zero(2), 1.0, weak_z(1e-7), 1)
         with pytest.raises(ValueError):
             run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.6), 1)
+
+    def test_guards_are_input_errors(self):
+        with pytest.raises(InputError):
+            run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.6), 1)
+        with pytest.raises(InputError):
+            run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.1), 0)
 
     def test_rejects_non_weak_model(self):
         model = MeasurementModel.bare([PROJ_0, PROJ_1])

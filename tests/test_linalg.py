@@ -1,4 +1,5 @@
-"""Eigensolver, polar decomposition, and multipartite helpers."""
+"""Eigensolver (checked against the Jacobi oracle), polar decomposition, and
+multipartite helpers."""
 
 import numpy as np
 import pytest
@@ -18,17 +19,16 @@ from qfeedback.linalg import (
     matrix_function,
     max_abs,
     partial_trace,
-    polar_decompose,
     tensor,
 )
 from qfeedback.sampling import random_hermitian, random_unitary
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from oracles import jacobi_eig, polar_decompose, reconstruct
 
 
 def reconstruction_residual(m):
-    dec = eig_hermitian(m)
-    return max_abs(dec.reconstruct() - m)
+    return max_abs(reconstruct(eig_hermitian(m)) - m)
 
 
 class TestEigHermitian:
@@ -67,7 +67,31 @@ class TestEigHermitian:
     def test_convergence_cap_raises(self):
         m = random_hermitian(4, np.random.default_rng(0))
         with pytest.raises(NoConvergenceError):
-            eig_hermitian(m, max_sweeps=0)
+            jacobi_eig(m, max_sweeps=0)
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergenceError):
+            eig_hermitian(PAULI_X)
+
+    @pytest.mark.parametrize(
+        "m",
+        [random_hermitian(dim, np.random.default_rng(900 + dim)) for dim in range(2, 33)]
+        + [
+            np.array([[1.0, 7e-314, 0.3], [7e-314, 2.0, 0.1], [0.3, 0.1, 0.5]], dtype=complex),
+            np.array([[0.0, 1e200j], [-1e200j, 1.0]], dtype=complex),
+        ],
+        ids=[f"dim{dim}" for dim in range(2, 33)] + ["subnormal", "1e200"],
+    )
+    def test_matches_jacobi_oracle(self, m):
+        dec = eig_hermitian(m)
+        ref = jacobi_eig(m)
+        bound = 1e-12 * (1.0 + max_abs(m))
+        assert max_abs(dec.eigenvalues - ref.eigenvalues) < bound
+        assert max_abs(reconstruct(dec) - reconstruct(ref)) < bound
 
     def test_residual_ensemble(self, rng):
         # acceptance-grade residual bound over 200 seeded matrices, dims 2-8
@@ -116,8 +140,8 @@ class TestEigHermitian:
         np.testing.assert_array_equal(m, keep)
 
     def test_subnormal_off_diagonal(self):
-        # 1/|a_pq| overflows for a subnormal element, so its rotation phase
-        # cannot be formed; the element is dropped instead of turning to NaN
+        # a subnormal off-diagonal element must not turn the spectrum to NaN
+        # (1/|a_pq| overflows, so the Jacobi oracle drops the element)
         m = np.array([[1.0, 7e-314, 0.3], [7e-314, 2.0, 0.1], [0.3, 0.1, 0.5]], dtype=complex)
         dec = eig_hermitian(m)
         assert np.all(np.isfinite(dec.eigenvalues))
@@ -125,12 +149,11 @@ class TestEigHermitian:
         assert reconstruction_residual(m) < 1e-12
 
     def test_entries_whose_squares_overflow(self):
-        # a Frobenius norm of inf made the convergence test pass at once, and
-        # the matrix came back undiagonalized
+        # the Frobenius norm overflows unless the matrix is scaled first
         m = np.array([[0.0, 1e200j], [-1e200j, 1.0]], dtype=complex)
         dec = eig_hermitian(m)
         np.testing.assert_allclose(dec.eigenvalues, [1e200, -1e200], rtol=1e-14)
-        assert max_abs(dec.reconstruct() - m) < 1e-14 * 1e200
+        assert max_abs(reconstruct(dec) - m) < 1e-14 * 1e200
 
     def test_norm_beyond_float_range_is_a_domain_error(self):
         with pytest.raises(DomainError):

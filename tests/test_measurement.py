@@ -14,12 +14,11 @@ from qfeedback.errors import (
     InvalidModelError,
     NotHermitianError,
 )
-from qfeedback.linalg import dagger, max_abs, polar_decompose
+from qfeedback.linalg import dagger, max_abs
 from qfeedback.measurement import (
     MeasurementModel,
     ModelKind,
     apply,
-    average_post_state,
     entropy_reduction,
     measurement_energy_cost,
     validate,
@@ -39,6 +38,7 @@ from qfeedback.thermo import (
 )
 
 from conftest import PAULI_Z, PROJ_0, PROJ_1, PROJ_X_MINUS, PROJ_X_PLUS
+from oracles import average_post_state, polar_decompose
 
 LN2 = math.log(2.0)
 

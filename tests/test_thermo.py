@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeedback.errors import (
+    InputError,
     InvalidStateError,
     NonPositiveTemperatureError,
     NotADistributionError,
@@ -139,6 +140,10 @@ class TestThermalState:
     def test_rejects_non_positive_temperature(self):
         with pytest.raises(NonPositiveTemperatureError):
             thermal_state(Hamiltonian.zero(2), 0.0)
+
+    def test_rejects_non_positive_boltzmann_constant(self):
+        with pytest.raises(InputError):
+            thermal_state(Hamiltonian.zero(2), 1.0, k=0.0)
 
     def test_boltzmann_constant_scaling(self):
         h = Hamiltonian.diagonal([0.0, 1.0])
