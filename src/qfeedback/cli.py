@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import ScenarioConfig, parse_config, with_value
 from .controller import SECOND_LAW_TOL, run_controller_cycle
-from .errors import InputError, IoError, NumericalError, ValidationError
+from .errors import InputError, IoError, NumericalError, ParseError, ValidationError
 from .feedback import run_continuous, run_cycle, run_transform
 from .ledger import (
     LedgerRow,
@@ -30,20 +30,22 @@ from .measurement import validate
 
 
 def load_config(name: str) -> ScenarioConfig:
-    """Read a scenario from a file path or, failing that, a packaged preset
-    name (``szilard`` resolves to the shipped ``szilard.yaml``)."""
-    path = Path(name)
-    if path.is_file():
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise IoError(f"cannot read {name}: {exc}") from exc
-        return parse_config(text, source=name)
-    stem = name if name.endswith(".yaml") else f"{name}.yaml"
-    preset = resources.files("qfeedback").joinpath("presets", stem)
-    if preset.is_file():
-        return parse_config(preset.read_text(), source=f"preset {name}")
-    raise IoError(f"no such config file or preset: {name}")
+    """Read a UTF-8 scenario from a file path or, failing that, a packaged
+    preset name (``szilard`` resolves to the shipped ``szilard.yaml``)."""
+    path, source = Path(name), name
+    if not path.is_file():
+        stem = name if name.endswith(".yaml") else f"{name}.yaml"
+        path = resources.files("qfeedback").joinpath("presets", stem)
+        source = f"preset {name}"
+        if not path.is_file():
+            raise IoError(f"no such config file or preset: {name}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("", f"{source}: not valid UTF-8: {exc}") from exc
+    return parse_config(text, source=source)
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
@@ -137,8 +139,8 @@ def cmd_validate(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        text = Path(args.ledger).read_text()
-    except OSError as exc:
+        text = Path(args.ledger).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {args.ledger}: {exc}") from exc
     rows = parse_csv(text)
     header = f"{'scenario':<40} {'mode':<11} {'work_fb':>14} {'dS_tot':>14}  verdict"

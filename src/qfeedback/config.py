@@ -46,6 +46,16 @@ from .linalg import HERMITICITY_TOL, dagger
 from .measurement import DEFAULT_P_FLOOR, MeasurementModel
 from .thermo import Hamiltonian
 
+# libyaml's C scanner and parser when the install has them, else PyYAML's pure
+# Python ones; both build the tree with SafeConstructor, so the trees agree.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+# Both loaders build nested collections by recursion: the pure-Python one
+# runs out of Python stack a few hundred levels deep, and libyaml overflows
+# the C stack (a segfault) about 20,000 levels deep on an 8 MB stack.  A valid
+# config nests seven deep, so deeper texts are rejected before they are built.
+MAX_NESTING = 100
+
 MODES = ("cycle", "transform", "continuous", "controller")
 KINDS = ("bare", "efficient", "inefficient", "weak")
 
@@ -325,11 +335,32 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
     )
 
 
+def _nests_too_deep(text: str) -> bool:
+    """Whether collections in the text nest deeper than MAX_NESTING.  Every
+    collection opens with one of ``[{-?:``, so a text with no more of those
+    than the limit is not walked; the walk reads the parse events, which
+    neither loader builds by recursion."""
+    if sum(map(text.count, "[{-?:")) <= MAX_NESTING:
+        return False
+    depth = 0
+    for event in yaml.parse(text, Loader=YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse and validate scenario text; errors carry the offending field path."""
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        if _nests_too_deep(text):
+            raise ParseError("", f"{source}: collections nest deeper than {MAX_NESTING} levels")
+        data = yaml.load(text, Loader=YAML_LOADER)
+    # libyaml encodes the text to UTF-8 first, so a lone surrogate fails there
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
         raise ParseError("", f"{source}: {exc}") from exc
     return parse_dict(data, source)
 

@@ -42,9 +42,10 @@ class NonPositiveTemperatureError(InputError):
 
 
 class ArgumentRangeError(InputError, ValueError):
-    """A numeric argument lies outside its allowed range (a step count below
-    1, a readout strength or Boltzmann constant out of range).  Also a
-    ``ValueError``, as Python code expects of a bad argument value."""
+    """An argument lies outside its allowed values (a step count below 1, a
+    readout strength or Boltzmann constant out of range, a partial-trace
+    factor other than A or B, a ledger format other than csv or json).  Also
+    a ``ValueError``, as Python code expects of a bad argument value."""
 
 
 class InvalidStateError(NumericalError):

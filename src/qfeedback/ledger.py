@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .controller import EFFICIENCY_TOL, ControllerCycleResult
-from .errors import DomainError, IoError
+from .errors import ArgumentRangeError, DomainError, IoError
 from .feedback import ContinuousResult, CycleLedger, TransformResult
 
 
@@ -148,7 +148,7 @@ def emit(rows, format: str, destination) -> int:
     elif format == "json":
         text = emit_json(rows)
     else:
-        raise ValueError(f"format must be csv or json, got {format!r}")
+        raise ArgumentRangeError(f"format must be csv or json, got {format!r}")
     data = text.encode("utf-8")
     if hasattr(destination, "write"):
         destination.write(text)

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    ArgumentRangeError,
     DimensionMismatchError,
     DomainError,
     NoConvergenceError,
@@ -161,7 +162,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], over: str) -> np.ndarray
         return np.einsum("abcb->ac", r)
     if over.upper() == "A":
         return np.einsum("abad->bd", r)
-    raise ValueError(f"over must be 'A' or 'B', got {over!r}")
+    raise ArgumentRangeError(f"over must be 'A' or 'B', got {over!r}")
 
 
 def dephase_blocks(m: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:

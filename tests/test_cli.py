@@ -17,12 +17,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qfeedback.cli import load_config, main, run_scenario
 from qfeedback.config import KINDS, MODES, with_value
-from qfeedback.errors import IoError
-from qfeedback.ledger import COLUMNS, emit_csv, emit_json, parse_csv
+from qfeedback.errors import InputError, IoError, ParseError
+from qfeedback.ledger import COLUMNS, emit, emit_csv, emit_json, parse_csv
 
 from oracles import parse_json
 
 LN2 = math.log(2.0)
+
+# a Latin-1 "é" in a comment: valid YAML once decoded, but not UTF-8
+NON_UTF8_CONFIG = b"scenario_id: bad\n# caf\xe9\nrun: {mode: cycle}\n"
 
 GOOD_CONFIG = """\
 scenario_id: tmp-good
@@ -107,6 +110,12 @@ class TestLoadConfig:
     def test_missing(self):
         with pytest.raises(IoError):
             load_config("no-such-config-anywhere")
+
+    def test_non_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(NON_UTF8_CONFIG)
+        with pytest.raises(ParseError, match=f"{path}: not valid UTF-8"):
+            load_config(str(path))
 
 
 class TestRun:
@@ -265,6 +274,14 @@ class TestValidate:
     def test_missing(self, capsys):
         assert main(["validate", "nowhere"]) == 3
 
+    def test_non_utf8_file_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(NON_UTF8_CONFIG)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid: {path}: not valid UTF-8")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid UTF-8")
+
     def test_generator_norm_above_one_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "weak.yaml"
         path.write_text(CONTINUOUS_CONFIG.replace("[-1.0, 0.0]]", "[-2.0, 0.0]]"))
@@ -346,6 +363,12 @@ class TestReport:
     def test_missing_file(self, capsys):
         assert main(["report", str("/no/such/ledger.csv")]) == 3
 
+    def test_non_utf8_ledger(self, tmp_path, capsys):
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(b"scenario_id,mode\ncaf\xe9,cycle\n")
+        assert main(["report", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: cannot read {path}")
+
     @pytest.mark.parametrize(
         "column, text",
         [
@@ -421,6 +444,10 @@ class TestSerializationRoundTrip:
                     assert abs(x - y) <= 1e-11 * max(1.0, abs(x))
                 else:
                     assert x == y
+
+    def test_unknown_format_is_input_error(self):
+        with pytest.raises(InputError, match="format must be csv or json"):
+            emit(self.rows(), "xml", io.StringIO())
 
     def test_sweep_tag_matches_config_edit(self):
         config = load_config("weak-sweep")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qfeedback.errors import (
     DimensionMismatchError,
     DomainError,
+    InputError,
     NoConvergenceError,
     NotHermitianError,
 )
@@ -240,6 +241,10 @@ class TestMultipartite:
         np.testing.assert_allclose(
             partial_trace(joint, (2, 3), over="A"), b * np.trace(a), atol=1e-12
         )
+
+    def test_partial_trace_unknown_factor(self):
+        with pytest.raises(InputError, match="over must be 'A' or 'B'"):
+            partial_trace(np.eye(4, dtype=complex), (2, 2), over="C")
 
     def test_partial_trace_wrong_dims(self):
         with pytest.raises(DimensionMismatchError):
