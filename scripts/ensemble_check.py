@@ -10,23 +10,30 @@ residuals of
     closure distance from the thermal state
     dS_tot   (second-law floor)
 
-A clean run prints residuals at the 1e-10 scale or below.
+A clean run prints residuals at the 1e-10 scale or below and exits 0; it exits
+1, naming each breach, when a residual or closure distance reaches
+IDENTITY_TOL or dS_tot falls below -SECOND_LAW_FLOOR (the acceptance-gate
+tolerances).
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from qfeedback import Hamiltonian, run_cycle, run_transform, thermal_state
+from qfeedback import run_cycle, run_transform
 from qfeedback.sampling import random_efficient_model, random_hamiltonian
 
+IDENTITY_TOL = 1e-8  # work identities and closure distance
+SECOND_LAW_FLOOR = 1e-9  # dS_tot >= -SECOND_LAW_FLOOR
 
-def main():
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--models", type=int, default=100)
     parser.add_argument("--seed", type=int, default=20260823)
     parser.add_argument("--temperature", type=float, default=1.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
     worst_cycle = worst_transform = worst_closure = 0.0
@@ -41,7 +48,7 @@ def main():
         ledger = run_cycle(h1, args.temperature, model)
         worst_cycle = max(worst_cycle, abs(ledger.work_fb - args.temperature * ledger.delta_s_meas))
         worst_closure = max(worst_closure, ledger.closure_distance)
-        min_ds_tot = min(min_ds_tot, ledger.delta_s_tot)
+        min_ds_tot = min(min_ds_tot, ledger.report.delta_s_tot)
 
         result = run_transform(h1, h2, args.temperature, model)
         worst_transform = max(
@@ -55,6 +62,21 @@ def main():
     print(f"worst cycle closure distance       : {worst_closure:.3e}")
     print(f"min dS_tot (second-law floor)      : {min_ds_tot:.3e}")
 
+    # written as "not within" so that a NaN reading is a breach too
+    breaches = [
+        name
+        for name, within in (
+            ("cycle work identity", worst_cycle < IDENTITY_TOL),
+            ("transform work identity", worst_transform < IDENTITY_TOL),
+            ("closure distance", worst_closure < IDENTITY_TOL),
+            ("second-law floor", min_ds_tot >= -SECOND_LAW_FLOOR),
+        )
+        if not within
+    ]
+    for name in breaches:
+        print(f"BREACH: {name}", file=sys.stderr)
+    return 1 if breaches else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -31,7 +31,7 @@ def main():
         ledger = run_cycle(h, args.temperature, MeasurementModel.weak(z, eps))
         ratio = ledger.delta_s_meas / eps**2
         print(f"{eps:>8g} {ledger.delta_s_meas:>14.6e} {ledger.work_fb:>14.6e} "
-              f"{ratio:>14.9f} {ledger.shannon_outcomes:>10.6f}")
+              f"{ratio:>14.9f} {ledger.report.shannon_outcomes:>10.6f}")
     print("\nlimit of dS_meas/eps^2 is 1/2 (Taylor expansion of the binary entropy)")
 
 

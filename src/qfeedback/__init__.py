@@ -57,10 +57,13 @@ from .measurement import (
     MeasurementOutcomes,
     ModelKind,
     OutcomeRecord,
+    SecondLawReport,
     ValidationReport,
     apply,
     entropy_reduction,
+    judge_second_law,
     measurement_energy_cost,
+    second_law_verdict,
     validate,
 )
 from .feedback import (
@@ -81,7 +84,6 @@ from .controller import (
     BathLedger,
     ControllerCycleResult,
     JointState,
-    SecondLawReport,
     apply_joint_unitary,
     correlate,
     decohere_controller,
@@ -89,7 +91,6 @@ from .controller import (
     finalize_branches,
     reset_controller,
     run_controller_cycle,
-    second_law_verdict,
 )
 from .config import ScenarioConfig, parse_config, with_value
 from .ledger import (

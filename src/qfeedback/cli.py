@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import ScenarioConfig, parse_config, with_value
-from .controller import SECOND_LAW_TOL, run_controller_cycle
+from .controller import run_controller_cycle
 from .errors import InputError, IoError, NumericalError, ParseError, ValidationError
 from .feedback import run_continuous, run_cycle, run_transform
 from .ledger import (
@@ -26,7 +26,7 @@ from .ledger import (
     row_from_cycle,
     row_from_transform,
 )
-from .measurement import validate
+from .measurement import judge_second_law, validate
 
 
 def load_config(name: str) -> ScenarioConfig:
@@ -68,7 +68,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
             row = row_from_transform(config, result)
             detail = {
                 "outcomes": [asdict(o) for o in result.ledger.outcomes],
-                "free_energy_initial": result.free_energy_initial,
+                "free_energy_initial": result.ledger.initial.free_energy,
                 "free_energy_final": result.free_energy_final,
                 "heat_from_bath": result.ledger.heat_from_bath,
             }
@@ -103,7 +103,7 @@ def cmd_run(args) -> int:
     if args.detail:
         if args.output:
             emit([row], args.format, args.output)
-        payload = {"row": row.__dict__, "detail": detail}
+        payload = {"row": asdict(row), "detail": detail}
         json.dump(payload, sys.stdout, indent=2, default=float)
         sys.stdout.write("\n")
     else:
@@ -148,10 +148,10 @@ def cmd_report(args) -> int:
     print("-" * len(header))
     passes = 0
     for row in rows:
-        ok = row.delta_S_tot >= SECOND_LAW_TOL
+        ok, efficient = judge_second_law(row.delta_S_tot)
         passes += ok
         verdict = "PASS" if ok else "FAIL"
-        if row.efficiency_flag:
+        if efficient:
             verdict += " (efficient)"
         print(
             f"{row.scenario_id:<40} {row.mode:<11} {row.work_fb:>14.6g} "

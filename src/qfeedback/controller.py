@@ -27,26 +27,24 @@ from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
     ModelKind,
+    SecondLawReport,
     apply,
+    entropy_reduction,
     is_dropped,
     measurement_energy_cost,
     require_valid,
+    second_law_verdict,
 )
 from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
-    shannon_entropy,
     thermal_state,
     thermo_reading,
     trace_distance,
     von_neumann_entropy,
 )
 
-# A cycle passes the second law when ΔS_tot ≥ SECOND_LAW_TOL, and preserved
-# the universe's entropy (is efficient) when ΔS_tot < EFFICIENCY_TOL.
-SECOND_LAW_TOL = -1e-9
-EFFICIENCY_TOL = 1e-8
 # Largest entry allowed in U†U - I of a feedback block, and in the
 # off-diagonal part of a controller about to be reset.
 STRUCTURE_TOL = 1e-10
@@ -112,17 +110,6 @@ class BathLedger:
     initial_entropy: float
     branch_entropies: tuple[float, ...]  # S_B - (S - S_n) per surviving branch
     reset_addition: float = 0.0  # entropy dumped by controller resets
-
-
-@dataclass(frozen=True)
-class SecondLawReport:
-    """Second-law verdict for one cycle, from outcome statistics alone."""
-
-    shannon_outcomes: float
-    delta_s_meas: float
-    delta_s_tot: float
-    verdict: bool  # ΔS_tot ≥ SECOND_LAW_TOL
-    efficiency_flag: bool  # ΔS_tot < EFFICIENCY_TOL: cycle preserved universe entropy
 
 
 def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
@@ -226,21 +213,6 @@ def finalize_branches(
     return joint_final, ledger
 
 
-def second_law_verdict(probabilities, delta_s_meas: float) -> SecondLawReport:
-    """ΔS_tot = S({p_n}) - ΔS_meas, with pass/fail at ``SECOND_LAW_TOL`` and an
-    efficiency flag when the cycle preserved universe entropy
-    (< ``EFFICIENCY_TOL``)."""
-    shannon = shannon_entropy(probabilities)
-    delta_s_tot = shannon - delta_s_meas
-    return SecondLawReport(
-        shannon_outcomes=shannon,
-        delta_s_meas=delta_s_meas,
-        delta_s_tot=delta_s_tot,
-        verdict=bool(delta_s_tot >= SECOND_LAW_TOL),
-        efficiency_flag=bool(delta_s_tot < EFFICIENCY_TOL),
-    )
-
-
 def reset_controller(
     controller: DensityMatrix, bath: BathLedger
 ) -> tuple[DensityMatrix, BathLedger]:
@@ -317,7 +289,7 @@ def run_controller_cycle(
     kept = list(entropies)
     branch_entropies = tuple(entropies.values())
     probabilities = p[kept] / p[kept].sum()
-    delta_s_meas = initial.entropy - float(np.dot(probabilities, branch_entropies))
+    delta_s_meas = entropy_reduction(probabilities, branch_entropies, initial.entropy)
     # measurement work read from the pre-feedback blocks via the records
     delta_e_meas = measurement_energy_cost(records, initial.energy)
 

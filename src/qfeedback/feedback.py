@@ -34,16 +34,17 @@ from .measurement import (
     MeasurementModel,
     ModelKind,
     OutcomeRecord,
+    SecondLawReport,
     apply,
     entropy_reduction,
     measurement_energy_cost,
+    second_law_verdict,
 )
 from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
     average_energy,
-    shannon_entropy,
     thermal_state,
     thermo_reading,
     trace_distance,
@@ -100,25 +101,29 @@ class CycleLedger:
     ``work_total`` is the average work extracted over the whole cycle
     including the recovery of measurement work; ``work_fb`` nets out the
     energy the measurement itself injected, and for a closed cycle equals
-    kT·ΔS_meas.  ``delta_s_tot`` = S({p_n}) - ΔS_meas is the entropy change
-    of the universe once the controller's record is reset.
+    kT·ΔS_meas.  ``report`` carries ΔS_tot = S({p_n}) - ΔS_meas, the entropy
+    change of the universe once the controller's record is reset, with its
+    verdict, as the controller picture's result does.
     """
 
-    energy_initial: float
-    entropy_initial: float
+    initial: ThermoReading
     temperature: float
     k: float
     outcomes: tuple[OutcomeLedger, ...]
     delta_e_meas: float
     delta_s_meas: float
-    shannon_outcomes: float
     work_total: float
     work_fb: float
-    delta_s_tot: float
+    report: SecondLawReport
     heat_from_bath: float
     closure_distance: float
     clamp_flag: bool
     dropped_outcomes: tuple[int, ...]
+
+    @property
+    def delta_s_tot(self) -> float:
+        """``report.delta_s_tot``, for readers outside the package (perfbench/workloads.py)."""
+        return self.report.delta_s_tot
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,6 @@ class TransformResult:
     free-energy drop ΔF = F₁ - F₂ the controller banked on top of kT·ΔS_meas."""
 
     delta_f: float
-    free_energy_initial: float
     free_energy_final: float
     work_fb: float
     ledger: CycleLedger
@@ -278,7 +282,7 @@ def _run(
     k: float,
     lambda_floor: float,
     p_floor: float,
-) -> tuple[CycleLedger, ThermoReading, ThermoReading]:
+) -> tuple[CycleLedger, ThermoReading]:
     rho_initial = thermal_state(h1, temperature, k)
     initial = thermo_reading(rho_initial, h1, temperature, k)
     rho_target = rho_initial if h2 is h1 else thermal_state(h2, temperature, k)
@@ -312,30 +316,28 @@ def _run(
         )
 
     delta_e_meas = measurement_energy_cost(outcomes, e_initial)
-    delta_s_meas = entropy_reduction(outcomes, initial.entropy)
+    probabilities = outcomes.probabilities
+    delta_s_meas = entropy_reduction(probabilities, [r.entropy for r in outcomes], initial.entropy)
     work_total = float(sum(b.probability * b.work for b in branches))
     final = DensityMatrix.from_matrix(
         sum(b.probability * rho_target.matrix for b in branches), where="cycle endpoint"
     )
-    shannon = shannon_entropy(np.array([b.probability for b in branches]))
     ledger = CycleLedger(
-        energy_initial=e_initial,
-        entropy_initial=initial.entropy,
+        initial=initial,
         temperature=temperature,
         k=k,
         outcomes=tuple(branches),
         delta_e_meas=delta_e_meas,
         delta_s_meas=delta_s_meas,
-        shannon_outcomes=shannon,
         work_total=work_total,
         work_fb=work_total - delta_e_meas,
-        delta_s_tot=shannon - delta_s_meas,
+        report=second_law_verdict(probabilities, delta_s_meas),
         heat_from_bath=k * temperature * delta_s_meas,
         closure_distance=trace_distance(final, rho_target),
         clamp_flag=bool(clamp or final.clamped),
         dropped_outcomes=outcomes.dropped,
     )
-    return ledger, initial, target
+    return ledger, target
 
 
 def run_cycle(
@@ -349,7 +351,7 @@ def run_cycle(
     """One closed cycle: thermal start, measure, feed back per outcome, expand
     isothermally home.  The ledger's ``work_fb`` equals kT·ΔS_meas up to
     numerical error."""
-    ledger, _, _ = _run(h, h, temperature, model, k, lambda_floor, p_floor)
+    ledger, _ = _run(h, h, temperature, model, k, lambda_floor, p_floor)
     return ledger
 
 
@@ -364,10 +366,9 @@ def run_transform(
 ) -> TransformResult:
     """Like :func:`run_cycle` but the closing expansion targets the thermal
     state of ``h2``; the net work picks up the free-energy drop ΔF."""
-    ledger, initial, target = _run(h1, h2, temperature, model, k, lambda_floor, p_floor)
+    ledger, target = _run(h1, h2, temperature, model, k, lambda_floor, p_floor)
     return TransformResult(
-        delta_f=initial.free_energy - target.free_energy,
-        free_energy_initial=initial.free_energy,
+        delta_f=ledger.initial.free_energy - target.free_energy,
         free_energy_final=target.free_energy,
         work_fb=ledger.work_fb,
         ledger=ledger,

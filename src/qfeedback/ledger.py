@@ -11,9 +11,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
-from .controller import EFFICIENCY_TOL, ControllerCycleResult
+from .controller import ControllerCycleResult
 from .errors import ArgumentRangeError, DomainError, IoError
 from .feedback import ContinuousResult, CycleLedger, TransformResult
 
@@ -46,34 +46,41 @@ class LedgerRow:
                 raise DomainError(f"ledger column {name} is not finite: {value!r}")
 
 
-COLUMNS = tuple(f.name for f in fields(LedgerRow))
-FLOAT_COLUMNS = tuple(
-    f.name for f in fields(LedgerRow) if f.type == "float"
-)
-BOOL_COLUMNS = ("efficiency_flag", "clamp_flag")
+# Each column's kind ("str", "int", "float" or "bool"), read from the field types.
+COLUMN_KINDS = {f.name: f.type for f in fields(LedgerRow)}
+COLUMNS = tuple(COLUMN_KINDS)
+FLOAT_COLUMNS = tuple(name for name, kind in COLUMN_KINDS.items() if kind == "float")
 
 
-def row_from_cycle(config, ledger: CycleLedger, mode: str = "cycle") -> LedgerRow:
-    e, s = ledger.energy_initial, ledger.entropy_initial
+def _row(config, mode: str, run, n_outcomes: int, work_total: float, closure: float) -> LedgerRow:
+    """The row of either picture: ``run`` is a :class:`CycleLedger` or a
+    :class:`ControllerCycleResult`, which carry the same initial reading,
+    measurement cost, feedback work and second-law report."""
     return LedgerRow(
         scenario_id=config.scenario_id,
         mode=mode,
         dim=config.dim,
-        T=ledger.temperature,
-        E=e,
-        S=s,
-        F=e - ledger.k * ledger.temperature * s,
-        n_outcomes=len(ledger.outcomes),
-        delta_E_meas=ledger.delta_e_meas,
-        delta_S_meas=ledger.delta_s_meas,
-        shannon_outcomes=ledger.shannon_outcomes,
-        work_total=ledger.work_total,
-        work_fb=ledger.work_fb,
+        T=config.temperature,
+        E=run.initial.energy,
+        S=run.initial.entropy,
+        F=run.initial.free_energy,
+        n_outcomes=n_outcomes,
+        delta_E_meas=run.delta_e_meas,
+        delta_S_meas=run.report.delta_s_meas,
+        shannon_outcomes=run.report.shannon_outcomes,
+        work_total=work_total,
+        work_fb=run.work_fb,
         delta_F=0.0,
-        delta_S_tot=ledger.delta_s_tot,
-        closure_distance=ledger.closure_distance,
-        efficiency_flag=bool(ledger.delta_s_tot < EFFICIENCY_TOL),
-        clamp_flag=ledger.clamp_flag,
+        delta_S_tot=run.report.delta_s_tot,
+        closure_distance=closure,
+        efficiency_flag=run.report.efficiency_flag,
+        clamp_flag=run.clamp_flag,
+    )
+
+
+def row_from_cycle(config, ledger: CycleLedger, mode: str = "cycle") -> LedgerRow:
+    return _row(
+        config, mode, ledger, len(ledger.outcomes), ledger.work_total, ledger.closure_distance
     )
 
 
@@ -92,37 +99,21 @@ def row_from_continuous(config, result: ContinuousResult) -> LedgerRow:
 
 
 def row_from_controller(config, result: ControllerCycleResult) -> LedgerRow:
-    closure = max(result.system_closure, result.controller_closure)
-    return LedgerRow(
-        scenario_id=config.scenario_id,
-        mode="controller",
-        dim=config.dim,
-        T=config.temperature,
-        E=result.initial.energy,
-        S=result.initial.entropy,
-        F=result.initial.free_energy,
-        n_outcomes=len(result.probabilities),
-        delta_E_meas=result.delta_e_meas,
-        delta_S_meas=result.delta_s_meas,
-        shannon_outcomes=result.report.shannon_outcomes,
-        work_total=result.work_fb + result.delta_e_meas,
-        work_fb=result.work_fb,
-        delta_F=0.0,
-        delta_S_tot=result.report.delta_s_tot,
-        closure_distance=closure,
-        efficiency_flag=result.report.efficiency_flag,
-        clamp_flag=result.clamp_flag,
+    return _row(
+        config,
+        "controller",
+        result,
+        len(result.probabilities),
+        result.work_fb + result.delta_e_meas,
+        max(result.system_closure, result.controller_closure),
     )
 
 
-def _as_dict(row: LedgerRow) -> dict:
-    return {name: getattr(row, name) for name in COLUMNS}
-
-
 def _format_csv_value(name: str, value):
-    if name in BOOL_COLUMNS:
+    kind = COLUMN_KINDS[name]
+    if kind == "bool":
         return "true" if value else "false"
-    if isinstance(value, float):
+    if kind == "float":
         return f"{value:.12g}"
     return str(value)
 
@@ -137,7 +128,7 @@ def emit_csv(rows) -> str:
 
 
 def emit_json(rows) -> str:
-    return json.dumps([_as_dict(r) for r in rows], indent=2) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
 
 def emit(rows, format: str, destination) -> int:
@@ -178,16 +169,16 @@ def parse_csv(text: str) -> list[LedgerRow]:
         if len(record) != len(COLUMNS):
             raise IoError(f"line {line}: {len(record)} fields, expected {len(COLUMNS)}")
         kwargs = {}
-        for name, text_value in zip(COLUMNS, record):
+        for (name, kind), text_value in zip(COLUMN_KINDS.items(), record):
             where = f"line {line}, column {name}"
-            if name in BOOL_COLUMNS:
+            if kind == "bool":
                 if text_value not in ("true", "false"):
                     raise IoError(f"{where}: {text_value!r} is not true or false")
                 kwargs[name] = text_value == "true"
-            elif name in ("scenario_id", "mode"):
+            elif kind == "str":
                 kwargs[name] = text_value
             else:
-                convert = int if name in ("dim", "n_outcomes") else float
+                convert = int if kind == "int" else float
                 try:
                     value = convert(text_value)
                 except ValueError:

@@ -12,6 +12,8 @@ indexed by outcome:
 Applying a model to a state yields per-outcome records carrying probability,
 post-measurement state, entropy, and average energy; the average entropy drop
 and the average energy added by the measurement derive from those records.
+The second-law report of a cycle, ΔS_tot = S({p_n}) - ΔS_meas with its
+verdict and efficiency flag, is decided here too, for both pictures.
 """
 
 from __future__ import annotations
@@ -32,10 +34,13 @@ from .errors import (
     NotHermitianError,
 )
 from .linalg import dagger, eig_hermitian, is_hermitian, matrix_function, max_abs, read_only
-from .thermo import DensityMatrix, Hamiltonian, average_energy, von_neumann_entropy
+from .thermo import DensityMatrix, Hamiltonian, average_energy, shannon_entropy, von_neumann_entropy
 
 COMPLETENESS_TOL = 1e-10
 DEFAULT_P_FLOOR = 1e-14
+# The thresholds on ΔS_tot that judge_second_law applies.
+SECOND_LAW_TOL = -1e-9
+EFFICIENCY_TOL = 1e-8
 
 
 class ModelKind(str, Enum):
@@ -263,7 +268,34 @@ def measurement_energy_cost(records: Sequence[OutcomeRecord], e_initial: float) 
     return sum(r.probability * r.energy for r in records) - e_initial
 
 
-def entropy_reduction(records: Sequence[OutcomeRecord], s_initial: float) -> float:
-    """Average entropy reduction ΔS_meas = S - Σ p_n S_n.  Can be negative
-    for inefficient measurements."""
-    return s_initial - sum(r.probability * r.entropy for r in records)
+def entropy_reduction(probabilities, entropies, s_initial: float) -> float:
+    """Average entropy reduction ΔS_meas = S - Σ p_n S_n over the branches'
+    probabilities and entropies.  Can be negative for inefficient measurements."""
+    return float(s_initial - sum(p * s_n for p, s_n in zip(probabilities, entropies)))
+
+
+@dataclass(frozen=True)
+class SecondLawReport:
+    """Second-law verdict for one cycle, from outcome statistics alone."""
+
+    shannon_outcomes: float
+    delta_s_meas: float
+    delta_s_tot: float
+    verdict: bool  # ΔS_tot ≥ SECOND_LAW_TOL
+    efficiency_flag: bool  # SECOND_LAW_TOL ≤ ΔS_tot < EFFICIENCY_TOL
+
+
+def judge_second_law(delta_s_tot: float) -> tuple[bool, bool]:
+    """(verdict, efficiency flag) for a total entropy change ΔS_tot: a cycle
+    passes when SECOND_LAW_TOL ≤ ΔS_tot, and preserved the universe's entropy
+    (is efficient) when SECOND_LAW_TOL ≤ ΔS_tot < EFFICIENCY_TOL, so a failing
+    cycle is never efficient."""
+    verdict = bool(delta_s_tot >= SECOND_LAW_TOL)
+    return verdict, verdict and bool(delta_s_tot < EFFICIENCY_TOL)
+
+
+def second_law_verdict(probabilities, delta_s_meas: float) -> SecondLawReport:
+    """ΔS_tot = S({p_n}) - ΔS_meas, judged by :func:`judge_second_law`."""
+    shannon = shannon_entropy(probabilities)
+    delta_s_tot = shannon - delta_s_meas
+    return SecondLawReport(shannon, delta_s_meas, delta_s_tot, *judge_second_law(delta_s_tot))

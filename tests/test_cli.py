@@ -71,6 +71,20 @@ measurement:
 continuous: {steps: 3}
 """
 
+# the reset channel |0><0|, |0><1| under one outcome: every state lands on |0>,
+# so the entropy bill S({p_n}) - dS_meas = 0 - S is negative
+RESET_CHANNEL_CONFIG = """\
+scenario_id: tmp-reset
+run: {mode: cycle}
+system: {dim: 2, hamiltonian: [0.0, 1.0]}
+bath: {temperature: 1.0}
+measurement:
+  kind: inefficient
+  groups:
+    - - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+      - [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+"""
+
 ZERO_OUTCOME_CONFIG = GOOD_CONFIG + """\
     - [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 """
@@ -360,6 +374,19 @@ class TestReport:
         assert "FAIL" in out
         assert "0/1 rows satisfy" in out
 
+    def test_negative_bill_fails_and_is_not_efficient(self, tmp_path, capsys):
+        config = tmp_path / "reset.yaml"
+        config.write_text(RESET_CHANNEL_CONFIG)
+        path = tmp_path / "ledger.csv"
+        self.run_to_file(str(config), path)
+        (row,) = parse_csv(path.read_text())
+        assert row.delta_S_tot == pytest.approx(-0.582203108888, abs=1e-9)
+        assert not row.efficiency_flag
+        assert main(["report", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "(efficient)" not in out
+        assert "0/1 rows satisfy" in out
+
     def test_missing_file(self, capsys):
         assert main(["report", str("/no/such/ledger.csv")]) == 3
 
@@ -414,6 +441,20 @@ class TestExpectedLedgers:
                      "--values", "0.4,0.2,0.1,0.05"])
         assert code == 0
         assert capsys.readouterr().out == expected_text("weak-sweep")
+
+    def test_both_pictures_give_one_row(self):
+        # xbasis-thermal and controller-fullcycle are one scenario, run in the
+        # measurement and in the controller picture
+        cycle, _ = run_scenario(load_config("xbasis-thermal"))
+        controller, _ = run_scenario(load_config("controller-fullcycle"))
+        for name in COLUMNS:
+            a, b = getattr(cycle, name), getattr(controller, name)
+            if name in ("scenario_id", "mode"):
+                assert a != b
+            elif isinstance(a, float):
+                assert abs(a - b) <= 1e-9, name
+            else:
+                assert a == b, name
 
     def test_repeat_runs_are_identical(self, capsys):
         assert main(["run", "xbasis-thermal"]) == 0

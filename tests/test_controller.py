@@ -17,7 +17,6 @@ from qfeedback.controller import (
     finalize_branches,
     reset_controller,
     run_controller_cycle,
-    second_law_verdict,
 )
 from qfeedback.errors import (
     IncompleteModelError,
@@ -26,7 +25,15 @@ from qfeedback.errors import (
     NonUnitaryBlockError,
 )
 from qfeedback.linalg import dagger, max_abs
-from qfeedback.measurement import DEFAULT_P_FLOOR, MeasurementModel, apply
+from qfeedback.measurement import (
+    DEFAULT_P_FLOOR,
+    EFFICIENCY_TOL,
+    SECOND_LAW_TOL,
+    MeasurementModel,
+    apply,
+    judge_second_law,
+    second_law_verdict,
+)
 from qfeedback.sampling import random_bare_model, random_hamiltonian, random_unitary
 from qfeedback.thermo import (
     DensityMatrix,
@@ -239,6 +246,21 @@ class TestFinalizeAndLedger:
         assert report.verdict and not report.efficiency_flag
         report = second_law_verdict([1.0], 0.0)
         assert report.verdict and report.efficiency_flag
+        # the reset channel's bill: a failing cycle is never efficient
+        report = second_law_verdict([1.0], 0.582203)
+        assert report.delta_s_tot == pytest.approx(-0.582203, abs=1e-12)
+        assert not report.verdict and not report.efficiency_flag
+
+    @pytest.mark.parametrize(
+        "delta_s_tot, verdict, efficient",
+        [
+            (2 * SECOND_LAW_TOL, False, False),
+            (SECOND_LAW_TOL, True, True),
+            (EFFICIENCY_TOL, True, False),
+        ],
+    )
+    def test_second_law_rule_edges(self, delta_s_tot, verdict, efficient):
+        assert judge_second_law(delta_s_tot) == (verdict, efficient)
 
     def test_reset_controller(self):
         bath = BathLedger(initial_entropy=0.0, branch_entropies=(0.0, 0.0))

@@ -243,7 +243,8 @@ class TestRunCycle:
             ledger = run_cycle(h, 1.0, model)
             assert abs(ledger.work_total - (ledger.work_fb + ledger.delta_e_meas)) < 1e-9
             assert abs(ledger.work_fb - ledger.delta_s_meas) < 1e-9
-            assert ledger.delta_s_tot == ledger.shannon_outcomes - ledger.delta_s_meas
+            report = ledger.report
+            assert report.delta_s_tot == report.shannon_outcomes - ledger.delta_s_meas
             assert ledger.closure_distance < 1e-8
             assert ledger.delta_s_tot >= -1e-9
 

@@ -1,0 +1,36 @@
+"""The scripts CI runs fail when the identities they check break."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def ensemble_check():
+    spec = importlib.util.spec_from_file_location(
+        "ensemble_check", SCRIPTS / "ensemble_check.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ensemble_check_passes(ensemble_check, capsys):
+    assert ensemble_check.main(["--models", "5"]) == 0
+    assert "BREACH" not in capsys.readouterr().err
+
+
+def test_ensemble_check_fails_on_a_broken_identity(ensemble_check, monkeypatch, capsys):
+    run_cycle = ensemble_check.run_cycle
+
+    def off_by_a_little(*args, **kwargs):
+        ledger = run_cycle(*args, **kwargs)
+        return dataclasses.replace(ledger, work_fb=ledger.work_fb + 1e-6)
+
+    monkeypatch.setattr(ensemble_check, "run_cycle", off_by_a_little)
+    assert ensemble_check.main(["--models", "5"]) == 1
+    assert "BREACH: cycle work identity" in capsys.readouterr().err
