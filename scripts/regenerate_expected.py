@@ -20,14 +20,9 @@ SWEEPS = {
     "weak-sweep": ("measurement.epsilon", (0.4, 0.2, 0.1, 0.05)),
 }
 
-PRESETS = (
-    "szilard",
-    "energy-measurement",
-    "xbasis-thermal",
-    "weak-sweep",
-    "inefficient-dephase",
-    "controller-fullcycle",
-)
+PRESET_DIR = Path(__file__).resolve().parent.parent / "src" / "qfeedback" / "presets"
+# one expected ledger per shipped presets/*.yaml
+PRESETS = tuple(sorted(path.stem for path in PRESET_DIR.glob("*.yaml")))
 
 
 def expected_rows(name):
@@ -39,7 +34,7 @@ def expected_rows(name):
 
 
 def main():
-    out_dir = Path(__file__).resolve().parent.parent / "src" / "qfeedback" / "presets" / "expected"
+    out_dir = PRESET_DIR / "expected"
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in PRESETS:
         text = emit_csv(expected_rows(name))

@@ -93,16 +93,6 @@ from .controller import (
     run_controller_cycle,
 )
 from .config import ScenarioConfig, parse_config, with_value
-from .ledger import (
-    LedgerRow,
-    emit,
-    emit_csv,
-    emit_json,
-    parse_csv,
-    row_from_controller,
-    row_from_continuous,
-    row_from_cycle,
-    row_from_transform,
-)
+from .ledger import LedgerRow, emit, emit_csv, emit_json, ledger_row, parse_csv
 
 __version__ = "0.1.0"

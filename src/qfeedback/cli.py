@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -17,15 +18,7 @@ from .config import ScenarioConfig, parse_config, with_value
 from .controller import run_controller_cycle
 from .errors import InputError, IoError, NumericalError, ParseError, ValidationError
 from .feedback import run_continuous, run_cycle, run_transform
-from .ledger import (
-    LedgerRow,
-    emit,
-    parse_csv,
-    row_from_controller,
-    row_from_continuous,
-    row_from_cycle,
-    row_from_transform,
-)
+from .ledger import LedgerRow, emit, ledger_row, parse_csv
 from .measurement import judge_second_law, validate
 
 
@@ -54,10 +47,16 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
     h = config.hamiltonian
     t = config.temperature
     constants = dict(k=config.k, lambda_floor=config.lambda_floor, p_floor=config.p_floor)
+
+    def cycle_row(ledger, **columns):  # a measurement-picture row; columns override its work
+        columns = dict(work_total=ledger.work_total, work_fb=ledger.work_fb) | columns
+        n_outcomes, closure = len(ledger.outcomes), ledger.closure_distance
+        return ledger_row(config, ledger, n_outcomes=n_outcomes, closure=closure, **columns)
+
     try:
         if config.mode == "cycle":
             ledger = run_cycle(h, t, config.model, **constants)
-            row = row_from_cycle(config, ledger)
+            row = cycle_row(ledger)
             detail = {
                 "outcomes": [asdict(o) for o in ledger.outcomes],
                 "heat_from_bath": ledger.heat_from_bath,
@@ -65,7 +64,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
             }
         elif config.mode == "transform":
             result = run_transform(h, config.h2, t, config.model, **constants)
-            row = row_from_transform(config, result)
+            row = cycle_row(result.ledger, delta_f=result.delta_f)
             detail = {
                 "outcomes": [asdict(o) for o in result.ledger.outcomes],
                 "free_energy_initial": result.ledger.initial.free_energy,
@@ -73,8 +72,13 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
                 "heat_from_bath": result.ledger.heat_from_bath,
             }
         elif config.mode == "continuous":
+            # work summed over the steps; every other column is one step's
             result = run_continuous(h, t, config.model, config.steps, **constants)
-            row = row_from_continuous(config, result)
+            row = cycle_row(
+                result.per_cycle,
+                work_total=result.cumulative_work_total,
+                work_fb=result.cumulative_work_fb,
+            )
             detail = {
                 "epsilon": result.epsilon,
                 "n_steps": result.n_steps,
@@ -84,7 +88,14 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
             }
         else:
             result = run_controller_cycle(h, t, config.model, **constants)
-            row = row_from_controller(config, result)
+            row = ledger_row(
+                config,
+                result,
+                n_outcomes=len(result.probabilities),
+                work_total=result.work_fb + result.delta_e_meas,
+                work_fb=result.work_fb,
+                closure=max(result.system_closure, result.controller_closure),
+            )
             detail = {
                 "branch_probabilities": list(result.probabilities),
                 "branch_entropies": list(result.branch_entropies),
@@ -162,7 +173,9 @@ def cmd_report(args) -> int:
     return 0 if passes == len(rows) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by every call: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="qfeedback",
         description="Feedback-control work extraction: scenario runner and ledger tools.",
@@ -177,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--detail", action="store_true",
         help="print a detailed JSON document (per-outcome data) to stdout",
     )
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario once per parameter value")
     p_sweep.add_argument("config", help="config file path or preset name")
@@ -185,23 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_sweep.add_argument("--output", default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a config and its measurement model")
     p_val.add_argument("config")
-    p_val.set_defaults(func=cmd_validate)
 
     p_rep = sub.add_parser("report", help="summarize a ledger CSV with second-law verdicts")
     p_rep.add_argument("ledger")
-    p_rep.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not kept in the cached parser, so a rebound cmd_* runs
+    commands = dict(run=cmd_run, sweep=cmd_sweep, validate=cmd_validate, report=cmd_report)
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,7 +58,27 @@ YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 MAX_NESTING = 100
 
 MODES = ("cycle", "transform", "continuous", "controller")
-KINDS = ("bare", "efficient", "inefficient", "weak")
+# measurement kind -> the keys it takes besides ``kind``
+KIND_KEYS = {
+    "bare": ("operators",),
+    "efficient": ("operators",),
+    "inefficient": ("groups",),
+    "weak": ("generator", "epsilon"),
+}
+KINDS = tuple(KIND_KEYS)
+# top-level key -> the keys of its section (``scenario_id`` is a plain string);
+# ``transform`` and ``continuous`` are read only in the run mode of their name
+SECTIONS = {
+    "scenario_id": (),
+    "run": ("mode",),
+    "system": ("dim", "hamiltonian"),
+    "bath": ("temperature",),
+    "constants": ("k",),
+    "measurement": ("kind", *dict.fromkeys(k for keys in KIND_KEYS.values() for k in keys)),
+    "transform": ("h2",),
+    "continuous": ("steps",),
+    "numerics": ("lambda_floor", "p_floor"),
+}
 
 
 @dataclass(frozen=True)
@@ -79,12 +100,6 @@ class ScenarioConfig:
     raw: dict = field(repr=False, compare=False)
 
 
-def _expect_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ValidationError(path, f"expected a mapping, got {type(node).__name__}")
-    return node
-
-
 def _reject_unknown(node: dict, path: str, known):
     for key in node:
         if key not in known:
@@ -97,6 +112,18 @@ def _get(node: dict, key: str, path: str):
         where = f"{path}.{key}" if path else key
         raise ValidationError(where, "missing required key")
     return node[key]
+
+
+def _section(data: dict, name: str, required: bool = True) -> dict:
+    """The mapping under a top-level key, holding only its section's keys; an
+    absent optional section reads as empty."""
+    if name not in data and not required:
+        return {}
+    node = _get(data, name, "")
+    if not isinstance(node, dict):
+        raise ValidationError(name, f"expected a mapping, got {type(node).__name__}")
+    _reject_unknown(node, name, SECTIONS[name])
+    return node
 
 
 def _is_number(value) -> bool:
@@ -113,6 +140,19 @@ def _as_float(value, path: str) -> float:
     if not math.isfinite(number):
         raise ValidationError(path, f"must be a finite number, got {number!r}")
     return number
+
+
+def _bounded(node: dict, path: str, key: str, rule: str, ok, default=None) -> float:
+    """``node[key]`` as a finite float for which ``ok`` holds, else an error
+    whose message is ``rule`` formatted with the value; a missing key reads as
+    ``default``, or is an error when there is none."""
+    if default is not None and key not in node:
+        return default
+    where = f"{path}.{key}"
+    value = _as_float(_get(node, key, path), where)
+    if not ok(value):
+        raise ValidationError(where, rule.format(value))
+    return value
 
 
 def _as_int(value, path: str) -> int:
@@ -148,6 +188,22 @@ def _parse_matrix(node, path: str, dim: int | None = None) -> np.ndarray:
     return out
 
 
+def _non_empty_list(node, path: str, what: str) -> list:
+    if not isinstance(node, list) or not node:
+        raise ValidationError(path, f"expected a non-empty list of {what}")
+    return node
+
+
+def _parse_matrices(node, path: str, dim: int, hermitian: bool = False) -> list[np.ndarray]:
+    """A non-empty list of dim x dim matrices, each Hermitian if asked."""
+    out = []
+    for i, op in enumerate(_non_empty_list(node, path, "matrices")):
+        out.append(_parse_matrix(op, f"{path}[{i}]", dim))
+        if hermitian:
+            _check_hermitian(out[-1], f"{path}[{i}]")
+    return out
+
+
 def _check_hermitian(m: np.ndarray, path: str):
     residual = np.abs(m - dagger(m))
     if residual.max() > HERMITICITY_TOL:
@@ -173,48 +229,27 @@ def _parse_hamiltonian(node, path: str, dim: int) -> Hamiltonian:
         raise ValidationError(path, str(exc)) from None
 
 
-def _parse_measurement(node, path: str, dim: int) -> MeasurementModel:
-    node = _expect_mapping(node, path)
+def _parse_measurement(data: dict, dim: int) -> MeasurementModel:
+    path = "measurement"
+    node = _section(data, path)
     kind = _as_str(_get(node, "kind", path), f"{path}.kind")
     if kind not in KINDS:
         raise ValidationError(f"{path}.kind", f"must be one of {', '.join(KINDS)}")
-
+    _reject_unknown(node, path, ("kind", *KIND_KEYS[kind]))
     if kind in ("bare", "efficient"):
-        _reject_unknown(node, path, {"kind", "operators"})
-        ops_node = _get(node, "operators", path)
-        if not isinstance(ops_node, list) or not ops_node:
-            raise ValidationError(f"{path}.operators", "expected a non-empty list of matrices")
-        ops = []
-        for i, op in enumerate(ops_node):
-            m = _parse_matrix(op, f"{path}.operators[{i}]", dim)
-            if kind == "bare":
-                _check_hermitian(m, f"{path}.operators[{i}]")
-            ops.append(m)
+        ops = _get(node, "operators", path)
         builder = MeasurementModel.bare if kind == "bare" else MeasurementModel.efficient
-        return builder(ops)
-
+        return builder(_parse_matrices(ops, f"{path}.operators", dim, hermitian=kind == "bare"))
     if kind == "inefficient":
-        _reject_unknown(node, path, {"kind", "groups"})
-        groups_node = _get(node, "groups", path)
-        if not isinstance(groups_node, list) or not groups_node:
-            raise ValidationError(f"{path}.groups", "expected a non-empty list of operator lists")
-        groups = []
-        for i, group in enumerate(groups_node):
-            if not isinstance(group, list) or not group:
-                raise ValidationError(
-                    f"{path}.groups[{i}]", "expected a non-empty list of matrices"
-                )
-            groups.append(
-                [_parse_matrix(op, f"{path}.groups[{i}][{j}]", dim) for j, op in enumerate(group)]
-            )
-        return MeasurementModel.inefficient(groups)
-
-    _reject_unknown(node, path, {"kind", "generator", "epsilon"})
+        groups = _non_empty_list(_get(node, "groups", path), f"{path}.groups", "operator lists")
+        return MeasurementModel.inefficient(
+            [_parse_matrices(g, f"{path}.groups[{i}]", dim) for i, g in enumerate(groups)]
+        )
     generator = _parse_matrix(_get(node, "generator", path), f"{path}.generator", dim)
     _check_hermitian(generator, f"{path}.generator")
-    epsilon = _as_float(_get(node, "epsilon", path), f"{path}.epsilon")
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"{path}.epsilon", f"must lie in (0, 1), got {epsilon!r}")
+    epsilon = _bounded(
+        node, path, "epsilon", "must lie in (0, 1), got {!r}", lambda x: 0.0 < x < 1.0
+    )
     try:
         return MeasurementModel.weak(generator, epsilon)
     except DomainError as exc:
@@ -225,54 +260,24 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
     """Validate an already-loaded config tree."""
     if not isinstance(data, dict):
         raise ParseError("", f"{source}: top level must be a mapping")
-    _reject_unknown(
-        data,
-        "",
-        {
-            "scenario_id",
-            "run",
-            "system",
-            "bath",
-            "constants",
-            "measurement",
-            "transform",
-            "continuous",
-            "numerics",
-        },
-    )
+    _reject_unknown(data, "", SECTIONS)
     scenario_id = _as_str(_get(data, "scenario_id", ""), "scenario_id")
-
-    run = _expect_mapping(_get(data, "run", ""), "run")
-    _reject_unknown(run, "run", {"mode"})
-    mode = _as_str(_get(run, "mode", "run"), "run.mode")
+    mode = _as_str(_get(_section(data, "run"), "mode", "run"), "run.mode")
     if mode not in MODES:
         raise ValidationError("run.mode", f"must be one of {', '.join(MODES)}")
 
-    system = _expect_mapping(_get(data, "system", ""), "system")
-    _reject_unknown(system, "system", {"dim", "hamiltonian"})
+    system = _section(data, "system")
     dim = _as_int(_get(system, "dim", "system"), "system.dim")
     if dim < 1:
         raise ValidationError("system.dim", f"must be a positive integer, got {dim}")
     hamiltonian = _parse_hamiltonian(
         _get(system, "hamiltonian", "system"), "system.hamiltonian", dim
     )
+    positive = ("must be > 0, got {!r}", lambda x: x > 0.0)
+    temperature = _bounded(_section(data, "bath"), "bath", "temperature", *positive)
+    k = _bounded(_section(data, "constants", False), "constants", "k", *positive, 1.0)
 
-    bath = _expect_mapping(_get(data, "bath", ""), "bath")
-    _reject_unknown(bath, "bath", {"temperature"})
-    temperature = _as_float(_get(bath, "temperature", "bath"), "bath.temperature")
-    if temperature <= 0.0:
-        raise ValidationError("bath.temperature", f"must be > 0, got {temperature!r}")
-
-    k = 1.0
-    if "constants" in data:
-        constants = _expect_mapping(data["constants"], "constants")
-        _reject_unknown(constants, "constants", {"k"})
-        if "k" in constants:
-            k = _as_float(constants["k"], "constants.k")
-            if k <= 0.0:
-                raise ValidationError("constants.k", f"must be > 0, got {k!r}")
-
-    model = _parse_measurement(_get(data, "measurement", ""), "measurement", dim)
+    model = _parse_measurement(data, dim)
     if mode == "controller" and model.kind.value not in ("bare", "weak"):
         raise ValidationError("measurement.kind", "controller mode requires a bare or weak model")
     if mode == "continuous":
@@ -284,40 +289,24 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
                 "measurement.epsilon",
                 f"continuous mode needs it in [{lo:g}, {hi:g}], got {model.strength!r}",
             )
+    for name in ("transform", "continuous"):
+        if name in data and mode != name:
+            raise ValidationError(name, f"only valid when run.mode is {name}")
 
     h2 = None
     if mode == "transform":
-        transform = _expect_mapping(_get(data, "transform", ""), "transform")
-        _reject_unknown(transform, "transform", {"h2"})
+        transform = _section(data, "transform")
         h2 = _parse_hamiltonian(_get(transform, "h2", "transform"), "transform.h2", dim)
-    elif "transform" in data:
-        raise ValidationError("transform", "only valid when run.mode is transform")
+    steps = _as_int(_section(data, "continuous", False).get("steps", 1), "continuous.steps")
+    _as_float(steps, "continuous.steps")  # the work per step is scaled by it
+    if steps < 1:
+        raise ValidationError("continuous.steps", f"must be >= 1, got {steps}")
 
-    steps = 1
-    if mode == "continuous":
-        if "continuous" in data:
-            continuous = _expect_mapping(data["continuous"], "continuous")
-            _reject_unknown(continuous, "continuous", {"steps"})
-            if "steps" in continuous:
-                steps = _as_int(continuous["steps"], "continuous.steps")
-                _as_float(steps, "continuous.steps")  # the work per step is scaled by it
-                if steps < 1:
-                    raise ValidationError("continuous.steps", f"must be >= 1, got {steps}")
-    elif "continuous" in data:
-        raise ValidationError("continuous", "only valid when run.mode is continuous")
-
-    lambda_floor, p_floor = DEFAULT_LAMBDA_FLOOR, DEFAULT_P_FLOOR
-    if "numerics" in data:
-        numerics = _expect_mapping(data["numerics"], "numerics")
-        _reject_unknown(numerics, "numerics", {"lambda_floor", "p_floor"})
-        if "lambda_floor" in numerics:
-            lambda_floor = _as_float(numerics["lambda_floor"], "numerics.lambda_floor")
-            if not 0.0 < lambda_floor < 1.0:
-                raise ValidationError("numerics.lambda_floor", "must lie in (0, 1)")
-        if "p_floor" in numerics:
-            p_floor = _as_float(numerics["p_floor"], "numerics.p_floor")
-            if not 0.0 <= p_floor < 1.0:
-                raise ValidationError("numerics.p_floor", "must lie in [0, 1)")
+    numerics = _section(data, "numerics", False)
+    lambda_floor = _bounded(numerics, "numerics", "lambda_floor", "must lie in (0, 1)",
+                            lambda x: 0.0 < x < 1.0, DEFAULT_LAMBDA_FLOOR)
+    p_floor = _bounded(numerics, "numerics", "p_floor", "must lie in [0, 1)",
+                       lambda x: 0.0 <= x < 1.0, DEFAULT_P_FLOOR)
 
     return ScenarioConfig(
         scenario_id=scenario_id,
@@ -366,42 +355,30 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
 
 
 def _resolve_path(tree: dict, dotted: str):
-    """Walk ``a.b[2].c`` style paths through the raw tree; returns
-    (container, final key/index)."""
-    node = tree
-    parts = []
-    for piece in dotted.split("."):
-        name = piece
-        indices = []
-        while name.endswith("]"):
-            cut = name.rindex("[")
-            idx_text = name[cut + 1 : -1]
+    """Walk an ``a.b[2].c`` style path through the raw tree, one name or
+    ``[index]`` token at a time; returns (container, final key/index)."""
+    container, key, node = None, None, tree
+    for token in re.split(r"\.|(?=\[)", dotted):
+        if token.startswith("[") and token.endswith("]"):
             try:
-                indices.insert(0, int(idx_text))
+                key = int(token[1:-1])
             except ValueError:
-                raise UnknownParameterError(f"bad index {idx_text!r} in {dotted!r}") from None
-            name = name[:cut]
-        parts.append((name, indices))
-    trail = None
-    for name, indices in parts:
-        if trail is not None:
-            container, key = trail
-            node = container[key]
-        if not isinstance(node, dict) or name not in node:
+                raise UnknownParameterError(f"bad index {token[1:-1]!r} in {dotted!r}") from None
+            found = isinstance(node, list) and -len(node) <= key < len(node)
+        else:
+            key = token
+            found = isinstance(node, dict) and key in node
+        if not found:
             raise UnknownParameterError(f"no such config field: {dotted!r}")
-        trail = (node, name)
-        for idx in indices:
-            container, key = trail
-            node = container[key]
-            if not isinstance(node, list) or not -len(node) <= idx < len(node):
-                raise UnknownParameterError(f"no such config field: {dotted!r}")
-            trail = (node, idx)
-    return trail
+        container, node = node, node[key]
+    return container, key
 
 
 def with_value(config: ScenarioConfig, dotted: str, value: float) -> ScenarioConfig:
     """Copy the scenario with one numeric field replaced, re-validating the
-    whole tree.  The path must already exist and hold a number."""
+    whole tree.  The path must already exist and hold a number.  The variant's
+    id is tagged with the value's ``:g`` text, or with its shortest exact
+    text when the ``:g`` one would read back as another number."""
     tree = copy.deepcopy(config.raw)
     container, key = _resolve_path(tree, dotted)
     current = container[key]
@@ -411,5 +388,8 @@ def with_value(config: ScenarioConfig, dotted: str, value: float) -> ScenarioCon
         container[key] = int(value)  # keep integer fields integral
     else:
         container[key] = value
-    tag = f"{config.scenario_id}[{dotted}={value:g}]"
+    text = f"{value:g}"
+    if float(text) != value:
+        text = repr(float(value)).removesuffix(".0")
+    tag = f"{config.scenario_id}[{dotted}={text}]"
     return replace(parse_dict(tree, source=tag), scenario_id=tag, raw=tree)

@@ -11,11 +11,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
-from .controller import ControllerCycleResult
 from .errors import ArgumentRangeError, DomainError, IoError
-from .feedback import ContinuousResult, CycleLedger, TransformResult
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,17 @@ COLUMNS = tuple(COLUMN_KINDS)
 FLOAT_COLUMNS = tuple(name for name, kind in COLUMN_KINDS.items() if kind == "float")
 
 
-def _row(config, mode: str, run, n_outcomes: int, work_total: float, closure: float) -> LedgerRow:
-    """The row of either picture: ``run`` is a :class:`CycleLedger` or a
-    :class:`ControllerCycleResult`, which carry the same initial reading,
-    measurement cost, feedback work and second-law report."""
+def ledger_row(
+    config, run, *, n_outcomes: int, work_total: float, work_fb: float, closure: float,
+    delta_f: float = 0.0,
+) -> LedgerRow:
+    """The row of a run in ``config.mode``.  ``run`` is a cycle ledger or a
+    controller cycle result; both carry the initial E/S/F reading, the
+    measurement cost, the second-law report and the clamp flag.  The caller
+    gives the columns that depend on the run mode."""
     return LedgerRow(
         scenario_id=config.scenario_id,
-        mode=mode,
+        mode=config.mode,
         dim=config.dim,
         T=config.temperature,
         E=run.initial.energy,
@@ -69,43 +71,12 @@ def _row(config, mode: str, run, n_outcomes: int, work_total: float, closure: fl
         delta_S_meas=run.report.delta_s_meas,
         shannon_outcomes=run.report.shannon_outcomes,
         work_total=work_total,
-        work_fb=run.work_fb,
-        delta_F=0.0,
+        work_fb=work_fb,
+        delta_F=delta_f,
         delta_S_tot=run.report.delta_s_tot,
         closure_distance=closure,
         efficiency_flag=run.report.efficiency_flag,
         clamp_flag=run.clamp_flag,
-    )
-
-
-def row_from_cycle(config, ledger: CycleLedger, mode: str = "cycle") -> LedgerRow:
-    return _row(
-        config, mode, ledger, len(ledger.outcomes), ledger.work_total, ledger.closure_distance
-    )
-
-
-def row_from_transform(config, result: TransformResult) -> LedgerRow:
-    return replace(row_from_cycle(config, result.ledger, mode="transform"), delta_F=result.delta_f)
-
-
-def row_from_continuous(config, result: ContinuousResult) -> LedgerRow:
-    """Continuous runs report cumulative work over all steps; the entropy and
-    energy columns are per-step (every step is an identical closed cycle)."""
-    return replace(
-        row_from_cycle(config, result.per_cycle, mode="continuous"),
-        work_total=result.cumulative_work_total,
-        work_fb=result.cumulative_work_fb,
-    )
-
-
-def row_from_controller(config, result: ControllerCycleResult) -> LedgerRow:
-    return _row(
-        config,
-        "controller",
-        result,
-        len(result.probabilities),
-        result.work_fb + result.delta_e_meas,
-        max(result.system_closure, result.controller_closure),
     )
 
 

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qfeedback.cli import load_config, main, run_scenario
 from qfeedback.config import KINDS, MODES, with_value
 from qfeedback.errors import InputError, IoError, ParseError
+from qfeedback.feedback import run_transform
 from qfeedback.ledger import COLUMNS, emit, emit_csv, emit_json, parse_csv
 
 from oracles import parse_json
@@ -85,17 +86,30 @@ measurement:
       - [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
 """
 
+TRANSFORM_CONFIG = """\
+scenario_id: tmp-transform
+run: {mode: transform}
+system: {dim: 2, hamiltonian: [0.0, 0.7]}
+bath: {temperature: 1.0}
+measurement:
+  kind: bare
+  operators:
+    - [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    - [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+transform: {h2: [0.0, 1.3]}
+"""
+
 ZERO_OUTCOME_CONFIG = GOOD_CONFIG + """\
     - [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 """
 
-PRESETS = (
-    "szilard",
-    "energy-measurement",
-    "xbasis-thermal",
-    "weak-sweep",
-    "inefficient-dephase",
-    "controller-fullcycle",
+# one preset per shipped presets/*.yaml
+PRESETS = tuple(
+    sorted(
+        entry.name.removesuffix(".yaml")
+        for entry in resources.files("qfeedback").joinpath("presets").iterdir()
+        if entry.name.endswith(".yaml")
+    )
 )
 
 
@@ -225,6 +239,43 @@ class TestRun:
         assert "Traceback" not in err
 
 
+class TestModeColumns:
+    """The columns a run mode sets itself, read back at full precision."""
+
+    def json_row(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        assert main(["run", str(path), "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        return row, load_config(str(path))
+
+    def test_transform_delta_f(self, tmp_path, capsys):
+        row, config = self.json_row(tmp_path, capsys, TRANSFORM_CONFIG)
+        result = run_transform(
+            config.hamiltonian, config.h2, config.temperature, config.model, k=config.k,
+            lambda_floor=config.lambda_floor, p_floor=config.p_floor,
+        )
+        assert result.delta_f != 0.0
+        assert row["delta_F"] == result.delta_f
+        assert row["work_total"] == result.ledger.work_total
+        assert row["work_fb"] == result.ledger.work_fb
+
+    def test_continuous_work_is_cumulative(self, tmp_path, capsys):
+        row, config = self.json_row(tmp_path, capsys, CONTINUOUS_CONFIG)
+        one_step = CONTINUOUS_CONFIG.replace("mode: continuous", "mode: cycle").replace(
+            "continuous: {steps: 3}\n", ""
+        )
+        cycle, _ = self.json_row(tmp_path, capsys, one_step)
+        assert config.steps == 3
+        for name in COLUMNS:
+            if name in ("work_total", "work_fb"):
+                assert row[name] == config.steps * cycle[name], name
+            elif name == "mode":
+                assert (row[name], cycle[name]) == ("continuous", "cycle")
+            else:
+                assert row[name] == cycle[name], name
+
+
 class TestSweep:
     def test_values_in_order(self, capsys):
         code = main(
@@ -265,6 +316,19 @@ class TestSweep:
                      "--values", "0.3"])
         assert code == 2
         assert "tmp-degenerate[measurement.epsilon=0.3]: " in capsys.readouterr().err
+
+    def test_close_values_get_distinct_ids(self, capsys):
+        # both values print as 0.1 to six significant digits
+        values = ("0.10000001", "0.10000002")
+        code = main(["sweep", "weak-sweep", "--param", "measurement.epsilon",
+                     "--values", ",".join(values)])
+        assert code == 0
+        ids = [r.scenario_id for r in parse_csv(capsys.readouterr().out)]
+        assert len(set(ids)) == 2
+        prefix = "weak-sweep[measurement.epsilon="
+        for scenario_id, value in zip(ids, values):
+            assert scenario_id.startswith(prefix) and scenario_id.endswith("]")
+            assert float(scenario_id[len(prefix):-1]) == float(value)
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
