@@ -45,7 +45,6 @@ from .thermo import (
     Hamiltonian,
     ThermoReading,
     average_energy,
-    free_energy,
     shannon_entropy,
     thermal_state,
     thermo_reading,

@@ -205,7 +205,8 @@ def _parse_matrices(node, path: str, dim: int, hermitian: bool = False) -> list[
 
 
 def _check_hermitian(m: np.ndarray, path: str):
-    residual = np.abs(m - dagger(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
+        residual = np.abs(m - dagger(m))
     if residual.max() > HERMITICITY_TOL:
         i, j = np.unravel_index(int(np.argmax(residual)), residual.shape)
         raise ValidationError(

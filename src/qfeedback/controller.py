@@ -3,7 +3,7 @@ with the system by an isometry, steers it with a controlled unitary, and
 decoheres when the bath branches become macroscopically distinct.
 
 The bath is never a Hilbert space here.  It enters as an entropy ledger: each
-branch ends with bath entropy S_B - (S - S_n), and resetting the controller
+branch changes the bath entropy by S_n - S, and resetting the controller
 dumps another S({p_n}) into it.  Total-entropy accounting over system,
 controller, and bath then gives ΔS_tot = S({p_n}) - ΔS_meas ≥ 0.
 """
@@ -11,7 +11,7 @@ controller, and bath then gives ΔS_tot = S({p_n}) - ΔS_meas ≥ 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .measurement import (
     SecondLawReport,
     apply,
     entropy_reduction,
-    is_dropped,
     measurement_energy_cost,
     require_valid,
     second_law_verdict,
@@ -78,16 +77,16 @@ class JointState:
     def probabilities(self) -> np.ndarray:
         return np.array([self.block_probability(n) for n in range(self.n_outcomes)])
 
-    def branch_entropies(self, p_floor: float) -> dict[int, float]:
-        """S_n of the system state p_n ρ_n / p_n in each diagonal block that
-        :func:`~qfeedback.measurement.is_dropped` keeps, keyed by controller index."""
-        p = self.probabilities()
+    def branch_entropies(self, outcomes: Iterable[int]) -> dict[int, float]:
+        """S_n of the system state p_n ρ_n / p_n in the diagonal block of each
+        controller index in ``outcomes``, keyed by that index."""
         return {
             n: von_neumann_entropy(
-                DensityMatrix.from_matrix(self.block(n, n) / p[n], where=f"branch {n}")
+                DensityMatrix.from_matrix(
+                    self.block(n, n) / self.block_probability(n), where=f"branch {n}"
+                )
             )
-            for n in range(self.n_outcomes)
-            if not is_dropped(p[n], p_floor)
+            for n in outcomes
         }
 
     def controller_state(self) -> DensityMatrix:
@@ -105,10 +104,9 @@ class JointState:
 
 @dataclass(frozen=True)
 class BathLedger:
-    """Entropy bookkeeping for the bath, relative to an arbitrary offset S_B."""
+    """Entropy bookkeeping for the bath: its change per branch and from resets."""
 
-    initial_entropy: float
-    branch_entropies: tuple[float, ...]  # S_B - (S - S_n) per surviving branch
+    branch_entropies: tuple[float, ...]  # S_n - S per branch, 0 for a dropped one
     reset_addition: float = 0.0  # entropy dumped by controller resets
 
 
@@ -182,14 +180,13 @@ def finalize_branches(
     rho_t: DensityMatrix,
     branch_entropies: Mapping[int, float],
     s_initial: float,
-    s_bath: float = 0.0,
 ) -> tuple[JointState, BathLedger]:
     """Replace every branch's system state by the isothermal endpoint ρ_T.
 
     ``branch_entropies`` holds S_n for each surviving branch, keyed by
     controller index; a branch it leaves out was dropped and gets weight 0.
     Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T.  The
-    bath ledger records S_B - (S - S_n) per branch.
+    bath ledger records S_n - S per branch.
     """
     n = joint.n_outcomes
     p_vec = np.array(
@@ -203,10 +200,9 @@ def finalize_branches(
         system_dim=joint.system_dim,
     )
     ledger = BathLedger(
-        initial_entropy=s_bath,
         # an empty branch leaves the bath untouched
         branch_entropies=tuple(
-            s_bath - (s_initial - branch_entropies[i]) if i in branch_entropies else s_bath
+            branch_entropies[i] - s_initial if i in branch_entropies else 0.0
             for i in range(n)
         ),
     )
@@ -252,50 +248,41 @@ def run_controller_cycle(
     temperature: float,
     model: MeasurementModel,
     k: float = 1.0,
-    s_bath: float = 0.0,
     lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ControllerCycleResult:
     """One full cycle in the measurement-free picture: correlate, feed back,
-    decohere, finalize, reset.  Entropy accounting comes from the joint state
-    itself; the per-outcome feedback unitaries are planned from the
-    equivalent measurement records."""
+    decohere, finalize, reset.  The branches are the outcomes that
+    :func:`~qfeedback.measurement.apply` keeps: their records plan the
+    feedback unitaries and give ΔE_meas, and their entropy accounting is read
+    from the joint state itself."""
     rho_t = thermal_state(h, temperature, k)
     initial = thermo_reading(rho_t, h, temperature, k)
 
     joint = correlate(rho_t, model)
     records = apply(model, rho_t, h, p_floor=p_floor)
-    by_outcome = {r.n: r for r in records}
-    blocks = []
+    kept = [r.n for r in records]
+    blocks = [np.eye(model.dim, dtype=complex)] * model.n_outcomes  # dropped: left alone
     clamp = rho_t.clamped
-    for n in range(model.n_outcomes):
-        record = by_outcome.get(n)
-        if record is None:
-            blocks.append(np.eye(model.dim, dtype=complex))  # dropped branch
-            continue
+    for record in records:
         plan = plan_feedback(
             record, h, temperature, k=k, e_initial=initial.energy, lambda_floor=lambda_floor
         )
         clamp = clamp or plan.clamped
-        blocks.append(plan.basis_unitary)
-    u_fb = feedback_unitary(blocks)
-    joint = apply_joint_unitary(joint, u_fb)
-    joint = decohere_controller(joint)
+        blocks[record.n] = plan.basis_unitary
+    joint = decohere_controller(apply_joint_unitary(joint, feedback_unitary(blocks)))
 
-    # branch data read back from the joint state (pre-finalize blocks hold the
-    # rotated p_n ρ_n, whose entropies and probabilities are basis-invariant)
-    p = joint.probabilities()
-    entropies = joint.branch_entropies(p_floor)
-    kept = list(entropies)
+    # the kept branches read back from the joint state (pre-finalize blocks hold
+    # the rotated p_n ρ_n, whose entropies and probabilities are basis-invariant)
+    entropies = joint.branch_entropies(kept)
     branch_entropies = tuple(entropies.values())
-    probabilities = p[kept] / p[kept].sum()
+    p = joint.probabilities()[kept]
+    probabilities = p / p.sum()
     delta_s_meas = entropy_reduction(probabilities, branch_entropies, initial.entropy)
     # measurement work read from the pre-feedback blocks via the records
     delta_e_meas = measurement_energy_cost(records, initial.energy)
 
-    joint_final, bath = finalize_branches(
-        joint, rho_t, entropies, s_initial=initial.entropy, s_bath=s_bath
-    )
+    joint_final, bath = finalize_branches(joint, rho_t, entropies, s_initial=initial.entropy)
     report = second_law_verdict(probabilities, delta_s_meas)
     system_closure = trace_distance(joint_final.system_state(), rho_t)
 
@@ -306,11 +293,8 @@ def run_controller_cycle(
     )
     # bath gain: isothermal stage took (S - S_n) out per branch, reset put
     # S({p_n}) back in; net is ΔS_tot
-    bath_gain = (
-        float(np.dot(probabilities, np.asarray(bath.branch_entropies)[kept]))
-        - bath.initial_entropy
-        + bath.reset_addition
-    )
+    branch_gains = np.asarray(bath.branch_entropies)[kept]
+    bath_gain = float(np.dot(probabilities, branch_gains)) + bath.reset_addition
     return ControllerCycleResult(
         initial=initial,
         probabilities=probabilities,

@@ -179,7 +179,8 @@ def plan_feedback(
     energy_basis = dec_h.eigenvectors[:, ::-1]
     basis_unitary = energy_basis @ dagger(dec_state.eigenvectors)
 
-    levels = -k * temperature * np.log(lam)
+    with np.errstate(over="ignore"):  # checked on the next line
+        levels = -k * temperature * np.log(lam)
     if not np.isfinite(levels).all():
         raise DomainError(
             f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite "

@@ -76,10 +76,11 @@ class EigenDecomposition:
 def _frobenius(a: np.ndarray) -> float:
     """||A||_F, recomputed on A scaled by its largest entry when the squares
     overflow (entries beyond about 1e154)."""
-    norm = float(np.linalg.norm(a))
-    if math.isinf(norm):
-        scale = max_abs(a)
-        norm = scale * float(np.linalg.norm(a / scale))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
+        norm = float(np.linalg.norm(a))
+        if math.isinf(norm):
+            scale = max_abs(a)
+            norm = scale * float(np.linalg.norm(a / scale))
     return norm
 
 
@@ -97,7 +98,8 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |M - M†| = {max_abs(a0 - dagger(a0)):.3e}"
         )
-    a = hermitize(a0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+        a = hermitize(a0)
     if not math.isfinite(_frobenius(a)):
         raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
     try:

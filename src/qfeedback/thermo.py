@@ -57,7 +57,8 @@ class Hamiltonian:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"Hamiltonian must be square, got {m.shape}")
-        h = hermitize(m)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+            h = hermitize(m)
         if not np.isfinite(h).all():
             raise DomainError("Hamiltonian entries are not finite")
         if not is_hermitian(m, HERMITICITY_TOL):
@@ -149,10 +150,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues, descending."""
-        return self.eig.eigenvalues
-
 
 @dataclass(frozen=True)
 class ThermoReading:
@@ -214,11 +211,6 @@ def thermo_reading(
     e = average_energy(rho, h)
     s = von_neumann_entropy(rho)
     return ThermoReading(energy=e, entropy=s, free_energy=e - k * temperature * s)
-
-
-def free_energy(rho: DensityMatrix, h: Hamiltonian, temperature: float, k: float = 1.0) -> float:
-    """Helmholtz free energy F = E - kT·S (S in nats)."""
-    return thermo_reading(rho, h, temperature, k).free_energy
 
 
 def shannon_entropy(p) -> float:

@@ -39,7 +39,6 @@ from qfeedback.linalg import (
     tensor,
 )
 from qfeedback.measurement import (
-    DEFAULT_P_FLOOR,
     MeasurementModel,
     apply,
     measurement_energy_cost,
@@ -277,7 +276,7 @@ def test_criterion_6_controller_equivalence():
         moved = apply_joint_unitary(joint, feedback_unitary(blocks))
         decohered = decohere_controller(moved)
         final, _ = finalize_branches(
-            decohered, rho_t, decohered.branch_entropies(DEFAULT_P_FLOOR), s_initial=s0
+            decohered, rho_t, decohered.branch_entropies([r.n for r in records]), s_initial=s0
         )
         product = DensityMatrix.from_matrix(
             tensor(final.controller_state().matrix, final.system_state().matrix)

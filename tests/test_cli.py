@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -227,6 +228,38 @@ class TestRun:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "tmp-degenerate" in err
+
+    # numpy overflow warnings printed ahead of each of these errors
+    @pytest.mark.parametrize(
+        "text, old, new, code",
+        [
+            (GOOD_CONFIG, "[0.0, 0.0]}", "[1.0e+308, -1.0e+308]}", 1),
+            (
+                GOOD_CONFIG,
+                "[0.0, 0.0]}",
+                "[[[0, 0], [1.0e+308, 0]], [[-1.0e+308, 0], [0, 0]]]}",
+                1,
+            ),
+            (GOOD_CONFIG, "temperature: 1.0", "temperature: 1.0e+308", 2),
+            (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+300, 0.0]", 1),
+            (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+308, 0.0]", 1),
+        ],
+        ids=[
+            "diagonal-hamiltonian",
+            "off-diagonal-hamiltonian",
+            "temperature",
+            "generator-1e300",
+            "generator-1e308",
+        ],
+    )
+    def test_overflow_prints_only_the_error(self, tmp_path, capsys, text, old, new, code):
+        assert old in text
+        path = tmp_path / "huge.yaml"
+        path.write_text(text.replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(path)]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_eigensolver_failure_is_numerical(self, monkeypatch, capsys):
         def fail(a):
@@ -519,6 +552,28 @@ class TestExpectedLedgers:
                 assert abs(a - b) <= 1e-9, name
             else:
                 assert a == b, name
+
+    # both outcomes have p = 0.5, which `apply` keeps at p_floor 0.5; the joint
+    # state's blocks read 0.5 -+ 1 ulp, so a second drop test there lost one
+    def test_both_pictures_keep_the_same_outcomes(self, tmp_path, capsys):
+        preset = resources.files("qfeedback").joinpath("presets", "controller-fullcycle.yaml")
+        text = preset.read_text() + "numerics: {p_floor: 0.5}\n"
+        path, cycle_path = tmp_path / "controller.yaml", tmp_path / "cycle.yaml"
+        path.write_text(text)
+        cycle_path.write_text(text.replace("mode: controller", "mode: cycle"))
+        controller, _ = run_scenario(load_config(str(path)))
+        cycle, _ = run_scenario(load_config(str(cycle_path)))
+        assert controller.n_outcomes == 2
+        for name in COLUMNS:
+            a, b = getattr(cycle, name), getattr(controller, name)
+            if isinstance(a, float):
+                assert abs(a - b) <= 1e-9, name
+            elif name != "mode":
+                assert a == b, name
+        ledger = tmp_path / "ledger.csv"
+        assert main(["run", str(path), "--output", str(ledger)]) == 0
+        assert main(["report", str(ledger)]) == 0
+        assert "1/1 rows satisfy" in capsys.readouterr().out
 
     def test_repeat_runs_are_identical(self, capsys):
         assert main(["run", "xbasis-thermal"]) == 0

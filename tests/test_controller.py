@@ -19,22 +19,29 @@ from qfeedback.controller import (
     run_controller_cycle,
 )
 from qfeedback.errors import (
+    DegenerateStateError,
     IncompleteModelError,
     InvalidModelError,
     InvalidStateError,
     NonUnitaryBlockError,
 )
-from qfeedback.linalg import dagger, max_abs
+from qfeedback.linalg import dagger, eig_hermitian, max_abs
 from qfeedback.measurement import (
-    DEFAULT_P_FLOOR,
     EFFICIENCY_TOL,
     SECOND_LAW_TOL,
     MeasurementModel,
     apply,
+    entropy_reduction,
     judge_second_law,
+    measurement_energy_cost,
     second_law_verdict,
 )
-from qfeedback.sampling import random_bare_model, random_hamiltonian, random_unitary
+from qfeedback.sampling import (
+    random_bare_model,
+    random_hamiltonian,
+    random_hermitian,
+    random_unitary,
+)
 from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
@@ -190,9 +197,7 @@ class TestFinalizeAndLedger:
     def test_factorization(self):
         joint, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        final, bath = finalize_branches(
-            joint, rho, joint.branch_entropies(DEFAULT_P_FLOOR), s_initial=s
-        )
+        final, bath = finalize_branches(joint, rho, joint.branch_entropies([0, 1]), s_initial=s)
         from qfeedback.linalg import tensor
 
         factored = tensor(final.controller_state().matrix, rho.matrix)
@@ -208,27 +213,23 @@ class TestFinalizeAndLedger:
         final, bath = finalize_branches(
             joint,
             thermal_state(Hamiltonian.zero(2), 1.0),
-            joint.branch_entropies(DEFAULT_P_FLOOR),
+            joint.branch_entropies([0, 1]),
             s_initial=LN2,
-            s_bath=2.0,
         )
         np.testing.assert_allclose(
             final.controller_state().matrix, np.eye(2) / 2.0, atol=1e-12
         )
         for value in bath.branch_entropies:
-            assert value == pytest.approx(2.0 - LN2, abs=1e-9)
+            assert value == pytest.approx(-LN2, abs=1e-9)
 
     def test_total_entropy_literal_vs_assembled(self):
         joint, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        s_bath = 1.5
-        final, bath = finalize_branches(
-            joint, rho, joint.branch_entropies(DEFAULT_P_FLOOR), s_initial=s, s_bath=s_bath
-        )
+        final, bath = finalize_branches(joint, rho, joint.branch_entropies([0, 1]), s_initial=s)
         p = final.probabilities()
         branch_s = [0.0, 0.0]  # x-projector outcomes are pure
-        literal = total_entropy(p, branch_s, s_bath)
-        assert literal == pytest.approx(LN2 + s_bath, abs=1e-6)
+        literal = total_entropy(p, branch_s)
+        assert literal == pytest.approx(LN2, abs=1e-6)
         # reading the same number off the assembled final structure: record
         # entropy + classically correlated bath entropies + thermal system
         assembled = total_entropy_assembled(final, bath)
@@ -263,14 +264,14 @@ class TestFinalizeAndLedger:
         assert judge_second_law(delta_s_tot) == (verdict, efficient)
 
     def test_reset_controller(self):
-        bath = BathLedger(initial_entropy=0.0, branch_entropies=(0.0, 0.0))
+        bath = BathLedger(branch_entropies=(0.0, 0.0))
         controller = DensityMatrix.maximally_mixed(2)
         reset, updated = reset_controller(controller, bath)
         assert von_neumann_entropy(reset) < 1e-12
         assert updated.reset_addition == pytest.approx(LN2, abs=1e-12)
 
     def test_reset_requires_diagonal(self):
-        bath = BathLedger(initial_entropy=0.0, branch_entropies=(0.0, 0.0))
+        bath = BathLedger(branch_entropies=(0.0, 0.0))
         coherent = DensityMatrix.from_vector(np.array([1.0, 1.0]) / math.sqrt(2.0))
         with pytest.raises(InvalidStateError):
             reset_controller(coherent, bath)
@@ -300,6 +301,41 @@ class TestFullCycle:
                 result.report.delta_s_tot, abs=1e-8
             )
             assert result.report.verdict
+
+    def test_branches_are_the_outcomes_apply_keeps(self, rng):
+        # p_floor at each outcome's probability as `apply` computes it, and one
+        # ulp either side: the controller must keep exactly the same outcomes
+        for i in range(16):
+            dim = int(rng.integers(2, 5))
+            h = random_hamiltonian(dim, rng)
+            if i % 2:
+                generator = random_hermitian(dim, rng)
+                generator /= np.abs(eig_hermitian(generator).eigenvalues).max()
+                model = MeasurementModel.weak(generator, float(rng.uniform(0.1, 0.9)))
+            else:
+                model = random_bare_model(dim, int(rng.integers(2, 5)), rng)
+            rho = thermal_state(h, 1.0)
+            e0, s0 = average_energy(rho, h), von_neumann_entropy(rho)
+            for (a,) in model.groups:
+                p = float(np.trace(a @ rho.matrix @ dagger(a)).real)
+                for p_floor in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+                    try:
+                        records = apply(model, rho, h, p_floor=p_floor)
+                    except DegenerateStateError:
+                        with pytest.raises(DegenerateStateError):
+                            run_controller_cycle(h, 1.0, model, p_floor=p_floor)
+                        continue
+                    result = run_controller_cycle(h, 1.0, model, p_floor=p_floor)
+                    assert len(result.probabilities) == len(records)
+                    np.testing.assert_allclose(
+                        result.probabilities, records.probabilities, atol=1e-12
+                    )
+                    assert result.delta_e_meas == measurement_energy_cost(records, e0)
+                    entropies = [r.entropy for r in records]
+                    assert result.delta_s_meas == pytest.approx(
+                        entropy_reduction(records.probabilities, entropies, s0),
+                        abs=1e-9,
+                    )
 
     def test_energy_measurement_is_efficient(self):
         result = run_controller_cycle(H2LEVEL, 1.0, MeasurementModel.bare([PROJ_0, PROJ_1]))

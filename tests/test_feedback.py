@@ -29,8 +29,8 @@ from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
     average_energy,
-    free_energy,
     thermal_state,
+    thermo_reading,
     trace_distance,
     von_neumann_entropy,
 )
@@ -200,8 +200,9 @@ class TestIsothermal:
         h1 = random_hamiltonian(3, rng)
         h2 = random_hamiltonian(3, rng)
         t = 1.4
-        exact = free_energy(thermal_state(h1, t), h1, t) - free_energy(
-            thermal_state(h2, t), h2, t
+        exact = (
+            thermo_reading(thermal_state(h1, t), h1, t).free_energy
+            - thermo_reading(thermal_state(h2, t), h2, t).free_energy
         )
         assert abs(quasi_static_work(h1, h2, t, 4000) - exact) < 1e-3
 

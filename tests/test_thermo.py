@@ -19,7 +19,6 @@ from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
     average_energy,
-    free_energy,
     shannon_entropy,
     thermal_state,
     thermo_reading,
@@ -77,7 +76,7 @@ class TestDensityMatrix:
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         rho = DensityMatrix.from_matrix(m)
         assert rho.clamped
-        lam = rho.spectrum()
+        lam = rho.eig.eigenvalues
         assert lam[-1] >= 0.0
         assert abs(float(lam.sum()) - 1.0) < 1e-12
 
@@ -172,14 +171,15 @@ class TestEntropyAndEnergy:
         t = 1.3
         rho = thermal_state(h, t)
         z = 1.0 + math.exp(-2.0 / t)
-        assert free_energy(rho, h, t) == pytest.approx(-t * math.log(z), abs=1e-12)
+        f = thermo_reading(rho, h, t).free_energy
+        assert f == pytest.approx(-t * math.log(z), abs=1e-12)
 
     def test_thermal_state_minimizes_free_energy(self, rng):
         h = random_hamiltonian(3, rng)
         t = 0.9
-        f_thermal = free_energy(thermal_state(h, t), h, t)
+        f_thermal = thermo_reading(thermal_state(h, t), h, t).free_energy
         for _ in range(20):
-            f_other = free_energy(random_density_matrix(3, rng), h, t)
+            f_other = thermo_reading(random_density_matrix(3, rng), h, t).free_energy
             assert f_other >= f_thermal - 1e-10
 
     def test_shannon_entropy(self):
