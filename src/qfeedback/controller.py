@@ -144,9 +144,7 @@ def feedback_unitary(unitaries) -> np.ndarray:
         u = np.asarray(item, complex)
         residual = max_abs(dagger(u) @ u - np.eye(u.shape[0]))
         if residual > STRUCTURE_TOL:
-            raise NonUnitaryBlockError(
-                f"block {len(blocks)} unitarity residual {residual:.3e}"
-            )
+            raise NonUnitaryBlockError(f"block {len(blocks)} unitarity residual {residual:.3e}")
         blocks.append(u)
     dims = {b.shape[0] for b in blocks}
     if len(dims) != 1:

@@ -188,7 +188,8 @@ def plan_feedback(
         )
     # hermitized first: the round-off of V diag(levels) V† grows with the levels,
     # and an exactly Hermitian matrix passes the check at any energy scale
-    target = Hamiltonian.from_matrix(spectral_matrix(energy_basis, levels))
+    with np.errstate(over="ignore", invalid="ignore"):  # from_matrix rejects non-finite entries
+        target = Hamiltonian.from_matrix(spectral_matrix(energy_basis, levels))
     shift = e_initial - float(np.dot(lam, levels))
     return FeedbackPlan(
         outcome=record.n,

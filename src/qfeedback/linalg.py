@@ -24,6 +24,7 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-10
+SAFE_ENTRY_MAX = 1e150  # below it, neither M + M† nor ||M||_F can overflow
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -51,11 +52,21 @@ def read_only(m) -> np.ndarray:
 
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-magnitude norm."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return max_abs(m - dagger(m)) <= tol
+
+
+def hermitian_residual(m: np.ndarray) -> tuple[float, bool]:
+    """max |M - M†|, and whether hermitize returns M bit for bit: it does when M - M† is zero,
+    no entry reaches SAFE_ENTRY_MAX and no component is -0.0 (its complex halving can give +0.0)."""
+    residual = m - dagger(m)
+    if residual.any():
+        return max_abs(residual), False
+    negative_zeros = np.ascontiguousarray(m).view(np.uint64) == 1 << 63
+    return 0.0, max_abs(m) < SAFE_ENTRY_MAX and not negative_zeros.any()
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
@@ -93,15 +104,15 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     :class:`DomainError` when the matrix norm is not finite and
     :class:`NoConvergenceError` when LAPACK does not converge.
     """
-    a0 = _as_square(m)
-    if not is_hermitian(a0):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |M - M†| = {max_abs(a0 - dagger(a0)):.3e}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
-        a = hermitize(a0)
-    if not math.isfinite(_frobenius(a)):
-        raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
+    a = _as_square(m)
+    residual, exact = hermitian_residual(a)
+    if not residual <= HERMITICITY_TOL:
+        raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {residual:.3e}")
+    if not exact:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+            a = hermitize(a)
+        if not math.isfinite(_frobenius(a)):
+            raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
     try:
         ascending, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -110,8 +121,8 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     order = np.argsort(-ascending, kind="stable")
     eigenvalues = ascending[order]
     vectors = v[:, order]
-    for j in range(a.shape[0]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
+    peaks = np.argmax(np.abs(vectors), axis=0).tolist() if vectors.size else []
+    for j, k in enumerate(peaks):  # one column at a time: a vectorized phase fix moves bits
         component = vectors[k, j]
         if abs(component) > 0.0:
             vectors[:, j] *= component.conjugate() / abs(component)
@@ -181,8 +192,7 @@ def dephase_blocks(m: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     out = np.zeros_like(m)
     offset = 0
     for size in sizes:
-        out[offset : offset + size, offset : offset + size] = m[
-            offset : offset + size, offset : offset + size
-        ]
+        block = slice(offset, offset + size)
+        out[block, block] = m[block, block]
         offset += size
     return out

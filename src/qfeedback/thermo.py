@@ -24,10 +24,9 @@ from .errors import (
     NotHermitianError,
 )
 from .linalg import (
-    HERMITICITY_TOL,
     EigenDecomposition,
-    dagger,
     eig_hermitian,
+    hermitian_residual,
     hermitize,
     is_hermitian,
     max_abs,
@@ -61,7 +60,7 @@ class Hamiltonian:
             h = hermitize(m)
         if not np.isfinite(h).all():
             raise DomainError("Hamiltonian entries are not finite")
-        if not is_hermitian(m, HERMITICITY_TOL):
+        if not is_hermitian(m):
             raise NotHermitianError("Hamiltonian is not Hermitian within 1e-10")
         return cls(matrix=read_only(h))
 
@@ -108,13 +107,13 @@ class DensityMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
-        if not is_hermitian(m, STATE_TOL):
+        residual, exact = hermitian_residual(m)
+        if not residual <= STATE_TOL:
             raise InvalidStateError(
-                f"{where}: not Hermitian within {STATE_TOL:g} "
-                f"(residual {max_abs(m - dagger(m)):.3e})"
+                f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
             )
-        m = hermitize(m)
-        tr = float(np.trace(m).real)
+        m = m if exact else hermitize(m)
+        tr = float(m.trace().real)
         if abs(tr - 1.0) > STATE_TOL:
             raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
         m = m / tr
@@ -170,9 +169,12 @@ def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> Density
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if k <= 0.0:
         raise ArgumentRangeError(f"Boltzmann constant must be > 0, got {k!r}")
+    if not 0.0 < k * temperature < math.inf:
+        raise DomainError(f"kT = {k!r} * {temperature!r} is outside the float range")
     dec = h.eig
     energies = dec.eigenvalues
-    weights = np.exp(-(energies - energies.min()) / (k * temperature))
+    with np.errstate(over="ignore"):  # a level far above kT gets weight exp(-inf) = 0
+        weights = np.exp(-(energies - energies.min()) / (k * temperature))
     m = spectral_matrix(dec.eigenvectors, weights / weights.sum())
     return DensityMatrix.from_matrix(m, where="thermal state")
 
@@ -180,7 +182,7 @@ def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> Density
 def _nats(p: np.ndarray) -> float:
     """-Σ p ln p over non-negative weights, with the 0·ln 0 = 0 convention."""
     s = 0.0
-    for q in p:
+    for q in p.tolist():  # Python floats: an overflowing kT·S is inf, not a numpy warning
         if q > 0.0:
             s -= q * math.log(q)
     return max(s, 0.0)
@@ -198,9 +200,10 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """E = Tr[Hρ]."""
     if rho.dim != h.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != Hamiltonian dim {h.dim}")
-    value = complex(np.trace(h.matrix @ rho.matrix))
-    scale = max(1.0, max_abs(h.matrix))  # round-off in Im grows with the energies
-    assert abs(value.imag) < 1e-10 * scale, f"Tr[Hρ] has imaginary part {value.imag:.3e}"
+    value = complex((h.matrix @ rho.matrix).trace())
+    # round-off in Im grows with the energies; the scale is read only when it matters
+    if not abs(value.imag) < 1e-10 and not abs(value.imag) < 1e-10 * max(1.0, max_abs(h.matrix)):
+        raise DomainError(f"Tr[Hρ] has imaginary part {value.imag:.3e}")
     return value.real
 
 

@@ -4,7 +4,9 @@ None of these runs in a scenario.  Each is an independent construction of
 something the program computes another way: a cyclic Jacobi eigensolver for
 LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
-and the average post-measurement state.
+and the average post-measurement state.  ``eig_hermitian_reference`` is the
+straightforward form of the LAPACK wrapper, which the program's must match
+byte for byte.
 """
 
 from __future__ import annotations
@@ -16,14 +18,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qfeedback.controller import BathLedger, JointState
-from qfeedback.errors import NoConvergenceError
+from qfeedback.errors import DomainError, NoConvergenceError, NotHermitianError
 from qfeedback.ledger import LedgerRow
 from qfeedback.linalg import (
     EigenDecomposition,
+    _as_square,
     _frobenius,
     dagger,
     eig_hermitian,
     hermitize,
+    is_hermitian,
+    max_abs,
     partial_trace,
     spectral_matrix,
     tensor,
@@ -63,7 +68,8 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     phase = apq / mag  # e^{i phi}; diag(1, e^{-i phi}) makes the 2x2 block real
     gap = a[q, q].real - a[p, p].real
     t = 0.0  # the angle when tau = gap / (2|a_pq|) is too large to square
-    if abs(gap) <= 2.0 * mag * _TAU_MAX:
+    # |gap| <= 2|a_pq|·_TAU_MAX, tested without the product, which overflows
+    if abs(gap) / (2.0 * _TAU_MAX) <= mag:
         tau = gap / (2.0 * mag)
         t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
         if tau < 0.0:
@@ -118,6 +124,37 @@ def jacobi_eig(m: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecom
     eigenvalues = np.real(np.diag(a)).copy()
     order = np.argsort(-eigenvalues, kind="stable")
     return EigenDecomposition(eigenvalues=eigenvalues[order], eigenvectors=v[:, order])
+
+
+def eig_hermitian_reference(m: np.ndarray) -> EigenDecomposition:
+    """``linalg.eig_hermitian`` without its shortcuts: it always hermitizes,
+    always checks the Frobenius norm, and finds each column's peak on its own."""
+    a0 = _as_square(m)
+    if not is_hermitian(a0):
+        raise NotHermitianError(
+            f"matrix is not Hermitian: max |M - M†| = {max_abs(a0 - dagger(a0)):.3e}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+        a = hermitize(a0)
+    if not math.isfinite(_frobenius(a)):
+        raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
+    try:
+        ascending, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+
+    order = np.argsort(-ascending, kind="stable")
+    eigenvalues = ascending[order]
+    vectors = v[:, order]
+    for j in range(a.shape[0]):
+        k = int(np.argmax(np.abs(vectors[:, j])))
+        component = vectors[k, j]
+        if abs(component) > 0.0:
+            vectors[:, j] *= component.conjugate() / abs(component)
+    # read-only: states and Hamiltonians hand one decomposition to many callers
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,15 @@ measurement:
 numerics: {lambda_floor: 0.99}
 """
 
+SINGLE_LEVEL_CONFIG = """\
+scenario_id: tmp-single-level
+run: {mode: cycle}
+system: {dim: 1, hamiltonian: [0.0]}
+bath: {temperature: 1.0}
+constants: {k: 2.0}
+measurement: {kind: bare, operators: [[[[1.0, 0.0]]]]}
+"""
+
 CONTINUOUS_CONFIG = """\
 scenario_id: tmp-continuous
 run: {mode: continuous}
@@ -243,6 +252,12 @@ class TestRun:
             (GOOD_CONFIG, "temperature: 1.0", "temperature: 1.0e+308", 2),
             (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+300, 0.0]", 1),
             (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+308, 0.0]", 1),
+            # kT = inf, and kT·S = inf·0 for the one-level system
+            (SINGLE_LEVEL_CONFIG, "temperature: 1.0}", "temperature: 1.0e+308}", 2),
+            # kT = 0: (E - E_0)/kT divides by zero
+            (CONTINUOUS_CONFIG, "temperature: 1.0}", "temperature: 5.0e-324}\nconstants: {k: 0.5}", 2),
+            # finite retuned levels whose hermitized sum overflows
+            (CONTINUOUS_CONFIG, "temperature: 1.0}", "temperature: 1.0e+308}", 2),
         ],
         ids=[
             "diagonal-hamiltonian",
@@ -250,6 +265,9 @@ class TestRun:
             "temperature",
             "generator-1e300",
             "generator-1e308",
+            "kT-overflow",
+            "kT-underflow",
+            "retuned-levels",
         ],
     )
     def test_overflow_prints_only_the_error(self, tmp_path, capsys, text, old, new, code):
@@ -260,6 +278,15 @@ class TestRun:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", str(path)]) == code
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_temperature_far_below_the_gap(self, tmp_path, capsys):
+        # (E - E_0)/kT overflows to inf: the excited level's weight is exactly 0
+        path = tmp_path / "cold.yaml"
+        path.write_text(CONTINUOUS_CONFIG.replace("temperature: 1.0}", "temperature: 5.0e-324}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_eigensolver_failure_is_numerical(self, monkeypatch, capsys):
         def fail(a):

@@ -1,12 +1,14 @@
 """Thermal states, entropies, and free energy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeedback.errors import (
+    DomainError,
     InputError,
     InvalidStateError,
     NonPositiveTemperatureError,
@@ -26,7 +28,7 @@ from qfeedback.thermo import (
     von_neumann_entropy,
 )
 
-from conftest import PAULI_X
+from conftest import PAULI_X, PAULI_Y
 
 LN2 = math.log(2.0)
 # two-level system H = diag(0, 1) at T = 1
@@ -181,6 +183,19 @@ class TestEntropyAndEnergy:
         for _ in range(20):
             f_other = thermo_reading(random_density_matrix(3, rng), h, t).free_energy
             assert f_other >= f_thermal - 1e-10
+
+    def test_energy_of_non_hermitian_matrix_is_a_domain_error(self):
+        # built directly, so from_matrix's checks never ran: Tr[σ_y ρ] = i
+        rho = DensityMatrix(matrix=np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(DomainError, match="imaginary part 1.000e[+]00"):
+            average_energy(rho, Hamiltonian.from_matrix(PAULI_Y))
+
+    def test_free_energy_overflow_is_inf_not_a_warning(self):
+        # kT·S = 1.3e308 · ln 5 is past the float range; a ledger row rejects the inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reading = thermo_reading(DensityMatrix.maximally_mixed(5), Hamiltonian.zero(5), 1e308, k=1.3)
+        assert reading.free_energy == -math.inf
 
     def test_shannon_entropy(self):
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-14)
