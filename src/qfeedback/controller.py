@@ -22,27 +22,17 @@ from .errors import (
     NonUnitaryBlockError,
 )
 from .linalg import dagger, dephase_blocks, hermitize, max_abs, partial_trace, tensor
-from .feedback import DEFAULT_LAMBDA_FLOOR, plan_feedback
+from .feedback import DEFAULT_LAMBDA_FLOOR, plan_branches
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
     ModelKind,
     SecondLawReport,
-    apply,
     entropy_reduction,
-    measurement_energy_cost,
     require_valid,
     second_law_verdict,
 )
-from .thermo import (
-    DensityMatrix,
-    Hamiltonian,
-    ThermoReading,
-    thermal_state,
-    thermo_reading,
-    trace_distance,
-    von_neumann_entropy,
-)
+from .thermo import DensityMatrix, Hamiltonian, ThermoReading, trace_distance, von_neumann_entropy
 
 # Largest entry allowed in U†U - I of a feedback block, and in the
 # off-diagonal part of a controller about to be reset.
@@ -124,16 +114,12 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     require_valid(model)
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
-    d = rho.dim
-    n = model.n_outcomes
-    v = np.zeros((n * d, d), dtype=complex)
-    for i, group in enumerate(model.groups):
-        v[i * d : (i + 1) * d, :] = group[0]
+    v = np.vstack([group[0] for group in model.groups])  # the blocks P_n, top to bottom
     joint = v @ rho.matrix @ dagger(v)
     return JointState(
         matrix=DensityMatrix.from_matrix(joint, where="correlated joint state"),
-        n_outcomes=n,
-        system_dim=d,
+        n_outcomes=model.n_outcomes,
+        system_dim=rho.dim,
     )
 
 
@@ -249,25 +235,14 @@ def run_controller_cycle(
     lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ControllerCycleResult:
-    """One full cycle in the measurement-free picture: correlate, feed back,
-    decohere, finalize, reset.  The branches are the outcomes that
-    :func:`~qfeedback.measurement.apply` keeps: their records plan the
-    feedback unitaries and give ΔE_meas, and their entropy accounting is read
-    from the joint state itself."""
-    rho_t = thermal_state(h, temperature, k)
-    initial = thermo_reading(rho_t, h, temperature, k)
-
-    joint = correlate(rho_t, model)
-    records = apply(model, rho_t, h, p_floor=p_floor)
-    kept = [r.n for r in records]
+    """One full cycle in the measurement-free picture: correlate, feed back, decohere,
+    finalize, reset, over the branches :func:`~qfeedback.feedback.plan_branches` plans."""
+    step = plan_branches(h, temperature, model, k, lambda_floor, p_floor)
+    kept = [r.n for r in step.outcomes]
     blocks = [np.eye(model.dim, dtype=complex)] * model.n_outcomes  # dropped: left alone
-    clamp = rho_t.clamped
-    for record in records:
-        plan = plan_feedback(
-            record, h, temperature, k=k, e_initial=initial.energy, lambda_floor=lambda_floor
-        )
-        clamp = clamp or plan.clamped
-        blocks[record.n] = plan.basis_unitary
+    for plan in step.plans:
+        blocks[plan.outcome] = plan.basis_unitary
+    joint = correlate(step.rho, model)
     joint = decohere_controller(apply_joint_unitary(joint, feedback_unitary(blocks)))
 
     # the kept branches read back from the joint state (pre-finalize blocks hold
@@ -276,16 +251,13 @@ def run_controller_cycle(
     branch_entropies = tuple(entropies.values())
     p = joint.probabilities()[kept]
     probabilities = p / p.sum()
-    delta_s_meas = entropy_reduction(probabilities, branch_entropies, initial.entropy)
-    # measurement work read from the pre-feedback blocks via the records
-    delta_e_meas = measurement_energy_cost(records, initial.energy)
+    delta_s_meas = entropy_reduction(probabilities, branch_entropies, step.initial.entropy)
 
-    joint_final, bath = finalize_branches(joint, rho_t, entropies, s_initial=initial.entropy)
+    joint_final, bath = finalize_branches(joint, step.rho, entropies, step.initial.entropy)
     report = second_law_verdict(probabilities, delta_s_meas)
-    system_closure = trace_distance(joint_final.system_state(), rho_t)
+    system_closure = trace_distance(joint_final.system_state(), step.rho)
 
-    controller_final = joint_final.controller_state()
-    controller_reset, bath = reset_controller(controller_final, bath)
+    controller_reset, bath = reset_controller(joint_final.controller_state(), bath)
     controller_closure = trace_distance(
         controller_reset, DensityMatrix.from_vector(np.eye(model.n_outcomes)[0])
     )
@@ -294,10 +266,10 @@ def run_controller_cycle(
     branch_gains = np.asarray(bath.branch_entropies)[kept]
     bath_gain = float(np.dot(probabilities, branch_gains)) + bath.reset_addition
     return ControllerCycleResult(
-        initial=initial,
+        initial=step.initial,
         probabilities=probabilities,
         branch_entropies=branch_entropies,
-        delta_e_meas=delta_e_meas,
+        delta_e_meas=step.delta_e_meas,
         delta_s_meas=delta_s_meas,
         work_fb=k * temperature * delta_s_meas,
         report=report,
@@ -305,5 +277,5 @@ def run_controller_cycle(
         system_closure=system_closure,
         controller_closure=controller_closure,
         bath_entropy_increase=bath_gain,
-        clamp_flag=clamp,
+        clamp_flag=step.clamp_flag,
     )

@@ -32,6 +32,7 @@ from .linalg import dagger, hermitize, spectral_matrix
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
+    MeasurementOutcomes,
     ModelKind,
     OutcomeRecord,
     SecondLawReport,
@@ -80,6 +81,18 @@ class FeedbackPlan:
     def final_hamiltonian(self) -> Hamiltonian:
         """H_n + c_n·I, the Hamiltonian in force after step (iv)."""
         return self.target_hamiltonian.shifted(self.shift)
+
+
+@dataclass(frozen=True)
+class BranchPlans:
+    """The step both pictures share, from :func:`plan_branches`."""
+
+    rho: DensityMatrix  # thermal state
+    initial: ThermoReading  # E, S, F of rho
+    outcomes: MeasurementOutcomes  # the outcomes apply keeps
+    plans: tuple[FeedbackPlan, ...]  # one per kept outcome, in order
+    delta_e_meas: float
+    clamp_flag: bool  # rho or any plan clamped
 
 
 @dataclass(frozen=True)
@@ -201,6 +214,28 @@ def plan_feedback(
     )
 
 
+def plan_branches(
+    h: Hamiltonian,
+    temperature: float,
+    model: MeasurementModel,
+    k: float,
+    lambda_floor: float,
+    p_floor: float,
+) -> BranchPlans:
+    """Measure the thermal state of ``h`` and plan every kept outcome's feedback: the one
+    place the drop rule, the plans and the clamp rule run, for the cycle and the controller."""
+    rho = thermal_state(h, temperature, k)
+    initial = thermo_reading(rho, h, temperature, k)
+    outcomes = apply(model, rho, h, p_floor=p_floor)
+    plans = tuple(
+        plan_feedback(r, h, temperature, k=k, e_initial=initial.energy, lambda_floor=lambda_floor)
+        for r in outcomes
+    )
+    delta_e_meas = measurement_energy_cost(outcomes, initial.energy)
+    clamp = rho.clamped or any(plan.clamped for plan in plans)
+    return BranchPlans(rho, initial, outcomes, plans, delta_e_meas, clamp)
+
+
 def execute_plan(
     record: OutcomeRecord,
     plan: FeedbackPlan,
@@ -285,25 +320,19 @@ def _run(
     lambda_floor: float,
     p_floor: float,
 ) -> tuple[CycleLedger, ThermoReading]:
-    rho_initial = thermal_state(h1, temperature, k)
-    initial = thermo_reading(rho_initial, h1, temperature, k)
-    rho_target = rho_initial if h2 is h1 else thermal_state(h2, temperature, k)
+    step = plan_branches(h1, temperature, model, k, lambda_floor, p_floor)
+    rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature, k)
     target = thermo_reading(rho_target, h2, temperature, k)
-    e_initial = initial.energy
 
-    outcomes = apply(model, rho_initial, h1, p_floor=p_floor)
     branches = []
-    clamp = rho_initial.clamped
-    for record in outcomes:
-        plan = plan_feedback(
-            record, h1, temperature, k=k, e_initial=e_initial, lambda_floor=lambda_floor
-        )
+    clamp = step.clamp_flag
+    for record, plan in zip(step.outcomes, step.plans):
         state, work_steps = execute_plan(record, plan, h1, temperature, k=k)
-        clamp = clamp or plan.clamped or state.clamped
+        clamp = clamp or state.clamped
         # isothermal stage from the branch Hamiltonian to h2: work equals the
         # free-energy drop at fixed T, and the state tracks the instantaneous
         # thermal state, so every branch ends on rho_target.
-        work_iso = (e_initial - target.energy) + isothermal_work(
+        work_iso = (step.initial.energy - target.energy) + isothermal_work(
             target.entropy, record.entropy, temperature, k
         )
         branches.append(
@@ -312,32 +341,33 @@ def _run(
                 probability=record.probability,
                 entropy=record.entropy,
                 energy=record.energy,
-                delta_e=record.energy - e_initial,
+                delta_e=record.energy - step.initial.energy,
                 work=work_steps + work_iso,
             )
         )
 
-    delta_e_meas = measurement_energy_cost(outcomes, e_initial)
-    probabilities = outcomes.probabilities
-    delta_s_meas = entropy_reduction(probabilities, [r.entropy for r in outcomes], initial.entropy)
+    probabilities = step.outcomes.probabilities
+    delta_s_meas = entropy_reduction(
+        probabilities, [r.entropy for r in step.outcomes], step.initial.entropy
+    )
     work_total = float(sum(b.probability * b.work for b in branches))
     final = DensityMatrix.from_matrix(
         sum(b.probability * rho_target.matrix for b in branches), where="cycle endpoint"
     )
     ledger = CycleLedger(
-        initial=initial,
+        initial=step.initial,
         temperature=temperature,
         k=k,
         outcomes=tuple(branches),
-        delta_e_meas=delta_e_meas,
+        delta_e_meas=step.delta_e_meas,
         delta_s_meas=delta_s_meas,
         work_total=work_total,
-        work_fb=work_total - delta_e_meas,
+        work_fb=work_total - step.delta_e_meas,
         report=second_law_verdict(probabilities, delta_s_meas),
         heat_from_bath=k * temperature * delta_s_meas,
         closure_distance=trace_distance(final, rho_target),
         clamp_flag=bool(clamp or final.clamped),
-        dropped_outcomes=outcomes.dropped,
+        dropped_outcomes=step.outcomes.dropped,
     )
     return ledger, target
 

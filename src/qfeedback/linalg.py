@@ -55,18 +55,21 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return max_abs(m - dagger(m)) <= tol
+def is_hermitian(m: np.ndarray) -> bool:
+    return hermitian_residual(m)[0] <= HERMITICITY_TOL
 
 
 def hermitian_residual(m: np.ndarray) -> tuple[float, bool]:
     """max |M - M†|, and whether hermitize returns M bit for bit: it does when M - M† is zero,
     no entry reaches SAFE_ENTRY_MAX and no component is -0.0 (its complex halving can give +0.0)."""
+    if not max_abs(m) < SAFE_ENTRY_MAX:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan or overflow: no warning
+            return max_abs(m - dagger(m)), False
     residual = m - dagger(m)
     if residual.any():
         return max_abs(residual), False
     negative_zeros = np.ascontiguousarray(m).view(np.uint64) == 1 << 63
-    return 0.0, max_abs(m) < SAFE_ENTRY_MAX and not negative_zeros.any()
+    return 0.0, not negative_zeros.any()
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:

@@ -33,7 +33,16 @@ from .errors import (
     InvalidModelError,
     NotHermitianError,
 )
-from .linalg import dagger, eig_hermitian, is_hermitian, matrix_function, max_abs, read_only
+from .linalg import (
+    HERMITICITY_TOL,
+    dagger,
+    eig_hermitian,
+    hermitian_residual,
+    is_hermitian,
+    matrix_function,
+    max_abs,
+    read_only,
+)
 from .thermo import DensityMatrix, Hamiltonian, average_energy, shannon_entropy, von_neumann_entropy
 
 COMPLETENESS_TOL = 1e-10
@@ -109,11 +118,11 @@ class MeasurementModel:
         # is invalid already, and its spectra cannot be computed
         if self.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
             for n, group in enumerate(self.groups):
-                p = group[0]
-                if not is_hermitian(p):
-                    bad.append((n, max_abs(p - dagger(p))))
+                asymmetry, _ = hermitian_residual(group[0])
+                if not asymmetry <= HERMITICITY_TOL:
+                    bad.append((n, asymmetry))
                     continue
-                lam_min = float(eig_hermitian(p).eigenvalues[-1])
+                lam_min = float(eig_hermitian(group[0]).eigenvalues[-1])
                 if lam_min < -COMPLETENESS_TOL:
                     bad.append((n, lam_min))
         ok = residual <= COMPLETENESS_TOL and not bad

@@ -1,4 +1,4 @@
-"""Seeded random matrices, states, and measurement models.
+"""Seeded random Hamiltonians and measurement models.
 
 Everything takes an explicit ``numpy.random.Generator`` so ensembles are
 reproducible from a single 64-bit seed and nothing touches global RNG state.
@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import dagger, hermitize, matrix_function
 from .measurement import MeasurementModel
-from .thermo import DensityMatrix, Hamiltonian
+from .thermo import Hamiltonian
 
 
 def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -28,19 +28,6 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 def random_hamiltonian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Hamiltonian:
     return Hamiltonian.from_matrix(random_hermitian(dim, rng, scale))
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary: QR of a Ginibre draw with the R diagonal phased out."""
-    q, r = np.linalg.qr(ginibre(dim, rng))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    g = ginibre(dim, rng)
-    m = g @ dagger(g)
-    return DensityMatrix.from_matrix(m / np.trace(m).real)
 
 
 def _inv_sqrt_sum(parts: list[np.ndarray]) -> np.ndarray:

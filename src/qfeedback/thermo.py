@@ -24,11 +24,11 @@ from .errors import (
     NotHermitianError,
 )
 from .linalg import (
+    HERMITICITY_TOL,
     EigenDecomposition,
     eig_hermitian,
     hermitian_residual,
     hermitize,
-    is_hermitian,
     max_abs,
     read_only,
     spectral_matrix,
@@ -56,13 +56,15 @@ class Hamiltonian:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"Hamiltonian must be square, got {m.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
-            h = hermitize(m)
-        if not np.isfinite(h).all():
-            raise DomainError("Hamiltonian entries are not finite")
-        if not is_hermitian(m):
+        residual, exact = hermitian_residual(m)
+        if not exact:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+                m = hermitize(m)
+            if not np.isfinite(m).all():
+                raise DomainError("Hamiltonian entries are not finite")
+        if not residual <= HERMITICITY_TOL:
             raise NotHermitianError("Hamiltonian is not Hermitian within 1e-10")
-        return cls(matrix=read_only(h))
+        return cls(matrix=read_only(m))
 
     @classmethod
     def diagonal(cls, energies) -> "Hamiltonian":
@@ -140,10 +142,6 @@ class DensityMatrix:
             raise InvalidStateError("cannot build a state from the zero vector")
         v = v / norm
         return cls(matrix=read_only(np.outer(v, v.conj())), clamped=False)
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(matrix=read_only(np.eye(dim, dtype=complex) / dim), clamped=False)
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from qfeedback.linalg import dagger, read_only
+from qfeedback.sampling import ginibre
+from qfeedback.thermo import DensityMatrix
+
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -21,3 +25,24 @@ def rng():
 
 def assert_hermitian(m, tol=1e-12):
     assert np.abs(m - m.conj().T).max() <= tol
+
+
+# Helpers only the tests use.
+
+
+def maximally_mixed(dim):
+    """I/d, built directly rather than through DensityMatrix.from_matrix."""
+    return DensityMatrix(matrix=read_only(np.eye(dim, dtype=complex) / dim), clamped=False)
+
+
+def random_unitary(dim, rng):
+    """Haar-ish unitary: QR of a Ginibre draw with the R diagonal phased out."""
+    q, r = np.linalg.qr(ginibre(dim, rng))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def random_density_matrix(dim, rng):
+    g = ginibre(dim, rng)
+    m = g @ dagger(g)
+    return DensityMatrix.from_matrix(m / np.trace(m).real)

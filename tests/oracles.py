@@ -131,9 +131,9 @@ def eig_hermitian_reference(m: np.ndarray) -> EigenDecomposition:
     always checks the Frobenius norm, and finds each column's peak on its own."""
     a0 = _as_square(m)
     if not is_hermitian(a0):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |M - M†| = {max_abs(a0 - dagger(a0)):.3e}"
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # as in linalg: inf or nan, no warning
+            residual = max_abs(a0 - dagger(a0))
+        raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {residual:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
         a = hermitize(a0)
     if not math.isfinite(_frobenius(a)):

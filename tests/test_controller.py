@@ -40,7 +40,6 @@ from qfeedback.sampling import (
     random_bare_model,
     random_hamiltonian,
     random_hermitian,
-    random_unitary,
 )
 from qfeedback.thermo import (
     DensityMatrix,
@@ -51,7 +50,16 @@ from qfeedback.thermo import (
     von_neumann_entropy,
 )
 
-from conftest import PAULI_X, PAULI_Z, PROJ_0, PROJ_1, PROJ_X_MINUS, PROJ_X_PLUS
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    PROJ_0,
+    PROJ_1,
+    PROJ_X_MINUS,
+    PROJ_X_PLUS,
+    maximally_mixed,
+    random_unitary,
+)
 from oracles import decohere_via_ancilla, total_entropy, total_entropy_assembled
 
 LN2 = math.log(2.0)
@@ -67,7 +75,7 @@ class TestCorrelate:
 
     def test_orthogonal_projectors_kill_coherences(self):
         joint = correlate(
-            DensityMatrix.maximally_mixed(2), MeasurementModel.bare([PROJ_0, PROJ_1])
+            maximally_mixed(2), MeasurementModel.bare([PROJ_0, PROJ_1])
         )
         np.testing.assert_allclose(joint.block(0, 0), np.diag([0.5, 0.0]), atol=1e-14)
         np.testing.assert_allclose(joint.block(1, 1), np.diag([0.0, 0.5]), atol=1e-14)
@@ -75,7 +83,7 @@ class TestCorrelate:
 
     def test_weak_coherence_blocks(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
-        joint = correlate(DensityMatrix.maximally_mixed(2), model)
+        joint = correlate(maximally_mixed(2), model)
         expected = math.sqrt(0.75 * 0.25) / 2.0
         np.testing.assert_allclose(
             np.diag(joint.block(0, 1)).real, [expected, expected], atol=1e-12
@@ -102,12 +110,12 @@ class TestCorrelate:
     def test_rejects_incomplete_family(self):
         half = MeasurementModel.bare([np.eye(2, dtype=complex) * 0.5])
         with pytest.raises(IncompleteModelError):
-            correlate(DensityMatrix.maximally_mixed(2), half)
+            correlate(maximally_mixed(2), half)
 
     def test_rejects_general_kraus_model(self):
         model = MeasurementModel.efficient([PROJ_0, PAULI_X @ PROJ_1])
         with pytest.raises(InvalidModelError):
-            correlate(DensityMatrix.maximally_mixed(2), model)
+            correlate(maximally_mixed(2), model)
 
 
 class TestFeedbackUnitary:
@@ -124,7 +132,7 @@ class TestFeedbackUnitary:
 
     def test_blocks_transform_independently(self, rng):
         model = MeasurementModel.weak(PAULI_Z, 0.4)
-        joint = correlate(DensityMatrix.maximally_mixed(2), model)
+        joint = correlate(maximally_mixed(2), model)
         u0 = random_unitary(2, rng)
         u1 = random_unitary(2, rng)
         out = apply_joint_unitary(joint, feedback_unitary([u0, u1]))
@@ -141,14 +149,14 @@ class TestFeedbackUnitary:
 class TestDecohere:
     def test_block_diagonal_unchanged(self):
         joint = correlate(
-            DensityMatrix.maximally_mixed(2), MeasurementModel.bare([PROJ_0, PROJ_1])
+            maximally_mixed(2), MeasurementModel.bare([PROJ_0, PROJ_1])
         )
         out = decohere_controller(joint)
         assert max_abs(out.matrix.matrix - joint.matrix.matrix) < 1e-14
 
     def test_kills_exactly_the_off_diagonal_blocks(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
-        joint = correlate(DensityMatrix.maximally_mixed(2), model)
+        joint = correlate(maximally_mixed(2), model)
         out = decohere_controller(joint)
         assert max_abs(out.block(0, 1)) == 0.0
         assert max_abs(out.block(0, 0) - joint.block(0, 0)) < 1e-14
@@ -207,7 +215,7 @@ class TestFinalizeAndLedger:
             assert value == pytest.approx(-s, abs=1e-6)
 
     def test_szilard_branches(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = maximally_mixed(2)
         model = MeasurementModel.bare([PROJ_0, PROJ_1])
         joint = decohere_controller(correlate(rho, model))
         final, bath = finalize_branches(
@@ -265,7 +273,7 @@ class TestFinalizeAndLedger:
 
     def test_reset_controller(self):
         bath = BathLedger(branch_entropies=(0.0, 0.0))
-        controller = DensityMatrix.maximally_mixed(2)
+        controller = maximally_mixed(2)
         reset, updated = reset_controller(controller, bath)
         assert von_neumann_entropy(reset) < 1e-12
         assert updated.reset_addition == pytest.approx(LN2, abs=1e-12)

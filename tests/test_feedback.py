@@ -35,7 +35,7 @@ from qfeedback.thermo import (
     von_neumann_entropy,
 )
 
-from conftest import PAULI_Z, PROJ_0, PROJ_1, PROJ_X_MINUS, PROJ_X_PLUS
+from conftest import PAULI_Z, PROJ_0, PROJ_1, PROJ_X_MINUS, PROJ_X_PLUS, maximally_mixed
 
 LN2 = math.log(2.0)
 H2LEVEL = Hamiltonian.diagonal([0.0, 1.0])
@@ -64,7 +64,7 @@ class TestPlanFeedback:
 
     def test_populations_match_retuned_gibbs_weights(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
-        records = apply(model, DensityMatrix.maximally_mixed(2), Hamiltonian.zero(2))
+        records = apply(model, maximally_mixed(2), Hamiltonian.zero(2))
         plan = plan_feedback(records[0], Hamiltonian.zero(2), 1.0, e_initial=0.0)
         np.testing.assert_allclose(plan.populations, [0.75, 0.25], atol=1e-12)
         levels = np.array([-math.log(0.75), -math.log(0.25)])

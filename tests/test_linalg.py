@@ -1,6 +1,8 @@
 """Eigensolver (checked against the Jacobi oracle), polar decomposition, and
 multipartite helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from qfeedback.errors import (
     DimensionMismatchError,
     DomainError,
     InputError,
+    InvalidStateError,
     NoConvergenceError,
     NotHermitianError,
 )
@@ -17,14 +20,16 @@ from qfeedback.linalg import (
     dephase_blocks,
     eig_hermitian,
     hermitize,
+    is_hermitian,
     matrix_function,
     max_abs,
     partial_trace,
     tensor,
 )
-from qfeedback.sampling import random_hermitian, random_unitary
+from qfeedback.sampling import random_hermitian
+from qfeedback.thermo import DensityMatrix, Hamiltonian
 
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_unitary
 from oracles import jacobi_eig, polar_decompose, reconstruct
 
 
@@ -166,6 +171,52 @@ class TestEigHermitian:
             dec.eigenvalues[0] = 0.0
         with pytest.raises(ValueError):
             dec.eigenvectors[0, 0] = 0.0
+
+
+NON_FINITE = {
+    "inf": [[np.inf, 0.0], [0.0, 1.0]],
+    "minus-inf": [[-np.inf, 0.0], [0.0, 1.0]],
+    "nan": [[np.nan, 0.0], [0.0, 1.0]],
+    "off-diagonal-inf": [[0.0, np.inf], [np.inf, 0.0]],
+    "complex-nan": [[1.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 1.0]],
+}
+
+
+@pytest.mark.parametrize("m", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (eig_hermitian, NotHermitianError),
+        (DensityMatrix.from_matrix, InvalidStateError),
+        (Hamiltonian.from_matrix, DomainError),
+    ],
+    ids=["eig_hermitian", "DensityMatrix", "Hamiltonian"],
+)
+def test_non_finite_input_raises_without_a_warning(build, error, m):
+    """An inf or nan entry is the package's error, with no numpy warning first:
+    the Hermiticity residual is formed under errstate once an entry reaches
+    SAFE_ENTRY_MAX."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build(np.array(m, dtype=complex))
+
+
+@pytest.mark.parametrize("m", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_input_is_not_hermitian_without_a_warning(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(np.array(m, dtype=complex))
+
+
+def test_beyond_safe_entries_keep_their_residual():
+    """Above SAFE_ENTRY_MAX the residual is the same number, read without a warning."""
+    m = np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError, match="inf"):
+            eig_hermitian(m)
+        assert is_hermitian(np.full((2, 2), 1e308, dtype=complex))
 
 
 @settings(max_examples=40, deadline=None)

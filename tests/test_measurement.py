@@ -25,7 +25,6 @@ from qfeedback.measurement import (
 )
 from qfeedback.sampling import (
     random_bare_model,
-    random_density_matrix,
     random_efficient_model,
     random_inefficient_model,
 )
@@ -37,7 +36,15 @@ from qfeedback.thermo import (
     von_neumann_entropy,
 )
 
-from conftest import PAULI_Z, PROJ_0, PROJ_1, PROJ_X_MINUS, PROJ_X_PLUS
+from conftest import (
+    PAULI_Z,
+    PROJ_0,
+    PROJ_1,
+    PROJ_X_MINUS,
+    PROJ_X_PLUS,
+    maximally_mixed,
+    random_density_matrix,
+)
 from oracles import average_post_state, polar_decompose
 
 LN2 = math.log(2.0)
@@ -131,7 +138,7 @@ class TestApply:
     def test_z_projectors_on_mixed(self):
         records = apply(
             MeasurementModel.bare([PROJ_0, PROJ_1]),
-            DensityMatrix.maximally_mixed(2),
+            maximally_mixed(2),
             Hamiltonian.zero(2),
         )
         assert len(records) == 2
@@ -141,7 +148,7 @@ class TestApply:
 
     def test_weak_half_on_mixed(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
-        records = apply(model, DensityMatrix.maximally_mixed(2), Hamiltonian.zero(2))
+        records = apply(model, maximally_mixed(2), Hamiltonian.zero(2))
         for r in records:
             assert r.probability == pytest.approx(0.5, abs=1e-14)
             assert r.entropy == pytest.approx(binary_entropy(0.75), abs=1e-12)
@@ -153,7 +160,7 @@ class TestApply:
         with pytest.raises(DegenerateStateError):
             apply(
                 MeasurementModel.bare([PROJ_0, PROJ_1]),
-                DensityMatrix.maximally_mixed(2),
+                maximally_mixed(2),
                 Hamiltonian.zero(2),
                 p_floor=0.7,
             )
@@ -186,14 +193,14 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             apply(
                 MeasurementModel.bare([PROJ_0, PROJ_1]),
-                DensityMatrix.maximally_mixed(3),
+                maximally_mixed(3),
                 Hamiltonian.zero(3),
             )
 
     def test_rejects_incomplete_model(self):
         half = MeasurementModel.bare([np.eye(2, dtype=complex) * 0.5])
         with pytest.raises(IncompleteModelError):
-            apply(half, DensityMatrix.maximally_mixed(2), Hamiltonian.zero(2))
+            apply(half, maximally_mixed(2), Hamiltonian.zero(2))
 
 
 class TestAveragePostState:
@@ -236,7 +243,7 @@ class TestDerivedQuantities:
     def test_projective_entropy_reduction_ln2(self):
         records = apply(
             MeasurementModel.bare([PROJ_0, PROJ_1]),
-            DensityMatrix.maximally_mixed(2),
+            maximally_mixed(2),
             Hamiltonian.zero(2),
         )
         assert reduction(records, LN2) == pytest.approx(LN2, abs=1e-12)
@@ -244,7 +251,7 @@ class TestDerivedQuantities:
     def test_weak_entropy_reduction(self):
         records = apply(
             MeasurementModel.weak(PAULI_Z, 0.5),
-            DensityMatrix.maximally_mixed(2),
+            maximally_mixed(2),
             Hamiltonian.zero(2),
         )
         expected = LN2 - binary_entropy(0.75)

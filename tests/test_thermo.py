@@ -16,7 +16,7 @@ from qfeedback.errors import (
     NotHermitianError,
 )
 from qfeedback.linalg import dagger, eig_hermitian, max_abs
-from qfeedback.sampling import random_density_matrix, random_hamiltonian, random_unitary
+from qfeedback.sampling import random_hamiltonian
 from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
@@ -28,7 +28,7 @@ from qfeedback.thermo import (
     von_neumann_entropy,
 )
 
-from conftest import PAULI_X, PAULI_Y
+from conftest import PAULI_X, PAULI_Y, maximally_mixed, random_density_matrix, random_unitary
 
 LN2 = math.log(2.0)
 # two-level system H = diag(0, 1) at T = 1
@@ -155,7 +155,7 @@ class TestThermalState:
 
 class TestEntropyAndEnergy:
     def test_entropies(self):
-        assert von_neumann_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(LN2, abs=1e-14)
+        assert von_neumann_entropy(maximally_mixed(2)) == pytest.approx(LN2, abs=1e-14)
         pure = DensityMatrix.from_vector(np.array([1.0, 0.0]))
         assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-14)
 
@@ -194,7 +194,7 @@ class TestEntropyAndEnergy:
         # kT·S = 1.3e308 · ln 5 is past the float range; a ledger row rejects the inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            reading = thermo_reading(DensityMatrix.maximally_mixed(5), Hamiltonian.zero(5), 1e308, k=1.3)
+            reading = thermo_reading(maximally_mixed(5), Hamiltonian.zero(5), 1e308, k=1.3)
         assert reading.free_energy == -math.inf
 
     def test_shannon_entropy(self):
