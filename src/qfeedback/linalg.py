@@ -124,11 +124,11 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     order = np.argsort(-ascending, kind="stable")
     eigenvalues = ascending[order]
     vectors = v[:, order]
-    peaks = np.argmax(np.abs(vectors), axis=0).tolist() if vectors.size else []
-    for j, k in enumerate(peaks):  # one column at a time: a vectorized phase fix moves bits
-        component = vectors[k, j]
-        if abs(component) > 0.0:
-            vectors[:, j] *= component.conjugate() / abs(component)
+    if vectors.size:
+        # conj(p)/|p| for each column's peak p, with |p| by hypot and a complex divide as
+        # the scalar abs(p) and p.conjugate()/abs(p) round: np.abs or split divides move bits
+        peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])].conj()
+        vectors *= peaks / np.hypot(peaks.real, peaks.imag)
     # read-only: states and Hamiltonians hand one decomposition to many callers
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)

@@ -9,6 +9,7 @@ units unless a caller says otherwise.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,11 +115,14 @@ class DensityMatrix:
             raise InvalidStateError(
                 f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
             )
-        m = m if exact else hermitize(m)
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > STATE_TOL:
-            raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
-        m = m / tr
+        # entries near the float maximum overflow in hermitize; the trace check or
+        # eig_hermitian then raises, with no warning first
+        with nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
+            m = m if exact else hermitize(m)
+            tr = float(m.trace().real)
+            if abs(tr - 1.0) > STATE_TOL:
+                raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
+            m = m / tr
         dec = eig_hermitian(m)
         lam_min = float(dec.eigenvalues[-1])
         if lam_min < -STATE_TOL:

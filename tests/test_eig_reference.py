@@ -1,12 +1,15 @@
 """eig_hermitian against its straightforward form, byte for byte.
 
 The program's eigen path skips work that changes no bit: the hermitization of
-a matrix that is already exactly Hermitian, the Frobenius overflow check below
-the safe entry size, and a separate argmax per column.  Every eigenvalue and
-eigenvector byte (signed zeros included), and every exception's type and
-message, and the kinds of warning raised on the way, must match
-``oracles.eig_hermitian_reference`` on a seeded family built to reach each
-branch.
+a matrix that is already exactly Hermitian and the Frobenius overflow check
+below the safe entry size.  It also fixes every column's phase in one
+vectorized step, where the reference multiplies one column at a time.  Every
+eigenvalue and eigenvector byte (signed zeros included), and every
+exception's type and message, and the kinds of warning raised on the way,
+must match ``oracles.eig_hermitian_reference`` on a seeded family built to
+reach each branch: dims 0 to 40 (the ladder reaches 16, controller joints
+32), and column peaks that are negative real, purely imaginary or tied in
+magnitude across rows.
 """
 
 import warnings
@@ -35,9 +38,11 @@ def _signed_zeros(rng, m):
 
 def _family(i):
     rng = np.random.default_rng(6000 + i)
-    n = int(rng.integers(1, 17))
+    n = int(rng.integers(0, 41))
+    if n == 0:  # every kind is the same empty matrix
+        return np.zeros((0, 0), dtype=complex)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    kind = i % 12
+    kind = i % 15
     if kind == 0:  # exactly Hermitian
         return hermitize(g)
     if kind == 1:  # a 1e-13 anti-Hermitian perturbation
@@ -64,6 +69,17 @@ def _family(i):
     if kind == 10:  # pure state from an outer product
         v = g[:, 0] / np.linalg.norm(g[:, 0])
         return np.outer(v, v.conj())
+    if kind == 11:  # real symmetric: real eigenvectors, about half with a negative peak
+        return (g.real + g.real.T).astype(complex)
+    if kind == 12:  # imaginary off-diagonals on a tridiagonal: many purely imaginary peaks
+        b = 1j * g.imag[0, 1:]
+        return np.diag(g.real[0]).astype(complex) + np.diag(b, 1) + np.diag(b.conj(), -1)
+    if kind == 13:  # 2x2 blocks with equal diagonals: each peak ties with its partner row
+        m = np.diag(np.repeat(g.real[0, : (n + 1) // 2], 2)[:n]).astype(complex)
+        c = g[-1, : n // 2]
+        m[np.arange(0, n - 1, 2), np.arange(1, n, 2)] = c
+        m[np.arange(1, n, 2), np.arange(0, n - 1, 2)] = c.conj()
+        return m
     u = _unitary(rng, n)  # a state with zero weights, product not hermitized
     w = rng.random(n) * (rng.random(n) < 0.7)
     return u @ np.diag((w / (w.sum() or 1.0)).astype(complex)) @ u.conj().T
@@ -83,13 +99,30 @@ def _outcome(solver, m):
     return result, {str(w.message) for w in caught}
 
 
-@pytest.mark.parametrize("block", range(8))
+@pytest.mark.parametrize("block", range(10))
 def test_matches_reference_byte_for_byte(block):
     for i in range(block * 60, (block + 1) * 60):
         m = _family(i)
         keep = m.tobytes()
         assert _outcome(eig_hermitian, m) == _outcome(eig_hermitian_reference, m), f"case {i}"
         assert m.tobytes() == keep
+
+
+def test_family_reaches_each_peak_shape():
+    """LAPACK's columns from kinds 11-13 hand the phase step peaks of each shape."""
+    negative_real = imaginary = tied = 0
+    for i in range(600):
+        if i % 15 not in (11, 12, 13):
+            continue
+        vectors = np.linalg.eigh(_family(i))[1]
+        if vectors.shape[0] < 2:
+            continue
+        magnitudes = np.sort(np.abs(vectors), axis=0)
+        peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+        negative_real += int(np.sum((peaks.imag == 0.0) & (peaks.real < 0.0)))
+        imaginary += int(np.sum((peaks.real == 0.0) & (peaks.imag != 0.0)))
+        tied += int(np.sum(magnitudes[-1] == magnitudes[-2]))
+    assert min(negative_real, imaginary, tied) >= 50, (negative_real, imaginary, tied)
 
 
 @pytest.mark.parametrize(

@@ -202,6 +202,32 @@ def test_non_finite_input_raises_without_a_warning(build, error, m):
             build(np.array(m, dtype=complex))
 
 
+NEAR_FLOAT_MAX = {
+    "all-1e308": np.full((2, 2), 1e308),
+    "diagonal-float-max": np.diag([np.finfo(float).max, 1.0]),
+    "off-diagonal-1e308": [[0.0, 1e308], [1e308, 0.0]],
+}
+
+
+@pytest.mark.parametrize("m", NEAR_FLOAT_MAX.values(), ids=NEAR_FLOAT_MAX.keys())
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (eig_hermitian, DomainError),
+        (DensityMatrix.from_matrix, InvalidStateError),
+        (Hamiltonian.from_matrix, DomainError),
+    ],
+    ids=["eig_hermitian", "DensityMatrix", "Hamiltonian"],
+)
+def test_finite_input_near_float_max_raises_without_a_warning(build, error, m):
+    """Finite entries whose hermitization overflows are the package's error, with
+    no numpy warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build(np.array(m, dtype=complex))
+
+
 @pytest.mark.parametrize("m", NON_FINITE.values(), ids=NON_FINITE.keys())
 def test_non_finite_input_is_not_hermitian_without_a_warning(m):
     with warnings.catch_warnings():
