@@ -21,7 +21,16 @@ from .errors import (
     InvalidStateError,
     NonUnitaryBlockError,
 )
-from .linalg import dagger, dephase_blocks, hermitize, max_abs, partial_trace, tensor
+from .linalg import (
+    dagger,
+    dephase_blocks,
+    eig_hermitian,
+    hermitize,
+    max_abs,
+    partial_trace,
+    read_only,
+    tensor,
+)
 from .feedback import DEFAULT_LAMBDA_FLOOR, plan_branches
 from .measurement import (
     DEFAULT_P_FLOOR,
@@ -32,7 +41,15 @@ from .measurement import (
     require_valid,
     second_law_verdict,
 )
-from .thermo import DensityMatrix, Hamiltonian, ThermoReading, trace_distance, von_neumann_entropy
+from .thermo import (
+    STATE_TOL,
+    DensityMatrix,
+    Hamiltonian,
+    ThermoReading,
+    _unit_trace,
+    trace_distance,
+    von_neumann_entropy,
+)
 
 # Largest entry allowed in U†U - I of a feedback block, and in the
 # off-diagonal part of a controller about to be reset.
@@ -44,12 +61,14 @@ class JointState:
     """Controller⊗system density matrix with N×N blocks of size d×d.
 
     Diagonal blocks hold p_n ρ_n; off-diagonal blocks hold the coherences
-    between controller basis states.
+    between controller basis states.  A decohered joint keeps its branch
+    states ρ_n, None for a block of trace ≤ 0.
     """
 
     matrix: DensityMatrix
     n_outcomes: int
     system_dim: int
+    branches: tuple[DensityMatrix | None, ...] = ()
 
     def __post_init__(self):
         if self.matrix.dim != self.n_outcomes * self.system_dim:
@@ -68,16 +87,15 @@ class JointState:
         return np.array([self.block_probability(n) for n in range(self.n_outcomes)])
 
     def branch_entropies(self, outcomes: Iterable[int]) -> dict[int, float]:
-        """S_n of the system state p_n ρ_n / p_n in the diagonal block of each
-        controller index in ``outcomes``, keyed by that index."""
-        return {
-            n: von_neumann_entropy(
-                DensityMatrix.from_matrix(
-                    self.block(n, n) / self.block_probability(n), where=f"branch {n}"
-                )
-            )
-            for n in outcomes
-        }
+        """S_n of the branch state ρ_n of each controller index in ``outcomes``,
+        keyed by that index; the joint must be decohered."""
+        entropies = {}
+        for n in outcomes:
+            branch = self.branches[n] if self.branches else None
+            if branch is None:
+                raise InvalidStateError(f"branch {n}: no branch state (empty, or not decohered)")
+            entropies[n] = von_neumann_entropy(branch)
+        return entropies
 
     def controller_state(self) -> DensityMatrix:
         reduced = partial_trace(
@@ -150,13 +168,50 @@ def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
             f"unitary dim {u.shape[0]} != joint dim {joint.matrix.dim}"
         )
     m = hermitize(u @ joint.matrix.matrix @ dagger(u))
-    return replace(joint, matrix=DensityMatrix.from_matrix(m, where="joint state"))
+    return replace(joint, matrix=DensityMatrix.from_matrix(m, where="joint state"), branches=())
 
 
 def decohere_controller(joint: JointState) -> JointState:
-    """Remove all controller coherences (block-dephasing pinch)."""
-    m = dephase_blocks(joint.matrix.matrix, [joint.system_dim] * joint.n_outcomes)
-    return replace(joint, matrix=DensityMatrix.from_matrix(m, where="decohered joint"))
+    """Remove all controller coherences (block-dephasing pinch).
+
+    The result ⊕ p_n ρ_n has the union of its blocks' spectra, so it is checked
+    block by block: a block of trace p_n > 0 becomes the branch state ρ_n, whose
+    own checks are the PSD check, and any other block is diagonalized on its
+    own.  A clamp in any block clamps the joint, which then holds p_n times each
+    repaired branch state and zero for a block of trace ≤ 0.
+    """
+    d = joint.system_dim
+    m, _ = _unit_trace(
+        dephase_blocks(joint.matrix.matrix, [d] * joint.n_outcomes), "decohered joint"
+    )
+    blocks = [slice(n * d, (n + 1) * d) for n in range(joint.n_outcomes)]
+    branches = []
+    clamped = False
+    for n, b in enumerate(blocks):
+        p = float(m[b, b].trace().real)
+        if p > 0.0:
+            branch = DensityMatrix.from_matrix(m[b, b] / p, where=f"branch {n}")
+            clamped = clamped or branch.clamped
+        else:
+            branch = None
+            lam_min = float(eig_hermitian(m[b, b]).eigenvalues[-1])
+            if lam_min < -STATE_TOL:
+                raise InvalidStateError(
+                    f"branch {n}: minimum eigenvalue {lam_min:.3e} below -{STATE_TOL:g}"
+                )
+            clamped = clamped or lam_min < 0.0
+        branches.append(branch)
+    if clamped:
+        repaired = np.zeros_like(m)
+        for b, branch in zip(blocks, branches):
+            if branch is not None:
+                repaired[b, b] = m[b, b].trace().real * branch.matrix
+        m = repaired / repaired.trace().real
+    return replace(
+        joint,
+        matrix=DensityMatrix(matrix=read_only(m), clamped=clamped),
+        branches=tuple(branches),
+    )
 
 
 def finalize_branches(
@@ -177,9 +232,12 @@ def finalize_branches(
         [joint.block_probability(i) if i in branch_entropies else 0.0 for i in range(n)]
     )
     p_vec = p_vec / p_vec.sum()
-    final = tensor(np.diag(p_vec.astype(complex)), rho_t.matrix)
+    final, _ = _unit_trace(
+        tensor(np.diag(p_vec.astype(complex)), rho_t.matrix), "finalized joint"
+    )
     joint_final = JointState(
-        matrix=DensityMatrix.from_matrix(final, where="finalized joint"),
+        # PSD without an eig: its eigenvalues are p_n λ_j(ρ_T), with p ≥ 0 and ρ_T a state
+        matrix=DensityMatrix(matrix=read_only(final)),
         n_outcomes=n,
         system_dim=joint.system_dim,
     )

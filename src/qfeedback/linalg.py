@@ -10,6 +10,7 @@ plain ``numpy`` arrays of complex doubles; nothing here keeps global state.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,17 +60,19 @@ def is_hermitian(m: np.ndarray) -> bool:
     return hermitian_residual(m)[0] <= HERMITICITY_TOL
 
 
-def hermitian_residual(m: np.ndarray) -> tuple[float, bool]:
-    """max |M - M†|, and whether hermitize returns M bit for bit: it does when M - M† is zero,
-    no entry reaches SAFE_ENTRY_MAX and no component is -0.0 (its complex halving can give +0.0)."""
+def hermitian_residual(m: np.ndarray) -> tuple[float, bool, bool]:
+    """max |M - M†|; whether hermitize returns M bit for bit, which it does when M - M† is
+    zero, no entry reaches SAFE_ENTRY_MAX and no component is -0.0 (its complex halving can
+    give +0.0); and whether every entry is below SAFE_ENTRY_MAX, so that nothing a caller
+    forms from M can overflow and it needs no np.errstate."""
     if not max_abs(m) < SAFE_ENTRY_MAX:
         with np.errstate(over="ignore", invalid="ignore"):  # inf, nan or overflow: no warning
-            return max_abs(m - dagger(m)), False
+            return max_abs(m - dagger(m)), False, False
     residual = m - dagger(m)
     if residual.any():
-        return max_abs(residual), False
+        return max_abs(residual), False, True
     negative_zeros = np.ascontiguousarray(m).view(np.uint64) == 1 << 63
-    return 0.0, not negative_zeros.any()
+    return 0.0, not negative_zeros.any(), True
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
@@ -89,12 +92,12 @@ class EigenDecomposition:
 
 def _frobenius(a: np.ndarray) -> float:
     """||A||_F, recomputed on A scaled by its largest entry when the squares
-    overflow (entries beyond about 1e154)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
-        norm = float(np.linalg.norm(a))
-        if math.isinf(norm):
-            scale = max_abs(a)
-            norm = scale * float(np.linalg.norm(a / scale))
+    overflow (entries beyond about 1e154).  The caller checks the result, under
+    np.errstate when an entry may reach SAFE_ENTRY_MAX."""
+    norm = float(np.linalg.norm(a))
+    if math.isinf(norm):
+        scale = max_abs(a)
+        norm = scale * float(np.linalg.norm(a / scale))
     return norm
 
 
@@ -108,13 +111,14 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     :class:`NoConvergenceError` when LAPACK does not converge.
     """
     a = _as_square(m)
-    residual, exact = hermitian_residual(a)
+    residual, exact, safe = hermitian_residual(a)
     if not residual <= HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {residual:.3e}")
     if not exact:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+        with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
             a = hermitize(a)
-        if not math.isfinite(_frobenius(a)):
+            norm = _frobenius(a)
+        if not math.isfinite(norm):
             raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
     try:
         ascending, v = np.linalg.eigh(a)

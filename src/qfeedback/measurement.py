@@ -118,7 +118,7 @@ class MeasurementModel:
         # is invalid already, and its spectra cannot be computed
         if self.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
             for n, group in enumerate(self.groups):
-                asymmetry, _ = hermitian_residual(group[0])
+                asymmetry = hermitian_residual(group[0])[0]
                 if not asymmetry <= HERMITICITY_TOL:
                     bad.append((n, asymmetry))
                     continue

@@ -57,9 +57,9 @@ class Hamiltonian:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"Hamiltonian must be square, got {m.shape}")
-        residual, exact = hermitian_residual(m)
+        residual, exact, safe = hermitian_residual(m)
         if not exact:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+            with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
                 m = hermitize(m)
             if not np.isfinite(m).all():
                 raise DomainError("Hamiltonian entries are not finite")
@@ -84,6 +84,31 @@ class Hamiltonian:
         return Hamiltonian.from_matrix(self.matrix + offset * np.eye(self.dim))
 
 
+def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float]:
+    """The checks every state runs before its spectrum: square, Hermitian within STATE_TOL,
+    finite and of trace 1 within STATE_TOL.  Returns the hermitized matrix over its trace,
+    and that trace."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
+    residual, exact, safe = hermitian_residual(m)
+    if not residual <= STATE_TOL:
+        raise InvalidStateError(
+            f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
+        )
+    # entries near the float maximum overflow in hermitize: the checks below raise,
+    # with no warning first
+    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
+        m = m if exact else hermitize(m)
+        tr = float(m.trace().real)
+        if not abs(tr - 1.0) <= STATE_TOL:  # a NaN trace fails too
+            raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
+        m = m / tr
+    if not safe and not np.isfinite(m).all():
+        raise InvalidStateError(f"{where}: entries are not finite")
+    return m, tr
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace state ρ.
@@ -93,9 +118,11 @@ class DensityMatrix:
     spectrum renormalized, and the ``clamped`` flag set so ledgers can report
     it.  Anything worse raises :class:`InvalidStateError`.
 
-    ``eig`` is the decomposition of ``matrix``.  An unclamped state keeps the
-    one :meth:`from_matrix` computed for its checks, which is exactly the
-    matrix it stores; any other state computes it on first use.
+    ``eig`` is the decomposition of ``matrix``.  A state that is built from its
+    spectrum keeps that spectrum: an unclamped :meth:`from_matrix` state the
+    decomposition its checks computed, and a :func:`thermal_state` its Gibbs
+    weights on the Hamiltonian's eigenvectors.  Any other state computes it on
+    first use.
     """
 
     matrix: np.ndarray
@@ -107,22 +134,7 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
-        residual, exact = hermitian_residual(m)
-        if not residual <= STATE_TOL:
-            raise InvalidStateError(
-                f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
-            )
-        # entries near the float maximum overflow in hermitize; the trace check or
-        # eig_hermitian then raises, with no warning first
-        with nullcontext() if exact else np.errstate(over="ignore", invalid="ignore"):
-            m = m if exact else hermitize(m)
-            tr = float(m.trace().real)
-            if abs(tr - 1.0) > STATE_TOL:
-                raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
-            m = m / tr
+        m, _ = _unit_trace(matrix, where)
         dec = eig_hermitian(m)
         lam_min = float(dec.eigenvalues[-1])
         if lam_min < -STATE_TOL:
@@ -133,8 +145,13 @@ class DensityMatrix:
             lam = np.clip(dec.eigenvalues, 0.0, None)
             m = spectral_matrix(dec.eigenvectors, lam / lam.sum())
             return cls(matrix=read_only(m), clamped=True)
+        return cls._with_eig(m, dec)
+
+    @classmethod
+    def _with_eig(cls, m: np.ndarray, dec: EigenDecomposition) -> "DensityMatrix":
+        """An unclamped state that keeps ``dec``, which must decompose ``m``."""
         rho = cls(matrix=read_only(m), clamped=False)
-        rho.__dict__["eig"] = dec  # dec decomposed exactly the stored matrix
+        rho.__dict__["eig"] = dec
         return rho
 
     @classmethod
@@ -177,8 +194,16 @@ def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> Density
     energies = dec.eigenvalues
     with np.errstate(over="ignore"):  # a level far above kT gets weight exp(-inf) = 0
         weights = np.exp(-(energies - energies.min()) / (k * temperature))
-    m = spectral_matrix(dec.eigenvectors, weights / weights.sum())
-    return DensityMatrix.from_matrix(m, where="thermal state")
+    weights = weights / weights.sum()
+    m, tr = _unit_trace(spectral_matrix(dec.eigenvectors, weights), "thermal state")
+    # PSD by construction: the weights lie in [0, 1] and the largest is 1 before
+    # normalizing, so the state keeps them on H's eigenvectors in place of an eig
+    order = np.argsort(-weights, kind="stable")
+    eigenvalues = weights[order] / tr
+    vectors = dec.eigenvectors[:, order]
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
+    return DensityMatrix._with_eig(m, EigenDecomposition(eigenvalues, vectors))
 
 
 def _nats(p: np.ndarray) -> float:

@@ -51,8 +51,13 @@ def reconstruct(dec: EigenDecomposition) -> np.ndarray:
     return v @ np.diag(dec.eigenvalues.astype(complex)) @ dagger(v)
 
 
+def _norm(a: np.ndarray) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):  # _frobenius rescales on overflow
+        return _frobenius(a)
+
+
 def _offdiag_norm(a: np.ndarray) -> float:
-    return _frobenius(a - np.diag(np.diag(a)))
+    return _norm(a - np.diag(np.diag(a)))
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -108,7 +113,7 @@ def jacobi_eig(m: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecom
     a = hermitize(np.asarray(m, dtype=complex))
     n = a.shape[0]
     v = np.eye(n, dtype=complex)
-    target = JACOBI_REL_TOL * _frobenius(a)
+    target = JACOBI_REL_TOL * _norm(a)
     for _ in range(max_sweeps):
         if _offdiag_norm(a) <= target:
             break
@@ -136,7 +141,8 @@ def eig_hermitian_reference(m: np.ndarray) -> EigenDecomposition:
         raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {residual:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
         a = hermitize(a0)
-    if not math.isfinite(_frobenius(a)):
+        norm = _frobenius(a)
+    if not math.isfinite(norm):
         raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
     try:
         ascending, v = np.linalg.eigh(a)

@@ -25,7 +25,7 @@ from qfeedback.errors import (
     InvalidStateError,
     NonUnitaryBlockError,
 )
-from qfeedback.linalg import dagger, eig_hermitian, max_abs
+from qfeedback.linalg import dagger, dephase_blocks, eig_hermitian, max_abs, read_only, tensor
 from qfeedback.measurement import (
     EFFICIENCY_TOL,
     SECOND_LAW_TOL,
@@ -187,6 +187,86 @@ class TestDecohere:
             before = von_neumann_entropy(joint.matrix)
             after = von_neumann_entropy(decohere_controller(joint).matrix)
             assert after >= before - 1e-10
+
+
+def seeded_joints():
+    """Rotated joints of seeded bare and weak models, dims 2-8, N 2-4, with the thermal state."""
+    rng = np.random.default_rng(1414)
+    cases = []
+    for dim in (2, 3, 4, 6, 8):
+        for n in (2, 3, 4):
+            models = [random_bare_model(dim, n, rng)]
+            if n == 2:
+                g = random_hermitian(dim, rng)
+                models.append(MeasurementModel.weak(g / np.abs(np.linalg.eigvalsh(g)).max(), 0.3))
+            for model in models:
+                rho = thermal_state(random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0)))
+                u = feedback_unitary([random_unitary(dim, rng) for _ in range(model.n_outcomes)])
+                cases.append((apply_joint_unitary(correlate(rho, model), u), rho))
+    return cases
+
+
+def block_diagonal_joint(blocks):
+    """A joint with the given diagonal blocks, stored as is (no state checks)."""
+    d = blocks[0].shape[0]
+    m = np.zeros((len(blocks) * d, len(blocks) * d), dtype=complex)
+    for n, block in enumerate(blocks):
+        m[n * d : (n + 1) * d, n * d : (n + 1) * d] = block
+    return JointState(DensityMatrix(read_only(m)), n_outcomes=len(blocks), system_dim=d)
+
+
+class TestBlockSpectra:
+    """The decohered and finalized joints take their checks from their blocks, and
+    store what a full from_matrix of the same matrix stores."""
+
+    @pytest.mark.parametrize("joint, rho", seeded_joints())
+    def test_same_bytes_as_from_matrix(self, joint, rho):
+        sizes = [joint.system_dim] * joint.n_outcomes
+        decohered = decohere_controller(joint)
+        full = DensityMatrix.from_matrix(dephase_blocks(joint.matrix.matrix, sizes))
+        assert decohered.matrix.matrix.tobytes() == full.matrix.tobytes()
+        assert decohered.matrix.clamped is full.clamped is False
+
+        outcomes = range(joint.n_outcomes)
+        entropies = decohered.branch_entropies(outcomes)
+        for n in outcomes:  # the formula branch_entropies used before it kept branch states
+            block = decohered.block(n, n) / decohered.block_probability(n)
+            assert entropies[n] == von_neumann_entropy(DensityMatrix.from_matrix(block))
+
+        final, _ = finalize_branches(decohered, rho, entropies, von_neumann_entropy(rho))
+        p = decohered.probabilities()
+        p = p / p.sum()
+        full = DensityMatrix.from_matrix(tensor(np.diag(p.astype(complex)), rho.matrix))
+        assert final.matrix.matrix.tobytes() == full.matrix.tobytes()
+        assert final.matrix.clamped is full.clamped is False
+
+    def test_block_below_the_tolerance_raises(self):
+        bad = 0.5 * np.diag([1.0 + 2e-9, -2e-9]).astype(complex)  # eigenvalue -1e-9
+        joint = block_diagonal_joint([0.5 * np.diag([0.7, 0.3]).astype(complex), bad])
+        with pytest.raises(InvalidStateError, match="branch 1"):
+            decohere_controller(joint)
+
+    def test_clamping_branch_clamps_a_psd_joint(self):
+        block = 0.5 * np.diag([1.0 + 1e-12, -1e-12]).astype(complex)
+        joint = block_diagonal_joint([0.5 * np.diag([0.7, 0.3]).astype(complex), block])
+        out = decohere_controller(joint)
+        assert out.matrix.clamped and out.branches[1].clamped
+        lam = np.linalg.eigvalsh(out.matrix.matrix)
+        assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) < 1e-15
+        assert max_abs(out.block(0, 1)) == 0.0
+        entropies = out.branch_entropies([0, 1])
+        assert entropies[0] == pytest.approx(-(0.7 * math.log(0.7) + 0.3 * math.log(0.3)))
+        assert entropies[1] == 0.0
+
+    def test_empty_block_has_no_branch(self):
+        empty = np.zeros((2, 2), complex)
+        joint = block_diagonal_joint([np.diag([0.6, 0.4]).astype(complex), empty])
+        out = decohere_controller(joint)
+        assert out.branches[1] is None and not out.matrix.clamped
+        with pytest.raises(InvalidStateError, match="branch 1"):
+            out.branch_entropies([1])
+        full = DensityMatrix.from_matrix(joint.matrix.matrix)
+        assert out.matrix.matrix.tobytes() == full.matrix.tobytes()
 
 
 class TestFinalizeAndLedger:

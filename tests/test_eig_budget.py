@@ -1,11 +1,13 @@
 """Eig-call budget of one cycle on fresh inputs.  Each Hermitian matrix is
 diagonalized once and its spectrum carried on the frozen state or Hamiltonian
-that owns it, and a measurement model keeps its validation report, so these
-counts hold.  They are exact, not ceilings: a decomposition made around
-``eig_hermitian`` would lower them.  With N outcomes, a fresh H (one eig)
-and a fresh model (N eigs to validate a bare one, none for an efficient one),
-a cycle makes 5N + 4 calls (6N + 4 bare), a transform two more for H2 and its
-thermal state, and a controller cycle 3N + 10."""
+that owns it, a state built from a known spectrum keeps it (a thermal state
+its Gibbs weights on H's eigenvectors, a decohered joint its branch states,
+a finalized joint p ⊗ ρ_T), and a measurement model keeps its validation
+report, so these counts hold.  They are exact, not ceilings: a decomposition
+made around ``eig_hermitian`` would lower them.  With N outcomes, a fresh H
+(one eig) and a fresh model (N eigs to validate a bare one, none for an
+efficient one), a cycle makes 4N + 3 calls (5N + 3 bare), a transform one
+more for H2, and a controller cycle 3N + 7."""
 
 import sys
 
@@ -54,7 +56,7 @@ def test_efficient_cycle(eig_calls, n):
     h, model = fresh_inputs(random_efficient_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 5 * n + 4
+    assert len(eig_calls) == 4 * n + 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -62,17 +64,17 @@ def test_bare_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 6 * n + 4
+    assert len(eig_calls) == 5 * n + 3
 
 
-@pytest.mark.parametrize("make_model, base", [(random_efficient_model, 5), (random_bare_model, 6)])
+@pytest.mark.parametrize("make_model, base", [(random_efficient_model, 4), (random_bare_model, 5)])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_transform(eig_calls, n, make_model, base):
     h, model = fresh_inputs(make_model, n)
     h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
     eig_calls.clear()
     run_transform(h, h2, 1.0, model)
-    assert len(eig_calls) == base * n + 6
+    assert len(eig_calls) == base * n + 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -80,7 +82,7 @@ def test_controller_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
-    assert len(eig_calls) == 3 * n + 10
+    assert len(eig_calls) == 3 * n + 7
 
 
 def test_model_is_checked_once(eig_calls):

@@ -206,6 +206,10 @@ NEAR_FLOAT_MAX = {
     "all-1e308": np.full((2, 2), 1e308),
     "diagonal-float-max": np.diag([np.finfo(float).max, 1.0]),
     "off-diagonal-1e308": [[0.0, 1e308], [1e308, 0.0]],
+    # hermitized, the trace is inf - inf = nan
+    "diagonal-nan-trace": np.diag([1e308, -1e308]),
+    # hermitized, the trace stays 1 and the off-diagonal overflows
+    "unit-trace-off-diagonal-1e308": [[0.5, 1e308], [1e308, 0.5]],
 }
 
 

@@ -34,3 +34,19 @@ def test_ensemble_check_fails_on_a_broken_identity(ensemble_check, monkeypatch, 
     monkeypatch.setattr(ensemble_check, "run_cycle", off_by_a_little)
     assert ensemble_check.main(["--models", "5"]) == 1
     assert "BREACH: cycle work identity" in capsys.readouterr().err
+
+
+def test_ensemble_check_fails_on_a_broken_controller_ledger(ensemble_check, monkeypatch, capsys):
+    run_controller_cycle = ensemble_check.run_controller_cycle
+
+    def bath_off_by_a_little(*args, **kwargs):
+        result = run_controller_cycle(*args, **kwargs)
+        return dataclasses.replace(
+            result, bath_entropy_increase=result.bath_entropy_increase + 1e-6
+        )
+
+    monkeypatch.setattr(ensemble_check, "run_controller_cycle", bath_off_by_a_little)
+    assert ensemble_check.main(["--models", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "BREACH: controller bath gain" in err
+    assert "BREACH: cycle" not in err

@@ -153,6 +153,36 @@ class TestThermalState:
         assert max_abs(a.matrix - b.matrix) < 1e-14
 
 
+def thermal_eig_cases():
+    """Generic, degenerate and zero Hamiltonians at temperatures down to 1e-3."""
+    rng = np.random.default_rng(14)
+    u = random_unitary(4, rng)
+    degenerate = Hamiltonian.from_matrix(u @ np.diag([0.0, 0.0, 1.0, 1.0]) @ dagger(u))
+    hamiltonians = [random_hamiltonian(d, rng) for d in (2, 3, 5, 8)]
+    hamiltonians += [degenerate, Hamiltonian.diagonal([0.0, 0.0, 2.0]), Hamiltonian.zero(3)]
+    return [(h, t) for h in hamiltonians for t in (1e-3, 0.05, 0.7, 5.0)]
+
+
+@pytest.mark.parametrize("h, temperature", thermal_eig_cases())
+def test_thermal_state_keeps_its_gibbs_decomposition(h, temperature):
+    """The state keeps the weights it was built from on H's eigenvectors, in place
+    of a second eig: they reconstruct the stored matrix and match a fresh eig."""
+    rho = thermal_state(h, temperature)
+    dec = rho.eig
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    assert not rho.clamped
+    assert max_abs(v @ np.diag(lam) @ dagger(v) - rho.matrix) < 1e-14
+    assert (np.diff(lam) <= 0.0).all() and lam[-1] >= 0.0
+    assert abs(lam.sum() - 1.0) < 1e-14
+    assert max_abs(lam - eig_hermitian(rho.matrix).eigenvalues) < 1e-14
+    for j in range(h.dim):
+        peak = v[np.argmax(np.abs(v[:, j])), j]
+        assert abs(peak.imag) < 1e-15 and peak.real > 0.0
+    assert rho.eig is dec
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+
+
 class TestEntropyAndEnergy:
     def test_entropies(self):
         assert von_neumann_entropy(maximally_mixed(2)) == pytest.approx(LN2, abs=1e-14)
