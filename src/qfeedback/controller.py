@@ -11,6 +11,7 @@ controller, and bath then gives ΔS_tot = S({p_n}) - ΔS_meas ≥ 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,6 +30,7 @@ from .linalg import (
     max_abs,
     partial_trace,
     read_only,
+    spectral_matrix,
     tensor,
 )
 from .feedback import DEFAULT_LAMBDA_FLOOR, plan_branches
@@ -61,20 +63,24 @@ class JointState:
     """Controller⊗system density matrix with N×N blocks of size d×d.
 
     Diagonal blocks hold p_n ρ_n; off-diagonal blocks hold the coherences
-    between controller basis states.  A decohered joint keeps its branch
-    states ρ_n, None for a block of trace ≤ 0.
+    between controller basis states.  A branch state ρ_n is built from its
+    block on first use and then kept; :func:`decohere_controller` hands over
+    the ones its checks built.
     """
 
     matrix: DensityMatrix
     n_outcomes: int
     system_dim: int
-    branches: tuple[DensityMatrix | None, ...] = ()
 
     def __post_init__(self):
         if self.matrix.dim != self.n_outcomes * self.system_dim:
             raise DimensionMismatchError(
                 f"joint dim {self.matrix.dim} != {self.n_outcomes}*{self.system_dim}"
             )
+
+    @cached_property
+    def _branch_states(self) -> dict[int, DensityMatrix]:
+        return {}
 
     def block(self, n: int, m: int) -> np.ndarray:
         d = self.system_dim
@@ -86,16 +92,16 @@ class JointState:
     def probabilities(self) -> np.ndarray:
         return np.array([self.block_probability(n) for n in range(self.n_outcomes)])
 
+    def branch_state(self, n: int) -> DensityMatrix:
+        """The system state p_n ρ_n / p_n in the diagonal block of controller index n."""
+        if n not in self._branch_states:
+            self._branch_states[n] = _branch_state(self.block(n, n), n)
+        return self._branch_states[n]
+
     def branch_entropies(self, outcomes: Iterable[int]) -> dict[int, float]:
-        """S_n of the branch state ρ_n of each controller index in ``outcomes``,
-        keyed by that index; the joint must be decohered."""
-        entropies = {}
-        for n in outcomes:
-            branch = self.branches[n] if self.branches else None
-            if branch is None:
-                raise InvalidStateError(f"branch {n}: no branch state (empty, or not decohered)")
-            entropies[n] = von_neumann_entropy(branch)
-        return entropies
+        """S_n of the branch state of each controller index in ``outcomes``,
+        keyed by that index."""
+        return {n: von_neumann_entropy(self.branch_state(n)) for n in outcomes}
 
     def controller_state(self) -> DensityMatrix:
         reduced = partial_trace(
@@ -108,6 +114,13 @@ class JointState:
             self.matrix.matrix, (self.n_outcomes, self.system_dim), over="A"
         )
         return DensityMatrix.from_matrix(reduced, where="system marginal")
+
+
+def _branch_state(block: np.ndarray, n: int) -> DensityMatrix:
+    p = float(block.trace().real)
+    if not p > 0.0:
+        raise InvalidStateError(f"branch {n}: block trace {p!r} is not positive")
+    return DensityMatrix.from_matrix(block / p, where=f"branch {n}")
 
 
 @dataclass(frozen=True)
@@ -168,50 +181,52 @@ def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
             f"unitary dim {u.shape[0]} != joint dim {joint.matrix.dim}"
         )
     m = hermitize(u @ joint.matrix.matrix @ dagger(u))
-    return replace(joint, matrix=DensityMatrix.from_matrix(m, where="joint state"), branches=())
+    return replace(joint, matrix=DensityMatrix.from_matrix(m, where="joint state"))
 
 
-def decohere_controller(joint: JointState) -> JointState:
+def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointState:
     """Remove all controller coherences (block-dephasing pinch).
 
     The result ⊕ p_n ρ_n has the union of its blocks' spectra, so it is checked
-    block by block: a block of trace p_n > 0 becomes the branch state ρ_n, whose
-    own checks are the PSD check, and any other block is diagonalized on its
-    own.  A clamp in any block clamps the joint, which then holds p_n times each
-    repaired branch state and zero for a block of trace ≤ 0.
+    block by block.  A block in ``kept`` becomes its branch state ρ_n, whose own
+    checks are the PSD check, and the result keeps that state.  Any other block
+    is diagonalized as it stands: an outcome dropped for its tiny weight holds
+    only round-off, which is no state.  A clamp in any block clamps the joint,
+    which then holds p_n times each repaired branch state and every other block
+    with its negative eigenvalues set to zero.
     """
     d = joint.system_dim
     m, _ = _unit_trace(
         dephase_blocks(joint.matrix.matrix, [d] * joint.n_outcomes), "decohered joint"
     )
     blocks = [slice(n * d, (n + 1) * d) for n in range(joint.n_outcomes)]
-    branches = []
-    clamped = False
+    kept = set(kept)
+    branches, spectra = {}, {}
     for n, b in enumerate(blocks):
-        p = float(m[b, b].trace().real)
-        if p > 0.0:
-            branch = DensityMatrix.from_matrix(m[b, b] / p, where=f"branch {n}")
-            clamped = clamped or branch.clamped
+        if n in kept:
+            branches[n] = _branch_state(m[b, b], n)
         else:
-            branch = None
-            lam_min = float(eig_hermitian(m[b, b]).eigenvalues[-1])
+            spectra[n] = eig_hermitian(m[b, b])
+            lam_min = float(spectra[n].eigenvalues[-1])
             if lam_min < -STATE_TOL:
                 raise InvalidStateError(
                     f"branch {n}: minimum eigenvalue {lam_min:.3e} below -{STATE_TOL:g}"
                 )
-            clamped = clamped or lam_min < 0.0
-        branches.append(branch)
+    clamped = any(rho.clamped for rho in branches.values()) or any(
+        dec.eigenvalues[-1] < 0.0 for dec in spectra.values()
+    )
     if clamped:
         repaired = np.zeros_like(m)
-        for b, branch in zip(blocks, branches):
-            if branch is not None:
-                repaired[b, b] = m[b, b].trace().real * branch.matrix
+        for n, b in enumerate(blocks):
+            if n in branches:
+                repaired[b, b] = m[b, b].trace().real * branches[n].matrix
+            else:
+                lam = np.clip(spectra[n].eigenvalues, 0.0, None)
+                repaired[b, b] = spectral_matrix(spectra[n].eigenvectors, lam)
         m = repaired / repaired.trace().real
-    return replace(
-        joint,
-        matrix=DensityMatrix(matrix=read_only(m), clamped=clamped),
-        branches=tuple(branches),
-    )
+    decohered = replace(joint, matrix=DensityMatrix(matrix=read_only(m), clamped=clamped))
+    decohered.__dict__["_branch_states"] = branches
+    return decohered
 
 
 def finalize_branches(
@@ -301,7 +316,7 @@ def run_controller_cycle(
     for plan in step.plans:
         blocks[plan.outcome] = plan.basis_unitary
     joint = correlate(step.rho, model)
-    joint = decohere_controller(apply_joint_unitary(joint, feedback_unitary(blocks)))
+    joint = decohere_controller(apply_joint_unitary(joint, feedback_unitary(blocks)), kept)
 
     # the kept branches read back from the joint state (pre-finalize blocks hold
     # the rotated p_n ρ_n, whose entropies and probabilities are basis-invariant)

@@ -2,6 +2,7 @@
 decoherence, and the universe entropy ledger."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,15 +220,16 @@ class TestBlockSpectra:
     """The decohered and finalized joints take their checks from their blocks, and
     store what a full from_matrix of the same matrix stores."""
 
+    @pytest.mark.parametrize("kept", [(), None], ids=["no-kept", "all-kept"])
     @pytest.mark.parametrize("joint, rho", seeded_joints())
-    def test_same_bytes_as_from_matrix(self, joint, rho):
+    def test_same_bytes_as_from_matrix(self, joint, rho, kept):
         sizes = [joint.system_dim] * joint.n_outcomes
-        decohered = decohere_controller(joint)
+        outcomes = range(joint.n_outcomes)
+        decohered = decohere_controller(joint, outcomes if kept is None else kept)
         full = DensityMatrix.from_matrix(dephase_blocks(joint.matrix.matrix, sizes))
         assert decohered.matrix.matrix.tobytes() == full.matrix.tobytes()
         assert decohered.matrix.clamped is full.clamped is False
 
-        outcomes = range(joint.n_outcomes)
         entropies = decohered.branch_entropies(outcomes)
         for n in outcomes:  # the formula branch_entropies used before it kept branch states
             block = decohered.block(n, n) / decohered.block_probability(n)
@@ -240,17 +242,19 @@ class TestBlockSpectra:
         assert final.matrix.matrix.tobytes() == full.matrix.tobytes()
         assert final.matrix.clamped is full.clamped is False
 
-    def test_block_below_the_tolerance_raises(self):
+    @pytest.mark.parametrize("kept", [(), (0, 1)])
+    def test_block_below_the_tolerance_raises(self, kept):
         bad = 0.5 * np.diag([1.0 + 2e-9, -2e-9]).astype(complex)  # eigenvalue -1e-9
         joint = block_diagonal_joint([0.5 * np.diag([0.7, 0.3]).astype(complex), bad])
         with pytest.raises(InvalidStateError, match="branch 1"):
-            decohere_controller(joint)
+            decohere_controller(joint, kept)
 
-    def test_clamping_branch_clamps_a_psd_joint(self):
+    @pytest.mark.parametrize("kept", [(), (0, 1)])
+    def test_clamping_block_clamps_a_psd_joint(self, kept):
         block = 0.5 * np.diag([1.0 + 1e-12, -1e-12]).astype(complex)
         joint = block_diagonal_joint([0.5 * np.diag([0.7, 0.3]).astype(complex), block])
-        out = decohere_controller(joint)
-        assert out.matrix.clamped and out.branches[1].clamped
+        out = decohere_controller(joint, kept)
+        assert out.matrix.clamped and out.branch_state(1).clamped is bool(kept)
         lam = np.linalg.eigvalsh(out.matrix.matrix)
         assert lam.min() >= 0.0 and abs(lam.sum() - 1.0) < 1e-15
         assert max_abs(out.block(0, 1)) == 0.0
@@ -258,15 +262,39 @@ class TestBlockSpectra:
         assert entropies[0] == pytest.approx(-(0.7 * math.log(0.7) + 0.3 * math.log(0.3)))
         assert entropies[1] == 0.0
 
+    def test_dropped_round_off_block_is_not_a_branch(self):
+        # a block of trace 1e-16 whose spectrum is round-off: over its own trace
+        # it has an eigenvalue of -1, yet as a block it is within the floor
+        noise = np.diag([2e-16, -1e-16]).astype(complex)
+        joint = block_diagonal_joint([np.diag([0.6, 0.4 - 1e-16]).astype(complex), noise])
+        out = decohere_controller(joint, [0])
+        assert out.matrix.clamped
+        assert max_abs(out.block(1, 1)) < 1e-15 and np.linalg.eigvalsh(out.block(1, 1)).min() >= 0.0
+        assert out.branch_entropies([0])[0] == pytest.approx(
+            -(0.6 * math.log(0.6) + 0.4 * math.log(0.4)), abs=1e-15
+        )
+        with pytest.raises(InvalidStateError, match="branch 1"):
+            decohere_controller(joint, [0, 1])  # as a branch, its trace divides the noise up
+
     def test_empty_block_has_no_branch(self):
         empty = np.zeros((2, 2), complex)
         joint = block_diagonal_joint([np.diag([0.6, 0.4]).astype(complex), empty])
-        out = decohere_controller(joint)
-        assert out.branches[1] is None and not out.matrix.clamped
+        out = decohere_controller(joint, [0])
+        assert not out.matrix.clamped
         with pytest.raises(InvalidStateError, match="branch 1"):
             out.branch_entropies([1])
         full = DensityMatrix.from_matrix(joint.matrix.matrix)
         assert out.matrix.matrix.tobytes() == full.matrix.tobytes()
+
+    def test_branch_states_follow_the_matrix(self):
+        joint, _ = seeded_joints()[0]
+        decohered = decohere_controller(joint, [0, 1])
+        swapped = replace(decohered, matrix=maximally_mixed(4))
+        assert max_abs(swapped.branch_state(0).matrix - np.eye(2) / 2) == 0.0
+        # a joint that was never decohered reads its diagonal blocks too
+        entropies = joint.branch_entropies([0, 1])
+        for n, s_n in decohered.branch_entropies([0, 1]).items():
+            assert entropies[n] == pytest.approx(s_n, abs=1e-12)
 
 
 class TestFinalizeAndLedger:
@@ -424,6 +452,23 @@ class TestFullCycle:
                         entropy_reduction(records.probabilities, entropies, s0),
                         abs=1e-9,
                     )
+
+    def test_ground_projector_at_low_temperature(self):
+        # at T = 1e-3 the thermal state is |g⟩⟨g| up to round-off: the outcome
+        # I - |g⟩⟨g| is dropped, and its joint block holds only that round-off
+        from qfeedback.feedback import run_cycle
+
+        rng = np.random.default_rng(2718)
+        for _ in range(200):
+            h = random_hamiltonian(2, rng)
+            g = h.eig.eigenvectors[:, -1]
+            ground = np.outer(g, g.conj())
+            model = MeasurementModel.bare([np.eye(2) - ground, ground])
+            result = run_controller_cycle(h, 1e-3, model)
+            ledger = run_cycle(h, 1e-3, model)
+            assert result.probabilities.tolist() == [1.0]
+            assert result.delta_s_meas == pytest.approx(ledger.delta_s_meas, abs=1e-12)
+            assert result.system_closure < 1e-12 and result.controller_closure == 0.0
 
     def test_energy_measurement_is_efficient(self):
         result = run_controller_cycle(H2LEVEL, 1.0, MeasurementModel.bare([PROJ_0, PROJ_1]))
