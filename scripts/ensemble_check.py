@@ -10,8 +10,9 @@ residuals of
     closure distance from the thermal state
     dS_tot   (second-law floor)
 
-It then draws as many seeded bare models, runs the controller cycle on each,
-and reports the worst
+It then draws as many seeded bare models, and as many seeded weak models
+(generator of spectral norm 1, strength in [1e-3, 0.5]), runs the controller
+cycle on each, and reports for each kind the worst
 
     p_n and dS_meas against measurement.apply on the same input
     system and controller closure distances
@@ -30,13 +31,44 @@ import sys
 import numpy as np
 
 from qfeedback import run_controller_cycle, run_cycle, run_transform
-from qfeedback.measurement import apply
-from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
+from qfeedback.measurement import MeasurementModel, apply
+from qfeedback.sampling import (
+    random_bare_model,
+    random_efficient_model,
+    random_hamiltonian,
+    random_hermitian,
+)
 from qfeedback.thermo import thermal_state, von_neumann_entropy
 
 IDENTITY_TOL = 1e-8  # work identities, closure distances, controller vs apply
 SECOND_LAW_FLOOR = 1e-9  # dS_tot >= -SECOND_LAW_FLOOR
 BATH_TOL = 1e-9  # controller bath entropy gain vs dS_tot
+WEAK_STRENGTHS = (1e-3, 0.5)  # range of the weak models' strength
+
+
+def controller_residuals(cases, temperature):
+    """Worst |p_n - apply|, |dS_meas - apply|, closure distance and |bath gain - dS_tot|,
+    and the least dS_tot, of the controller cycle over ``(h, model)`` pairs."""
+    worst_p = worst_ds_meas = worst_closure = worst_bath = 0.0
+    min_ds_tot = np.inf
+    for h, model in cases:
+        result = run_controller_cycle(h, temperature, model)
+        rho = thermal_state(h, temperature)
+        records = apply(model, rho, h)
+        p_ref = records.probabilities
+        s_ref = von_neumann_entropy(rho) - float(np.dot(p_ref, [r.entropy for r in records]))
+        p_gap = (
+            float(np.max(np.abs(result.probabilities - p_ref)))
+            if len(p_ref) == len(result.probabilities)
+            else np.inf
+        )
+        worst_p = max(worst_p, p_gap)
+        worst_ds_meas = max(worst_ds_meas, abs(result.delta_s_meas - s_ref))
+        worst_closure = max(worst_closure, result.system_closure, result.controller_closure)
+        ds_tot = result.report.delta_s_tot
+        worst_bath = max(worst_bath, abs(result.bath_entropy_increase - ds_tot))
+        min_ds_tot = min(min_ds_tot, ds_tot)
+    return worst_p, worst_ds_meas, worst_closure, worst_bath, min_ds_tot
 
 
 def main(argv=None) -> int:
@@ -67,62 +99,54 @@ def main(argv=None) -> int:
             abs(result.work_fb - (result.delta_f + args.temperature * result.ledger.delta_s_meas)),
         )
 
-    # the controller picture on bare models, checked against measurement.apply
-    worst_p = worst_ds_meas = worst_controller_closure = worst_bath = 0.0
-    min_controller_ds_tot = np.inf
+    # the controller picture on bare and on weak models, checked against measurement.apply
+    bare = []
     for i in range(args.models):
         dim = int(rng.integers(2, 5))
         n_out = int(rng.integers(2, 5))
+        bare.append((random_hamiltonian(dim, rng), random_bare_model(dim, n_out, rng)))
+    weak = []
+    for i in range(args.models):
+        dim = int(rng.integers(2, 5))
         h = random_hamiltonian(dim, rng)
-        model = random_bare_model(dim, n_out, rng)
-
-        result = run_controller_cycle(h, args.temperature, model)
-        rho = thermal_state(h, args.temperature)
-        records = apply(model, rho, h)
-        p_ref = records.probabilities
-        s_ref = von_neumann_entropy(rho) - float(np.dot(p_ref, [r.entropy for r in records]))
-        p_gap = (
-            float(np.max(np.abs(result.probabilities - p_ref)))
-            if len(p_ref) == len(result.probabilities)
-            else np.inf
-        )
-        worst_p = max(worst_p, p_gap)
-        worst_ds_meas = max(worst_ds_meas, abs(result.delta_s_meas - s_ref))
-        worst_controller_closure = max(
-            worst_controller_closure, result.system_closure, result.controller_closure
-        )
-        ds_tot = result.report.delta_s_tot
-        worst_bath = max(worst_bath, abs(result.bath_entropy_increase - ds_tot))
-        min_controller_ds_tot = min(min_controller_ds_tot, ds_tot)
+        generator = random_hermitian(dim, rng)
+        strength = float(rng.uniform(*WEAK_STRENGTHS))
+        model = MeasurementModel.weak(generator / np.linalg.norm(generator, 2), strength)
+        weak.append((h, model))
 
     print(f"models: {args.models} (dims 2-4, 2-4 outcomes), seed {args.seed}")
     print(f"worst |work_fb - T*dS_meas|        : {worst_cycle:.3e}")
     print(f"worst |work_fb - (dF + T*dS_meas)| : {worst_transform:.3e}")
     print(f"worst cycle closure distance       : {worst_closure:.3e}")
     print(f"min dS_tot (second-law floor)      : {min_ds_tot:.3e}")
-    print(f"controller: {args.models} bare models (dims 2-4, 2-4 outcomes)")
-    print(f"worst |p_n - apply|                : {worst_p:.3e}")
-    print(f"worst |dS_meas - apply|            : {worst_ds_meas:.3e}")
-    print(f"worst controller closure distance  : {worst_controller_closure:.3e}")
-    print(f"worst |bath gain - dS_tot|         : {worst_bath:.3e}")
-    print(f"min controller dS_tot              : {min_controller_ds_tot:.3e}")
-
     # written as "not within" so that a NaN reading is a breach too
-    breaches = [
-        name
-        for name, within in (
-            ("cycle work identity", worst_cycle < IDENTITY_TOL),
-            ("transform work identity", worst_transform < IDENTITY_TOL),
-            ("closure distance", worst_closure < IDENTITY_TOL),
-            ("second-law floor", min_ds_tot >= -SECOND_LAW_FLOOR),
-            ("controller probabilities", worst_p < IDENTITY_TOL),
-            ("controller dS_meas", worst_ds_meas < IDENTITY_TOL),
-            ("controller closure distance", worst_controller_closure < IDENTITY_TOL),
-            ("controller bath gain", worst_bath < BATH_TOL),
-            ("controller second-law floor", min_controller_ds_tot >= -SECOND_LAW_FLOOR),
-        )
-        if not within
+    checks = [
+        ("cycle work identity", worst_cycle < IDENTITY_TOL),
+        ("transform work identity", worst_transform < IDENTITY_TOL),
+        ("closure distance", worst_closure < IDENTITY_TOL),
+        ("second-law floor", min_ds_tot >= -SECOND_LAW_FLOOR),
     ]
+    for label, models, cases in (
+        ("controller", "bare models (dims 2-4, 2-4 outcomes)", bare),
+        ("weak controller", "weak models (dims 2-4, strength 1e-3-0.5)", weak),
+    ):
+        p_gap, ds_meas_gap, closure, bath_gap, least_ds_tot = controller_residuals(
+            cases, args.temperature
+        )
+        print(f"{label}: {args.models} {models}")
+        print(f"worst |p_n - apply|                : {p_gap:.3e}")
+        print(f"worst |dS_meas - apply|            : {ds_meas_gap:.3e}")
+        print(f"worst controller closure distance  : {closure:.3e}")
+        print(f"worst |bath gain - dS_tot|         : {bath_gap:.3e}")
+        print(f"min controller dS_tot              : {least_ds_tot:.3e}")
+        checks += [
+            (f"{label} probabilities", p_gap < IDENTITY_TOL),
+            (f"{label} dS_meas", ds_meas_gap < IDENTITY_TOL),
+            (f"{label} closure distance", closure < IDENTITY_TOL),
+            (f"{label} bath gain", bath_gap < BATH_TOL),
+            (f"{label} second-law floor", least_ds_tot >= -SECOND_LAW_FLOOR),
+        ]
+    breaches = [name for name, within in checks if not within]
     for name in breaches:
         print(f"BREACH: {name}", file=sys.stderr)
     return 1 if breaches else 0

@@ -26,7 +26,6 @@ from .linalg import (
     dagger,
     dephase_blocks,
     eig_hermitian,
-    hermitize,
     max_abs,
     partial_trace,
     read_only,
@@ -62,10 +61,11 @@ STRUCTURE_TOL = 1e-10
 class JointState:
     """Controller⊗system density matrix with N×N blocks of size d×d.
 
-    Diagonal blocks hold p_n ρ_n; off-diagonal blocks hold the coherences
-    between controller basis states.  A branch state ρ_n is built from its
-    block on first use and then kept; :func:`decohere_controller` hands over
-    the ones its checks built.
+    Diagonal blocks hold p_n ρ_n, off-diagonal blocks the coherences between
+    controller basis states.  Each joint the cycle builds is PSD by
+    construction and takes no eig of its own.  A branch state ρ_n is built
+    from its block on first use and then kept; :func:`decohere_controller`
+    hands over the ones its checks built.
     """
 
     matrix: DensityMatrix
@@ -116,6 +116,12 @@ class JointState:
         return DensityMatrix.from_matrix(reduced, where="system marginal")
 
 
+def _psd_state(matrix: np.ndarray, where: str) -> DensityMatrix:
+    """A joint PSD by construction, such as X X†: every state check but the eig,
+    which could only clamp round-off."""
+    return DensityMatrix(matrix=read_only(_unit_trace(matrix, where)[0]))
+
+
 def _branch_state(block: np.ndarray, n: int) -> DensityMatrix:
     p = float(block.trace().real)
     if not p > 0.0:
@@ -135,8 +141,9 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     """Correlate a fresh |0⟩ controller with the system.
 
     Implemented as the isometry V = Σ_n |n⟩ ⊗ P_n, which fixes the joint
-    blocks to P_n ρ P_m; completeness of the model guarantees the result is a
-    valid state.  Requires positive (bare or weak) operator families.
+    blocks to P_n ρ P_m.  V ρ V† = (V ρ^½)(V ρ^½)† is PSD for any V, and
+    completeness of the model gives it trace 1.  Requires positive (bare or
+    weak) operator families.
     """
     if model.kind not in (ModelKind.BARE, ModelKind.WEAK):
         raise InvalidModelError(
@@ -146,9 +153,8 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
     v = np.vstack([group[0] for group in model.groups])  # the blocks P_n, top to bottom
-    joint = v @ rho.matrix @ dagger(v)
     return JointState(
-        matrix=DensityMatrix.from_matrix(joint, where="correlated joint state"),
+        matrix=_psd_state(v @ rho.matrix @ dagger(v), "correlated joint state"),
         n_outcomes=model.n_outcomes,
         system_dim=rho.dim,
     )
@@ -175,13 +181,12 @@ def feedback_unitary(unitaries) -> np.ndarray:
 
 
 def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
-    """ρ → U ρ U† on the joint space."""
+    """ρ → U ρ U† on the joint space, PSD for any U; a U that changes the trace raises."""
     if u.shape[0] != joint.matrix.dim:
         raise DimensionMismatchError(
             f"unitary dim {u.shape[0]} != joint dim {joint.matrix.dim}"
         )
-    m = hermitize(u @ joint.matrix.matrix @ dagger(u))
-    return replace(joint, matrix=DensityMatrix.from_matrix(m, where="joint state"))
+    return replace(joint, matrix=_psd_state(u @ joint.matrix.matrix @ dagger(u), "joint state"))
 
 
 def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointState:
@@ -195,11 +200,10 @@ def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointSta
     which then holds p_n times each repaired branch state and every other block
     with its negative eigenvalues set to zero.
     """
-    d = joint.system_dim
-    m, _ = _unit_trace(
-        dephase_blocks(joint.matrix.matrix, [d] * joint.n_outcomes), "decohered joint"
-    )
-    blocks = [slice(n * d, (n + 1) * d) for n in range(joint.n_outcomes)]
+    d, n_out = joint.system_dim, joint.n_outcomes
+    state = _psd_state(dephase_blocks(joint.matrix.matrix, [d] * n_out), "decohered joint")
+    m = state.matrix
+    blocks = [slice(n * d, (n + 1) * d) for n in range(n_out)]
     kept = set(kept)
     branches, spectra = {}, {}
     for n, b in enumerate(blocks):
@@ -223,8 +227,8 @@ def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointSta
             else:
                 lam = np.clip(spectra[n].eigenvalues, 0.0, None)
                 repaired[b, b] = spectral_matrix(spectra[n].eigenvectors, lam)
-        m = repaired / repaired.trace().real
-    decohered = replace(joint, matrix=DensityMatrix(matrix=read_only(m), clamped=clamped))
+        state = DensityMatrix(matrix=read_only(repaired / repaired.trace().real), clamped=True)
+    decohered = replace(joint, matrix=state)
     decohered.__dict__["_branch_states"] = branches
     return decohered
 
@@ -247,12 +251,8 @@ def finalize_branches(
         [joint.block_probability(i) if i in branch_entropies else 0.0 for i in range(n)]
     )
     p_vec = p_vec / p_vec.sum()
-    final, _ = _unit_trace(
-        tensor(np.diag(p_vec.astype(complex)), rho_t.matrix), "finalized joint"
-    )
     joint_final = JointState(
-        # PSD without an eig: its eigenvalues are p_n λ_j(ρ_T), with p ≥ 0 and ρ_T a state
-        matrix=DensityMatrix(matrix=read_only(final)),
+        matrix=_psd_state(tensor(np.diag(p_vec.astype(complex)), rho_t.matrix), "finalized joint"),
         n_outcomes=n,
         system_dim=joint.system_dim,
     )

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from qfeedback import linalg
 from qfeedback.linalg import dagger, read_only
 from qfeedback.sampling import ginibre
 from qfeedback.thermo import DensityMatrix
@@ -21,6 +24,22 @@ PROJ_1 = np.diag([0.0, 1.0]).astype(complex)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts eig_hermitian calls made through every qfeedback module that binds it."""
+    calls = []
+    solver = linalg.eig_hermitian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qfeedback" and getattr(module, "eig_hermitian", None) is solver:
+            monkeypatch.setattr(module, "eig_hermitian", counting)
+    return calls
 
 
 def assert_hermitian(m, tol=1e-12):

@@ -4,9 +4,10 @@ None of these runs in a scenario.  Each is an independent construction of
 something the program computes another way: a cyclic Jacobi eigensolver for
 LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
-and the average post-measurement state.  ``eig_hermitian_reference`` is the
-straightforward form of the LAPACK wrapper, which the program's must match
-byte for byte.
+the controller's joint states diagonalized and clamped as ``from_matrix``
+builds a state, and the average post-measurement state.
+``eig_hermitian_reference`` is the straightforward form of the LAPACK
+wrapper, which the program's must match byte for byte.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from qfeedback.linalg import (
     spectral_matrix,
     tensor,
 )
+from qfeedback.measurement import MeasurementModel
 from qfeedback.thermo import DensityMatrix, shannon_entropy, von_neumann_entropy
 
 # off-diagonal Frobenius norm target, relative to ||M||_F
@@ -240,6 +242,16 @@ def decohere_via_ancilla(joint: JointState) -> JointState:
     total = u @ total @ dagger(u)
     reduced = partial_trace(total, (n * d, n), over="B")
     return replace(joint, matrix=DensityMatrix.from_matrix(reduced, where="decohered joint"))
+
+
+def eig_checked_joint(rho: DensityMatrix, model: MeasurementModel, u: np.ndarray) -> JointState:
+    """The rotated joint U V ρ V† U† with both stages built by ``DensityMatrix.from_matrix``,
+    whose eig clamps round-off negatives and rebuilds the matrix from its spectrum.
+    ``correlate`` and ``apply_joint_unitary`` store each stage as it stands instead."""
+    v = np.vstack([group[0] for group in model.groups])
+    correlated = DensityMatrix.from_matrix(v @ rho.matrix @ dagger(v), "correlated joint state")
+    rotated = DensityMatrix.from_matrix(hermitize(u @ correlated.matrix @ dagger(u)), "joint state")
+    return JointState(matrix=rotated, n_outcomes=model.n_outcomes, system_dim=rho.dim)
 
 
 def total_entropy(probabilities, branch_system_entropies, s_bath: float = 0.0) -> float:

@@ -26,8 +26,10 @@ from qfeedback.errors import (
     InvalidStateError,
     NonUnitaryBlockError,
 )
+from qfeedback.feedback import DEFAULT_LAMBDA_FLOOR, plan_branches
 from qfeedback.linalg import dagger, dephase_blocks, eig_hermitian, max_abs, read_only, tensor
 from qfeedback.measurement import (
+    DEFAULT_P_FLOOR,
     EFFICIENCY_TOL,
     SECOND_LAW_TOL,
     MeasurementModel,
@@ -61,7 +63,12 @@ from conftest import (
     maximally_mixed,
     random_unitary,
 )
-from oracles import decohere_via_ancilla, total_entropy, total_entropy_assembled
+from oracles import (
+    decohere_via_ancilla,
+    eig_checked_joint,
+    total_entropy,
+    total_entropy_assembled,
+)
 
 LN2 = math.log(2.0)
 H2LEVEL = Hamiltonian.diagonal([0.0, 1.0])
@@ -145,6 +152,92 @@ class TestFeedbackUnitary:
     def test_rejects_non_unitary_block(self):
         with pytest.raises(NonUnitaryBlockError):
             feedback_unitary([np.eye(2, dtype=complex), 0.5 * PAULI_X])
+
+
+def cycle_inputs(dim, n, temperature):
+    """ρ, the model, the controlled feedback unitary and the kept outcomes of one
+    controller cycle, as run_controller_cycle forms them, on a seeded bare model
+    with n outcomes or, for n = 0, a weak one."""
+    rng = np.random.default_rng([dim, n])
+    h = random_hamiltonian(dim, rng)
+    if n:
+        model = random_bare_model(dim, n, rng)
+    else:
+        g = random_hermitian(dim, rng)
+        strength = float(rng.uniform(1e-3, 0.5))
+        model = MeasurementModel.weak(g / np.abs(np.linalg.eigvalsh(g)).max(), strength)
+    step = plan_branches(h, temperature, model, 1.0, DEFAULT_LAMBDA_FLOOR, DEFAULT_P_FLOOR)
+    blocks = [np.eye(dim, dtype=complex)] * model.n_outcomes
+    for plan in step.plans:
+        blocks[plan.outcome] = plan.basis_unitary
+    return step.rho, model, feedback_unitary(blocks), [r.n for r in step.outcomes]
+
+
+CYCLE_CASES = [
+    pytest.param(dim, n, t, id=f"dim{dim}-{f'bare{n}' if n else 'weak'}-T{t:g}")
+    for dim in (2, 3, 4, 6, 8)
+    for n in (2, 3, 4, 0)
+    for t in (1e-3, 1.0, 2.0)
+]
+
+
+class TestJointsWithoutAnEig:
+    """The correlated joint V ρ V† and the rotated joint U J U† are PSD for any V and
+    U, so they are stored as they stand: no eig, and no clamp of their round-off."""
+
+    @pytest.mark.parametrize("n", [4, 0], ids=["bare", "weak"])
+    def test_no_eig_call(self, eig_calls, n):
+        rho, model, u, _ = cycle_inputs(8, n, 1.0)
+        eig_calls.clear()
+        apply_joint_unitary(correlate(rho, model), u)
+        assert len(eig_calls) == 0
+
+    @pytest.mark.parametrize("dim, n, temperature", CYCLE_CASES)
+    def test_every_joint_is_psd(self, dim, n, temperature):
+        rho, model, u, kept = cycle_inputs(dim, n, temperature)
+        correlated = correlate(rho, model)
+        rotated = apply_joint_unitary(correlated, u)
+        decohered = decohere_controller(rotated, kept)
+        entropies = decohered.branch_entropies(kept)
+        final, _ = finalize_branches(decohered, rho, entropies, von_neumann_entropy(rho))
+        for joint in (correlated, rotated, decohered, final):
+            assert np.linalg.eigvalsh(joint.matrix.matrix).min() >= -1e-12
+
+    @pytest.mark.parametrize("dim, n, temperature", CYCLE_CASES)
+    def test_branches_match_the_eig_checked_path(self, dim, n, temperature):
+        rho, model, u, kept = cycle_inputs(dim, n, temperature)
+        joint = decohere_controller(apply_joint_unitary(correlate(rho, model), u), kept)
+        checked = decohere_controller(eig_checked_joint(rho, model, u), kept)
+        assert max_abs(joint.probabilities() - checked.probabilities()) <= 1e-12
+        entropies, expected = joint.branch_entropies(kept), checked.branch_entropies(kept)
+        for k in kept:
+            assert entropies[k] == pytest.approx(expected[k], abs=1e-12)
+
+    def test_eig_checked_path_clamps_these_joints(self):
+        # what the oracle's eig changes: it clamps round-off negatives on most inputs
+        clamped = [
+            eig_checked_joint(*cycle_inputs(*case.values)[:3]).matrix.clamped
+            for case in CYCLE_CASES
+        ]
+        assert sum(clamped) > len(clamped) // 2
+
+    def test_trace_changing_unitary_raises(self):
+        rho, model, _, _ = cycle_inputs(3, 2, 1.0)
+        joint = correlate(rho, model)
+        with pytest.raises(InvalidStateError, match="trace"):
+            apply_joint_unitary(joint, 1.01 * np.eye(joint.matrix.dim, dtype=complex))
+
+    @pytest.mark.parametrize("n", [3, 0], ids=["bare", "weak"])
+    def test_entropy_takes_the_eig_on_first_use(self, n):
+        rho, model, u, _ = cycle_inputs(4, n, 1.0)
+        correlated = correlate(rho, model)
+        for joint in (correlated, apply_joint_unitary(correlated, u)):
+            assert "eig" not in joint.matrix.__dict__
+            # an isometry and a unitary keep the spectrum, and so S(ρ)
+            assert von_neumann_entropy(joint.matrix) == pytest.approx(
+                von_neumann_entropy(rho), abs=1e-12
+            )
+            assert "eig" in joint.matrix.__dict__
 
 
 class TestDecohere:

@@ -1,20 +1,19 @@
 """Eig-call budget of one cycle on fresh inputs.  Each Hermitian matrix is
 diagonalized once and its spectrum carried on the frozen state or Hamiltonian
 that owns it, a state built from a known spectrum keeps it (a thermal state
-its Gibbs weights on H's eigenvectors, a decohered joint its branch states,
-a finalized joint p ⊗ ρ_T), and a measurement model keeps its validation
-report, so these counts hold.  They are exact, not ceilings: a decomposition
-made around ``eig_hermitian`` would lower them.  With N outcomes, a fresh H
-(one eig) and a fresh model (N eigs to validate a bare one, none for an
-efficient one), a cycle makes 4N + 3 calls (5N + 3 bare), a transform one
-more for H2, and a controller cycle 3N + 7."""
-
-import sys
+its Gibbs weights on H's eigenvectors, a decohered joint its branch states),
+a joint that is PSD by construction (the correlated V ρ V†, the rotated
+U J U†, the finalized p ⊗ ρ_T) takes no eig, and a measurement model keeps
+its validation report, so these counts hold.  They are exact, not ceilings:
+a decomposition made around ``eig_hermitian`` would lower them.  With N
+outcomes, a fresh H (one eig) and a fresh model (N eigs to validate a bare
+one, none for an efficient one), a cycle makes 4N + 3 calls (5N + 3 bare), a
+transform one more for H2, and a controller cycle 3N + 5.  The ``eig_calls``
+fixture that counts them is in conftest.py."""
 
 import numpy as np
 import pytest
 
-from qfeedback import linalg
 from qfeedback.cli import main
 from qfeedback.controller import run_controller_cycle
 from qfeedback.feedback import run_continuous, run_cycle, run_transform
@@ -28,22 +27,6 @@ from qfeedback.sampling import (
 from qfeedback.thermo import Hamiltonian, thermal_state
 
 from conftest import PAULI_Z
-
-
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """Counts eig_hermitian calls made through every qfeedback module that binds it."""
-    calls = []
-    solver = linalg.eig_hermitian
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solver(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qfeedback" and getattr(module, "eig_hermitian", None) is solver:
-            monkeypatch.setattr(module, "eig_hermitian", counting)
-    return calls
 
 
 def fresh_inputs(make_model, n, dim=3):
@@ -82,7 +65,7 @@ def test_controller_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
-    assert len(eig_calls) == 3 * n + 7
+    assert len(eig_calls) == 3 * n + 5
 
 
 def test_model_is_checked_once(eig_calls):

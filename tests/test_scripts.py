@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from qfeedback.measurement import ModelKind
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -50,3 +52,21 @@ def test_ensemble_check_fails_on_a_broken_controller_ledger(ensemble_check, monk
     err = capsys.readouterr().err
     assert "BREACH: controller bath gain" in err
     assert "BREACH: cycle" not in err
+
+
+def test_ensemble_check_fails_on_a_broken_weak_controller_pass(
+    ensemble_check, monkeypatch, capsys
+):
+    run_controller_cycle = ensemble_check.run_controller_cycle
+
+    def weak_probabilities_off(h, temperature, model, *args, **kwargs):
+        result = run_controller_cycle(h, temperature, model, *args, **kwargs)
+        if model.kind is ModelKind.WEAK:
+            result = dataclasses.replace(result, probabilities=result.probabilities + 1e-6)
+        return result
+
+    monkeypatch.setattr(ensemble_check, "run_controller_cycle", weak_probabilities_off)
+    assert ensemble_check.main(["--models", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "BREACH: weak controller probabilities" in err
+    assert "BREACH: controller" not in err and "BREACH: cycle" not in err
