@@ -46,7 +46,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
     numerical failure is re-raised with the scenario id in front."""
     h = config.hamiltonian
     t = config.temperature
-    constants = dict(k=config.k, lambda_floor=config.lambda_floor, p_floor=config.p_floor)
+    constants = dict(k=config.k, p_floor=config.p_floor)
 
     def cycle_row(ledger, **columns):  # a measurement-picture row; columns override its work
         columns = dict(work_total=ledger.work_total, work_fb=ledger.work_fb) | columns

@@ -24,16 +24,18 @@ instead be given as a flat list of diagonal energies)::
     continuous:                  # continuous mode only
       steps: 10
     numerics:                    # optional
-      lambda_floor: 1.0e-12
       p_floor: 1.0e-14
 
 Unknown keys anywhere are rejected with the offending field path, and so are
-numbers that are not finite.
+numbers that are not finite.  A number in exponent form without a dot, such
+as ``1e-3``, is read as a float, as YAML 1.2 and JSON read it; quoted, it
+stays a string.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -42,7 +44,7 @@ import numpy as np
 import yaml
 
 from .errors import DomainError, ParseError, UnknownParameterError, ValidationError
-from .feedback import CONTINUOUS_EPSILON_RANGE, DEFAULT_LAMBDA_FLOOR
+from .feedback import CONTINUOUS_EPSILON_RANGE
 from .linalg import HERMITICITY_TOL, dagger
 from .measurement import DEFAULT_P_FLOOR, MeasurementModel
 from .thermo import Hamiltonian
@@ -50,6 +52,8 @@ from .thermo import Hamiltonian
 # libyaml's C scanner and parser when the install has them, else PyYAML's pure
 # Python ones; both build the tree with SafeConstructor, so the trees agree.
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# YAML 1.1 reads a float only with a dot in it, so 1e-3 would be a string
+EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")
 
 # Both loaders build nested collections by recursion: the pure-Python one
 # runs out of Python stack a few hundred levels deep, and libyaml overflows
@@ -77,7 +81,7 @@ SECTIONS = {
     "measurement": ("kind", *dict.fromkeys(k for keys in KIND_KEYS.values() for k in keys)),
     "transform": ("h2",),
     "continuous": ("steps",),
-    "numerics": ("lambda_floor", "p_floor"),
+    "numerics": ("p_floor",),
 }
 
 
@@ -95,7 +99,6 @@ class ScenarioConfig:
     model: MeasurementModel
     h2: Hamiltonian | None
     steps: int
-    lambda_floor: float
     p_floor: float
     raw: dict = field(repr=False, compare=False)
 
@@ -304,8 +307,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
         raise ValidationError("continuous.steps", f"must be >= 1, got {steps}")
 
     numerics = _section(data, "numerics", False)
-    lambda_floor = _bounded(numerics, "numerics", "lambda_floor", "must lie in (0, 1)",
-                            lambda x: 0.0 < x < 1.0, DEFAULT_LAMBDA_FLOOR)
     p_floor = _bounded(numerics, "numerics", "p_floor", "must lie in [0, 1)",
                        lambda x: 0.0 <= x < 1.0, DEFAULT_P_FLOOR)
 
@@ -319,7 +320,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
         model=model,
         h2=h2,
         steps=steps,
-        lambda_floor=lambda_floor,
         p_floor=p_floor,
         raw=copy.deepcopy(data),
     )
@@ -343,12 +343,21 @@ def _nests_too_deep(text: str) -> bool:
     return False
 
 
+@functools.cache
+def config_loader(base: type) -> type:
+    """A subclass of the loader ``base`` that also reads an exponent-form
+    number such as 1e-3 as a float; ``base`` itself is left unchanged."""
+    loader = type(f"Config{base.__name__}", (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", EXPONENT_FLOAT, list("-+0123456789"))
+    return loader
+
+
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse and validate scenario text; errors carry the offending field path."""
     try:
         if _nests_too_deep(text):
             raise ParseError("", f"{source}: collections nest deeper than {MAX_NESTING} levels")
-        data = yaml.load(text, Loader=YAML_LOADER)
+        data = yaml.load(text, Loader=config_loader(YAML_LOADER))
     # libyaml encodes the text to UTF-8 first, so a lone surrogate fails there
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         raise ParseError("", f"{source}: {exc}") from exc

@@ -32,7 +32,7 @@ from .linalg import (
     spectral_matrix,
     tensor,
 )
-from .feedback import DEFAULT_LAMBDA_FLOOR, plan_branches
+from .feedback import plan_branches
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
@@ -47,7 +47,6 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
-    _unit_trace,
     trace_distance,
     von_neumann_entropy,
 )
@@ -116,12 +115,6 @@ class JointState:
         return DensityMatrix.from_matrix(reduced, where="system marginal")
 
 
-def _psd_state(matrix: np.ndarray, where: str) -> DensityMatrix:
-    """A joint PSD by construction, such as X X†: every state check but the eig,
-    which could only clamp round-off."""
-    return DensityMatrix(matrix=read_only(_unit_trace(matrix, where)[0]))
-
-
 def _branch_state(block: np.ndarray, n: int) -> DensityMatrix:
     p = float(block.trace().real)
     if not p > 0.0:
@@ -154,7 +147,7 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
     v = np.vstack([group[0] for group in model.groups])  # the blocks P_n, top to bottom
     return JointState(
-        matrix=_psd_state(v @ rho.matrix @ dagger(v), "correlated joint state"),
+        matrix=DensityMatrix.from_psd(v @ rho.matrix @ dagger(v), "correlated joint state"),
         n_outcomes=model.n_outcomes,
         system_dim=rho.dim,
     )
@@ -186,7 +179,8 @@ def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
         raise DimensionMismatchError(
             f"unitary dim {u.shape[0]} != joint dim {joint.matrix.dim}"
         )
-    return replace(joint, matrix=_psd_state(u @ joint.matrix.matrix @ dagger(u), "joint state"))
+    rotated = DensityMatrix.from_psd(u @ joint.matrix.matrix @ dagger(u), "joint state")
+    return replace(joint, matrix=rotated)
 
 
 def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointState:
@@ -201,7 +195,8 @@ def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointSta
     with its negative eigenvalues set to zero.
     """
     d, n_out = joint.system_dim, joint.n_outcomes
-    state = _psd_state(dephase_blocks(joint.matrix.matrix, [d] * n_out), "decohered joint")
+    pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
+    state = DensityMatrix.from_psd(pinched, "decohered joint")
     m = state.matrix
     blocks = [slice(n * d, (n + 1) * d) for n in range(n_out)]
     kept = set(kept)
@@ -251,8 +246,9 @@ def finalize_branches(
         [joint.block_probability(i) if i in branch_entropies else 0.0 for i in range(n)]
     )
     p_vec = p_vec / p_vec.sum()
+    final = tensor(np.diag(p_vec.astype(complex)), rho_t.matrix)
     joint_final = JointState(
-        matrix=_psd_state(tensor(np.diag(p_vec.astype(complex)), rho_t.matrix), "finalized joint"),
+        matrix=DensityMatrix.from_psd(final, "finalized joint"),
         n_outcomes=n,
         system_dim=joint.system_dim,
     )
@@ -305,12 +301,11 @@ def run_controller_cycle(
     temperature: float,
     model: MeasurementModel,
     k: float = 1.0,
-    lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ControllerCycleResult:
     """One full cycle in the measurement-free picture: correlate, feed back, decohere,
     finalize, reset, over the branches :func:`~qfeedback.feedback.plan_branches` plans."""
-    step = plan_branches(h, temperature, model, k, lambda_floor, p_floor)
+    step = plan_branches(h, temperature, model, k, p_floor)
     kept = [r.n for r in step.outcomes]
     blocks = [np.eye(model.dim, dtype=complex)] * model.n_outcomes  # dropped: left alone
     for plan in step.plans:

@@ -65,7 +65,7 @@ class IncompleteModelError(InvalidModelError):
 
 
 class DegenerateStateError(NumericalError):
-    """Every population (or outcome probability) sits below its floor."""
+    """Every outcome probability sits below its floor."""
 
 
 class PlanMismatchError(NumericalError):

@@ -22,13 +22,12 @@ import numpy as np
 
 from .errors import (
     ArgumentRangeError,
-    DegenerateStateError,
     DomainError,
     InvalidModelError,
     NonPositiveTemperatureError,
     PlanMismatchError,
 )
-from .linalg import dagger, hermitize, spectral_matrix
+from .linalg import dagger
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
@@ -45,14 +44,13 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
-    average_energy,
+    gibbs_state,
     thermal_state,
     thermo_reading,
     trace_distance,
     von_neumann_entropy,
 )
 
-DEFAULT_LAMBDA_FLOOR = 1e-12
 # execute_plan's bound on a landed state's distance from thermal and entropy drift
 PLAN_TOL = 1e-9
 # Weak-measurement strengths run_continuous accepts; config validation reads it.
@@ -64,23 +62,19 @@ class FeedbackPlan:
     """Reversible operations for one measurement outcome.
 
     ``basis_unitary`` implements steps (i)+(ii): it maps the state's
-    eigenbasis onto the energy eigenbasis with populations sorted against
-    energy.  ``target_hamiltonian`` holds the retuned levels of step (iii),
-    ε_j = -kT ln λ_j, and ``shift`` is the uniform offset of step (iv) that
+    eigenbasis onto ``energy_basis``, H's eigenvectors by rising energy, with
+    populations sorted against energy.  ``levels`` are the retuned levels of
+    step (iii) on that basis, ε_j = -kT ln λ_j on the outcome's support and
+    +inf on its kernel, and ``shift`` is the uniform offset of step (iv) that
     restores the initial average energy.
     """
 
     outcome: int
     basis_unitary: np.ndarray
-    target_hamiltonian: Hamiltonian
+    energy_basis: np.ndarray
+    levels: np.ndarray  # ascending, +inf where the population is 0
     shift: float
-    populations: np.ndarray  # clamped spectrum, descending
-    clamped: bool
-
-    @property
-    def final_hamiltonian(self) -> Hamiltonian:
-        """H_n + c_n·I, the Hamiltonian in force after step (iv)."""
-        return self.target_hamiltonian.shifted(self.shift)
+    populations: np.ndarray  # spectrum, descending, negatives set to 0
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ class BranchPlans:
     outcomes: MeasurementOutcomes  # the outcomes apply keeps
     plans: tuple[FeedbackPlan, ...]  # one per kept outcome, in order
     delta_e_meas: float
-    clamp_flag: bool  # rho or any plan clamped
+    clamp_flag: bool  # any outcome state clamped
 
 
 @dataclass(frozen=True)
@@ -169,48 +163,42 @@ def plan_feedback(
     temperature: float,
     k: float = 1.0,
     e_initial: float = 0.0,
-    lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
 ) -> FeedbackPlan:
-    """Build the steps (i)-(iv) plan for one outcome.
+    """Build the steps (i)-(iv) plan for one outcome, on its support.
 
-    Populations below ``lambda_floor`` are clamped to the floor and the
-    spectrum renormalized before taking ε_j = -kT ln λ_j, so the retuned
-    levels stay finite even for pure outcomes.
+    A level whose population is not positive is raised to +inf at no work:
+    the limit of ε_j = -kT ln λ_j as λ_j → 0, which a pure outcome needs.  Not
+    only an exact 0 counts, since a clamped state's eig, recomputed, can read
+    -1e-18 again.
     """
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     dec_state = record.state.eig
-    lam_raw = dec_state.eigenvalues
-    if float(lam_raw.max()) < lambda_floor:
-        raise DegenerateStateError("entire spectrum below the clamping floor")
-    clamped = bool(lam_raw.min() < lambda_floor)
-    lam = np.maximum(lam_raw, lambda_floor)
+    lam = np.clip(dec_state.eigenvalues, 0.0, None)
     lam = lam / lam.sum()
+    support = lam > 0.0
 
     dec_h = h.eig
     # ascending energies, so the descending populations land on them in order
     energy_basis = dec_h.eigenvectors[:, ::-1]
     basis_unitary = energy_basis @ dagger(dec_state.eigenvectors)
 
+    levels = np.full(lam.shape, np.inf)
     with np.errstate(over="ignore"):  # checked on the next line
-        levels = -k * temperature * np.log(lam)
-    if not np.isfinite(levels).all():
+        levels[support] = -k * temperature * np.log(lam[support])
+    if not np.isfinite(levels[support]).all():
         raise DomainError(
             f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite "
             f"(kT = {k * temperature!r})"
         )
-    # hermitized first: the round-off of V diag(levels) V† grows with the levels,
-    # and an exactly Hermitian matrix passes the check at any energy scale
-    with np.errstate(over="ignore", invalid="ignore"):  # from_matrix rejects non-finite entries
-        target = Hamiltonian.from_matrix(spectral_matrix(energy_basis, levels))
-    shift = e_initial - float(np.dot(lam, levels))
+    shift = e_initial - float(np.dot(lam[support], levels[support]))
     return FeedbackPlan(
         outcome=record.n,
         basis_unitary=basis_unitary,
-        target_hamiltonian=target,
+        energy_basis=energy_basis,
+        levels=levels,
         shift=shift,
         populations=lam,
-        clamped=clamped,
     )
 
 
@@ -219,49 +207,48 @@ def plan_branches(
     temperature: float,
     model: MeasurementModel,
     k: float,
-    lambda_floor: float,
     p_floor: float,
 ) -> BranchPlans:
     """Measure the thermal state of ``h`` and plan every kept outcome's feedback: the one
-    place the drop rule, the plans and the clamp rule run, for the cycle and the controller."""
+    place the drop rule, the plans and the clamp rule run, for the cycle and the controller.
+    The thermal state is PSD by construction, so only an outcome state can clamp."""
     rho = thermal_state(h, temperature, k)
     initial = thermo_reading(rho, h, temperature, k)
     outcomes = apply(model, rho, h, p_floor=p_floor)
     plans = tuple(
-        plan_feedback(r, h, temperature, k=k, e_initial=initial.energy, lambda_floor=lambda_floor)
-        for r in outcomes
+        plan_feedback(r, h, temperature, k=k, e_initial=initial.energy) for r in outcomes
     )
     delta_e_meas = measurement_energy_cost(outcomes, initial.energy)
-    clamp = rho.clamped or any(plan.clamped for plan in plans)
+    clamp = any(r.state.clamped for r in outcomes)
     return BranchPlans(rho, initial, outcomes, plans, delta_e_meas, clamp)
 
 
 def execute_plan(
-    record: OutcomeRecord,
-    plan: FeedbackPlan,
-    h: Hamiltonian,
-    temperature: float,
-    k: float = 1.0,
+    record: OutcomeRecord, plan: FeedbackPlan, temperature: float, k: float = 1.0
 ) -> tuple[DensityMatrix, float]:
     """Run steps (i)-(iv), returning the resulting thermal state and the work
-    extracted, summed from per-step bookkeeping.
+    extracted: E_n - Tr[H ρ'] from the rotation at fixed H, plus
+    Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at fixed state ρ'.  The
+    record and the plan both read the H the plan was made for.
 
-    Raises :class:`PlanMismatchError` if the landed state is not thermal for
-    the retuned H_n (the shift c_n cancels there, and at large energies would
-    cost the eigenvectors more than ``PLAN_TOL``), or if the rotation failed
-    to preserve the outcome's entropy.
+    Raises :class:`PlanMismatchError` if the landed state is not the Gibbs
+    state of the retuned levels (the shift c_n cancels there), or if the
+    rotation failed to preserve the outcome's entropy.  A kernel level holds
+    no population in that Gibbs state, so the distance also bounds the weight
+    the rotation left there.
     """
     u = plan.basis_unitary
-    rotated = DensityMatrix.from_matrix(
-        hermitize(u @ record.state.matrix @ dagger(u)), where="rotated outcome state"
+    rotated = DensityMatrix.from_psd(
+        u @ record.state.matrix @ dagger(u), where="rotated outcome state"
     )
-    # unitary stage: energy change at fixed H is work on/off the system
-    work_unitary = average_energy(record.state, h) - average_energy(rotated, h)
-    # Hamiltonian stage: retune levels at fixed state, work = -Tr[ΔH ρ]
-    h_final = plan.final_hamiltonian
-    work_retune = -float(np.trace((h_final.matrix - h.matrix) @ rotated.matrix).real)
+    # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
+    # work, so Tr[(H_n + c_n) ρ'] sums over the support only
+    b = plan.energy_basis
+    populations = np.einsum("ij,ij->j", b.conj(), rotated.matrix @ b).real
+    support = np.isfinite(plan.levels)
+    work = record.energy - float(np.dot(plan.levels[support] + plan.shift, populations[support]))
 
-    expected = thermal_state(plan.target_hamiltonian, temperature, k)
+    expected = gibbs_state(plan.levels, b, k * temperature, "retuned thermal state")
     deviation = trace_distance(rotated, expected)
     if deviation > PLAN_TOL:
         raise PlanMismatchError(
@@ -273,7 +260,7 @@ def execute_plan(
         raise PlanMismatchError(
             f"outcome {plan.outcome}: entropy drifted by {entropy_drift:.3e}"
         )
-    return rotated, work_unitary + work_retune
+    return rotated, work
 
 
 def isothermal_work(s_target: float, s_n: float, temperature: float, k: float = 1.0) -> float:
@@ -317,18 +304,15 @@ def _run(
     temperature: float,
     model: MeasurementModel,
     k: float,
-    lambda_floor: float,
     p_floor: float,
 ) -> tuple[CycleLedger, ThermoReading]:
-    step = plan_branches(h1, temperature, model, k, lambda_floor, p_floor)
+    step = plan_branches(h1, temperature, model, k, p_floor)
     rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature, k)
     target = thermo_reading(rho_target, h2, temperature, k)
 
     branches = []
-    clamp = step.clamp_flag
     for record, plan in zip(step.outcomes, step.plans):
-        state, work_steps = execute_plan(record, plan, h1, temperature, k=k)
-        clamp = clamp or state.clamped
+        _, work_steps = execute_plan(record, plan, temperature, k=k)
         # isothermal stage from the branch Hamiltonian to h2: work equals the
         # free-energy drop at fixed T, and the state tracks the instantaneous
         # thermal state, so every branch ends on rho_target.
@@ -351,7 +335,7 @@ def _run(
         probabilities, [r.entropy for r in step.outcomes], step.initial.entropy
     )
     work_total = float(sum(b.probability * b.work for b in branches))
-    final = DensityMatrix.from_matrix(
+    final = DensityMatrix.from_psd(
         sum(b.probability * rho_target.matrix for b in branches), where="cycle endpoint"
     )
     ledger = CycleLedger(
@@ -366,7 +350,7 @@ def _run(
         report=second_law_verdict(probabilities, delta_s_meas),
         heat_from_bath=k * temperature * delta_s_meas,
         closure_distance=trace_distance(final, rho_target),
-        clamp_flag=bool(clamp or final.clamped),
+        clamp_flag=step.clamp_flag,
         dropped_outcomes=step.outcomes.dropped,
     )
     return ledger, target
@@ -377,13 +361,12 @@ def run_cycle(
     temperature: float,
     model: MeasurementModel,
     k: float = 1.0,
-    lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> CycleLedger:
     """One closed cycle: thermal start, measure, feed back per outcome, expand
     isothermally home.  The ledger's ``work_fb`` equals kT·ΔS_meas up to
     numerical error."""
-    ledger, _ = _run(h, h, temperature, model, k, lambda_floor, p_floor)
+    ledger, _ = _run(h, h, temperature, model, k, p_floor)
     return ledger
 
 
@@ -393,12 +376,11 @@ def run_transform(
     temperature: float,
     model: MeasurementModel,
     k: float = 1.0,
-    lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> TransformResult:
     """Like :func:`run_cycle` but the closing expansion targets the thermal
     state of ``h2``; the net work picks up the free-energy drop ΔF."""
-    ledger, target = _run(h1, h2, temperature, model, k, lambda_floor, p_floor)
+    ledger, target = _run(h1, h2, temperature, model, k, p_floor)
     return TransformResult(
         delta_f=ledger.initial.free_energy - target.free_energy,
         free_energy_final=target.free_energy,
@@ -413,7 +395,6 @@ def run_continuous(
     model: MeasurementModel,
     n_steps: int,
     k: float = 1.0,
-    lambda_floor: float = DEFAULT_LAMBDA_FLOOR,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ContinuousResult:
     """Drive repeated cycles of one weak measurement, one per time step; its
@@ -433,7 +414,7 @@ def run_continuous(
         raise ArgumentRangeError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
     if n_steps < 1:
         raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
-    cycle = run_cycle(h, temperature, model, k=k, lambda_floor=lambda_floor, p_floor=p_floor)
+    cycle = run_cycle(h, temperature, model, k=k, p_floor=p_floor)
     return ContinuousResult(
         epsilon=epsilon,
         n_steps=n_steps,

@@ -79,10 +79,6 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def shifted(self, offset: float) -> "Hamiltonian":
-        """H + offset·I."""
-        return Hamiltonian.from_matrix(self.matrix + offset * np.eye(self.dim))
-
 
 def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float]:
     """The checks every state runs before its spectrum: square, Hermitian within STATE_TOL,
@@ -118,11 +114,14 @@ class DensityMatrix:
     spectrum renormalized, and the ``clamped`` flag set so ledgers can report
     it.  Anything worse raises :class:`InvalidStateError`.
 
+    A state that is PSD by construction goes through :meth:`from_psd`
+    instead, which skips the eig and never clamps.
+
     ``eig`` is the decomposition of ``matrix``.  A state that is built from its
     spectrum keeps that spectrum: an unclamped :meth:`from_matrix` state the
-    decomposition its checks computed, and a :func:`thermal_state` its Gibbs
-    weights on the Hamiltonian's eigenvectors.  Any other state computes it on
-    first use.
+    decomposition its checks computed, and a :func:`gibbs_state` (a
+    :func:`thermal_state` among them) its Gibbs weights on the given
+    eigenvectors.  Any other state computes it on first use.
     """
 
     matrix: np.ndarray
@@ -146,6 +145,12 @@ class DensityMatrix:
             m = spectral_matrix(dec.eigenvectors, lam / lam.sum())
             return cls(matrix=read_only(m), clamped=True)
         return cls._with_eig(m, dec)
+
+    @classmethod
+    def from_psd(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
+        """A state PSD by construction, such as X X† or a positive mix of states: every
+        check of :meth:`from_matrix` but the eig, which could only clamp round-off."""
+        return cls(matrix=read_only(_unit_trace(matrix, where)[0]))
 
     @classmethod
     def _with_eig(cls, m: np.ndarray, dec: EigenDecomposition) -> "DensityMatrix":
@@ -179,31 +184,35 @@ class ThermoReading:
 
 
 def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> DensityMatrix:
-    """Gibbs state exp(-H/(kT)) / Z.
-
-    The spectrum is shifted by the ground energy before exponentiating, which
-    cancels in the normalization and avoids overflow at small T.
-    """
+    """Gibbs state exp(-H/(kT)) / Z."""
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if k <= 0.0:
         raise ArgumentRangeError(f"Boltzmann constant must be > 0, got {k!r}")
     if not 0.0 < k * temperature < math.inf:
         raise DomainError(f"kT = {k!r} * {temperature!r} is outside the float range")
-    dec = h.eig
-    energies = dec.eigenvalues
-    with np.errstate(over="ignore"):  # a level far above kT gets weight exp(-inf) = 0
-        weights = np.exp(-(energies - energies.min()) / (k * temperature))
+    return gibbs_state(h.eig.eigenvalues, h.eig.eigenvectors, k * temperature, "thermal state")
+
+
+def gibbs_state(levels: np.ndarray, vectors: np.ndarray, kt: float, where: str) -> DensityMatrix:
+    """The Gibbs state of ``levels`` on the orthonormal columns of ``vectors`` at kT = ``kt``.
+
+    The levels are shifted by the lowest before exponentiating, which cancels
+    in the normalization and avoids overflow at small kT; a level at +inf, or
+    far above kT, gets weight exp(-inf) = 0.
+    """
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(levels - levels.min()) / kt)
     weights = weights / weights.sum()
-    m, tr = _unit_trace(spectral_matrix(dec.eigenvectors, weights), "thermal state")
+    m, tr = _unit_trace(spectral_matrix(vectors, weights), where)
     # PSD by construction: the weights lie in [0, 1] and the largest is 1 before
-    # normalizing, so the state keeps them on H's eigenvectors in place of an eig
+    # normalizing, so the state keeps them on the given vectors in place of an eig
     order = np.argsort(-weights, kind="stable")
     eigenvalues = weights[order] / tr
-    vectors = dec.eigenvectors[:, order]
+    eigenvectors = vectors[:, order]
     eigenvalues.setflags(write=False)
-    vectors.setflags(write=False)
-    return DensityMatrix._with_eig(m, EigenDecomposition(eigenvalues, vectors))
+    eigenvectors.setflags(write=False)
+    return DensityMatrix._with_eig(m, EigenDecomposition(eigenvalues, eigenvectors))
 
 
 def _nats(p: np.ndarray) -> float:

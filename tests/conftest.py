@@ -5,7 +5,8 @@ import pytest
 
 from qfeedback import linalg
 from qfeedback.linalg import dagger, read_only
-from qfeedback.sampling import ginibre
+from qfeedback.measurement import MeasurementModel
+from qfeedback.sampling import ginibre, random_hamiltonian
 from qfeedback.thermo import DensityMatrix
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,3 +66,19 @@ def random_density_matrix(dim, rng):
     g = ginibre(dim, rng)
     m = g @ dagger(g)
     return DensityMatrix.from_matrix(m / np.trace(m).real)
+
+
+def rank_one_cases(count, seed):
+    """``count`` seeded (h, T, model) triples whose bare model measures rank-1 projectors,
+    so every outcome is pure: dims 2-4, T in [0.5, 2], the projectors onto a random basis
+    or, every other case, onto H's eigenbasis."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        dim = int(rng.integers(2, 5))
+        h = random_hamiltonian(dim, rng)
+        temperature = float(rng.uniform(0.5, 2.0))
+        basis = h.eig.eigenvectors if i % 2 else random_unitary(dim, rng)
+        model = MeasurementModel.bare([np.outer(v, v.conj()) for v in basis.T])
+        cases.append((h, temperature, model))
+    return cases

@@ -43,20 +43,20 @@ measurement:
 
 BAD_TEMPERATURE = GOOD_CONFIG.replace("temperature: 1.0", "temperature: -3.0")
 
-# weak readout leaves both populations at 0.7/0.3, below this clamping floor,
-# so planning the feedback step fails numerically rather than at validation
+# T and k pass validation, but kT = 0.5 * 5e-324 underflows to 0, so building
+# the thermal state fails numerically rather than at validation
 DEGENERATE_CONFIG = """\
 scenario_id: tmp-degenerate
 run: {mode: cycle}
 system: {dim: 2, hamiltonian: [0.0, 0.0]}
-bath: {temperature: 1.0}
+bath: {temperature: 5.0e-324}
+constants: {k: 0.5}
 measurement:
   kind: weak
   generator:
     - [[1.0, 0.0], [0.0, 0.0]]
     - [[0.0, 0.0], [-1.0, 0.0]]
   epsilon: 0.4
-numerics: {lambda_floor: 0.99}
 """
 
 SINGLE_LEVEL_CONFIG = """\
@@ -238,26 +238,42 @@ class TestRun:
         assert "numerical failure" in err
         assert "tmp-degenerate" in err
 
-    # numpy overflow warnings printed ahead of each of these errors
+    # numpy overflow warnings printed ahead of each of these errors; the runs that
+    # exit 0 print their ledger, with ΔS_meas as given, and no warning either
     @pytest.mark.parametrize(
-        "text, old, new, code",
+        "text, old, new, code, delta_s_meas",
         [
-            (GOOD_CONFIG, "[0.0, 0.0]}", "[1.0e+308, -1.0e+308]}", 1),
+            (GOOD_CONFIG, "[0.0, 0.0]}", "[1.0e+308, -1.0e+308]}", 1, None),
             (
                 GOOD_CONFIG,
                 "[0.0, 0.0]}",
                 "[[[0, 0], [1.0e+308, 0]], [[-1.0e+308, 0], [0, 0]]]}",
                 1,
+                None,
             ),
-            (GOOD_CONFIG, "temperature: 1.0", "temperature: 1.0e+308", 2),
-            (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+300, 0.0]", 1),
-            (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+308, 0.0]", 1),
+            # pure outcomes at kT = 1e308: the kernel level is +inf at no work
+            (GOOD_CONFIG, "temperature: 1.0", "temperature: 1.0e+308", 0, LN2),
+            (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+300, 0.0]", 1, None),
+            (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+308, 0.0]", 1, None),
             # kT = inf, and kT·S = inf·0 for the one-level system
-            (SINGLE_LEVEL_CONFIG, "temperature: 1.0}", "temperature: 1.0e+308}", 2),
+            (SINGLE_LEVEL_CONFIG, "temperature: 1.0}", "temperature: 1.0e+308}", 2, None),
             # kT = 0: (E - E_0)/kT divides by zero
-            (CONTINUOUS_CONFIG, "temperature: 1.0}", "temperature: 5.0e-324}\nconstants: {k: 0.5}", 2),
-            # finite retuned levels whose hermitized sum overflows
-            (CONTINUOUS_CONFIG, "temperature: 1.0}", "temperature: 1.0e+308}", 2),
+            (
+                CONTINUOUS_CONFIG,
+                "temperature: 1.0}",
+                "temperature: 5.0e-324}\nconstants: {k: 0.5}",
+                2,
+                None,
+            ),
+            # retuned levels near 1e308 on the maximally mixed state's weak outcomes
+            # (I ± 0.3 Z)/2, which the plans hold without forming a matrix of them
+            (
+                CONTINUOUS_CONFIG,
+                "temperature: 1.0}",
+                "temperature: 1.0e+308}",
+                0,
+                LN2 + 0.65 * math.log(0.65) + 0.35 * math.log(0.35),
+            ),
         ],
         ids=[
             "diagonal-hamiltonian",
@@ -270,14 +286,25 @@ class TestRun:
             "retuned-levels",
         ],
     )
-    def test_overflow_prints_only_the_error(self, tmp_path, capsys, text, old, new, code):
+    def test_overflow_prints_only_the_error(
+        self, tmp_path, capsys, text, old, new, code, delta_s_meas
+    ):
         assert old in text
         path = tmp_path / "huge.yaml"
         path.write_text(text.replace(old, new))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["run", str(path)]) == code
-        assert len(capsys.readouterr().err.splitlines()) == 1
+            assert main(["run", str(path), "--format", "json"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert len(err.splitlines()) == 1
+            return
+        [row] = json.loads(out)
+        steps = load_config(str(path)).steps
+        assert err == ""
+        assert row["delta_S_meas"] == pytest.approx(delta_s_meas, abs=1e-15)
+        assert row["work_fb"] == pytest.approx(steps * (row["T"] * delta_s_meas), rel=1e-14)
+        assert row["work_total"] == row["work_fb"] and not row["clamp_flag"]
 
     def test_temperature_far_below_the_gap(self, tmp_path, capsys):
         # (E - E_0)/kT overflows to inf: the excited level's weight is exactly 0
@@ -313,7 +340,7 @@ class TestModeColumns:
         row, config = self.json_row(tmp_path, capsys, TRANSFORM_CONFIG)
         result = run_transform(
             config.hamiltonian, config.h2, config.temperature, config.model, k=config.k,
-            lambda_floor=config.lambda_floor, p_floor=config.p_floor,
+            p_floor=config.p_floor,
         )
         assert result.delta_f != 0.0
         assert row["delta_F"] == result.delta_f
@@ -368,6 +395,15 @@ class TestSweep:
                      "--values", "0.1,abc"])
         assert code == 1
         assert "--values" in capsys.readouterr().err
+
+    def test_szilard_at_the_largest_temperature(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep", "szilard", "--param", "bath.temperature",
+                         "--values", "1e308", "--format", "json"])
+        assert code == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["work_fb"] == 1e308 * LN2
 
     def test_numerical_failure_names_variant(self, tmp_path, capsys):
         path = tmp_path / "degenerate.yaml"
@@ -445,7 +481,9 @@ class TestValidate:
         captured = capsys.readouterr()
         assert where in captured.out + captured.err
 
-    @pytest.mark.parametrize("key, section", [("seed", None), ("tolerance", "numerics")])
+    @pytest.mark.parametrize(
+        "key, section", [("seed", None), ("tolerance", "numerics"), ("lambda_floor", "numerics")]
+    )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key, section):
         tree = yaml.safe_load(GOOD_CONFIG)
         (tree.setdefault(section, {}) if section else tree)[key] = 1
@@ -724,8 +762,7 @@ def config_trees(draw):
     if mode == "continuous":
         tree["continuous"] = {"steps": draw(st.integers(1, 5))}
     if draw(st.booleans()):
-        tree["numerics"] = {"lambda_floor": draw(st.sampled_from([1e-14, 1e-12, 1e-6])),
-                            "p_floor": draw(st.sampled_from([0.0, 1e-14, 1e-3]))}
+        tree["numerics"] = {"p_floor": draw(st.sampled_from([0.0, 1e-14, 1e-3]))}
     leaves = _leaves(tree)
     scalars = [path for path in leaves if len(path) == 2]  # dim, temperature, steps, ...
     for _ in range(draw(st.integers(0, 2))):

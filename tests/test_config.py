@@ -46,7 +46,6 @@ class TestParseDict:
         assert config.k == 1.0
         assert config.h2 is None
         assert config.steps == 1
-        assert config.lambda_floor == 1e-12
         assert config.p_floor == 1e-14
         assert config.model.kind.value == "bare"
         np.testing.assert_allclose(np.diag(config.hamiltonian.matrix).real, [0.0, 1.0])
@@ -64,10 +63,9 @@ class TestParseDict:
     def test_optional_sections(self):
         data = minimal()
         data["constants"] = {"k": 2.5}
-        data["numerics"] = {"lambda_floor": 1e-10, "p_floor": 0.0}
+        data["numerics"] = {"p_floor": 0.0}
         config = parse_dict(data)
         assert config.k == 2.5
-        assert config.lambda_floor == 1e-10
         assert config.p_floor == 0.0
 
     def test_transform_mode(self):
@@ -242,10 +240,18 @@ class TestRejection:
         self.check(data, "measurement.kind")
 
     def test_numerics_ranges(self):
-        for key, bad in (("lambda_floor", 0.0), ("p_floor", 1.0)):
+        for bad in (-1e-3, 1.0):
             data = minimal()
-            data["numerics"] = {key: bad}
-            self.check(data, f"numerics.{key}")
+            data["numerics"] = {"p_floor": bad}
+            self.check(data, "numerics.p_floor")
+
+    def test_lambda_floor_is_no_longer_a_key(self):
+        # feedback is planned on each outcome's support; there is no floor to set
+        data = minimal()
+        data["numerics"] = {"lambda_floor": 1e-12}
+        with pytest.raises(ValidationError, match="unknown key") as info:
+            parse_dict(data)
+        assert info.value.path == "numerics.lambda_floor"
 
 
 class TestParseText:
@@ -269,6 +275,19 @@ measurement:
         assert config.scenario_id == "text-demo"
         assert config.temperature == 2.0
         assert config.model.strength == 0.25
+
+    def test_exponent_floats_are_numbers(self):
+        text = self.TEXT.replace("temperature: 2.0", "temperature: 1e-3").replace(
+            "epsilon: 0.25", "epsilon: 25E-2"
+        )
+        config = parse_config(text)
+        assert config.temperature == 1e-3
+        assert config.model.strength == 0.25
+
+    def test_quoted_exponent_stays_a_string(self):
+        text = self.TEXT.replace("temperature: 2.0", "temperature: '1e-3'")
+        with pytest.raises(ValidationError, match="expected a number, got str"):
+            parse_config(text)
 
     def test_unparseable_text(self):
         with pytest.raises(ParseError):

@@ -26,7 +26,7 @@ from qfeedback.errors import (
     InvalidStateError,
     NonUnitaryBlockError,
 )
-from qfeedback.feedback import DEFAULT_LAMBDA_FLOOR, plan_branches
+from qfeedback.feedback import plan_branches
 from qfeedback.linalg import dagger, dephase_blocks, eig_hermitian, max_abs, read_only, tensor
 from qfeedback.measurement import (
     DEFAULT_P_FLOOR,
@@ -166,7 +166,7 @@ def cycle_inputs(dim, n, temperature):
         g = random_hermitian(dim, rng)
         strength = float(rng.uniform(1e-3, 0.5))
         model = MeasurementModel.weak(g / np.abs(np.linalg.eigvalsh(g)).max(), strength)
-    step = plan_branches(h, temperature, model, 1.0, DEFAULT_LAMBDA_FLOOR, DEFAULT_P_FLOOR)
+    step = plan_branches(h, temperature, model, 1.0, DEFAULT_P_FLOOR)
     blocks = [np.eye(dim, dtype=complex)] * model.n_outcomes
     for plan in step.plans:
         blocks[plan.outcome] = plan.basis_unitary

@@ -1,15 +1,19 @@
 """Eig-call budget of one cycle on fresh inputs.  Each Hermitian matrix is
 diagonalized once and its spectrum carried on the frozen state or Hamiltonian
 that owns it, a state built from a known spectrum keeps it (a thermal state
-its Gibbs weights on H's eigenvectors, a decohered joint its branch states),
-a joint that is PSD by construction (the correlated V ρ V†, the rotated
-U J U†, the finalized p ⊗ ρ_T) takes no eig, and a measurement model keeps
-its validation report, so these counts hold.  They are exact, not ceilings:
-a decomposition made around ``eig_hermitian`` would lower them.  With N
-outcomes, a fresh H (one eig) and a fresh model (N eigs to validate a bare
-one, none for an efficient one), a cycle makes 4N + 3 calls (5N + 3 bare), a
-transform one more for H2, and a controller cycle 3N + 5.  The ``eig_calls``
-fixture that counts them is in conftest.py."""
+its Gibbs weights on H's eigenvectors, a plan's landing target its Gibbs
+weights on the retuned levels, a decohered joint its branch states), a state
+that is PSD by construction (the correlated V ρ V†, the rotated U J U†, the
+finalized p ⊗ ρ_T, the cycle's rotated outcome state and its endpoint
+Σ p_n ρ_T) takes no eig until something reads its spectrum, and a
+measurement model keeps its validation report, so these counts hold.  They
+are exact, not ceilings: a decomposition made around ``eig_hermitian`` would
+lower them.  With N outcomes, a fresh H (one eig) and a fresh model (N eigs
+to validate a bare one, none for an efficient one), a cycle makes 3N + 2
+calls (4N + 2 bare): per outcome its state, the rotated state's entropy and
+the landing distance, then the closure distance.  A transform makes one more
+for H2, and a controller cycle 3N + 5.  The ``eig_calls`` fixture that
+counts them is in conftest.py."""
 
 import numpy as np
 import pytest
@@ -39,7 +43,7 @@ def test_efficient_cycle(eig_calls, n):
     h, model = fresh_inputs(random_efficient_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 4 * n + 3
+    assert len(eig_calls) == 3 * n + 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -47,17 +51,17 @@ def test_bare_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 5 * n + 3
+    assert len(eig_calls) == 4 * n + 2
 
 
-@pytest.mark.parametrize("make_model, base", [(random_efficient_model, 4), (random_bare_model, 5)])
+@pytest.mark.parametrize("make_model, base", [(random_efficient_model, 3), (random_bare_model, 4)])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_transform(eig_calls, n, make_model, base):
     h, model = fresh_inputs(make_model, n)
     h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
     eig_calls.clear()
     run_transform(h, h2, 1.0, model)
-    assert len(eig_calls) == base * n + 4
+    assert len(eig_calls) == base * n + 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfeedback.cli import load_config
 from qfeedback.errors import (
-    DegenerateStateError,
     InputError,
     InvalidModelError,
     PlanMismatchError,
@@ -22,7 +22,7 @@ from qfeedback.feedback import (
     run_cycle,
     run_transform,
 )
-from qfeedback.linalg import max_abs
+from qfeedback.linalg import max_abs, spectral_matrix
 from qfeedback.measurement import MeasurementModel, OutcomeRecord, apply
 from qfeedback.sampling import random_efficient_model, random_hamiltonian
 from qfeedback.thermo import (
@@ -35,7 +35,15 @@ from qfeedback.thermo import (
     von_neumann_entropy,
 )
 
-from conftest import PAULI_Z, PROJ_0, PROJ_1, PROJ_X_MINUS, PROJ_X_PLUS, maximally_mixed
+from conftest import (
+    PAULI_Z,
+    PROJ_0,
+    PROJ_1,
+    PROJ_X_MINUS,
+    PROJ_X_PLUS,
+    maximally_mixed,
+    rank_one_cases,
+)
 
 LN2 = math.log(2.0)
 H2LEVEL = Hamiltonian.diagonal([0.0, 1.0])
@@ -59,8 +67,7 @@ class TestPlanFeedback:
         # the thermal state is already ordered against energy, so the rotation
         # is trivial and the retuned-plus-shifted Hamiltonian is H itself
         assert max_abs(plan.basis_unitary - np.eye(2)) < 1e-9
-        assert max_abs(plan.final_hamiltonian.matrix - H2LEVEL.matrix) < 1e-9
-        assert not plan.clamped
+        np.testing.assert_allclose(plan.levels + plan.shift, [0.0, 1.0], atol=1e-9)
 
     def test_populations_match_retuned_gibbs_weights(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
@@ -84,16 +91,18 @@ class TestPlanFeedback:
                     for i in range(dim - 1)
                 )
 
-    def test_pure_outcome_clamped_levels(self):
-        pure = DensityMatrix.from_vector(np.array([1.0, 0.0]))
-        plan = plan_feedback(record_for(pure, Hamiltonian.zero(2)), Hamiltonian.zero(2), 1.0)
-        assert plan.clamped
-        lam_floor = 1e-12
-        levels = sorted(np.diag(plan.target_hamiltonian.matrix).real)
-        assert levels[0] == pytest.approx(0.0, abs=1e-11)
-        assert levels[1] == pytest.approx(-math.log(lam_floor), rel=1e-3)
-        # shift restores zero mean energy against the clamped populations
-        assert float(np.dot(plan.populations, sorted(np.diag(plan.final_hamiltonian.matrix).real))) == pytest.approx(0.0, abs=1e-15)
+    def test_pure_outcome_planned_on_its_support(self):
+        h = Hamiltonian.zero(2)
+        record = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), h)
+        plan = plan_feedback(record, h, 1.0)
+        np.testing.assert_array_equal(plan.populations, [1.0, 0.0])
+        # the kernel level is raised to +inf, and the shift reads the support only
+        assert plan.levels[0] == 0.0 and plan.levels[1] == np.inf
+        assert plan.shift == 0.0
+        state, work = execute_plan(record, plan, 1.0)
+        assert work == 0.0
+        ground = DensityMatrix.from_vector(plan.energy_basis[:, 0])
+        assert trace_distance(state, ground) < 1e-15
 
     def test_shift_restores_initial_energy(self, rng):
         h = random_hamiltonian(3, rng)
@@ -102,14 +111,12 @@ class TestPlanFeedback:
         model = random_efficient_model(3, 3, rng)
         for record in apply(model, rho, h):
             plan = plan_feedback(record, h, 0.8, e_initial=e)
-            landed = thermal_state(plan.final_hamiltonian, 0.8)
-            assert average_energy(landed, plan.final_hamiltonian) == pytest.approx(e, abs=1e-9)
-
-    def test_all_below_floor_rejected(self):
-        pure = DensityMatrix.from_vector(np.array([1.0, 0.0]))
-        with pytest.raises(DegenerateStateError):
-            plan_feedback(record_for(pure, Hamiltonian.zero(2)), Hamiltonian.zero(2), 1.0,
-                          lambda_floor=2.0)
+            # H_n + c_n·I, the Hamiltonian in force after step (iv)
+            h_final = Hamiltonian.from_matrix(
+                spectral_matrix(plan.energy_basis, plan.levels + plan.shift)
+            )
+            landed = thermal_state(h_final, 0.8)
+            assert average_energy(landed, h_final) == pytest.approx(e, abs=1e-9)
 
 
 class TestExecutePlan:
@@ -118,7 +125,7 @@ class TestExecutePlan:
         e = average_energy(rho, H2LEVEL)
         record = record_for(rho, H2LEVEL)
         plan = plan_feedback(record, H2LEVEL, 1.0, e_initial=e)
-        state, work = execute_plan(record, plan, H2LEVEL, 1.0)
+        state, work = execute_plan(record, plan, 1.0)
         assert abs(work) < 1e-9
         assert trace_distance(state, rho) < 1e-9
 
@@ -130,7 +137,7 @@ class TestExecutePlan:
         model = random_efficient_model(3, 2, rng)
         for record in apply(model, rho, h):
             plan = plan_feedback(record, h, 1.0, e_initial=e)
-            state, work = execute_plan(record, plan, h, 1.0)
+            state, work = execute_plan(record, plan, 1.0)
             assert work == pytest.approx(record.energy - e, abs=1e-9)
             assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
 
@@ -139,7 +146,7 @@ class TestExecutePlan:
         e = average_energy(rho, H2LEVEL)
         records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
         plan = plan_feedback(records[0], H2LEVEL, 1.0, e_initial=e)
-        _, work = execute_plan(records[0], plan, H2LEVEL, 1.0)
+        _, work = execute_plan(records[0], plan, 1.0)
         assert work == pytest.approx(0.5 - e, abs=1e-9)
 
     def test_mismatched_plan_detected(self):
@@ -149,7 +156,7 @@ class TestExecutePlan:
         plan = plan_feedback(record, H2LEVEL, 1.0, e_initial=e)
         other = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL)
         with pytest.raises(PlanMismatchError):
-            execute_plan(other, plan, H2LEVEL, 1.0)
+            execute_plan(other, plan, 1.0)
 
     def test_lands_at_large_energies(self):
         # the landed state is compared with the thermal state of H_n: the shift
@@ -162,7 +169,7 @@ class TestExecutePlan:
             e = average_energy(rho, h)
             for record in apply(random_efficient_model(6, 3, rng), rho, h):
                 plan = plan_feedback(record, h, 1.0, e_initial=e)
-                state, _ = execute_plan(record, plan, h, 1.0)
+                state, _ = execute_plan(record, plan, 1.0)
                 assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
 
 
@@ -216,7 +223,7 @@ class TestRunCycle:
         assert abs(ledger.delta_e_meas) < 1e-10
         assert abs(ledger.delta_s_tot) < 1e-8
         assert ledger.closure_distance < 1e-8
-        assert ledger.clamp_flag
+        assert not ledger.clamp_flag
 
     def test_energy_measurement(self):
         rho = thermal_state(H2LEVEL, 1.0)
@@ -256,6 +263,31 @@ class TestRunCycle:
             Hamiltonian.zero(2), t, MeasurementModel.bare([PROJ_0, PROJ_1]), k=k
         )
         assert ledger.work_fb == pytest.approx(k * t * LN2, rel=1e-6)
+
+
+class TestPureOutcomes:
+    """Pure outcomes are planned on their support, so the feedback reaches
+    W_fb = kT·ΔS_meas to round-off, with no floor to bias it."""
+
+    @pytest.mark.parametrize("name", ["energy-measurement", "szilard"])
+    def test_presets_reach_the_bound(self, name):
+        config = load_config(name)
+        ledger = run_cycle(config.hamiltonian, config.temperature, config.model, k=config.k)
+        assert abs(ledger.work_fb - config.k * config.temperature * ledger.delta_s_meas) <= 1e-13
+        assert not ledger.clamp_flag
+
+    def test_rank_one_ensemble_reaches_the_bound(self):
+        for h, t, model in rank_one_cases(120, 16):
+            ledger = run_cycle(h, t, model)
+            assert abs(ledger.work_fb - t * ledger.delta_s_meas) <= 1e-13
+            assert abs(ledger.work_total - ledger.delta_e_meas - t * ledger.delta_s_meas) <= 1e-13
+
+    def test_szilard_at_the_largest_temperature(self):
+        # -kT ln λ stays finite on the support; the kernel level is +inf at no work
+        t = 1e308
+        ledger = run_cycle(Hamiltonian.zero(2), t, MeasurementModel.bare([PROJ_0, PROJ_1]))
+        assert ledger.work_fb == t * LN2
+        assert ledger.delta_s_meas == LN2
 
 
 class TestRunTransform:

@@ -2,6 +2,7 @@
 thermal state and plans every kept outcome once per run, for the measurement
 cycle and the controller alike."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -13,12 +14,12 @@ from qfeedback.errors import InvalidModelError
 from qfeedback.feedback import plan_branches, run_continuous, run_cycle, run_transform
 from qfeedback.measurement import DEFAULT_P_FLOOR, MeasurementModel, apply, measurement_energy_cost
 from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
-from qfeedback.thermo import Hamiltonian, thermal_state, thermo_reading
+from qfeedback.thermo import DensityMatrix, Hamiltonian, thermal_state, thermo_reading
 
 from conftest import PROJ_0, PROJ_1
 
 # keyword arguments both pictures take, at their defaults
-FLOORS = dict(k=1.0, lambda_floor=feedback.DEFAULT_LAMBDA_FLOOR, p_floor=DEFAULT_P_FLOOR)
+FLOORS = dict(k=1.0, p_floor=DEFAULT_P_FLOOR)
 
 
 @pytest.fixture
@@ -109,12 +110,30 @@ def test_record_holds_the_shared_step():
     assert step.clamp_flag is False
 
 
-def test_pure_outcome_sets_the_clamp_flag():
-    # a projective outcome is pure: its zero eigenvalue is clamped to lambda_floor
+def test_pure_outcome_leaves_the_clamp_flag_clear():
+    # a projective outcome is pure: its kernel level is raised to +inf, and nothing clamps
     model = MeasurementModel.bare([PROJ_0, PROJ_1])
     step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model, **FLOORS)
-    assert all(plan.clamped for plan in step.plans)
+    for plan in step.plans:
+        assert plan.levels[0] == 0.0 and plan.levels[1] == np.inf
+    assert step.clamp_flag is False
+
+
+def test_clamped_outcome_state_sets_the_clamp_flag(monkeypatch):
+    clamped = DensityMatrix.from_matrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
+    assert clamped.clamped
+
+    def clamping_apply(*args, **kwargs):
+        outcomes = apply(*args, **kwargs)
+        first = dataclasses.replace(outcomes[0], state=clamped)
+        return dataclasses.replace(outcomes, records=(first, *outcomes[1:]))
+
+    monkeypatch.setattr(feedback, "apply", clamping_apply)
+    model = MeasurementModel.bare([PROJ_0, PROJ_1])
+    step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model, **FLOORS)
     assert step.clamp_flag is True
+    # the clamped state's eig is recomputed, and its kernel is planned like any other
+    assert step.plans[0].levels[1] == np.inf
 
 
 def test_controller_rejects_a_general_kraus_model_after_planning(steps):

@@ -21,6 +21,7 @@ from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
     average_energy,
+    gibbs_state,
     shannon_entropy,
     thermal_state,
     thermo_reading,
@@ -42,10 +43,6 @@ class TestHamiltonian:
         h = Hamiltonian.diagonal([0.0, 1.0, 2.0])
         assert h.dim == 3
         np.testing.assert_allclose(np.diag(h.matrix).real, [0.0, 1.0, 2.0])
-
-    def test_shifted(self):
-        h = Hamiltonian.diagonal([0.0, 1.0]).shifted(0.5)
-        np.testing.assert_allclose(np.diag(h.matrix).real, [0.5, 1.5])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -181,6 +178,28 @@ def test_thermal_state_keeps_its_gibbs_decomposition(h, temperature):
     assert rho.eig is dec
     with pytest.raises(ValueError):
         lam[0] = 0.0
+
+
+def test_gibbs_state_gives_an_infinite_level_no_weight():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = gibbs_state(np.array([0.0, 1.0, np.inf]), np.eye(3, dtype=complex), 1.0, "state")
+    weights = np.array([1.0, math.exp(-1.0), 0.0]) / (1.0 + math.exp(-1.0))
+    np.testing.assert_allclose(np.diag(rho.matrix).real, weights, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(rho.eig.eigenvalues, weights, rtol=1e-15, atol=0.0)
+
+
+def test_from_psd_keeps_round_off_without_an_eig(eig_calls):
+    # X X† with a rank-1 X: its exact spectrum is (1, 0), and the round-off of the
+    # product may read below 0, which from_matrix would clamp
+    x = np.array([[0.6], [0.8j]])
+    m = x @ dagger(x)
+    eig_calls.clear()
+    rho = DensityMatrix.from_psd(m, "product")
+    assert not eig_calls and not rho.clamped
+    assert rho.matrix.tobytes() == (m / m.trace().real).tobytes()
+    with pytest.raises(InvalidStateError, match="product: trace"):
+        DensityMatrix.from_psd(2.0 * m, "product")
 
 
 class TestEntropyAndEnergy:

@@ -1,6 +1,7 @@
 """Config YAML loaders: the libyaml loader that `config` picks, when the
 install has it, builds the same trees as PyYAML's pure-Python SafeLoader and
-rejects the same texts, so no ledger depends on which one parsed a config."""
+rejects the same texts, so no ledger depends on which one parsed a config.
+Both are compared as `config` reads them, with its exponent-float resolver."""
 
 import contextlib
 import io
@@ -48,6 +49,7 @@ EDGE_TEXTS = {
     "special-floats": "a: .nan\nb: .NaN\nc: -.inf\nd: +.Inf\ne: -0.0\nf: 5.0e-324\n",
     "beyond-float": "a: 1.0e+400\nb: 1.0e-400\nc: 100000000000000000000000000000\n",
     "exponent-without-dot": "a: 1e3\nb: 1.e3\nc: .5\n",
+    "exponent-forms": "a: 1e-3\nb: -2E+5\nc: +3e0\nd: '1e-3'\ne: \"1e-3\"\nf: 1e3x\ng: 1_0e3\n",
     "bools-and-nulls": "a: yes\nb: Off\nc: ~\nd: null\ne: ''\n",
     "quoted-escapes": "a: \"caf\\u00e9 \\t\\x41\"\nb: 'it''s'\nc: é\n",
     "anchors-and-merge": "base: &b {x: 1, y: [2, 3]}\nc: *b\nd:\n  <<: *b\n  x: 4\n",
@@ -89,7 +91,7 @@ def _canonical(node):
 
 
 def _trees(text):
-    return [_canonical(yaml.load(text, Loader=loader))
+    return [_canonical(yaml.load(text, Loader=config.config_loader(loader)))
             for loader in (yaml.SafeLoader, config.YAML_LOADER)]
 
 
@@ -102,6 +104,16 @@ def _preset_text(name):
 def test_default_loader_is_libyaml_when_installed():
     expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     assert config.YAML_LOADER is expected
+
+
+@LOADERS
+def test_exponent_floats_are_read_as_numbers(loader):
+    tree = yaml.load(EDGE_TEXTS["exponent-forms"], Loader=config.config_loader(loader))
+    assert tree == {"a": 1e-3, "b": -2e5, "c": 3.0, "d": "1e-3", "e": "1e-3", "f": "1e3x",
+                    "g": "1_0e3"}
+    assert all(type(tree[key]) is float for key in "abc")
+    # the loader it extends is left as it was
+    assert yaml.load("a: 1e-3\n", Loader=loader) == {"a": "1e-3"}
 
 
 @pytest.mark.parametrize("name", PRESETS)
