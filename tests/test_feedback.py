@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeedback.cli import load_config
+from qfeedback.controller import run_controller_cycle
 from qfeedback.errors import (
     InputError,
     InvalidModelError,
@@ -281,6 +282,16 @@ class TestPureOutcomes:
             ledger = run_cycle(h, t, model)
             assert abs(ledger.work_fb - t * ledger.delta_s_meas) <= 1e-13
             assert abs(ledger.work_total - ledger.delta_e_meas - t * ledger.delta_s_meas) <= 1e-13
+
+    def test_both_pictures_flag_the_same_outcomes(self):
+        # clamp_flag marks an outcome state whose round-off eig read below 0, which
+        # depends on the basis, not on purity: it must not depend on the picture
+        flags = []
+        for h, t, model in rank_one_cases(60, 17):
+            cycle = run_cycle(h, t, model)
+            assert run_controller_cycle(h, t, model).clamp_flag is cycle.clamp_flag
+            flags.append(cycle.clamp_flag)
+        assert any(flags) and not all(flags)
 
     def test_szilard_at_the_largest_temperature(self):
         # -kT ln λ stays finite on the support; the kernel level is +inf at no work
