@@ -17,6 +17,7 @@ the isothermal stage draws heat kT·(S - S_n) from the bath.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     NonPositiveTemperatureError,
     PlanMismatchError,
 )
-from .linalg import dagger
+from .linalg import EigenDecomposition, dagger, eig_hermitian
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
@@ -44,7 +45,9 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
+    boltzmann_kt,
     gibbs_state,
+    gibbs_weights,
     thermal_state,
     thermo_reading,
     trace_distance,
@@ -224,43 +227,54 @@ def plan_branches(
 
 
 def execute_plan(
-    record: OutcomeRecord, plan: FeedbackPlan, temperature: float, k: float = 1.0
-) -> tuple[DensityMatrix, float]:
-    """Run steps (i)-(iv), returning the resulting thermal state and the work
-    extracted: E_n - Tr[H ρ'] from the rotation at fixed H, plus
-    Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at fixed state ρ'.  The
-    record and the plan both read the H the plan was made for.
+    records: Sequence[OutcomeRecord],
+    plans: Sequence[FeedbackPlan],
+    temperature: float,
+    k: float = 1.0,
+) -> tuple[tuple[DensityMatrix, float], ...]:
+    """Run steps (i)-(iv) for every kept outcome of a cycle, returning per outcome
+    the resulting thermal state and the work extracted: E_n - Tr[H ρ'] from the
+    rotation at fixed H, plus Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at
+    fixed state ρ'.  Each record and its plan read the H the plan was made for.
+    One eig call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], σ_n the Gibbs state
+    of the retuned levels, gives the landing distances and the rotated spectra.
 
-    Raises :class:`PlanMismatchError` if the landed state is not the Gibbs
-    state of the retuned levels (the shift c_n cancels there), or if the
-    rotation failed to preserve the outcome's entropy.  A kernel level holds
-    no population in that Gibbs state, so the distance also bounds the weight
-    the rotation left there.
+    Raises :class:`PlanMismatchError`, naming the first outcome that fails, if
+    a landed state is not the Gibbs state of its retuned levels (the shift c_n
+    cancels there), or if the rotation failed to preserve the outcome's
+    entropy.  A kernel level holds no population in that Gibbs state, so the
+    distance also bounds the weight the rotation left there.
     """
-    u = plan.basis_unitary
-    rotated = DensityMatrix.from_psd(
-        u @ record.state.matrix @ dagger(u), where="rotated outcome state"
-    )
-    # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
-    # work, so Tr[(H_n + c_n) ρ'] sums over the support only
-    b = plan.energy_basis
-    populations = np.einsum("ij,ij->j", b.conj(), rotated.matrix @ b).real
-    support = np.isfinite(plan.levels)
-    work = record.energy - float(np.dot(plan.levels[support] + plan.shift, populations[support]))
+    if len(records) != len(plans):
+        raise PlanMismatchError(f"{len(records)} outcomes but {len(plans)} plans")
+    rotated, differences, works = [], [], []
+    for record, plan in zip(records, plans):
+        u, b, support = plan.basis_unitary, plan.energy_basis, np.isfinite(plan.levels)
+        rho = DensityMatrix.from_psd(u @ record.state.matrix @ dagger(u), "rotated outcome state")
+        # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
+        # work, so Tr[(H_n + c_n) ρ'] sums over the support only
+        populations = np.einsum("ij,ij->j", b.conj(), rho.matrix @ b).real[support]
+        works.append(record.energy - float(np.dot(plan.levels[support] + plan.shift, populations)))
+        expected = gibbs_state(plan.levels, b, k * temperature, "retuned thermal state")
+        rotated.append(rho.matrix)
+        differences.append(rho.matrix - expected.matrix)
+    dec = eig_hermitian(np.stack(rotated + differences))
 
-    expected = gibbs_state(plan.levels, b, k * temperature, "retuned thermal state")
-    deviation = trace_distance(rotated, expected)
-    if deviation > PLAN_TOL:
-        raise PlanMismatchError(
-            f"outcome {plan.outcome}: landed state is {deviation:.3e} from thermal "
-            f"(tolerance {PLAN_TOL:g})"
-        )
-    entropy_drift = abs(von_neumann_entropy(rotated) - record.entropy)
-    if entropy_drift > PLAN_TOL:
-        raise PlanMismatchError(
-            f"outcome {plan.outcome}: entropy drifted by {entropy_drift:.3e}"
-        )
-    return rotated, work
+    landed = []
+    for n, (record, plan) in enumerate(zip(records, plans)):
+        deviation = 0.5 * float(np.abs(dec.eigenvalues[len(rotated) + n]).sum())
+        if deviation > PLAN_TOL:
+            raise PlanMismatchError(
+                f"outcome {plan.outcome}: landed state is {deviation:.3e} from thermal "
+                f"(tolerance {PLAN_TOL:g})"
+            )
+        spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
+        state = DensityMatrix._with_eig(rotated[n], spectrum)
+        drift = abs(von_neumann_entropy(state) - record.entropy)
+        if drift > PLAN_TOL:
+            raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")
+        landed.append((state, works[n]))
+    return tuple(landed)
 
 
 def isothermal_work(s_target: float, s_n: float, temperature: float, k: float = 1.0) -> float:
@@ -276,26 +290,22 @@ def quasi_static_work(
     k: float = 1.0,
 ) -> float:
     """Numerically integrate the isothermal work along the linear Hamiltonian
-    path H(s) = (1-s)·H_start + s·H_end, re-thermalizing at every step.
+    path H(s) = (1-s)·H_start + s·H_end, re-thermalizing at every step: one eig
+    call diagonalizes the N path Hamiltonians H(j/N) at once.
 
     Converges to F(H_start, T) - F(H_end, T) with O(1/N) error; this is the
     independent validator for :func:`isothermal_work`.
     """
-    if temperature <= 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
+    kt = boltzmann_kt(temperature, k)
     if n_steps < 1:
         raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
-    a = h_start.matrix
-    b = h_end.matrix
-    work_out = 0.0
-    for j in range(n_steps):
-        s0 = j / n_steps
-        s1 = (j + 1) / n_steps
-        h_here = Hamiltonian.from_matrix((1.0 - s0) * a + s0 * b)
-        rho_here = thermal_state(h_here, temperature, k)
-        dh = (s1 - s0) * (b - a)
-        work_out -= float(np.trace(dh @ rho_here.matrix).real)
-    return work_out
+    a, b = h_start.matrix, h_end.matrix
+    s = np.arange(n_steps + 1) / n_steps
+    path = eig_hermitian((1.0 - s[:-1, None, None]) * a + s[:-1, None, None] * b)
+    # -Σ_j (s_j+1 - s_j) Σ_l w_jl <v_jl|H_end - H_start|v_jl>, w_jl the Gibbs weights
+    slopes = np.einsum("jil,jil->jl", path.eigenvectors.conj(), (b - a) @ path.eigenvectors).real
+    weights = gibbs_weights(path.eigenvalues, kt)
+    return -float(np.dot(np.diff(s), (weights * slopes).sum(axis=-1)))
 
 
 def _run(
@@ -311,8 +321,8 @@ def _run(
     target = thermo_reading(rho_target, h2, temperature, k)
 
     branches = []
-    for record, plan in zip(step.outcomes, step.plans):
-        _, work_steps = execute_plan(record, plan, temperature, k=k)
+    landed = execute_plan(step.outcomes, step.plans, temperature, k=k)
+    for record, (_, work_steps) in zip(step.outcomes, landed):
         # isothermal stage from the branch Hamiltonian to h2: work equals the
         # free-energy drop at fixed T, and the state tracks the instantaneous
         # thermal state, so every branch ends on rho_target.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,8 +30,8 @@ SAFE_ENTRY_MAX = 1e150  # below it, neither M + M† nor ||M||_F can overflow
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose, of each matrix in a stack (…, d, d)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -101,38 +102,53 @@ def _frobenius(a: np.ndarray) -> float:
     return norm
 
 
-def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+@lru_cache(maxsize=64)
+def _stack_index(lead: tuple[int, ...], d: int) -> tuple:
+    """Index arrays that pick per matrix of a stack with leading shape ``lead`` (none for a
+    single matrix): the leading aranges shaped against (…, d) and against (…, d, d), then a
+    row and a column arange."""
+    per_vector = tuple(i[..., None] for i in np.ix_(*(np.arange(n) for n in lead)))
+    return per_vector, tuple(i[..., None] for i in per_vector), np.arange(d)[:, None], np.arange(d)
 
-    Eigenvalues come back sorted descending (stable sort, so degenerate
-    clusters keep LAPACK's order), and each eigenvector's phase is fixed by
-    making its largest-magnitude component real and positive.  Raises
-    :class:`DomainError` when the matrix norm is not finite and
+
+def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack (…, d, d), by one
+    LAPACK call (``numpy.linalg.eigh``); slice i of the result is the call on matrix i alone.
+
+    Eigenvalues come back sorted descending (stable sort, so degenerate clusters keep
+    LAPACK's order), and each eigenvector's phase is fixed by making its largest-magnitude
+    component real and positive.  Raises :class:`NotHermitianError` naming the stack's
+    worst residual, :class:`DomainError` when a matrix norm is not finite and
     :class:`NoConvergenceError` when LAPACK does not converge.
     """
-    a = _as_square(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     residual, exact, safe = hermitian_residual(a)
     if not residual <= HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {residual:.3e}")
+    # hermitize changes no bit of a matrix that is exact on its own, so a stack is
+    # hermitized whole; below SAFE_ENTRY_MAX no norm can overflow
     if not exact:
         with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
             a = hermitize(a)
-            norm = _frobenius(a)
-        if not math.isfinite(norm):
-            raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(a):.3e}")
+            for x in () if safe else a.reshape(-1, *a.shape[-2:]):
+                if not math.isfinite(_frobenius(x)):
+                    raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(x):.3e}")
     try:
         ascending, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
 
-    order = np.argsort(-ascending, kind="stable")
-    eigenvalues = ascending[order]
-    vectors = v[:, order]
+    per_vector, per_matrix, row, column = _stack_index(a.shape[:-2], a.shape[-1])
+    order = np.argsort(-ascending, axis=-1, kind="stable")
+    eigenvalues = ascending[(*per_vector, order)]
+    vectors = v[(*per_matrix, row, order[..., None, :])]
     if vectors.size:
         # conj(p)/|p| for each column's peak p, with |p| by hypot and a complex divide as
         # the scalar abs(p) and p.conjugate()/abs(p) round: np.abs or split divides move bits
-        peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])].conj()
-        vectors *= peaks / np.hypot(peaks.real, peaks.imag)
+        peaks = vectors[(*per_matrix, np.argmax(np.abs(vectors), axis=-2, keepdims=True), column)]
+        vectors *= peaks.conj() / np.hypot(peaks.real, peaks.imag)
     # read-only: states and Hamiltonians hand one decomposition to many callers
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)

@@ -60,16 +60,3 @@ def random_efficient_model(dim: int, n_outcomes: int, rng: np.random.Generator) 
     """General operators A_n = G_n (Σ G†G)^{-1/2}; nontrivial polar parts."""
     return MeasurementModel.efficient(_normalized_ginibre(dim, n_outcomes, rng))
 
-
-def random_inefficient_model(
-    dim: int,
-    n_outcomes: int,
-    rng: np.random.Generator,
-    ops_per_outcome: int = 2,
-) -> MeasurementModel:
-    """Outcome groups of several Kraus operators each (information discarded)."""
-    normalized = _normalized_ginibre(dim, n_outcomes * ops_per_outcome, rng)
-    groups = [
-        normalized[i * ops_per_outcome : (i + 1) * ops_per_outcome] for i in range(n_outcomes)
-    ]
-    return MeasurementModel.inefficient(groups)

@@ -119,9 +119,10 @@ class DensityMatrix:
 
     ``eig`` is the decomposition of ``matrix``.  A state that is built from its
     spectrum keeps that spectrum: an unclamped :meth:`from_matrix` state the
-    decomposition its checks computed, and a :func:`gibbs_state` (a
-    :func:`thermal_state` among them) its Gibbs weights on the given
-    eigenvectors.  Any other state computes it on first use.
+    decomposition its checks computed, a :func:`gibbs_state` (a thermal state
+    among them) its Gibbs weights on the given eigenvectors, and a rotated
+    outcome state its slice of ``execute_plan``'s stacked eig.  Any other
+    state computes it on first use.
     """
 
     matrix: np.ndarray
@@ -183,27 +184,34 @@ class ThermoReading:
     free_energy: float
 
 
-def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> DensityMatrix:
-    """Gibbs state exp(-H/(kT)) / Z."""
+def boltzmann_kt(temperature: float, k: float) -> float:
+    """kT, once T > 0, k > 0 and a positive finite float kT are checked."""
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if k <= 0.0:
         raise ArgumentRangeError(f"Boltzmann constant must be > 0, got {k!r}")
     if not 0.0 < k * temperature < math.inf:
         raise DomainError(f"kT = {k!r} * {temperature!r} is outside the float range")
-    return gibbs_state(h.eig.eigenvalues, h.eig.eigenvectors, k * temperature, "thermal state")
+    return k * temperature
+
+
+def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> DensityMatrix:
+    """Gibbs state exp(-H/(kT)) / Z."""
+    kt = boltzmann_kt(temperature, k)
+    return gibbs_state(h.eig.eigenvalues, h.eig.eigenvectors, kt, "thermal state")
+
+
+def gibbs_weights(levels: np.ndarray, kt: float) -> np.ndarray:
+    """exp(-ε/kT)/Z over the last axis of ``levels``, shifted by the lowest level, which
+    cancels in Z and avoids overflow at small kT; a level at +inf, or far above kT, gets 0."""
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(levels - levels.min(axis=-1, keepdims=True)) / kt)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def gibbs_state(levels: np.ndarray, vectors: np.ndarray, kt: float, where: str) -> DensityMatrix:
-    """The Gibbs state of ``levels`` on the orthonormal columns of ``vectors`` at kT = ``kt``.
-
-    The levels are shifted by the lowest before exponentiating, which cancels
-    in the normalization and avoids overflow at small kT; a level at +inf, or
-    far above kT, gets weight exp(-inf) = 0.
-    """
-    with np.errstate(over="ignore"):
-        weights = np.exp(-(levels - levels.min()) / kt)
-    weights = weights / weights.sum()
+    """The Gibbs state of ``levels`` on the orthonormal columns of ``vectors`` at kT = ``kt``."""
+    weights = gibbs_weights(levels, kt)
     m, tr = _unit_trace(spectral_matrix(vectors, weights), where)
     # PSD by construction: the weights lie in [0, 1] and the largest is 1 before
     # normalizing, so the state keeps them on the given vectors in place of an eig

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from qfeedback import linalg
 from qfeedback.linalg import dagger, read_only
 from qfeedback.measurement import MeasurementModel
-from qfeedback.sampling import ginibre, random_hamiltonian
+from qfeedback.sampling import _normalized_ginibre, ginibre, random_hamiltonian
 from qfeedback.thermo import DensityMatrix
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -29,13 +30,14 @@ def rng():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Counts eig_hermitian calls made through every qfeedback module that binds it."""
+    """Records eig_hermitian calls made through every qfeedback module that binds it:
+    one entry per call, holding the number of matrices in its stack (1 for a matrix)."""
     calls = []
     solver = linalg.eig_hermitian
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solver(*args, **kwargs)
+    def counting(m):
+        calls.append(math.prod(np.shape(m)[:-2]))
+        return solver(m)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "qfeedback" and getattr(module, "eig_hermitian", None) is solver:
@@ -60,6 +62,15 @@ def random_unitary(dim, rng):
     q, r = np.linalg.qr(ginibre(dim, rng))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def random_inefficient_model(dim, n_outcomes, rng, ops_per_outcome=2):
+    """Outcome groups of several Kraus operators each (information discarded)."""
+    normalized = _normalized_ginibre(dim, n_outcomes * ops_per_outcome, rng)
+    groups = [
+        normalized[i * ops_per_outcome : (i + 1) * ops_per_outcome] for i in range(n_outcomes)
+    ]
+    return MeasurementModel.inefficient(groups)
 
 
 def random_density_matrix(dim, rng):

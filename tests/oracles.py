@@ -5,7 +5,8 @@ something the program computes another way: a cyclic Jacobi eigensolver for
 LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
 the controller's joint states diagonalized and clamped as ``from_matrix``
-builds a state, and the average post-measurement state.
+builds a state, the average post-measurement state, and the quasi-static
+work integral one path step at a time.
 ``eig_hermitian_reference`` is the straightforward form of the LAPACK
 wrapper, which the program's must match byte for byte.
 """
@@ -19,7 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qfeedback.controller import BathLedger, JointState
-from qfeedback.errors import DomainError, NoConvergenceError, NotHermitianError
+from qfeedback.errors import (
+    ArgumentRangeError,
+    DomainError,
+    NoConvergenceError,
+    NonPositiveTemperatureError,
+    NotHermitianError,
+)
 from qfeedback.ledger import LedgerRow
 from qfeedback.linalg import (
     EigenDecomposition,
@@ -35,7 +42,13 @@ from qfeedback.linalg import (
     tensor,
 )
 from qfeedback.measurement import MeasurementModel
-from qfeedback.thermo import DensityMatrix, shannon_entropy, von_neumann_entropy
+from qfeedback.thermo import (
+    DensityMatrix,
+    Hamiltonian,
+    shannon_entropy,
+    thermal_state,
+    von_neumann_entropy,
+)
 
 # off-diagonal Frobenius norm target, relative to ||M||_F
 JACOBI_REL_TOL = 1e-14
@@ -278,6 +291,28 @@ def average_post_state(records) -> DensityMatrix:
     for r in records:
         acc = acc + r.probability * r.state.matrix
     return DensityMatrix.from_matrix(acc, where="average post-measurement state")
+
+
+def quasi_static_work_reference(
+    h_start: Hamiltonian, h_end: Hamiltonian, temperature: float, n_steps: int, k: float = 1.0
+) -> float:
+    """``feedback.quasi_static_work`` one step at a time: the thermal state of each
+    path Hamiltonian built on its own, and -Tr[ΔH_j ρ_j] summed over the steps."""
+    if temperature <= 0.0:
+        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
+    if n_steps < 1:
+        raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
+    a = h_start.matrix
+    b = h_end.matrix
+    work_out = 0.0
+    for j in range(n_steps):
+        s0 = j / n_steps
+        s1 = (j + 1) / n_steps
+        h_here = Hamiltonian.from_matrix((1.0 - s0) * a + s0 * b)
+        rho_here = thermal_state(h_here, temperature, k)
+        dh = (s1 - s0) * (b - a)
+        work_out -= float(np.trace(dh @ rho_here.matrix).real)
+    return work_out
 
 
 def parse_json(text: str) -> list[LedgerRow]:

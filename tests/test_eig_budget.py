@@ -4,16 +4,21 @@ that owns it, a state built from a known spectrum keeps it (a thermal state
 its Gibbs weights on H's eigenvectors, a plan's landing target its Gibbs
 weights on the retuned levels, a decohered joint its branch states), a state
 that is PSD by construction (the correlated V ρ V†, the rotated U J U†, the
-finalized p ⊗ ρ_T, the cycle's rotated outcome state and its endpoint
-Σ p_n ρ_T) takes no eig until something reads its spectrum, and a
-measurement model keeps its validation report, so these counts hold.  They
-are exact, not ceilings: a decomposition made around ``eig_hermitian`` would
-lower them.  With N outcomes, a fresh H (one eig) and a fresh model (N eigs
-to validate a bare one, none for an efficient one), a cycle makes 3N + 2
-calls (4N + 2 bare): per outcome its state, the rotated state's entropy and
-the landing distance, then the closure distance.  A transform makes one more
-for H2, and a controller cycle 3N + 5.  The ``eig_calls`` fixture that
-counts them is in conftest.py."""
+finalized p ⊗ ρ_T and the cycle's endpoint Σ p_n ρ_T) takes no eig until
+something reads its spectrum, and a measurement model keeps its validation
+report, so these counts hold.  They are exact, not ceilings: a decomposition
+made around ``eig_hermitian`` would lower them.
+
+The ``eig_calls`` fixture in conftest.py records one entry per call holding
+the number of matrices in its stack, so each test pins both the calls and
+the matrices.  With N outcomes, a fresh H (one eig) and a fresh model (N eigs
+to validate a bare one, none for an efficient one), a cycle makes N + 3
+calls (2N + 3 bare) on 3N + 2 matrices (4N + 2 bare): H, each outcome state,
+one stacked call in ``execute_plan`` on the N rotated states and their N
+differences from the landing targets (which gives each rotated state's
+entropy and each landing distance), then the closure distance.  A transform
+makes one more call, for H2, and a controller cycle 3N + 5 calls, each on
+one matrix."""
 
 import numpy as np
 import pytest
@@ -43,7 +48,8 @@ def test_efficient_cycle(eig_calls, n):
     h, model = fresh_inputs(random_efficient_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 3 * n + 2
+    assert len(eig_calls) == n + 3
+    assert sum(eig_calls) == 3 * n + 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -51,17 +57,22 @@ def test_bare_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 4 * n + 2
+    assert len(eig_calls) == 2 * n + 3
+    assert sum(eig_calls) == 4 * n + 2
 
 
-@pytest.mark.parametrize("make_model, base", [(random_efficient_model, 3), (random_bare_model, 4)])
+# per_outcome: the matrices an outcome costs, whose stacked two are one call
+@pytest.mark.parametrize(
+    "make_model, per_outcome", [(random_efficient_model, 3), (random_bare_model, 4)]
+)
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_transform(eig_calls, n, make_model, base):
+def test_transform(eig_calls, n, make_model, per_outcome):
     h, model = fresh_inputs(make_model, n)
     h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
     eig_calls.clear()
     run_transform(h, h2, 1.0, model)
-    assert len(eig_calls) == base * n + 3
+    assert len(eig_calls) == (per_outcome - 2) * n + 4
+    assert sum(eig_calls) == per_outcome * n + 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -69,7 +80,7 @@ def test_controller_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
-    assert len(eig_calls) == 3 * n + 5
+    assert len(eig_calls) == sum(eig_calls) == 3 * n + 5
 
 
 def test_model_is_checked_once(eig_calls):

@@ -10,13 +10,21 @@ must match ``oracles.eig_hermitian_reference`` on a seeded family built to
 reach each branch: dims 0 to 40 (the ladder reaches 16, controller joints
 32), and column peaks that are negative real, purely imaginary or tied in
 magnitude across rows.
+
+A stack (…, d, d) goes through the same path in one call.  Grouped by dim
+into stacks of 1 to 8, every slice of the family's results must equal the
+reference on that matrix alone, byte for byte, and a stack holding one
+matrix the single call rejects must raise that call's exception class.
 """
 
+import math
 import warnings
+from functools import cache
 
 import numpy as np
 import pytest
 
+from qfeedback.errors import DomainError, NotHermitianError
 from qfeedback.linalg import eig_hermitian, hermitize
 
 from oracles import eig_hermitian_reference
@@ -139,3 +147,105 @@ def test_family_reaches_each_peak_shape():
 )
 def test_same_exception_or_result(m):
     assert _outcome(eig_hermitian, m) == _outcome(eig_hermitian_reference, m)
+
+
+def _classify(m):
+    """None when the single call decomposes m, else the class of its exception."""
+    try:
+        eig_hermitian_reference(m)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@cache
+def _stacks():
+    """The family split by dim into stacks of 1 to 8 matrices the single call decomposes,
+    and the ones it rejects, each with its exception class."""
+    rng = np.random.default_rng(6700)
+    by_dim, rejected = {}, []
+    for i in range(600):
+        m = _family(i)
+        error = _classify(m)
+        if error is None:
+            by_dim.setdefault(m.shape[0], []).append(m)
+        else:
+            rejected.append((m, error))
+    stacks = []
+    for matrices in by_dim.values():
+        while matrices:
+            size = int(rng.integers(1, 9))
+            stacks.append(np.stack(matrices[:size]))
+            matrices = matrices[size:]
+    return tuple(stacks), tuple(rejected), by_dim
+
+
+def _slices_match(stack):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dec = eig_hermitian(stack)
+    assert not caught
+    k, d = math.prod(stack.shape[:-2]), stack.shape[-1]
+    values = dec.eigenvalues.reshape(k, d)
+    vectors = dec.eigenvectors.reshape(k, d, d)
+    for i, m in enumerate(stack.reshape(k, d, d)):
+        ref = eig_hermitian_reference(m)
+        assert values[i].tobytes() == ref.eigenvalues.tobytes(), (stack.shape, i)
+        assert vectors[i].tobytes() == ref.eigenvectors.tobytes(), (stack.shape, i)
+
+
+def test_stacked_slices_match_the_reference_byte_for_byte():
+    stacks, _, _ = _stacks()
+    sizes = {len(stack) for stack in stacks}
+    assert sizes == set(range(1, 9)) and len(stacks) >= 100
+    for stack in stacks:
+        keep = stack.tobytes()
+        _slices_match(stack)
+        assert stack.tobytes() == keep
+
+
+def test_stack_of_stacks_matches_the_reference():
+    """Leading axes beyond one: a (2, 3, d, d) stack, and an empty one."""
+    stacks, _, _ = _stacks()
+    six = next(stack for stack in stacks if len(stack) >= 6 and stack.shape[-1] > 2)
+    _slices_match(six[:6].reshape(2, 3, *six.shape[-2:]))
+    dec = eig_hermitian(np.zeros((0, 3, 3), dtype=complex))
+    assert dec.eigenvalues.shape == (0, 3) and dec.eigenvectors.shape == (0, 3, 3)
+
+
+def test_stack_with_one_rejected_matrix_raises_its_class():
+    _, rejected, by_dim = _stacks()
+    rng = np.random.default_rng(6800)
+    assert {NotHermitianError, DomainError} <= {error for _, error in rejected}
+    companions = 0
+    for bad, error in rejected:
+        others = by_dim.get(bad.shape[0], [])[: int(rng.integers(0, 8))]
+        at = int(rng.integers(0, len(others) + 1))
+        stack = np.stack(others[:at] + [bad] + others[at:])
+        companions += len(others)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                eig_hermitian(stack)
+    assert companions >= 2 * len(rejected)
+
+
+@pytest.mark.parametrize(
+    "m, error",
+    [
+        (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), NotHermitianError),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex), NotHermitianError),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), NotHermitianError),
+        (np.full((2, 2), 1e308, dtype=complex), DomainError),
+    ],
+    ids=["upper", "inf", "nan", "1e308"],
+)
+def test_bad_matrix_among_good_ones(m, error):
+    """The single call's class, and the worst residual named, wherever the bad matrix sits."""
+    good = np.array([[1.0, 1j], [-1j, 2.0]]) + 1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(error) as single:
+        eig_hermitian(m)
+    for stack in (np.stack([m, good]), np.stack([good, good, m])):
+        with pytest.raises(error) as stacked:
+            eig_hermitian(stack)
+        assert str(stacked.value) == str(single.value)

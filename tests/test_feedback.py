@@ -10,20 +10,24 @@ from hypothesis import given, settings, strategies as st
 from qfeedback.cli import load_config
 from qfeedback.controller import run_controller_cycle
 from qfeedback.errors import (
+    ArgumentRangeError,
+    DomainError,
     InputError,
     InvalidModelError,
+    NonPositiveTemperatureError,
     PlanMismatchError,
 )
 from qfeedback.feedback import (
     execute_plan,
     isothermal_work,
+    plan_branches,
     plan_feedback,
     quasi_static_work,
     run_continuous,
     run_cycle,
     run_transform,
 )
-from qfeedback.linalg import max_abs, spectral_matrix
+from qfeedback.linalg import eig_hermitian, max_abs, spectral_matrix
 from qfeedback.measurement import MeasurementModel, OutcomeRecord, apply
 from qfeedback.sampling import random_efficient_model, random_hamiltonian
 from qfeedback.thermo import (
@@ -45,6 +49,7 @@ from conftest import (
     maximally_mixed,
     rank_one_cases,
 )
+from oracles import quasi_static_work_reference
 
 LN2 = math.log(2.0)
 H2LEVEL = Hamiltonian.diagonal([0.0, 1.0])
@@ -100,7 +105,7 @@ class TestPlanFeedback:
         # the kernel level is raised to +inf, and the shift reads the support only
         assert plan.levels[0] == 0.0 and plan.levels[1] == np.inf
         assert plan.shift == 0.0
-        state, work = execute_plan(record, plan, 1.0)
+        [(state, work)] = execute_plan([record], [plan], 1.0)
         assert work == 0.0
         ground = DensityMatrix.from_vector(plan.energy_basis[:, 0])
         assert trace_distance(state, ground) < 1e-15
@@ -126,7 +131,7 @@ class TestExecutePlan:
         e = average_energy(rho, H2LEVEL)
         record = record_for(rho, H2LEVEL)
         plan = plan_feedback(record, H2LEVEL, 1.0, e_initial=e)
-        state, work = execute_plan(record, plan, 1.0)
+        [(state, work)] = execute_plan([record], [plan], 1.0)
         assert abs(work) < 1e-9
         assert trace_distance(state, rho) < 1e-9
 
@@ -135,10 +140,9 @@ class TestExecutePlan:
         h = random_hamiltonian(3, rng)
         rho = thermal_state(h, 1.0)
         e = average_energy(rho, h)
-        model = random_efficient_model(3, 2, rng)
-        for record in apply(model, rho, h):
-            plan = plan_feedback(record, h, 1.0, e_initial=e)
-            state, work = execute_plan(record, plan, 1.0)
+        records = apply(random_efficient_model(3, 2, rng), rho, h)
+        plans = [plan_feedback(record, h, 1.0, e_initial=e) for record in records]
+        for record, (state, work) in zip(records, execute_plan(records, plans, 1.0)):
             assert work == pytest.approx(record.energy - e, abs=1e-9)
             assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
 
@@ -147,7 +151,7 @@ class TestExecutePlan:
         e = average_energy(rho, H2LEVEL)
         records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
         plan = plan_feedback(records[0], H2LEVEL, 1.0, e_initial=e)
-        _, work = execute_plan(records[0], plan, 1.0)
+        [(_, work)] = execute_plan(records[:1], [plan], 1.0)
         assert work == pytest.approx(0.5 - e, abs=1e-9)
 
     def test_mismatched_plan_detected(self):
@@ -157,7 +161,7 @@ class TestExecutePlan:
         plan = plan_feedback(record, H2LEVEL, 1.0, e_initial=e)
         other = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL)
         with pytest.raises(PlanMismatchError):
-            execute_plan(other, plan, 1.0)
+            execute_plan([other], [plan], 1.0)
 
     def test_lands_at_large_energies(self):
         # the landed state is compared with the thermal state of H_n: the shift
@@ -168,10 +172,50 @@ class TestExecutePlan:
             h = random_hamiltonian(6, rng, scale=1e8)
             rho = thermal_state(h, 1.0)
             e = average_energy(rho, h)
-            for record in apply(random_efficient_model(6, 3, rng), rho, h):
-                plan = plan_feedback(record, h, 1.0, e_initial=e)
-                state, _ = execute_plan(record, plan, 1.0)
+            records = apply(random_efficient_model(6, 3, rng), rho, h)
+            plans = [plan_feedback(record, h, 1.0, e_initial=e) for record in records]
+            for record, (state, _) in zip(records, execute_plan(records, plans, 1.0)):
                 assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
+
+
+    def test_one_eig_call_for_every_outcome(self, eig_calls, rng):
+        for n in (1, 2, 4):
+            h = random_hamiltonian(3, rng)
+            step = plan_branches(h, 1.0, random_efficient_model(3, n, rng), 1.0, 0.0)
+            eig_calls.clear()
+            execute_plan(step.outcomes, step.plans, 1.0)
+            # the N rotated states and their N differences from the landing targets
+            assert eig_calls == [2 * len(step.outcomes)]
+
+    def test_mismatch_names_the_failing_outcome(self):
+        rho = thermal_state(H2LEVEL, 1.0)
+        e = average_energy(rho, H2LEVEL)
+        records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
+        plans = [plan_feedback(r, H2LEVEL, 1.0, e_initial=e) for r in records]
+        assert len(execute_plan(records, plans, 1.0)) == 2
+        # the second plan rotates |->, not |0>, onto the ground state
+        swapped = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL, n=1)
+        with pytest.raises(PlanMismatchError, match="^outcome 1: landed state"):
+            execute_plan([records[0], swapped], plans, 1.0)
+
+    def test_rotated_states_keep_their_spectra(self, eig_calls, rng):
+        h = random_hamiltonian(4, rng)
+        step = plan_branches(h, 0.7, random_efficient_model(4, 3, rng), 1.0, 0.0)
+        landed = execute_plan(step.outcomes, step.plans, 0.7)
+        eig_calls.clear()
+        for record, (state, _) in zip(step.outcomes, landed):
+            assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
+        assert eig_calls == []
+        for state, _ in landed:
+            fresh = eig_hermitian(state.matrix)
+            assert state.eig.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+            assert state.eig.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+
+    def test_plans_must_pair_with_outcomes(self):
+        rho = thermal_state(H2LEVEL, 1.0)
+        plan = plan_feedback(record_for(rho, H2LEVEL), H2LEVEL, 1.0)
+        with pytest.raises(PlanMismatchError, match="2 outcomes but 1 plans"):
+            execute_plan([record_for(rho, H2LEVEL)] * 2, [plan], 1.0)
 
 
 class TestIsothermal:
@@ -213,6 +257,39 @@ class TestIsothermal:
             - thermo_reading(thermal_state(h2, t), h2, t).free_energy
         )
         assert abs(quasi_static_work(h1, h2, t, 4000) - exact) < 1e-3
+
+
+    def test_stacked_integral_matches_the_step_loop(self):
+        rng = np.random.default_rng(1701)
+        for _ in range(20):
+            dim = int(rng.integers(2, 5))
+            h1 = random_hamiltonian(dim, rng)
+            h2 = random_hamiltonian(dim, rng)
+            t = float(rng.uniform(0.5, 2.0))
+            k = float(rng.uniform(0.5, 2.0))
+            n_steps = int(rng.integers(1, 60))
+            stacked = quasi_static_work(h1, h2, t, n_steps, k=k)
+            assert abs(stacked - quasi_static_work_reference(h1, h2, t, n_steps, k=k)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "temperature, k, n_steps, error",
+        [
+            (0.0, 1.0, 5, NonPositiveTemperatureError),
+            (-1.0, 1.0, 0, NonPositiveTemperatureError),
+            (1.0, 0.0, 5, ArgumentRangeError),
+            (1.0, -1.0, 5, ArgumentRangeError),
+            (1e300, 1e10, 5, DomainError),
+            (1.0, 1.0, 0, ArgumentRangeError),
+            (1.0, 1.0, -3, ArgumentRangeError),
+        ],
+        ids=["T=0", "T<0", "k=0", "k<0", "kT-overflows", "no-steps", "negative-steps"],
+    )
+    def test_quasi_static_bad_input(self, temperature, k, n_steps, error):
+        h1 = Hamiltonian.diagonal([0.0, 2.0])
+        h2 = Hamiltonian.diagonal([0.5, 1.0])
+        for integral in (quasi_static_work, quasi_static_work_reference):
+            with pytest.raises(error):
+                integral(h1, h2, temperature, n_steps, k=k)
 
 
 class TestRunCycle:

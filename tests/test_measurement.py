@@ -26,7 +26,6 @@ from qfeedback.measurement import (
 from qfeedback.sampling import (
     random_bare_model,
     random_efficient_model,
-    random_inefficient_model,
 )
 from qfeedback.thermo import (
     DensityMatrix,
@@ -44,6 +43,7 @@ from conftest import (
     PROJ_X_PLUS,
     maximally_mixed,
     random_density_matrix,
+    random_inefficient_model,
 )
 from oracles import average_post_state, polar_decompose
 
