@@ -23,6 +23,7 @@ from .errors import (
     NonUnitaryBlockError,
 )
 from .linalg import (
+    EigenDecomposition,
     dagger,
     dephase_blocks,
     eig_hermitian,
@@ -47,6 +48,7 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
+    _unit_trace,
     trace_distance,
     von_neumann_entropy,
 )
@@ -62,9 +64,9 @@ class JointState:
 
     Diagonal blocks hold p_n ρ_n, off-diagonal blocks the coherences between
     controller basis states.  Each joint the cycle builds is PSD by
-    construction and takes no eig of its own.  A branch state ρ_n is built
-    from its block on first use and then kept; :func:`decohere_controller`
-    hands over the ones its checks built.
+    construction and takes no eig of its own, nor does its system marginal.
+    A branch state ρ_n is built from its block on first use and then kept;
+    :func:`decohere_controller` hands over the ones its checks built.
     """
 
     matrix: DensityMatrix
@@ -94,7 +96,8 @@ class JointState:
     def branch_state(self, n: int) -> DensityMatrix:
         """The system state p_n ρ_n / p_n in the diagonal block of controller index n."""
         if n not in self._branch_states:
-            self._branch_states[n] = _branch_state(self.block(n, n), n)
+            block = _branch_block(self.block(n, n), n)
+            self._branch_states[n] = DensityMatrix.from_matrix(block, where=f"branch {n}")
         return self._branch_states[n]
 
     def branch_entropies(self, outcomes: Iterable[int]) -> dict[int, float]:
@@ -112,14 +115,16 @@ class JointState:
         reduced = partial_trace(
             self.matrix.matrix, (self.n_outcomes, self.system_dim), over="A"
         )
-        return DensityMatrix.from_matrix(reduced, where="system marginal")
+        # a partial trace of a PSD joint is PSD
+        return DensityMatrix.from_psd(reduced, where="system marginal")
 
 
-def _branch_state(block: np.ndarray, n: int) -> DensityMatrix:
+def _branch_block(block: np.ndarray, n: int) -> np.ndarray:
+    """p_n ρ_n / p_n, once its trace p_n is checked positive."""
     p = float(block.trace().real)
     if not p > 0.0:
         raise InvalidStateError(f"branch {n}: block trace {p!r} is not positive")
-    return DensityMatrix.from_matrix(block / p, where=f"branch {n}")
+    return block / p
 
 
 @dataclass(frozen=True)
@@ -187,12 +192,13 @@ def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointSta
     """Remove all controller coherences (block-dephasing pinch).
 
     The result ⊕ p_n ρ_n has the union of its blocks' spectra, so it is checked
-    block by block.  A block in ``kept`` becomes its branch state ρ_n, whose own
-    checks are the PSD check, and the result keeps that state.  Any other block
-    is diagonalized as it stands: an outcome dropped for its tiny weight holds
-    only round-off, which is no state.  A clamp in any block clamps the joint,
-    which then holds p_n times each repaired branch state and every other block
-    with its negative eigenvalues set to zero.
+    block by block, all N blocks in one eig call.  A block in ``kept`` becomes
+    its branch state ρ_n by the checks and clamp rule of
+    :meth:`DensityMatrix.from_matrix`, and the result keeps that state.  Any
+    other block is diagonalized as it stands: an outcome dropped for its tiny
+    weight holds only round-off, which is no state.  A clamp in any block
+    clamps the joint, which then holds p_n times each repaired branch state and
+    every other block with its negative eigenvalues set to zero.
     """
     d, n_out = joint.system_dim, joint.n_outcomes
     pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
@@ -200,28 +206,30 @@ def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointSta
     m = state.matrix
     blocks = [slice(n * d, (n + 1) * d) for n in range(n_out)]
     kept = set(kept)
-    branches, spectra = {}, {}
-    for n, b in enumerate(blocks):
+    stack = [
+        _unit_trace(_branch_block(m[b, b], n), f"branch {n}")[0] if n in kept else m[b, b]
+        for n, b in enumerate(blocks)
+    ]
+    dec = eig_hermitian(np.stack(stack))
+    lam_min = dec.eigenvalues[:, -1]
+    branches = {}
+    for n in range(n_out):
         if n in kept:
-            branches[n] = _branch_state(m[b, b], n)
-        else:
-            spectra[n] = eig_hermitian(m[b, b])
-            lam_min = float(spectra[n].eigenvalues[-1])
-            if lam_min < -STATE_TOL:
-                raise InvalidStateError(
-                    f"branch {n}: minimum eigenvalue {lam_min:.3e} below -{STATE_TOL:g}"
-                )
-    clamped = any(rho.clamped for rho in branches.values()) or any(
-        dec.eigenvalues[-1] < 0.0 for dec in spectra.values()
-    )
-    if clamped:
+            spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
+            branches[n] = DensityMatrix._from_eig(stack[n], spectrum, f"branch {n}")
+        elif lam_min[n] < -STATE_TOL:
+            raise InvalidStateError(
+                f"branch {n}: minimum eigenvalue {lam_min[n]:.3e} below -{STATE_TOL:g}"
+            )
+    dropped = [n for n in range(n_out) if n not in kept]
+    if any(rho.clamped for rho in branches.values()) or (lam_min[dropped] < 0.0).any():
         repaired = np.zeros_like(m)
         for n, b in enumerate(blocks):
             if n in branches:
                 repaired[b, b] = m[b, b].trace().real * branches[n].matrix
             else:
-                lam = np.clip(spectra[n].eigenvalues, 0.0, None)
-                repaired[b, b] = spectral_matrix(spectra[n].eigenvectors, lam)
+                lam = np.clip(dec.eigenvalues[n], 0.0, None)
+                repaired[b, b] = spectral_matrix(dec.eigenvectors[n], lam)
         state = DensityMatrix(matrix=read_only(repaired / repaired.trace().real), clamped=True)
     decohered = replace(joint, matrix=state)
     decohered.__dict__["_branch_states"] = branches

@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveTemperatureError,
     PlanMismatchError,
 )
-from .linalg import EigenDecomposition, dagger, eig_hermitian
+from .linalg import EigenDecomposition, dagger, eig_hermitian, spectral_matrix
 from .measurement import (
     DEFAULT_P_FLOOR,
     MeasurementModel,
@@ -46,7 +46,6 @@ from .thermo import (
     Hamiltonian,
     ThermoReading,
     boltzmann_kt,
-    gibbs_state,
     gibbs_weights,
     thermal_state,
     thermo_reading,
@@ -255,9 +254,9 @@ def execute_plan(
         # work, so Tr[(H_n + c_n) ρ'] sums over the support only
         populations = np.einsum("ij,ij->j", b.conj(), rho.matrix @ b).real[support]
         works.append(record.energy - float(np.dot(plan.levels[support] + plan.shift, populations)))
-        expected = gibbs_state(plan.levels, b, k * temperature, "retuned thermal state")
+        expected = spectral_matrix(b, gibbs_weights(plan.levels, k * temperature))
         rotated.append(rho.matrix)
-        differences.append(rho.matrix - expected.matrix)
+        differences.append(rho.matrix - expected)
     dec = eig_hermitian(np.stack(rotated + differences))
 
     landed = []

@@ -121,8 +121,9 @@ class DensityMatrix:
     spectrum keeps that spectrum: an unclamped :meth:`from_matrix` state the
     decomposition its checks computed, a :func:`gibbs_state` (a thermal state
     among them) its Gibbs weights on the given eigenvectors, and a rotated
-    outcome state its slice of ``execute_plan``'s stacked eig.  Any other
-    state computes it on first use.
+    outcome state or an unclamped branch state its slice of the stacked eig of
+    ``execute_plan`` or ``decohere_controller``.  Any other state computes it
+    on first use.
     """
 
     matrix: np.ndarray
@@ -135,7 +136,12 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
         m, _ = _unit_trace(matrix, where)
-        dec = eig_hermitian(m)
+        return cls._from_eig(m, eig_hermitian(m), where)
+
+    @classmethod
+    def _from_eig(cls, m: np.ndarray, dec: EigenDecomposition, where: str) -> "DensityMatrix":
+        """The state of a checked unit-trace ``m`` from its decomposition ``dec``: below
+        -STATE_TOL raises, a negative spectrum is clamped, any other keeps ``dec``."""
         lam_min = float(dec.eigenvalues[-1])
         if lam_min < -STATE_TOL:
             raise InvalidStateError(
@@ -275,5 +281,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """½ Σ |eigenvalues of ρ - σ|; lies in [0, 1]."""
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims differ: {rho.dim} vs {sigma.dim}")
-    lam = eig_hermitian(rho.matrix - sigma.matrix).eigenvalues
-    return 0.5 * float(np.abs(lam).sum())
+    difference = rho.matrix - sigma.matrix
+    if not difference.any():  # the eig of a zero matrix gives exact zeros
+        return 0.0
+    return 0.5 * float(np.abs(eig_hermitian(difference).eigenvalues).sum())

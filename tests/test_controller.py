@@ -335,6 +335,46 @@ class TestBlockSpectra:
         assert final.matrix.matrix.tobytes() == full.matrix.tobytes()
         assert final.matrix.clamped is full.clamped is False
 
+    @pytest.mark.parametrize(
+        "joint, kept",
+        [
+            pytest.param(joint, range(joint.n_outcomes), id=f"seeded-{i}")
+            for i, (joint, _) in enumerate(seeded_joints()[::3])
+        ]
+        + [
+            pytest.param(
+                block_diagonal_joint(
+                    [0.5 * np.diag([0.7, 0.3]), 0.5 * np.diag([1.0 + 1e-12, -1e-12])]
+                ),
+                (0, 1),
+                id="clamping-branch",
+            ),
+            pytest.param(
+                block_diagonal_joint([np.diag([0.6, 0.4 - 1e-16]), np.diag([2e-16, -1e-16])]),
+                (0,),
+                id="dropped-round-off",
+            ),
+        ],
+    )
+    def test_one_eig_call_gives_from_matrix_branches(self, eig_calls, joint, kept):
+        eig_calls.clear()
+        out = decohere_controller(joint, kept)
+        assert eig_calls == [joint.n_outcomes]  # one call, every block in its stack
+        sizes = [joint.system_dim] * joint.n_outcomes
+        pinched = JointState(
+            DensityMatrix.from_psd(dephase_blocks(joint.matrix.matrix, sizes)),
+            joint.n_outcomes,
+            joint.system_dim,
+        )
+        for n in kept:
+            block = pinched.block(n, n)
+            full = DensityMatrix.from_matrix(block / block.trace().real)
+            branch = out.branch_state(n)
+            assert branch.matrix.tobytes() == full.matrix.tobytes()
+            assert branch.clamped is full.clamped
+            assert branch.eig.eigenvalues.tobytes() == full.eig.eigenvalues.tobytes()
+            assert branch.eig.eigenvectors.tobytes() == full.eig.eigenvectors.tobytes()
+
     @pytest.mark.parametrize("kept", [(), (0, 1)])
     def test_block_below_the_tolerance_raises(self, kept):
         bad = 0.5 * np.diag([1.0 + 2e-9, -2e-9]).astype(complex)  # eigenvalue -1e-9

@@ -15,7 +15,7 @@ from qfeedback.errors import (
     NotADistributionError,
     NotHermitianError,
 )
-from qfeedback.linalg import dagger, eig_hermitian, max_abs
+from qfeedback.linalg import dagger, eig_hermitian, max_abs, read_only
 from qfeedback.sampling import random_hamiltonian
 from qfeedback.thermo import (
     DensityMatrix,
@@ -273,6 +273,19 @@ class TestTraceDistance:
         assert trace_distance(a, a) < 1e-12
         assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-12
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
+
+    def test_equal_matrices_take_no_eig(self, eig_calls, rng):
+        a = random_density_matrix(3, rng)
+        same = DensityMatrix(matrix=read_only(a.matrix))
+        ulp = a.matrix.copy()
+        ulp[0, 0] = np.nextafter(ulp[0, 0].real, 2.0)
+        eig_calls.clear()
+        assert trace_distance(a, same) == 0.0
+        pure = [DensityMatrix.from_vector(np.array([1.0, 0.0])) for _ in range(2)]
+        assert trace_distance(*pure) == 0.0
+        assert eig_calls == []
+        assert trace_distance(a, DensityMatrix(matrix=read_only(ulp))) > 0.0
+        assert eig_calls == [1]
 
 
 @settings(max_examples=30, deadline=None)
