@@ -10,9 +10,7 @@ instead be given as a flat list of diagonal energies)::
       dim: 2
       hamiltonian: [0.0, 0.0]    # diagonal energies, or a full Hermitian matrix
     bath:
-      temperature: 1.0
-    constants:                   # optional
-      k: 1.0
+      temperature: 1.0           # kT, in the Hamiltonian's energy units
     measurement:
       kind: bare                 # bare | efficient | inefficient | weak
       operators: [ ... ]         # bare/efficient: list of matrices
@@ -77,8 +75,7 @@ SECTIONS = {
     "run": ("mode",),
     "system": ("dim", "hamiltonian"),
     "bath": ("temperature",),
-    "constants": ("k",),
-    "measurement": ("kind", *dict.fromkeys(k for keys in KIND_KEYS.values() for k in keys)),
+    "measurement": ("kind", *dict.fromkeys(key for keys in KIND_KEYS.values() for key in keys)),
     "transform": ("h2",),
     "continuous": ("steps",),
     "numerics": ("p_floor",),
@@ -94,8 +91,7 @@ class ScenarioConfig:
     mode: str
     dim: int
     hamiltonian: Hamiltonian
-    temperature: float
-    k: float
+    temperature: float  # kT
     model: MeasurementModel
     h2: Hamiltonian | None
     steps: int
@@ -277,9 +273,8 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
     hamiltonian = _parse_hamiltonian(
         _get(system, "hamiltonian", "system"), "system.hamiltonian", dim
     )
-    positive = ("must be > 0, got {!r}", lambda x: x > 0.0)
-    temperature = _bounded(_section(data, "bath"), "bath", "temperature", *positive)
-    k = _bounded(_section(data, "constants", False), "constants", "k", *positive, 1.0)
+    bath = _section(data, "bath")
+    temperature = _bounded(bath, "bath", "temperature", "must be > 0, got {!r}", lambda x: x > 0.0)
 
     model = _parse_measurement(data, dim)
     if mode == "controller" and model.kind.value not in ("bare", "weak"):
@@ -316,7 +311,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
         dim=dim,
         hamiltonian=hamiltonian,
         temperature=temperature,
-        k=k,
         model=model,
         h2=h2,
         steps=steps,

@@ -48,6 +48,7 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
+    _nats,
     _unit_trace,
     trace_distance,
     von_neumann_entropy,
@@ -64,7 +65,8 @@ class JointState:
 
     Diagonal blocks hold p_n ρ_n, off-diagonal blocks the coherences between
     controller basis states.  Each joint the cycle builds is PSD by
-    construction and takes no eig of its own, nor does its system marginal.
+    construction and takes no eig of its own, nor do its two marginals,
+    partial traces of a PSD matrix.
     A branch state ρ_n is built from its block on first use and then kept;
     :func:`decohere_controller` hands over the ones its checks built.
     """
@@ -106,16 +108,11 @@ class JointState:
         return {n: von_neumann_entropy(self.branch_state(n)) for n in outcomes}
 
     def controller_state(self) -> DensityMatrix:
-        reduced = partial_trace(
-            self.matrix.matrix, (self.n_outcomes, self.system_dim), over="B"
-        )
-        return DensityMatrix.from_matrix(reduced, where="controller marginal")
+        reduced = partial_trace(self.matrix.matrix, (self.n_outcomes, self.system_dim), over="B")
+        return DensityMatrix.from_psd(reduced, where="controller marginal")
 
     def system_state(self) -> DensityMatrix:
-        reduced = partial_trace(
-            self.matrix.matrix, (self.n_outcomes, self.system_dim), over="A"
-        )
-        # a partial trace of a PSD joint is PSD
+        reduced = partial_trace(self.matrix.matrix, (self.n_outcomes, self.system_dim), over="A")
         return DensityMatrix.from_psd(reduced, where="system marginal")
 
 
@@ -275,11 +272,13 @@ def reset_controller(
 ) -> tuple[DensityMatrix, BathLedger]:
     """Swap the controller against a fresh |0⟩ ancilla and dump the ancilla
     into the bath: controller returns to |0⟩⟨0| and the bath entropy grows by
-    the controller's record entropy S({p_n})."""
-    off = controller.matrix - np.diag(np.diag(controller.matrix))
-    if max_abs(off) > STRUCTURE_TOL:
+    the controller's record entropy S({p_n}), read from its diagonal: the
+    controller must be diagonal in the record basis, so that is its spectrum."""
+    record = np.diag(controller.matrix)
+    if max_abs(controller.matrix - np.diag(record)) > STRUCTURE_TOL:
         raise InvalidStateError("controller must be diagonal in the record basis")
-    record_entropy = von_neumann_entropy(controller)
+    # descending, as an eig orders them, so the sum runs in the same order
+    record_entropy = _nats(np.clip(np.sort(record.real)[::-1], 0.0, None))
     return (
         DensityMatrix.from_vector(np.eye(controller.dim)[0]),
         replace(bath, reset_addition=bath.reset_addition + record_entropy),
@@ -308,12 +307,11 @@ def run_controller_cycle(
     h: Hamiltonian,
     temperature: float,
     model: MeasurementModel,
-    k: float = 1.0,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ControllerCycleResult:
     """One full cycle in the measurement-free picture: correlate, feed back, decohere,
     finalize, reset, over the branches :func:`~qfeedback.feedback.plan_branches` plans."""
-    step = plan_branches(h, temperature, model, k, p_floor)
+    step = plan_branches(h, temperature, model, p_floor)
     kept = [r.n for r in step.outcomes]
     blocks = [np.eye(model.dim, dtype=complex)] * model.n_outcomes  # dropped: left alone
     for plan in step.plans:
@@ -347,7 +345,7 @@ def run_controller_cycle(
         branch_entropies=branch_entropies,
         delta_e_meas=step.delta_e_meas,
         delta_s_meas=delta_s_meas,
-        work_fb=k * temperature * delta_s_meas,
+        work_fb=temperature * delta_s_meas,
         report=report,
         bath=bath,
         system_closure=system_closure,

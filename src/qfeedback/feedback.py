@@ -11,7 +11,8 @@ more and leaves the system in its initial thermal state.
 
 Energy bookkeeping convention: unitary steps change Tr[Hρ] at fixed H and
 count as work; Hamiltonian retunings at fixed ρ contribute work Tr[ΔH ρ];
-the isothermal stage draws heat kT·(S - S_n) from the bath.
+the isothermal stage draws heat kT·(S - S_n) from the bath.  A temperature
+is kT itself, in the Hamiltonian's energy units.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentRangeError,
-    DomainError,
-    InvalidModelError,
-    NonPositiveTemperatureError,
-    PlanMismatchError,
-)
+from .errors import ArgumentRangeError, DomainError, InvalidModelError, PlanMismatchError
 from .linalg import EigenDecomposition, dagger, eig_hermitian, spectral_matrix
 from .measurement import (
     DEFAULT_P_FLOOR,
@@ -116,8 +111,7 @@ class CycleLedger:
     """
 
     initial: ThermoReading
-    temperature: float
-    k: float
+    temperature: float  # kT
     outcomes: tuple[OutcomeLedger, ...]
     delta_e_meas: float
     delta_s_meas: float
@@ -129,10 +123,16 @@ class CycleLedger:
     clamp_flag: bool
     dropped_outcomes: tuple[int, ...]
 
+    # Kept for readers outside the package (perfbench/workloads.py) until they read
+    # ``report.delta_s_tot`` and ``temperature`` as kT.
     @property
     def delta_s_tot(self) -> float:
-        """``report.delta_s_tot``, for readers outside the package (perfbench/workloads.py)."""
         return self.report.delta_s_tot
+
+    @property
+    def k(self) -> float:
+        """Boltzmann's constant, 1.0: ``temperature`` is kT."""
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,6 @@ def plan_feedback(
     record: OutcomeRecord,
     h: Hamiltonian,
     temperature: float,
-    k: float = 1.0,
     e_initial: float = 0.0,
 ) -> FeedbackPlan:
     """Build the steps (i)-(iv) plan for one outcome, on its support.
@@ -173,8 +172,7 @@ def plan_feedback(
     only an exact 0 counts, since a clamped state's eig, recomputed, can read
     -1e-18 again.
     """
-    if temperature <= 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
+    kt = boltzmann_kt(temperature)
     dec_state = record.state.eig
     lam = np.clip(dec_state.eigenvalues, 0.0, None)
     lam = lam / lam.sum()
@@ -187,11 +185,10 @@ def plan_feedback(
 
     levels = np.full(lam.shape, np.inf)
     with np.errstate(over="ignore"):  # checked on the next line
-        levels[support] = -k * temperature * np.log(lam[support])
+        levels[support] = -kt * np.log(lam[support])
     if not np.isfinite(levels[support]).all():
         raise DomainError(
-            f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite "
-            f"(kT = {k * temperature!r})"
+            f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite (kT = {kt!r})"
         )
     shift = e_initial - float(np.dot(lam[support], levels[support]))
     return FeedbackPlan(
@@ -208,18 +205,15 @@ def plan_branches(
     h: Hamiltonian,
     temperature: float,
     model: MeasurementModel,
-    k: float,
     p_floor: float,
 ) -> BranchPlans:
     """Measure the thermal state of ``h`` and plan every kept outcome's feedback: the one
     place the drop rule, the plans and the clamp rule run, for the cycle and the controller.
     The thermal state is PSD by construction, so only an outcome state can clamp."""
-    rho = thermal_state(h, temperature, k)
-    initial = thermo_reading(rho, h, temperature, k)
+    rho = thermal_state(h, temperature)
+    initial = thermo_reading(rho, h, temperature)
     outcomes = apply(model, rho, h, p_floor=p_floor)
-    plans = tuple(
-        plan_feedback(r, h, temperature, k=k, e_initial=initial.energy) for r in outcomes
-    )
+    plans = tuple(plan_feedback(r, h, temperature, e_initial=initial.energy) for r in outcomes)
     delta_e_meas = measurement_energy_cost(outcomes, initial.energy)
     clamp = any(r.state.clamped for r in outcomes)
     return BranchPlans(rho, initial, outcomes, plans, delta_e_meas, clamp)
@@ -229,7 +223,6 @@ def execute_plan(
     records: Sequence[OutcomeRecord],
     plans: Sequence[FeedbackPlan],
     temperature: float,
-    k: float = 1.0,
 ) -> tuple[tuple[DensityMatrix, float], ...]:
     """Run steps (i)-(iv) for every kept outcome of a cycle, returning per outcome
     the resulting thermal state and the work extracted: E_n - Tr[H ρ'] from the
@@ -254,7 +247,7 @@ def execute_plan(
         # work, so Tr[(H_n + c_n) ρ'] sums over the support only
         populations = np.einsum("ij,ij->j", b.conj(), rho.matrix @ b).real[support]
         works.append(record.energy - float(np.dot(plan.levels[support] + plan.shift, populations)))
-        expected = spectral_matrix(b, gibbs_weights(plan.levels, k * temperature))
+        expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
         rotated.append(rho.matrix)
         differences.append(rho.matrix - expected)
     dec = eig_hermitian(np.stack(rotated + differences))
@@ -276,9 +269,9 @@ def execute_plan(
     return tuple(landed)
 
 
-def isothermal_work(s_target: float, s_n: float, temperature: float, k: float = 1.0) -> float:
+def isothermal_work(s_target: float, s_n: float, temperature: float) -> float:
     """Work extracted by quasi-static isothermal expansion, kT·(S_target - S_n)."""
-    return k * temperature * (s_target - s_n)
+    return temperature * (s_target - s_n)
 
 
 def quasi_static_work(
@@ -286,7 +279,6 @@ def quasi_static_work(
     h_end: Hamiltonian,
     temperature: float,
     n_steps: int,
-    k: float = 1.0,
 ) -> float:
     """Numerically integrate the isothermal work along the linear Hamiltonian
     path H(s) = (1-s)·H_start + s·H_end, re-thermalizing at every step: one eig
@@ -295,7 +287,7 @@ def quasi_static_work(
     Converges to F(H_start, T) - F(H_end, T) with O(1/N) error; this is the
     independent validator for :func:`isothermal_work`.
     """
-    kt = boltzmann_kt(temperature, k)
+    kt = boltzmann_kt(temperature)
     if n_steps < 1:
         raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
     a, b = h_start.matrix, h_end.matrix
@@ -312,21 +304,20 @@ def _run(
     h2: Hamiltonian,
     temperature: float,
     model: MeasurementModel,
-    k: float,
     p_floor: float,
 ) -> tuple[CycleLedger, ThermoReading]:
-    step = plan_branches(h1, temperature, model, k, p_floor)
-    rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature, k)
-    target = thermo_reading(rho_target, h2, temperature, k)
+    step = plan_branches(h1, temperature, model, p_floor)
+    rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature)
+    target = thermo_reading(rho_target, h2, temperature)
 
     branches = []
-    landed = execute_plan(step.outcomes, step.plans, temperature, k=k)
+    landed = execute_plan(step.outcomes, step.plans, temperature)
     for record, (_, work_steps) in zip(step.outcomes, landed):
         # isothermal stage from the branch Hamiltonian to h2: work equals the
         # free-energy drop at fixed T, and the state tracks the instantaneous
         # thermal state, so every branch ends on rho_target.
         work_iso = (step.initial.energy - target.energy) + isothermal_work(
-            target.entropy, record.entropy, temperature, k
+            target.entropy, record.entropy, temperature
         )
         branches.append(
             OutcomeLedger(
@@ -350,14 +341,13 @@ def _run(
     ledger = CycleLedger(
         initial=step.initial,
         temperature=temperature,
-        k=k,
         outcomes=tuple(branches),
         delta_e_meas=step.delta_e_meas,
         delta_s_meas=delta_s_meas,
         work_total=work_total,
         work_fb=work_total - step.delta_e_meas,
         report=second_law_verdict(probabilities, delta_s_meas),
-        heat_from_bath=k * temperature * delta_s_meas,
+        heat_from_bath=temperature * delta_s_meas,
         closure_distance=trace_distance(final, rho_target),
         clamp_flag=step.clamp_flag,
         dropped_outcomes=step.outcomes.dropped,
@@ -369,13 +359,12 @@ def run_cycle(
     h: Hamiltonian,
     temperature: float,
     model: MeasurementModel,
-    k: float = 1.0,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> CycleLedger:
     """One closed cycle: thermal start, measure, feed back per outcome, expand
     isothermally home.  The ledger's ``work_fb`` equals kT·ΔS_meas up to
     numerical error."""
-    ledger, _ = _run(h, h, temperature, model, k, p_floor)
+    ledger, _ = _run(h, h, temperature, model, p_floor)
     return ledger
 
 
@@ -384,12 +373,11 @@ def run_transform(
     h2: Hamiltonian,
     temperature: float,
     model: MeasurementModel,
-    k: float = 1.0,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> TransformResult:
     """Like :func:`run_cycle` but the closing expansion targets the thermal
     state of ``h2``; the net work picks up the free-energy drop ΔF."""
-    ledger, target = _run(h1, h2, temperature, model, k, p_floor)
+    ledger, target = _run(h1, h2, temperature, model, p_floor)
     return TransformResult(
         delta_f=ledger.initial.free_energy - target.free_energy,
         free_energy_final=target.free_energy,
@@ -403,7 +391,6 @@ def run_continuous(
     temperature: float,
     model: MeasurementModel,
     n_steps: int,
-    k: float = 1.0,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> ContinuousResult:
     """Drive repeated cycles of one weak measurement, one per time step; its
@@ -423,7 +410,7 @@ def run_continuous(
         raise ArgumentRangeError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
     if n_steps < 1:
         raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
-    cycle = run_cycle(h, temperature, model, k=k, p_floor=p_floor)
+    cycle = run_cycle(h, temperature, model, p_floor=p_floor)
     return ContinuousResult(
         epsilon=epsilon,
         n_steps=n_steps,

@@ -46,10 +46,31 @@ from .linalg import (
 from .thermo import DensityMatrix, Hamiltonian, average_energy, shannon_entropy, von_neumann_entropy
 
 COMPLETENESS_TOL = 1e-10
+# how far past 1 a weak model's generator norm may read
+GENERATOR_NORM_TOL = 1e-12
 DEFAULT_P_FLOOR = 1e-14
 # The thresholds on ΔS_tot that judge_second_law applies.
 SECOND_LAW_TOL = -1e-9
 EFFICIENCY_TOL = 1e-8
+
+
+def _square_family(operators, what: str = "operator") -> list[np.ndarray]:
+    """Read-only copies of a non-empty family of non-empty square matrices of one shape:
+    what every model constructor requires, and what the report's stacked positivity check
+    needs."""
+    try:
+        family = [read_only(a) for a in operators]
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric input
+        raise InvalidModelError(f"{what}s must be numeric matrices: {exc}") from None
+    if not family:
+        raise InvalidModelError(f"a measurement model needs at least one {what}")
+    shape = family[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise DimensionMismatchError(f"a {what} must be a non-empty square matrix, got {shape}")
+    for i, a in enumerate(family):
+        if a.shape != shape:
+            raise DimensionMismatchError(f"{what} {i} has shape {a.shape}, {what} 0 has {shape}")
+    return family
 
 
 class ModelKind(str, Enum):
@@ -74,27 +95,29 @@ class MeasurementModel:
 
     @classmethod
     def bare(cls, operators: Sequence[np.ndarray]) -> "MeasurementModel":
-        return cls(kind=ModelKind.BARE, groups=tuple((read_only(p),) for p in operators))
+        return cls(kind=ModelKind.BARE, groups=tuple((p,) for p in _square_family(operators)))
 
     @classmethod
     def efficient(cls, operators: Sequence[np.ndarray]) -> "MeasurementModel":
-        return cls(kind=ModelKind.EFFICIENT, groups=tuple((read_only(a),) for a in operators))
+        return cls(kind=ModelKind.EFFICIENT, groups=tuple((a,) for a in _square_family(operators)))
 
     @classmethod
     def inefficient(cls, groups: Sequence[Sequence[np.ndarray]]) -> "MeasurementModel":
-        packed = tuple(tuple(read_only(a) for a in g) for g in groups)
-        if any(len(g) == 0 for g in packed):
+        groups = [tuple(g) for g in groups]
+        if any(not g for g in groups):
             raise InvalidModelError("every outcome needs at least one operator")
+        family = iter(_square_family([a for g in groups for a in g]))
+        packed = tuple(tuple(next(family) for _ in g) for g in groups)
         return cls(kind=ModelKind.INEFFICIENT, groups=packed)
 
     @classmethod
     def weak(cls, generator: np.ndarray, strength: float) -> "MeasurementModel":
         """Two-outcome weak model P_± = sqrt((I ± εB)/2)."""
-        b = read_only(generator)
+        (b,) = _square_family([generator], "generator")
         if not is_hermitian(b):
             raise NotHermitianError("weak-measurement generator must be Hermitian")
-        norm = float(np.abs(eig_hermitian(b).eigenvalues).max()) if b.size else 0.0
-        if norm > 1.0 + 1e-12:
+        norm = float(np.abs(eig_hermitian(b).eigenvalues).max())
+        if norm > 1.0 + GENERATOR_NORM_TOL:
             raise InvalidModelError(f"generator norm {norm!r} exceeds 1")
         if not 0.0 < strength < 1.0:
             raise InvalidModelError(f"weak strength must lie in (0, 1), got {strength!r}")
@@ -111,20 +134,20 @@ class MeasurementModel:
 
     @cached_property
     def report(self) -> "ValidationReport":
-        """Completeness and, for bare and weak operators, positivity."""
+        """Completeness and, for bare and weak operators, positivity: one eig call over
+        every operator that passes the Hermiticity test."""
         residual = self.completeness_residual()
-        bad: list[tuple[int, float]] = []
+        bad = []
         # a non-finite residual means operators beyond the float range: the model
         # is invalid already, and its spectra cannot be computed
         if self.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
-            for n, group in enumerate(self.groups):
-                asymmetry = hermitian_residual(group[0])[0]
-                if not asymmetry <= HERMITICITY_TOL:
-                    bad.append((n, asymmetry))
-                    continue
-                lam_min = float(eig_hermitian(group[0]).eigenvalues[-1])
-                if lam_min < -COMPLETENESS_TOL:
-                    bad.append((n, lam_min))
+            ops = np.stack([group[0] for group in self.groups])  # one shape: _square_family
+            worst = np.array([hermitian_residual(p)[0] for p in ops])
+            hermitian = worst <= HERMITICITY_TOL  # the others report their residual
+            if hermitian.any():
+                worst[hermitian] = eig_hermitian(ops[hermitian]).eigenvalues[:, -1]
+            flagged = ~hermitian | (worst < -COMPLETENESS_TOL)
+            bad = [(n, float(worst[n])) for n in np.flatnonzero(flagged).tolist()]
         ok = residual <= COMPLETENESS_TOL and not bad
         return ValidationReport(ok=ok, completeness_residual=residual, non_positive=tuple(bad))
 
@@ -138,12 +161,9 @@ class MeasurementModel:
 
     def completeness_residual(self) -> float:
         """Max-abs entry of Σ A†A - I; not finite for entries beyond about 1e154."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for group in self.groups:
-                for a in group:
-                    total += dagger(a) @ a
-        return max_abs(total - np.eye(self.dim))
+            total = sum(dagger(a) @ a for group in self.groups for a in group)
+            return max_abs(total - np.eye(self.dim))
 
 
 @dataclass(frozen=True)

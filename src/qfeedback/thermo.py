@@ -1,9 +1,9 @@
 """States, Hamiltonians, and the thermodynamic functionals E, S, F.
 
 Entropies are in nats (natural logs throughout); energies follow whatever
-units the Hamiltonian carries.  Boltzmann's constant defaults to 1 and is a
-plain scalar parameter everywhere it appears, so the package works in natural
-units unless a caller says otherwise.
+units the Hamiltonian carries.  A temperature is kT, in those same energy
+units, so Boltzmann's constant appears nowhere: a caller who works in SI
+units passes k_B·T in joules with a Hamiltonian in joules.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ArgumentRangeError,
     DimensionMismatchError,
     DomainError,
     InvalidStateError,
@@ -36,6 +35,9 @@ from .linalg import (
 )
 
 STATE_TOL = 1e-10  # Hermiticity / trace / eigenvalue-floor tolerance for states
+DISTRIBUTION_NEGATIVE_TOL = 1e-12  # shannon_entropy: the most negative entry allowed
+DISTRIBUTION_SUM_TOL = 1e-9  # shannon_entropy: the largest |Σ p - 1| allowed
+ENERGY_IMAG_TOL = 1e-10  # average_energy: |Im Tr[Hρ]| allowed, relative to max(1, max |H|)
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class Hamiltonian:
             if not np.isfinite(m).all():
                 raise DomainError("Hamiltonian entries are not finite")
         if not residual <= HERMITICITY_TOL:
-            raise NotHermitianError("Hamiltonian is not Hermitian within 1e-10")
+            raise NotHermitianError(f"Hamiltonian is not Hermitian within {HERMITICITY_TOL:g}")
         return cls(matrix=read_only(m))
 
     @classmethod
@@ -190,20 +192,18 @@ class ThermoReading:
     free_energy: float
 
 
-def boltzmann_kt(temperature: float, k: float) -> float:
-    """kT, once T > 0, k > 0 and a positive finite float kT are checked."""
+def boltzmann_kt(temperature: float) -> float:
+    """kT, which is ``temperature`` itself, once it is checked positive and finite."""
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
-    if k <= 0.0:
-        raise ArgumentRangeError(f"Boltzmann constant must be > 0, got {k!r}")
-    if not 0.0 < k * temperature < math.inf:
-        raise DomainError(f"kT = {k!r} * {temperature!r} is outside the float range")
-    return k * temperature
+    if not temperature < math.inf:  # inf, or nan
+        raise DomainError(f"kT = {temperature!r} is outside the float range")
+    return temperature
 
 
-def thermal_state(h: Hamiltonian, temperature: float, k: float = 1.0) -> DensityMatrix:
-    """Gibbs state exp(-H/(kT)) / Z."""
-    kt = boltzmann_kt(temperature, k)
+def thermal_state(h: Hamiltonian, temperature: float) -> DensityMatrix:
+    """Gibbs state exp(-H/(kT)) / Z, with kT = ``temperature``."""
+    kt = boltzmann_kt(temperature)
     return gibbs_state(h.eig.eigenvalues, h.eig.eigenvectors, kt, "thermal state")
 
 
@@ -252,28 +252,28 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
         raise DimensionMismatchError(f"state dim {rho.dim} != Hamiltonian dim {h.dim}")
     value = complex((h.matrix @ rho.matrix).trace())
     # round-off in Im grows with the energies; the scale is read only when it matters
-    if not abs(value.imag) < 1e-10 and not abs(value.imag) < 1e-10 * max(1.0, max_abs(h.matrix)):
+    imag = abs(value.imag)
+    if not imag < ENERGY_IMAG_TOL and not imag < ENERGY_IMAG_TOL * max(1.0, max_abs(h.matrix)):
         raise DomainError(f"Tr[Hρ] has imaginary part {value.imag:.3e}")
     return value.real
 
 
-def thermo_reading(
-    rho: DensityMatrix, h: Hamiltonian, temperature: float, k: float = 1.0
-) -> ThermoReading:
-    """E, S, and the Helmholtz free energy F = E - kT·S (S in nats) of a state."""
+def thermo_reading(rho: DensityMatrix, h: Hamiltonian, temperature: float) -> ThermoReading:
+    """E, S, and the Helmholtz free energy F = E - kT·S (S in nats, kT = ``temperature``)."""
     e = average_energy(rho, h)
     s = von_neumann_entropy(rho)
-    return ThermoReading(energy=e, entropy=s, free_energy=e - k * temperature * s)
+    return ThermoReading(energy=e, entropy=s, free_energy=e - temperature * s)
 
 
 def shannon_entropy(p) -> float:
     """-Σ p ln p in nats for a probability vector; clamps tiny negatives."""
     p = np.asarray(p, dtype=float).reshape(-1)
-    if p.size and float(p.min()) < -1e-12:
+    if p.size and float(p.min()) < -DISTRIBUTION_NEGATIVE_TOL:
         raise NotADistributionError(f"negative entry {p.min()!r}")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise NotADistributionError(f"entries sum to {total!r}, not 1 within 1e-9")
+    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+        within = np.format_float_scientific(DISTRIBUTION_SUM_TOL, trim="-", exp_digits=1)
+        raise NotADistributionError(f"entries sum to {total!r}, not 1 within {within}")
     return _nats(np.clip(p, 0.0, None) / total)
 
 

@@ -5,8 +5,9 @@ something the program computes another way: a cyclic Jacobi eigensolver for
 LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
 the controller's joint states diagonalized and clamped as ``from_matrix``
-builds a state, the average post-measurement state, and the quasi-static
-work integral one path step at a time.
+builds a state, the average post-measurement state, the quasi-static work
+integral one path step at a time, and a measurement model's validation
+report with one eig per operator.
 ``eig_hermitian_reference`` is the straightforward form of the LAPACK
 wrapper, which the program's must match byte for byte.
 """
@@ -29,11 +30,13 @@ from qfeedback.errors import (
 )
 from qfeedback.ledger import LedgerRow
 from qfeedback.linalg import (
+    HERMITICITY_TOL,
     EigenDecomposition,
     _as_square,
     _frobenius,
     dagger,
     eig_hermitian,
+    hermitian_residual,
     hermitize,
     is_hermitian,
     max_abs,
@@ -41,7 +44,12 @@ from qfeedback.linalg import (
     spectral_matrix,
     tensor,
 )
-from qfeedback.measurement import MeasurementModel
+from qfeedback.measurement import (
+    COMPLETENESS_TOL,
+    MeasurementModel,
+    ModelKind,
+    ValidationReport,
+)
 from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
@@ -294,7 +302,7 @@ def average_post_state(records) -> DensityMatrix:
 
 
 def quasi_static_work_reference(
-    h_start: Hamiltonian, h_end: Hamiltonian, temperature: float, n_steps: int, k: float = 1.0
+    h_start: Hamiltonian, h_end: Hamiltonian, temperature: float, n_steps: int
 ) -> float:
     """``feedback.quasi_static_work`` one step at a time: the thermal state of each
     path Hamiltonian built on its own, and -Tr[ΔH_j ρ_j] summed over the steps."""
@@ -309,10 +317,28 @@ def quasi_static_work_reference(
         s0 = j / n_steps
         s1 = (j + 1) / n_steps
         h_here = Hamiltonian.from_matrix((1.0 - s0) * a + s0 * b)
-        rho_here = thermal_state(h_here, temperature, k)
+        rho_here = thermal_state(h_here, temperature)
         dh = (s1 - s0) * (b - a)
         work_out -= float(np.trace(dh @ rho_here.matrix).real)
     return work_out
+
+
+def validation_report_reference(model: MeasurementModel) -> ValidationReport:
+    """``MeasurementModel.report`` with one eig call per operator that passes the
+    Hermiticity test, in place of one stacked call over them."""
+    residual = model.completeness_residual()
+    bad = []
+    if model.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
+        for n, group in enumerate(model.groups):
+            asymmetry = hermitian_residual(group[0])[0]
+            if not asymmetry <= HERMITICITY_TOL:
+                bad.append((n, asymmetry))
+                continue
+            lam_min = float(eig_hermitian(group[0]).eigenvalues[-1])
+            if lam_min < -COMPLETENESS_TOL:
+                bad.append((n, lam_min))
+    ok = residual <= COMPLETENESS_TOL and not bad
+    return ValidationReport(ok=ok, completeness_residual=residual, non_positive=tuple(bad))
 
 
 def parse_json(text: str) -> list[LedgerRow]:

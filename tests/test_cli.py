@@ -43,29 +43,20 @@ measurement:
 
 BAD_TEMPERATURE = GOOD_CONFIG.replace("temperature: 1.0", "temperature: -3.0")
 
-# T and k pass validation, but kT = 0.5 * 5e-324 underflows to 0, so building
-# the thermal state fails numerically rather than at validation
+# T = 5e-324 passes validation, but the retuned levels -kT ln λ of the weak
+# outcomes round to 0 at that kT, so the landing check of the feedback plan
+# fails numerically (a PlanMismatchError) rather than at validation
 DEGENERATE_CONFIG = """\
 scenario_id: tmp-degenerate
 run: {mode: cycle}
 system: {dim: 2, hamiltonian: [0.0, 0.0]}
 bath: {temperature: 5.0e-324}
-constants: {k: 0.5}
 measurement:
   kind: weak
   generator:
     - [[1.0, 0.0], [0.0, 0.0]]
     - [[0.0, 0.0], [-1.0, 0.0]]
   epsilon: 0.4
-"""
-
-SINGLE_LEVEL_CONFIG = """\
-scenario_id: tmp-single-level
-run: {mode: cycle}
-system: {dim: 1, hamiltonian: [0.0]}
-bath: {temperature: 1.0}
-constants: {k: 2.0}
-measurement: {kind: bare, operators: [[[[1.0, 0.0]]]]}
 """
 
 CONTINUOUS_CONFIG = """\
@@ -255,16 +246,6 @@ class TestRun:
             (GOOD_CONFIG, "temperature: 1.0", "temperature: 1.0e+308", 0, LN2),
             (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+300, 0.0]", 1, None),
             (CONTINUOUS_CONFIG, "- [[1.0, 0.0]", "- [[1.0e+308, 0.0]", 1, None),
-            # kT = inf, and kT·S = inf·0 for the one-level system
-            (SINGLE_LEVEL_CONFIG, "temperature: 1.0}", "temperature: 1.0e+308}", 2, None),
-            # kT = 0: (E - E_0)/kT divides by zero
-            (
-                CONTINUOUS_CONFIG,
-                "temperature: 1.0}",
-                "temperature: 5.0e-324}\nconstants: {k: 0.5}",
-                2,
-                None,
-            ),
             # retuned levels near 1e308 on the maximally mixed state's weak outcomes
             # (I ± 0.3 Z)/2, which the plans hold without forming a matrix of them
             (
@@ -281,8 +262,6 @@ class TestRun:
             "temperature",
             "generator-1e300",
             "generator-1e308",
-            "kT-overflow",
-            "kT-underflow",
             "retuned-levels",
         ],
     )
@@ -339,7 +318,7 @@ class TestModeColumns:
     def test_transform_delta_f(self, tmp_path, capsys):
         row, config = self.json_row(tmp_path, capsys, TRANSFORM_CONFIG)
         result = run_transform(
-            config.hamiltonian, config.h2, config.temperature, config.model, k=config.k,
+            config.hamiltonian, config.h2, config.temperature, config.model,
             p_floor=config.p_floor,
         )
         assert result.delta_f != 0.0
@@ -481,8 +460,10 @@ class TestValidate:
         captured = capsys.readouterr()
         assert where in captured.out + captured.err
 
+    # constants held Boltzmann's k: the temperature is kT now, so k = c reads as temperature c·T
     @pytest.mark.parametrize(
-        "key, section", [("seed", None), ("tolerance", "numerics"), ("lambda_floor", "numerics")]
+        "key, section",
+        [("seed", None), ("tolerance", "numerics"), ("lambda_floor", "numerics"), ("constants", None)],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key, section):
         tree = yaml.safe_load(GOOD_CONFIG)
@@ -500,7 +481,6 @@ class TestValidate:
             ("temperature: 1.0", "temperature: .nan"),
             ("temperature: 1.0", "temperature: .inf"),
             ("temperature: 1.0", "temperature: 1.0e+308"),
-            ("temperature: 1.0", "temperature: 1.0e+300\nconstants:\n  k: 1.0e+300"),
             ("hamiltonian: [0.0, 0.0]", "hamiltonian: [1.0e+308, -1.0e+308]"),
         ],
     )
@@ -755,8 +735,6 @@ def config_trees(draw):
         "bath": {"temperature": draw(st.floats(0.1, 10.0))},
         "measurement": _measurement(data, kind, dim),
     }
-    if draw(st.booleans()):
-        tree["constants"] = {"k": draw(st.floats(0.5, 2.0))}
     if mode == "transform":
         tree["transform"] = {"h2": _hamiltonian(data, dim)}
     if mode == "continuous":

@@ -43,7 +43,6 @@ class TestParseDict:
         assert config.mode == "cycle"
         assert config.dim == 2
         assert config.temperature == 1.0
-        assert config.k == 1.0
         assert config.h2 is None
         assert config.steps == 1
         assert config.p_floor == 1e-14
@@ -62,10 +61,8 @@ class TestParseDict:
 
     def test_optional_sections(self):
         data = minimal()
-        data["constants"] = {"k": 2.5}
         data["numerics"] = {"p_floor": 0.0}
         config = parse_dict(data)
-        assert config.k == 2.5
         assert config.p_floor == 0.0
 
     def test_transform_mode(self):
@@ -252,6 +249,14 @@ class TestRejection:
         with pytest.raises(ValidationError, match="unknown key") as info:
             parse_dict(data)
         assert info.value.path == "numerics.lambda_floor"
+
+    def test_constants_is_no_longer_a_section(self):
+        # the temperature is kT; there is no Boltzmann constant to set
+        data = minimal()
+        data["constants"] = {"k": 1.0}
+        with pytest.raises(ValidationError, match="unknown key") as info:
+            parse_dict(data)
+        assert info.value.path == "constants"
 
 
 class TestParseText:

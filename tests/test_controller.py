@@ -166,7 +166,7 @@ def cycle_inputs(dim, n, temperature):
         g = random_hermitian(dim, rng)
         strength = float(rng.uniform(1e-3, 0.5))
         model = MeasurementModel.weak(g / np.abs(np.linalg.eigvalsh(g)).max(), strength)
-    step = plan_branches(h, temperature, model, 1.0, DEFAULT_P_FLOOR)
+    step = plan_branches(h, temperature, model, DEFAULT_P_FLOOR)
     blocks = [np.eye(dim, dtype=complex)] * model.n_outcomes
     for plan in step.plans:
         blocks[plan.outcome] = plan.basis_unitary

@@ -4,31 +4,37 @@ that owns it, a state built from a known spectrum keeps it (a thermal state
 its Gibbs weights on H's eigenvectors, a plan's landing target its Gibbs
 weights on the retuned levels, a decohered joint its branch states), a state
 that is PSD by construction (the correlated V ρ V†, the rotated U J U†, the
-finalized p ⊗ ρ_T and the cycle's endpoint Σ p_n ρ_T) takes no eig until
-something reads its spectrum, and a measurement model keeps its validation
-report, so these counts hold.  They are exact, not ceilings: a decomposition
-made around ``eig_hermitian`` would lower them.
+finalized p ⊗ ρ_T, its two marginals and the cycle's endpoint Σ p_n ρ_T)
+takes no eig until something reads its spectrum, and a measurement model
+keeps its validation report, so these counts hold.  They are exact, not
+ceilings: a decomposition made around ``eig_hermitian`` would lower them.
 
 The ``eig_calls`` fixture in conftest.py records one entry per call holding
 the number of matrices in its stack, so each test pins both the calls and
-the matrices.  With N outcomes, a fresh H (one eig) and a fresh model (N eigs
-to validate a bare one, none for an efficient one), a cycle makes N + 3
-calls (2N + 3 bare) on 3N + 2 matrices (4N + 2 bare): H, each outcome state,
-one stacked call in ``execute_plan`` on the N rotated states and their N
-differences from the landing targets (which gives each rotated state's
-entropy and each landing distance), then the closure distance.  A transform
-makes one more call, for H2.  A bare controller cycle makes 2N + 4 calls on
-3N + 3 matrices: H, the N operators, the N outcome states, one stacked call
-in ``decohere_controller`` on its N diagonal blocks, the system closure
-distance and the controller marginal, whose entropy the reset reads.  The
-system marginal is PSD by construction, and the controller closure compares
-two equal matrices, which takes no eig."""
+the matrices.  With N outcomes, a fresh H (one eig) and a fresh model (one
+stacked call on its N operators to validate a bare one, none for an
+efficient one), a cycle makes N + 3 calls (N + 4 bare) on 3N + 2 matrices
+(4N + 2 bare): H, each outcome state, one stacked call in ``execute_plan``
+on the N rotated states and their N differences from the landing targets
+(which gives each rotated state's entropy and each landing distance), then
+the closure distance.  A transform makes one more call, for H2.  A bare
+controller cycle makes N + 4 calls on 3N + 2 matrices: H, the N operators,
+the N outcome states, one stacked call in ``decohere_controller`` on its N
+diagonal blocks and the system closure distance.  The reset reads the
+record entropy from the controller marginal's diagonal, and the controller
+closure compares two equal matrices, which takes no eig."""
 
 import numpy as np
 import pytest
 
 from qfeedback.cli import main
-from qfeedback.controller import run_controller_cycle
+from qfeedback.controller import (
+    correlate,
+    decohere_controller,
+    finalize_branches,
+    reset_controller,
+    run_controller_cycle,
+)
 from qfeedback.feedback import run_continuous, run_cycle, run_transform
 from qfeedback.measurement import MeasurementModel, apply, validate
 from qfeedback.sampling import (
@@ -37,9 +43,10 @@ from qfeedback.sampling import (
     random_hamiltonian,
     random_hermitian,
 )
-from qfeedback.thermo import Hamiltonian, thermal_state
+from qfeedback.thermo import Hamiltonian, thermal_state, von_neumann_entropy
 
-from conftest import PAULI_Z
+from conftest import PAULI_Z, PROJ_0, PROJ_1
+from oracles import validation_report_reference
 
 
 def fresh_inputs(make_model, n, dim=3):
@@ -61,11 +68,11 @@ def test_bare_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 2 * n + 3
+    assert len(eig_calls) == n + 4
     assert sum(eig_calls) == 4 * n + 2
 
 
-# per_outcome: the matrices an outcome costs, whose stacked two are one call
+# per_outcome: the matrices an outcome costs; a bare model's operators take one call
 @pytest.mark.parametrize(
     "make_model, per_outcome", [(random_efficient_model, 3), (random_bare_model, 4)]
 )
@@ -75,7 +82,7 @@ def test_transform(eig_calls, n, make_model, per_outcome):
     h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
     eig_calls.clear()
     run_transform(h, h2, 1.0, model)
-    assert len(eig_calls) == (per_outcome - 2) * n + 4
+    assert len(eig_calls) == n + 4 + (make_model is random_bare_model)
     assert sum(eig_calls) == per_outcome * n + 3
 
 
@@ -84,8 +91,40 @@ def test_controller_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
-    assert len(eig_calls) == 2 * n + 4
-    assert sum(eig_calls) == 3 * n + 3
+    assert len(eig_calls) == n + 4
+    assert sum(eig_calls) == 3 * n + 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reset_reads_the_marginal_without_an_eig(eig_calls, n):
+    """The finalized joint diag(p) ⊗ ρ_T has a diagonal controller marginal, whose
+    diagonal, sorted, is its spectrum: the reset's S({p_n}) is the one an eig gives."""
+    h, model = fresh_inputs(random_bare_model, n)
+    rho = thermal_state(h, 1.0)
+    kept = range(n)
+    joint = decohere_controller(correlate(rho, model), kept)
+    s = von_neumann_entropy(rho)
+    final, bath = finalize_branches(joint, rho, joint.branch_entropies(kept), s)
+    eig_calls.clear()
+    marginal = final.controller_state()
+    _, bath = reset_controller(marginal, bath)
+    assert eig_calls == []
+    spectrum = marginal.eig.eigenvalues
+    assert spectrum.tobytes() == np.sort(np.diag(marginal.matrix).real)[::-1].tobytes()
+    assert bath.reset_addition == von_neumann_entropy(marginal)
+
+
+def test_bare_report_is_one_call(eig_calls):
+    """A fresh bare model's positivity check diagonalizes every operator that passes
+    the Hermiticity test in one call, and reports as the check one at a time does."""
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)  # not Hermitian
+    negative = np.diag([0.6, -0.2]).astype(complex)  # Hermitian, not positive
+    model = MeasurementModel.bare([skew, PROJ_0, negative, PROJ_1])
+    eig_calls.clear()
+    report = validate(model)
+    assert eig_calls == [3]
+    assert report == validation_report_reference(model)
+    assert [n for n, _ in report.non_positive] == [0, 2]
 
 
 def test_model_is_checked_once(eig_calls):

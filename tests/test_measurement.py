@@ -11,6 +11,7 @@ from qfeedback.errors import (
     DegenerateStateError,
     DimensionMismatchError,
     IncompleteModelError,
+    InputError,
     InvalidModelError,
     NotHermitianError,
 )
@@ -101,6 +102,33 @@ class TestModelConstruction:
     def test_inefficient_needs_operators(self):
         with pytest.raises(InvalidModelError):
             MeasurementModel.inefficient([[]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MeasurementModel.bare([]),
+            lambda: MeasurementModel.efficient([]),
+            lambda: MeasurementModel.inefficient([]),
+            lambda: MeasurementModel.bare([PROJ_0, np.eye(3)]),
+            lambda: MeasurementModel.efficient([PROJ_0, np.ones((2, 3))]),
+            lambda: MeasurementModel.bare([np.ones((2, 3)), np.ones((2, 3))]),
+            lambda: MeasurementModel.efficient([np.ones(2)]),
+            lambda: MeasurementModel.bare([np.zeros((0, 0))]),
+            lambda: MeasurementModel.inefficient([[PROJ_0], [PROJ_1, np.eye(3)]]),
+            lambda: MeasurementModel.bare([[[1.0, 0.0], [0.0]]]),
+            lambda: MeasurementModel.weak(np.ones(2), 0.3),
+            lambda: MeasurementModel.weak(np.ones((2, 3)), 0.3),
+        ],
+        ids=[
+            "bare-empty", "efficient-empty", "inefficient-empty", "mixed-dims", "non-square",
+            "all-non-square", "one-dimensional", "zero-size", "inefficient-mixed-dims",
+            "ragged", "weak-1d-generator", "weak-non-square-generator",
+        ],
+    )
+    def test_malformed_family_is_an_input_error(self, build):
+        # each raised IndexError, ValueError or AxisError from numpy, here or in validate
+        with pytest.raises(InputError):
+            validate(build())
 
     def test_operators_are_read_only_copies(self):
         ops = [PROJ_0.copy(), PROJ_1.copy()]

@@ -19,7 +19,7 @@ from qfeedback.thermo import DensityMatrix, Hamiltonian, thermal_state, thermo_r
 from conftest import PROJ_0, PROJ_1
 
 # keyword arguments both pictures take, at their defaults
-FLOORS = dict(k=1.0, p_floor=DEFAULT_P_FLOOR)
+FLOORS = dict(p_floor=DEFAULT_P_FLOOR)
 
 
 @pytest.fixture

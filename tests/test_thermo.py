@@ -139,15 +139,10 @@ class TestThermalState:
         with pytest.raises(NonPositiveTemperatureError):
             thermal_state(Hamiltonian.zero(2), 0.0)
 
-    def test_rejects_non_positive_boltzmann_constant(self):
-        with pytest.raises(InputError):
-            thermal_state(Hamiltonian.zero(2), 1.0, k=0.0)
-
-    def test_boltzmann_constant_scaling(self):
-        h = Hamiltonian.diagonal([0.0, 1.0])
-        a = thermal_state(h, 1.0, k=2.0)
-        b = thermal_state(h, 2.0, k=1.0)
-        assert max_abs(a.matrix - b.matrix) < 1e-14
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan])
+    def test_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(DomainError, match="outside the float range"):
+            thermal_state(Hamiltonian.zero(2), temperature)
 
 
 def thermal_eig_cases():
@@ -240,10 +235,10 @@ class TestEntropyAndEnergy:
             average_energy(rho, Hamiltonian.from_matrix(PAULI_Y))
 
     def test_free_energy_overflow_is_inf_not_a_warning(self):
-        # kT·S = 1.3e308 · ln 5 is past the float range; a ledger row rejects the inf
+        # kT·S = 1e308 · ln 7 is past the float range; a ledger row rejects the inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            reading = thermo_reading(maximally_mixed(5), Hamiltonian.zero(5), 1e308, k=1.3)
+            reading = thermo_reading(maximally_mixed(7), Hamiltonian.zero(7), 1e308)
         assert reading.free_energy == -math.inf
 
     def test_shannon_entropy(self):
