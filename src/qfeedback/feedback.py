@@ -40,6 +40,7 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
+    _unit_trace,
     boltzmann_kt,
     gibbs_weights,
     thermal_state,
@@ -160,12 +161,13 @@ class ContinuousResult:
 
 
 def plan_feedback(
-    record: OutcomeRecord,
+    records: Sequence[OutcomeRecord],
     h: Hamiltonian,
     temperature: float,
     e_initial: float = 0.0,
-) -> FeedbackPlan:
-    """Build the steps (i)-(iv) plan for one outcome, on its support.
+) -> tuple[FeedbackPlan, ...]:
+    """Build the steps (i)-(iv) plan of every outcome in ``records``, each on its support,
+    over the stacked outcome spectra.
 
     A level whose population is not positive is raised to +inf at no work:
     the limit of ε_j = -kT ln λ_j as λ_j → 0, which a pure outcome needs.  Not
@@ -173,31 +175,25 @@ def plan_feedback(
     -1e-18 again.
     """
     kt = boltzmann_kt(temperature)
-    dec_state = record.state.eig
-    lam = np.clip(dec_state.eigenvalues, 0.0, None)
-    lam = lam / lam.sum()
+    lam = np.clip(np.array([r.state.eig.eigenvalues for r in records]), 0.0, None)
+    lam = lam / lam.sum(axis=-1, keepdims=True)
     support = lam > 0.0
 
-    dec_h = h.eig
     # ascending energies, so the descending populations land on them in order
-    energy_basis = dec_h.eigenvectors[:, ::-1]
-    basis_unitary = energy_basis @ dagger(dec_state.eigenvectors)
+    energy_basis = h.eig.eigenvectors[:, ::-1]
+    unitaries = energy_basis @ dagger(np.array([r.state.eig.eigenvectors for r in records]))
 
-    levels = np.full(lam.shape, np.inf)
-    with np.errstate(over="ignore"):  # checked on the next line
-        levels[support] = -kt * np.log(lam[support])
-    if not np.isfinite(levels[support]).all():
+    with np.errstate(divide="ignore", over="ignore"):  # checked below
+        levels = np.where(support, -kt * np.log(lam), np.inf)
+    failed = (support & ~np.isfinite(levels)).any(axis=-1)
+    if failed.any():
         raise DomainError(
-            f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite (kT = {kt!r})"
+            f"outcome {records[int(failed.argmax())].n}: a retuned level -kT ln(lambda) "
+            f"is not finite (kT = {kt!r})"
         )
-    shift = e_initial - float(np.dot(lam[support], levels[support]))
-    return FeedbackPlan(
-        outcome=record.n,
-        basis_unitary=basis_unitary,
-        energy_basis=energy_basis,
-        levels=levels,
-        shift=shift,
-        populations=lam,
+    return tuple(
+        FeedbackPlan(r.n, u, energy_basis, eps, e_initial - float(np.dot(p[on], eps[on])), p)
+        for r, u, eps, p, on in zip(records, unitaries, levels, lam, support)
     )
 
 
@@ -213,7 +209,7 @@ def plan_branches(
     rho = thermal_state(h, temperature)
     initial = thermo_reading(rho, h, temperature)
     outcomes = apply(model, rho, h, p_floor=p_floor)
-    plans = tuple(plan_feedback(r, h, temperature, e_initial=initial.energy) for r in outcomes)
+    plans = plan_feedback(outcomes, h, temperature, e_initial=initial.energy)
     delta_e_meas = measurement_energy_cost(outcomes, initial.energy)
     clamp = any(r.state.clamped for r in outcomes)
     return BranchPlans(rho, initial, outcomes, plans, delta_e_meas, clamp)
@@ -228,8 +224,9 @@ def execute_plan(
     the resulting thermal state and the work extracted: E_n - Tr[H ρ'] from the
     rotation at fixed H, plus Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at
     fixed state ρ'.  Each record and its plan read the H the plan was made for.
-    One eig call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], σ_n the Gibbs state
-    of the retuned levels, gives the landing distances and the rotated spectra.
+    It works on (N, d, d) stacks: one ``_unit_trace`` call checks the rotated
+    states, and one eig call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], σ_n the
+    Gibbs state of the retuned levels, gives the landing distances and the rotated spectra.
 
     Raises :class:`PlanMismatchError`, naming the first outcome that fails, if
     a landed state is not the Gibbs state of its retuned levels (the shift c_n
@@ -239,22 +236,20 @@ def execute_plan(
     """
     if len(records) != len(plans):
         raise PlanMismatchError(f"{len(records)} outcomes but {len(plans)} plans")
-    rotated, differences, works = [], [], []
-    for record, plan in zip(records, plans):
-        u, b, support = plan.basis_unitary, plan.energy_basis, np.isfinite(plan.levels)
-        rho = DensityMatrix.from_psd(u @ record.state.matrix @ dagger(u), "rotated outcome state")
-        # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
-        # work, so Tr[(H_n + c_n) ρ'] sums over the support only
-        populations = np.einsum("ij,ij->j", b.conj(), rho.matrix @ b).real[support]
-        works.append(record.energy - float(np.dot(plan.levels[support] + plan.shift, populations)))
-        expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
-        rotated.append(rho.matrix)
-        differences.append(rho.matrix - expected)
-    dec = eig_hermitian(np.stack(rotated + differences))
+    u = np.array([plan.basis_unitary for plan in plans])
+    b = np.array([plan.energy_basis for plan in plans])
+    states = np.array([record.state.matrix for record in records])
+    levels = np.array([plan.levels for plan in plans])
+    rotated, _ = _unit_trace(u @ states @ dagger(u), "rotated outcome state")
+    # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
+    # work, so Tr[(H_n + c_n) ρ'] sums over the support only
+    populations = np.einsum("nij,nij->nj", b.conj(), rotated @ b).real
+    expected = spectral_matrix(b, gibbs_weights(levels, temperature))
+    dec = eig_hermitian(np.concatenate([rotated, rotated - expected]))
 
     landed = []
     for n, (record, plan) in enumerate(zip(records, plans)):
-        deviation = 0.5 * float(np.abs(dec.eigenvalues[len(rotated) + n]).sum())
+        deviation = 0.5 * float(np.abs(dec.eigenvalues[len(plans) + n]).sum())
         if deviation > PLAN_TOL:
             raise PlanMismatchError(
                 f"outcome {plan.outcome}: landed state is {deviation:.3e} from thermal "
@@ -265,7 +260,9 @@ def execute_plan(
         drift = abs(von_neumann_entropy(state) - record.entropy)
         if drift > PLAN_TOL:
             raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")
-        landed.append((state, works[n]))
+        on = np.isfinite(plan.levels)
+        work = record.energy - float(np.dot(plan.levels[on] + plan.shift, populations[n][on]))
+        landed.append((state, work))
     return tuple(landed)
 
 

@@ -27,6 +27,7 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-10
 SAFE_ENTRY_MAX = 1e150  # below it, neither M + M† nor ||M||_F can overflow
+NEGATIVE_ZERO_BITS = np.iinfo(np.int64).min  # -0.0 read as an int64, and no other double
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -40,8 +41,12 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_matrix(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """V diag(x) V†, hermitized: the product's round-off is not exactly Hermitian."""
-    return hermitize(vectors @ np.diag(values.astype(complex)) @ dagger(vectors))
+    """V diag(x) V† of one matrix or of each in a stack, hermitized: round-off leaves the
+    product not exactly Hermitian."""
+    d = values.shape[-1]
+    diagonal = np.zeros((*values.shape, d), dtype=complex)
+    diagonal.reshape(*values.shape[:-1], d * d)[..., :: d + 1] = values
+    return hermitize(vectors @ diagonal @ dagger(vectors))
 
 
 def read_only(m) -> np.ndarray:
@@ -72,8 +77,9 @@ def hermitian_residual(m: np.ndarray) -> tuple[float, bool, bool]:
     residual = m - dagger(m)
     if residual.any():
         return max_abs(residual), False, True
-    negative_zeros = np.ascontiguousarray(m).view(np.uint64) == 1 << 63
-    return 0.0, not negative_zeros.any(), True
+    bits = np.ascontiguousarray(m).view(np.int64)
+    negative_zero = bits.size > 0 and bits.min() == NEGATIVE_ZERO_BITS
+    return 0.0, not negative_zero, True
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:

@@ -82,29 +82,46 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float]:
+def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float | np.ndarray]:
     """The checks every state runs before its spectrum: square, Hermitian within STATE_TOL,
     finite and of trace 1 within STATE_TOL.  Returns the hermitized matrix over its trace,
-    and that trace."""
+    and that trace; a stack (…, d, d) gets its traces shaped (…, 1, 1), each slice the single
+    call's bytes, and if it fails, the single call's error on its first failing slice."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
+    stack = m.ndim > 2
     residual, exact, safe = hermitian_residual(m)
-    if not residual <= STATE_TOL:
-        raise InvalidStateError(
-            f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
-        )
-    # entries near the float maximum overflow in hermitize: the checks below raise,
-    # with no warning first
-    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
-        m = m if exact else hermitize(m)
-        tr = float(m.trace().real)
-        if not abs(tr - 1.0) <= STATE_TOL:  # a NaN trace fails too
-            raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
-        m = m / tr
-    if not safe and not np.isfinite(m).all():
-        raise InvalidStateError(f"{where}: entries are not finite")
+    try:
+        if not residual <= STATE_TOL:
+            raise InvalidStateError(
+                f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
+            )
+        # entries near the float maximum overflow in hermitize: the checks below raise,
+        # with no warning first
+        with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
+            m = m if exact else hermitize(m)
+            tr = m.trace(axis1=-2, axis2=-1).real
+            tr = tr[..., None, None] if stack else float(tr)
+            for t in tr.ravel().tolist() if stack else [tr]:  # a NaN trace fails too
+                if not abs(t - 1.0) <= STATE_TOL:
+                    raise InvalidStateError(f"{where}: trace {t!r} is not 1 within {STATE_TOL:g}")
+            m = m / tr
+        if not safe and not np.isfinite(m).all():
+            raise InvalidStateError(f"{where}: entries are not finite")
+    except InvalidStateError:
+        for x in np.reshape(matrix, (-1, *m.shape[-2:])) if stack else ():
+            _unit_trace(x, where)
+        raise
     return m, tr
+
+
+def _one_matrix(matrix, where: str) -> np.ndarray:
+    """``matrix`` as a complex array, which a state's constructor requires to be 2-D."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -137,7 +154,7 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
-        m, _ = _unit_trace(matrix, where)
+        m, _ = _unit_trace(_one_matrix(matrix, where), where)
         return cls._from_eig(m, eig_hermitian(m), where)
 
     @classmethod
@@ -159,7 +176,7 @@ class DensityMatrix:
     def from_psd(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
         """A state PSD by construction, such as X X† or a positive mix of states: every
         check of :meth:`from_matrix` but the eig, which could only clamp round-off."""
-        return cls(matrix=read_only(_unit_trace(matrix, where)[0]))
+        return cls(matrix=read_only(_unit_trace(_one_matrix(matrix, where), where)[0]))
 
     @classmethod
     def _with_eig(cls, m: np.ndarray, dec: EigenDecomposition) -> "DensityMatrix":

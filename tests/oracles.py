@@ -6,8 +6,9 @@ LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
 the controller's joint states diagonalized and clamped as ``from_matrix``
 builds a state, the average post-measurement state, the quasi-static work
-integral one path step at a time, and a measurement model's validation
-report with one eig per operator.
+integral one path step at a time, a measurement model's validation
+report with one eig per operator, and the feedback plans planned and
+executed one outcome at a time, each rotated state checked on its own.
 ``eig_hermitian_reference`` is the straightforward form of the LAPACK
 wrapper, which the program's must match byte for byte.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,11 +25,15 @@ import numpy as np
 from qfeedback.controller import BathLedger, JointState
 from qfeedback.errors import (
     ArgumentRangeError,
+    DimensionMismatchError,
     DomainError,
+    InvalidStateError,
     NoConvergenceError,
     NonPositiveTemperatureError,
     NotHermitianError,
+    PlanMismatchError,
 )
+from qfeedback.feedback import PLAN_TOL, FeedbackPlan
 from qfeedback.ledger import LedgerRow
 from qfeedback.linalg import (
     HERMITICITY_TOL,
@@ -51,8 +57,11 @@ from qfeedback.measurement import (
     ValidationReport,
 )
 from qfeedback.thermo import (
+    STATE_TOL,
     DensityMatrix,
     Hamiltonian,
+    boltzmann_kt,
+    gibbs_weights,
     shannon_entropy,
     thermal_state,
     von_neumann_entropy,
@@ -339,6 +348,93 @@ def validation_report_reference(model: MeasurementModel) -> ValidationReport:
                 bad.append((n, lam_min))
     ok = residual <= COMPLETENESS_TOL and not bad
     return ValidationReport(ok=ok, completeness_residual=residual, non_positive=tuple(bad))
+
+
+def unit_trace_reference(matrix, where: str) -> tuple[np.ndarray, float]:
+    """``thermo._unit_trace`` on one matrix: each check in turn, then the hermitized
+    matrix over its trace, and that trace."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
+    residual, exact, safe = hermitian_residual(m)
+    if not residual <= STATE_TOL:
+        raise InvalidStateError(
+            f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
+        )
+    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
+        m = m if exact else hermitize(m)
+        tr = float(m.trace().real)
+        if not abs(tr - 1.0) <= STATE_TOL:
+            raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
+        m = m / tr
+    if not safe and not np.isfinite(m).all():
+        raise InvalidStateError(f"{where}: entries are not finite")
+    return m, tr
+
+
+def plan_feedback_reference(record, h: Hamiltonian, temperature: float, e_initial: float = 0.0):
+    """``feedback.plan_feedback`` for one outcome, on its own spectrum."""
+    kt = boltzmann_kt(temperature)
+    dec_state = record.state.eig
+    lam = np.clip(dec_state.eigenvalues, 0.0, None)
+    lam = lam / lam.sum()
+    support = lam > 0.0
+
+    dec_h = h.eig
+    energy_basis = dec_h.eigenvectors[:, ::-1]
+    basis_unitary = energy_basis @ dagger(dec_state.eigenvectors)
+
+    levels = np.full(lam.shape, np.inf)
+    with np.errstate(over="ignore"):
+        levels[support] = -kt * np.log(lam[support])
+    if not np.isfinite(levels[support]).all():
+        raise DomainError(
+            f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite (kT = {kt!r})"
+        )
+    shift = e_initial - float(np.dot(lam[support], levels[support]))
+    return FeedbackPlan(
+        outcome=record.n,
+        basis_unitary=basis_unitary,
+        energy_basis=energy_basis,
+        levels=levels,
+        shift=shift,
+        populations=lam,
+    )
+
+
+def execute_plan_reference(records, plans, temperature: float):
+    """``feedback.execute_plan`` one outcome at a time: each rotated state built by
+    ``DensityMatrix.from_psd`` and its landing target by ``np.diag``, then one eig
+    call over every rotated state and difference, checked outcome by outcome."""
+    if len(records) != len(plans):
+        raise PlanMismatchError(f"{len(records)} outcomes but {len(plans)} plans")
+    rotated, differences, works = [], [], []
+    for record, plan in zip(records, plans):
+        u, b, support = plan.basis_unitary, plan.energy_basis, np.isfinite(plan.levels)
+        rho = DensityMatrix.from_psd(u @ record.state.matrix @ dagger(u), "rotated outcome state")
+        populations = np.einsum("ij,ij->j", b.conj(), rho.matrix @ b).real[support]
+        works.append(record.energy - float(np.dot(plan.levels[support] + plan.shift, populations)))
+        weights = gibbs_weights(plan.levels, temperature)
+        expected = hermitize(b @ np.diag(weights.astype(complex)) @ dagger(b))
+        rotated.append(rho.matrix)
+        differences.append(rho.matrix - expected)
+    dec = eig_hermitian(np.stack(rotated + differences))
+
+    landed = []
+    for n, (record, plan) in enumerate(zip(records, plans)):
+        deviation = 0.5 * float(np.abs(dec.eigenvalues[len(rotated) + n]).sum())
+        if deviation > PLAN_TOL:
+            raise PlanMismatchError(
+                f"outcome {plan.outcome}: landed state is {deviation:.3e} from thermal "
+                f"(tolerance {PLAN_TOL:g})"
+            )
+        spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
+        state = DensityMatrix._with_eig(rotated[n], spectrum)
+        drift = abs(von_neumann_entropy(state) - record.entropy)
+        if drift > PLAN_TOL:
+            raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")
+        landed.append((state, works[n]))
+    return tuple(landed)
 
 
 def parse_json(text: str) -> list[LedgerRow]:

@@ -271,7 +271,7 @@ def test_criterion_6_controller_equivalence():
         e0 = average_energy(rho_t, h)
         s0 = von_neumann_entropy(rho_t)
         blocks = [
-            plan_feedback(r, h, temperature, e_initial=e0).basis_unitary for r in records
+            plan.basis_unitary for plan in plan_feedback(records, h, temperature, e_initial=e0)
         ]
         moved = apply_joint_unitary(joint, feedback_unitary(blocks))
         decohered = decohere_controller(moved)

@@ -439,7 +439,7 @@ class TestFinalizeAndLedger:
         records = apply(model, rho, H2LEVEL)
         from qfeedback.feedback import plan_feedback
 
-        plans = [plan_feedback(r, H2LEVEL, 1.0, e_initial=e) for r in records]
+        plans = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
         joint = apply_joint_unitary(joint, feedback_unitary([p.basis_unitary for p in plans]))
         return decohere_controller(joint), rho
 

@@ -69,7 +69,7 @@ class TestPlanFeedback:
     def test_thermal_fixed_point(self):
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
-        plan = plan_feedback(record_for(rho, H2LEVEL), H2LEVEL, 1.0, e_initial=e)
+        [plan] = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0, e_initial=e)
         # the thermal state is already ordered against energy, so the rotation
         # is trivial and the retuned-plus-shifted Hamiltonian is H itself
         assert max_abs(plan.basis_unitary - np.eye(2)) < 1e-9
@@ -78,7 +78,7 @@ class TestPlanFeedback:
     def test_populations_match_retuned_gibbs_weights(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
         records = apply(model, maximally_mixed(2), Hamiltonian.zero(2))
-        plan = plan_feedback(records[0], Hamiltonian.zero(2), 1.0, e_initial=0.0)
+        plan = plan_feedback(records, Hamiltonian.zero(2), 1.0, e_initial=0.0)[0]
         np.testing.assert_allclose(plan.populations, [0.75, 0.25], atol=1e-12)
         levels = np.array([-math.log(0.75), -math.log(0.25)])
         gibbs = np.exp(-levels) / np.exp(-levels).sum()
@@ -90,8 +90,8 @@ class TestPlanFeedback:
             h = random_hamiltonian(dim, rng)
             model = random_efficient_model(dim, 2, rng)
             rho = thermal_state(h, 1.0)
-            for record in apply(model, rho, h):
-                plan = plan_feedback(record, h, 1.0, e_initial=average_energy(rho, h))
+            e = average_energy(rho, h)
+            for plan in plan_feedback(apply(model, rho, h), h, 1.0, e_initial=e):
                 assert all(
                     plan.populations[i] >= plan.populations[i + 1] - 1e-12
                     for i in range(dim - 1)
@@ -100,7 +100,7 @@ class TestPlanFeedback:
     def test_pure_outcome_planned_on_its_support(self):
         h = Hamiltonian.zero(2)
         record = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), h)
-        plan = plan_feedback(record, h, 1.0)
+        [plan] = plan_feedback([record], h, 1.0)
         np.testing.assert_array_equal(plan.populations, [1.0, 0.0])
         # the kernel level is raised to +inf, and the shift reads the support only
         assert plan.levels[0] == 0.0 and plan.levels[1] == np.inf
@@ -115,8 +115,7 @@ class TestPlanFeedback:
         rho = thermal_state(h, 0.8)
         e = average_energy(rho, h)
         model = random_efficient_model(3, 3, rng)
-        for record in apply(model, rho, h):
-            plan = plan_feedback(record, h, 0.8, e_initial=e)
+        for plan in plan_feedback(apply(model, rho, h), h, 0.8, e_initial=e):
             # H_n + c_n·I, the Hamiltonian in force after step (iv)
             h_final = Hamiltonian.from_matrix(
                 spectral_matrix(plan.energy_basis, plan.levels + plan.shift)
@@ -130,7 +129,7 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         record = record_for(rho, H2LEVEL)
-        plan = plan_feedback(record, H2LEVEL, 1.0, e_initial=e)
+        [plan] = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
         [(state, work)] = execute_plan([record], [plan], 1.0)
         assert abs(work) < 1e-9
         assert trace_distance(state, rho) < 1e-9
@@ -141,7 +140,7 @@ class TestExecutePlan:
         rho = thermal_state(h, 1.0)
         e = average_energy(rho, h)
         records = apply(random_efficient_model(3, 2, rng), rho, h)
-        plans = [plan_feedback(record, h, 1.0, e_initial=e) for record in records]
+        plans = plan_feedback(records, h, 1.0, e_initial=e)
         for record, (state, work) in zip(records, execute_plan(records, plans, 1.0)):
             assert work == pytest.approx(record.energy - e, abs=1e-9)
             assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
@@ -150,7 +149,7 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
-        plan = plan_feedback(records[0], H2LEVEL, 1.0, e_initial=e)
+        plan = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)[0]
         [(_, work)] = execute_plan(records[:1], [plan], 1.0)
         assert work == pytest.approx(0.5 - e, abs=1e-9)
 
@@ -158,7 +157,7 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         record = record_for(rho, H2LEVEL)
-        plan = plan_feedback(record, H2LEVEL, 1.0, e_initial=e)
+        [plan] = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
         other = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL)
         with pytest.raises(PlanMismatchError):
             execute_plan([other], [plan], 1.0)
@@ -173,7 +172,7 @@ class TestExecutePlan:
             rho = thermal_state(h, 1.0)
             e = average_energy(rho, h)
             records = apply(random_efficient_model(6, 3, rng), rho, h)
-            plans = [plan_feedback(record, h, 1.0, e_initial=e) for record in records]
+            plans = plan_feedback(records, h, 1.0, e_initial=e)
             for record, (state, _) in zip(records, execute_plan(records, plans, 1.0)):
                 assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
 
@@ -191,7 +190,7 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
-        plans = [plan_feedback(r, H2LEVEL, 1.0, e_initial=e) for r in records]
+        plans = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
         assert len(execute_plan(records, plans, 1.0)) == 2
         # the second plan rotates |->, not |0>, onto the ground state
         swapped = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL, n=1)
@@ -213,7 +212,7 @@ class TestExecutePlan:
 
     def test_plans_must_pair_with_outcomes(self):
         rho = thermal_state(H2LEVEL, 1.0)
-        plan = plan_feedback(record_for(rho, H2LEVEL), H2LEVEL, 1.0)
+        [plan] = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0)
         with pytest.raises(PlanMismatchError, match="2 outcomes but 1 plans"):
             execute_plan([record_for(rho, H2LEVEL)] * 2, [plan], 1.0)
 

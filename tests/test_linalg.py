@@ -19,6 +19,7 @@ from qfeedback.linalg import (
     dagger,
     dephase_blocks,
     eig_hermitian,
+    hermitian_residual,
     hermitize,
     is_hermitian,
     matrix_function,
@@ -247,6 +248,35 @@ def test_beyond_safe_entries_keep_their_residual():
         with pytest.raises(NotHermitianError, match="inf"):
             eig_hermitian(m)
         assert is_hermitian(np.full((2, 2), 1e308, dtype=complex))
+
+
+def _with_negative_zero(m, index, part):
+    out = np.array(m, dtype=complex)
+    getattr(out, part)[index] = -0.0
+    return out
+
+
+EYE = np.eye(3, dtype=complex)
+SIGNED_ZEROS = {
+    "none": EYE,
+    "negative-entries": -EYE,
+    "real-part": _with_negative_zero(EYE, (0, 1), "real"),
+    "imaginary-part": _with_negative_zero(EYE, (2, 2), "imag"),
+    "stack-none": np.stack([EYE, -EYE, EYE]),
+    "one-slice-of-a-stack": np.stack([EYE, _with_negative_zero(EYE, (1, 1), "imag"), EYE]),
+    "0x0": np.zeros((0, 0), dtype=complex),
+    "empty-stack": np.zeros((0, 3, 3), dtype=complex),
+    "stack-of-0x0": np.zeros((4, 0, 0), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("m", SIGNED_ZEROS.values(), ids=SIGNED_ZEROS.keys())
+def test_exact_flag_reads_every_negative_zero(m):
+    """An exactly Hermitian matrix is hermitized unchanged unless a component is -0.0."""
+    negative_zero = bool((np.ascontiguousarray(m).view(np.uint64) == 1 << 63).any())
+    assert hermitian_residual(m) == (0.0, not negative_zero, True)
+    if not negative_zero:
+        assert hermitize(m).tobytes() == m.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ cycle and the controller alike."""
 
 import dataclasses
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,20 +59,47 @@ def bare_inputs(seed, dim=3, n=3):
     return h, t, random_bare_model(dim, n, rng)
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda h, t, m: run_cycle(h, t, m),
-        lambda h, t, m: run_transform(h, random_hamiltonian(3, np.random.default_rng(9)), t, m),
-        lambda h, t, m: run_controller_cycle(h, t, m),
-        lambda h, t, m: run_continuous(h, t, MeasurementModel.weak(np.diag([1, -1, 0.5]), 0.1), 4),
-    ],
-    ids=["cycle", "transform", "controller", "continuous"],
-)
+@pytest.fixture
+def calls(monkeypatch):
+    """How often plan_feedback and execute_plan are called, each through the feedback
+    module, where plan_branches and the measurement picture look them up."""
+    counts = Counter()
+    for name in ("plan_feedback", "execute_plan"):
+
+        def counting(*args, _name=name, _original=getattr(feedback, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(feedback, name, counting)
+    return counts
+
+
+DRIVERS = {
+    "cycle": lambda h, t, m: run_cycle(h, t, m),
+    "transform": lambda h, t, m: run_transform(
+        h, random_hamiltonian(3, np.random.default_rng(9)), t, m
+    ),
+    "controller": lambda h, t, m: run_controller_cycle(h, t, m),
+    "continuous": lambda h, t, m: run_continuous(
+        h, t, MeasurementModel.weak(np.diag([1, -1, 0.5]), 0.1), 4
+    ),
+}
+
+
+@pytest.mark.parametrize("run", DRIVERS.values(), ids=DRIVERS.keys())
 def test_each_driver_plans_once(steps, run):
     h, t, model = bare_inputs(1)
     run(h, t, model)
     assert len(steps) == 1
+
+
+@pytest.mark.parametrize("run", DRIVERS.values(), ids=DRIVERS.keys())
+def test_every_outcome_is_planned_and_executed_in_one_call(calls, run):
+    h, t, model = bare_inputs(1)
+    run(h, t, model)
+    # the controller takes the plans' unitaries as its blocks and executes no plan
+    executed = 0 if run is DRIVERS["controller"] else 1
+    assert calls == Counter(plan_feedback=1, execute_plan=executed)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,0 +1,205 @@
+"""Stacked feedback plans and their execution against the one-outcome-at-a-time forms.
+
+``feedback.plan_feedback`` plans every kept outcome over the stacked outcome spectra,
+and ``execute_plan`` builds the rotated states, their populations and the landing
+targets as stacks, checked by one ``thermo._unit_trace`` call.  On a seeded family
+(bare, efficient and inefficient models, and projective ones whose rank-1 outcomes are
+pure, so their kernel levels are +inf; dims 1-16, N 1-4, T from 1e-3 to 1e3) every plan,
+landed state and work must equal ``oracles.plan_feedback_reference`` and
+``oracles.execute_plan_reference`` byte for byte.  One failing outcome among good ones
+must raise the reference's exception class and message.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from qfeedback.errors import DomainError, InvalidStateError, PlanMismatchError
+from qfeedback.feedback import execute_plan, plan_feedback
+from qfeedback.measurement import MeasurementModel, OutcomeRecord, apply
+from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
+from qfeedback.thermo import DensityMatrix, Hamiltonian, thermal_state, thermo_reading
+
+from conftest import random_inefficient_model, random_unitary
+from oracles import execute_plan_reference, plan_feedback_reference
+
+CASES = 160
+
+
+def _projective_model(dim, n, rng):
+    """n projectors onto a random basis: n - 1 of rank 1, whose outcomes are pure, and
+    the projector onto the rest."""
+    basis = random_unitary(dim, rng)
+    n = min(n, dim)
+    groups = [basis[:, i : i + 1] for i in range(n - 1)] + [basis[:, n - 1 :]]
+    return MeasurementModel.bare([g @ g.conj().T for g in groups])
+
+
+MODELS = (random_bare_model, random_efficient_model, random_inefficient_model, _projective_model)
+
+
+def _case(i):
+    """Seeded (h, T, records, E) with ``records`` the outcomes apply keeps at h's thermal
+    state of temperature T, and E that state's energy."""
+    rng = np.random.default_rng(7300 + i)
+    dim = int(rng.integers(1, 17))
+    n = int(rng.integers(1, 5))
+    temperature = float(10.0 ** rng.uniform(-3.0, 3.0))
+    h = random_hamiltonian(dim, rng)
+    model = MODELS[i % len(MODELS)](dim, n, rng)
+    rho = thermal_state(h, temperature)
+    return h, temperature, apply(model, rho, h), thermo_reading(rho, h, temperature).energy
+
+
+def _result(call):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared with the reference's, class and message
+        return type(exc), str(exc)
+
+
+def _plan_bytes(plans):
+    return [
+        (
+            p.outcome,
+            p.basis_unitary.tobytes(),
+            p.energy_basis.tobytes(),
+            p.levels.tobytes(),
+            np.float64(p.shift).tobytes(),
+            p.populations.tobytes(),
+        )
+        for p in plans
+    ]
+
+
+def _landed_bytes(landed):
+    return [
+        (
+            state.matrix.tobytes(),
+            state.eig.eigenvalues.tobytes(),
+            state.eig.eigenvectors.tobytes(),
+            state.clamped,
+            np.float64(work).tobytes(),
+        )
+        for state, work in landed
+    ]
+
+
+def _plans(records, h, temperature, e):
+    return tuple(plan_feedback_reference(r, h, temperature, e) for r in records)
+
+
+def _compare(result, reference, as_bytes):
+    if isinstance(reference, tuple) and reference and isinstance(reference[0], type):
+        assert result == reference
+    else:
+        assert as_bytes(result) == as_bytes(reference)
+
+
+def test_family_reaches_every_branch():
+    cases = [_case(i) for i in range(CASES)]
+    assert {len(records) for _, _, records, _ in cases} == {1, 2, 3, 4}
+    assert {h.dim for h, _, _, _ in cases} == set(range(1, 17))
+    # pure outcomes, whose kernel levels are +inf, in most projective cases
+    kernels = sum(
+        any(np.isinf(plan_feedback_reference(r, h, t, e).levels).any() for r in records)
+        for h, t, records, e in cases[3 :: len(MODELS)]
+    )
+    assert kernels >= CASES // len(MODELS) // 2
+
+
+@pytest.mark.parametrize("i", range(CASES))
+def test_stacked_plans_and_landing_match_the_reference(i):
+    h, temperature, records, e = _case(i)
+    reference = _result(lambda: _plans(records, h, temperature, e))
+    plans = _result(lambda: plan_feedback(records, h, temperature, e))
+    _compare(plans, reference, _plan_bytes)
+    if isinstance(reference[0], type):
+        return
+    landed_reference = _result(lambda: execute_plan_reference(records, reference, temperature))
+    landed = _result(lambda: execute_plan(records, plans, temperature))
+    _compare(landed, landed_reference, _landed_bytes)
+
+
+def _good_case(n=3):
+    """A dim-3 efficient case with n kept outcomes that plans and lands."""
+    rng = np.random.default_rng(11)
+    h = random_hamiltonian(3, rng)
+    rho = thermal_state(h, 0.9)
+    records = apply(random_efficient_model(3, n, rng), rho, h)
+    e = thermo_reading(rho, h, 0.9).energy
+    return h, records, _plans(records, h, 0.9, e), e
+
+
+def _with_state(record, matrix):
+    """``record`` carrying ``matrix`` as its state, unchecked."""
+    return dataclasses.replace(record, state=DensityMatrix(matrix=matrix))
+
+
+def _assert_same_error(error, call, reference):
+    with pytest.raises(error) as raised:
+        reference()
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is type(raised.value)
+    assert str(got.value) == str(raised.value)
+
+
+@pytest.mark.parametrize("bad", range(3))
+def test_non_finite_level_names_the_outcome(bad):
+    # at kT = 1e308, -kT ln(0.1) overflows while -kT ln(0.5) and -kT ln(0.9) do not
+    h = Hamiltonian.zero(2)
+    states = [np.diag([0.5, 0.5]), np.diag([0.9, 0.1]), np.diag([0.5, 0.5])]
+    states[0], states[bad] = states[bad], states[0]
+    records = [
+        OutcomeRecord(n, 1 / 3, DensityMatrix.from_matrix(m), entropy=0.0, energy=0.0)
+        for n, m in zip((4, 5, 6), states)
+    ]
+    _assert_same_error(
+        DomainError,
+        lambda: plan_feedback(records, h, 1e308),
+        lambda: _plans(records, h, 1e308, 0.0),
+    )
+
+
+@pytest.mark.parametrize("bad", range(3))
+@pytest.mark.parametrize("fault", ["landing", "entropy"])
+def test_plan_mismatch_names_the_outcome(bad, fault):
+    _, records, plans, _ = _good_case()
+    records = list(records)
+    if fault == "landing":  # a state the plan was not made for
+        records[bad] = _with_state(records[bad], records[(bad + 1) % 3].state.matrix)
+    else:
+        records[bad] = dataclasses.replace(records[bad], entropy=records[bad].entropy + 1e-6)
+    _assert_same_error(
+        PlanMismatchError,
+        lambda: execute_plan(records, plans, 0.9),
+        lambda: execute_plan_reference(records, plans, 0.9),
+    )
+
+
+@pytest.mark.parametrize("bad", range(3))
+@pytest.mark.parametrize("fault", ["trace", "hermitian", "not-finite", "trace-then-hermitian"])
+def test_invalid_rotated_state_raises_the_single_check(bad, fault):
+    _, records, plans, _ = _good_case()
+    records = list(records)
+    m = records[bad].state.matrix
+    skew = np.triu(np.ones_like(m), 1)
+    if fault == "trace":
+        records[bad] = _with_state(records[bad], 1.5 * m)
+    elif fault == "hermitian":
+        records[bad] = _with_state(records[bad], m + 1e-6 * (skew - skew.T))
+    elif fault == "not-finite":
+        records[bad] = _with_state(records[bad], np.where(np.eye(3) > 0, m, np.inf))
+    else:  # the first failing slice's check is raised, though a later one fails first
+        records[bad] = _with_state(records[bad], 1.5 * m)
+        other = 2 if bad < 2 else 0
+        records[other] = _with_state(records[other], records[other].state.matrix + 1e-6 * skew)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf entries in the products
+        _assert_same_error(
+            InvalidStateError,
+            lambda: execute_plan(records, plans, 0.9),
+            lambda: execute_plan_reference(records, plans, 0.9),
+        )

@@ -1,6 +1,7 @@
 """Thermal states, entropies, and free energy."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeedback.errors import (
+    DimensionMismatchError,
     DomainError,
     InputError,
     InvalidStateError,
@@ -19,6 +21,7 @@ from qfeedback.linalg import dagger, eig_hermitian, max_abs, read_only
 from qfeedback.sampling import random_hamiltonian
 from qfeedback.thermo import (
     DensityMatrix,
+    _unit_trace,
     Hamiltonian,
     average_energy,
     gibbs_state,
@@ -30,6 +33,7 @@ from qfeedback.thermo import (
 )
 
 from conftest import PAULI_X, PAULI_Y, maximally_mixed, random_density_matrix, random_unitary
+from oracles import unit_trace_reference
 
 LN2 = math.log(2.0)
 # two-level system H = diag(0, 1) at T = 1
@@ -195,6 +199,99 @@ def test_from_psd_keeps_round_off_without_an_eig(eig_calls):
     assert rho.matrix.tobytes() == (m / m.trace().real).tobytes()
     with pytest.raises(InvalidStateError, match="product: trace"):
         DensityMatrix.from_psd(2.0 * m, "product")
+
+
+def _near_unit_trace(rng, dim, kind):
+    """A dim x dim matrix for the state checks: a product X X† over its trace (not exactly
+    Hermitian), its hermitized form, the same with -0.0 components, or a thermal state."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ dagger(g)
+    m = m / m.trace().real
+    if kind == 1:
+        m = (m + dagger(m)) / 2.0
+    elif kind == 2:
+        m = (m + dagger(m)) / 2.0
+        m.imag[np.diag_indices(dim)] = -0.0
+    elif kind == 3:
+        m = np.array(thermal_state(random_hamiltonian(dim, rng), 0.7).matrix)
+    return m
+
+
+class TestStackedUnitTrace:
+    """``thermo._unit_trace`` on a stack: slice i is the single call on matrix i
+    (``oracles.unit_trace_reference``) byte for byte, and a stack that fails raises the
+    error of its first slice that fails alone."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_slices_are_the_single_call(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        dim, count = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        stack = np.stack([_near_unit_trace(rng, dim, int(rng.integers(4))) for _ in range(count)])
+        m, tr = _unit_trace(stack, "slice")
+        for i, x in enumerate(stack):
+            reference, reference_tr = unit_trace_reference(x, "slice")
+            assert m[i].tobytes() == reference.tobytes()
+            assert np.float64(tr[i, 0, 0]).tobytes() == np.float64(reference_tr).tobytes()
+            single, single_tr = _unit_trace(x, "slice")
+            assert single.tobytes() == reference.tobytes() and single_tr == reference_tr
+
+    def test_a_slice_past_the_safe_entry_size_keeps_the_others(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([_near_unit_trace(rng, 3, kind) for kind in (0, 2, 1)])
+        stack[2, 0, 2], stack[2, 2, 0] = 1e300, 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, _ = _unit_trace(stack, "slice")
+        for i, x in enumerate(stack):
+            assert m[i].tobytes() == unit_trace_reference(x, "slice")[0].tobytes()
+
+    @pytest.mark.parametrize("bad", range(3))
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            ("trace",),
+            ("hermitian",),
+            ("nan",),
+            ("inf",),
+            ("overflow",),
+            ("trace", "hermitian"),
+            ("overflow", "trace"),
+        ],
+        ids=lambda faults: "-then-".join(faults),
+    )
+    def test_first_failing_slice_raises_its_own_error(self, bad, faults):
+        rng = np.random.default_rng(9)
+        stack = np.stack([_near_unit_trace(rng, 3, 1) for _ in range(3)])
+        for offset, fault in enumerate(faults):
+            i = (bad + offset) % 3
+            if fault == "trace":
+                stack[i] *= 1.5
+            elif fault == "hermitian":
+                stack[i, 0, 1] += 1e-6
+            elif fault in ("nan", "inf"):
+                stack[i, 1, 1] = float(fault)
+            else:  # a Hermitian pair whose sum in hermitize overflows
+                stack[i, 0, 2], stack[i, 2, 0] = 1e308, 1e308
+        with pytest.raises(InvalidStateError) as raised:
+            for x in stack:
+                unit_trace_reference(x, "stacked state")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError) as got:
+                _unit_trace(stack, "stacked state")
+        assert str(got.value) == str(raised.value)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_is_a_dimension_error(self, shape):
+        message = re.escape(f"x: must be square, got {shape}")
+        with pytest.raises(DimensionMismatchError, match=message):
+            _unit_trace(np.zeros(shape), "x")
+
+    @pytest.mark.parametrize("build", [DensityMatrix.from_matrix, DensityMatrix.from_psd])
+    def test_a_state_is_one_matrix(self, build):
+        message = re.escape("state: must be square, got (2, 2, 2)")
+        with pytest.raises(DimensionMismatchError, match=message):
+            build(np.stack([np.eye(2) / 2] * 2))
 
 
 class TestEntropyAndEnergy:
