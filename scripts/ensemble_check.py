@@ -26,20 +26,15 @@ support, so it reports the worst
 
     |work_fb - T*dS_meas| / max(1, T)   (cycle; round-off only)
 
-and the number of models whose two pictures disagree on clamp_flag.
+and the controller's residuals above.
 
 A clean run prints residuals at the 1e-10 scale or below and exits 0; it exits
 1, naming each breach, when a residual or closure distance reaches
 IDENTITY_TOL, the bath gain is off dS_tot by BATH_TOL, dS_tot falls below
--SECOND_LAW_FLOOR (the acceptance-gate tolerances), a pure model's work
-identity reaches PURE_TOL or any pure model's pictures disagree on the flag.
-
-Known defect: `measurement.apply` divides the round-off of A rho A^dagger by
-p_n, so an outcome with p_n between `p_floor` and about 1e-8 fails its 1e-10
-state checks and the run raises InvalidStateError (ROADMAP item 4).  Energy-basis
-projectors onto high levels make such outcomes below T = 1: with the default
-seed, 34 of the 100 pure models raise at --temperature 0.1, 10 at 0.3 and 1 at
-0.01, where more of them fall below `p_floor` and are dropped.
+-SECOND_LAW_FLOOR (the acceptance-gate tolerances) or a pure model's work
+identity reaches PURE_TOL.  Energy-basis projectors onto high levels give
+outcomes with p_n far below 1 at low --temperature, which every check holds
+to the same tolerances.
 """
 
 import argparse
@@ -90,17 +85,13 @@ def controller_residuals(cases, temperature):
 
 
 def pure_residuals(cases, temperature):
-    """Worst |work_fb - T*dS_meas| / max(1, T) of the cycle, and how many models' cycle and
-    controller disagree on clamp_flag, over ``(h, model)`` pairs."""
+    """Worst |work_fb - T*dS_meas| / max(1, T) of the cycle over ``(h, model)`` pairs."""
     worst = 0.0
-    disagree = 0
     for h, model in cases:
         ledger = run_cycle(h, temperature, model)
-        result = run_controller_cycle(h, temperature, model)
         residual = abs(ledger.work_fb - temperature * ledger.delta_s_meas)
         worst = max(worst, residual / max(1.0, temperature))
-        disagree += ledger.clamp_flag != result.clamp_flag
-    return worst, disagree
+    return worst
 
 
 def main(argv=None) -> int:
@@ -167,6 +158,7 @@ def main(argv=None) -> int:
     for label, models, cases in (
         ("controller", "bare models (dims 2-4, 2-4 outcomes)", bare),
         ("weak controller", "weak models (dims 2-4, strength 1e-3-0.5)", weak),
+        ("pure controller", "rank-1 projector models (dims 2-4)", pure),
     ):
         p_gap, ds_meas_gap, closure, bath_gap, least_ds_tot = controller_residuals(
             cases, args.temperature
@@ -184,14 +176,10 @@ def main(argv=None) -> int:
             (f"{label} bath gain", bath_gap < BATH_TOL),
             (f"{label} second-law floor", least_ds_tot >= -SECOND_LAW_FLOOR),
         ]
-    pure_gap, disagree = pure_residuals(pure, args.temperature)
+    pure_gap = pure_residuals(pure, args.temperature)
     print(f"pure: {args.models} rank-1 projector models (dims 2-4)")
     print(f"worst |work_fb - T*dS_meas|/max(1,T): {pure_gap:.3e}")
-    print(f"models whose pictures' flags differ : {disagree}")
-    checks += [
-        ("pure work identity", pure_gap < PURE_TOL),
-        ("pure clamp_flag in both pictures", disagree == 0),
-    ]
+    checks.append(("pure work identity", pure_gap < PURE_TOL))
     breaches = [name for name, within in checks if not within]
     for name in breaches:
         print(f"BREACH: {name}", file=sys.stderr)

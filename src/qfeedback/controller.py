@@ -29,8 +29,6 @@ from .linalg import (
     eig_hermitian,
     max_abs,
     partial_trace,
-    read_only,
-    spectral_matrix,
     tensor,
 )
 from .feedback import plan_branches
@@ -39,15 +37,16 @@ from .measurement import (
     MeasurementModel,
     ModelKind,
     SecondLawReport,
+    _branch_factors,
     entropy_reduction,
     require_valid,
     second_law_verdict,
 )
 from .thermo import (
-    STATE_TOL,
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
+    _check_spectrum_floor,
     _nats,
     _unit_trace,
     trace_distance,
@@ -136,9 +135,10 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     """Correlate a fresh |0⟩ controller with the system.
 
     Implemented as the isometry V = Σ_n |n⟩ ⊗ P_n, which fixes the joint
-    blocks to P_n ρ P_m.  V ρ V† = (V ρ^½)(V ρ^½)† is PSD for any V, and
-    completeness of the model gives it trace 1.  Requires positive (bare or
-    weak) operator families.
+    blocks to P_n ρ P_m.  V ρ V† = X X†, X = V ρ^½ the stack of the factors
+    X_n = P_n ρ^½ that :func:`~qfeedback.measurement.apply` reads, is PSD by
+    construction, and completeness of the model gives it trace 1.  Requires
+    positive (bare or weak) operator families.
     """
     if model.kind not in (ModelKind.BARE, ModelKind.WEAK):
         raise InvalidModelError(
@@ -147,9 +147,9 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     require_valid(model)
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
-    v = np.vstack([group[0] for group in model.groups])  # the blocks P_n, top to bottom
+    x = _branch_factors(model, rho).reshape(-1, rho.dim)  # the X_n, top to bottom
     return JointState(
-        matrix=DensityMatrix.from_psd(v @ rho.matrix @ dagger(v), "correlated joint state"),
+        matrix=DensityMatrix.from_psd(x @ dagger(x), "correlated joint state"),
         n_outcomes=model.n_outcomes,
         system_dim=rho.dim,
     )
@@ -188,46 +188,30 @@ def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
 def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointState:
     """Remove all controller coherences (block-dephasing pinch).
 
-    The result ⊕ p_n ρ_n has the union of its blocks' spectra, so it is checked
-    block by block, all N blocks in one eig call.  A block in ``kept`` becomes
-    its branch state ρ_n by the checks and clamp rule of
+    The result ⊕ p_n ρ_n is PSD by construction, and has the union of its
+    blocks' spectra, so it is checked block by block, all N blocks in one eig
+    call.  A block in ``kept`` becomes its branch state ρ_n by the checks of
     :meth:`DensityMatrix.from_matrix`, and the result keeps that state.  Any
     other block is diagonalized as it stands: an outcome dropped for its tiny
-    weight holds only round-off, which is no state.  A clamp in any block
-    clamps the joint, which then holds p_n times each repaired branch state and
-    every other block with its negative eigenvalues set to zero.
+    weight holds only round-off, which is no state.
     """
     d, n_out = joint.system_dim, joint.n_outcomes
     pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
     state = DensityMatrix.from_psd(pinched, "decohered joint")
-    m = state.matrix
-    blocks = [slice(n * d, (n + 1) * d) for n in range(n_out)]
+    blocks = [state.matrix[n * d : (n + 1) * d, n * d : (n + 1) * d] for n in range(n_out)]
     kept = set(kept)
     stack = [
-        _unit_trace(_branch_block(m[b, b], n), f"branch {n}")[0] if n in kept else m[b, b]
+        _unit_trace(_branch_block(b, n), f"branch {n}")[0] if n in kept else b
         for n, b in enumerate(blocks)
     ]
     dec = eig_hermitian(np.stack(stack))
-    lam_min = dec.eigenvalues[:, -1]
     branches = {}
     for n in range(n_out):
         if n in kept:
             spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-            branches[n] = DensityMatrix._from_eig(stack[n], spectrum, f"branch {n}")
-        elif lam_min[n] < -STATE_TOL:
-            raise InvalidStateError(
-                f"branch {n}: minimum eigenvalue {lam_min[n]:.3e} below -{STATE_TOL:g}"
-            )
-    dropped = [n for n in range(n_out) if n not in kept]
-    if any(rho.clamped for rho in branches.values()) or (lam_min[dropped] < 0.0).any():
-        repaired = np.zeros_like(m)
-        for n, b in enumerate(blocks):
-            if n in branches:
-                repaired[b, b] = m[b, b].trace().real * branches[n].matrix
-            else:
-                lam = np.clip(dec.eigenvalues[n], 0.0, None)
-                repaired[b, b] = spectral_matrix(dec.eigenvectors[n], lam)
-        state = DensityMatrix(matrix=read_only(repaired / repaired.trace().real), clamped=True)
+            branches[n] = DensityMatrix._with_eig(stack[n], spectrum, f"branch {n}")
+        else:
+            _check_spectrum_floor(float(dec.eigenvalues[n, -1]), f"branch {n}")
     decohered = replace(joint, matrix=state)
     decohered.__dict__["_branch_states"] = branches
     return decohered
@@ -300,7 +284,6 @@ class ControllerCycleResult:
     system_closure: float  # trace distance of final system state from ρ_T
     controller_closure: float  # trace distance of reset controller from |0⟩⟨0|
     bath_entropy_increase: float  # total bath gain over the cycle
-    clamp_flag: bool
 
 
 def run_controller_cycle(
@@ -351,5 +334,4 @@ def run_controller_cycle(
         system_closure=system_closure,
         controller_closure=controller_closure,
         bath_entropy_increase=bath_gain,
-        clamp_flag=step.clamp_flag,
     )

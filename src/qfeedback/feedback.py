@@ -84,7 +84,6 @@ class BranchPlans:
     outcomes: MeasurementOutcomes  # the outcomes apply keeps
     plans: tuple[FeedbackPlan, ...]  # one per kept outcome, in order
     delta_e_meas: float
-    clamp_flag: bool  # any outcome state clamped
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,6 @@ class CycleLedger:
     report: SecondLawReport
     heat_from_bath: float
     closure_distance: float
-    clamp_flag: bool
     dropped_outcomes: tuple[int, ...]
 
     # Kept for readers outside the package (perfbench/workloads.py) until they read
@@ -171,9 +169,10 @@ def plan_feedback(
 
     A level whose population is not positive is raised to +inf at no work:
     the limit of ε_j = -kT ln λ_j as λ_j → 0, which a pure outcome needs.  Not
-    only an exact 0 counts, since a clamped state's eig, recomputed, can read
-    -1e-18 again.
+    only an exact 0 counts: a pure outcome's eig can read a round-off -1e-18.
     """
+    if not records:
+        raise ArgumentRangeError("plan_feedback needs at least one outcome")
     kt = boltzmann_kt(temperature)
     lam = np.clip(np.array([r.state.eig.eigenvalues for r in records]), 0.0, None)
     lam = lam / lam.sum(axis=-1, keepdims=True)
@@ -204,15 +203,13 @@ def plan_branches(
     p_floor: float,
 ) -> BranchPlans:
     """Measure the thermal state of ``h`` and plan every kept outcome's feedback: the one
-    place the drop rule, the plans and the clamp rule run, for the cycle and the controller.
-    The thermal state is PSD by construction, so only an outcome state can clamp."""
+    place the drop rule and the plans run, for the cycle and the controller."""
     rho = thermal_state(h, temperature)
     initial = thermo_reading(rho, h, temperature)
     outcomes = apply(model, rho, h, p_floor=p_floor)
     plans = plan_feedback(outcomes, h, temperature, e_initial=initial.energy)
     delta_e_meas = measurement_energy_cost(outcomes, initial.energy)
-    clamp = any(r.state.clamped for r in outcomes)
-    return BranchPlans(rho, initial, outcomes, plans, delta_e_meas, clamp)
+    return BranchPlans(rho, initial, outcomes, plans, delta_e_meas)
 
 
 def execute_plan(
@@ -236,6 +233,8 @@ def execute_plan(
     """
     if len(records) != len(plans):
         raise PlanMismatchError(f"{len(records)} outcomes but {len(plans)} plans")
+    if not plans:
+        raise ArgumentRangeError("execute_plan needs at least one outcome")
     u = np.array([plan.basis_unitary for plan in plans])
     b = np.array([plan.energy_basis for plan in plans])
     states = np.array([record.state.matrix for record in records])
@@ -256,7 +255,7 @@ def execute_plan(
                 f"(tolerance {PLAN_TOL:g})"
             )
         spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-        state = DensityMatrix._with_eig(rotated[n], spectrum)
+        state = DensityMatrix._with_eig(rotated[n], spectrum, f"outcome {plan.outcome}")
         drift = abs(von_neumann_entropy(state) - record.entropy)
         if drift > PLAN_TOL:
             raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")
@@ -346,7 +345,6 @@ def _run(
         report=second_law_verdict(probabilities, delta_s_meas),
         heat_from_bath=temperature * delta_s_meas,
         closure_distance=trace_distance(final, rho_target),
-        clamp_flag=step.clamp_flag,
         dropped_outcomes=step.outcomes.dropped,
     )
     return ledger, target

@@ -35,7 +35,6 @@ class LedgerRow:
     delta_S_tot: float
     closure_distance: float
     efficiency_flag: bool
-    clamp_flag: bool
 
     def __post_init__(self):
         for name in FLOAT_COLUMNS:
@@ -56,8 +55,8 @@ def ledger_row(
 ) -> LedgerRow:
     """The row of a run in ``config.mode``.  ``run`` is a cycle ledger or a
     controller cycle result; both carry the initial E/S/F reading, the
-    measurement cost, the second-law report and the clamp flag.  The caller
-    gives the columns that depend on the run mode."""
+    measurement cost and the second-law report.  The caller gives the columns
+    that depend on the run mode."""
     return LedgerRow(
         scenario_id=config.scenario_id,
         mode=config.mode,
@@ -76,7 +75,6 @@ def ledger_row(
         delta_S_tot=run.report.delta_s_tot,
         closure_distance=closure,
         efficiency_flag=run.report.efficiency_flag,
-        clamp_flag=run.clamp_flag,
     )
 
 

@@ -12,6 +12,8 @@ indexed by outcome:
 Applying a model to a state yields per-outcome records carrying probability,
 post-measurement state, entropy, and average energy; the average entropy drop
 and the average energy added by the measurement derive from those records.
+Each outcome state is built from the factors X_nj = A_nj ρ^½, PSD by
+construction at any probability, which the controller's joint reads too.
 The second-law report of a cycle, ΔS_tot = S({p_n}) - ΔS_meas with its
 verdict and efficiency flag, is decided here too, for both pictures.
 """
@@ -242,14 +244,25 @@ def is_dropped(p: float, p_floor: float) -> bool:
     return p <= 0.0 or p < p_floor
 
 
+def _branch_factors(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
+    """X_nj = A_nj ρ^½ for every operator of ``model``, outcome by outcome, as one (K, d, d)
+    stack, with ρ^½ = V diag(√λ⁺) read from ρ's decomposition.  X_nj X_nj† = A_nj ρ A_nj† is
+    PSD by construction, and its round-off scales with ‖X_nj‖²_F, so an outcome's state
+    Σ_j X_nj X_nj† / p_n, with p_n = Σ_j ‖X_nj‖²_F, is exact to round-off at any p_n.  Both
+    pictures read it: :func:`apply` per outcome, the controller's joint as X X†."""
+    dec = rho.eig
+    root = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    return np.array([a for group in model.groups for a in group]) @ root
+
+
 def apply(
     model: MeasurementModel,
     rho: DensityMatrix,
     h: Hamiltonian,
     p_floor: float = DEFAULT_P_FLOOR,
 ) -> MeasurementOutcomes:
-    """Apply a measurement to ρ: branch n gets Σ_j A_nj ρ A_nj† / p_n with
-    p_n = Σ_j Tr[A_nj† A_nj ρ].
+    """Apply a measurement to ρ: branch n gets ρ_n = Σ_j X_nj X_nj† / p_n with
+    p_n = Σ_j ‖X_nj‖²_F = Σ_j Tr[A_nj† A_nj ρ], X_nj the factors of :func:`_branch_factors`.
 
     Outcomes that :func:`is_dropped` rejects are removed and the surviving
     probabilities renormalized proportionally;
@@ -261,24 +274,23 @@ def apply(
         raise DimensionMismatchError(f"state dim {rho.dim} != Hamiltonian dim {h.dim}")
     require_valid(model)
 
+    factors = iter(_branch_factors(model, rho))
     raw: list[tuple[int, float, np.ndarray]] = []
     dropped: list[int] = []
     for n, group in enumerate(model.groups):
-        numerator = np.zeros((rho.dim, rho.dim), dtype=complex)
-        for a in group:
-            numerator += a @ rho.matrix @ dagger(a)
-        p = float(np.trace(numerator).real)
+        x = np.hstack([next(factors) for _ in group])  # X_n = [X_n1 … X_nk]
+        p = float(np.vdot(x, x).real)
         if is_dropped(p, p_floor):
             dropped.append(n)
             continue
-        raw.append((n, p, numerator))
+        raw.append((n, p, x))
     if not raw:
         raise DegenerateStateError(f"every outcome probability is below p_floor {p_floor:g}")
 
     total = sum(p for _, p, _ in raw)
     records = []
-    for n, p, numerator in raw:
-        state = DensityMatrix.from_matrix(numerator / p, where=f"outcome {n}")
+    for n, p, x in raw:
+        state = DensityMatrix.from_matrix(x @ dagger(x) / p, where=f"outcome {n}")
         records.append(
             OutcomeRecord(
                 n=n,

@@ -116,6 +116,13 @@ def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float | np.ndarray]:
     return m, tr
 
 
+def _check_spectrum_floor(lam_min: float, where: str) -> None:
+    """Raise :class:`InvalidStateError` when a spectrum's least eigenvalue ``lam_min`` lies
+    below -STATE_TOL: more than round-off."""
+    if lam_min < -STATE_TOL:
+        raise InvalidStateError(f"{where}: minimum eigenvalue {lam_min:.3e} below -{STATE_TOL:g}")
+
+
 def _one_matrix(matrix, where: str) -> np.ndarray:
     """``matrix`` as a complex array, which a state's constructor requires to be 2-D."""
     m = np.asarray(matrix, dtype=complex)
@@ -128,25 +135,21 @@ def _one_matrix(matrix, where: str) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace state ρ.
 
-    Construction goes through :meth:`from_matrix`, which tolerates (and
-    repairs) eigenvalues down to -1e-10: such drift is clamped to zero, the
-    spectrum renormalized, and the ``clamped`` flag set so ledgers can report
-    it.  Anything worse raises :class:`InvalidStateError`.
-
-    A state that is PSD by construction goes through :meth:`from_psd`
-    instead, which skips the eig and never clamps.
+    :meth:`from_matrix` builds a state it must check for positivity: it takes
+    the eig, and an eigenvalue below -1e-10 raises :class:`InvalidStateError`.
+    A smaller negative eigenvalue is round-off and is kept as it stands: the
+    entropy and the feedback plan read it as 0.  A state that is PSD by
+    construction goes through :meth:`from_psd` instead, which skips the eig.
 
     ``eig`` is the decomposition of ``matrix``.  A state that is built from its
-    spectrum keeps that spectrum: an unclamped :meth:`from_matrix` state the
-    decomposition its checks computed, a :func:`gibbs_state` (a thermal state
-    among them) its Gibbs weights on the given eigenvectors, and a rotated
-    outcome state or an unclamped branch state its slice of the stacked eig of
-    ``execute_plan`` or ``decohere_controller``.  Any other state computes it
-    on first use.
+    spectrum keeps that spectrum: a :meth:`from_matrix` state the decomposition
+    its checks computed, a :func:`gibbs_state` (a thermal state among them) its
+    Gibbs weights on the given eigenvectors, and a rotated outcome state or a
+    branch state its slice of the stacked eig of ``execute_plan`` or
+    ``decohere_controller``.  Any other state computes it on first use.
     """
 
     matrix: np.ndarray
-    clamped: bool = False
 
     @cached_property
     def eig(self) -> EigenDecomposition:
@@ -155,33 +158,20 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
         m, _ = _unit_trace(_one_matrix(matrix, where), where)
-        return cls._from_eig(m, eig_hermitian(m), where)
-
-    @classmethod
-    def _from_eig(cls, m: np.ndarray, dec: EigenDecomposition, where: str) -> "DensityMatrix":
-        """The state of a checked unit-trace ``m`` from its decomposition ``dec``: below
-        -STATE_TOL raises, a negative spectrum is clamped, any other keeps ``dec``."""
-        lam_min = float(dec.eigenvalues[-1])
-        if lam_min < -STATE_TOL:
-            raise InvalidStateError(
-                f"{where}: minimum eigenvalue {lam_min:.3e} below -{STATE_TOL:g}"
-            )
-        if lam_min < 0.0:
-            lam = np.clip(dec.eigenvalues, 0.0, None)
-            m = spectral_matrix(dec.eigenvectors, lam / lam.sum())
-            return cls(matrix=read_only(m), clamped=True)
-        return cls._with_eig(m, dec)
+        return cls._with_eig(m, eig_hermitian(m), where)
 
     @classmethod
     def from_psd(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
         """A state PSD by construction, such as X X† or a positive mix of states: every
-        check of :meth:`from_matrix` but the eig, which could only clamp round-off."""
+        check of :meth:`from_matrix` but the eig."""
         return cls(matrix=read_only(_unit_trace(_one_matrix(matrix, where), where)[0]))
 
     @classmethod
-    def _with_eig(cls, m: np.ndarray, dec: EigenDecomposition) -> "DensityMatrix":
-        """An unclamped state that keeps ``dec``, which must decompose ``m``."""
-        rho = cls(matrix=read_only(m), clamped=False)
+    def _with_eig(cls, m: np.ndarray, dec: EigenDecomposition, where: str) -> "DensityMatrix":
+        """The state of a checked unit-trace ``m`` that keeps ``dec``, which must decompose
+        ``m``; a spectrum below -STATE_TOL raises."""
+        _check_spectrum_floor(float(dec.eigenvalues[-1]), where)
+        rho = cls(matrix=read_only(m))
         rho.__dict__["eig"] = dec
         return rho
 
@@ -193,7 +183,7 @@ class DensityMatrix:
         if norm == 0.0:
             raise InvalidStateError("cannot build a state from the zero vector")
         v = v / norm
-        return cls(matrix=read_only(np.outer(v, v.conj())), clamped=False)
+        return cls(matrix=read_only(np.outer(v, v.conj())))
 
     @property
     def dim(self) -> int:
@@ -243,7 +233,7 @@ def gibbs_state(levels: np.ndarray, vectors: np.ndarray, kt: float, where: str) 
     eigenvectors = vectors[:, order]
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
-    return DensityMatrix._with_eig(m, EigenDecomposition(eigenvalues, eigenvectors))
+    return DensityMatrix._with_eig(m, EigenDecomposition(eigenvalues, eigenvectors), where)
 
 
 def _nats(p: np.ndarray) -> float:
@@ -258,8 +248,7 @@ def _nats(p: np.ndarray) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[ρ ln ρ] in nats, with the 0·ln 0 = 0 convention."""
     lam = rho.eig.eigenvalues
-    if lam[-1] < -STATE_TOL:
-        raise InvalidStateError(f"eigenvalue {lam[-1]:.3e} below -{STATE_TOL:g}")
+    _check_spectrum_floor(float(lam[-1]), "state")
     return _nats(np.clip(lam, 0.0, None))
 
 
@@ -283,7 +272,7 @@ def thermo_reading(rho: DensityMatrix, h: Hamiltonian, temperature: float) -> Th
 
 
 def shannon_entropy(p) -> float:
-    """-Σ p ln p in nats for a probability vector; clamps tiny negatives."""
+    """-Σ p ln p in nats for a probability vector; tiny negatives read as 0."""
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.size and float(p.min()) < -DISTRIBUTION_NEGATIVE_TOL:
         raise NotADistributionError(f"negative entry {p.min()!r}")

@@ -54,7 +54,7 @@ def assert_hermitian(m, tol=1e-12):
 
 def maximally_mixed(dim):
     """I/d, built directly rather than through DensityMatrix.from_matrix."""
-    return DensityMatrix(matrix=read_only(np.eye(dim, dtype=complex) / dim), clamped=False)
+    return DensityMatrix(matrix=read_only(np.eye(dim, dtype=complex) / dim))
 
 
 def random_unitary(dim, rng):

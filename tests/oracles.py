@@ -4,8 +4,8 @@ None of these runs in a scenario.  Each is an independent construction of
 something the program computes another way: a cyclic Jacobi eigensolver for
 LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
-the controller's joint states diagonalized and clamped as ``from_matrix``
-builds a state, the average post-measurement state, the quasi-static work
+the controller's joint states formed as V ρ V† and checked by the eig of
+``from_matrix``, the average post-measurement state, the quasi-static work
 integral one path step at a time, a measurement model's validation
 report with one eig per operator, and the feedback plans planned and
 executed one outcome at a time, each rotated state checked on its own.
@@ -275,9 +275,10 @@ def decohere_via_ancilla(joint: JointState) -> JointState:
 
 
 def eig_checked_joint(rho: DensityMatrix, model: MeasurementModel, u: np.ndarray) -> JointState:
-    """The rotated joint U V ρ V† U† with both stages built by ``DensityMatrix.from_matrix``,
-    whose eig clamps round-off negatives and rebuilds the matrix from its spectrum.
-    ``correlate`` and ``apply_joint_unitary`` store each stage as it stands instead."""
+    """The rotated joint U V ρ V† U† formed from V and ρ themselves, with both stages built
+    by ``DensityMatrix.from_matrix``, whose eig checks their spectra.  ``correlate`` forms
+    the joint as X X† from the factors X_n = P_n ρ^½, and ``correlate`` and
+    ``apply_joint_unitary`` store each stage with no eig."""
     v = np.vstack([group[0] for group in model.groups])
     correlated = DensityMatrix.from_matrix(v @ rho.matrix @ dagger(v), "correlated joint state")
     rotated = DensityMatrix.from_matrix(hermitize(u @ correlated.matrix @ dagger(u)), "joint state")
@@ -429,7 +430,7 @@ def execute_plan_reference(records, plans, temperature: float):
                 f"(tolerance {PLAN_TOL:g})"
             )
         spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-        state = DensityMatrix._with_eig(rotated[n], spectrum)
+        state = DensityMatrix._with_eig(rotated[n], spectrum, f"outcome {plan.outcome}")
         drift = abs(von_neumann_entropy(state) - record.entropy)
         if drift > PLAN_TOL:
             raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")

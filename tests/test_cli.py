@@ -283,7 +283,7 @@ class TestRun:
         assert err == ""
         assert row["delta_S_meas"] == pytest.approx(delta_s_meas, abs=1e-15)
         assert row["work_fb"] == pytest.approx(steps * (row["T"] * delta_s_meas), rel=1e-14)
-        assert row["work_total"] == row["work_fb"] and not row["clamp_flag"]
+        assert row["work_total"] == row["work_fb"]
 
     def test_temperature_far_below_the_gap(self, tmp_path, capsys):
         # (E - E_0)/kT overflows to inf: the excited level's weight is exactly 0
@@ -532,6 +532,15 @@ class TestReport:
     def test_missing_file(self, capsys):
         assert main(["report", str("/no/such/ledger.csv")]) == 3
 
+    def test_ledger_with_a_clamp_flag_column_is_refused(self, tmp_path, capsys):
+        # ledgers written before the clamp flag was retired carry it as a last column
+        path = tmp_path / "ledger.csv"
+        self.run_to_file("szilard", path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header},clamp_flag\n{row},false\n")
+        assert main(["report", str(path)]) == 3
+        assert "unexpected ledger header" in capsys.readouterr().err
+
     def test_non_utf8_ledger(self, tmp_path, capsys):
         path = tmp_path / "ledger.csv"
         path.write_bytes(b"scenario_id,mode\ncaf\xe9,cycle\n")
@@ -549,7 +558,7 @@ class TestReport:
             pytest.param("delta_S_tot", "-inf", id="delta_S_tot--inf"),
             # a flag spelled other than true/false must not read as false
             pytest.param("efficiency_flag", "True", id="efficiency_flag-True"),
-            pytest.param("clamp_flag", "1", id="clamp_flag-1"),
+            pytest.param("efficiency_flag", "1", id="efficiency_flag-1"),
         ],
     )
     def test_non_numeric_field(self, tmp_path, capsys, column, text):

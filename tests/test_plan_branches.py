@@ -135,33 +135,32 @@ def test_record_holds_the_shared_step():
     outcomes = apply(model, rho, h, p_floor=FLOORS["p_floor"])
     assert [r.n for r in step.outcomes] == [r.n for r in outcomes]
     assert step.delta_e_meas == measurement_energy_cost(outcomes, step.initial.energy)
-    assert step.clamp_flag is False
 
 
-def test_pure_outcome_leaves_the_clamp_flag_clear():
-    # a projective outcome is pure: its kernel level is raised to +inf, and nothing clamps
+def test_pure_outcome_raises_its_kernel_level_to_inf():
+    # a projective outcome is pure: its kernel level is raised to +inf at no work
     model = MeasurementModel.bare([PROJ_0, PROJ_1])
     step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model, **FLOORS)
     for plan in step.plans:
         assert plan.levels[0] == 0.0 and plan.levels[1] == np.inf
-    assert step.clamp_flag is False
 
 
-def test_clamped_outcome_state_sets_the_clamp_flag(monkeypatch):
-    clamped = DensityMatrix.from_matrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
-    assert clamped.clamped
+def test_negative_round_off_eigenvalue_is_planned_as_kernel(monkeypatch):
+    # an outcome state keeps an eigenvalue in [-STATE_TOL, 0) as it stands; the plan
+    # reads it as a zero population, whose level goes to +inf
+    state = DensityMatrix.from_matrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
+    assert state.eig.eigenvalues[-1] < 0.0
 
-    def clamping_apply(*args, **kwargs):
+    def round_off_apply(*args, **kwargs):
         outcomes = apply(*args, **kwargs)
-        first = dataclasses.replace(outcomes[0], state=clamped)
+        first = dataclasses.replace(outcomes[0], state=state)
         return dataclasses.replace(outcomes, records=(first, *outcomes[1:]))
 
-    monkeypatch.setattr(feedback, "apply", clamping_apply)
+    monkeypatch.setattr(feedback, "apply", round_off_apply)
     model = MeasurementModel.bare([PROJ_0, PROJ_1])
     step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model, **FLOORS)
-    assert step.clamp_flag is True
-    # the clamped state's eig is recomputed, and its kernel is planned like any other
-    assert step.plans[0].levels[1] == np.inf
+    assert step.plans[0].levels.tolist() == [0.0, np.inf]
+    assert step.plans[0].populations.tolist() == [1.0, 0.0]
 
 
 def test_controller_rejects_a_general_kraus_model_after_planning(steps):

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfeedback.errors import DomainError, InvalidStateError, PlanMismatchError
+from qfeedback.errors import ArgumentRangeError, DomainError, InvalidStateError, PlanMismatchError
 from qfeedback.feedback import execute_plan, plan_feedback
 from qfeedback.measurement import MeasurementModel, OutcomeRecord, apply
 from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
@@ -80,7 +80,6 @@ def _landed_bytes(landed):
             state.matrix.tobytes(),
             state.eig.eigenvalues.tobytes(),
             state.eig.eigenvectors.tobytes(),
-            state.clamped,
             np.float64(work).tobytes(),
         )
         for state, work in landed
@@ -203,3 +202,10 @@ def test_invalid_rotated_state_raises_the_single_check(bad, fault):
             lambda: execute_plan(records, plans, 0.9),
             lambda: execute_plan_reference(records, plans, 0.9),
         )
+
+
+def test_no_outcome_is_an_argument_error():
+    with pytest.raises(ArgumentRangeError, match="plan_feedback needs at least one outcome"):
+        plan_feedback([], Hamiltonian.zero(2), 1.0)
+    with pytest.raises(ArgumentRangeError, match="execute_plan needs at least one outcome"):
+        execute_plan([], [], 1.0)

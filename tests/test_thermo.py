@@ -69,19 +69,19 @@ class TestDensityMatrix:
     def test_valid_state(self):
         rho = DensityMatrix.from_matrix(np.eye(2, dtype=complex) / 2.0)
         assert rho.dim == 2
-        assert not rho.clamped
 
     def test_trace_enforced(self):
         with pytest.raises(InvalidStateError):
             DensityMatrix.from_matrix(np.eye(2, dtype=complex))
 
-    def test_tiny_negative_eigenvalue_clamped(self):
+    def test_tiny_negative_eigenvalue_kept(self):
+        # within STATE_TOL a negative eigenvalue is round-off: the state keeps it as it
+        # stands, and the entropy reads it as 0
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         rho = DensityMatrix.from_matrix(m)
-        assert rho.clamped
-        lam = rho.eig.eigenvalues
-        assert lam[-1] >= 0.0
-        assert abs(float(lam.sum()) - 1.0) < 1e-12
+        assert rho.matrix.tobytes() == m.tobytes()
+        assert rho.eig.eigenvalues.tolist() == [1.0 + 5e-11, -5e-11]
+        assert von_neumann_entropy(rho) == 0.0
 
     def test_large_negative_eigenvalue_rejected(self):
         m = np.diag([1.2, -0.2]).astype(complex)
@@ -97,13 +97,12 @@ class TestDensityMatrix:
         "m",
         [
             np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]),
-            np.diag([1.0 + 5e-11, -5e-11]).astype(complex),  # clamped
+            np.diag([1.0 + 5e-11, -5e-11]).astype(complex),
         ],
-        ids=["unclamped", "clamped"],
+        ids=["mixed", "negative-round-off"],
     )
     def test_carried_eig_matches_a_fresh_one(self, m):
         rho = DensityMatrix.from_matrix(m)
-        assert rho.clamped == (m[1, 1].real < 0)
         fresh = eig_hermitian(rho.matrix)
         assert rho.eig.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
         assert rho.eig.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
@@ -166,7 +165,6 @@ def test_thermal_state_keeps_its_gibbs_decomposition(h, temperature):
     rho = thermal_state(h, temperature)
     dec = rho.eig
     lam, v = dec.eigenvalues, dec.eigenvectors
-    assert not rho.clamped
     assert max_abs(v @ np.diag(lam) @ dagger(v) - rho.matrix) < 1e-14
     assert (np.diff(lam) <= 0.0).all() and lam[-1] >= 0.0
     assert abs(lam.sum() - 1.0) < 1e-14
@@ -190,12 +188,12 @@ def test_gibbs_state_gives_an_infinite_level_no_weight():
 
 def test_from_psd_keeps_round_off_without_an_eig(eig_calls):
     # X X† with a rank-1 X: its exact spectrum is (1, 0), and the round-off of the
-    # product may read below 0, which from_matrix would clamp
+    # product may read below 0, which only an eig would show
     x = np.array([[0.6], [0.8j]])
     m = x @ dagger(x)
     eig_calls.clear()
     rho = DensityMatrix.from_psd(m, "product")
-    assert not eig_calls and not rho.clamped
+    assert not eig_calls
     assert rho.matrix.tobytes() == (m / m.trace().real).tobytes()
     with pytest.raises(InvalidStateError, match="product: trace"):
         DensityMatrix.from_psd(2.0 * m, "product")
