@@ -28,6 +28,10 @@ support, so it reports the worst
 
 and the controller's residuals above.
 
+It also prints how many of the closed cycles (efficient and pure) dropped an
+outcome, one whose probability fell below measurement.P_FLOOR: energy-basis
+projectors onto high levels give such outcomes at low --temperature.
+
 A clean run prints residuals at the 1e-10 scale or below and exits 0; it exits
 1, naming each breach, when a residual or closure distance reaches
 IDENTITY_TOL, the bath gain is off dS_tot by BATH_TOL, dS_tot falls below
@@ -85,13 +89,16 @@ def controller_residuals(cases, temperature):
 
 
 def pure_residuals(cases, temperature):
-    """Worst |work_fb - T*dS_meas| / max(1, T) of the cycle over ``(h, model)`` pairs."""
+    """Worst |work_fb - T*dS_meas| / max(1, T) of the cycle over ``(h, model)`` pairs, and
+    how many of those cycles dropped an outcome."""
     worst = 0.0
+    dropped = 0
     for h, model in cases:
         ledger = run_cycle(h, temperature, model)
         residual = abs(ledger.work_fb - temperature * ledger.delta_s_meas)
         worst = max(worst, residual / max(1.0, temperature))
-    return worst
+        dropped += bool(ledger.dropped_outcomes)
+    return worst, dropped
 
 
 def main(argv=None) -> int:
@@ -104,6 +111,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     worst_cycle = worst_transform = worst_closure = 0.0
     min_ds_tot = np.inf
+    dropped = 0
     for i in range(args.models):
         dim = int(rng.integers(2, 5))
         n_out = int(rng.integers(2, 5))
@@ -115,6 +123,7 @@ def main(argv=None) -> int:
         worst_cycle = max(worst_cycle, abs(ledger.work_fb - args.temperature * ledger.delta_s_meas))
         worst_closure = max(worst_closure, ledger.closure_distance)
         min_ds_tot = min(min_ds_tot, ledger.report.delta_s_tot)
+        dropped += bool(ledger.dropped_outcomes)
 
         result = run_transform(h1, h2, args.temperature, model)
         worst_transform = max(
@@ -176,9 +185,10 @@ def main(argv=None) -> int:
             (f"{label} bath gain", bath_gap < BATH_TOL),
             (f"{label} second-law floor", least_ds_tot >= -SECOND_LAW_FLOOR),
         ]
-    pure_gap = pure_residuals(pure, args.temperature)
+    pure_gap, pure_dropped = pure_residuals(pure, args.temperature)
     print(f"pure: {args.models} rank-1 projector models (dims 2-4)")
     print(f"worst |work_fb - T*dS_meas|/max(1,T): {pure_gap:.3e}")
+    print(f"cycles that dropped an outcome      : {dropped + pure_dropped} of {2 * args.models}")
     checks.append(("pure work identity", pure_gap < PURE_TOL))
     breaches = [name for name, within in checks if not within]
     for name in breaches:

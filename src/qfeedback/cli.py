@@ -44,7 +44,7 @@ def load_config(name: str) -> ScenarioConfig:
 def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
     """Dispatch one scenario; returns its ledger row and a detail tree.  A
     numerical failure is re-raised with the scenario id in front."""
-    h, t, p_floor = config.hamiltonian, config.temperature, config.p_floor
+    h, t = config.hamiltonian, config.temperature
 
     def cycle_row(ledger, **columns):  # a measurement-picture row; columns override its work
         columns = dict(work_total=ledger.work_total, work_fb=ledger.work_fb) | columns
@@ -53,7 +53,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
 
     try:
         if config.mode == "cycle":
-            ledger = run_cycle(h, t, config.model, p_floor=p_floor)
+            ledger = run_cycle(h, t, config.model)
             row = cycle_row(ledger)
             detail = {
                 "outcomes": [asdict(o) for o in ledger.outcomes],
@@ -61,7 +61,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
                 "dropped_outcomes": ledger.dropped_outcomes,
             }
         elif config.mode == "transform":
-            result = run_transform(h, config.h2, t, config.model, p_floor=p_floor)
+            result = run_transform(h, config.h2, t, config.model)
             row = cycle_row(result.ledger, delta_f=result.delta_f)
             detail = {
                 "outcomes": [asdict(o) for o in result.ledger.outcomes],
@@ -71,7 +71,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
             }
         elif config.mode == "continuous":
             # work summed over the steps; every other column is one step's
-            result = run_continuous(h, t, config.model, config.steps, p_floor=p_floor)
+            result = run_continuous(h, t, config.model, config.steps)
             row = cycle_row(
                 result.per_cycle,
                 work_total=result.cumulative_work_total,
@@ -85,7 +85,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
                 "scaling_ratio": result.scaling_ratio,
             }
         else:
-            result = run_controller_cycle(h, t, config.model, p_floor=p_floor)
+            result = run_controller_cycle(h, t, config.model)
             row = ledger_row(
                 config,
                 result,

@@ -21,8 +21,6 @@ instead be given as a flat list of diagonal energies)::
       h2: [0.0, 0.0]
     continuous:                  # continuous mode only
       steps: 10
-    numerics:                    # optional
-      p_floor: 1.0e-14
 
 Unknown keys anywhere are rejected with the offending field path, and so are
 numbers that are not finite.  A number in exponent form without a dot, such
@@ -44,7 +42,7 @@ import yaml
 from .errors import DomainError, ParseError, UnknownParameterError, ValidationError
 from .feedback import CONTINUOUS_EPSILON_RANGE
 from .linalg import HERMITICITY_TOL, dagger
-from .measurement import DEFAULT_P_FLOOR, MeasurementModel
+from .measurement import MeasurementModel
 from .thermo import Hamiltonian
 
 # libyaml's C scanner and parser when the install has them, else PyYAML's pure
@@ -78,7 +76,6 @@ SECTIONS = {
     "measurement": ("kind", *dict.fromkeys(key for keys in KIND_KEYS.values() for key in keys)),
     "transform": ("h2",),
     "continuous": ("steps",),
-    "numerics": ("p_floor",),
 }
 
 
@@ -95,7 +92,6 @@ class ScenarioConfig:
     model: MeasurementModel
     h2: Hamiltonian | None
     steps: int
-    p_floor: float
     raw: dict = field(repr=False, compare=False)
 
 
@@ -141,12 +137,9 @@ def _as_float(value, path: str) -> float:
     return number
 
 
-def _bounded(node: dict, path: str, key: str, rule: str, ok, default=None) -> float:
+def _bounded(node: dict, path: str, key: str, rule: str, ok) -> float:
     """``node[key]`` as a finite float for which ``ok`` holds, else an error
-    whose message is ``rule`` formatted with the value; a missing key reads as
-    ``default``, or is an error when there is none."""
-    if default is not None and key not in node:
-        return default
+    whose message is ``rule`` formatted with the value; a missing key is an error."""
     where = f"{path}.{key}"
     value = _as_float(_get(node, key, path), where)
     if not ok(value):
@@ -301,10 +294,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
     if steps < 1:
         raise ValidationError("continuous.steps", f"must be >= 1, got {steps}")
 
-    numerics = _section(data, "numerics", False)
-    p_floor = _bounded(numerics, "numerics", "p_floor", "must lie in [0, 1)",
-                       lambda x: 0.0 <= x < 1.0, DEFAULT_P_FLOOR)
-
     return ScenarioConfig(
         scenario_id=scenario_id,
         mode=mode,
@@ -314,7 +303,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
         model=model,
         h2=h2,
         steps=steps,
-        p_floor=p_floor,
         raw=copy.deepcopy(data),
     )
 

@@ -33,7 +33,6 @@ from .linalg import (
 )
 from .feedback import plan_branches
 from .measurement import (
-    DEFAULT_P_FLOOR,
     MeasurementModel,
     ModelKind,
     SecondLawReport,
@@ -155,24 +154,23 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     )
 
 
-def feedback_unitary(unitaries) -> np.ndarray:
-    """Controlled unitary Σ_n |n⟩⟨n| ⊗ U_n from the per-outcome blocks U_n."""
-    blocks = []
-    for item in unitaries:
-        u = np.asarray(item, complex)
-        residual = max_abs(dagger(u) @ u - np.eye(u.shape[0]))
-        if residual > STRUCTURE_TOL:
-            raise NonUnitaryBlockError(f"block {len(blocks)} unitarity residual {residual:.3e}")
-        blocks.append(u)
-    dims = {b.shape[0] for b in blocks}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"blocks have mixed dims {sorted(dims)}")
-    d = dims.pop()
-    n = len(blocks)
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for i, b in enumerate(blocks):
-        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = b
-    return out
+def feedback_unitary(blocks) -> np.ndarray:
+    """Controlled unitary Σ_n |n⟩⟨n| ⊗ U_n from the (N, d, d) stack of blocks U_n."""
+    try:
+        u = np.asarray(blocks, complex)
+    except ValueError as exc:  # ragged blocks
+        raise DimensionMismatchError(f"blocks must form an (N, d, d) stack: {exc}") from None
+    if u.ndim != 3 or 0 in u.shape or u.shape[1] != u.shape[2]:
+        raise DimensionMismatchError(f"blocks must form an (N, d, d) stack, got shape {u.shape}")
+    residuals = np.abs(dagger(u) @ u - np.eye(u.shape[1])).max(axis=(1, 2))
+    failed = residuals > STRUCTURE_TOL
+    if failed.any():
+        k = int(failed.argmax())
+        raise NonUnitaryBlockError(f"block {k} unitarity residual {residuals[k]:.3e}")
+    n, d = u.shape[:2]
+    out = np.zeros((n, d, n, d), dtype=complex)
+    out[np.arange(n), :, np.arange(n), :] = u
+    return out.reshape(n * d, n * d)
 
 
 def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
@@ -287,18 +285,15 @@ class ControllerCycleResult:
 
 
 def run_controller_cycle(
-    h: Hamiltonian,
-    temperature: float,
-    model: MeasurementModel,
-    p_floor: float = DEFAULT_P_FLOOR,
+    h: Hamiltonian, temperature: float, model: MeasurementModel
 ) -> ControllerCycleResult:
     """One full cycle in the measurement-free picture: correlate, feed back, decohere,
     finalize, reset, over the branches :func:`~qfeedback.feedback.plan_branches` plans."""
-    step = plan_branches(h, temperature, model, p_floor)
-    kept = [r.n for r in step.outcomes]
-    blocks = [np.eye(model.dim, dtype=complex)] * model.n_outcomes  # dropped: left alone
-    for plan in step.plans:
-        blocks[plan.outcome] = plan.basis_unitary
+    step = plan_branches(h, temperature, model)
+    kept = step.plan.outcomes.tolist()
+    # a dropped outcome's block leaves the system alone
+    blocks = np.tile(np.eye(model.dim, dtype=complex), (model.n_outcomes, 1, 1))
+    blocks[kept] = step.plan.basis_unitaries
     joint = correlate(step.rho, model)
     joint = decohere_controller(apply_joint_unitary(joint, feedback_unitary(blocks)), kept)
 

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ArgumentRangeError, DomainError, InvalidModelError, PlanMismatchError
 from .linalg import EigenDecomposition, dagger, eig_hermitian, spectral_matrix
 from .measurement import (
-    DEFAULT_P_FLOOR,
     MeasurementModel,
     MeasurementOutcomes,
     ModelKind,
@@ -57,22 +56,22 @@ CONTINUOUS_EPSILON_RANGE = (1e-6, 0.5)
 
 @dataclass(frozen=True)
 class FeedbackPlan:
-    """Reversible operations for one measurement outcome.
+    """Reversible operations for every kept outcome, stacked along the first axis.
 
-    ``basis_unitary`` implements steps (i)+(ii): it maps the state's
-    eigenbasis onto ``energy_basis``, H's eigenvectors by rising energy, with
-    populations sorted against energy.  ``levels`` are the retuned levels of
-    step (iii) on that basis, ε_j = -kT ln λ_j on the outcome's support and
-    +inf on its kernel, and ``shift`` is the uniform offset of step (iv) that
-    restores the initial average energy.
+    ``basis_unitaries[n]`` implements steps (i)+(ii) for outcome ``outcomes[n]``:
+    it maps the state's eigenbasis onto ``energy_basis``, H's eigenvectors by
+    rising energy, with populations sorted against energy.  ``levels[n]`` are
+    the retuned levels of step (iii) on that basis, ε_j = -kT ln λ_j on the
+    outcome's support and +inf on its kernel, and ``shifts[n]`` is the uniform
+    offset of step (iv) that restores the initial average energy.
     """
 
-    outcome: int
-    basis_unitary: np.ndarray
-    energy_basis: np.ndarray
-    levels: np.ndarray  # ascending, +inf where the population is 0
-    shift: float
-    populations: np.ndarray  # spectrum, descending, negatives set to 0
+    outcomes: np.ndarray  # (N,) kept outcome indices
+    basis_unitaries: np.ndarray  # (N, d, d)
+    energy_basis: np.ndarray  # (d, d), one for every outcome
+    levels: np.ndarray  # (N, d), ascending, +inf where the population is 0
+    shifts: np.ndarray  # (N,)
+    populations: np.ndarray  # (N, d), spectra, descending, negatives set to 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class BranchPlans:
     rho: DensityMatrix  # thermal state
     initial: ThermoReading  # E, S, F of rho
     outcomes: MeasurementOutcomes  # the outcomes apply keeps
-    plans: tuple[FeedbackPlan, ...]  # one per kept outcome, in order
+    plan: FeedbackPlan  # the kept outcomes, in order
     delta_e_meas: float
 
 
@@ -163,9 +162,9 @@ def plan_feedback(
     h: Hamiltonian,
     temperature: float,
     e_initial: float = 0.0,
-) -> tuple[FeedbackPlan, ...]:
+) -> FeedbackPlan:
     """Build the steps (i)-(iv) plan of every outcome in ``records``, each on its support,
-    over the stacked outcome spectra.
+    as one stack over the stacked outcome spectra.
 
     A level whose population is not positive is raised to +inf at no work:
     the limit of ε_j = -kT ln λ_j as λ_j → 0, which a pure outcome needs.  Not
@@ -190,38 +189,33 @@ def plan_feedback(
             f"outcome {records[int(failed.argmax())].n}: a retuned level -kT ln(lambda) "
             f"is not finite (kT = {kt!r})"
         )
-    return tuple(
-        FeedbackPlan(r.n, u, energy_basis, eps, e_initial - float(np.dot(p[on], eps[on])), p)
-        for r, u, eps, p, on in zip(records, unitaries, levels, lam, support)
-    )
+    # step (iv)'s shift c_n = E - Σ_j λ_j ε_j, the sum over the support
+    mean_levels = np.array([np.dot(p[on], eps[on]) for eps, p, on in zip(levels, lam, support)])
+    outcomes = np.array([r.n for r in records])
+    return FeedbackPlan(outcomes, unitaries, energy_basis, levels, e_initial - mean_levels, lam)
 
 
-def plan_branches(
-    h: Hamiltonian,
-    temperature: float,
-    model: MeasurementModel,
-    p_floor: float,
-) -> BranchPlans:
+def plan_branches(h: Hamiltonian, temperature: float, model: MeasurementModel) -> BranchPlans:
     """Measure the thermal state of ``h`` and plan every kept outcome's feedback: the one
-    place the drop rule and the plans run, for the cycle and the controller."""
+    place the drop rule and the plan run, for the cycle and the controller."""
     rho = thermal_state(h, temperature)
     initial = thermo_reading(rho, h, temperature)
-    outcomes = apply(model, rho, h, p_floor=p_floor)
-    plans = plan_feedback(outcomes, h, temperature, e_initial=initial.energy)
+    outcomes = apply(model, rho, h)
+    plan = plan_feedback(outcomes, h, temperature, e_initial=initial.energy)
     delta_e_meas = measurement_energy_cost(outcomes, initial.energy)
-    return BranchPlans(rho, initial, outcomes, plans, delta_e_meas)
+    return BranchPlans(rho, initial, outcomes, plan, delta_e_meas)
 
 
 def execute_plan(
     records: Sequence[OutcomeRecord],
-    plans: Sequence[FeedbackPlan],
+    plan: FeedbackPlan,
     temperature: float,
 ) -> tuple[tuple[DensityMatrix, float], ...]:
     """Run steps (i)-(iv) for every kept outcome of a cycle, returning per outcome
     the resulting thermal state and the work extracted: E_n - Tr[H ρ'] from the
     rotation at fixed H, plus Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at
-    fixed state ρ'.  Each record and its plan read the H the plan was made for.
-    It works on (N, d, d) stacks: one ``_unit_trace`` call checks the rotated
+    fixed state ρ'.  Record n and slice n of the plan read the H the plan was made for.
+    It reads the plan's (N, d, d) stacks: one ``_unit_trace`` call checks the rotated
     states, and one eig call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], σ_n the
     Gibbs state of the retuned levels, gives the landing distances and the rotated spectra.
 
@@ -231,36 +225,35 @@ def execute_plan(
     entropy.  A kernel level holds no population in that Gibbs state, so the
     distance also bounds the weight the rotation left there.
     """
-    if len(records) != len(plans):
-        raise PlanMismatchError(f"{len(records)} outcomes but {len(plans)} plans")
-    if not plans:
+    n_out = len(plan.outcomes)
+    if len(records) != n_out:
+        raise PlanMismatchError(f"{len(records)} outcomes but {n_out} plans")
+    if not n_out:
         raise ArgumentRangeError("execute_plan needs at least one outcome")
-    u = np.array([plan.basis_unitary for plan in plans])
-    b = np.array([plan.energy_basis for plan in plans])
+    u, b = plan.basis_unitaries, plan.energy_basis
     states = np.array([record.state.matrix for record in records])
-    levels = np.array([plan.levels for plan in plans])
     rotated, _ = _unit_trace(u @ states @ dagger(u), "rotated outcome state")
     # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
     # work, so Tr[(H_n + c_n) ρ'] sums over the support only
-    populations = np.einsum("nij,nij->nj", b.conj(), rotated @ b).real
-    expected = spectral_matrix(b, gibbs_weights(levels, temperature))
+    populations = np.einsum("ij,nij->nj", b.conj(), rotated @ b).real
+    expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
     dec = eig_hermitian(np.concatenate([rotated, rotated - expected]))
 
     landed = []
-    for n, (record, plan) in enumerate(zip(records, plans)):
-        deviation = 0.5 * float(np.abs(dec.eigenvalues[len(plans) + n]).sum())
+    for n, (record, outcome, levels) in enumerate(zip(records, plan.outcomes, plan.levels)):
+        deviation = 0.5 * float(np.abs(dec.eigenvalues[n_out + n]).sum())
         if deviation > PLAN_TOL:
             raise PlanMismatchError(
-                f"outcome {plan.outcome}: landed state is {deviation:.3e} from thermal "
+                f"outcome {outcome}: landed state is {deviation:.3e} from thermal "
                 f"(tolerance {PLAN_TOL:g})"
             )
         spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-        state = DensityMatrix._with_eig(rotated[n], spectrum, f"outcome {plan.outcome}")
+        state = DensityMatrix._with_eig(rotated[n], spectrum, f"outcome {outcome}")
         drift = abs(von_neumann_entropy(state) - record.entropy)
         if drift > PLAN_TOL:
-            raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")
-        on = np.isfinite(plan.levels)
-        work = record.energy - float(np.dot(plan.levels[on] + plan.shift, populations[n][on]))
+            raise PlanMismatchError(f"outcome {outcome}: entropy drifted by {drift:.3e}")
+        on = np.isfinite(levels)
+        work = record.energy - float(np.dot(levels[on] + plan.shifts[n], populations[n][on]))
         landed.append((state, work))
     return tuple(landed)
 
@@ -296,18 +289,14 @@ def quasi_static_work(
 
 
 def _run(
-    h1: Hamiltonian,
-    h2: Hamiltonian,
-    temperature: float,
-    model: MeasurementModel,
-    p_floor: float,
+    h1: Hamiltonian, h2: Hamiltonian, temperature: float, model: MeasurementModel
 ) -> tuple[CycleLedger, ThermoReading]:
-    step = plan_branches(h1, temperature, model, p_floor)
+    step = plan_branches(h1, temperature, model)
     rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature)
     target = thermo_reading(rho_target, h2, temperature)
 
     branches = []
-    landed = execute_plan(step.outcomes, step.plans, temperature)
+    landed = execute_plan(step.outcomes, step.plan, temperature)
     for record, (_, work_steps) in zip(step.outcomes, landed):
         # isothermal stage from the branch Hamiltonian to h2: work equals the
         # free-energy drop at fixed T, and the state tracks the instantaneous
@@ -350,29 +339,20 @@ def _run(
     return ledger, target
 
 
-def run_cycle(
-    h: Hamiltonian,
-    temperature: float,
-    model: MeasurementModel,
-    p_floor: float = DEFAULT_P_FLOOR,
-) -> CycleLedger:
+def run_cycle(h: Hamiltonian, temperature: float, model: MeasurementModel) -> CycleLedger:
     """One closed cycle: thermal start, measure, feed back per outcome, expand
     isothermally home.  The ledger's ``work_fb`` equals kT·ΔS_meas up to
     numerical error."""
-    ledger, _ = _run(h, h, temperature, model, p_floor)
+    ledger, _ = _run(h, h, temperature, model)
     return ledger
 
 
 def run_transform(
-    h1: Hamiltonian,
-    h2: Hamiltonian,
-    temperature: float,
-    model: MeasurementModel,
-    p_floor: float = DEFAULT_P_FLOOR,
+    h1: Hamiltonian, h2: Hamiltonian, temperature: float, model: MeasurementModel
 ) -> TransformResult:
     """Like :func:`run_cycle` but the closing expansion targets the thermal
     state of ``h2``; the net work picks up the free-energy drop ΔF."""
-    ledger, target = _run(h1, h2, temperature, model, p_floor)
+    ledger, target = _run(h1, h2, temperature, model)
     return TransformResult(
         delta_f=ledger.initial.free_energy - target.free_energy,
         free_energy_final=target.free_energy,
@@ -382,11 +362,7 @@ def run_transform(
 
 
 def run_continuous(
-    h: Hamiltonian,
-    temperature: float,
-    model: MeasurementModel,
-    n_steps: int,
-    p_floor: float = DEFAULT_P_FLOOR,
+    h: Hamiltonian, temperature: float, model: MeasurementModel, n_steps: int
 ) -> ContinuousResult:
     """Drive repeated cycles of one weak measurement, one per time step; its
     strength ``model.strength`` is the ε of the scaling readout.
@@ -405,7 +381,7 @@ def run_continuous(
         raise ArgumentRangeError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
     if n_steps < 1:
         raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
-    cycle = run_cycle(h, temperature, model, p_floor=p_floor)
+    cycle = run_cycle(h, temperature, model)
     return ContinuousResult(
         epsilon=epsilon,
         n_steps=n_steps,

@@ -50,7 +50,8 @@ from .thermo import DensityMatrix, Hamiltonian, average_energy, shannon_entropy,
 COMPLETENESS_TOL = 1e-10
 # how far past 1 a weak model's generator norm may read
 GENERATOR_NORM_TOL = 1e-12
-DEFAULT_P_FLOOR = 1e-14
+# An outcome less likely than this is dropped: is_dropped reads it when called.
+P_FLOOR = 1e-14
 # The thresholds on ΔS_tot that judge_second_law applies.
 SECOND_LAW_TOL = -1e-9
 EFFICIENCY_TOL = 1e-8
@@ -238,10 +239,10 @@ class MeasurementOutcomes(Sequence):
         return np.array([r.probability for r in self.records])
 
 
-def is_dropped(p: float, p_floor: float) -> bool:
+def is_dropped(p: float) -> bool:
     """An outcome with probability ``p`` is dropped when p is not positive (its
-    conditional state p_n ρ_n / p_n is undefined) or below ``p_floor``."""
-    return p <= 0.0 or p < p_floor
+    conditional state p_n ρ_n / p_n is undefined) or below :data:`P_FLOOR`."""
+    return p <= 0.0 or p < P_FLOOR
 
 
 def _branch_factors(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
@@ -255,12 +256,7 @@ def _branch_factors(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
     return np.array([a for group in model.groups for a in group]) @ root
 
 
-def apply(
-    model: MeasurementModel,
-    rho: DensityMatrix,
-    h: Hamiltonian,
-    p_floor: float = DEFAULT_P_FLOOR,
-) -> MeasurementOutcomes:
+def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> MeasurementOutcomes:
     """Apply a measurement to ρ: branch n gets ρ_n = Σ_j X_nj X_nj† / p_n with
     p_n = Σ_j ‖X_nj‖²_F = Σ_j Tr[A_nj† A_nj ρ], X_nj the factors of :func:`_branch_factors`.
 
@@ -280,12 +276,12 @@ def apply(
     for n, group in enumerate(model.groups):
         x = np.hstack([next(factors) for _ in group])  # X_n = [X_n1 … X_nk]
         p = float(np.vdot(x, x).real)
-        if is_dropped(p, p_floor):
+        if is_dropped(p):
             dropped.append(n)
             continue
         raw.append((n, p, x))
     if not raw:
-        raise DegenerateStateError(f"every outcome probability is below p_floor {p_floor:g}")
+        raise DegenerateStateError(f"every outcome probability is below the floor {P_FLOOR:g}")
 
     total = sum(p for _, p, _ in raw)
     records = []

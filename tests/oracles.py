@@ -7,8 +7,9 @@ universe entropy summed literally and read off the assembled final state,
 the controller's joint states formed as V ρ V† and checked by the eig of
 ``from_matrix``, the average post-measurement state, the quasi-static work
 integral one path step at a time, a measurement model's validation
-report with one eig per operator, and the feedback plans planned and
-executed one outcome at a time, each rotated state checked on its own.
+report with one eig per operator, the feedback plans planned and
+executed one outcome at a time, each rotated state checked on its own, and
+each branch's maximal work F(ρ_n; H1) - F(ρ_T2; H2) from numpy's ``eigh``.
 ``eig_hermitian_reference`` is the straightforward form of the LAPACK
 wrapper, which the program's must match byte for byte.
 """
@@ -33,7 +34,7 @@ from qfeedback.errors import (
     NotHermitianError,
     PlanMismatchError,
 )
-from qfeedback.feedback import PLAN_TOL, FeedbackPlan
+from qfeedback.feedback import PLAN_TOL
 from qfeedback.ledger import LedgerRow
 from qfeedback.linalg import (
     HERMITICITY_TOL,
@@ -311,6 +312,21 @@ def average_post_state(records) -> DensityMatrix:
     return DensityMatrix.from_matrix(acc, where="average post-measurement state")
 
 
+def branch_max_work_reference(
+    rho_n: np.ndarray, h1: Hamiltonian, h2: Hamiltonian, temperature: float
+) -> float:
+    """The most work a branch state ρ_n on H1 gives against a bath at kT, ending on the
+    Gibbs state ρ_T2 of H2: F(ρ_n; H1) - F(ρ_T2; H2), with F(ρ; H) = Tr[Hρ] + kT·Tr[ρ ln ρ]
+    and F(ρ_T2; H2) = -kT ln Z2, every spectrum from ``np.linalg.eigh``."""
+    lam = np.linalg.eigh(hermitize(rho_n)).eigenvalues
+    lam = lam[lam > 0.0]
+    f_n = float(np.trace(h1.matrix @ rho_n).real) + temperature * float(np.dot(lam, np.log(lam)))
+    energies = np.linalg.eigh(h2.matrix).eigenvalues
+    lowest = energies.min()
+    f_target = lowest - temperature * math.log(np.exp(-(energies - lowest) / temperature).sum())
+    return f_n - f_target
+
+
 def quasi_static_work_reference(
     h_start: Hamiltonian, h_end: Hamiltonian, temperature: float, n_steps: int
 ) -> float:
@@ -373,8 +389,21 @@ def unit_trace_reference(matrix, where: str) -> tuple[np.ndarray, float]:
     return m, tr
 
 
+@dataclass(frozen=True)
+class OutcomePlan:
+    """Slice n of a ``feedback.FeedbackPlan``: the plan of one outcome."""
+
+    outcome: int
+    basis_unitary: np.ndarray
+    energy_basis: np.ndarray
+    levels: np.ndarray
+    shift: float
+    populations: np.ndarray
+
+
 def plan_feedback_reference(record, h: Hamiltonian, temperature: float, e_initial: float = 0.0):
-    """``feedback.plan_feedback`` for one outcome, on its own spectrum."""
+    """``feedback.plan_feedback`` for one outcome, on its own spectrum, as an
+    :class:`OutcomePlan`."""
     kt = boltzmann_kt(temperature)
     dec_state = record.state.eig
     lam = np.clip(dec_state.eigenvalues, 0.0, None)
@@ -393,7 +422,7 @@ def plan_feedback_reference(record, h: Hamiltonian, temperature: float, e_initia
             f"outcome {record.n}: a retuned level -kT ln(lambda) is not finite (kT = {kt!r})"
         )
     shift = e_initial - float(np.dot(lam[support], levels[support]))
-    return FeedbackPlan(
+    return OutcomePlan(
         outcome=record.n,
         basis_unitary=basis_unitary,
         energy_basis=energy_basis,
@@ -404,9 +433,10 @@ def plan_feedback_reference(record, h: Hamiltonian, temperature: float, e_initia
 
 
 def execute_plan_reference(records, plans, temperature: float):
-    """``feedback.execute_plan`` one outcome at a time: each rotated state built by
-    ``DensityMatrix.from_psd`` and its landing target by ``np.diag``, then one eig
-    call over every rotated state and difference, checked outcome by outcome."""
+    """``feedback.execute_plan`` one outcome at a time, over one :class:`OutcomePlan` per
+    record: each rotated state built by ``DensityMatrix.from_psd`` and its landing target
+    by ``np.diag``, then one eig call over every rotated state and difference, checked
+    outcome by outcome."""
     if len(records) != len(plans):
         raise PlanMismatchError(f"{len(records)} outcomes but {len(plans)} plans")
     rotated, differences, works = [], [], []

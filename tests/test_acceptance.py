@@ -45,6 +45,7 @@ from qfeedback.measurement import (
 )
 from qfeedback.sampling import (
     ginibre,
+    random_bare_model,
     random_efficient_model,
     random_hamiltonian,
     random_hermitian,
@@ -58,7 +59,8 @@ from qfeedback.thermo import (
     von_neumann_entropy,
 )
 
-from oracles import polar_decompose
+from conftest import random_inefficient_model
+from oracles import branch_max_work_reference, polar_decompose
 
 LN2 = math.log(2.0)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -258,7 +260,7 @@ def test_criterion_6_controller_equivalence():
             model = random_bare_model(dim, int(rng.integers(2, 5)), rng)
         rho_t = thermal_state(h, temperature)
         joint = correlate(rho_t, model)
-        records = apply(model, rho_t, h, p_floor=0.0)
+        records = apply(model, rho_t, h)
         for record in records:
             block_worst = max(
                 block_worst,
@@ -270,9 +272,7 @@ def test_criterion_6_controller_equivalence():
 
         e0 = average_energy(rho_t, h)
         s0 = von_neumann_entropy(rho_t)
-        blocks = [
-            plan.basis_unitary for plan in plan_feedback(records, h, temperature, e_initial=e0)
-        ]
+        blocks = plan_feedback(records, h, temperature, e_initial=e0).basis_unitaries
         moved = apply_joint_unitary(joint, feedback_unitary(blocks))
         decohered = decohere_controller(moved)
         final, _ = finalize_branches(
@@ -371,4 +371,46 @@ def test_criterion_10_kernel_residuals():
     verdict(
         10, ok, "eigen and polar kernels hit target residuals over 200 draws",
         f"eig {eig_worst:.2e}, orthonormality {ortho_worst:.2e}, polar {polar_worst:.2e}",
+    )
+
+
+def _branch_work_residual(ledger, model, h1, h2, temperature) -> float:
+    """Worst |W_n - (F(ρ_n; H1) - F(ρ_T2; H2))| over a ledger's branches, with ρ_n
+    from ``apply`` on the same input."""
+    records = apply(model, thermal_state(h1, temperature), h1)
+    assert [o.n for o in ledger.outcomes] == [r.n for r in records]
+    return max(
+        abs(o.work - branch_max_work_reference(r.state.matrix, h1, h2, temperature))
+        for o, r in zip(ledger.outcomes, records)
+    )
+
+
+def test_criterion_11_each_branch_reaches_its_maximal_work():
+    members, _ = efficient_ensemble()
+    worst = {"efficient": 0.0, "bare": 0.0, "inefficient": 0.0}
+    branches = 0
+    for m in members:
+        for ledger, h2 in ((m.cycle, m.h), (m.transform.ledger, m.h2)):
+            residual = _branch_work_residual(ledger, m.model, m.h, h2, m.temperature)
+            worst["efficient"] = max(worst["efficient"], residual)
+            branches += len(ledger.outcomes)
+    rng = np.random.default_rng(1111)
+    for i in range(80):
+        kind = ("bare", "inefficient")[i % 2]
+        dim, n_out = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        h1, h2 = random_hamiltonian(dim, rng), random_hamiltonian(dim, rng)
+        temperature = float(rng.uniform(0.3, 2.0))
+        draw = random_bare_model if kind == "bare" else random_inefficient_model
+        model = draw(dim, n_out, rng)
+        for ledger, target in (
+            (run_cycle(h1, temperature, model), h1),
+            (run_transform(h1, h2, temperature, model).ledger, h2),
+        ):
+            residual = _branch_work_residual(ledger, model, h1, target, temperature)
+            worst[kind] = max(worst[kind], residual)
+            branches += len(ledger.outcomes)
+    ok = max(worst.values()) < 1e-8
+    verdict(
+        11, ok, f"each of {branches} branches reaches F(rho_n; H1) - F(rho_T2; H2)",
+        ", ".join(f"{kind} {value:.2e}" for kind, value in worst.items()),
     )

@@ -25,7 +25,7 @@ def tilted_ground_cases(count=600, seed=36):
     """(H, T, model): a random H on dims 2-4 at T of 1e-3 or 1e-2, measured by
     {|g'⟩⟨g'|, I - |g'⟩⟨g'|}, g' the ground state tilted toward the first excited state by
     10^U(-10, -6).  The second outcome's p_n is about the tilt squared, so some fall below
-    p_floor and the others are kept with p_n between 1e-14 and 1e-12."""
+    measurement.P_FLOOR and the others are kept with p_n between 1e-14 and 1e-12."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):

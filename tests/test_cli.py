@@ -16,6 +16,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qfeedback import measurement
 from qfeedback.cli import load_config, main, run_scenario
 from qfeedback.config import KINDS, MODES, with_value
 from qfeedback.errors import InputError, IoError, ParseError
@@ -209,17 +210,14 @@ class TestRun:
         assert main(["run", str(path)]) == 0
 
     @pytest.mark.parametrize("mode", ["cycle", "controller"])
-    def test_zero_probability_outcome_at_zero_p_floor(self, tmp_path, capsys, mode):
-        # the third operator is zero, so its outcome has p = 0 exactly; a zero
-        # p_floor must still drop it instead of dividing 0 by 0
-        config = ZERO_OUTCOME_CONFIG.replace("mode: cycle", f"mode: {mode}")
-        rows = []
-        for numerics in ("", "numerics: {p_floor: 0.0}\n"):
-            path = tmp_path / "zero-outcome.yaml"
-            path.write_text(config + numerics)
-            assert main(["run", str(path)]) == 0
-            rows.append(capsys.readouterr().out)
-        assert rows[0] == rows[1]
+    def test_zero_probability_outcome_is_dropped(self, tmp_path, capsys, mode):
+        # the third operator is zero, so its outcome has p = 0 exactly: it is
+        # dropped instead of dividing 0 by 0
+        path = tmp_path / "zero-outcome.yaml"
+        path.write_text(ZERO_OUTCOME_CONFIG.replace("mode: cycle", f"mode: {mode}"))
+        assert main(["run", str(path), "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["n_outcomes"] == 2
 
     def test_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "degenerate.yaml"
@@ -317,10 +315,7 @@ class TestModeColumns:
 
     def test_transform_delta_f(self, tmp_path, capsys):
         row, config = self.json_row(tmp_path, capsys, TRANSFORM_CONFIG)
-        result = run_transform(
-            config.hamiltonian, config.h2, config.temperature, config.model,
-            p_floor=config.p_floor,
-        )
+        result = run_transform(config.hamiltonian, config.h2, config.temperature, config.model)
         assert result.delta_f != 0.0
         assert row["delta_F"] == result.delta_f
         assert row["work_total"] == result.ledger.work_total
@@ -460,10 +455,17 @@ class TestValidate:
         captured = capsys.readouterr()
         assert where in captured.out + captured.err
 
-    # constants held Boltzmann's k: the temperature is kT now, so k = c reads as temperature c·T
+    # constants held Boltzmann's k: the temperature is kT now, so k = c reads as temperature c·T;
+    # numerics held the floors, and with the last of them gone the section is unknown itself
     @pytest.mark.parametrize(
         "key, section",
-        [("seed", None), ("tolerance", "numerics"), ("lambda_floor", "numerics"), ("constants", None)],
+        [
+            ("seed", None),
+            ("tolerance", "numerics"),
+            ("lambda_floor", "numerics"),
+            ("constants", None),
+            ("numerics", None),
+        ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, key, section):
         tree = yaml.safe_load(GOOD_CONFIG)
@@ -471,8 +473,8 @@ class TestValidate:
         path = tmp_path / "old.yaml"
         path.write_text(yaml.safe_dump(tree))
         assert main(["validate", str(path)]) == 1
-        where = f"{section}.{key}" if section else key
-        assert f"{where}: unknown key" in capsys.readouterr().err
+        assert main(["run", str(path)]) == 1
+        assert f"{section or key}: unknown key" in capsys.readouterr().err
 
     # each of these printed "config ok" and then made `run` exit 1
     @pytest.mark.parametrize(
@@ -607,11 +609,12 @@ class TestExpectedLedgers:
             else:
                 assert a == b, name
 
-    # both outcomes have p = 0.5, which `apply` keeps at p_floor 0.5; the joint
-    # state's blocks read 0.5 -+ 1 ulp, so a second drop test there lost one
-    def test_both_pictures_keep_the_same_outcomes(self, tmp_path, capsys):
+    # both outcomes have p = 0.5, which `apply` keeps at a drop floor of 0.5; the
+    # joint state's blocks read 0.5 -+ 1 ulp, so a second drop test there lost one
+    def test_both_pictures_keep_the_same_outcomes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(measurement, "P_FLOOR", 0.5)
         preset = resources.files("qfeedback").joinpath("presets", "controller-fullcycle.yaml")
-        text = preset.read_text() + "numerics: {p_floor: 0.5}\n"
+        text = preset.read_text()
         path, cycle_path = tmp_path / "controller.yaml", tmp_path / "cycle.yaml"
         path.write_text(text)
         cycle_path.write_text(text.replace("mode: controller", "mode: cycle"))
@@ -748,8 +751,6 @@ def config_trees(draw):
         tree["transform"] = {"h2": _hamiltonian(data, dim)}
     if mode == "continuous":
         tree["continuous"] = {"steps": draw(st.integers(1, 5))}
-    if draw(st.booleans()):
-        tree["numerics"] = {"p_floor": draw(st.sampled_from([0.0, 1e-14, 1e-3]))}
     leaves = _leaves(tree)
     scalars = [path for path in leaves if len(path) == 2]  # dim, temperature, steps, ...
     for _ in range(draw(st.integers(0, 2))):

@@ -45,7 +45,6 @@ class TestParseDict:
         assert config.temperature == 1.0
         assert config.h2 is None
         assert config.steps == 1
-        assert config.p_floor == 1e-14
         assert config.model.kind.value == "bare"
         np.testing.assert_allclose(np.diag(config.hamiltonian.matrix).real, [0.0, 1.0])
 
@@ -58,12 +57,6 @@ class TestParseDict:
         ]
         long = parse_dict(full)
         np.testing.assert_allclose(short.hamiltonian.matrix, long.hamiltonian.matrix)
-
-    def test_optional_sections(self):
-        data = minimal()
-        data["numerics"] = {"p_floor": 0.0}
-        config = parse_dict(data)
-        assert config.p_floor == 0.0
 
     def test_transform_mode(self):
         config = parse_dict(minimal("transform"))
@@ -236,19 +229,23 @@ class TestRejection:
         data["measurement"]["kind"] = "efficient"
         self.check(data, "measurement.kind")
 
-    def test_numerics_ranges(self):
-        for bad in (-1e-3, 1.0):
-            data = minimal()
-            data["numerics"] = {"p_floor": bad}
-            self.check(data, "numerics.p_floor")
-
     def test_lambda_floor_is_no_longer_a_key(self):
-        # feedback is planned on each outcome's support; there is no floor to set
+        # feedback is planned on each outcome's support; there is no floor to set,
+        # and the numerics section that held it is gone
         data = minimal()
         data["numerics"] = {"lambda_floor": 1e-12}
         with pytest.raises(ValidationError, match="unknown key") as info:
             parse_dict(data)
-        assert info.value.path == "numerics.lambda_floor"
+        assert info.value.path == "numerics"
+
+    @pytest.mark.parametrize("value", [0.0, 1e-14, 1e-3])
+    def test_numerics_is_no_longer_a_section(self, value):
+        # the drop floor is fixed at measurement.P_FLOOR; there is no floor to set
+        data = minimal()
+        data["numerics"] = {"p_floor": value}
+        with pytest.raises(ValidationError, match="unknown key") as info:
+            parse_dict(data)
+        assert info.value.path == "numerics"
 
     def test_constants_is_no_longer_a_section(self):
         # the temperature is kT; there is no Boltzmann constant to set

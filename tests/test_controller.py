@@ -21,6 +21,7 @@ from qfeedback.controller import (
 )
 from qfeedback.errors import (
     DegenerateStateError,
+    DimensionMismatchError,
     IncompleteModelError,
     InvalidModelError,
     InvalidStateError,
@@ -28,8 +29,8 @@ from qfeedback.errors import (
 )
 from qfeedback.feedback import plan_branches
 from qfeedback.linalg import dagger, dephase_blocks, eig_hermitian, max_abs, read_only, tensor
+from qfeedback import measurement
 from qfeedback.measurement import (
-    DEFAULT_P_FLOOR,
     EFFICIENCY_TOL,
     SECOND_LAW_TOL,
     MeasurementModel,
@@ -107,7 +108,7 @@ class TestCorrelate:
             h = Hamiltonian.zero(dim)
             rho = thermal_state(random_hamiltonian(dim, rng), 1.0)
             joint = correlate(rho, model)
-            records = apply(model, rho, h, p_floor=0.0)
+            records = apply(model, rho, h)
             for record in records:
                 block = joint.block(record.n, record.n)
                 assert abs(np.trace(block).real - record.probability) < 1e-10
@@ -153,6 +154,30 @@ class TestFeedbackUnitary:
         with pytest.raises(NonUnitaryBlockError):
             feedback_unitary([np.eye(2, dtype=complex), 0.5 * PAULI_X])
 
+    @pytest.mark.parametrize("bad", range(3))
+    def test_names_the_first_non_unitary_block(self, bad):
+        blocks = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+        blocks[bad] = 0.5 * PAULI_X
+        blocks[3] = 2.0 * PAULI_X  # a later failing block is not the one named
+        message = f"^block {bad} unitarity residual 7.500e-01$"
+        with pytest.raises(NonUnitaryBlockError, match=message):
+            feedback_unitary(blocks)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            np.eye(2, dtype=complex),  # one matrix, not a stack
+            np.zeros((0, 2, 2), dtype=complex),  # no block
+            np.zeros((2, 2, 3), dtype=complex),  # blocks not square
+            np.zeros((1, 2, 2, 2), dtype=complex),  # a stack of stacks
+            [np.eye(2, dtype=complex), np.eye(3, dtype=complex)],  # mixed dims
+        ],
+        ids=["matrix", "empty", "not-square", "4d", "mixed-dims"],
+    )
+    def test_rejects_blocks_that_are_not_a_stack(self, blocks):
+        with pytest.raises(DimensionMismatchError, match="blocks must form an \\(N, d, d\\) stack"):
+            feedback_unitary(blocks)
+
 
 def cycle_inputs(dim, n, temperature):
     """ρ, the model, the controlled feedback unitary and the kept outcomes of one
@@ -166,10 +191,9 @@ def cycle_inputs(dim, n, temperature):
         g = random_hermitian(dim, rng)
         strength = float(rng.uniform(1e-3, 0.5))
         model = MeasurementModel.weak(g / np.abs(np.linalg.eigvalsh(g)).max(), strength)
-    step = plan_branches(h, temperature, model, DEFAULT_P_FLOOR)
-    blocks = [np.eye(dim, dtype=complex)] * model.n_outcomes
-    for plan in step.plans:
-        blocks[plan.outcome] = plan.basis_unitary
+    step = plan_branches(h, temperature, model)
+    blocks = np.tile(np.eye(dim, dtype=complex), (model.n_outcomes, 1, 1))
+    blocks[step.plan.outcomes] = step.plan.basis_unitaries
     return step.rho, model, feedback_unitary(blocks), [r.n for r in step.outcomes]
 
 
@@ -426,8 +450,8 @@ class TestFinalizeAndLedger:
         records = apply(model, rho, H2LEVEL)
         from qfeedback.feedback import plan_feedback
 
-        plans = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
-        joint = apply_joint_unitary(joint, feedback_unitary([p.basis_unitary for p in plans]))
+        plan = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
+        joint = apply_joint_unitary(joint, feedback_unitary(plan.basis_unitaries))
         return decohere_controller(joint), rho
 
     def test_factorization(self):
@@ -538,9 +562,9 @@ class TestFullCycle:
             )
             assert result.report.verdict
 
-    def test_branches_are_the_outcomes_apply_keeps(self, rng):
-        # p_floor at each outcome's probability as `apply` computes it, and one
-        # ulp either side: the controller must keep exactly the same outcomes
+    def test_branches_are_the_outcomes_apply_keeps(self, rng, monkeypatch):
+        # the drop floor at each outcome's probability, and one ulp either side:
+        # the controller must keep exactly the same outcomes as `apply`
         for i in range(16):
             dim = int(rng.integers(2, 5))
             h = random_hamiltonian(dim, rng)
@@ -554,14 +578,15 @@ class TestFullCycle:
             e0, s0 = average_energy(rho, h), von_neumann_entropy(rho)
             for (a,) in model.groups:
                 p = float(np.trace(a @ rho.matrix @ dagger(a)).real)
-                for p_floor in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+                for floor in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+                    monkeypatch.setattr(measurement, "P_FLOOR", floor)
                     try:
-                        records = apply(model, rho, h, p_floor=p_floor)
+                        records = apply(model, rho, h)
                     except DegenerateStateError:
                         with pytest.raises(DegenerateStateError):
-                            run_controller_cycle(h, 1.0, model, p_floor=p_floor)
+                            run_controller_cycle(h, 1.0, model)
                         continue
-                    result = run_controller_cycle(h, 1.0, model, p_floor=p_floor)
+                    result = run_controller_cycle(h, 1.0, model)
                     assert len(result.probabilities) == len(records)
                     np.testing.assert_allclose(
                         result.probabilities, records.probabilities, atol=1e-12

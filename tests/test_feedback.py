@@ -68,20 +68,20 @@ class TestPlanFeedback:
     def test_thermal_fixed_point(self):
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
-        [plan] = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0, e_initial=e)
+        plan = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0, e_initial=e)
         # the thermal state is already ordered against energy, so the rotation
         # is trivial and the retuned-plus-shifted Hamiltonian is H itself
-        assert max_abs(plan.basis_unitary - np.eye(2)) < 1e-9
-        np.testing.assert_allclose(plan.levels + plan.shift, [0.0, 1.0], atol=1e-9)
+        assert max_abs(plan.basis_unitaries[0] - np.eye(2)) < 1e-9
+        np.testing.assert_allclose(plan.levels[0] + plan.shifts[0], [0.0, 1.0], atol=1e-9)
 
     def test_populations_match_retuned_gibbs_weights(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
         records = apply(model, maximally_mixed(2), Hamiltonian.zero(2))
-        plan = plan_feedback(records, Hamiltonian.zero(2), 1.0, e_initial=0.0)[0]
-        np.testing.assert_allclose(plan.populations, [0.75, 0.25], atol=1e-12)
+        populations = plan_feedback(records, Hamiltonian.zero(2), 1.0).populations[0]
+        np.testing.assert_allclose(populations, [0.75, 0.25], atol=1e-12)
         levels = np.array([-math.log(0.75), -math.log(0.25)])
         gibbs = np.exp(-levels) / np.exp(-levels).sum()
-        np.testing.assert_allclose(plan.populations, gibbs, atol=1e-9)
+        np.testing.assert_allclose(populations, gibbs, atol=1e-9)
 
     def test_populations_non_increasing_with_energy(self, rng):
         for _ in range(20):
@@ -90,21 +90,18 @@ class TestPlanFeedback:
             model = random_efficient_model(dim, 2, rng)
             rho = thermal_state(h, 1.0)
             e = average_energy(rho, h)
-            for plan in plan_feedback(apply(model, rho, h), h, 1.0, e_initial=e):
-                assert all(
-                    plan.populations[i] >= plan.populations[i + 1] - 1e-12
-                    for i in range(dim - 1)
-                )
+            plan = plan_feedback(apply(model, rho, h), h, 1.0, e_initial=e)
+            assert (np.diff(plan.populations, axis=-1) <= 1e-12).all()
 
     def test_pure_outcome_planned_on_its_support(self):
         h = Hamiltonian.zero(2)
         record = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), h)
-        [plan] = plan_feedback([record], h, 1.0)
-        np.testing.assert_array_equal(plan.populations, [1.0, 0.0])
+        plan = plan_feedback([record], h, 1.0)
+        np.testing.assert_array_equal(plan.populations, [[1.0, 0.0]])
         # the kernel level is raised to +inf, and the shift reads the support only
-        assert plan.levels[0] == 0.0 and plan.levels[1] == np.inf
-        assert plan.shift == 0.0
-        [(state, work)] = execute_plan([record], [plan], 1.0)
+        assert plan.levels.tolist() == [[0.0, np.inf]]
+        assert plan.shifts.tolist() == [0.0]
+        [(state, work)] = execute_plan([record], plan, 1.0)
         assert work == 0.0
         ground = DensityMatrix.from_vector(plan.energy_basis[:, 0])
         assert trace_distance(state, ground) < 1e-15
@@ -114,11 +111,10 @@ class TestPlanFeedback:
         rho = thermal_state(h, 0.8)
         e = average_energy(rho, h)
         model = random_efficient_model(3, 3, rng)
-        for plan in plan_feedback(apply(model, rho, h), h, 0.8, e_initial=e):
+        plan = plan_feedback(apply(model, rho, h), h, 0.8, e_initial=e)
+        for levels, shift in zip(plan.levels, plan.shifts):
             # H_n + c_n·I, the Hamiltonian in force after step (iv)
-            h_final = Hamiltonian.from_matrix(
-                spectral_matrix(plan.energy_basis, plan.levels + plan.shift)
-            )
+            h_final = Hamiltonian.from_matrix(spectral_matrix(plan.energy_basis, levels + shift))
             landed = thermal_state(h_final, 0.8)
             assert average_energy(landed, h_final) == pytest.approx(e, abs=1e-9)
 
@@ -128,8 +124,8 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         record = record_for(rho, H2LEVEL)
-        [plan] = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
-        [(state, work)] = execute_plan([record], [plan], 1.0)
+        plan = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
+        [(state, work)] = execute_plan([record], plan, 1.0)
         assert abs(work) < 1e-9
         assert trace_distance(state, rho) < 1e-9
 
@@ -139,8 +135,8 @@ class TestExecutePlan:
         rho = thermal_state(h, 1.0)
         e = average_energy(rho, h)
         records = apply(random_efficient_model(3, 2, rng), rho, h)
-        plans = plan_feedback(records, h, 1.0, e_initial=e)
-        for record, (state, work) in zip(records, execute_plan(records, plans, 1.0)):
+        plan = plan_feedback(records, h, 1.0, e_initial=e)
+        for record, (state, work) in zip(records, execute_plan(records, plan, 1.0)):
             assert work == pytest.approx(record.energy - e, abs=1e-9)
             assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
 
@@ -148,18 +144,18 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
-        plan = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)[0]
-        [(_, work)] = execute_plan(records[:1], [plan], 1.0)
+        plan = plan_feedback(records[:1], H2LEVEL, 1.0, e_initial=e)
+        [(_, work)] = execute_plan(records[:1], plan, 1.0)
         assert work == pytest.approx(0.5 - e, abs=1e-9)
 
     def test_mismatched_plan_detected(self):
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         record = record_for(rho, H2LEVEL)
-        [plan] = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
+        plan = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
         other = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL)
         with pytest.raises(PlanMismatchError):
-            execute_plan([other], [plan], 1.0)
+            execute_plan([other], plan, 1.0)
 
     def test_lands_at_large_energies(self):
         # the landed state is compared with the thermal state of H_n: the shift
@@ -171,17 +167,17 @@ class TestExecutePlan:
             rho = thermal_state(h, 1.0)
             e = average_energy(rho, h)
             records = apply(random_efficient_model(6, 3, rng), rho, h)
-            plans = plan_feedback(records, h, 1.0, e_initial=e)
-            for record, (state, _) in zip(records, execute_plan(records, plans, 1.0)):
+            plan = plan_feedback(records, h, 1.0, e_initial=e)
+            for record, (state, _) in zip(records, execute_plan(records, plan, 1.0)):
                 assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
 
 
     def test_one_eig_call_for_every_outcome(self, eig_calls, rng):
         for n in (1, 2, 4):
             h = random_hamiltonian(3, rng)
-            step = plan_branches(h, 1.0, random_efficient_model(3, n, rng), 0.0)
+            step = plan_branches(h, 1.0, random_efficient_model(3, n, rng))
             eig_calls.clear()
-            execute_plan(step.outcomes, step.plans, 1.0)
+            execute_plan(step.outcomes, step.plan, 1.0)
             # the N rotated states and their N differences from the landing targets
             assert eig_calls == [2 * len(step.outcomes)]
 
@@ -189,17 +185,17 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
-        plans = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
-        assert len(execute_plan(records, plans, 1.0)) == 2
-        # the second plan rotates |->, not |0>, onto the ground state
+        plan = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
+        assert len(execute_plan(records, plan, 1.0)) == 2
+        # outcome 1's plan rotates |->, not |0>, onto the ground state
         swapped = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL, n=1)
         with pytest.raises(PlanMismatchError, match="^outcome 1: landed state"):
-            execute_plan([records[0], swapped], plans, 1.0)
+            execute_plan([records[0], swapped], plan, 1.0)
 
     def test_rotated_states_keep_their_spectra(self, eig_calls, rng):
         h = random_hamiltonian(4, rng)
-        step = plan_branches(h, 0.7, random_efficient_model(4, 3, rng), 0.0)
-        landed = execute_plan(step.outcomes, step.plans, 0.7)
+        step = plan_branches(h, 0.7, random_efficient_model(4, 3, rng))
+        landed = execute_plan(step.outcomes, step.plan, 0.7)
         eig_calls.clear()
         for record, (state, _) in zip(step.outcomes, landed):
             assert von_neumann_entropy(state) == pytest.approx(record.entropy, abs=1e-9)
@@ -211,9 +207,9 @@ class TestExecutePlan:
 
     def test_plans_must_pair_with_outcomes(self):
         rho = thermal_state(H2LEVEL, 1.0)
-        [plan] = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0)
+        plan = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0)
         with pytest.raises(PlanMismatchError, match="2 outcomes but 1 plans"):
-            execute_plan([record_for(rho, H2LEVEL)] * 2, [plan], 1.0)
+            execute_plan([record_for(rho, H2LEVEL)] * 2, plan, 1.0)
 
 
 class TestIsothermal:

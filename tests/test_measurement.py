@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfeedback import measurement
 from qfeedback.errors import (
     DegenerateStateError,
     DimensionMismatchError,
@@ -184,14 +185,12 @@ class TestApply:
             np.diag(records[0].state.matrix).real, [0.75, 0.25], atol=1e-12
         )
 
-    def test_every_outcome_below_floor(self):
-        with pytest.raises(DegenerateStateError):
-            apply(
-                MeasurementModel.bare([PROJ_0, PROJ_1]),
-                maximally_mixed(2),
-                Hamiltonian.zero(2),
-                p_floor=0.7,
-            )
+    def test_every_outcome_below_floor(self, monkeypatch):
+        # a complete model's probabilities sum to 1, so only a floor above 1/N drops
+        # every outcome; the message names the floor in force
+        monkeypatch.setattr(measurement, "P_FLOOR", 0.7)
+        with pytest.raises(DegenerateStateError, match="below the floor 0.7$"):
+            apply(MeasurementModel.bare([PROJ_0, PROJ_1]), maximally_mixed(2), Hamiltonian.zero(2))
 
     def test_x_projectors_on_thermal(self):
         h = Hamiltonian.diagonal([0.0, 1.0])

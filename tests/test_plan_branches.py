@@ -13,14 +13,11 @@ from qfeedback import controller, feedback
 from qfeedback.controller import run_controller_cycle
 from qfeedback.errors import InvalidModelError
 from qfeedback.feedback import plan_branches, run_continuous, run_cycle, run_transform
-from qfeedback.measurement import DEFAULT_P_FLOOR, MeasurementModel, apply, measurement_energy_cost
+from qfeedback.measurement import MeasurementModel, apply, measurement_energy_cost
 from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
 from qfeedback.thermo import DensityMatrix, Hamiltonian, thermal_state, thermo_reading
 
 from conftest import PROJ_0, PROJ_1
-
-# keyword arguments both pictures take, at their defaults
-FLOORS = dict(p_floor=DEFAULT_P_FLOOR)
 
 
 @pytest.fixture
@@ -41,12 +38,12 @@ def steps(monkeypatch):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """The per-outcome blocks each controller cycle hands to feedback_unitary."""
+    """The (N, d, d) stack of blocks each controller cycle hands to feedback_unitary."""
     seen = []
     original = controller.feedback_unitary
 
-    def recording(unitaries):
-        seen.append([np.array(u) for u in unitaries])
+    def recording(stack):
+        seen.append(np.array(stack))
         return original(seen[-1])
 
     monkeypatch.setattr(controller, "feedback_unitary", recording)
@@ -109,9 +106,9 @@ def test_controller_blocks_are_the_cycle_plans(steps, blocks, seed):
     run_controller_cycle(h, t, model)
     cycle_step, _ = steps
     (controller_blocks,) = blocks
-    assert [p.outcome for p in cycle_step.plans] == [r.n for r in cycle_step.outcomes]
-    for plan in cycle_step.plans:
-        assert controller_blocks[plan.outcome].tobytes() == plan.basis_unitary.tobytes()
+    plan = cycle_step.plan
+    assert plan.outcomes.tolist() == [r.n for r in cycle_step.outcomes]
+    assert controller_blocks[plan.outcomes].tobytes() == plan.basis_unitaries.tobytes()
 
 
 def test_dropped_outcome_gets_the_identity_block(steps, blocks):
@@ -128,11 +125,11 @@ def test_dropped_outcome_gets_the_identity_block(steps, blocks):
 
 def test_record_holds_the_shared_step():
     h, t, model = bare_inputs(4)
-    step = plan_branches(h, t, model, **FLOORS)
+    step = plan_branches(h, t, model)
     rho = thermal_state(h, t)
     assert step.rho.matrix.tobytes() == rho.matrix.tobytes()
     assert step.initial == thermo_reading(rho, h, t)
-    outcomes = apply(model, rho, h, p_floor=FLOORS["p_floor"])
+    outcomes = apply(model, rho, h)
     assert [r.n for r in step.outcomes] == [r.n for r in outcomes]
     assert step.delta_e_meas == measurement_energy_cost(outcomes, step.initial.energy)
 
@@ -140,9 +137,8 @@ def test_record_holds_the_shared_step():
 def test_pure_outcome_raises_its_kernel_level_to_inf():
     # a projective outcome is pure: its kernel level is raised to +inf at no work
     model = MeasurementModel.bare([PROJ_0, PROJ_1])
-    step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model, **FLOORS)
-    for plan in step.plans:
-        assert plan.levels[0] == 0.0 and plan.levels[1] == np.inf
+    step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model)
+    assert step.plan.levels.tolist() == [[0.0, np.inf], [0.0, np.inf]]
 
 
 def test_negative_round_off_eigenvalue_is_planned_as_kernel(monkeypatch):
@@ -158,9 +154,9 @@ def test_negative_round_off_eigenvalue_is_planned_as_kernel(monkeypatch):
 
     monkeypatch.setattr(feedback, "apply", round_off_apply)
     model = MeasurementModel.bare([PROJ_0, PROJ_1])
-    step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model, **FLOORS)
-    assert step.plans[0].levels.tolist() == [0.0, np.inf]
-    assert step.plans[0].populations.tolist() == [1.0, 0.0]
+    step = plan_branches(Hamiltonian.diagonal([0.0, 1.0]), 1.0, model)
+    assert step.plan.levels[0].tolist() == [0.0, np.inf]
+    assert step.plan.populations[0].tolist() == [1.0, 0.0]
 
 
 def test_controller_rejects_a_general_kraus_model_after_planning(steps):

@@ -1,13 +1,14 @@
 """Stacked feedback plans and their execution against the one-outcome-at-a-time forms.
 
-``feedback.plan_feedback`` plans every kept outcome over the stacked outcome spectra,
-and ``execute_plan`` builds the rotated states, their populations and the landing
-targets as stacks, checked by one ``thermo._unit_trace`` call.  On a seeded family
-(bare, efficient and inefficient models, and projective ones whose rank-1 outcomes are
-pure, so their kernel levels are +inf; dims 1-16, N 1-4, T from 1e-3 to 1e3) every plan,
-landed state and work must equal ``oracles.plan_feedback_reference`` and
-``oracles.execute_plan_reference`` byte for byte.  One failing outcome among good ones
-must raise the reference's exception class and message.
+``feedback.plan_feedback`` plans every kept outcome as one stacked ``FeedbackPlan``,
+and ``execute_plan`` reads its stacks to build the rotated states, their populations
+and the landing targets, checked by one ``thermo._unit_trace`` call.  On a seeded
+family (bare, efficient and inefficient models, and projective ones whose rank-1
+outcomes are pure, so their kernel levels are +inf; dims 1-16, N 1-4, T from 1e-3 to
+1e3) slice n of every stacked field must equal ``oracles.plan_feedback_reference`` for
+outcome n, and every landed state and work ``oracles.execute_plan_reference``, byte for
+byte.  One failing outcome among good ones must raise the reference's exception class
+and message.
 """
 
 import dataclasses
@@ -60,7 +61,23 @@ def _result(call):
         return type(exc), str(exc)
 
 
-def _plan_bytes(plans):
+def _plan_bytes(plan):
+    """Slice n of every field of the stacked ``plan``, for each n."""
+    return [
+        (
+            int(plan.outcomes[n]),
+            plan.basis_unitaries[n].tobytes(),
+            plan.energy_basis.tobytes(),
+            plan.levels[n].tobytes(),
+            plan.shifts[n].tobytes(),
+            plan.populations[n].tobytes(),
+        )
+        for n in range(len(plan.outcomes))
+    ]
+
+
+def _reference_bytes(plans):
+    """The same fields of each per-outcome reference plan."""
     return [
         (
             p.outcome,
@@ -90,11 +107,15 @@ def _plans(records, h, temperature, e):
     return tuple(plan_feedback_reference(r, h, temperature, e) for r in records)
 
 
-def _compare(result, reference, as_bytes):
-    if isinstance(reference, tuple) and reference and isinstance(reference[0], type):
+def _raised(result):
+    return isinstance(result, tuple) and result and isinstance(result[0], type)
+
+
+def _compare(result, reference, as_bytes, reference_bytes=None):
+    if _raised(reference):
         assert result == reference
     else:
-        assert as_bytes(result) == as_bytes(reference)
+        assert as_bytes(result) == (reference_bytes or as_bytes)(reference)
 
 
 def test_family_reaches_every_branch():
@@ -113,23 +134,26 @@ def test_family_reaches_every_branch():
 def test_stacked_plans_and_landing_match_the_reference(i):
     h, temperature, records, e = _case(i)
     reference = _result(lambda: _plans(records, h, temperature, e))
-    plans = _result(lambda: plan_feedback(records, h, temperature, e))
-    _compare(plans, reference, _plan_bytes)
-    if isinstance(reference[0], type):
+    plan = _result(lambda: plan_feedback(records, h, temperature, e))
+    _compare(plan, reference, _plan_bytes, _reference_bytes)
+    if _raised(reference):
         return
+    assert plan.basis_unitaries.shape == (len(records), h.dim, h.dim)
+    assert plan.energy_basis.shape == (h.dim, h.dim)
     landed_reference = _result(lambda: execute_plan_reference(records, reference, temperature))
-    landed = _result(lambda: execute_plan(records, plans, temperature))
+    landed = _result(lambda: execute_plan(records, plan, temperature))
     _compare(landed, landed_reference, _landed_bytes)
 
 
 def _good_case(n=3):
-    """A dim-3 efficient case with n kept outcomes that plans and lands."""
+    """A dim-3 efficient case with n kept outcomes that plans and lands: its records,
+    stacked plan and reference plans."""
     rng = np.random.default_rng(11)
     h = random_hamiltonian(3, rng)
     rho = thermal_state(h, 0.9)
     records = apply(random_efficient_model(3, n, rng), rho, h)
     e = thermo_reading(rho, h, 0.9).energy
-    return h, records, _plans(records, h, 0.9, e), e
+    return records, plan_feedback(records, h, 0.9, e), _plans(records, h, 0.9, e)
 
 
 def _with_state(record, matrix):
@@ -166,7 +190,7 @@ def test_non_finite_level_names_the_outcome(bad):
 @pytest.mark.parametrize("bad", range(3))
 @pytest.mark.parametrize("fault", ["landing", "entropy"])
 def test_plan_mismatch_names_the_outcome(bad, fault):
-    _, records, plans, _ = _good_case()
+    records, plan, plans = _good_case()
     records = list(records)
     if fault == "landing":  # a state the plan was not made for
         records[bad] = _with_state(records[bad], records[(bad + 1) % 3].state.matrix)
@@ -174,7 +198,7 @@ def test_plan_mismatch_names_the_outcome(bad, fault):
         records[bad] = dataclasses.replace(records[bad], entropy=records[bad].entropy + 1e-6)
     _assert_same_error(
         PlanMismatchError,
-        lambda: execute_plan(records, plans, 0.9),
+        lambda: execute_plan(records, plan, 0.9),
         lambda: execute_plan_reference(records, plans, 0.9),
     )
 
@@ -182,7 +206,7 @@ def test_plan_mismatch_names_the_outcome(bad, fault):
 @pytest.mark.parametrize("bad", range(3))
 @pytest.mark.parametrize("fault", ["trace", "hermitian", "not-finite", "trace-then-hermitian"])
 def test_invalid_rotated_state_raises_the_single_check(bad, fault):
-    _, records, plans, _ = _good_case()
+    records, plan, plans = _good_case()
     records = list(records)
     m = records[bad].state.matrix
     skew = np.triu(np.ones_like(m), 1)
@@ -199,7 +223,7 @@ def test_invalid_rotated_state_raises_the_single_check(bad, fault):
     with np.errstate(invalid="ignore", over="ignore"):  # inf entries in the products
         _assert_same_error(
             InvalidStateError,
-            lambda: execute_plan(records, plans, 0.9),
+            lambda: execute_plan(records, plan, 0.9),
             lambda: execute_plan_reference(records, plans, 0.9),
         )
 
@@ -207,5 +231,8 @@ def test_invalid_rotated_state_raises_the_single_check(bad, fault):
 def test_no_outcome_is_an_argument_error():
     with pytest.raises(ArgumentRangeError, match="plan_feedback needs at least one outcome"):
         plan_feedback([], Hamiltonian.zero(2), 1.0)
+    _, plan, _ = _good_case()
+    stacked = ("outcomes", "basis_unitaries", "levels", "shifts", "populations")
+    empty = dataclasses.replace(plan, **{name: getattr(plan, name)[:0] for name in stacked})
     with pytest.raises(ArgumentRangeError, match="execute_plan needs at least one outcome"):
-        execute_plan([], [], 1.0)
+        execute_plan([], empty, 1.0)

@@ -26,6 +26,14 @@ def test_ensemble_check_passes(ensemble_check, capsys):
     assert "BREACH" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temperature, dropped", [("1", 0), ("0.01", 5)])
+def test_ensemble_check_counts_the_cycles_that_drop(ensemble_check, capsys, temperature, dropped):
+    # energy-basis projectors onto high levels have p_n below the fixed floor at low T
+    assert ensemble_check.main(["--models", "10", "--temperature", temperature]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"cycles that dropped an outcome      : {dropped} of 20" in lines
+
+
 def test_ensemble_check_fails_on_a_broken_identity(ensemble_check, monkeypatch, capsys):
     run_cycle = ensemble_check.run_cycle
 
