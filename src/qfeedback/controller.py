@@ -162,8 +162,9 @@ def feedback_unitary(blocks) -> np.ndarray:
         raise DimensionMismatchError(f"blocks must form an (N, d, d) stack: {exc}") from None
     if u.ndim != 3 or 0 in u.shape or u.shape[1] != u.shape[2]:
         raise DimensionMismatchError(f"blocks must form an (N, d, d) stack, got shape {u.shape}")
-    residuals = np.abs(dagger(u) @ u - np.eye(u.shape[1])).max(axis=(1, 2))
-    failed = residuals > STRUCTURE_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails below
+        residuals = np.abs(dagger(u) @ u - np.eye(u.shape[1])).max(axis=(1, 2))
+    failed = ~(residuals <= STRUCTURE_TOL)  # NaN too
     if failed.any():
         k = int(failed.argmax())
         raise NonUnitaryBlockError(f"block {k} unitarity residual {residuals[k]:.3e}")

@@ -12,8 +12,9 @@ indexed by outcome:
 Applying a model to a state yields per-outcome records carrying probability,
 post-measurement state, entropy, and average energy; the average entropy drop
 and the average energy added by the measurement derive from those records.
-Each outcome state is built from the factors X_nj = A_nj ρ^½, PSD by
-construction at any probability, which the controller's joint reads too.
+The kept outcome states are built as one stack from the factors
+X_nj = A_nj ρ^½, PSD by construction at any probability, which the
+controller's joint reads too.
 The second-law report of a cycle, ΔS_tot = S({p_n}) - ΔS_meas with its
 verdict and efficiency flag, is decided here too, for both pictures.
 """
@@ -33,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     IncompleteModelError,
     InvalidModelError,
+    InvalidStateError,
     NotHermitianError,
 )
 from .linalg import (
@@ -45,7 +47,7 @@ from .linalg import (
     max_abs,
     read_only,
 )
-from .thermo import DensityMatrix, Hamiltonian, average_energy, shannon_entropy, von_neumann_entropy
+from .thermo import DensityMatrix, Hamiltonian, _energies, shannon_entropy, von_neumann_entropy
 
 COMPLETENESS_TOL = 1e-10
 # how far past 1 a weak model's generator norm may read
@@ -258,11 +260,11 @@ def _branch_factors(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
 
 def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> MeasurementOutcomes:
     """Apply a measurement to ρ: branch n gets ρ_n = Σ_j X_nj X_nj† / p_n with
-    p_n = Σ_j ‖X_nj‖²_F = Σ_j Tr[A_nj† A_nj ρ], X_nj the factors of :func:`_branch_factors`.
+    p_n = Σ_j ‖X_nj‖²_F = Σ_j Tr[A_nj† A_nj ρ], X_nj the factors of :func:`_branch_factors`;
+    one :meth:`DensityMatrix.from_matrix` call builds every kept ρ_n from their stack.
 
-    Outcomes that :func:`is_dropped` rejects are removed and the surviving
-    probabilities renormalized proportionally;
-    :class:`DegenerateStateError` is raised when none survives.
+    Outcomes that :func:`is_dropped` rejects are removed and the surviving probabilities
+    renormalized proportionally; :class:`DegenerateStateError` is raised when none survives.
     """
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
@@ -271,32 +273,29 @@ def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> Measur
     require_valid(model)
 
     factors = iter(_branch_factors(model, rho))
-    raw: list[tuple[int, float, np.ndarray]] = []
-    dropped: list[int] = []
+    kept, dropped = [], []
     for n, group in enumerate(model.groups):
         x = np.hstack([next(factors) for _ in group])  # X_n = [X_n1 … X_nk]
         p = float(np.vdot(x, x).real)
         if is_dropped(p):
             dropped.append(n)
-            continue
-        raw.append((n, p, x))
-    if not raw:
+        else:
+            kept.append((n, p, x @ dagger(x) / p))
+    if not kept:
         raise DegenerateStateError(f"every outcome probability is below the floor {P_FLOOR:g}")
 
-    total = sum(p for _, p, _ in raw)
-    records = []
-    for n, p, x in raw:
-        state = DensityMatrix.from_matrix(x @ dagger(x) / p, where=f"outcome {n}")
-        records.append(
-            OutcomeRecord(
-                n=n,
-                probability=p / total,
-                state=state,
-                entropy=von_neumann_entropy(state),
-                energy=average_energy(state, h),
-            )
-        )
-    return MeasurementOutcomes(records=tuple(records), dropped=tuple(dropped))
+    outcomes, probabilities, matrices = zip(*kept)
+    try:
+        states = DensityMatrix.from_matrix(np.array(matrices), where="outcome")
+    except InvalidStateError:  # one call per outcome, so that the failing one is named
+        states = [DensityMatrix.from_matrix(m, f"outcome {n}") for n, m in zip(outcomes, matrices)]
+    energies = _energies(h, np.array([state.matrix for state in states])).tolist()
+    total = sum(probabilities)
+    records = tuple(
+        OutcomeRecord(n, p / total, state, von_neumann_entropy(state), energy)
+        for n, p, state, energy in zip(outcomes, probabilities, states, energies)
+    )
+    return MeasurementOutcomes(records=records, dropped=tuple(dropped))
 
 
 def measurement_energy_cost(records: Sequence[OutcomeRecord], e_initial: float) -> float:

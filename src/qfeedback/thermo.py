@@ -117,16 +117,15 @@ def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float | np.ndarray]:
 
 
 def _check_spectrum_floor(lam_min: float, where: str) -> None:
-    """Raise :class:`InvalidStateError` when a spectrum's least eigenvalue ``lam_min`` lies
-    below -STATE_TOL: more than round-off."""
+    """Raise :class:`InvalidStateError` if the least eigenvalue ``lam_min`` is below -STATE_TOL."""
     if lam_min < -STATE_TOL:
         raise InvalidStateError(f"{where}: minimum eigenvalue {lam_min:.3e} below -{STATE_TOL:g}")
 
 
-def _one_matrix(matrix, where: str) -> np.ndarray:
-    """``matrix`` as a complex array, which a state's constructor requires to be 2-D."""
+def _state_array(matrix, where: str, max_ndim: int = 2) -> np.ndarray:
+    """``matrix`` as a complex array of 2 to ``max_ndim`` axes, as a state's constructor needs."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
+    if not 2 <= m.ndim <= max_ndim:
         raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
     return m
 
@@ -135,17 +134,16 @@ def _one_matrix(matrix, where: str) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace state ρ.
 
-    :meth:`from_matrix` builds a state it must check for positivity: it takes
-    the eig, and an eigenvalue below -1e-10 raises :class:`InvalidStateError`.
-    A smaller negative eigenvalue is round-off and is kept as it stands: the
-    entropy and the feedback plan read it as 0.  A state that is PSD by
+    :meth:`from_matrix` builds a state, or every state of a stack, it must check for
+    positivity: it takes the eig, and an eigenvalue below -1e-10 raises
+    :class:`InvalidStateError`.  A smaller negative eigenvalue is round-off and is kept as
+    it stands: the entropy and the feedback plan read it as 0.  A state that is PSD by
     construction goes through :meth:`from_psd` instead, which skips the eig.
 
-    ``eig`` is the decomposition of ``matrix``.  A state that is built from its
-    spectrum keeps that spectrum: a :meth:`from_matrix` state the decomposition
-    its checks computed, a :func:`gibbs_state` (a thermal state among them) its
-    Gibbs weights on the given eigenvectors, and a rotated outcome state or a
-    branch state its slice of the stacked eig of ``execute_plan`` or
+    ``eig`` is the decomposition of ``matrix``.  A state built from its spectrum keeps it:
+    a :meth:`from_matrix` state the decomposition (or stacked slice) its checks computed,
+    a :func:`gibbs_state` its Gibbs weights on the given eigenvectors, and a rotated
+    outcome state or a branch state its slice of the stacked eig of ``execute_plan`` or
     ``decohere_controller``.  Any other state computes it on first use.
     """
 
@@ -156,15 +154,27 @@ class DensityMatrix:
         return eig_hermitian(self.matrix)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
-        m, _ = _unit_trace(_one_matrix(matrix, where), where)
-        return cls._with_eig(m, eig_hermitian(m), where)
+    def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix | tuple":
+        """The checked state of a matrix, or the N states of an (N, d, d) stack by one call of
+        ``_unit_trace`` and of eig: state i and its spectrum are the single call's, byte for
+        byte, and a failing stack raises the single call's error on its first failing slice."""
+        raw = _state_array(matrix, where, max_ndim=3)
+        if raw.ndim == 2:
+            m, _ = _unit_trace(raw, where)
+            return cls._with_eig(m, eig_hermitian(m), where)
+        try:
+            m, _ = _unit_trace(raw, where)
+            dec = eig_hermitian(m)
+            slices = zip(m, dec.eigenvalues, dec.eigenvectors)
+            return tuple(cls._with_eig(x, EigenDecomposition(w, v), where) for x, w, v in slices)
+        except InvalidStateError:  # one call per matrix, so that the first failing one raises
+            return tuple(cls.from_matrix(x, where) for x in raw)
 
     @classmethod
     def from_psd(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
         """A state PSD by construction, such as X X† or a positive mix of states: every
         check of :meth:`from_matrix` but the eig."""
-        return cls(matrix=read_only(_unit_trace(_one_matrix(matrix, where), where)[0]))
+        return cls(matrix=read_only(_unit_trace(_state_array(matrix, where), where)[0]))
 
     @classmethod
     def _with_eig(cls, m: np.ndarray, dec: EigenDecomposition, where: str) -> "DensityMatrix":
@@ -256,12 +266,17 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """E = Tr[Hρ]."""
     if rho.dim != h.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} != Hamiltonian dim {h.dim}")
-    value = complex((h.matrix @ rho.matrix).trace())
-    # round-off in Im grows with the energies; the scale is read only when it matters
-    imag = abs(value.imag)
-    if not imag < ENERGY_IMAG_TOL and not imag < ENERGY_IMAG_TOL * max(1.0, max_abs(h.matrix)):
-        raise DomainError(f"Tr[Hρ] has imaginary part {value.imag:.3e}")
-    return value.real
+    return float(_energies(h, rho.matrix))
+
+
+def _energies(h: Hamiltonian, states: np.ndarray) -> np.ndarray:
+    """Re Tr[Hρ] of a state matrix or of each in a stack, once every Im is round-off."""
+    values = (h.matrix @ states).trace(axis1=-2, axis2=-1)
+    worst = values.imag.flat[np.abs(values.imag).argmax()]
+    # round-off in Im grows with energies past 1; the scale is read only when it matters
+    if not abs(worst) < ENERGY_IMAG_TOL and not abs(worst) < ENERGY_IMAG_TOL * max_abs(h.matrix):
+        raise DomainError(f"Tr[Hρ] has imaginary part {worst:.3e}")
+    return values.real
 
 
 def thermo_reading(rho: DensityMatrix, h: Hamiltonian, temperature: float) -> ThermoReading:

@@ -7,9 +7,10 @@ universe entropy summed literally and read off the assembled final state,
 the controller's joint states formed as V ρ V† and checked by the eig of
 ``from_matrix``, the average post-measurement state, the quasi-static work
 integral one path step at a time, a measurement model's validation
-report with one eig per operator, the feedback plans planned and
-executed one outcome at a time, each rotated state checked on its own, and
-each branch's maximal work F(ρ_n; H1) - F(ρ_T2; H2) from numpy's ``eigh``.
+report with one eig per operator, a measurement applied one outcome at a
+time, the feedback plans planned and executed one outcome at a time, each
+rotated state checked on its own, and each branch's maximal work
+F(ρ_n; H1) - F(ρ_T2; H2) from numpy's ``eigh``.
 ``eig_hermitian_reference`` is the straightforward form of the LAPACK
 wrapper, which the program's must match byte for byte.
 """
@@ -26,6 +27,7 @@ import numpy as np
 from qfeedback.controller import BathLedger, JointState
 from qfeedback.errors import (
     ArgumentRangeError,
+    DegenerateStateError,
     DimensionMismatchError,
     DomainError,
     InvalidStateError,
@@ -53,9 +55,15 @@ from qfeedback.linalg import (
 )
 from qfeedback.measurement import (
     COMPLETENESS_TOL,
+    P_FLOOR,
     MeasurementModel,
+    MeasurementOutcomes,
     ModelKind,
+    OutcomeRecord,
     ValidationReport,
+    _branch_factors,
+    is_dropped,
+    require_valid,
 )
 from qfeedback.thermo import (
     STATE_TOL,
@@ -310,6 +318,32 @@ def average_post_state(records) -> DensityMatrix:
     for r in records:
         acc = acc + r.probability * r.state.matrix
     return DensityMatrix.from_matrix(acc, where="average post-measurement state")
+
+
+def apply_reference(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian):
+    """``measurement.apply`` one outcome at a time: each kept outcome's state built by its
+    own ``from_matrix`` call, its energy by its own complex Tr[Hρ_n]."""
+    if not model.dim == rho.dim == h.dim:
+        raise DimensionMismatchError(f"dims differ: {model.dim}, {rho.dim}, {h.dim}")
+    require_valid(model)
+    factors = iter(_branch_factors(model, rho))
+    raw, dropped = [], []
+    for n, group in enumerate(model.groups):
+        x = np.hstack([next(factors) for _ in group])  # X_n = [X_n1 … X_nk]
+        p = float(np.vdot(x, x).real)
+        if is_dropped(p):
+            dropped.append(n)
+        else:
+            raw.append((n, p, x))
+    if not raw:
+        raise DegenerateStateError(f"every outcome probability is below the floor {P_FLOOR:g}")
+    total = sum(p for _, p, _ in raw)
+    records = []
+    for n, p, x in raw:
+        state = DensityMatrix.from_matrix(x @ dagger(x) / p, where=f"outcome {n}")
+        energy = complex((h.matrix @ state.matrix).trace()).real
+        records.append(OutcomeRecord(n, p / total, state, von_neumann_entropy(state), energy))
+    return MeasurementOutcomes(records=tuple(records), dropped=tuple(dropped))
 
 
 def branch_max_work_reference(

@@ -154,6 +154,17 @@ class TestFeedbackUnitary:
         with pytest.raises(NonUnitaryBlockError):
             feedback_unitary([np.eye(2, dtype=complex), 0.5 * PAULI_X])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan), 1e300])
+    def test_rejects_a_block_whose_residual_is_not_finite(self, entry):
+        # a NaN residual compares false against any bound, and an overflowing product
+        # warns: the check reads both as a failure, with no warning first
+        blocks = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        blocks[1, 0, 1] = entry
+        with pytest.raises(NonUnitaryBlockError, match="^block 1 "):
+            feedback_unitary(blocks)
+        with pytest.raises(NonUnitaryBlockError, match="^block 0 unitarity residual nan$"):
+            feedback_unitary(np.full((2, 2, 2), np.nan, complex))
+
     @pytest.mark.parametrize("bad", range(3))
     def test_names_the_first_non_unitary_block(self, bad):
         blocks = np.tile(np.eye(2, dtype=complex), (4, 1, 1))

@@ -13,15 +13,16 @@ The ``eig_calls`` fixture in conftest.py records one entry per call holding
 the number of matrices in its stack, so each test pins both the calls and
 the matrices.  With N outcomes, a fresh H (one eig) and a fresh model (one
 stacked call on its N operators to validate a bare one, none for an
-efficient one), a cycle makes N + 3 calls (N + 4 bare) on 3N + 2 matrices
-(4N + 2 bare): H, each outcome state, one stacked call in ``execute_plan``
-on the N rotated states and their N differences from the landing targets
-(which gives each rotated state's entropy and each landing distance), then
-the closure distance.  That distance compares Σ p_n ρ_T with ρ_T, which
-differ only when the renormalized p_n fail to sum to 1 bit for bit, and two
-equal matrices take no eig: the efficient draw with N = 2 has p_n that sum
-to exactly 1, so ``CLOSURE_EIG`` pins it one call and one matrix lower.  A
-transform makes one more call, for H2.  A bare controller cycle makes N + 4
+efficient one), a cycle makes 4 calls (5 bare) on 3N + 2 matrices (4N + 2
+bare): H, one stacked call in ``apply`` on the N outcome states, one stacked
+call in ``execute_plan`` on the N rotated states and their N differences
+from the landing targets (which gives each rotated state's entropy and each
+landing distance), then the closure distance.  That distance compares
+Σ p_n ρ_T with ρ_T, which differ only when the renormalized p_n fail to sum
+to 1 bit for bit, and two equal matrices take no eig: the efficient draw
+with N = 2 has p_n that sum to exactly 1, so ``CLOSURE_EIG`` pins it one
+call and one matrix lower.  A transform makes one more call, for H2, and
+its closure distance always takes an eig.  A bare controller cycle makes 5
 calls on 3N + 2 matrices: H, the N operators, the N outcome states, one
 stacked call in ``decohere_controller`` on its N diagonal blocks and the
 system closure distance.  The reset reads the record entropy from the
@@ -67,7 +68,7 @@ def test_efficient_cycle(eig_calls, n):
     h, model = fresh_inputs(random_efficient_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == n + 2 + CLOSURE_EIG[n]
+    assert len(eig_calls) == 3 + CLOSURE_EIG[n]
     assert sum(eig_calls) == 3 * n + 1 + CLOSURE_EIG[n]
 
 
@@ -76,7 +77,7 @@ def test_bare_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == n + 4
+    assert len(eig_calls) == 5
     assert sum(eig_calls) == 4 * n + 2
 
 
@@ -90,7 +91,7 @@ def test_transform(eig_calls, n, make_model, per_outcome):
     h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
     eig_calls.clear()
     run_transform(h, h2, 1.0, model)
-    assert len(eig_calls) == n + 4 + (make_model is random_bare_model)
+    assert len(eig_calls) == 5 + (make_model is random_bare_model)
     assert sum(eig_calls) == per_outcome * n + 3
 
 
@@ -99,7 +100,7 @@ def test_controller_cycle(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
-    assert len(eig_calls) == n + 4
+    assert len(eig_calls) == 5
     assert sum(eig_calls) == 3 * n + 2
 
 
@@ -143,7 +144,7 @@ def test_model_is_checked_once(eig_calls):
     validate(model)
     assert len(eig_calls) == 0
     outcomes = apply(model, rho, h)
-    assert len(eig_calls) == len(outcomes)  # one per outcome state, none for the model
+    assert eig_calls == [len(outcomes)]  # one call on every outcome state, none for the model
 
 
 def test_continuous_cost_does_not_grow_with_steps(eig_calls):

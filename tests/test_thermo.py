@@ -285,11 +285,76 @@ class TestStackedUnitTrace:
         with pytest.raises(DimensionMismatchError, match=message):
             _unit_trace(np.zeros(shape), "x")
 
-    @pytest.mark.parametrize("build", [DensityMatrix.from_matrix, DensityMatrix.from_psd])
-    def test_a_state_is_one_matrix(self, build):
-        message = re.escape("state: must be square, got (2, 2, 2)")
+    # from_matrix also takes an (N, d, d) stack of states, and refuses a stack of stacks
+    @pytest.mark.parametrize(
+        "build, shape",
+        [(DensityMatrix.from_matrix, (2, 2, 2, 2)), (DensityMatrix.from_psd, (2, 2, 2))],
+        ids=["from_matrix", "from_psd"],
+    )
+    def test_a_state_is_one_matrix(self, build, shape):
+        message = re.escape(f"state: must be square, got {shape}")
         with pytest.raises(DimensionMismatchError, match=message):
-            build(np.stack([np.eye(2) / 2] * 2))
+            build(np.broadcast_to(np.eye(2) / 2, shape))
+
+
+class TestStackedFromMatrix:
+    """``DensityMatrix.from_matrix`` on an (N, d, d) stack: one eig call, state i and its
+    decomposition the single call on matrix i byte for byte, and a stack that fails
+    raises the error of its first slice that fails alone."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_slices_are_the_single_call(self, eig_calls, seed):
+        rng = np.random.default_rng(700 + seed)
+        dim, count = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        stack = np.stack([_near_unit_trace(rng, dim, int(rng.integers(4))) for _ in range(count)])
+        eig_calls.clear()
+        states = DensityMatrix.from_matrix(stack, "slice")
+        assert eig_calls == [count]
+        assert isinstance(states, tuple) and len(states) == count
+        for state, x in zip(states, stack):
+            single = DensityMatrix.from_matrix(x, "slice")
+            assert state.matrix.tobytes() == single.matrix.tobytes()
+            assert state.eig.eigenvalues.tobytes() == single.eig.eigenvalues.tobytes()
+            assert state.eig.eigenvectors.tobytes() == single.eig.eigenvectors.tobytes()
+            assert not state.matrix.flags.writeable
+            assert not state.eig.eigenvalues.flags.writeable
+            assert not state.eig.eigenvectors.flags.writeable
+
+    @pytest.mark.parametrize("bad", range(3))
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            ("trace",),
+            ("negative",),
+            ("nan",),
+            ("negative", "trace"),
+            ("trace", "negative"),
+            ("negative", "hermitian"),
+        ],
+        ids=lambda faults: "-then-".join(faults),
+    )
+    def test_first_failing_slice_raises_its_own_error(self, bad, faults):
+        rng = np.random.default_rng(10)
+        stack = np.stack([_near_unit_trace(rng, 3, 1) for _ in range(3)])
+        for offset, fault in enumerate(faults):
+            i = (bad + offset) % 3
+            if fault == "trace":
+                stack[i] *= 1.5
+            elif fault == "negative":  # unit trace, an eigenvalue of -0.2
+                stack[i] = np.diag([0.7, 0.5, -0.2])
+            elif fault == "hermitian":
+                stack[i, 0, 1] += 1e-6
+            else:
+                stack[i, 1, 1] = np.nan
+        with pytest.raises(InvalidStateError) as raised:
+            for x in stack:
+                DensityMatrix.from_matrix(x, "stacked state")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError) as got:
+                DensityMatrix.from_matrix(stack, "stacked state")
+        assert str(got.value) == str(raised.value)
+        assert str(raised.value).startswith("stacked state: ")
 
 
 class TestEntropyAndEnergy:
