@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentRangeError, DomainError, InvalidModelError, PlanMismatchError
-from .linalg import EigenDecomposition, dagger, eig_hermitian, spectral_matrix
+from .linalg import dagger, eig_hermitian, eigvals_hermitian, read_only, spectral_matrix
 from .measurement import (
     MeasurementModel,
     MeasurementOutcomes,
@@ -39,13 +39,14 @@ from .thermo import (
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
+    _check_spectrum_floor,
+    _nats,
     _unit_trace,
     boltzmann_kt,
     gibbs_weights,
     thermal_state,
     thermo_reading,
     trace_distance,
-    von_neumann_entropy,
 )
 
 # execute_plan's bound on a landed state's distance from thermal and entropy drift
@@ -216,8 +217,9 @@ def execute_plan(
     rotation at fixed H, plus Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at
     fixed state ρ'.  Record n and slice n of the plan read the H the plan was made for.
     It reads the plan's (N, d, d) stacks: one ``_unit_trace`` call checks the rotated
-    states, and one eig call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], σ_n the
-    Gibbs state of the retuned levels, gives the landing distances and the rotated spectra.
+    states, and one eigenvalue-only call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N],
+    σ_n the Gibbs state of the retuned levels, gives the landing distances and the rotated
+    spectra, for the -STATE_TOL floor and the entropies; a landed state keeps no eig.
 
     Raises :class:`PlanMismatchError`, naming the first outcome that fails, if
     a landed state is not the Gibbs state of its retuned levels (the shift c_n
@@ -237,24 +239,23 @@ def execute_plan(
     # work, so Tr[(H_n + c_n) ρ'] sums over the support only
     populations = np.einsum("ij,nij->nj", b.conj(), rotated @ b).real
     expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
-    dec = eig_hermitian(np.concatenate([rotated, rotated - expected]))
+    spectra = eigvals_hermitian(np.concatenate([rotated, rotated - expected]))
 
     landed = []
     for n, (record, outcome, levels) in enumerate(zip(records, plan.outcomes, plan.levels)):
-        deviation = 0.5 * float(np.abs(dec.eigenvalues[n_out + n]).sum())
-        if deviation > PLAN_TOL:
+        deviation = 0.5 * float(np.abs(spectra[n_out + n]).sum())
+        if not deviation <= PLAN_TOL:
             raise PlanMismatchError(
                 f"outcome {outcome}: landed state is {deviation:.3e} from thermal "
                 f"(tolerance {PLAN_TOL:g})"
             )
-        spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-        state = DensityMatrix._with_eig(rotated[n], spectrum, f"outcome {outcome}")
-        drift = abs(von_neumann_entropy(state) - record.entropy)
-        if drift > PLAN_TOL:
+        _check_spectrum_floor(float(spectra[n, -1]), f"outcome {outcome}")
+        drift = abs(_nats(np.clip(spectra[n], 0.0, None)) - record.entropy)
+        if not drift <= PLAN_TOL:
             raise PlanMismatchError(f"outcome {outcome}: entropy drifted by {drift:.3e}")
         on = np.isfinite(levels)
         work = record.energy - float(np.dot(levels[on] + plan.shifts[n], populations[n][on]))
-        landed.append((state, work))
+        landed.append((DensityMatrix(matrix=read_only(rotated[n])), work))  # checked as a stack
     return tuple(landed)
 
 
@@ -293,7 +294,7 @@ def _run(
 ) -> tuple[CycleLedger, ThermoReading]:
     step = plan_branches(h1, temperature, model)
     rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature)
-    target = thermo_reading(rho_target, h2, temperature)
+    target = step.initial if h2 is h1 else thermo_reading(rho_target, h2, temperature)
 
     branches = []
     landed = execute_plan(step.outcomes, step.plan, temperature)

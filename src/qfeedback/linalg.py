@@ -1,6 +1,6 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition (LAPACK ``eigh``
-with a fixed order and phase), matrix functions, Kronecker/partial-trace,
-block dephasing.
+with a fixed order and phase) or spectrum alone (``eigvalsh``), matrix
+functions, Kronecker/partial-trace, block dephasing.
 
 All routines are pure functions of their arguments and deterministic, so
 repeated calls on identical input give bit-identical output.  Matrices are
@@ -117,16 +117,11 @@ def _stack_index(lead: tuple[int, ...], d: int) -> tuple:
     return per_vector, tuple(i[..., None] for i in per_vector), np.arange(d)[:, None], np.arange(d)
 
 
-def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each in a stack (…, d, d), by one
-    LAPACK call (``numpy.linalg.eigh``); slice i of the result is the call on matrix i alone.
-
-    Eigenvalues come back sorted descending (stable sort, so degenerate clusters keep
-    LAPACK's order), and each eigenvector's phase is fixed by making its largest-magnitude
-    component real and positive.  Raises :class:`NotHermitianError` naming the stack's
-    worst residual, :class:`DomainError` when a matrix norm is not finite and
-    :class:`NoConvergenceError` when LAPACK does not converge.
-    """
+def _solve_hermitian(m: np.ndarray, solve: Callable):
+    """``solve``, a LAPACK driver of ``numpy.linalg``, run once on ``m`` hermitized, after
+    the checks both eigen routines share: a square matrix or stack (…, d, d), Hermitian
+    within HERMITICITY_TOL (the error names the stack's worst residual) and of finite
+    norm.  A LAPACK failure is a :class:`NoConvergenceError`."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -142,11 +137,23 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
                 if not math.isfinite(_frobenius(x)):
                     raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(x):.3e}")
     try:
-        ascending, v = np.linalg.eigh(a)
+        return solve(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
 
-    per_vector, per_matrix, row, column = _stack_index(a.shape[:-2], a.shape[-1])
+
+def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack (…, d, d), by one
+    LAPACK call (``numpy.linalg.eigh``); slice i of the result is the call on matrix i alone.
+
+    Eigenvalues come back sorted descending (stable sort, so degenerate clusters keep
+    LAPACK's order), and each eigenvector's phase is fixed by making its largest-magnitude
+    component real and positive.  Raises :class:`NotHermitianError` naming the stack's
+    worst residual, :class:`DomainError` when a matrix norm is not finite and
+    :class:`NoConvergenceError` when LAPACK does not converge.
+    """
+    ascending, v = _solve_hermitian(m, np.linalg.eigh)
+    per_vector, per_matrix, row, column = _stack_index(ascending.shape[:-1], ascending.shape[-1])
     order = np.argsort(-ascending, axis=-1, kind="stable")
     eigenvalues = ascending[(*per_vector, order)]
     vectors = v[(*per_matrix, row, order[..., None, :])]
@@ -159,6 +166,16 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+
+
+def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues alone of a Hermitian matrix, or of each in a stack (…, d, d), by one
+    LAPACK call (``numpy.linalg.eigvalsh``), descending and read-only, after the checks
+    and with the errors of :func:`eig_hermitian`; slice i is the call on matrix i alone.
+    They agree with :func:`eig_hermitian`'s to round-off, not bit for bit."""
+    eigenvalues = _solve_hermitian(m, np.linalg.eigvalsh)[..., ::-1]
+    eigenvalues.setflags(write=False)
+    return eigenvalues
 
 
 def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:

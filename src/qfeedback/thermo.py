@@ -142,9 +142,10 @@ class DensityMatrix:
 
     ``eig`` is the decomposition of ``matrix``.  A state built from its spectrum keeps it:
     a :meth:`from_matrix` state the decomposition (or stacked slice) its checks computed,
-    a :func:`gibbs_state` its Gibbs weights on the given eigenvectors, and a rotated
-    outcome state or a branch state its slice of the stacked eig of ``execute_plan`` or
-    ``decohere_controller``.  Any other state computes it on first use.
+    a :func:`gibbs_state` its Gibbs weights on the given eigenvectors, and a branch state
+    its slice of the stacked eig of ``decohere_controller``.  Any other state, such as a
+    rotated outcome state of ``execute_plan``, whose checks read eigenvalues only,
+    computes it on first use.
     """
 
     matrix: np.ndarray

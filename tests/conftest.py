@@ -28,21 +28,32 @@ def rng():
     return np.random.default_rng(20260823)
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """Records eig_hermitian calls made through every qfeedback module that binds it:
-    one entry per call, holding the number of matrices in its stack (1 for a matrix)."""
+def _count_calls(monkeypatch, attr):
+    """Records calls of ``linalg.<attr>`` made through every qfeedback module that binds
+    it: one entry per call, holding the number of matrices in its stack (1 for a matrix)."""
     calls = []
-    solver = linalg.eig_hermitian
+    solver = getattr(linalg, attr)
 
     def counting(m):
         calls.append(math.prod(np.shape(m)[:-2]))
         return solver(m)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qfeedback" and getattr(module, "eig_hermitian", None) is solver:
-            monkeypatch.setattr(module, "eig_hermitian", counting)
+        if name.split(".")[0] == "qfeedback" and getattr(module, attr, None) is solver:
+            monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The stack size of every eig_hermitian call, eigenvectors and all."""
+    return _count_calls(monkeypatch, "eig_hermitian")
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """The stack size of every eigvals_hermitian call, eigenvalues only."""
+    return _count_calls(monkeypatch, "eigvals_hermitian")
 
 
 def assert_hermitian(m, tol=1e-12):

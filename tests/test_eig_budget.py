@@ -5,29 +5,33 @@ its Gibbs weights on H's eigenvectors, a plan's landing target its Gibbs
 weights on the retuned levels, a decohered joint its branch states), a state
 that is PSD by construction (the correlated V ρ V†, the rotated U J U†, the
 finalized p ⊗ ρ_T, its two marginals and the cycle's endpoint Σ p_n ρ_T)
-takes no eig until something reads its spectrum, and a measurement model
-keeps its validation report, so these counts hold.  They are exact, not
-ceilings: a decomposition made around ``eig_hermitian`` would lower them.
+takes no eig until something reads its spectrum, a check that reads only
+eigenvalues asks ``eigvals_hermitian`` for them and no eigenvectors, and a
+measurement model keeps its validation report, so these counts hold.  They
+are exact, not ceilings: a decomposition made around ``eig_hermitian`` or
+``eigvals_hermitian`` would lower them.
 
-The ``eig_calls`` fixture in conftest.py records one entry per call holding
-the number of matrices in its stack, so each test pins both the calls and
-the matrices.  With N outcomes, a fresh H (one eig) and a fresh model (one
-stacked call on its N operators to validate a bare one, none for an
-efficient one), a cycle makes 4 calls (5 bare) on 3N + 2 matrices (4N + 2
-bare): H, one stacked call in ``apply`` on the N outcome states, one stacked
-call in ``execute_plan`` on the N rotated states and their N differences
-from the landing targets (which gives each rotated state's entropy and each
-landing distance), then the closure distance.  That distance compares
-Σ p_n ρ_T with ρ_T, which differ only when the renormalized p_n fail to sum
-to 1 bit for bit, and two equal matrices take no eig: the efficient draw
-with N = 2 has p_n that sum to exactly 1, so ``CLOSURE_EIG`` pins it one
-call and one matrix lower.  A transform makes one more call, for H2, and
-its closure distance always takes an eig.  A bare controller cycle makes 5
-calls on 3N + 2 matrices: H, the N operators, the N outcome states, one
-stacked call in ``decohere_controller`` on its N diagonal blocks and the
-system closure distance.  The reset reads the record entropy from the
-controller marginal's diagonal, and the controller closure compares two
-equal matrices, which takes no eig."""
+The ``eig_calls`` and ``eigvals_calls`` fixtures in conftest.py record one
+entry per call holding the number of matrices in its stack, so each test pins
+both the calls and the matrices of each.  With N outcomes, a fresh H (one eig)
+and a fresh model (one stacked call on its N operators to validate a bare one,
+none for an efficient one), a cycle makes 3 eig calls (4 bare) on N + 2
+matrices (2N + 2 bare): H, one stacked call in ``apply`` on the N outcome
+states and the closure distance.  It makes one eigenvalue-only call too, in
+``execute_plan``, on the N rotated states and their N differences from the
+landing targets, which gives each rotated state's entropy and spectrum floor
+and each landing distance: 3N + 2 matrices in all (4N + 2 bare), each checked
+once.  The closure distance compares Σ p_n ρ_T with ρ_T, which differ only
+when the renormalized p_n fail to sum to 1 bit for bit, and two equal
+matrices take no eig: the efficient draw with N = 2 has p_n that sum to
+exactly 1, so ``CLOSURE_EIG`` pins it one call and one matrix lower.  A
+transform makes one eig call more, for H2, and its closure distance always
+takes an eig.  A bare controller cycle makes 5 eig calls on 3N + 2 matrices
+and no eigenvalue-only call: H, the N operators, the N outcome states, one
+stacked call in ``decohere_controller`` on its N diagonal blocks, whose
+vectors give the branch states, and the system closure distance.  The reset
+reads the record entropy from the controller marginal's diagonal, and the
+controller closure compares two equal matrices, which takes no eig."""
 
 import numpy as np
 import pytest
@@ -64,21 +68,25 @@ CLOSURE_EIG = {2: 0, 3: 1, 4: 1}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_efficient_cycle(eig_calls, n):
+def test_efficient_cycle(eig_calls, eigvals_calls, n):
     h, model = fresh_inputs(random_efficient_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 3 + CLOSURE_EIG[n]
-    assert sum(eig_calls) == 3 * n + 1 + CLOSURE_EIG[n]
+    assert len(eig_calls) == 2 + CLOSURE_EIG[n]
+    assert sum(eig_calls) == n + 1 + CLOSURE_EIG[n]
+    assert eigvals_calls == [2 * n]
+    assert sum(eig_calls) + sum(eigvals_calls) == 3 * n + 1 + CLOSURE_EIG[n]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_bare_cycle(eig_calls, n):
+def test_bare_cycle(eig_calls, eigvals_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 5
-    assert sum(eig_calls) == 4 * n + 2
+    assert len(eig_calls) == 4
+    assert sum(eig_calls) == 2 * n + 2
+    assert eigvals_calls == [2 * n]
+    assert sum(eig_calls) + sum(eigvals_calls) == 4 * n + 2
 
 
 # per_outcome: the matrices an outcome costs; a bare model's operators take one call
@@ -86,22 +94,24 @@ def test_bare_cycle(eig_calls, n):
     "make_model, per_outcome", [(random_efficient_model, 3), (random_bare_model, 4)]
 )
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_transform(eig_calls, n, make_model, per_outcome):
+def test_transform(eig_calls, eigvals_calls, n, make_model, per_outcome):
     h, model = fresh_inputs(make_model, n)
     h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
     eig_calls.clear()
     run_transform(h, h2, 1.0, model)
-    assert len(eig_calls) == 5 + (make_model is random_bare_model)
-    assert sum(eig_calls) == per_outcome * n + 3
+    assert len(eig_calls) == 4 + (make_model is random_bare_model)
+    assert eigvals_calls == [2 * n]
+    assert sum(eig_calls) + sum(eigvals_calls) == per_outcome * n + 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_controller_cycle(eig_calls, n):
+def test_controller_cycle(eig_calls, eigvals_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
     assert len(eig_calls) == 5
     assert sum(eig_calls) == 3 * n + 2
+    assert eigvals_calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

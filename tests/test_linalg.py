@@ -14,11 +14,13 @@ from qfeedback.errors import (
     InvalidStateError,
     NoConvergenceError,
     NotHermitianError,
+    QFeedbackError,
 )
 from qfeedback.linalg import (
     dagger,
     dephase_blocks,
     eig_hermitian,
+    eigvals_hermitian,
     hermitian_residual,
     hermitize,
     is_hermitian,
@@ -188,10 +190,11 @@ NON_FINITE = {
     "build, error",
     [
         (eig_hermitian, NotHermitianError),
+        (eigvals_hermitian, NotHermitianError),
         (DensityMatrix.from_matrix, InvalidStateError),
         (Hamiltonian.from_matrix, DomainError),
     ],
-    ids=["eig_hermitian", "DensityMatrix", "Hamiltonian"],
+    ids=["eig_hermitian", "eigvals_hermitian", "DensityMatrix", "Hamiltonian"],
 )
 def test_non_finite_input_raises_without_a_warning(build, error, m):
     """An inf or nan entry is the package's error, with no numpy warning first:
@@ -219,10 +222,11 @@ NEAR_FLOAT_MAX = {
     "build, error",
     [
         (eig_hermitian, DomainError),
+        (eigvals_hermitian, DomainError),
         (DensityMatrix.from_matrix, InvalidStateError),
         (Hamiltonian.from_matrix, DomainError),
     ],
-    ids=["eig_hermitian", "DensityMatrix", "Hamiltonian"],
+    ids=["eig_hermitian", "eigvals_hermitian", "DensityMatrix", "Hamiltonian"],
 )
 def test_finite_input_near_float_max_raises_without_a_warning(build, error, m):
     """Finite entries whose hermitization overflows are the package's error, with
@@ -284,6 +288,75 @@ def test_exact_flag_reads_every_negative_zero(m):
 def test_eigen_reconstruction_property(seed, dim):
     m = random_hermitian(dim, np.random.default_rng(seed))
     assert reconstruction_residual(m) < 1e-12 * (1.0 + max_abs(m))
+
+
+BAD_INPUTS = {
+    "not-hermitian": [[0.0, 1.0], [0.0, 0.0]],
+    "not-square": np.zeros((2, 3)),
+    "vector": np.zeros(3),
+    "stack-not-square": np.zeros((2, 3, 2)),
+    "norm-overflows": np.full((2, 2), 1e308),
+    "one-slice-not-hermitian": [np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)],
+    "one-slice-overflows": [np.eye(2), np.full((2, 2), 1e308)],
+    **NON_FINITE,
+    **{f"stack-{name}": [np.eye(2), m] for name, m in NON_FINITE.items()},
+}
+
+
+@pytest.mark.parametrize("m", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_eigvals_raises_as_eig_hermitian(m):
+    """eigvals_hermitian runs eig_hermitian's checks: the same class and message, and no
+    numpy warning first."""
+    m = np.array(m, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QFeedbackError) as expected:
+            eig_hermitian(m)
+        with pytest.raises(type(expected.value)) as got:
+            eigvals_hermitian(m)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_eigvals_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError):
+        eigvals_hermitian(PAULI_X)
+
+
+def _seeded_hermitian_stacks():
+    """(stack, scale) pairs, dims 1-32 with 1 to 5 matrices each, at scales 1e-3 to 1e3."""
+    rng = np.random.default_rng(2404)
+    for dim in range(1, 33):
+        scale = float(10.0 ** rng.uniform(-3.0, 3.0))
+        stack = np.array([random_hermitian(dim, rng, scale=scale) for _ in range(1 + dim % 5)])
+        yield pytest.param(stack, id=f"dim{dim}")
+
+
+@pytest.mark.parametrize("stack", _seeded_hermitian_stacks())
+def test_eigvals_stack_slices_are_the_single_call(stack):
+    values = eigvals_hermitian(stack)
+    assert values.shape == stack.shape[:-1]
+    for m, row in zip(stack, values):
+        assert row.tobytes() == eigvals_hermitian(m).tobytes()
+
+
+@pytest.mark.parametrize("stack", _seeded_hermitian_stacks())
+def test_eigvals_descend_and_are_read_only(stack):
+    for values in (eigvals_hermitian(stack), eigvals_hermitian(stack[0])):
+        assert (np.diff(values, axis=-1) <= 0.0).all()
+        with pytest.raises(ValueError):
+            values[..., 0] = 0.0
+
+
+@pytest.mark.parametrize("stack", _seeded_hermitian_stacks())
+def test_eigvals_agree_with_eig_hermitian(stack):
+    expected = eig_hermitian(stack).eigenvalues
+    bound = 1e-12 * max(1.0, max_abs(expected))
+    assert max_abs(eigvals_hermitian(stack) - expected) <= bound
 
 
 class TestMatrixFunction:
