@@ -10,6 +10,7 @@ controller, and bath then gives ΔS_tot = S({p_n}) - ΔS_meas ≥ 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -17,18 +18,19 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
+    ArgumentRangeError,
     DimensionMismatchError,
     InvalidModelError,
     InvalidStateError,
     NonUnitaryBlockError,
 )
 from .linalg import (
-    EigenDecomposition,
     dagger,
     dephase_blocks,
-    eig_hermitian,
+    eigvals_hermitian,
     max_abs,
     partial_trace,
+    read_only,
     tensor,
 )
 from .feedback import plan_branches
@@ -66,7 +68,8 @@ class JointState:
     construction and takes no eig of its own, nor do its two marginals,
     partial traces of a PSD matrix.
     A branch state ρ_n is built from its block on first use and then kept;
-    :func:`decohere_controller` hands over the ones its checks built.
+    :func:`decohere_controller` hands over the ones its checks built, with their
+    entropies.  A controller index outside 0…N-1 raises :class:`ArgumentRangeError`.
     """
 
     matrix: DensityMatrix
@@ -83,27 +86,43 @@ class JointState:
     def _branch_states(self) -> dict[int, DensityMatrix]:
         return {}
 
+    @cached_property
+    def _branch_entropies(self) -> dict[int, float]:
+        return {}
+
+    def _index(self, n: int) -> int:
+        if not 0 <= n < self.n_outcomes:
+            raise ArgumentRangeError(f"controller index {n} is outside 0…{self.n_outcomes - 1}")
+        return operator.index(n)  # a bool is its int; a float raises TypeError
+
     def block(self, n: int, m: int) -> np.ndarray:
         d = self.system_dim
         return self.matrix.matrix[n * d : (n + 1) * d, m * d : (m + 1) * d]
+
+    def diagonal_blocks(self) -> np.ndarray:
+        """The N diagonal blocks p_n ρ_n as one read-only (N, d, d) view of the matrix."""
+        n, d = self.n_outcomes, self.system_dim
+        return self.matrix.matrix.reshape(n, d, n, d).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
 
     def block_probability(self, n: int) -> float:
         return float(np.trace(self.block(n, n)).real)
 
     def probabilities(self) -> np.ndarray:
-        return np.array([self.block_probability(n) for n in range(self.n_outcomes)])
+        """Every block's trace p_n by one stacked trace, each the bytes of its block_probability."""
+        return self.diagonal_blocks().trace(axis1=1, axis2=2).real
 
     def branch_state(self, n: int) -> DensityMatrix:
         """The system state p_n ρ_n / p_n in the diagonal block of controller index n."""
         if n not in self._branch_states:
-            block = _branch_block(self.block(n, n), n)
+            block = _branch_block(self.block(self._index(n), n), n)
             self._branch_states[n] = DensityMatrix.from_matrix(block, where=f"branch {n}")
         return self._branch_states[n]
 
     def branch_entropies(self, outcomes: Iterable[int]) -> dict[int, float]:
         """S_n of the branch state of each controller index in ``outcomes``,
         keyed by that index."""
-        return {n: von_neumann_entropy(self.branch_state(n)) for n in outcomes}
+        s = self._branch_entropies
+        return {n: s[n] if n in s else von_neumann_entropy(self.branch_state(n)) for n in outcomes}
 
     def controller_state(self) -> DensityMatrix:
         reduced = partial_trace(self.matrix.matrix, (self.n_outcomes, self.system_dim), over="B")
@@ -188,31 +207,33 @@ def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointSta
     """Remove all controller coherences (block-dephasing pinch).
 
     The result ⊕ p_n ρ_n is PSD by construction, and has the union of its
-    blocks' spectra, so it is checked block by block, all N blocks in one eig
-    call.  A block in ``kept`` becomes its branch state ρ_n by the checks of
-    :meth:`DensityMatrix.from_matrix`, and the result keeps that state.  Any
-    other block is diagonalized as it stands: an outcome dropped for its tiny
-    weight holds only round-off, which is no state.
+    blocks' spectra, so one eigenvalue-only call on all N blocks checks each
+    against the -STATE_TOL floor.  The blocks in ``kept``, first checked as one
+    stack for a positive trace and by ``_unit_trace``, become branch states ρ_n,
+    kept with no eig and with their entropies from that call.  Any other block
+    is checked as it stands: an outcome dropped for its tiny weight holds only
+    round-off, which is no state.  The first failing block raises.
     """
     d, n_out = joint.system_dim, joint.n_outcomes
     pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
-    state = DensityMatrix.from_psd(pinched, "decohered joint")
-    blocks = [state.matrix[n * d : (n + 1) * d, n * d : (n + 1) * d] for n in range(n_out)]
-    kept = set(kept)
-    stack = [
-        _unit_trace(_branch_block(b, n), f"branch {n}")[0] if n in kept else b
-        for n, b in enumerate(blocks)
-    ]
-    dec = eig_hermitian(np.stack(stack))
-    branches = {}
-    for n in range(n_out):
-        if n in kept:
-            spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-            branches[n] = DensityMatrix._with_eig(stack[n], spectrum, f"branch {n}")
-        else:
-            _check_spectrum_floor(float(dec.eigenvalues[n, -1]), f"branch {n}")
-    decohered = replace(joint, matrix=state)
-    decohered.__dict__["_branch_states"] = branches
+    decohered = replace(joint, matrix=DensityMatrix.from_psd(pinched, "decohered joint"))
+    kept = sorted({decohered._index(n) for n in kept})
+    blocks, p = decohered.diagonal_blocks(), decohered.probabilities()
+    stack = blocks.copy()
+    try:
+        if not (p[kept] > 0.0).all():  # NaN too
+            raise InvalidStateError("a kept block's trace is not positive")
+        stack[kept] = _unit_trace(blocks[kept] / p[kept, None, None], "branch")[0]
+    except InvalidStateError:  # one block at a time, so that the first failing one raises
+        for n in kept:
+            _unit_trace(_branch_block(blocks[n], n), f"branch {n}")
+        raise
+    spectra = eigvals_hermitian(stack)
+    for n, lam in enumerate(spectra[:, -1].tolist()):
+        _check_spectrum_floor(lam, f"branch {n}")
+    clipped = np.clip(spectra[kept], 0.0, None)
+    decohered.__dict__["_branch_states"] = {n: DensityMatrix(read_only(stack[n])) for n in kept}
+    decohered.__dict__["_branch_entropies"] = {n: _nats(s) for n, s in zip(kept, clipped)}
     return decohered
 
 
@@ -229,10 +250,8 @@ def finalize_branches(
     Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T.  The
     bath ledger records S_n - S per branch.
     """
-    n = joint.n_outcomes
-    p_vec = np.array(
-        [joint.block_probability(i) if i in branch_entropies else 0.0 for i in range(n)]
-    )
+    n, p = joint.n_outcomes, joint.probabilities()
+    p_vec = np.array([p[i] if i in branch_entropies else 0.0 for i in range(n)])
     p_vec = p_vec / p_vec.sum()
     final = tensor(np.diag(p_vec.astype(complex)), rho_t.matrix)
     joint_final = JointState(

@@ -47,7 +47,7 @@ from .linalg import (
     max_abs,
     read_only,
 )
-from .thermo import DensityMatrix, Hamiltonian, _energies, shannon_entropy, von_neumann_entropy
+from .thermo import DensityMatrix, Hamiltonian, _energies, _nats, shannon_entropy
 
 COMPLETENESS_TOL = 1e-10
 # how far past 1 a weak model's generator norm may read
@@ -290,10 +290,11 @@ def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> Measur
     except InvalidStateError:  # one call per outcome, so that the failing one is named
         states = [DensityMatrix.from_matrix(m, f"outcome {n}") for n, m in zip(outcomes, matrices)]
     energies = _energies(h, np.array([state.matrix for state in states])).tolist()
+    clipped = np.clip([state.eig.eigenvalues for state in states], 0.0, None)
     total = sum(probabilities)
     records = tuple(
-        OutcomeRecord(n, p / total, state, von_neumann_entropy(state), energy)
-        for n, p, state, energy in zip(outcomes, probabilities, states, energies)
+        OutcomeRecord(n, p / total, state, _nats(s), energy)
+        for n, p, state, s, energy in zip(outcomes, probabilities, states, clipped, energies)
     )
     return MeasurementOutcomes(records=records, dropped=tuple(dropped))
 

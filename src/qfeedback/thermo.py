@@ -27,6 +27,7 @@ from .linalg import (
     HERMITICITY_TOL,
     EigenDecomposition,
     eig_hermitian,
+    eigvals_hermitian,
     hermitian_residual,
     hermitize,
     max_abs,
@@ -142,10 +143,9 @@ class DensityMatrix:
 
     ``eig`` is the decomposition of ``matrix``.  A state built from its spectrum keeps it:
     a :meth:`from_matrix` state the decomposition (or stacked slice) its checks computed,
-    a :func:`gibbs_state` its Gibbs weights on the given eigenvectors, and a branch state
-    its slice of the stacked eig of ``decohere_controller``.  Any other state, such as a
-    rotated outcome state of ``execute_plan``, whose checks read eigenvalues only,
-    computes it on first use.
+    and a :func:`gibbs_state` its Gibbs weights on the given eigenvectors.  Any other state,
+    such as a rotated outcome state of ``execute_plan`` or a branch state of
+    ``decohere_controller``, whose checks read eigenvalues only, computes it on first use.
     """
 
     matrix: np.ndarray
@@ -304,6 +304,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims differ: {rho.dim} vs {sigma.dim}")
     difference = rho.matrix - sigma.matrix
-    if not difference.any():  # the eig of a zero matrix gives exact zeros
+    if not difference.any():  # the eigenvalues of a zero matrix are exact zeros
         return 0.0
-    return 0.5 * float(np.abs(eig_hermitian(difference).eigenvalues).sum())
+    return 0.5 * float(np.abs(eigvals_hermitian(difference)).sum())

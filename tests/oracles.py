@@ -5,7 +5,8 @@ something the program computes another way: a cyclic Jacobi eigensolver for
 LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
 the controller's joint states formed as V ρ V† and checked by the eig of
-``from_matrix``, the average post-measurement state, the quasi-static work
+``from_matrix``, the decohered joint checked block by block with its branch
+states from a full eig, the average post-measurement state, the quasi-static work
 integral one path step at a time, a measurement model's validation
 report with one eig per operator, a measurement applied one outcome at a
 time, the feedback plans planned and executed one outcome at a time, each
@@ -44,6 +45,7 @@ from qfeedback.linalg import (
     _as_square,
     _frobenius,
     dagger,
+    dephase_blocks,
     eig_hermitian,
     hermitian_residual,
     hermitize,
@@ -69,6 +71,8 @@ from qfeedback.thermo import (
     STATE_TOL,
     DensityMatrix,
     Hamiltonian,
+    _check_spectrum_floor,
+    _unit_trace,
     boltzmann_kt,
     gibbs_weights,
     shannon_entropy,
@@ -281,6 +285,36 @@ def decohere_via_ancilla(joint: JointState) -> JointState:
     total = u @ total @ dagger(u)
     reduced = partial_trace(total, (n * d, n), over="B")
     return replace(joint, matrix=DensityMatrix.from_matrix(reduced, where="decohered joint"))
+
+
+def decohere_controller_reference(joint: JointState, kept=()) -> JointState:
+    """The block-dephasing pinch checked one kept block at a time, its trace tested
+    positive and its ``_unit_trace`` run on its own, then every block in one stacked
+    ``eig_hermitian`` call, whose sorted, phase-fixed vectors the branch states keep."""
+    d, n_out = joint.system_dim, joint.n_outcomes
+    pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
+    state = DensityMatrix.from_psd(pinched, "decohered joint")
+    blocks = [state.matrix[n * d : (n + 1) * d, n * d : (n + 1) * d] for n in range(n_out)]
+    kept = set(kept)
+    stack = []
+    for n, block in enumerate(blocks):
+        if n in kept:
+            p = float(block.trace().real)
+            if not p > 0.0:
+                raise InvalidStateError(f"branch {n}: block trace {p!r} is not positive")
+            block = _unit_trace(block / p, f"branch {n}")[0]
+        stack.append(block)
+    dec = eig_hermitian(np.stack(stack))
+    branches = {}
+    for n in range(n_out):
+        if n in kept:
+            spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
+            branches[n] = DensityMatrix._with_eig(stack[n], spectrum, f"branch {n}")
+        else:
+            _check_spectrum_floor(float(dec.eigenvalues[n, -1]), f"branch {n}")
+    decohered = replace(joint, matrix=state)
+    decohered.__dict__["_branch_states"] = branches
+    return decohered
 
 
 def eig_checked_joint(rho: DensityMatrix, model: MeasurementModel, u: np.ndarray) -> JointState:

@@ -20,6 +20,7 @@ from qfeedback.controller import (
     run_controller_cycle,
 )
 from qfeedback.errors import (
+    ArgumentRangeError,
     DegenerateStateError,
     DimensionMismatchError,
     IncompleteModelError,
@@ -28,7 +29,15 @@ from qfeedback.errors import (
     NonUnitaryBlockError,
 )
 from qfeedback.feedback import plan_branches
-from qfeedback.linalg import dagger, dephase_blocks, eig_hermitian, max_abs, read_only, tensor
+from qfeedback.linalg import (
+    dagger,
+    dephase_blocks,
+    eig_hermitian,
+    eigvals_hermitian,
+    max_abs,
+    read_only,
+    tensor,
+)
 from qfeedback import measurement
 from qfeedback.measurement import (
     EFFICIENCY_TOL,
@@ -41,6 +50,7 @@ from qfeedback.measurement import (
     second_law_verdict,
 )
 from qfeedback.sampling import (
+    ginibre,
     random_bare_model,
     random_hamiltonian,
     random_hermitian,
@@ -48,6 +58,7 @@ from qfeedback.sampling import (
 from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
+    _nats,
     average_energy,
     thermal_state,
     trace_distance,
@@ -65,6 +76,7 @@ from conftest import (
     random_unitary,
 )
 from oracles import (
+    decohere_controller_reference,
     decohere_via_ancilla,
     eig_checked_joint,
     total_entropy,
@@ -336,6 +348,30 @@ def block_diagonal_joint(blocks):
     return JointState(DensityMatrix(read_only(m)), n_outcomes=len(blocks), system_dim=d)
 
 
+def _edge(*blocks):
+    return block_diagonal_joint([np.asarray(b, dtype=complex) for b in blocks])
+
+
+HALF_MIXED = 0.5 * np.diag([0.7, 0.3])
+# (id, joint, kept): round-off blocks kept and dropped, and blocks that fail a check
+EDGE_JOINTS = [
+    ("negative-round-off", _edge(HALF_MIXED, 0.5 * np.diag([1 + 1e-12, -1e-12])), (0, 1)),
+    ("dropped-round-off", _edge(np.diag([0.6, 0.4 - 1e-16]), np.diag([2e-16, -1e-16])), (0,)),
+    ("round-off-kept", _edge(np.diag([0.6, 0.4 - 1e-16]), np.diag([2e-16, -1e-16])), (0, 1)),
+    ("empty-dropped", _edge(np.diag([0.6, 0.4]), np.zeros((2, 2))), (0,)),
+    ("empty-kept", _edge(np.diag([0.6, 0.4]), np.zeros((2, 2))), (0, 1)),
+    ("below-floor", _edge(HALF_MIXED, 0.5 * np.diag([1 + 2e-9, -2e-9])), ()),
+    ("below-floor-kept", _edge(HALF_MIXED, 0.5 * np.diag([1 + 2e-9, -2e-9])), (0, 1)),
+    # branch 1's trace fails before the floor of block 2, which is not kept
+    (
+        "trace-before-floor",
+        _edge(np.diag([0.5, 0.1]), np.diag([-0.1, 0.0]), np.diag([0.5 + 1e-9, -1e-9])),
+        (0, 1),
+    ),
+    ("negative-trace-first", _edge(np.diag([-0.1, 0.0]), np.diag([0.6, 0.5])), (1, 0)),
+]
+
+
 class TestBlockSpectra:
     """The decohered and finalized joints take their checks from their blocks, and
     store what a full from_matrix of the same matrix stores."""
@@ -350,9 +386,14 @@ class TestBlockSpectra:
         assert decohered.matrix.matrix.tobytes() == full.matrix.tobytes()
 
         entropies = decohered.branch_entropies(outcomes)
-        for n in outcomes:  # the formula branch_entropies used before it kept branch states
+        for n in outcomes:
             block = decohered.block(n, n) / decohered.block_probability(n)
-            assert entropies[n] == von_neumann_entropy(DensityMatrix.from_matrix(block))
+            state = DensityMatrix.from_matrix(block)
+            # a kept branch's entropy comes from the eigenvalue-only call; a block not
+            # kept becomes a branch state on first use, and reads its eig
+            spectrum = eigvals_hermitian(state.matrix) if kept is None else state.eig.eigenvalues
+            assert entropies[n] == _nats(np.clip(spectrum, 0.0, None))
+            assert entropies[n] == pytest.approx(von_neumann_entropy(state), abs=1e-13)
 
         final, _ = finalize_branches(decohered, rho, entropies, von_neumann_entropy(rho))
         p = decohered.probabilities()
@@ -381,10 +422,11 @@ class TestBlockSpectra:
             ),
         ],
     )
-    def test_one_eig_call_gives_from_matrix_branches(self, eig_calls, joint, kept):
+    def test_one_eig_call_gives_from_matrix_branches(self, eig_calls, eigvals_calls, joint, kept):
         eig_calls.clear()
         out = decohere_controller(joint, kept)
-        assert eig_calls == [joint.n_outcomes]  # one call, every block in its stack
+        # one eigenvalue-only call, every block in its stack, and no eigenvectors
+        assert (eig_calls, eigvals_calls) == ([], [joint.n_outcomes])
         sizes = [joint.system_dim] * joint.n_outcomes
         pinched = JointState(
             DensityMatrix.from_psd(dephase_blocks(joint.matrix.matrix, sizes)),
@@ -396,8 +438,59 @@ class TestBlockSpectra:
             full = DensityMatrix.from_matrix(block / block.trace().real)
             branch = out.branch_state(n)
             assert branch.matrix.tobytes() == full.matrix.tobytes()
+            assert "eig" not in branch.__dict__  # computed when read, as the single call
             assert branch.eig.eigenvalues.tobytes() == full.eig.eigenvalues.tobytes()
             assert branch.eig.eigenvectors.tobytes() == full.eig.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize(
+        "joint, kept",
+        [
+            pytest.param(joint, kept, id=f"seeded-{i}-{'all' if kept else 'none'}")
+            for i, (joint, _) in enumerate(seeded_joints())
+            for kept in (range(joint.n_outcomes), ())
+        ]
+        + [pytest.param(joint, kept, id=f"edge-{name}") for name, joint, kept in EDGE_JOINTS],
+    )
+    def test_matches_the_eigh_oracle(self, joint, kept):
+        """The stacked checks and the eigenvalue-only call give the pinched joint and the
+        branch matrices of the block-by-block eigh form byte for byte, its entropies to
+        round-off, and its error on the first failing block."""
+        try:
+            expected = decohere_controller_reference(joint, kept)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                decohere_controller(joint, kept)
+            assert str(raised.value) == str(exc)
+            return
+        out = decohere_controller(joint, kept)
+        assert out.matrix.matrix.tobytes() == expected.matrix.matrix.tobytes()
+        for n in kept:
+            assert out.branch_state(n).matrix.tobytes() == expected.branch_state(n).matrix.tobytes()
+        entropies, reference = out.branch_entropies(kept), expected.branch_entropies(kept)
+        assert list(entropies) == list(reference)
+        for n in kept:
+            assert entropies[n] == pytest.approx(reference[n], abs=1e-13)
+
+    def test_probabilities_are_the_block_traces(self):
+        rng = np.random.default_rng(3000)
+        for _ in range(3000):
+            n, d = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+            g = ginibre(n * d, rng) * 10.0 ** rng.uniform(-20.0, 0.0, (n * d, n * d))
+            joint = JointState(DensityMatrix(read_only(g @ dagger(g))), n, d)
+            per_block = [float(np.trace(joint.block(k, k)).real) for k in range(n)]
+            assert joint.probabilities().tobytes() == np.array(per_block).tobytes()
+
+    @pytest.mark.parametrize("bad", [2, 5, -1])
+    def test_out_of_range_controller_index_raises(self, bad):
+        joint = block_diagonal_joint([np.diag([0.3, 0.2]).astype(complex)] * 2)
+        message = f"controller index {bad} is outside 0…1"
+        with pytest.raises(ArgumentRangeError, match=message):
+            decohere_controller(joint, [0, bad])
+        decohered = decohere_controller(joint, [0, 1])
+        with pytest.raises(ArgumentRangeError, match=message):
+            decohered.branch_state(bad)
+        with pytest.raises(ArgumentRangeError, match=message):
+            decohered.branch_entropies([0, bad])
 
     @pytest.mark.parametrize("kept", [(), (0, 1)])
     def test_block_below_the_tolerance_raises(self, kept):

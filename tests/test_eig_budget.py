@@ -2,36 +2,38 @@
 diagonalized once and its spectrum carried on the frozen state or Hamiltonian
 that owns it, a state built from a known spectrum keeps it (a thermal state
 its Gibbs weights on H's eigenvectors, a plan's landing target its Gibbs
-weights on the retuned levels, a decohered joint its branch states), a state
-that is PSD by construction (the correlated V ρ V†, the rotated U J U†, the
-finalized p ⊗ ρ_T, its two marginals and the cycle's endpoint Σ p_n ρ_T)
-takes no eig until something reads its spectrum, a check that reads only
-eigenvalues asks ``eigvals_hermitian`` for them and no eigenvectors, and a
-measurement model keeps its validation report, so these counts hold.  They
-are exact, not ceilings: a decomposition made around ``eig_hermitian`` or
+weights on the retuned levels), a state that is PSD by construction (the
+correlated V ρ V†, the rotated U J U†, the finalized p ⊗ ρ_T, its two
+marginals and the cycle's endpoint Σ p_n ρ_T) takes no eig until something
+reads its spectrum, a check that reads only eigenvalues asks
+``eigvals_hermitian`` for them and no eigenvectors, and a measurement model
+keeps its validation report, so these counts hold.  They are exact, not
+ceilings: a decomposition made around ``eig_hermitian`` or
 ``eigvals_hermitian`` would lower them.
 
 The ``eig_calls`` and ``eigvals_calls`` fixtures in conftest.py record one
 entry per call holding the number of matrices in its stack, so each test pins
 both the calls and the matrices of each.  With N outcomes, a fresh H (one eig)
 and a fresh model (one stacked call on its N operators to validate a bare one,
-none for an efficient one), a cycle makes 3 eig calls (4 bare) on N + 2
-matrices (2N + 2 bare): H, one stacked call in ``apply`` on the N outcome
-states and the closure distance.  It makes one eigenvalue-only call too, in
-``execute_plan``, on the N rotated states and their N differences from the
-landing targets, which gives each rotated state's entropy and spectrum floor
-and each landing distance: 3N + 2 matrices in all (4N + 2 bare), each checked
-once.  The closure distance compares Σ p_n ρ_T with ρ_T, which differ only
-when the renormalized p_n fail to sum to 1 bit for bit, and two equal
-matrices take no eig: the efficient draw with N = 2 has p_n that sum to
-exactly 1, so ``CLOSURE_EIG`` pins it one call and one matrix lower.  A
-transform makes one eig call more, for H2, and its closure distance always
-takes an eig.  A bare controller cycle makes 5 eig calls on 3N + 2 matrices
-and no eigenvalue-only call: H, the N operators, the N outcome states, one
-stacked call in ``decohere_controller`` on its N diagonal blocks, whose
-vectors give the branch states, and the system closure distance.  The reset
-reads the record entropy from the controller marginal's diagonal, and the
-controller closure compares two equal matrices, which takes no eig."""
+none for an efficient one), a cycle makes 2 eig calls (3 bare) on N + 1
+matrices (2N + 1 bare): H and one stacked call in ``apply`` on the N outcome
+states.  It makes two eigenvalue-only calls: one in ``execute_plan``, on the
+N rotated states and their N differences from the landing targets, which
+gives each rotated state's entropy and spectrum floor and each landing
+distance, and one for the closure distance: 3N + 2 matrices in all (4N + 2
+bare), each checked once.  The closure distance compares Σ p_n ρ_T with ρ_T,
+which differ only when the renormalized p_n fail to sum to 1 bit for bit,
+and two equal matrices take no call: the efficient draw with N = 2 has p_n
+that sum to exactly 1, so ``CLOSURE_EIG`` pins it one call and one matrix
+lower.  A transform makes one eig call more, for H2, and its closure
+distance always takes an eigenvalue-only call.  A bare controller cycle makes
+3 eig calls on 2N + 1 matrices: H, the N operators and the N outcome states.
+Its eigenvalue-only calls are one stacked call in ``decohere_controller`` on
+its N diagonal blocks, which gives every block's spectrum floor and the
+branch entropies, and one for the system closure distance: 3N + 2 matrices
+in all, as before.  The branch states keep no eig.  The reset reads the
+record entropy from the controller marginal's diagonal, and the controller
+closure compares two equal matrices, which takes no call."""
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ def fresh_inputs(make_model, n, dim=3):
     return random_hamiltonian(dim, rng), make_model(dim, n, rng)
 
 
-# whether the closure distance of the efficient draw with n outcomes takes an eig
+# whether the closure distance of the efficient draw with n outcomes takes a call
 CLOSURE_EIG = {2: 0, 3: 1, 4: 1}
 
 
@@ -72,9 +74,9 @@ def test_efficient_cycle(eig_calls, eigvals_calls, n):
     h, model = fresh_inputs(random_efficient_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 2 + CLOSURE_EIG[n]
-    assert sum(eig_calls) == n + 1 + CLOSURE_EIG[n]
-    assert eigvals_calls == [2 * n]
+    assert len(eig_calls) == 2
+    assert sum(eig_calls) == n + 1
+    assert eigvals_calls == [2 * n] + [1] * CLOSURE_EIG[n]
     assert sum(eig_calls) + sum(eigvals_calls) == 3 * n + 1 + CLOSURE_EIG[n]
 
 
@@ -83,9 +85,9 @@ def test_bare_cycle(eig_calls, eigvals_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_cycle(h, 1.0, model)
-    assert len(eig_calls) == 4
-    assert sum(eig_calls) == 2 * n + 2
-    assert eigvals_calls == [2 * n]
+    assert len(eig_calls) == 3
+    assert sum(eig_calls) == 2 * n + 1
+    assert eigvals_calls == [2 * n, 1]
     assert sum(eig_calls) + sum(eigvals_calls) == 4 * n + 2
 
 
@@ -99,8 +101,8 @@ def test_transform(eig_calls, eigvals_calls, n, make_model, per_outcome):
     h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
     eig_calls.clear()
     run_transform(h, h2, 1.0, model)
-    assert len(eig_calls) == 4 + (make_model is random_bare_model)
-    assert eigvals_calls == [2 * n]
+    assert len(eig_calls) == 3 + (make_model is random_bare_model)
+    assert eigvals_calls == [2 * n, 1]
     assert sum(eig_calls) + sum(eigvals_calls) == per_outcome * n + 3
 
 
@@ -109,9 +111,10 @@ def test_controller_cycle(eig_calls, eigvals_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     eig_calls.clear()
     run_controller_cycle(h, 1.0, model)
-    assert len(eig_calls) == 5
-    assert sum(eig_calls) == 3 * n + 2
-    assert eigvals_calls == []
+    assert len(eig_calls) == 3
+    assert sum(eig_calls) == 2 * n + 1
+    assert eigvals_calls == [n, 1]
+    assert sum(eig_calls) + sum(eigvals_calls) == 3 * n + 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
