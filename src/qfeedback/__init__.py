@@ -83,6 +83,7 @@ from .controller import (
     BathLedger,
     ControllerCycleResult,
     JointState,
+    KeptBranches,
     apply_joint_unitary,
     correlate,
     decohere_controller,

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .linalg import (
     eigvals_hermitian,
     max_abs,
     partial_trace,
-    read_only,
     tensor,
 )
 from .feedback import plan_branches
@@ -51,7 +49,6 @@ from .thermo import (
     _nats,
     _unit_trace,
     trace_distance,
-    von_neumann_entropy,
 )
 
 # Largest entry allowed in U†U - I of a feedback block, and in the
@@ -66,10 +63,8 @@ class JointState:
     Diagonal blocks hold p_n ρ_n, off-diagonal blocks the coherences between
     controller basis states.  Each joint the cycle builds is PSD by
     construction and takes no eig of its own, nor do its two marginals,
-    partial traces of a PSD matrix.
-    A branch state ρ_n is built from its block on first use and then kept;
-    :func:`decohere_controller` hands over the ones its checks built, with their
-    entropies.  A controller index outside 0…N-1 raises :class:`ArgumentRangeError`.
+    partial traces of a PSD matrix.  The branches ρ_n are read off by
+    :func:`decohere_controller`, which returns the kept ones' p_n and S_n.
     """
 
     matrix: DensityMatrix
@@ -81,14 +76,6 @@ class JointState:
             raise DimensionMismatchError(
                 f"joint dim {self.matrix.dim} != {self.n_outcomes}*{self.system_dim}"
             )
-
-    @cached_property
-    def _branch_states(self) -> dict[int, DensityMatrix]:
-        return {}
-
-    @cached_property
-    def _branch_entropies(self) -> dict[int, float]:
-        return {}
 
     def _index(self, n: int) -> int:
         if not 0 <= n < self.n_outcomes:
@@ -104,25 +91,9 @@ class JointState:
         n, d = self.n_outcomes, self.system_dim
         return self.matrix.matrix.reshape(n, d, n, d).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
 
-    def block_probability(self, n: int) -> float:
-        return float(np.trace(self.block(n, n)).real)
-
     def probabilities(self) -> np.ndarray:
-        """Every block's trace p_n by one stacked trace, each the bytes of its block_probability."""
+        """Every block's trace p_n by one stacked trace, each the bytes of its own np.trace."""
         return self.diagonal_blocks().trace(axis1=1, axis2=2).real
-
-    def branch_state(self, n: int) -> DensityMatrix:
-        """The system state p_n ρ_n / p_n in the diagonal block of controller index n."""
-        if n not in self._branch_states:
-            block = _branch_block(self.block(self._index(n), n), n)
-            self._branch_states[n] = DensityMatrix.from_matrix(block, where=f"branch {n}")
-        return self._branch_states[n]
-
-    def branch_entropies(self, outcomes: Iterable[int]) -> dict[int, float]:
-        """S_n of the branch state of each controller index in ``outcomes``,
-        keyed by that index."""
-        s = self._branch_entropies
-        return {n: s[n] if n in s else von_neumann_entropy(self.branch_state(n)) for n in outcomes}
 
     def controller_state(self) -> DensityMatrix:
         reduced = partial_trace(self.matrix.matrix, (self.n_outcomes, self.system_dim), over="B")
@@ -133,12 +104,14 @@ class JointState:
         return DensityMatrix.from_psd(reduced, where="system marginal")
 
 
-def _branch_block(block: np.ndarray, n: int) -> np.ndarray:
-    """p_n ρ_n / p_n, once its trace p_n is checked positive."""
-    p = float(block.trace().real)
-    if not p > 0.0:
-        raise InvalidStateError(f"branch {n}: block trace {p!r} is not positive")
-    return block / p
+@dataclass(frozen=True)
+class KeptBranches:
+    """The kept branches of a decohered joint, by rising controller index: each one's
+    block trace p_n and the entropy S_n of its state ρ_n, the block over p_n."""
+
+    outcomes: np.ndarray  # (K,) controller indices
+    probabilities: np.ndarray  # (K,) p_n, not renormalized
+    entropies: np.ndarray  # (K,) S_n
 
 
 @dataclass(frozen=True)
@@ -203,21 +176,25 @@ def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
     return replace(joint, matrix=rotated)
 
 
-def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointState:
-    """Remove all controller coherences (block-dephasing pinch).
+def decohere_controller(
+    joint: JointState, kept: Iterable[int] = ()
+) -> tuple[JointState, KeptBranches]:
+    """Remove all controller coherences (block-dephasing pinch), and read off the
+    branches in ``kept``.
 
     The result ⊕ p_n ρ_n is PSD by construction, and has the union of its
     blocks' spectra, so one eigenvalue-only call on all N blocks checks each
     against the -STATE_TOL floor.  The blocks in ``kept``, first checked as one
-    stack for a positive trace and by ``_unit_trace``, become branch states ρ_n,
-    kept with no eig and with their entropies from that call.  Any other block
-    is checked as it stands: an outcome dropped for its tiny weight holds only
-    round-off, which is no state.  The first failing block raises.
+    stack for a positive trace and by ``_unit_trace``, enter that call over their
+    traces, which gives their entropies.  Any other block is checked as it stands:
+    an outcome dropped for its tiny weight holds only round-off, which is no state.
+    The first failing block raises, and so does an index outside 0…N-1
+    (:class:`ArgumentRangeError`).  Returns the pinched joint and the kept branches.
     """
     d, n_out = joint.system_dim, joint.n_outcomes
     pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
     decohered = replace(joint, matrix=DensityMatrix.from_psd(pinched, "decohered joint"))
-    kept = sorted({decohered._index(n) for n in kept})
+    kept = np.array(sorted({decohered._index(n) for n in kept}), dtype=int)
     blocks, p = decohered.diagonal_blocks(), decohered.probabilities()
     stack = blocks.copy()
     try:
@@ -225,33 +202,34 @@ def decohere_controller(joint: JointState, kept: Iterable[int] = ()) -> JointSta
             raise InvalidStateError("a kept block's trace is not positive")
         stack[kept] = _unit_trace(blocks[kept] / p[kept, None, None], "branch")[0]
     except InvalidStateError:  # one block at a time, so that the first failing one raises
-        for n in kept:
-            _unit_trace(_branch_block(blocks[n], n), f"branch {n}")
+        for n in kept.tolist():
+            if not p[n] > 0.0:
+                raise InvalidStateError(f"branch {n}: block trace {float(p[n])!r} is not positive")
+            _unit_trace(blocks[n] / p[n], f"branch {n}")
         raise
     spectra = eigvals_hermitian(stack)
     for n, lam in enumerate(spectra[:, -1].tolist()):
         _check_spectrum_floor(lam, f"branch {n}")
-    clipped = np.clip(spectra[kept], 0.0, None)
-    decohered.__dict__["_branch_states"] = {n: DensityMatrix(read_only(stack[n])) for n in kept}
-    decohered.__dict__["_branch_entropies"] = {n: _nats(s) for n, s in zip(kept, clipped)}
-    return decohered
+    entropies = np.array([_nats(s) for s in np.clip(spectra[kept], 0.0, None)])
+    return decohered, KeptBranches(kept, p[kept], entropies)
 
 
 def finalize_branches(
     joint: JointState,
     rho_t: DensityMatrix,
-    branch_entropies: Mapping[int, float],
+    branches: KeptBranches,
     s_initial: float,
 ) -> tuple[JointState, BathLedger]:
     """Replace every branch's system state by the isothermal endpoint ρ_T.
 
-    ``branch_entropies`` holds S_n for each surviving branch, keyed by
-    controller index; a branch it leaves out was dropped and gets weight 0.
+    A branch that ``branches`` leaves out was dropped and gets weight 0.
     Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T.  The
     bath ledger records S_n - S per branch.
     """
-    n, p = joint.n_outcomes, joint.probabilities()
-    p_vec = np.array([p[i] if i in branch_entropies else 0.0 for i in range(n)])
+    n = joint.n_outcomes
+    p_vec, gains = np.zeros(n), np.zeros(n)  # an empty branch leaves the bath untouched
+    p_vec[branches.outcomes] = branches.probabilities
+    gains[branches.outcomes] = branches.entropies - s_initial
     p_vec = p_vec / p_vec.sum()
     final = tensor(np.diag(p_vec.astype(complex)), rho_t.matrix)
     joint_final = JointState(
@@ -259,14 +237,7 @@ def finalize_branches(
         n_outcomes=n,
         system_dim=joint.system_dim,
     )
-    ledger = BathLedger(
-        # an empty branch leaves the bath untouched
-        branch_entropies=tuple(
-            branch_entropies[i] - s_initial if i in branch_entropies else 0.0
-            for i in range(n)
-        ),
-    )
-    return joint_final, ledger
+    return joint_final, BathLedger(branch_entropies=tuple(gains.tolist()))
 
 
 def reset_controller(
@@ -314,18 +285,16 @@ def run_controller_cycle(
     # a dropped outcome's block leaves the system alone
     blocks = np.tile(np.eye(model.dim, dtype=complex), (model.n_outcomes, 1, 1))
     blocks[kept] = step.plan.basis_unitaries
-    joint = correlate(step.rho, model)
-    joint = decohere_controller(apply_joint_unitary(joint, feedback_unitary(blocks)), kept)
+    joint = apply_joint_unitary(correlate(step.rho, model), feedback_unitary(blocks))
+    joint, branches = decohere_controller(joint, kept)
 
     # the kept branches read back from the joint state (pre-finalize blocks hold
     # the rotated p_n ρ_n, whose entropies and probabilities are basis-invariant)
-    entropies = joint.branch_entropies(kept)
-    branch_entropies = tuple(entropies.values())
-    p = joint.probabilities()[kept]
-    probabilities = p / p.sum()
+    branch_entropies = tuple(branches.entropies.tolist())
+    probabilities = branches.probabilities / branches.probabilities.sum()
     delta_s_meas = entropy_reduction(probabilities, branch_entropies, step.initial.entropy)
 
-    joint_final, bath = finalize_branches(joint, step.rho, entropies, step.initial.entropy)
+    joint_final, bath = finalize_branches(joint, step.rho, branches, step.initial.entropy)
     report = second_law_verdict(probabilities, delta_s_meas)
     system_closure = trace_distance(joint_final.system_state(), step.rho)
 
@@ -335,7 +304,7 @@ def run_controller_cycle(
     )
     # bath gain: isothermal stage took (S - S_n) out per branch, reset put
     # S({p_n}) back in; net is ΔS_tot
-    branch_gains = np.asarray(bath.branch_entropies)[kept]
+    branch_gains = np.asarray(bath.branch_entropies)[branches.outcomes]
     bath_gain = float(np.dot(probabilities, branch_gains)) + bath.reset_addition
     return ControllerCycleResult(
         initial=step.initial,

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentRangeError, DomainError, InvalidModelError, PlanMismatchError
-from .linalg import dagger, eig_hermitian, eigvals_hermitian, read_only, spectral_matrix
+from .linalg import dagger, eig_hermitian, eigvals_hermitian, spectral_matrix
 from .measurement import (
     MeasurementModel,
     MeasurementOutcomes,
@@ -211,15 +211,15 @@ def execute_plan(
     records: Sequence[OutcomeRecord],
     plan: FeedbackPlan,
     temperature: float,
-) -> tuple[tuple[DensityMatrix, float], ...]:
-    """Run steps (i)-(iv) for every kept outcome of a cycle, returning per outcome
-    the resulting thermal state and the work extracted: E_n - Tr[H ρ'] from the
-    rotation at fixed H, plus Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at
-    fixed state ρ'.  Record n and slice n of the plan read the H the plan was made for.
+) -> np.ndarray:
+    """Run steps (i)-(iv) for every kept outcome of a cycle, returning the (N,) works
+    extracted: E_n - Tr[H ρ'] from the rotation at fixed H, plus
+    Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at fixed state ρ'.  Record n and
+    slice n of the plan read the H the plan was made for.
     It reads the plan's (N, d, d) stacks: one ``_unit_trace`` call checks the rotated
     states, and one eigenvalue-only call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N],
     σ_n the Gibbs state of the retuned levels, gives the landing distances and the rotated
-    spectra, for the -STATE_TOL floor and the entropies; a landed state keeps no eig.
+    spectra, for the -STATE_TOL floor and the entropies.
 
     Raises :class:`PlanMismatchError`, naming the first outcome that fails, if
     a landed state is not the Gibbs state of its retuned levels (the shift c_n
@@ -241,7 +241,7 @@ def execute_plan(
     expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
     spectra = eigvals_hermitian(np.concatenate([rotated, rotated - expected]))
 
-    landed = []
+    works = []
     for n, (record, outcome, levels) in enumerate(zip(records, plan.outcomes, plan.levels)):
         deviation = 0.5 * float(np.abs(spectra[n_out + n]).sum())
         if not deviation <= PLAN_TOL:
@@ -254,9 +254,8 @@ def execute_plan(
         if not drift <= PLAN_TOL:
             raise PlanMismatchError(f"outcome {outcome}: entropy drifted by {drift:.3e}")
         on = np.isfinite(levels)
-        work = record.energy - float(np.dot(levels[on] + plan.shifts[n], populations[n][on]))
-        landed.append((DensityMatrix(matrix=read_only(rotated[n])), work))  # checked as a stack
-    return tuple(landed)
+        works.append(record.energy - float(np.dot(levels[on] + plan.shifts[n], populations[n][on])))
+    return np.array(works)
 
 
 def isothermal_work(s_target: float, s_n: float, temperature: float) -> float:
@@ -297,8 +296,8 @@ def _run(
     target = step.initial if h2 is h1 else thermo_reading(rho_target, h2, temperature)
 
     branches = []
-    landed = execute_plan(step.outcomes, step.plan, temperature)
-    for record, (_, work_steps) in zip(step.outcomes, landed):
+    works = execute_plan(step.outcomes, step.plan, temperature)
+    for record, work_steps in zip(step.outcomes, works.tolist()):
         # isothermal stage from the branch Hamiltonian to h2: work equals the
         # free-energy drop at fixed T, and the state tracks the instantaneous
         # thermal state, so every branch ends on rho_target.

@@ -144,8 +144,7 @@ class DensityMatrix:
     ``eig`` is the decomposition of ``matrix``.  A state built from its spectrum keeps it:
     a :meth:`from_matrix` state the decomposition (or stacked slice) its checks computed,
     and a :func:`gibbs_state` its Gibbs weights on the given eigenvectors.  Any other state,
-    such as a rotated outcome state of ``execute_plan`` or a branch state of
-    ``decohere_controller``, whose checks read eigenvalues only, computes it on first use.
+    such as a joint of the controller picture, computes it on first use.
     """
 
     matrix: np.ndarray

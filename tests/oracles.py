@@ -6,7 +6,7 @@ LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
 the controller's joint states formed as V ρ V† and checked by the eig of
 ``from_matrix``, the decohered joint checked block by block with its branch
-states from a full eig, the average post-measurement state, the quasi-static work
+entropies from a full eig, the average post-measurement state, the quasi-static work
 integral one path step at a time, a measurement model's validation
 report with one eig per operator, a measurement applied one outcome at a
 time, the feedback plans planned and executed one outcome at a time, each
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qfeedback.controller import BathLedger, JointState
+from qfeedback.controller import BathLedger, JointState, KeptBranches
 from qfeedback.errors import (
     ArgumentRangeError,
     DegenerateStateError,
@@ -287,34 +287,36 @@ def decohere_via_ancilla(joint: JointState) -> JointState:
     return replace(joint, matrix=DensityMatrix.from_matrix(reduced, where="decohered joint"))
 
 
-def decohere_controller_reference(joint: JointState, kept=()) -> JointState:
+def decohere_controller_reference(joint: JointState, kept=()) -> tuple[JointState, KeptBranches]:
     """The block-dephasing pinch checked one kept block at a time, its trace tested
     positive and its ``_unit_trace`` run on its own, then every block in one stacked
-    ``eig_hermitian`` call, whose sorted, phase-fixed vectors the branch states keep."""
+    ``eig_hermitian`` call, whose sorted, phase-fixed vectors each kept branch state
+    keeps for ``von_neumann_entropy`` to read."""
     d, n_out = joint.system_dim, joint.n_outcomes
     pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
     state = DensityMatrix.from_psd(pinched, "decohered joint")
     blocks = [state.matrix[n * d : (n + 1) * d, n * d : (n + 1) * d] for n in range(n_out)]
-    kept = set(kept)
-    stack = []
+    kept = sorted(set(kept))
+    stack, probabilities = [], []
     for n, block in enumerate(blocks):
         if n in kept:
             p = float(block.trace().real)
             if not p > 0.0:
                 raise InvalidStateError(f"branch {n}: block trace {p!r} is not positive")
+            probabilities.append(p)
             block = _unit_trace(block / p, f"branch {n}")[0]
         stack.append(block)
     dec = eig_hermitian(np.stack(stack))
-    branches = {}
+    entropies = []
     for n in range(n_out):
         if n in kept:
             spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-            branches[n] = DensityMatrix._with_eig(stack[n], spectrum, f"branch {n}")
+            branch = DensityMatrix._with_eig(stack[n], spectrum, f"branch {n}")
+            entropies.append(von_neumann_entropy(branch))
         else:
             _check_spectrum_floor(float(dec.eigenvalues[n, -1]), f"branch {n}")
-    decohered = replace(joint, matrix=state)
-    decohered.__dict__["_branch_states"] = branches
-    return decohered
+    branches = KeptBranches(np.array(kept, dtype=int), np.array(probabilities), np.array(entropies))
+    return replace(joint, matrix=state), branches
 
 
 def eig_checked_joint(rho: DensityMatrix, model: MeasurementModel, u: np.ndarray) -> JointState:
@@ -504,7 +506,7 @@ def execute_plan_reference(records, plans, temperature: float):
     """``feedback.execute_plan`` one outcome at a time, over one :class:`OutcomePlan` per
     record: each rotated state built by ``DensityMatrix.from_psd`` and its landing target
     by ``np.diag``, then one eig call over every rotated state and difference, checked
-    outcome by outcome."""
+    outcome by outcome; returns the (N,) works."""
     if len(records) != len(plans):
         raise PlanMismatchError(f"{len(records)} outcomes but {len(plans)} plans")
     rotated, differences, works = [], [], []
@@ -519,7 +521,6 @@ def execute_plan_reference(records, plans, temperature: float):
         differences.append(rho.matrix - expected)
     dec = eig_hermitian(np.stack(rotated + differences))
 
-    landed = []
     for n, (record, plan) in enumerate(zip(records, plans)):
         deviation = 0.5 * float(np.abs(dec.eigenvalues[len(rotated) + n]).sum())
         if deviation > PLAN_TOL:
@@ -532,8 +533,7 @@ def execute_plan_reference(records, plans, temperature: float):
         drift = abs(von_neumann_entropy(state) - record.entropy)
         if drift > PLAN_TOL:
             raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")
-        landed.append((state, works[n]))
-    return tuple(landed)
+    return np.array(works)
 
 
 def parse_json(text: str) -> list[LedgerRow]:

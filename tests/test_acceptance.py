@@ -274,10 +274,8 @@ def test_criterion_6_controller_equivalence():
         s0 = von_neumann_entropy(rho_t)
         blocks = plan_feedback(records, h, temperature, e_initial=e0).basis_unitaries
         moved = apply_joint_unitary(joint, feedback_unitary(blocks))
-        decohered = decohere_controller(moved)
-        final, _ = finalize_branches(
-            decohered, rho_t, decohered.branch_entropies([r.n for r in records]), s_initial=s0
-        )
+        decohered, branches = decohere_controller(moved, [r.n for r in records])
+        final, _ = finalize_branches(decohered, rho_t, branches, s_initial=s0)
         product = DensityMatrix.from_matrix(
             tensor(final.controller_state().matrix, final.system_state().matrix)
         )

@@ -73,9 +73,10 @@ def test_kept_joint_blocks_are_the_outcome_states():
     for h, temperature, model in factor_cases():
         rho = thermal_state(h, temperature)
         joint = correlate(rho, model)
+        p = joint.probabilities()
         for record in apply(model, rho, h):
             n = record.n
-            block = joint.block(n, n) / joint.block_probability(n)
+            block = joint.block(n, n) / p[n]
             assert max_abs(block - record.state.matrix) <= 1e-15
             blocks += 1
     assert blocks > 200

@@ -244,21 +244,20 @@ class TestJointsWithoutAnEig:
         rho, model, u, kept = cycle_inputs(dim, n, temperature)
         correlated = correlate(rho, model)
         rotated = apply_joint_unitary(correlated, u)
-        decohered = decohere_controller(rotated, kept)
-        entropies = decohered.branch_entropies(kept)
-        final, _ = finalize_branches(decohered, rho, entropies, von_neumann_entropy(rho))
+        decohered, branches = decohere_controller(rotated, kept)
+        final, _ = finalize_branches(decohered, rho, branches, von_neumann_entropy(rho))
         for joint in (correlated, rotated, decohered, final):
             assert np.linalg.eigvalsh(joint.matrix.matrix).min() >= -1e-12
 
     @pytest.mark.parametrize("dim, n, temperature", CYCLE_CASES)
     def test_branches_match_the_eig_checked_path(self, dim, n, temperature):
         rho, model, u, kept = cycle_inputs(dim, n, temperature)
-        joint = decohere_controller(apply_joint_unitary(correlate(rho, model), u), kept)
-        checked = decohere_controller(eig_checked_joint(rho, model, u), kept)
+        joint, branches = decohere_controller(apply_joint_unitary(correlate(rho, model), u), kept)
+        checked, expected = decohere_controller(eig_checked_joint(rho, model, u), kept)
         assert max_abs(joint.probabilities() - checked.probabilities()) <= 1e-12
-        entropies, expected = joint.branch_entropies(kept), checked.branch_entropies(kept)
-        for k in kept:
-            assert entropies[k] == pytest.approx(expected[k], abs=1e-12)
+        assert branches.outcomes.tolist() == expected.outcomes.tolist() == sorted(kept)
+        for s_n, s_checked in zip(branches.entropies, expected.entropies):
+            assert s_n == pytest.approx(s_checked, abs=1e-12)
 
     def test_trace_changing_unitary_raises(self):
         rho, model, _, _ = cycle_inputs(3, 2, 1.0)
@@ -284,21 +283,21 @@ class TestDecohere:
         joint = correlate(
             maximally_mixed(2), MeasurementModel.bare([PROJ_0, PROJ_1])
         )
-        out = decohere_controller(joint)
+        out, _ = decohere_controller(joint)
         assert max_abs(out.matrix.matrix - joint.matrix.matrix) < 1e-14
 
     def test_kills_exactly_the_off_diagonal_blocks(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
         joint = correlate(maximally_mixed(2), model)
-        out = decohere_controller(joint)
+        out, _ = decohere_controller(joint)
         assert max_abs(out.block(0, 1)) == 0.0
         assert max_abs(out.block(0, 0) - joint.block(0, 0)) < 1e-14
 
     def test_idempotent(self):
         model = MeasurementModel.weak(PAULI_Z, 0.3)
         joint = correlate(thermal_state(H2LEVEL, 1.0), model)
-        once = decohere_controller(joint)
-        twice = decohere_controller(once)
+        once, _ = decohere_controller(joint)
+        twice, _ = decohere_controller(once)
         # trace renormalization inside the state constructor costs one ulp
         assert max_abs(once.matrix.matrix - twice.matrix.matrix) < 1e-14
 
@@ -309,7 +308,7 @@ class TestDecohere:
             dim = int(rng.integers(2, 4))
             model = random_bare_model(dim, int(rng.integers(2, 4)), rng)
             joint = correlate(thermal_state(random_hamiltonian(dim, rng), 1.0), model)
-            fast = decohere_controller(joint)
+            fast, _ = decohere_controller(joint)
             explicit = decohere_via_ancilla(joint)
             assert max_abs(fast.matrix.matrix - explicit.matrix.matrix) < 1e-12
 
@@ -318,7 +317,7 @@ class TestDecohere:
             model = random_bare_model(2, 2, rng)
             joint = correlate(thermal_state(H2LEVEL, 1.0), model)
             before = von_neumann_entropy(joint.matrix)
-            after = von_neumann_entropy(decohere_controller(joint).matrix)
+            after = von_neumann_entropy(decohere_controller(joint)[0].matrix)
             assert after >= before - 1e-10
 
 
@@ -381,22 +380,22 @@ class TestBlockSpectra:
     def test_same_bytes_as_from_matrix(self, joint, rho, kept):
         sizes = [joint.system_dim] * joint.n_outcomes
         outcomes = range(joint.n_outcomes)
-        decohered = decohere_controller(joint, outcomes if kept is None else kept)
+        decohered, branches = decohere_controller(joint, outcomes if kept is None else kept)
         full = DensityMatrix.from_matrix(dephase_blocks(joint.matrix.matrix, sizes))
         assert decohered.matrix.matrix.tobytes() == full.matrix.tobytes()
+        if kept is not None:  # no branch is read off
+            assert branches.outcomes.size == branches.entropies.size == 0
+            return
 
-        entropies = decohered.branch_entropies(outcomes)
-        for n in outcomes:
-            block = decohered.block(n, n) / decohered.block_probability(n)
-            state = DensityMatrix.from_matrix(block)
-            # a kept branch's entropy comes from the eigenvalue-only call; a block not
-            # kept becomes a branch state on first use, and reads its eig
-            spectrum = eigvals_hermitian(state.matrix) if kept is None else state.eig.eigenvalues
-            assert entropies[n] == _nats(np.clip(spectrum, 0.0, None))
-            assert entropies[n] == pytest.approx(von_neumann_entropy(state), abs=1e-13)
-
-        final, _ = finalize_branches(decohered, rho, entropies, von_neumann_entropy(rho))
         p = decohered.probabilities()
+        assert branches.probabilities.tobytes() == p.tobytes()
+        for n, s_n in zip(outcomes, branches.entropies.tolist()):
+            state = DensityMatrix.from_matrix(decohered.block(n, n) / p[n])
+            # a kept branch's entropy comes from the eigenvalue-only call
+            assert s_n == _nats(np.clip(eigvals_hermitian(state.matrix), 0.0, None))
+            assert s_n == pytest.approx(von_neumann_entropy(state), abs=1e-13)
+
+        final, _ = finalize_branches(decohered, rho, branches, von_neumann_entropy(rho))
         p = p / p.sum()
         full = DensityMatrix.from_matrix(tensor(np.diag(p.astype(complex)), rho.matrix))
         assert final.matrix.matrix.tobytes() == full.matrix.tobytes()
@@ -424,7 +423,7 @@ class TestBlockSpectra:
     )
     def test_one_eig_call_gives_from_matrix_branches(self, eig_calls, eigvals_calls, joint, kept):
         eig_calls.clear()
-        out = decohere_controller(joint, kept)
+        _, branches = decohere_controller(joint, kept)
         # one eigenvalue-only call, every block in its stack, and no eigenvectors
         assert (eig_calls, eigvals_calls) == ([], [joint.n_outcomes])
         sizes = [joint.system_dim] * joint.n_outcomes
@@ -433,14 +432,13 @@ class TestBlockSpectra:
             joint.n_outcomes,
             joint.system_dim,
         )
-        for n in kept:
+        assert branches.outcomes.tolist() == list(kept)
+        for n, p_n, s_n in zip(kept, branches.probabilities.tolist(), branches.entropies.tolist()):
             block = pinched.block(n, n)
             full = DensityMatrix.from_matrix(block / block.trace().real)
-            branch = out.branch_state(n)
-            assert branch.matrix.tobytes() == full.matrix.tobytes()
-            assert "eig" not in branch.__dict__  # computed when read, as the single call
-            assert branch.eig.eigenvalues.tobytes() == full.eig.eigenvalues.tobytes()
-            assert branch.eig.eigenvectors.tobytes() == full.eig.eigenvectors.tobytes()
+            # p_n and S_n of the branch state from_matrix builds, S_n from its spectrum's bytes
+            assert p_n == block.trace().real
+            assert s_n == _nats(np.clip(eigvals_hermitian(full.matrix), 0.0, None))
 
     @pytest.mark.parametrize(
         "joint, kept",
@@ -452,24 +450,22 @@ class TestBlockSpectra:
         + [pytest.param(joint, kept, id=f"edge-{name}") for name, joint, kept in EDGE_JOINTS],
     )
     def test_matches_the_eigh_oracle(self, joint, kept):
-        """The stacked checks and the eigenvalue-only call give the pinched joint and the
-        branch matrices of the block-by-block eigh form byte for byte, its entropies to
-        round-off, and its error on the first failing block."""
+        """The stacked checks and the eigenvalue-only call give the pinched joint and every
+        kept p_n of the block-by-block eigh form byte for byte, its entropies to round-off,
+        and its error on the first failing block."""
         try:
-            expected = decohere_controller_reference(joint, kept)
+            expected, reference = decohere_controller_reference(joint, kept)
         except Exception as exc:
             with pytest.raises(type(exc)) as raised:
                 decohere_controller(joint, kept)
             assert str(raised.value) == str(exc)
             return
-        out = decohere_controller(joint, kept)
+        out, branches = decohere_controller(joint, kept)
         assert out.matrix.matrix.tobytes() == expected.matrix.matrix.tobytes()
-        for n in kept:
-            assert out.branch_state(n).matrix.tobytes() == expected.branch_state(n).matrix.tobytes()
-        entropies, reference = out.branch_entropies(kept), expected.branch_entropies(kept)
-        assert list(entropies) == list(reference)
-        for n in kept:
-            assert entropies[n] == pytest.approx(reference[n], abs=1e-13)
+        assert branches.outcomes.tolist() == reference.outcomes.tolist()
+        assert branches.probabilities.tobytes() == reference.probabilities.tobytes()
+        for s_n, s_reference in zip(branches.entropies.tolist(), reference.entropies.tolist()):
+            assert s_n == pytest.approx(s_reference, abs=1e-13)
 
     def test_probabilities_are_the_block_traces(self):
         rng = np.random.default_rng(3000)
@@ -486,11 +482,6 @@ class TestBlockSpectra:
         message = f"controller index {bad} is outside 0…1"
         with pytest.raises(ArgumentRangeError, match=message):
             decohere_controller(joint, [0, bad])
-        decohered = decohere_controller(joint, [0, 1])
-        with pytest.raises(ArgumentRangeError, match=message):
-            decohered.branch_state(bad)
-        with pytest.raises(ArgumentRangeError, match=message):
-            decohered.branch_entropies([0, bad])
 
     @pytest.mark.parametrize("kept", [(), (0, 1)])
     def test_block_below_the_tolerance_raises(self, kept):
@@ -505,21 +496,23 @@ class TestBlockSpectra:
         # branch entropy reads it as 0
         block = 0.5 * np.diag([1.0 + 1e-12, -1e-12]).astype(complex)
         joint = block_diagonal_joint([0.5 * np.diag([0.7, 0.3]).astype(complex), block])
-        out = decohere_controller(joint, kept)
+        out, branches = decohere_controller(joint, kept)
         assert out.matrix.matrix.tobytes() == joint.matrix.matrix.tobytes()
-        assert out.branch_state(1).eig.eigenvalues[-1] == -1e-12
-        entropies = out.branch_entropies([0, 1])
-        assert entropies[0] == pytest.approx(-(0.7 * math.log(0.7) + 0.3 * math.log(0.3)))
-        assert entropies[1] == 0.0
+        assert branches.outcomes.tolist() == list(kept)
+        if kept:
+            s_0, s_1 = branches.entropies
+            assert s_0 == pytest.approx(-(0.7 * math.log(0.7) + 0.3 * math.log(0.3)))
+            assert s_1 == 0.0
 
     def test_dropped_round_off_block_is_not_a_branch(self):
         # a block of trace 1e-16 whose spectrum is round-off: over its own trace
         # it has an eigenvalue of -1, yet as a block it is within the floor
         noise = np.diag([2e-16, -1e-16]).astype(complex)
         joint = block_diagonal_joint([np.diag([0.6, 0.4 - 1e-16]).astype(complex), noise])
-        out = decohere_controller(joint, [0])
+        out, branches = decohere_controller(joint, [0])
         assert out.block(1, 1).tobytes() == noise.tobytes()
-        assert out.branch_entropies([0])[0] == pytest.approx(
+        assert branches.outcomes.tolist() == [0]
+        assert branches.entropies[0] == pytest.approx(
             -(0.6 * math.log(0.6) + 0.4 * math.log(0.4)), abs=1e-15
         )
         with pytest.raises(InvalidStateError, match="branch 1"):
@@ -528,21 +521,12 @@ class TestBlockSpectra:
     def test_empty_block_has_no_branch(self):
         empty = np.zeros((2, 2), complex)
         joint = block_diagonal_joint([np.diag([0.6, 0.4]).astype(complex), empty])
-        out = decohere_controller(joint, [0])
+        out, branches = decohere_controller(joint, [0])
+        assert branches.outcomes.tolist() == [0]
         with pytest.raises(InvalidStateError, match="branch 1"):
-            out.branch_entropies([1])
+            decohere_controller(joint, [0, 1])  # as a branch, its trace is 0
         full = DensityMatrix.from_matrix(joint.matrix.matrix)
         assert out.matrix.matrix.tobytes() == full.matrix.tobytes()
-
-    def test_branch_states_follow_the_matrix(self):
-        joint, _ = seeded_joints()[0]
-        decohered = decohere_controller(joint, [0, 1])
-        swapped = replace(decohered, matrix=maximally_mixed(4))
-        assert max_abs(swapped.branch_state(0).matrix - np.eye(2) / 2) == 0.0
-        # a joint that was never decohered reads its diagonal blocks too
-        entropies = joint.branch_entropies([0, 1])
-        for n, s_n in decohered.branch_entropies([0, 1]).items():
-            assert entropies[n] == pytest.approx(s_n, abs=1e-12)
 
 
 class TestFinalizeAndLedger:
@@ -556,12 +540,12 @@ class TestFinalizeAndLedger:
 
         plan = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
         joint = apply_joint_unitary(joint, feedback_unitary(plan.basis_unitaries))
-        return decohere_controller(joint), rho
+        return *decohere_controller(joint, [0, 1]), rho
 
     def test_factorization(self):
-        joint, rho = self._decohered_xbasis_joint()
+        joint, branches, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        final, bath = finalize_branches(joint, rho, joint.branch_entropies([0, 1]), s_initial=s)
+        final, bath = finalize_branches(joint, rho, branches, s_initial=s)
         from qfeedback.linalg import tensor
 
         factored = tensor(final.controller_state().matrix, rho.matrix)
@@ -573,12 +557,9 @@ class TestFinalizeAndLedger:
     def test_szilard_branches(self):
         rho = maximally_mixed(2)
         model = MeasurementModel.bare([PROJ_0, PROJ_1])
-        joint = decohere_controller(correlate(rho, model))
+        joint, branches = decohere_controller(correlate(rho, model), [0, 1])
         final, bath = finalize_branches(
-            joint,
-            thermal_state(Hamiltonian.zero(2), 1.0),
-            joint.branch_entropies([0, 1]),
-            s_initial=LN2,
+            joint, thermal_state(Hamiltonian.zero(2), 1.0), branches, s_initial=LN2
         )
         np.testing.assert_allclose(
             final.controller_state().matrix, np.eye(2) / 2.0, atol=1e-12
@@ -587,9 +568,9 @@ class TestFinalizeAndLedger:
             assert value == pytest.approx(-LN2, abs=1e-9)
 
     def test_total_entropy_literal_vs_assembled(self):
-        joint, rho = self._decohered_xbasis_joint()
+        joint, branches, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        final, bath = finalize_branches(joint, rho, joint.branch_entropies([0, 1]), s_initial=s)
+        final, bath = finalize_branches(joint, rho, branches, s_initial=s)
         p = final.probabilities()
         branch_s = [0.0, 0.0]  # x-projector outcomes are pure
         literal = total_entropy(p, branch_s)
@@ -642,6 +623,20 @@ class TestFinalizeAndLedger:
 
 
 class TestFullCycle:
+    @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 4)])
+    def test_one_cycle_traces_the_blocks_once(self, monkeypatch, rng, dim, n):
+        """decohere_controller takes every p_n in one stacked trace, and the cycle and
+        finalize_branches read them from the branches it returns."""
+        traced = []
+
+        def counting(joint, _original=JointState.probabilities):
+            traced.append(joint.n_outcomes)
+            return _original(joint)
+
+        monkeypatch.setattr(JointState, "probabilities", counting)
+        run_controller_cycle(random_hamiltonian(dim, rng), 1.0, random_bare_model(dim, n, rng))
+        assert traced == [n]
+
     def test_xbasis_matches_measurement_picture(self):
         from qfeedback.feedback import run_cycle
 

@@ -31,7 +31,7 @@ distance always takes an eigenvalue-only call.  A bare controller cycle makes
 Its eigenvalue-only calls are one stacked call in ``decohere_controller`` on
 its N diagonal blocks, which gives every block's spectrum floor and the
 branch entropies, and one for the system closure distance: 3N + 2 matrices
-in all, as before.  The branch states keep no eig.  The reset reads the
+in all, as before.  No branch state is built.  The reset reads the
 record entropy from the controller marginal's diagonal, and the controller
 closure compares two equal matrices, which takes no call."""
 
@@ -124,9 +124,9 @@ def test_reset_reads_the_marginal_without_an_eig(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     rho = thermal_state(h, 1.0)
     kept = range(n)
-    joint = decohere_controller(correlate(rho, model), kept)
+    joint, branches = decohere_controller(correlate(rho, model), kept)
     s = von_neumann_entropy(rho)
-    final, bath = finalize_branches(joint, rho, joint.branch_entropies(kept), s)
+    final, bath = finalize_branches(joint, rho, branches, s)
     eig_calls.clear()
     marginal = final.controller_state()
     _, bath = reset_controller(marginal, bath)

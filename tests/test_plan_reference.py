@@ -2,13 +2,13 @@
 
 ``feedback.plan_feedback`` plans every kept outcome as one stacked ``FeedbackPlan``,
 and ``execute_plan`` reads its stacks to build the rotated states, their populations
-and the landing targets, checked by one ``thermo._unit_trace`` call.  On a seeded
-family (bare, efficient and inefficient models, and projective ones whose rank-1
-outcomes are pure, so their kernel levels are +inf; dims 1-16, N 1-4, T from 1e-3 to
-1e3) slice n of every stacked field must equal ``oracles.plan_feedback_reference`` for
-outcome n, and every landed state and work ``oracles.execute_plan_reference``, byte for
-byte.  One failing outcome among good ones must raise the reference's exception class
-and message.
+and the landing targets, checked by one ``thermo._unit_trace`` call, and returns the
+works.  On a seeded family (bare, efficient and inefficient models, and projective
+ones whose rank-1 outcomes are pure, so their kernel levels are +inf; dims 1-16,
+N 1-4, T from 1e-3 to 1e3) slice n of every stacked field must equal
+``oracles.plan_feedback_reference`` for outcome n, and every work
+``oracles.execute_plan_reference``'s, byte for byte.  One failing outcome among good
+ones must raise the reference's exception class and message.
 """
 
 import dataclasses
@@ -91,16 +91,8 @@ def _reference_bytes(plans):
     ]
 
 
-def _landed_bytes(landed):
-    return [
-        (
-            state.matrix.tobytes(),
-            state.eig.eigenvalues.tobytes(),
-            state.eig.eigenvectors.tobytes(),
-            np.float64(work).tobytes(),
-        )
-        for state, work in landed
-    ]
+def _work_bytes(works):
+    return [np.float64(work).tobytes() for work in works]
 
 
 def _plans(records, h, temperature, e):
@@ -140,9 +132,9 @@ def test_stacked_plans_and_landing_match_the_reference(i):
         return
     assert plan.basis_unitaries.shape == (len(records), h.dim, h.dim)
     assert plan.energy_basis.shape == (h.dim, h.dim)
-    landed_reference = _result(lambda: execute_plan_reference(records, reference, temperature))
-    landed = _result(lambda: execute_plan(records, plan, temperature))
-    _compare(landed, landed_reference, _landed_bytes)
+    works_reference = _result(lambda: execute_plan_reference(records, reference, temperature))
+    works = _result(lambda: execute_plan(records, plan, temperature))
+    _compare(works, works_reference, _work_bytes)
 
 
 def _good_case(n=3):
