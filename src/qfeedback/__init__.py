@@ -33,12 +33,9 @@ from .errors import (
 from .linalg import (
     EigenDecomposition,
     dagger,
-    dephase_blocks,
     eig_hermitian,
     hermitize,
     matrix_function,
-    partial_trace,
-    tensor,
 )
 from .thermo import (
     DensityMatrix,

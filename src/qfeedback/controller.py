@@ -23,14 +23,7 @@ from .errors import (
     InvalidStateError,
     NonUnitaryBlockError,
 )
-from .linalg import (
-    dagger,
-    dephase_blocks,
-    eigvals_hermitian,
-    max_abs,
-    partial_trace,
-    tensor,
-)
+from .linalg import dagger, eigvals_hermitian, max_abs
 from .feedback import plan_branches
 from .measurement import (
     MeasurementModel,
@@ -60,7 +53,10 @@ STRUCTURE_TOL = 1e-10
 class JointState:
     """Controller⊗system density matrix with N×N blocks of size d×d.
 
-    Diagonal blocks hold p_n ρ_n, off-diagonal blocks the coherences between
+    Row n·d + i is controller state n, system state i, so :meth:`blocks` reads
+    the matrix as one read-only (N, d, N, d) view whose [n, :, m, :] is block
+    (n, m); the diagonal blocks, their traces and both marginals are read from
+    it.  Diagonal blocks hold p_n ρ_n, off-diagonal blocks the coherences between
     controller basis states.  Each joint the cycle builds is PSD by
     construction and takes no eig of its own, nor do its two marginals,
     partial traces of a PSD matrix.  The branches ρ_n are read off by
@@ -82,26 +78,26 @@ class JointState:
             raise ArgumentRangeError(f"controller index {n} is outside 0…{self.n_outcomes - 1}")
         return operator.index(n)  # a bool is its int; a float raises TypeError
 
-    def block(self, n: int, m: int) -> np.ndarray:
-        d = self.system_dim
-        return self.matrix.matrix[n * d : (n + 1) * d, m * d : (m + 1) * d]
+    def blocks(self) -> np.ndarray:
+        """The matrix as one read-only (N, d, N, d) view: [n, :, m, :] is block (n, m)."""
+        n, d = self.n_outcomes, self.system_dim
+        return self.matrix.matrix.reshape(n, d, n, d)
 
     def diagonal_blocks(self) -> np.ndarray:
         """The N diagonal blocks p_n ρ_n as one read-only (N, d, d) view of the matrix."""
-        n, d = self.n_outcomes, self.system_dim
-        return self.matrix.matrix.reshape(n, d, n, d).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
+        return self.blocks().diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
 
     def probabilities(self) -> np.ndarray:
         """Every block's trace p_n by one stacked trace, each the bytes of its own np.trace."""
         return self.diagonal_blocks().trace(axis1=1, axis2=2).real
 
     def controller_state(self) -> DensityMatrix:
-        reduced = partial_trace(self.matrix.matrix, (self.n_outcomes, self.system_dim), over="B")
-        return DensityMatrix.from_psd(reduced, where="controller marginal")
+        """The system traced out: entry (n, m) is the trace of block (n, m)."""
+        return DensityMatrix.from_psd(np.einsum("abcb->ac", self.blocks()), "controller marginal")
 
     def system_state(self) -> DensityMatrix:
-        reduced = partial_trace(self.matrix.matrix, (self.n_outcomes, self.system_dim), over="A")
-        return DensityMatrix.from_psd(reduced, where="system marginal")
+        """The controller traced out: the sum of the diagonal blocks."""
+        return DensityMatrix.from_psd(np.einsum("abad->bd", self.blocks()), "system marginal")
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,14 @@ def feedback_unitary(blocks) -> np.ndarray:
     if failed.any():
         k = int(failed.argmax())
         raise NonUnitaryBlockError(f"block {k} unitarity residual {residuals[k]:.3e}")
-    n, d = u.shape[:2]
+    return _block_diagonal(u)
+
+
+def _block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Σ_n |n⟩⟨n| ⊗ A_n from the (N, d, d) stack of the A_n, zero off the diagonal blocks."""
+    n, d = stack.shape[:2]
     out = np.zeros((n, d, n, d), dtype=complex)
-    out[np.arange(n), :, np.arange(n), :] = u
+    out[np.arange(n), :, np.arange(n), :] = stack
     return out.reshape(n * d, n * d)
 
 
@@ -191,8 +192,7 @@ def decohere_controller(
     The first failing block raises, and so does an index outside 0…N-1
     (:class:`ArgumentRangeError`).  Returns the pinched joint and the kept branches.
     """
-    d, n_out = joint.system_dim, joint.n_outcomes
-    pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
+    pinched = _block_diagonal(joint.diagonal_blocks())
     decohered = replace(joint, matrix=DensityMatrix.from_psd(pinched, "decohered joint"))
     kept = np.array(sorted({decohered._index(n) for n in kept}), dtype=int)
     blocks, p = decohered.diagonal_blocks(), decohered.probabilities()
@@ -231,7 +231,7 @@ def finalize_branches(
     p_vec[branches.outcomes] = branches.probabilities
     gains[branches.outcomes] = branches.entropies - s_initial
     p_vec = p_vec / p_vec.sum()
-    final = tensor(np.diag(p_vec.astype(complex)), rho_t.matrix)
+    final = np.kron(np.diag(p_vec.astype(complex)), rho_t.matrix)
     joint_final = JointState(
         matrix=DensityMatrix.from_psd(final, "finalized joint"),
         n_outcomes=n,

@@ -43,9 +43,9 @@ class NonPositiveTemperatureError(InputError):
 
 class ArgumentRangeError(InputError, ValueError):
     """An argument lies outside its allowed values (a step count below 1, a
-    readout strength out of range, a partial-trace factor other than A or B,
-    a ledger format other than csv or json).  Also a ``ValueError``, as Python
-    code expects of a bad argument value."""
+    readout strength out of range, a controller index outside 0…N-1, a ledger
+    format other than csv or json).  Also a ``ValueError``, as Python code
+    expects of a bad argument value."""
 
 
 class InvalidStateError(NumericalError):

@@ -1,6 +1,6 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition (LAPACK ``eigh``
-with a fixed order and phase) or spectrum alone (``eigvalsh``), matrix
-functions, Kronecker/partial-trace, block dephasing.
+with a fixed order and phase) or spectrum alone (``eigvalsh``), spectral
+rebuilds and matrix functions, read-only copies.
 
 All routines are pure functions of their arguments and deterministic, so
 repeated calls on identical input give bit-identical output.  Matrices are
@@ -13,12 +13,11 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    ArgumentRangeError,
     DimensionMismatchError,
     DomainError,
     NoConvergenceError,
@@ -80,13 +79,6 @@ def hermitian_residual(m: np.ndarray) -> tuple[float, bool, bool]:
     bits = np.ascontiguousarray(m).view(np.int64)
     negative_zero = bits.size > 0 and bits.min() == NEGATIVE_ZERO_BITS
     return 0.0, not negative_zero, True
-
-
-def _as_square(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -198,47 +190,3 @@ def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
         values[i] = y
     return spectral_matrix(dec.eigenvectors, values)
 
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(m: np.ndarray, dims: tuple[int, int], over: str) -> np.ndarray:
-    """Reduced matrix of a bipartite operator on A⊗B.
-
-    ``over`` selects the factor to trace out: "A" leaves the B factor,
-    "B" leaves the A factor.
-    """
-    d_a, d_b = dims
-    m = _as_square(m)
-    if m.shape[0] != d_a * d_b:
-        raise DimensionMismatchError(
-            f"matrix dim {m.shape[0]} != product of factor dims {d_a}*{d_b}"
-        )
-    r = m.reshape(d_a, d_b, d_a, d_b)
-    if over.upper() == "B":
-        return np.einsum("abcb->ac", r)
-    if over.upper() == "A":
-        return np.einsum("abad->bd", r)
-    raise ArgumentRangeError(f"over must be 'A' or 'B', got {over!r}")
-
-
-def dephase_blocks(m: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Zero all off-diagonal blocks, keeping diagonal blocks untouched.
-
-    Trace-preserving and positivity-preserving (it is a pinching map).
-    """
-    m = _as_square(m)
-    sizes = list(block_sizes)
-    if sum(sizes) != m.shape[0]:
-        raise DimensionMismatchError(
-            f"block sizes {sizes} do not sum to matrix dim {m.shape[0]}"
-        )
-    out = np.zeros_like(m)
-    offset = 0
-    for size in sizes:
-        block = slice(offset, offset + size)
-        out[block, block] = m[block, block]
-        offset += size
-    return out

@@ -13,7 +13,10 @@ time, the feedback plans planned and executed one outcome at a time, each
 rotated state checked on its own, and each branch's maximal work
 F(ρ_n; H1) - F(ρ_T2; H2) from numpy's ``eigh``.
 ``eig_hermitian_reference`` is the straightforward form of the LAPACK
-wrapper, which the program's must match byte for byte.
+wrapper, which the program's must match byte for byte.  The controller's block
+pinch is also copied one diagonal block at a time.  The oracles form their
+Kronecker products, block slices and partial traces with ``np.kron``, slicing
+and ``einsum`` directly, so they share none of that code with the program.
 """
 
 from __future__ import annotations
@@ -42,18 +45,14 @@ from qfeedback.ledger import LedgerRow
 from qfeedback.linalg import (
     HERMITICITY_TOL,
     EigenDecomposition,
-    _as_square,
     _frobenius,
     dagger,
-    dephase_blocks,
     eig_hermitian,
     hermitian_residual,
     hermitize,
     is_hermitian,
     max_abs,
-    partial_trace,
     spectral_matrix,
-    tensor,
 )
 from qfeedback.measurement import (
     COMPLETENESS_TOL,
@@ -179,7 +178,7 @@ def jacobi_eig(m: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecom
 def eig_hermitian_reference(m: np.ndarray) -> EigenDecomposition:
     """``linalg.eig_hermitian`` without its shortcuts: it always hermitizes,
     always checks the Frobenius norm, and finds each column's peak on its own."""
-    a0 = _as_square(m)
+    a0 = np.asarray(m, dtype=complex)
     if not is_hermitian(a0):
         with np.errstate(over="ignore", invalid="ignore"):  # as in linalg: inf or nan, no warning
             residual = max_abs(a0 - dagger(a0))
@@ -274,17 +273,28 @@ def decohere_via_ancilla(joint: JointState) -> JointState:
         shift[(j + 1) % n, j] = 1.0
     aux0 = np.zeros((n, n), dtype=complex)
     aux0[0, 0] = 1.0
-    total = tensor(joint.matrix.matrix, aux0)
+    total = np.kron(joint.matrix.matrix, aux0)
     u = np.zeros((n * d * n, n * d * n), dtype=complex)
     power = np.eye(n, dtype=complex)
     for ctrl in range(n):
         proj = np.zeros((n, n), dtype=complex)
         proj[ctrl, ctrl] = 1.0
-        u += tensor(tensor(proj, np.eye(d, dtype=complex)), power)
+        u += np.kron(np.kron(proj, np.eye(d, dtype=complex)), power)
         power = shift @ power
     total = u @ total @ dagger(u)
-    reduced = partial_trace(total, (n * d, n), over="B")
+    reduced = np.einsum("abcb->ac", total.reshape(n * d, n, n * d, n))  # auxiliary out
     return replace(joint, matrix=DensityMatrix.from_matrix(reduced, where="decohered joint"))
+
+
+def pinch_by_slices(joint: JointState) -> np.ndarray:
+    """The joint's matrix with its off-diagonal blocks zeroed, copied one diagonal
+    block at a time."""
+    d, m = joint.system_dim, joint.matrix.matrix
+    out = np.zeros_like(m)
+    for n in range(joint.n_outcomes):
+        rows = slice(n * d, (n + 1) * d)
+        out[rows, rows] = m[rows, rows]
+    return out
 
 
 def decohere_controller_reference(joint: JointState, kept=()) -> tuple[JointState, KeptBranches]:
@@ -293,8 +303,7 @@ def decohere_controller_reference(joint: JointState, kept=()) -> tuple[JointStat
     ``eig_hermitian`` call, whose sorted, phase-fixed vectors each kept branch state
     keeps for ``von_neumann_entropy`` to read."""
     d, n_out = joint.system_dim, joint.n_outcomes
-    pinched = dephase_blocks(joint.matrix.matrix, [d] * n_out)
-    state = DensityMatrix.from_psd(pinched, "decohered joint")
+    state = DensityMatrix.from_psd(pinch_by_slices(joint), "decohered joint")
     blocks = [state.matrix[n * d : (n + 1) * d, n * d : (n + 1) * d] for n in range(n_out)]
     kept = sorted(set(kept))
     stack, probabilities = [], []

@@ -36,11 +36,11 @@ from qfeedback.linalg import (
     eig_hermitian,
     matrix_function,
     max_abs,
-    tensor,
 )
 from qfeedback.measurement import (
     MeasurementModel,
     apply,
+    entropy_reduction,
     measurement_energy_cost,
 )
 from qfeedback.sampling import (
@@ -157,8 +157,6 @@ def test_criterion_2_bound_saturation_ensemble():
 
 def test_criterion_3_measurement_energy_cost_sign():
     rng = np.random.default_rng(331)
-    from qfeedback.sampling import random_bare_model
-
     worst = math.inf
     for _ in range(100):
         dim = int(rng.integers(2, 5))
@@ -179,10 +177,27 @@ def test_criterion_3_measurement_energy_cost_sign():
         commuting = max(
             commuting, abs(measurement_energy_cost(records, average_energy(rho, h)))
         )
-    ok = worst >= -1e-9 and commuting < 1e-10
+    # negative controls: without either premise, bare operators or a thermal state,
+    # the measurement does drain energy
+    controls = np.random.default_rng(332)
+    not_bare = not_thermal = math.inf
+    for i in range(400):
+        dim, n_out = int(controls.integers(2, 5)), int(controls.integers(2, 5))
+        h = random_hamiltonian(dim, controls)
+        temperature = float(controls.uniform(0.5, 2.0))
+        if i % 2 == 0:  # an efficient, non-bare model on the thermal state
+            rho = thermal_state(h, temperature)
+            records = apply(random_efficient_model(dim, n_out, controls), rho, h)
+            not_bare = min(not_bare, measurement_energy_cost(records, average_energy(rho, h)))
+        else:  # a bare model on the thermal state of another Hamiltonian
+            rho = thermal_state(random_hamiltonian(dim, controls), temperature)
+            records = apply(random_bare_model(dim, n_out, controls), rho, h)
+            not_thermal = min(not_thermal, measurement_energy_cost(records, average_energy(rho, h)))
+    ok = worst >= -1e-9 and commuting < 1e-10 and not_bare < -1e-3 and not_thermal < -1e-3
     verdict(
         3, ok, "bare readout never drains a thermal state",
-        f"min dE_meas {worst:.2e} over 100, commuting |dE| max {commuting:.2e}",
+        f"min dE_meas {worst:.2e} over 100, commuting |dE| max {commuting:.2e}; "
+        f"controls reach {not_bare:.2e} (not bare), {not_thermal:.2e} (not thermal) over 200 each",
     )
 
 
@@ -265,7 +280,7 @@ def test_criterion_6_controller_equivalence():
             block_worst = max(
                 block_worst,
                 max_abs(
-                    joint.block(record.n, record.n)
+                    joint.blocks()[record.n, :, record.n, :]
                     - record.probability * record.state.matrix
                 ),
             )
@@ -277,7 +292,7 @@ def test_criterion_6_controller_equivalence():
         decohered, branches = decohere_controller(moved, [r.n for r in records])
         final, _ = finalize_branches(decohered, rho_t, branches, s_initial=s0)
         product = DensityMatrix.from_matrix(
-            tensor(final.controller_state().matrix, final.system_state().matrix)
+            np.kron(final.controller_state().matrix, final.system_state().matrix)
         )
         factor_worst = max(factor_worst, trace_distance(final.matrix, product))
 
@@ -411,4 +426,27 @@ def test_criterion_11_each_branch_reaches_its_maximal_work():
     verdict(
         11, ok, f"each of {branches} branches reaches F(rho_n; H1) - F(rho_T2; H2)",
         ", ".join(f"{kind} {value:.2e}" for kind, value in worst.items()),
+    )
+
+
+def test_criterion_12_efficient_readout_adds_no_heat():
+    # Groenewold-Lindblad: an efficient measurement never raises the average entropy,
+    # Σ p_n S(ρ_n) ≤ S(ρ), on any state, thermal for the measured system's H or not
+    rng = np.random.default_rng(1212)
+    worst = math.inf
+    for _ in range(400):
+        dim, n_out = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        model = random_efficient_model(dim, n_out, rng)
+        h = random_hamiltonian(dim, rng)
+        # full rank: the thermal state of an independent Hamiltonian
+        rho = thermal_state(random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0)))
+        records = apply(model, rho, h)
+        delta_s = entropy_reduction(
+            [r.probability for r in records], [r.entropy for r in records], von_neumann_entropy(rho)
+        )
+        worst = min(worst, delta_s)
+    ok = worst >= -1e-12
+    verdict(
+        12, ok, "efficient readout never raises the average entropy",
+        f"min dS_meas {worst:.2e} over 400 random states",
     )

@@ -76,7 +76,7 @@ def test_kept_joint_blocks_are_the_outcome_states():
         p = joint.probabilities()
         for record in apply(model, rho, h):
             n = record.n
-            block = joint.block(n, n) / p[n]
+            block = joint.blocks()[n, :, n, :] / p[n]
             assert max_abs(block - record.state.matrix) <= 1e-15
             blocks += 1
     assert blocks > 200

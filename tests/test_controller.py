@@ -31,12 +31,10 @@ from qfeedback.errors import (
 from qfeedback.feedback import plan_branches
 from qfeedback.linalg import (
     dagger,
-    dephase_blocks,
     eig_hermitian,
     eigvals_hermitian,
     max_abs,
     read_only,
-    tensor,
 )
 from qfeedback import measurement
 from qfeedback.measurement import (
@@ -79,6 +77,7 @@ from oracles import (
     decohere_controller_reference,
     decohere_via_ancilla,
     eig_checked_joint,
+    pinch_by_slices,
     total_entropy,
     total_entropy_assembled,
 )
@@ -92,25 +91,25 @@ class TestCorrelate:
         rho = thermal_state(H2LEVEL, 1.0)
         joint = correlate(rho, MeasurementModel.bare([np.eye(2, dtype=complex)]))
         assert joint.n_outcomes == 1
-        assert max_abs(joint.block(0, 0) - rho.matrix) < 1e-12
+        assert max_abs(joint.blocks()[0, :, 0, :] - rho.matrix) < 1e-12
 
     def test_orthogonal_projectors_kill_coherences(self):
         joint = correlate(
             maximally_mixed(2), MeasurementModel.bare([PROJ_0, PROJ_1])
         )
-        np.testing.assert_allclose(joint.block(0, 0), np.diag([0.5, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(joint.block(1, 1), np.diag([0.0, 0.5]), atol=1e-14)
-        np.testing.assert_allclose(joint.block(0, 1), 0.0, atol=1e-14)
+        np.testing.assert_allclose(joint.blocks()[0, :, 0, :], np.diag([0.5, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(joint.blocks()[1, :, 1, :], np.diag([0.0, 0.5]), atol=1e-14)
+        np.testing.assert_allclose(joint.blocks()[0, :, 1, :], 0.0, atol=1e-14)
 
     def test_weak_coherence_blocks(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
         joint = correlate(maximally_mixed(2), model)
         expected = math.sqrt(0.75 * 0.25) / 2.0
         np.testing.assert_allclose(
-            np.diag(joint.block(0, 1)).real, [expected, expected], atol=1e-12
+            np.diag(joint.blocks()[0, :, 1, :]).real, [expected, expected], atol=1e-12
         )
         # coherence blocks are adjoints of each other
-        assert max_abs(joint.block(0, 1) - dagger(joint.block(1, 0))) < 1e-12
+        assert max_abs(joint.blocks()[0, :, 1, :] - dagger(joint.blocks()[1, :, 0, :])) < 1e-12
 
     def test_diagonal_blocks_match_measurement_records(self, rng):
         # the isometry picture and the Kraus picture agree branch by branch
@@ -122,7 +121,7 @@ class TestCorrelate:
             joint = correlate(rho, model)
             records = apply(model, rho, h)
             for record in records:
-                block = joint.block(record.n, record.n)
+                block = joint.blocks()[record.n, :, record.n, :]
                 assert abs(np.trace(block).real - record.probability) < 1e-10
                 assert (
                     max_abs(block - record.probability * record.state.matrix) < 1e-10
@@ -159,8 +158,8 @@ class TestFeedbackUnitary:
         out = apply_joint_unitary(joint, feedback_unitary([u0, u1]))
         for (n, un) in ((0, u0), (1, u1)):
             for (m, um) in ((0, u0), (1, u1)):
-                expected = un @ joint.block(n, m) @ dagger(um)
-                assert max_abs(out.block(n, m) - expected) < 1e-12
+                expected = un @ joint.blocks()[n, :, m, :] @ dagger(um)
+                assert max_abs(out.blocks()[n, :, m, :] - expected) < 1e-12
 
     def test_rejects_non_unitary_block(self):
         with pytest.raises(NonUnitaryBlockError):
@@ -290,8 +289,8 @@ class TestDecohere:
         model = MeasurementModel.weak(PAULI_Z, 0.5)
         joint = correlate(maximally_mixed(2), model)
         out, _ = decohere_controller(joint)
-        assert max_abs(out.block(0, 1)) == 0.0
-        assert max_abs(out.block(0, 0) - joint.block(0, 0)) < 1e-14
+        assert max_abs(out.blocks()[0, :, 1, :]) == 0.0
+        assert max_abs(out.blocks()[0, :, 0, :] - joint.blocks()[0, :, 0, :]) < 1e-14
 
     def test_idempotent(self):
         model = MeasurementModel.weak(PAULI_Z, 0.3)
@@ -378,10 +377,9 @@ class TestBlockSpectra:
     @pytest.mark.parametrize("kept", [(), None], ids=["no-kept", "all-kept"])
     @pytest.mark.parametrize("joint, rho", seeded_joints())
     def test_same_bytes_as_from_matrix(self, joint, rho, kept):
-        sizes = [joint.system_dim] * joint.n_outcomes
         outcomes = range(joint.n_outcomes)
         decohered, branches = decohere_controller(joint, outcomes if kept is None else kept)
-        full = DensityMatrix.from_matrix(dephase_blocks(joint.matrix.matrix, sizes))
+        full = DensityMatrix.from_matrix(pinch_by_slices(joint))
         assert decohered.matrix.matrix.tobytes() == full.matrix.tobytes()
         if kept is not None:  # no branch is read off
             assert branches.outcomes.size == branches.entropies.size == 0
@@ -390,14 +388,14 @@ class TestBlockSpectra:
         p = decohered.probabilities()
         assert branches.probabilities.tobytes() == p.tobytes()
         for n, s_n in zip(outcomes, branches.entropies.tolist()):
-            state = DensityMatrix.from_matrix(decohered.block(n, n) / p[n])
+            state = DensityMatrix.from_matrix(decohered.blocks()[n, :, n, :] / p[n])
             # a kept branch's entropy comes from the eigenvalue-only call
             assert s_n == _nats(np.clip(eigvals_hermitian(state.matrix), 0.0, None))
             assert s_n == pytest.approx(von_neumann_entropy(state), abs=1e-13)
 
         final, _ = finalize_branches(decohered, rho, branches, von_neumann_entropy(rho))
         p = p / p.sum()
-        full = DensityMatrix.from_matrix(tensor(np.diag(p.astype(complex)), rho.matrix))
+        full = DensityMatrix.from_matrix(np.kron(np.diag(p.astype(complex)), rho.matrix))
         assert final.matrix.matrix.tobytes() == full.matrix.tobytes()
 
     @pytest.mark.parametrize(
@@ -426,15 +424,14 @@ class TestBlockSpectra:
         _, branches = decohere_controller(joint, kept)
         # one eigenvalue-only call, every block in its stack, and no eigenvectors
         assert (eig_calls, eigvals_calls) == ([], [joint.n_outcomes])
-        sizes = [joint.system_dim] * joint.n_outcomes
         pinched = JointState(
-            DensityMatrix.from_psd(dephase_blocks(joint.matrix.matrix, sizes)),
+            DensityMatrix.from_psd(pinch_by_slices(joint)),
             joint.n_outcomes,
             joint.system_dim,
         )
         assert branches.outcomes.tolist() == list(kept)
         for n, p_n, s_n in zip(kept, branches.probabilities.tolist(), branches.entropies.tolist()):
-            block = pinched.block(n, n)
+            block = pinched.blocks()[n, :, n, :]
             full = DensityMatrix.from_matrix(block / block.trace().real)
             # p_n and S_n of the branch state from_matrix builds, S_n from its spectrum's bytes
             assert p_n == block.trace().real
@@ -473,7 +470,7 @@ class TestBlockSpectra:
             n, d = int(rng.integers(1, 6)), int(rng.integers(1, 10))
             g = ginibre(n * d, rng) * 10.0 ** rng.uniform(-20.0, 0.0, (n * d, n * d))
             joint = JointState(DensityMatrix(read_only(g @ dagger(g))), n, d)
-            per_block = [float(np.trace(joint.block(k, k)).real) for k in range(n)]
+            per_block = [float(np.trace(joint.blocks()[k, :, k, :]).real) for k in range(n)]
             assert joint.probabilities().tobytes() == np.array(per_block).tobytes()
 
     @pytest.mark.parametrize("bad", [2, 5, -1])
@@ -510,7 +507,7 @@ class TestBlockSpectra:
         noise = np.diag([2e-16, -1e-16]).astype(complex)
         joint = block_diagonal_joint([np.diag([0.6, 0.4 - 1e-16]).astype(complex), noise])
         out, branches = decohere_controller(joint, [0])
-        assert out.block(1, 1).tobytes() == noise.tobytes()
+        assert out.blocks()[1, :, 1, :].tobytes() == noise.tobytes()
         assert branches.outcomes.tolist() == [0]
         assert branches.entropies[0] == pytest.approx(
             -(0.6 * math.log(0.6) + 0.4 * math.log(0.4)), abs=1e-15
@@ -527,6 +524,46 @@ class TestBlockSpectra:
             decohere_controller(joint, [0, 1])  # as a branch, its trace is 0
         full = DensityMatrix.from_matrix(joint.matrix.matrix)
         assert out.matrix.matrix.tobytes() == full.matrix.tobytes()
+
+
+class TestBlockLayout:
+    """Row n·d + i of a joint is controller state n, system state i: the marginals,
+    the controlled unitary and the pinch match forms written without the joint's
+    (N, d, N, d) view, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "joint",
+        [pytest.param(joint, id=f"seeded-{i}") for i, (joint, _) in enumerate(seeded_joints())],
+    )
+    def test_same_bytes_as_slice_and_einsum_forms(self, joint):
+        n, d = joint.n_outcomes, joint.system_dim
+        r = np.array(joint.matrix.matrix).reshape(n, d, n, d)
+        controller = DensityMatrix.from_psd(np.einsum("abcb->ac", r), "controller marginal")
+        system = DensityMatrix.from_psd(np.einsum("abad->bd", r), "system marginal")
+        assert joint.controller_state().matrix.tobytes() == controller.matrix.tobytes()
+        assert joint.system_state().matrix.tobytes() == system.matrix.tobytes()
+
+        rng = np.random.default_rng([n, d])
+        blocks = np.stack([random_unitary(d, rng) for _ in range(n)])
+        expected = np.zeros((n * d, n * d), dtype=complex)
+        for k in range(n):
+            expected[k * d : (k + 1) * d, k * d : (k + 1) * d] = blocks[k]
+        assert feedback_unitary(blocks).tobytes() == expected.tobytes()
+
+        pinched = DensityMatrix.from_psd(pinch_by_slices(joint), "decohered joint")
+        assert decohere_controller(joint)[0].matrix.matrix.tobytes() == pinched.matrix.tobytes()
+
+    def test_marginals_of_a_product_joint(self, rng):
+        # dims 2 and 3, so a marginal over the wrong factor has the wrong shape
+        a = thermal_state(random_hamiltonian(2, rng), 1.0)
+        b = thermal_state(random_hamiltonian(3, rng), 1.0)
+        joint = JointState(DensityMatrix(read_only(np.kron(a.matrix, b.matrix))), 2, 3)
+        np.testing.assert_allclose(joint.controller_state().matrix, a.matrix, atol=1e-12)
+        np.testing.assert_allclose(joint.system_state().matrix, b.matrix, atol=1e-12)
+
+    def test_joint_of_the_wrong_dim_raises(self):
+        with pytest.raises(DimensionMismatchError, match="joint dim 5 != 2\\*2"):
+            JointState(DensityMatrix(read_only(np.eye(5) / 5.0)), n_outcomes=2, system_dim=2)
 
 
 class TestFinalizeAndLedger:
@@ -546,9 +583,7 @@ class TestFinalizeAndLedger:
         joint, branches, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
         final, bath = finalize_branches(joint, rho, branches, s_initial=s)
-        from qfeedback.linalg import tensor
-
-        factored = tensor(final.controller_state().matrix, rho.matrix)
+        factored = np.kron(final.controller_state().matrix, rho.matrix)
         assert max_abs(final.matrix.matrix - factored) < 1e-8
         # branches were pure, so each bath branch lost the full thermal entropy
         for value in bath.branch_entropies:

@@ -1,5 +1,5 @@
 """Eigensolver (checked against the Jacobi oracle), polar decomposition, and
-multipartite helpers."""
+matrix functions."""
 
 import warnings
 
@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeedback.errors import (
-    DimensionMismatchError,
     DomainError,
-    InputError,
     InvalidStateError,
     NoConvergenceError,
     NotHermitianError,
@@ -18,7 +16,6 @@ from qfeedback.errors import (
 )
 from qfeedback.linalg import (
     dagger,
-    dephase_blocks,
     eig_hermitian,
     eigvals_hermitian,
     hermitian_residual,
@@ -26,13 +23,11 @@ from qfeedback.linalg import (
     is_hermitian,
     matrix_function,
     max_abs,
-    partial_trace,
-    tensor,
 )
 from qfeedback.sampling import random_hermitian
 from qfeedback.thermo import DensityMatrix, Hamiltonian
 
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, random_unitary
+from conftest import PAULI_X, PAULI_Y, random_unitary
 from oracles import jacobi_eig, polar_decompose, reconstruct
 
 
@@ -408,36 +403,3 @@ class TestPolarDecompose:
             lam = eig_hermitian(fac.positive).eigenvalues
             assert lam[-1] > -1e-12
 
-
-class TestMultipartite:
-    def test_tensor_shape_and_values(self):
-        out = tensor(PAULI_Z, np.eye(2, dtype=complex))
-        np.testing.assert_allclose(out, np.diag([1.0, 1.0, -1.0, -1.0]), atol=0)
-
-    def test_partial_trace_inverts_tensor(self, rng):
-        a = random_hermitian(2, rng)
-        b = random_hermitian(3, rng)
-        b = b / np.trace(b).real if abs(np.trace(b).real) > 0.1 else b + np.eye(3)
-        joint = tensor(a, b)
-        np.testing.assert_allclose(
-            partial_trace(joint, (2, 3), over="B"), a * np.trace(b), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            partial_trace(joint, (2, 3), over="A"), b * np.trace(a), atol=1e-12
-        )
-
-    def test_partial_trace_unknown_factor(self):
-        with pytest.raises(InputError, match="over must be 'A' or 'B'"):
-            partial_trace(np.eye(4, dtype=complex), (2, 2), over="C")
-
-    def test_partial_trace_wrong_dims(self):
-        with pytest.raises(DimensionMismatchError):
-            partial_trace(np.eye(5, dtype=complex), (2, 2), over="A")
-
-    def test_dephase_blocks_kills_coherences(self):
-        m = np.arange(16, dtype=complex).reshape(4, 4)
-        out = dephase_blocks(m, [2, 2])
-        np.testing.assert_allclose(out[:2, 2:], 0.0, atol=0)
-        np.testing.assert_allclose(out[2:, :2], 0.0, atol=0)
-        np.testing.assert_allclose(out[:2, :2], m[:2, :2], atol=0)
-        assert np.trace(out) == np.trace(m)
