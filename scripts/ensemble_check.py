@@ -71,9 +71,9 @@ def controller_residuals(cases, temperature):
     for h, model in cases:
         result = run_controller_cycle(h, temperature, model)
         rho = thermal_state(h, temperature)
-        records = apply(model, rho, h)
-        p_ref = records.probabilities
-        s_ref = von_neumann_entropy(rho) - float(np.dot(p_ref, [r.entropy for r in records]))
+        outcomes = apply(model, rho, h)
+        p_ref = outcomes.probabilities
+        s_ref = von_neumann_entropy(rho) - float(np.dot(p_ref, outcomes.entropies))
         p_gap = (
             float(np.max(np.abs(result.probabilities - p_ref)))
             if len(p_ref) == len(result.probabilities)

@@ -18,7 +18,6 @@ is kT itself, in the Hamiltonian's energy units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .measurement import (
     MeasurementModel,
     MeasurementOutcomes,
     ModelKind,
-    OutcomeRecord,
     SecondLawReport,
     apply,
     entropy_reduction,
@@ -36,6 +34,7 @@ from .measurement import (
     second_law_verdict,
 )
 from .thermo import (
+    STATE_TOL,
     DensityMatrix,
     Hamiltonian,
     ThermoReading,
@@ -159,41 +158,41 @@ class ContinuousResult:
 
 
 def plan_feedback(
-    records: Sequence[OutcomeRecord],
+    outcomes: MeasurementOutcomes,
     h: Hamiltonian,
     temperature: float,
     e_initial: float = 0.0,
 ) -> FeedbackPlan:
-    """Build the steps (i)-(iv) plan of every outcome in ``records``, each on its support,
-    as one stack over the stacked outcome spectra.
+    """Build the steps (i)-(iv) plan of every outcome in ``outcomes``, each on its support,
+    as one stack read from the outcomes' (K, d) eigenvalues and (K, d, d) eigenvectors.
 
     A level whose population is not positive is raised to +inf at no work:
     the limit of ε_j = -kT ln λ_j as λ_j → 0, which a pure outcome needs.  Not
     only an exact 0 counts: a pure outcome's eig can read a round-off -1e-18.
     """
-    if not records:
+    if not len(outcomes):
         raise ArgumentRangeError("plan_feedback needs at least one outcome")
     kt = boltzmann_kt(temperature)
-    lam = np.clip(np.array([r.state.eig.eigenvalues for r in records]), 0.0, None)
+    lam = np.clip(outcomes.eigenvalues, 0.0, None)
     lam = lam / lam.sum(axis=-1, keepdims=True)
     support = lam > 0.0
 
     # ascending energies, so the descending populations land on them in order
     energy_basis = h.eig.eigenvectors[:, ::-1]
-    unitaries = energy_basis @ dagger(np.array([r.state.eig.eigenvectors for r in records]))
+    unitaries = energy_basis @ dagger(outcomes.eigenvectors)
 
     with np.errstate(divide="ignore", over="ignore"):  # checked below
         levels = np.where(support, -kt * np.log(lam), np.inf)
     failed = (support & ~np.isfinite(levels)).any(axis=-1)
     if failed.any():
         raise DomainError(
-            f"outcome {records[int(failed.argmax())].n}: a retuned level -kT ln(lambda) "
+            f"outcome {outcomes.outcomes[int(failed.argmax())]}: a retuned level -kT ln(lambda) "
             f"is not finite (kT = {kt!r})"
         )
     # step (iv)'s shift c_n = E - Σ_j λ_j ε_j, the sum over the support
     mean_levels = np.array([np.dot(p[on], eps[on]) for eps, p, on in zip(levels, lam, support)])
-    outcomes = np.array([r.n for r in records])
-    return FeedbackPlan(outcomes, unitaries, energy_basis, levels, e_initial - mean_levels, lam)
+    shifts = e_initial - mean_levels
+    return FeedbackPlan(outcomes.outcomes, unitaries, energy_basis, levels, shifts, lam)
 
 
 def plan_branches(h: Hamiltonian, temperature: float, model: MeasurementModel) -> BranchPlans:
@@ -208,54 +207,56 @@ def plan_branches(h: Hamiltonian, temperature: float, model: MeasurementModel) -
 
 
 def execute_plan(
-    records: Sequence[OutcomeRecord],
+    outcomes: MeasurementOutcomes,
     plan: FeedbackPlan,
     temperature: float,
 ) -> np.ndarray:
     """Run steps (i)-(iv) for every kept outcome of a cycle, returning the (N,) works
     extracted: E_n - Tr[H ρ'] from the rotation at fixed H, plus
-    Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at fixed state ρ'.  Record n and
-    slice n of the plan read the H the plan was made for.
-    It reads the plan's (N, d, d) stacks: one ``_unit_trace`` call checks the rotated
-    states, and one eigenvalue-only call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N],
-    σ_n the Gibbs state of the retuned levels, gives the landing distances and the rotated
-    spectra, for the -STATE_TOL floor and the entropies.
+    Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at fixed state ρ'.  Row n of the
+    outcome stacks and slice n of the plan read the H the plan was made for.
+    One ``_unit_trace`` call checks the rotated states, and one eigenvalue-only call over
+    [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], σ_n the Gibbs state of the retuned levels,
+    gives the landing distances and the rotated spectra, for the floor and the entropies,
+    and the three checks run as one vectorized test.
 
-    Raises :class:`PlanMismatchError`, naming the first outcome that fails, if
-    a landed state is not the Gibbs state of its retuned levels (the shift c_n
-    cancels there), or if the rotation failed to preserve the outcome's
-    entropy.  A kernel level holds no population in that Gibbs state, so the
-    distance also bounds the weight the rotation left there.
+    Raises, for the first outcome that fails, the first of these checks it fails:
+    :class:`PlanMismatchError` if the landed state is not the Gibbs state of its retuned
+    levels (the shift c_n cancels there), :class:`InvalidStateError` if its spectrum is
+    below the floor, :class:`PlanMismatchError` if the rotation did not keep its entropy.
+    A NaN distance or drift fails.  A kernel level holds no population in that Gibbs
+    state, so the distance also bounds the weight the rotation left there.
     """
     n_out = len(plan.outcomes)
-    if len(records) != n_out:
-        raise PlanMismatchError(f"{len(records)} outcomes but {n_out} plans")
+    if len(outcomes) != n_out:
+        raise PlanMismatchError(f"{len(outcomes)} outcomes but {n_out} plans")
     if not n_out:
         raise ArgumentRangeError("execute_plan needs at least one outcome")
     u, b = plan.basis_unitaries, plan.energy_basis
-    states = np.array([record.state.matrix for record in records])
-    rotated, _ = _unit_trace(u @ states @ dagger(u), "rotated outcome state")
+    rotated, _ = _unit_trace(u @ outcomes.states @ dagger(u), "rotated outcome state")
     # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
     # work, so Tr[(H_n + c_n) ρ'] sums over the support only
     populations = np.einsum("ij,nij->nj", b.conj(), rotated @ b).real
     expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
     spectra = eigvals_hermitian(np.concatenate([rotated, rotated - expected]))
 
-    works = []
-    for n, (record, outcome, levels) in enumerate(zip(records, plan.outcomes, plan.levels)):
-        deviation = 0.5 * float(np.abs(spectra[n_out + n]).sum())
-        if not deviation <= PLAN_TOL:
+    lam = spectra[:n_out]
+    deviations = 0.5 * np.abs(spectra[n_out:]).sum(axis=-1)
+    drifts = np.abs(np.array([_nats(s) for s in np.clip(lam, 0.0, None)]) - outcomes.entropies)
+    failed = ~(deviations <= PLAN_TOL) | (lam[:, -1] < -STATE_TOL) | ~(drifts <= PLAN_TOL)
+    if failed.any():
+        n = int(failed.argmax())
+        outcome = plan.outcomes[n]
+        if not deviations[n] <= PLAN_TOL:
             raise PlanMismatchError(
-                f"outcome {outcome}: landed state is {deviation:.3e} from thermal "
+                f"outcome {outcome}: landed state is {deviations[n]:.3e} from thermal "
                 f"(tolerance {PLAN_TOL:g})"
             )
-        _check_spectrum_floor(float(spectra[n, -1]), f"outcome {outcome}")
-        drift = abs(_nats(np.clip(spectra[n], 0.0, None)) - record.entropy)
-        if not drift <= PLAN_TOL:
-            raise PlanMismatchError(f"outcome {outcome}: entropy drifted by {drift:.3e}")
-        on = np.isfinite(levels)
-        works.append(record.energy - float(np.dot(levels[on] + plan.shifts[n], populations[n][on])))
-    return np.array(works)
+        _check_spectrum_floor(float(lam[n, -1]), f"outcome {outcome}")
+        raise PlanMismatchError(f"outcome {outcome}: entropy drifted by {drifts[n]:.3e}")
+    on = np.isfinite(plan.levels)
+    rows = zip(plan.levels, plan.shifts, populations, on)
+    return outcomes.energies - np.array([np.dot(e[s] + c, p[s]) for e, c, p, s in rows])
 
 
 def isothermal_work(s_target: float, s_n: float, temperature: float) -> float:
@@ -295,46 +296,34 @@ def _run(
     rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature)
     target = step.initial if h2 is h1 else thermo_reading(rho_target, h2, temperature)
 
-    branches = []
-    works = execute_plan(step.outcomes, step.plan, temperature)
-    for record, work_steps in zip(step.outcomes, works.tolist()):
-        # isothermal stage from the branch Hamiltonian to h2: work equals the
-        # free-energy drop at fixed T, and the state tracks the instantaneous
-        # thermal state, so every branch ends on rho_target.
-        work_iso = (step.initial.energy - target.energy) + isothermal_work(
-            target.entropy, record.entropy, temperature
-        )
-        branches.append(
-            OutcomeLedger(
-                n=record.n,
-                probability=record.probability,
-                entropy=record.entropy,
-                energy=record.energy,
-                delta_e=record.energy - step.initial.energy,
-                work=work_steps + work_iso,
-            )
-        )
-
-    probabilities = step.outcomes.probabilities
-    delta_s_meas = entropy_reduction(
-        probabilities, [r.entropy for r in step.outcomes], step.initial.entropy
+    outcomes = step.outcomes
+    # isothermal stage from the branch Hamiltonian to h2: the free-energy drop at fixed T,
+    # the state tracking the instantaneous thermal state, so every branch ends on rho_target
+    works = execute_plan(outcomes, step.plan, temperature) + (
+        (step.initial.energy - target.energy)
+        + isothermal_work(target.entropy, outcomes.entropies, temperature)
     )
-    work_total = float(sum(b.probability * b.work for b in branches))
+    columns = (outcomes.outcomes, outcomes.probabilities, outcomes.entropies, outcomes.energies)
+    columns += (outcomes.energies - step.initial.energy, works)
+    branches = tuple(OutcomeLedger(*row) for row in zip(*(c.tolist() for c in columns)))
+    s_initial = step.initial.entropy
+    delta_s_meas = entropy_reduction(outcomes.probabilities, outcomes.entropies, s_initial)
+    work_total = float(sum((outcomes.probabilities * works).tolist()))
     final = DensityMatrix.from_psd(
-        sum(b.probability * rho_target.matrix for b in branches), where="cycle endpoint"
+        sum(p * rho_target.matrix for p in outcomes.probabilities.tolist()), "cycle endpoint"
     )
     ledger = CycleLedger(
         initial=step.initial,
         temperature=temperature,
-        outcomes=tuple(branches),
+        outcomes=branches,
         delta_e_meas=step.delta_e_meas,
         delta_s_meas=delta_s_meas,
         work_total=work_total,
         work_fb=work_total - step.delta_e_meas,
-        report=second_law_verdict(probabilities, delta_s_meas),
+        report=second_law_verdict(outcomes.probabilities, delta_s_meas),
         heat_from_bath=temperature * delta_s_meas,
         closure_distance=trace_distance(final, rho_target),
-        dropped_outcomes=step.outcomes.dropped,
+        dropped_outcomes=outcomes.dropped,
     )
     return ledger, target
 

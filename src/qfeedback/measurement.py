@@ -9,10 +9,10 @@ indexed by outcome:
 * weak        - two-outcome family P_± = sqrt((I ± εB)/2) built from a
                 Hermitian generator B with ||B|| ≤ 1 and strength ε
 
-Applying a model to a state yields per-outcome records carrying probability,
-post-measurement state, entropy, and average energy; the average entropy drop
-and the average energy added by the measurement derive from those records.
-The kept outcome states are built as one stack from the factors
+Applying a model to a state yields its kept outcomes as read-only (K, …) stacks
+of index, probability, post-measurement state with its decomposition, entropy
+and average energy, from which the average entropy drop and energy added
+derive.  The states are one batched X_n X_n† product of the factors
 X_nj = A_nj ρ^½, PSD by construction at any probability, which the
 controller's joint reads too.
 The second-law report of a cycle, ΔS_tot = S({p_n}) - ΔS_meas with its
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .linalg import (
     HERMITICITY_TOL,
+    EigenDecomposition,
     dagger,
     eig_hermitian,
     hermitian_residual,
@@ -52,7 +53,8 @@ from .thermo import DensityMatrix, Hamiltonian, _energies, _nats, shannon_entrop
 COMPLETENESS_TOL = 1e-10
 # how far past 1 a weak model's generator norm may read
 GENERATOR_NORM_TOL = 1e-12
-# An outcome less likely than this is dropped: is_dropped reads it when called.
+# An outcome less likely than this is dropped, and so is one whose probability is not
+# positive (its conditional state p_n ρ_n / p_n is undefined): apply reads it when called.
 P_FLOOR = 1e-14
 # The thresholds on ΔS_tot that judge_second_law applies.
 SECOND_LAW_TOL = -1e-9
@@ -90,7 +92,8 @@ class MeasurementModel:
     """Tagged family of measurement operators, grouped by outcome.
 
     The builders store read-only copies of the operators and generator, so
-    ``report``, computed on first use and then kept, stays true of them.
+    ``report`` and ``operator_stack``, computed on first use and then kept, stay
+    true of them.
     """
 
     kind: ModelKind
@@ -146,7 +149,7 @@ class MeasurementModel:
         # a non-finite residual means operators beyond the float range: the model
         # is invalid already, and its spectra cannot be computed
         if self.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
-            ops = np.stack([group[0] for group in self.groups])  # one shape: _square_family
+            ops = self.operator_stack[:, 0]  # one operator per outcome
             worst = np.array([hermitian_residual(p)[0] for p in ops])
             hermitian = worst <= HERMITICITY_TOL  # the others report their residual
             if hermitian.any():
@@ -155,6 +158,13 @@ class MeasurementModel:
             bad = [(n, float(worst[n])) for n in np.flatnonzero(flagged).tolist()]
         ok = residual <= COMPLETENESS_TOL and not bad
         return ValidationReport(ok=ok, completeness_residual=residual, non_positive=tuple(bad))
+
+    @cached_property
+    def operator_stack(self) -> np.ndarray:
+        """The operators as one read-only (N, k, d, d) stack, k the largest group's size:
+        [n, j] is A_nj, and a smaller group ends in zero matrices."""
+        k, zero = max(map(len, self.groups)), np.zeros_like(self.groups[0][0])
+        return read_only([group + (zero,) * (k - len(group)) for group in self.groups])
 
     @property
     def dim(self) -> int:
@@ -205,8 +215,8 @@ def require_valid(model: MeasurementModel) -> None:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One measurement branch: index n, probability p_n, post-state ρ_n,
-    entropy S_n (nats), and average energy E_n."""
+    """One measurement branch: index n, probability p_n, post-state ρ_n, entropy S_n
+    (nats), and average energy E_n: a row of :class:`MeasurementOutcomes`, on demand."""
 
     n: int
     probability: float
@@ -217,53 +227,49 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class MeasurementOutcomes(Sequence):
-    """The branches produced by one measurement, plus drop bookkeeping.
+    """The kept outcomes of one measurement as read-only stacks, a row per outcome by rising
+    index, and the dropped outcome indices; indexing or iterating it builds
+    :class:`OutcomeRecord` views of its rows."""
 
-    Behaves as a sequence of :class:`OutcomeRecord`; ``dropped`` lists the
-    outcome indices whose probability fell below the floor and were removed,
-    with the remaining probabilities renormalized.
-    """
-
-    records: tuple[OutcomeRecord, ...]
+    outcomes: np.ndarray  # (K,) outcome indices n
+    probabilities: np.ndarray  # (K,) p_n, renormalized over the kept outcomes
+    states: np.ndarray  # (K, d, d) ρ_n
+    eigenvalues: np.ndarray  # (K, d) each ρ_n's spectrum, descending
+    eigenvectors: np.ndarray  # (K, d, d) the matching eigenvectors, as columns
+    entropies: np.ndarray  # (K,) S_n in nats
+    energies: np.ndarray  # (K,) E_n = Tr[H ρ_n]
     dropped: tuple[int, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.outcomes)
 
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __iter__(self) -> Iterator[OutcomeRecord]:
-        return iter(self.records)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([r.probability for r in self.records])
-
-
-def is_dropped(p: float) -> bool:
-    """An outcome with probability ``p`` is dropped when p is not positive (its
-    conditional state p_n ρ_n / p_n is undefined) or below :data:`P_FLOOR`."""
-    return p <= 0.0 or p < P_FLOOR
+    def __getitem__(self, i: int) -> OutcomeRecord:
+        n = int(self.outcomes[i])
+        dec = EigenDecomposition(self.eigenvalues[i], self.eigenvectors[i])
+        state = DensityMatrix._with_eig(self.states[i], dec, f"outcome {n}")
+        p, s, e = (float(a[i]) for a in (self.probabilities, self.entropies, self.energies))
+        return OutcomeRecord(n, p, state, s, e)
 
 
 def _branch_factors(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
-    """X_nj = A_nj ρ^½ for every operator of ``model``, outcome by outcome, as one (K, d, d)
-    stack, with ρ^½ = V diag(√λ⁺) read from ρ's decomposition.  X_nj X_nj† = A_nj ρ A_nj† is
-    PSD by construction, and its round-off scales with ‖X_nj‖²_F, so an outcome's state
-    Σ_j X_nj X_nj† / p_n, with p_n = Σ_j ‖X_nj‖²_F, is exact to round-off at any p_n.  Both
-    pictures read it: :func:`apply` per outcome, the controller's joint as X X†."""
+    """X_n = [X_n1 … X_nk], X_nj = A_nj ρ^½, of every outcome as one (N, d, k·d) stack, k the
+    largest group's size (a smaller group's X_n ends in zero columns), with ρ^½ = V diag(√λ⁺)
+    from ρ's decomposition.  X_n X_n† is PSD by construction, and its round-off scales with
+    ‖X_n‖²_F = p_n, so ρ_n = X_n X_n† / p_n is exact to round-off at any p_n.  Both pictures
+    read it: :func:`apply` per outcome, the controller's joint as X X†."""
     dec = rho.eig
     root = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return np.array([a for group in model.groups for a in group]) @ root
+    x = (model.operator_stack @ root).transpose(0, 2, 1, 3)  # [n, :, j, :] is X_nj
+    return x.reshape(*x.shape[:2], -1)
 
 
 def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> MeasurementOutcomes:
-    """Apply a measurement to ρ: branch n gets ρ_n = Σ_j X_nj X_nj† / p_n with
-    p_n = Σ_j ‖X_nj‖²_F = Σ_j Tr[A_nj† A_nj ρ], X_nj the factors of :func:`_branch_factors`;
-    one :meth:`DensityMatrix.from_matrix` call builds every kept ρ_n from their stack.
+    """Apply a measurement to ρ: outcome n gets ρ_n = X_n X_n† / p_n, p_n = ‖X_n‖²_F, X_n
+    from :func:`_branch_factors`, by one batched product, one stacked
+    :meth:`DensityMatrix.from_matrix` call on the kept ρ_n (re-run per outcome if it fails,
+    to name it) and one energy product.
 
-    Outcomes that :func:`is_dropped` rejects are removed and the surviving probabilities
+    Outcomes with p_n below :data:`P_FLOOR` are dropped and the surviving probabilities
     renormalized proportionally; :class:`DegenerateStateError` is raised when none survives.
     """
     if model.dim != rho.dim:
@@ -272,37 +278,38 @@ def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> Measur
         raise DimensionMismatchError(f"state dim {rho.dim} != Hamiltonian dim {h.dim}")
     require_valid(model)
 
-    factors = iter(_branch_factors(model, rho))
-    kept, dropped = [], []
-    for n, group in enumerate(model.groups):
-        x = np.hstack([next(factors) for _ in group])  # X_n = [X_n1 … X_nk]
-        p = float(np.vdot(x, x).real)
-        if is_dropped(p):
-            dropped.append(n)
-        else:
-            kept.append((n, p, x @ dagger(x) / p))
-    if not kept:
+    x = _branch_factors(model, rho)
+    # one vdot per outcome over its own columns, in the order np.hstack lays them out
+    widths = [len(group) * rho.dim for group in model.groups]
+    p = np.array([np.vdot(xn[:, :w], xn[:, :w]).real for xn, w in zip(x, widths)])
+    dropped = p < P_FLOOR  # a p_n that is not positive too
+    outcomes = np.flatnonzero(~dropped)
+    if not outcomes.size:
         raise DegenerateStateError(f"every outcome probability is below the floor {P_FLOOR:g}")
 
-    outcomes, probabilities, matrices = zip(*kept)
+    p = p[outcomes]
+    matrices = (x @ dagger(x))[outcomes] / p[:, None, None]
     try:
-        states = DensityMatrix.from_matrix(np.array(matrices), where="outcome")
+        states, dec = DensityMatrix.from_matrix(matrices, where="outcome")
     except InvalidStateError:  # one call per outcome, so that the failing one is named
-        states = [DensityMatrix.from_matrix(m, f"outcome {n}") for n, m in zip(outcomes, matrices)]
-    energies = _energies(h, np.array([state.matrix for state in states])).tolist()
-    clipped = np.clip([state.eig.eigenvalues for state in states], 0.0, None)
-    total = sum(probabilities)
-    records = tuple(
-        OutcomeRecord(n, p / total, state, _nats(s), energy)
-        for n, p, state, s, energy in zip(outcomes, probabilities, states, clipped, energies)
+        for n, m in zip(outcomes.tolist(), matrices):
+            DensityMatrix.from_matrix(m, f"outcome {n}")
+        raise
+    entropies = np.array([_nats(s) for s in np.clip(dec.eigenvalues, 0.0, None)])
+    energies = _energies(h, states)
+    probabilities = p / sum(p.tolist())
+    for a in (outcomes, probabilities, entropies, energies):
+        a.setflags(write=False)
+    return MeasurementOutcomes(
+        outcomes, probabilities, states, dec.eigenvalues, dec.eigenvectors, entropies, energies,
+        dropped=tuple(np.flatnonzero(dropped).tolist()),
     )
-    return MeasurementOutcomes(records=records, dropped=tuple(dropped))
 
 
-def measurement_energy_cost(records: Sequence[OutcomeRecord], e_initial: float) -> float:
+def measurement_energy_cost(outcomes: MeasurementOutcomes, e_initial: float) -> float:
     """Average energy the measurement pumped into the system:
-    ΔE_meas = Σ p_n E_n - E."""
-    return sum(r.probability * r.energy for r in records) - e_initial
+    ΔE_meas = Σ p_n E_n - E, summed in outcome order."""
+    return sum((outcomes.probabilities * outcomes.energies).tolist()) - e_initial
 
 
 def entropy_reduction(probabilities, entropies, s_initial: float) -> float:

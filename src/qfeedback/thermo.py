@@ -135,14 +135,14 @@ def _state_array(matrix, where: str, max_ndim: int = 2) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace state ρ.
 
-    :meth:`from_matrix` builds a state, or every state of a stack, it must check for
-    positivity: it takes the eig, and an eigenvalue below -1e-10 raises
+    :meth:`from_matrix` checks a state, or every matrix of a stack, for positivity: it
+    takes the eig, and an eigenvalue below -1e-10 raises
     :class:`InvalidStateError`.  A smaller negative eigenvalue is round-off and is kept as
     it stands: the entropy and the feedback plan read it as 0.  A state that is PSD by
     construction goes through :meth:`from_psd` instead, which skips the eig.
 
     ``eig`` is the decomposition of ``matrix``.  A state built from its spectrum keeps it:
-    a :meth:`from_matrix` state the decomposition (or stacked slice) its checks computed,
+    a :meth:`from_matrix` state the decomposition its checks computed,
     and a :func:`gibbs_state` its Gibbs weights on the given eigenvectors.  Any other state,
     such as a joint of the controller picture, computes it on first use.
     """
@@ -155,9 +155,10 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix | tuple":
-        """The checked state of a matrix, or the N states of an (N, d, d) stack by one call of
-        ``_unit_trace`` and of eig: state i and its spectrum are the single call's, byte for
-        byte, and a failing stack raises the single call's error on its first failing slice."""
+        """The checked state of a matrix.  An (N, d, d) stack takes one call of ``_unit_trace``
+        and of eig and builds no state: it returns the read-only checked stack and its stacked
+        decomposition, slice i the single call's bytes, and if it fails, the single call's
+        error on its first failing slice."""
         raw = _state_array(matrix, where, max_ndim=3)
         if raw.ndim == 2:
             m, _ = _unit_trace(raw, where)
@@ -165,10 +166,13 @@ class DensityMatrix:
         try:
             m, _ = _unit_trace(raw, where)
             dec = eig_hermitian(m)
-            slices = zip(m, dec.eigenvalues, dec.eigenvectors)
-            return tuple(cls._with_eig(x, EigenDecomposition(w, v), where) for x, w, v in slices)
+            for lam_min in dec.eigenvalues[:, -1].tolist():
+                _check_spectrum_floor(lam_min, where)
         except InvalidStateError:  # one call per matrix, so that the first failing one raises
-            return tuple(cls.from_matrix(x, where) for x in raw)
+            for x in raw:
+                cls.from_matrix(x, where)
+            raise
+        return read_only(m), dec
 
     @classmethod
     def from_psd(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":

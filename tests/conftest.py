@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -6,9 +7,9 @@ import pytest
 
 from qfeedback import linalg
 from qfeedback.linalg import dagger, read_only
-from qfeedback.measurement import MeasurementModel
+from qfeedback.measurement import MeasurementModel, MeasurementOutcomes
 from qfeedback.sampling import _normalized_ginibre, ginibre, random_hamiltonian
-from qfeedback.thermo import DensityMatrix
+from qfeedback.thermo import DensityMatrix, average_energy, von_neumann_entropy
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -82,6 +83,32 @@ def random_inefficient_model(dim, n_outcomes, rng, ops_per_outcome=2):
         normalized[i * ops_per_outcome : (i + 1) * ops_per_outcome] for i in range(n_outcomes)
     ]
     return MeasurementModel.inefficient(groups)
+
+
+def stacked_outcomes(states, h, outcomes=None) -> MeasurementOutcomes:
+    """The outcome stacks ``apply`` would hand on for the given states, without measuring:
+    each state's own matrix, decomposition, entropy and energy on ``h``, equal
+    probabilities, and outcome indices 0…K-1 unless ``outcomes`` names them."""
+    k = len(states)
+    return MeasurementOutcomes(
+        outcomes=np.arange(k) if outcomes is None else np.array(outcomes),
+        probabilities=np.full(k, 1.0 / k),
+        states=np.array([s.matrix for s in states]),
+        eigenvalues=np.array([s.eig.eigenvalues for s in states]),
+        eigenvectors=np.array([s.eig.eigenvectors for s in states]),
+        entropies=np.array([von_neumann_entropy(s) for s in states]),
+        energies=np.array([average_energy(s, h) for s in states]),
+    )
+
+
+def with_row(outcomes, n, **rows) -> MeasurementOutcomes:
+    """``outcomes`` with row n of each named stack replaced by the given value, unchecked."""
+    changed = {}
+    for name, value in rows.items():
+        stack = getattr(outcomes, name).copy()
+        stack[n] = value
+        changed[name] = stack
+    return dataclasses.replace(outcomes, **changed)
 
 
 def random_density_matrix(dim, rng):

@@ -58,12 +58,9 @@ from qfeedback.measurement import (
     COMPLETENESS_TOL,
     P_FLOOR,
     MeasurementModel,
-    MeasurementOutcomes,
     ModelKind,
     OutcomeRecord,
     ValidationReport,
-    _branch_factors,
-    is_dropped,
     require_valid,
 )
 from qfeedback.thermo import (
@@ -365,18 +362,29 @@ def average_post_state(records) -> DensityMatrix:
     return DensityMatrix.from_matrix(acc, where="average post-measurement state")
 
 
+@dataclass(frozen=True)
+class ReferenceOutcomes:
+    """What ``apply_reference`` keeps: one :class:`OutcomeRecord` per kept outcome, in
+    order, and the dropped outcome indices."""
+
+    records: tuple[OutcomeRecord, ...]
+    dropped: tuple[int, ...]
+
+
 def apply_reference(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian):
-    """``measurement.apply`` one outcome at a time: each kept outcome's state built by its
-    own ``from_matrix`` call, its energy by its own complex Tr[Hρ_n]."""
+    """``measurement.apply`` one outcome at a time: each factor X_nj = A_nj ρ^½ by its own
+    product, each X_n by ``np.hstack``, each kept outcome's state by its own
+    ``from_matrix`` call and its energy by its own complex Tr[Hρ_n]; a
+    :class:`ReferenceOutcomes`."""
     if not model.dim == rho.dim == h.dim:
         raise DimensionMismatchError(f"dims differ: {model.dim}, {rho.dim}, {h.dim}")
     require_valid(model)
-    factors = iter(_branch_factors(model, rho))
+    root = rho.eig.eigenvectors * np.sqrt(np.clip(rho.eig.eigenvalues, 0.0, None))
     raw, dropped = [], []
     for n, group in enumerate(model.groups):
-        x = np.hstack([next(factors) for _ in group])  # X_n = [X_n1 … X_nk]
+        x = np.hstack([a @ root for a in group])  # X_n = [X_n1 … X_nk]
         p = float(np.vdot(x, x).real)
-        if is_dropped(p):
+        if p <= 0.0 or p < P_FLOOR:
             dropped.append(n)
         else:
             raw.append((n, p, x))
@@ -388,7 +396,7 @@ def apply_reference(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian)
         state = DensityMatrix.from_matrix(x @ dagger(x) / p, where=f"outcome {n}")
         energy = complex((h.matrix @ state.matrix).trace()).real
         records.append(OutcomeRecord(n, p / total, state, von_neumann_entropy(state), energy))
-    return MeasurementOutcomes(records=tuple(records), dropped=tuple(dropped))
+    return ReferenceOutcomes(records=tuple(records), dropped=tuple(dropped))
 
 
 def branch_max_work_reference(
@@ -532,7 +540,7 @@ def execute_plan_reference(records, plans, temperature: float):
 
     for n, (record, plan) in enumerate(zip(records, plans)):
         deviation = 0.5 * float(np.abs(dec.eigenvalues[len(rotated) + n]).sum())
-        if deviation > PLAN_TOL:
+        if not deviation <= PLAN_TOL:  # NaN too
             raise PlanMismatchError(
                 f"outcome {plan.outcome}: landed state is {deviation:.3e} from thermal "
                 f"(tolerance {PLAN_TOL:g})"
@@ -540,7 +548,7 @@ def execute_plan_reference(records, plans, temperature: float):
         spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
         state = DensityMatrix._with_eig(rotated[n], spectrum, f"outcome {plan.outcome}")
         drift = abs(von_neumann_entropy(state) - record.entropy)
-        if drift > PLAN_TOL:
+        if not drift <= PLAN_TOL:  # NaN too
             raise PlanMismatchError(f"outcome {plan.outcome}: entropy drifted by {drift:.3e}")
     return np.array(works)
 

@@ -1,12 +1,14 @@
 """The stacked ``measurement.apply`` against the one-outcome-at-a-time form.
 
-``apply`` builds every kept outcome state with one ``DensityMatrix.from_matrix`` call
-on the stack of X_n X_n† / p_n, and every energy Tr[H ρ_n] from one stacked product.
-On a seeded family (bare, efficient, inefficient with N = 1 among them, and weak
-models; dims 2-8; T from 3e-3 to 3, so that some outcomes are dropped) and on the
-small-probability draws of ``test_branch_factors``, every record field, each state's
-spectrum and eigenvectors, and the dropped indices must equal
-``oracles.apply_reference`` byte for byte.
+``apply`` forms every X_n X_n† by one batched product, a smaller group's X_n padded
+with zero columns, checks the kept outcome states with one ``DensityMatrix.from_matrix``
+call on their stack, and takes every energy Tr[H ρ_n] from one stacked product.  On a
+seeded family (bare, efficient, inefficient with N = 1 among them, inefficient with
+groups of unequal size, and weak models; dims 2-8; T from 3e-3 to 3, so that some
+outcomes are dropped) and on the small-probability draws of ``test_branch_factors``,
+every row of the outcome stacks, read through its ``OutcomeRecord`` view, with its
+state's spectrum and eigenvectors, and the dropped indices must equal
+``oracles.apply_reference`` byte for byte.  The views are checked against their rows.
 """
 
 import numpy as np
@@ -14,8 +16,9 @@ import pytest
 
 from qfeedback import thermo
 from qfeedback.errors import DomainError, InvalidStateError
-from qfeedback.measurement import MeasurementModel, apply
+from qfeedback.measurement import MeasurementModel, OutcomeRecord, apply
 from qfeedback.sampling import (
+    _normalized_ginibre,
     random_bare_model,
     random_efficient_model,
     random_hamiltonian,
@@ -29,6 +32,9 @@ from test_branch_factors import tilted_ground_cases
 
 TEMPERATURES = (3e-3, 1e-2, 0.1, 1.0, 3.0)
 KINDS = ("bare", "efficient", "inefficient", "weak")
+STACKS = (
+    "outcomes", "probabilities", "states", "eigenvalues", "eigenvectors", "entropies", "energies"
+)
 
 
 def _random_model(kind, h, n, rng):
@@ -76,9 +82,10 @@ def seeded_cases(kind, count=120, seed=0):
 
 
 def assert_same_outcomes(got, want):
+    """Every row of ``got``'s stacks, read through its record view, is ``want``'s record."""
     assert got.dropped == want.dropped
-    assert len(got) == len(want)
-    for record, reference in zip(got, want):
+    assert len(got) == len(want.records)
+    for record, reference in zip(got, want.records):
         assert record.n == reference.n
         for field in ("probability", "entropy", "energy"):
             value, expected = getattr(record, field), getattr(reference, field)
@@ -103,6 +110,77 @@ def test_stacked_apply_is_the_reference(kind):
     if kind != "weak":  # a weak outcome keeps p_n near 1/2 at any T
         assert dropped > 10
     assert single > 10 or kind != "inefficient"
+
+
+def unequal_group_cases(count=120, seed=0):
+    """(H, T, model) triples of inefficient models whose outcomes hold 1, 2 or 3 operators,
+    never all the same number: random ones, and every other one an energy-basis model
+    whose projectors are each split over rotated copies (so some outcomes are dropped)."""
+    rng = np.random.default_rng([seed, 17])
+    cases = []
+    for i in range(count):
+        dim = int(rng.integers(2, 9))
+        h = random_hamiltonian(dim, rng)
+        temperature = float(rng.choice(TEMPERATURES))
+        n = min(int(rng.integers(2, 5)), dim) if i % 2 else int(rng.integers(2, 5))
+        sizes = rng.permutation([1, 2, 3, 1][:n]).tolist()
+        if i % 2:
+            groups = np.array_split(h.eig.eigenvectors, n, axis=1)
+            model = MeasurementModel.inefficient(
+                [
+                    [random_unitary(dim, rng) @ v @ v.conj().T / np.sqrt(k) for _ in range(k)]
+                    for v, k in zip(groups, sizes)
+                ]
+            )
+        else:
+            operators = iter(_normalized_ginibre(dim, sum(sizes), rng))
+            groups = [[next(operators) for _ in range(k)] for k in sizes]
+            model = MeasurementModel.inefficient(groups)
+        cases.append((h, temperature, model))
+    return cases
+
+
+def test_unequal_groups_are_the_reference():
+    dropped = 0
+    for h, temperature, model in unequal_group_cases():
+        assert len({len(group) for group in model.groups}) > 1
+        rho = thermal_state(h, temperature)
+        got = apply(model, rho, h)
+        assert_same_outcomes(got, apply_reference(model, rho, h))
+        dropped += bool(got.dropped)
+    assert dropped > 10
+
+
+@pytest.mark.parametrize("kind", KINDS + ("unequal",))
+def test_records_are_views_of_the_stack_rows(kind):
+    """Every field of each ``OutcomeRecord`` view, and its state's decomposition, is its
+    stack row byte for byte; every stack is read-only; and the read
+    ``perfbench/workloads.py`` makes, the probabilities and then each record's entropy,
+    gives the stacks' values."""
+    cases = unequal_group_cases(20, seed=3) if kind == "unequal" else seeded_cases(kind, 20, 3)
+    for h, temperature, model in cases:
+        outcomes = apply(model, thermal_state(h, temperature), h)
+        for name in STACKS:
+            assert not getattr(outcomes, name).flags.writeable, name
+        records = list(outcomes)
+        assert len(records) == len(outcomes) == len(outcomes.outcomes)
+        for i, record in enumerate(records):
+            assert type(record) is OutcomeRecord
+            assert type(record.n) is int and record.n == outcomes.outcomes[i]
+            for field, stack in (
+                ("probability", outcomes.probabilities),
+                ("entropy", outcomes.entropies),
+                ("energy", outcomes.energies),
+            ):
+                value = getattr(record, field)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == stack[i].tobytes(), field
+            assert record.state.matrix.tobytes() == outcomes.states[i].tobytes()
+            assert record.state.eig.eigenvalues.tobytes() == outcomes.eigenvalues[i].tobytes()
+            assert record.state.eig.eigenvectors.tobytes() == outcomes.eigenvectors[i].tobytes()
+        p_ref = outcomes.probabilities
+        entropies = [r.entropy for r in outcomes]
+        assert np.dot(p_ref, entropies) == np.dot(p_ref, outcomes.entropies)
 
 
 def test_small_probability_outcomes_are_the_reference():

@@ -27,7 +27,7 @@ from qfeedback.feedback import (
     run_transform,
 )
 from qfeedback.linalg import dagger, eig_hermitian, max_abs, spectral_matrix
-from qfeedback.measurement import MeasurementModel, OutcomeRecord, apply
+from qfeedback.measurement import MeasurementModel, apply
 from qfeedback.sampling import random_efficient_model, random_hamiltonian
 from qfeedback.thermo import (
     DensityMatrix,
@@ -47,21 +47,12 @@ from conftest import (
     PROJ_X_PLUS,
     maximally_mixed,
     rank_one_cases,
+    stacked_outcomes,
 )
 from oracles import quasi_static_work_reference
 
 LN2 = math.log(2.0)
 H2LEVEL = Hamiltonian.diagonal([0.0, 1.0])
-
-
-def record_for(state, h, n=0):
-    return OutcomeRecord(
-        n=n,
-        probability=1.0,
-        state=state,
-        entropy=von_neumann_entropy(state),
-        energy=average_energy(state, h),
-    )
 
 
 def landed_state(record, plan, n=0):
@@ -74,7 +65,7 @@ class TestPlanFeedback:
     def test_thermal_fixed_point(self):
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
-        plan = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0, e_initial=e)
+        plan = plan_feedback(stacked_outcomes([rho], H2LEVEL), H2LEVEL, 1.0, e_initial=e)
         # the thermal state is already ordered against energy, so the rotation
         # is trivial and the retuned-plus-shifted Hamiltonian is H itself
         assert max_abs(plan.basis_unitaries[0] - np.eye(2)) < 1e-9
@@ -101,16 +92,16 @@ class TestPlanFeedback:
 
     def test_pure_outcome_planned_on_its_support(self):
         h = Hamiltonian.zero(2)
-        record = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), h)
-        plan = plan_feedback([record], h, 1.0)
+        records = stacked_outcomes([DensityMatrix.from_vector(np.array([1.0, 0.0]))], h)
+        plan = plan_feedback(records, h, 1.0)
         np.testing.assert_array_equal(plan.populations, [[1.0, 0.0]])
         # the kernel level is raised to +inf, and the shift reads the support only
         assert plan.levels.tolist() == [[0.0, np.inf]]
         assert plan.shifts.tolist() == [0.0]
-        [work] = execute_plan([record], plan, 1.0)
+        [work] = execute_plan(records, plan, 1.0)
         assert work == 0.0
         ground = DensityMatrix.from_vector(plan.energy_basis[:, 0])
-        assert trace_distance(landed_state(record, plan), ground) < 1e-15
+        assert trace_distance(landed_state(records[0], plan), ground) < 1e-15
 
     def test_shift_restores_initial_energy(self, rng):
         h = random_hamiltonian(3, rng)
@@ -129,11 +120,11 @@ class TestExecutePlan:
     def test_fixed_point_extracts_nothing(self):
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
-        record = record_for(rho, H2LEVEL)
-        plan = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
-        [work] = execute_plan([record], plan, 1.0)
+        records = stacked_outcomes([rho], H2LEVEL)
+        plan = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
+        [work] = execute_plan(records, plan, 1.0)
         assert abs(work) < 1e-9
-        assert trace_distance(landed_state(record, plan), rho) < 1e-9
+        assert trace_distance(landed_state(records[0], plan), rho) < 1e-9
 
     def test_work_equals_energy_surplus(self, rng):
         # steps (i)-(iv) cash out exactly the measurement's energy injection
@@ -151,18 +142,18 @@ class TestExecutePlan:
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
         records = apply(MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS]), rho, H2LEVEL)
-        plan = plan_feedback(records[:1], H2LEVEL, 1.0, e_initial=e)
-        [work] = execute_plan(records[:1], plan, 1.0)
+        plus = stacked_outcomes([records[0].state], H2LEVEL)
+        plan = plan_feedback(plus, H2LEVEL, 1.0, e_initial=e)
+        [work] = execute_plan(plus, plan, 1.0)
         assert work == pytest.approx(0.5 - e, abs=1e-9)
 
     def test_mismatched_plan_detected(self):
         rho = thermal_state(H2LEVEL, 1.0)
         e = average_energy(rho, H2LEVEL)
-        record = record_for(rho, H2LEVEL)
-        plan = plan_feedback([record], H2LEVEL, 1.0, e_initial=e)
-        other = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL)
+        plan = plan_feedback(stacked_outcomes([rho], H2LEVEL), H2LEVEL, 1.0, e_initial=e)
+        other = stacked_outcomes([DensityMatrix.from_vector(np.array([1.0, 0.0]))], H2LEVEL)
         with pytest.raises(PlanMismatchError):
-            execute_plan([other], plan, 1.0)
+            execute_plan(other, plan, 1.0)
 
     def test_lands_at_large_energies(self):
         # the landed state is compared with the thermal state of H_n: the shift
@@ -200,15 +191,15 @@ class TestExecutePlan:
         plan = plan_feedback(records, H2LEVEL, 1.0, e_initial=e)
         assert len(execute_plan(records, plan, 1.0)) == 2
         # outcome 1's plan rotates |->, not |0>, onto the ground state
-        swapped = record_for(DensityMatrix.from_vector(np.array([1.0, 0.0])), H2LEVEL, n=1)
+        swapped = [records[0].state, DensityMatrix.from_vector(np.array([1.0, 0.0]))]
         with pytest.raises(PlanMismatchError, match="^outcome 1: landed state"):
-            execute_plan([records[0], swapped], plan, 1.0)
+            execute_plan(stacked_outcomes(swapped, H2LEVEL), plan, 1.0)
 
     def test_plans_must_pair_with_outcomes(self):
         rho = thermal_state(H2LEVEL, 1.0)
-        plan = plan_feedback([record_for(rho, H2LEVEL)], H2LEVEL, 1.0)
+        plan = plan_feedback(stacked_outcomes([rho], H2LEVEL), H2LEVEL, 1.0)
         with pytest.raises(PlanMismatchError, match="2 outcomes but 1 plans"):
-            execute_plan([record_for(rho, H2LEVEL)] * 2, plan, 1.0)
+            execute_plan(stacked_outcomes([rho, rho], H2LEVEL), plan, 1.0)
 
 
 class TestIsothermal:

@@ -2,7 +2,6 @@
 thermal state and plans every kept outcome once per run, for the measurement
 cycle and the controller alike."""
 
-import dataclasses
 import sys
 from collections import Counter
 
@@ -17,7 +16,7 @@ from qfeedback.measurement import MeasurementModel, apply, measurement_energy_co
 from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
 from qfeedback.thermo import DensityMatrix, Hamiltonian, thermal_state, thermo_reading
 
-from conftest import PROJ_0, PROJ_1
+from conftest import PROJ_0, PROJ_1, with_row
 
 
 @pytest.fixture
@@ -149,8 +148,9 @@ def test_negative_round_off_eigenvalue_is_planned_as_kernel(monkeypatch):
 
     def round_off_apply(*args, **kwargs):
         outcomes = apply(*args, **kwargs)
-        first = dataclasses.replace(outcomes[0], state=state)
-        return dataclasses.replace(outcomes, records=(first, *outcomes[1:]))
+        dec = state.eig
+        rows = dict(states=state.matrix, eigenvalues=dec.eigenvalues, eigenvectors=dec.eigenvectors)
+        return with_row(outcomes, 0, **rows)
 
     monkeypatch.setattr(feedback, "apply", round_off_apply)
     model = MeasurementModel.bare([PROJ_0, PROJ_1])

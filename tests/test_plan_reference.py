@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from qfeedback.errors import ArgumentRangeError, DomainError, InvalidStateError, PlanMismatchError
+from qfeedback import feedback
 from qfeedback.feedback import execute_plan, plan_feedback
-from qfeedback.measurement import MeasurementModel, OutcomeRecord, apply
+from qfeedback.measurement import MeasurementModel, apply
 from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
 from qfeedback.thermo import DensityMatrix, Hamiltonian, thermal_state, thermo_reading
 
-from conftest import random_inefficient_model, random_unitary
+from conftest import random_inefficient_model, random_unitary, stacked_outcomes, with_row
 from oracles import execute_plan_reference, plan_feedback_reference
 
 CASES = 160
@@ -148,11 +149,6 @@ def _good_case(n=3):
     return records, plan_feedback(records, h, 0.9, e), _plans(records, h, 0.9, e)
 
 
-def _with_state(record, matrix):
-    """``record`` carrying ``matrix`` as its state, unchecked."""
-    return dataclasses.replace(record, state=DensityMatrix(matrix=matrix))
-
-
 def _assert_same_error(error, call, reference):
     with pytest.raises(error) as raised:
         reference()
@@ -168,10 +164,7 @@ def test_non_finite_level_names_the_outcome(bad):
     h = Hamiltonian.zero(2)
     states = [np.diag([0.5, 0.5]), np.diag([0.9, 0.1]), np.diag([0.5, 0.5])]
     states[0], states[bad] = states[bad], states[0]
-    records = [
-        OutcomeRecord(n, 1 / 3, DensityMatrix.from_matrix(m), entropy=0.0, energy=0.0)
-        for n, m in zip((4, 5, 6), states)
-    ]
+    records = stacked_outcomes([DensityMatrix.from_matrix(m) for m in states], h, (4, 5, 6))
     _assert_same_error(
         DomainError,
         lambda: plan_feedback(records, h, 1e308),
@@ -179,15 +172,22 @@ def test_non_finite_level_names_the_outcome(bad):
     )
 
 
+def _fault(records, n, fault):
+    """``records`` with row n made to fail execute_plan's check ``fault``: "landing" gives it
+    the next outcome's state, which its plan was not made for (and whose entropy differs
+    from its S_n, so its drift fails too), "entropy" moves its S_n by 1e-6 and
+    "nan-entropy" makes it NaN."""
+    if fault == "landing":
+        return with_row(records, n, states=records.states[(n + 1) % len(records)])
+    shift = 1e-6 if fault == "entropy" else np.nan
+    return with_row(records, n, entropies=records.entropies[n] + shift)
+
+
 @pytest.mark.parametrize("bad", range(3))
-@pytest.mark.parametrize("fault", ["landing", "entropy"])
+@pytest.mark.parametrize("fault", ["landing", "entropy", "nan-entropy"])
 def test_plan_mismatch_names_the_outcome(bad, fault):
     records, plan, plans = _good_case()
-    records = list(records)
-    if fault == "landing":  # a state the plan was not made for
-        records[bad] = _with_state(records[bad], records[(bad + 1) % 3].state.matrix)
-    else:
-        records[bad] = dataclasses.replace(records[bad], entropy=records[bad].entropy + 1e-6)
+    records = _fault(records, bad, fault)
     _assert_same_error(
         PlanMismatchError,
         lambda: execute_plan(records, plan, 0.9),
@@ -195,23 +195,70 @@ def test_plan_mismatch_names_the_outcome(bad, fault):
     )
 
 
+CHECK_MESSAGES = {"landing": "landed state is ", "entropy": "entropy drifted by 1.0"}
+
+
+@pytest.mark.parametrize("first, second", [("entropy", "landing"), ("landing", "entropy")])
+def test_first_failing_outcome_raises_its_first_failing_check(first, second):
+    """Outcomes 0 and 1 fail different checks in one call: the stacked test raises outcome
+    0's, as the one-outcome-at-a-time reference does; outcome 0's landing fault also
+    fails its entropy check, and the landing check, which comes first, is raised."""
+    records, plan, plans = _good_case()
+    records = _fault(_fault(records, 0, first), 1, second)
+    _assert_same_error(
+        PlanMismatchError,
+        lambda: execute_plan(records, plan, 0.9),
+        lambda: execute_plan_reference(records, plans, 0.9),
+    )
+    named = f"^outcome {plan.outcomes[0]}: {CHECK_MESSAGES[first]}"
+    with pytest.raises(PlanMismatchError, match=named):
+        execute_plan(records, plan, 0.9)
+
+
+@pytest.mark.parametrize("bad", range(3))
+@pytest.mark.parametrize(
+    "poison, error, message",
+    [
+        ("deviation", PlanMismatchError, r"landed state is nan from thermal \(tolerance 1e-09\)"),
+        ("floor", InvalidStateError, r"minimum eigenvalue -2\.000e-10 below -1e-10"),
+    ],
+)
+def test_spectra_that_fail_alone_name_their_outcome(monkeypatch, bad, poison, error, message):
+    """Only outcome ``bad``'s row of the one eigenvalue-only call is spoiled: a NaN landing
+    distance, or a least rotated eigenvalue below the floor (which no landing within
+    PLAN_TOL rules out), fails it, and it alone is named."""
+    records, plan, _ = _good_case()
+    solver = feedback.eigvals_hermitian
+
+    def spoiled(m):
+        spectra = solver(m).copy()
+        if poison == "deviation":
+            spectra[len(records) + bad] = np.nan
+        else:
+            spectra[bad, -1] = -2e-10
+        return spectra
+
+    monkeypatch.setattr(feedback, "eigvals_hermitian", spoiled)
+    with pytest.raises(error, match=f"^outcome {plan.outcomes[bad]}: {message}$"):
+        execute_plan(records, plan, 0.9)
+
+
 @pytest.mark.parametrize("bad", range(3))
 @pytest.mark.parametrize("fault", ["trace", "hermitian", "not-finite", "trace-then-hermitian"])
 def test_invalid_rotated_state_raises_the_single_check(bad, fault):
     records, plan, plans = _good_case()
-    records = list(records)
-    m = records[bad].state.matrix
+    m = records.states[bad]
     skew = np.triu(np.ones_like(m), 1)
     if fault == "trace":
-        records[bad] = _with_state(records[bad], 1.5 * m)
+        records = with_row(records, bad, states=1.5 * m)
     elif fault == "hermitian":
-        records[bad] = _with_state(records[bad], m + 1e-6 * (skew - skew.T))
+        records = with_row(records, bad, states=m + 1e-6 * (skew - skew.T))
     elif fault == "not-finite":
-        records[bad] = _with_state(records[bad], np.where(np.eye(3) > 0, m, np.inf))
+        records = with_row(records, bad, states=np.where(np.eye(3) > 0, m, np.inf))
     else:  # the first failing slice's check is raised, though a later one fails first
-        records[bad] = _with_state(records[bad], 1.5 * m)
+        records = with_row(records, bad, states=1.5 * m)
         other = 2 if bad < 2 else 0
-        records[other] = _with_state(records[other], records[other].state.matrix + 1e-6 * skew)
+        records = with_row(records, other, states=records.states[other] + 1e-6 * skew)
     with np.errstate(invalid="ignore", over="ignore"):  # inf entries in the products
         _assert_same_error(
             InvalidStateError,

@@ -298,9 +298,10 @@ class TestStackedUnitTrace:
 
 
 class TestStackedFromMatrix:
-    """``DensityMatrix.from_matrix`` on an (N, d, d) stack: one eig call, state i and its
-    decomposition the single call on matrix i byte for byte, and a stack that fails
-    raises the error of its first slice that fails alone."""
+    """``DensityMatrix.from_matrix`` on an (N, d, d) stack: one eig call, no state objects,
+    and the read-only checked stack and its decomposition, slice i the single call on
+    matrix i byte for byte; a stack that fails raises the error of its first slice that
+    fails alone."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_slices_are_the_single_call(self, eig_calls, seed):
@@ -308,17 +309,17 @@ class TestStackedFromMatrix:
         dim, count = int(rng.integers(1, 9)), int(rng.integers(1, 6))
         stack = np.stack([_near_unit_trace(rng, dim, int(rng.integers(4))) for _ in range(count)])
         eig_calls.clear()
-        states = DensityMatrix.from_matrix(stack, "slice")
+        states, dec = DensityMatrix.from_matrix(stack, "slice")
         assert eig_calls == [count]
-        assert isinstance(states, tuple) and len(states) == count
-        for state, x in zip(states, stack):
+        assert states.shape == stack.shape
+        assert dec.eigenvalues.shape == (count, dim)
+        for array in (states, dec.eigenvalues, dec.eigenvectors):
+            assert not array.flags.writeable
+        for i, x in enumerate(stack):
             single = DensityMatrix.from_matrix(x, "slice")
-            assert state.matrix.tobytes() == single.matrix.tobytes()
-            assert state.eig.eigenvalues.tobytes() == single.eig.eigenvalues.tobytes()
-            assert state.eig.eigenvectors.tobytes() == single.eig.eigenvectors.tobytes()
-            assert not state.matrix.flags.writeable
-            assert not state.eig.eigenvalues.flags.writeable
-            assert not state.eig.eigenvectors.flags.writeable
+            assert states[i].tobytes() == single.matrix.tobytes()
+            assert dec.eigenvalues[i].tobytes() == single.eig.eigenvalues.tobytes()
+            assert dec.eigenvectors[i].tobytes() == single.eig.eigenvectors.tobytes()
 
     @pytest.mark.parametrize("bad", range(3))
     @pytest.mark.parametrize(
