@@ -39,10 +39,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
+from .controller import CONTROLLER_KINDS
 from .errors import DomainError, ParseError, UnknownParameterError, ValidationError
 from .feedback import CONTINUOUS_EPSILON_RANGE
 from .linalg import HERMITICITY_TOL, dagger
-from .measurement import MeasurementModel
+from .measurement import WEAK_STRENGTH_RANGE, MeasurementModel
 from .thermo import Hamiltonian
 
 # libyaml's C scanner and parser when the install has them, else PyYAML's pure
@@ -240,8 +241,9 @@ def _parse_measurement(data: dict, dim: int) -> MeasurementModel:
         )
     generator = _parse_matrix(_get(node, "generator", path), f"{path}.generator", dim)
     _check_hermitian(generator, f"{path}.generator")
+    lo, hi = WEAK_STRENGTH_RANGE
     epsilon = _bounded(
-        node, path, "epsilon", "must lie in (0, 1), got {!r}", lambda x: 0.0 < x < 1.0
+        node, path, "epsilon", f"must lie in ({lo:g}, {hi:g}), got {{!r}}", lambda x: lo < x < hi
     )
     try:
         return MeasurementModel.weak(generator, epsilon)
@@ -270,7 +272,7 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
     temperature = _bounded(bath, "bath", "temperature", "must be > 0, got {!r}", lambda x: x > 0.0)
 
     model = _parse_measurement(data, dim)
-    if mode == "controller" and model.kind.value not in ("bare", "weak"):
+    if mode == "controller" and model.kind not in CONTROLLER_KINDS:
         raise ValidationError("measurement.kind", "controller mode requires a bare or weak model")
     if mode == "continuous":
         if model.kind.value != "weak":

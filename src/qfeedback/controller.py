@@ -47,6 +47,7 @@ from .thermo import (
 # Largest entry allowed in U†U - I of a feedback block, and in the
 # off-diagonal part of a controller about to be reset.
 STRUCTURE_TOL = 1e-10
+CONTROLLER_KINDS = (ModelKind.BARE, ModelKind.WEAK)  # positive operators, as correlate needs
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     construction, and completeness of the model gives it trace 1.  Requires
     positive (bare or weak) operator families.
     """
-    if model.kind not in (ModelKind.BARE, ModelKind.WEAK):
+    if model.kind not in CONTROLLER_KINDS:
         raise InvalidModelError(
             f"controller correlation needs positive operators, got kind {model.kind.value}"
         )
@@ -185,28 +186,25 @@ def decohere_controller(
 
     The result ⊕ p_n ρ_n is PSD by construction, and has the union of its
     blocks' spectra, so one eigenvalue-only call on all N blocks checks each
-    against the -STATE_TOL floor.  The blocks in ``kept``, first checked as one
-    stack for a positive trace and by ``_unit_trace``, enter that call over their
-    traces, which gives their entropies.  Any other block is checked as it stands:
-    an outcome dropped for its tiny weight holds only round-off, which is no state.
-    The first failing block raises, and so does an index outside 0…N-1
-    (:class:`ArgumentRangeError`).  Returns the pinched joint and the kept branches.
+    against the -STATE_TOL floor.  The blocks in ``kept``, checked for a positive
+    trace and, over it, by one ``_unit_trace`` call naming each ``branch {n}``, enter
+    that call over their traces, which gives their entropies.  Any other block is
+    checked as it stands: an outcome dropped for its tiny weight holds only round-off,
+    which is no state.  The first failing block raises, and so does an index outside
+    0…N-1 (:class:`ArgumentRangeError`).  Returns the pinched joint and the kept branches.
     """
     pinched = _block_diagonal(joint.diagonal_blocks())
     decohered = replace(joint, matrix=DensityMatrix.from_psd(pinched, "decohered joint"))
     kept = np.array(sorted({decohered._index(n) for n in kept}), dtype=int)
     blocks, p = decohered.diagonal_blocks(), decohered.probabilities()
+    positive = p[kept] > 0.0  # NaN is not
+    head = kept[: len(kept) if positive.all() else int(positive.argmin())]
+    names = [f"branch {n}" for n in head.tolist()]
     stack = blocks.copy()
-    try:
-        if not (p[kept] > 0.0).all():  # NaN too
-            raise InvalidStateError("a kept block's trace is not positive")
-        stack[kept] = _unit_trace(blocks[kept] / p[kept, None, None], "branch")[0]
-    except InvalidStateError:  # one block at a time, so that the first failing one raises
-        for n in kept.tolist():
-            if not p[n] > 0.0:
-                raise InvalidStateError(f"branch {n}: block trace {float(p[n])!r} is not positive")
-            _unit_trace(blocks[n] / p[n], f"branch {n}")
-        raise
+    stack[head] = _unit_trace(blocks[head] / p[head, None, None], names)[0]
+    if len(head) < len(kept):  # kept[len(head)] is the first with no positive trace
+        n = int(kept[len(head)])
+        raise InvalidStateError(f"branch {n}: block trace {float(p[n])!r} is not positive")
     spectra = eigvals_hermitian(stack)
     for n, lam in enumerate(spectra[:, -1].tolist()):
         _check_spectrum_floor(lam, f"branch {n}")

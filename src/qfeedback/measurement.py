@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatchError,
     IncompleteModelError,
     InvalidModelError,
-    InvalidStateError,
     NotHermitianError,
 )
 from .linalg import (
@@ -53,6 +52,7 @@ from .thermo import DensityMatrix, Hamiltonian, _energies, _nats, shannon_entrop
 COMPLETENESS_TOL = 1e-10
 # how far past 1 a weak model's generator norm may read
 GENERATOR_NORM_TOL = 1e-12
+WEAK_STRENGTH_RANGE = (0.0, 1.0)  # the open interval a weak model's strength ε lies in
 # An outcome less likely than this is dropped, and so is one whose probability is not
 # positive (its conditional state p_n ρ_n / p_n is undefined): apply reads it when called.
 P_FLOOR = 1e-14
@@ -127,8 +127,9 @@ class MeasurementModel:
         norm = float(np.abs(eig_hermitian(b).eigenvalues).max())
         if norm > 1.0 + GENERATOR_NORM_TOL:
             raise InvalidModelError(f"generator norm {norm!r} exceeds 1")
-        if not 0.0 < strength < 1.0:
-            raise InvalidModelError(f"weak strength must lie in (0, 1), got {strength!r}")
+        lo, hi = WEAK_STRENGTH_RANGE
+        if not lo < strength < hi:
+            raise InvalidModelError(f"weak strength must lie in ({lo:g}, {hi:g}), got {strength!r}")
         eye = np.eye(b.shape[0], dtype=complex)
         sqrt = lambda x: math.sqrt(max(x, 0.0))
         p_plus = matrix_function((eye + strength * b) / 2.0, sqrt)
@@ -266,8 +267,8 @@ def _branch_factors(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
 def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> MeasurementOutcomes:
     """Apply a measurement to ρ: outcome n gets ρ_n = X_n X_n† / p_n, p_n = ‖X_n‖²_F, X_n
     from :func:`_branch_factors`, by one batched product, one stacked
-    :meth:`DensityMatrix.from_matrix` call on the kept ρ_n (re-run per outcome if it fails,
-    to name it) and one energy product.
+    :meth:`DensityMatrix.from_matrix` call on the kept ρ_n, each named ``outcome {n}`` so
+    that a failing one raises under its own name, and one energy product.
 
     Outcomes with p_n below :data:`P_FLOOR` are dropped and the surviving probabilities
     renormalized proportionally; :class:`DegenerateStateError` is raised when none survives.
@@ -289,12 +290,7 @@ def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> Measur
 
     p = p[outcomes]
     matrices = (x @ dagger(x))[outcomes] / p[:, None, None]
-    try:
-        states, dec = DensityMatrix.from_matrix(matrices, where="outcome")
-    except InvalidStateError:  # one call per outcome, so that the failing one is named
-        for n, m in zip(outcomes.tolist(), matrices):
-            DensityMatrix.from_matrix(m, f"outcome {n}")
-        raise
+    states, dec = DensityMatrix.from_matrix(matrices, [f"outcome {n}" for n in outcomes.tolist()])
     entropies = np.array([_nats(s) for s in np.clip(dec.eigenvalues, 0.0, None)])
     energies = _energies(h, states)
     probabilities = p / sum(p.tolist())

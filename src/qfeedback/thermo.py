@@ -12,6 +12,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -83,11 +84,12 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float | np.ndarray]:
+def _unit_trace(matrix, where: str | Sequence[str]) -> tuple[np.ndarray, float | np.ndarray]:
     """The checks every state runs before its spectrum: square, Hermitian within STATE_TOL,
     finite and of trace 1 within STATE_TOL.  Returns the hermitized matrix over its trace,
     and that trace; a stack (…, d, d) gets its traces shaped (…, 1, 1), each slice the single
-    call's bytes, and if it fails, the single call's error on its first failing slice."""
+    call's bytes, and if it fails, its first failing slice's error under the slice's name:
+    ``where`` is one name per slice, or one string for every slice."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
@@ -110,9 +112,9 @@ def _unit_trace(matrix, where: str) -> tuple[np.ndarray, float | np.ndarray]:
             m = m / tr
         if not safe and not np.isfinite(m).all():
             raise InvalidStateError(f"{where}: entries are not finite")
-    except InvalidStateError:
-        for x in np.reshape(matrix, (-1, *m.shape[-2:])) if stack else ():
-            _unit_trace(x, where)
+    except InvalidStateError:  # on a stack, this error only starts the re-run
+        for i, x in enumerate(np.reshape(matrix, (-1, *m.shape[-2:])) if stack else ()):
+            _unit_trace(x, where if isinstance(where, str) else where[i])
         raise
     return m, tr
 
@@ -123,7 +125,7 @@ def _check_spectrum_floor(lam_min: float, where: str) -> None:
         raise InvalidStateError(f"{where}: minimum eigenvalue {lam_min:.3e} below -{STATE_TOL:g}")
 
 
-def _state_array(matrix, where: str, max_ndim: int = 2) -> np.ndarray:
+def _state_array(matrix, where: str | Sequence[str], max_ndim: int = 2) -> np.ndarray:
     """``matrix`` as a complex array of 2 to ``max_ndim`` axes, as a state's constructor needs."""
     m = np.asarray(matrix, dtype=complex)
     if not 2 <= m.ndim <= max_ndim:
@@ -154,11 +156,11 @@ class DensityMatrix:
         return eig_hermitian(self.matrix)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix | tuple":
+    def from_matrix(cls, matrix, where: str | Sequence[str] = "state") -> "DensityMatrix | tuple":
         """The checked state of a matrix.  An (N, d, d) stack takes one call of ``_unit_trace``
         and of eig and builds no state: it returns the read-only checked stack and its stacked
-        decomposition, slice i the single call's bytes, and if it fails, the single call's
-        error on its first failing slice."""
+        decomposition, slice i the single call's bytes, its slices named as ``_unit_trace``
+        names them, and if it fails, the single call's error on its first failing slice."""
         raw = _state_array(matrix, where, max_ndim=3)
         if raw.ndim == 2:
             m, _ = _unit_trace(raw, where)
@@ -169,8 +171,8 @@ class DensityMatrix:
             for lam_min in dec.eigenvalues[:, -1].tolist():
                 _check_spectrum_floor(lam_min, where)
         except InvalidStateError:  # one call per matrix, so that the first failing one raises
-            for x in raw:
-                cls.from_matrix(x, where)
+            for i, x in enumerate(raw):
+                cls.from_matrix(x, where if isinstance(where, str) else where[i])
             raise
         return read_only(m), dec
 

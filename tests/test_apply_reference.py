@@ -231,6 +231,39 @@ def test_a_failing_outcome_is_named(monkeypatch):
         apply_reference(model, rho, h)
 
 
+@pytest.mark.parametrize("row", range(4))
+def test_a_failing_outcome_costs_one_call_per_slice_up_to_it(monkeypatch, row):
+    """A kept row that fails its floor check costs the stacked call and one call per slice
+    up to and including it, and no call per outcome on top, and is named as outcome n."""
+    rng = np.random.default_rng(29)
+    h = random_hamiltonian(3, rng)
+    rho = thermal_state(h, 1.0)
+    model = random_efficient_model(3, 4, rng)
+    clean = apply(model, rho, h)
+    least = clean.eigenvalues[:, -1].tolist()
+    assert len(clean) == 4 and len(set(least)) == 4
+    floor = thermo._check_spectrum_floor
+
+    def refuse(lam_min, where):  # keyed on this row's least eigenvalue alone
+        if lam_min == least[row]:
+            raise InvalidStateError(f"{where}: refused")
+        floor(lam_min, where)
+
+    calls = []
+    original = DensityMatrix.from_matrix.__func__
+
+    def counting(cls, matrix, where="state"):
+        calls.append(np.shape(matrix))
+        return original(cls, matrix, where)
+
+    monkeypatch.setattr(thermo, "_check_spectrum_floor", refuse)
+    monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(counting))
+    with pytest.raises(InvalidStateError, match=f"^outcome {clean.outcomes[row]}: refused$"):
+        apply(model, rho, h)
+    assert calls[0] == (4, 3, 3)
+    assert len(calls) <= 1 + (row + 1)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_an_imaginary_energy_is_a_domain_error(n):
     # built directly, so Hamiltonian.from_matrix's checks never ran: Tr[H ρ_n] is -0.4i

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from qfeedback.config import parse_config, parse_dict, with_value
-from qfeedback.errors import ParseError, UnknownParameterError, ValidationError
+from qfeedback.controller import correlate
+from qfeedback.errors import InvalidModelError, ParseError, UnknownParameterError, ValidationError
+from qfeedback.measurement import MeasurementModel
+from qfeedback.thermo import Hamiltonian, thermal_state
 
 
 def minimal(mode="cycle"):
@@ -228,6 +231,31 @@ class TestRejection:
         data = minimal("controller")
         data["measurement"]["kind"] = "efficient"
         self.check(data, "measurement.kind")
+
+    def test_controller_kinds_are_one_rule(self):
+        # config validation and correlate read the same kinds, each with its own message
+        data = minimal("controller")
+        data["measurement"]["kind"] = "efficient"
+        with pytest.raises(ValidationError) as info:
+            parse_dict(data)
+        assert str(info.value) == "measurement.kind: controller mode requires a bare or weak model"
+        rho = thermal_state(Hamiltonian.diagonal([0.0, 1.0]), 1.0)
+        with pytest.raises(InvalidModelError) as info:
+            correlate(rho, MeasurementModel.efficient([np.eye(2)]))
+        message = "controller correlation needs positive operators, got kind efficient"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_weak_strength_range_is_one_rule(self, eps):
+        # config validation and the weak builder read the same open interval
+        data = minimal()
+        data["measurement"] = dict(minimal("continuous")["measurement"], epsilon=eps)
+        with pytest.raises(ValidationError) as info:
+            parse_dict(data)
+        assert str(info.value) == f"measurement.epsilon: must lie in (0, 1), got {eps!r}"
+        with pytest.raises(InvalidModelError) as info:
+            MeasurementModel.weak(np.diag([1.0, -1.0]), eps)
+        assert str(info.value) == f"weak strength must lie in (0, 1), got {eps!r}"
 
     def test_lambda_floor_is_no_longer_a_key(self):
         # feedback is planned on each outcome's support; there is no floor to set,

@@ -367,6 +367,18 @@ EDGE_JOINTS = [
         (0, 1),
     ),
     ("negative-trace-first", _edge(np.diag([-0.1, 0.0]), np.diag([0.6, 0.5])), (1, 0)),
+    # the floor of kept branch 0 is checked only after every kept trace, so branch 1's fails first
+    (
+        "trace-before-kept-floor",
+        _edge(0.5 * np.diag([1 + 2e-9, -2e-9]), np.diag([-0.1, 0.0]), np.diag([0.3, 0.3])),
+        (0, 1),
+    ),
+    # of two kept traces that are not positive, the first is named
+    (
+        "first-of-two-traces",
+        _edge(np.diag([0.6, 0.5]), np.diag([-0.1, 0.0]), np.zeros((2, 2))),
+        (0, 1, 2),
+    ),
 ]
 
 
