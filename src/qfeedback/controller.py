@@ -208,7 +208,7 @@ def decohere_controller(
     spectra = eigvals_hermitian(stack)
     for n, lam in enumerate(spectra[:, -1].tolist()):
         _check_spectrum_floor(lam, f"branch {n}")
-    entropies = np.array([_nats(s) for s in np.clip(spectra[kept], 0.0, None)])
+    entropies = np.array([_nats(s) for s in spectra[kept]])
     return decohered, KeptBranches(kept, p[kept], entropies)
 
 
@@ -249,7 +249,7 @@ def reset_controller(
     if max_abs(controller.matrix - np.diag(record)) > STRUCTURE_TOL:
         raise InvalidStateError("controller must be diagonal in the record basis")
     # descending, as an eig orders them, so the sum runs in the same order
-    record_entropy = _nats(np.clip(np.sort(record.real)[::-1], 0.0, None))
+    record_entropy = _nats(np.sort(record.real)[::-1])
     return (
         DensityMatrix.from_vector(np.eye(controller.dim)[0]),
         replace(bath, reset_addition=bath.reset_addition + record_entropy),

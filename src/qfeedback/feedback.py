@@ -242,7 +242,7 @@ def execute_plan(
 
     lam = spectra[:n_out]
     deviations = 0.5 * np.abs(spectra[n_out:]).sum(axis=-1)
-    drifts = np.abs(np.array([_nats(s) for s in np.clip(lam, 0.0, None)]) - outcomes.entropies)
+    drifts = np.abs(np.array([_nats(s) for s in lam]) - outcomes.entropies)
     failed = ~(deviations <= PLAN_TOL) | (lam[:, -1] < -STATE_TOL) | ~(drifts <= PLAN_TOL)
     if failed.any():
         n = int(failed.argmax())

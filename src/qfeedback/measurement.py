@@ -291,7 +291,7 @@ def apply(model: MeasurementModel, rho: DensityMatrix, h: Hamiltonian) -> Measur
     p = p[outcomes]
     matrices = (x @ dagger(x))[outcomes] / p[:, None, None]
     states, dec = DensityMatrix.from_matrix(matrices, [f"outcome {n}" for n in outcomes.tolist()])
-    entropies = np.array([_nats(s) for s in np.clip(dec.eigenvalues, 0.0, None)])
+    entropies = np.array([_nats(s) for s in dec.eigenvalues])
     energies = _energies(h, states)
     probabilities = p / sum(p.tolist())
     for a in (outcomes, probabilities, entropies, energies):

@@ -160,20 +160,15 @@ class DensityMatrix:
         """The checked state of a matrix.  An (N, d, d) stack takes one call of ``_unit_trace``
         and of eig and builds no state: it returns the read-only checked stack and its stacked
         decomposition, slice i the single call's bytes, its slices named as ``_unit_trace``
-        names them, and if it fails, the single call's error on its first failing slice."""
+        names them.  Every slice gets its state checks before any gets its floor check, and
+        within each stage the first failing slice raises the single call's error."""
         raw = _state_array(matrix, where, max_ndim=3)
+        m, _ = _unit_trace(raw, where)
+        dec = eig_hermitian(m)
         if raw.ndim == 2:
-            m, _ = _unit_trace(raw, where)
-            return cls._with_eig(m, eig_hermitian(m), where)
-        try:
-            m, _ = _unit_trace(raw, where)
-            dec = eig_hermitian(m)
-            for lam_min in dec.eigenvalues[:, -1].tolist():
-                _check_spectrum_floor(lam_min, where)
-        except InvalidStateError:  # one call per matrix, so that the first failing one raises
-            for i, x in enumerate(raw):
-                cls.from_matrix(x, where if isinstance(where, str) else where[i])
-            raise
+            return cls._with_eig(m, dec, where)
+        for i, lam_min in enumerate(dec.eigenvalues[:, -1].tolist()):
+            _check_spectrum_floor(lam_min, where if isinstance(where, str) else where[i])
         return read_only(m), dec
 
     @classmethod
@@ -253,7 +248,7 @@ def gibbs_state(levels: np.ndarray, vectors: np.ndarray, kt: float, where: str) 
 
 
 def _nats(p: np.ndarray) -> float:
-    """-Σ p ln p over non-negative weights, with the 0·ln 0 = 0 convention."""
+    """-Σ p ln p over the positive entries; any other (-1e-17, -0.0, NaN) is a 0·ln 0 = 0."""
     s = 0.0
     for q in p.tolist():  # Python floats: an overflowing kT·S is inf, not a numpy warning
         if q > 0.0:
@@ -265,7 +260,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr[ρ ln ρ] in nats, with the 0·ln 0 = 0 convention."""
     lam = rho.eig.eigenvalues
     _check_spectrum_floor(float(lam[-1]), "state")
-    return _nats(np.clip(lam, 0.0, None))
+    return _nats(lam)
 
 
 def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -293,15 +288,15 @@ def thermo_reading(rho: DensityMatrix, h: Hamiltonian, temperature: float) -> Th
 
 
 def shannon_entropy(p) -> float:
-    """-Σ p ln p in nats for a probability vector; tiny negatives read as 0."""
+    """-Σ p ln p in nats for a probability vector; tiny negatives read as 0, a NaN raises."""
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.size and float(p.min()) < -DISTRIBUTION_NEGATIVE_TOL:
         raise NotADistributionError(f"negative entry {p.min()!r}")
     total = float(p.sum())
-    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+    if not abs(total - 1.0) <= DISTRIBUTION_SUM_TOL:  # a NaN sum fails too
         within = np.format_float_scientific(DISTRIBUTION_SUM_TOL, trim="-", exp_digits=1)
         raise NotADistributionError(f"entries sum to {total!r}, not 1 within {within}")
-    return _nats(np.clip(p, 0.0, None) / total)
+    return _nats(p / total)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -244,7 +244,9 @@ def test_spectra_that_fail_alone_name_their_outcome(monkeypatch, bad, poison, er
 
 
 @pytest.mark.parametrize("bad", range(3))
-@pytest.mark.parametrize("fault", ["trace", "hermitian", "not-finite", "trace-then-hermitian"])
+@pytest.mark.parametrize(
+    "fault", ["trace", "hermitian", "not-finite", "trace-then-hermitian", "landing-then-trace"]
+)
 def test_invalid_rotated_state_raises_the_single_check(bad, fault):
     records, plan, plans = _good_case()
     m = records.states[bad]
@@ -255,16 +257,24 @@ def test_invalid_rotated_state_raises_the_single_check(bad, fault):
         records = with_row(records, bad, states=m + 1e-6 * (skew - skew.T))
     elif fault == "not-finite":
         records = with_row(records, bad, states=np.where(np.eye(3) > 0, m, np.inf))
-    else:  # the first failing slice's check is raised, though a later one fails first
+    elif fault == "trace-then-hermitian":
+        # the first failing slice's check is raised, though a later one fails first
         records = with_row(records, bad, states=1.5 * m)
         other = 2 if bad < 2 else 0
         records = with_row(records, other, states=records.states[other] + 1e-6 * skew)
+    else:  # every state check comes before any landing check, whichever row comes first
+        records = _fault(records, bad, "landing")
+        other = 2 if bad < 2 else 0
+        records = with_row(records, other, states=1.5 * records.states[other])
     with np.errstate(invalid="ignore", over="ignore"):  # inf entries in the products
         _assert_same_error(
             InvalidStateError,
             lambda: execute_plan(records, plan, 0.9),
             lambda: execute_plan_reference(records, plans, 0.9),
         )
+    if fault == "landing-then-trace":
+        with pytest.raises(InvalidStateError, match=r"^rotated outcome state: trace 1\.49"):
+            execute_plan(records, plan, 0.9)
 
 
 def test_no_outcome_is_an_argument_error():

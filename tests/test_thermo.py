@@ -17,10 +17,12 @@ from qfeedback.errors import (
     NotADistributionError,
     NotHermitianError,
 )
+from qfeedback import thermo
 from qfeedback.linalg import dagger, eig_hermitian, max_abs, read_only
 from qfeedback.sampling import random_hamiltonian
 from qfeedback.thermo import (
     DensityMatrix,
+    _nats,
     _unit_trace,
     Hamiltonian,
     average_energy,
@@ -300,8 +302,10 @@ class TestStackedUnitTrace:
 class TestStackedFromMatrix:
     """``DensityMatrix.from_matrix`` on an (N, d, d) stack: one eig call, no state objects,
     and the read-only checked stack and its decomposition, slice i the single call on
-    matrix i byte for byte; a stack that fails raises the error of its first slice that
-    fails alone."""
+    matrix i byte for byte.  A stack that fails is checked stage by stage, as
+    ``execute_plan`` and ``decohere_controller`` check theirs: every slice's state checks
+    (``_unit_trace``) come before any slice's floor check, and within a stage the first
+    failing slice raises the error of the single call on it, in one ``from_matrix`` call."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_slices_are_the_single_call(self, eig_calls, seed):
@@ -349,6 +353,8 @@ class TestStackedFromMatrix:
                 stack[i, 1, 1] = np.nan
         with pytest.raises(InvalidStateError) as raised:
             for x in stack:
+                _unit_trace(x, "stacked state")
+            for x in stack:
                 DensityMatrix.from_matrix(x, "stacked state")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -356,6 +362,37 @@ class TestStackedFromMatrix:
                 DensityMatrix.from_matrix(stack, "stacked state")
         assert str(got.value) == str(raised.value)
         assert str(raised.value).startswith("stacked state: ")
+
+    @pytest.mark.parametrize("bad", range(4))
+    @pytest.mark.parametrize("fault", ["trace", "floor"])
+    def test_a_failing_stack_takes_one_call(self, monkeypatch, bad, fault):
+        """Slice ``bad`` of four fails: one ``from_matrix`` call raises it, by one
+        ``_unit_trace`` call over the stack and, for a trace fault, that call's re-run of
+        slices 0…bad; a floor fault is read off the stacked eig, with no re-run."""
+        rng = np.random.default_rng(10)
+        stack = np.stack([_near_unit_trace(rng, 3, 1) for _ in range(4)])
+        if fault == "trace":
+            stack[bad] *= 1.5
+        else:  # unit trace, an eigenvalue of -0.2
+            stack[bad] = np.diag([0.7, 0.5, -0.2])
+        traces, states = [], []
+        unit_trace, from_matrix = thermo._unit_trace, DensityMatrix.from_matrix.__func__
+
+        def counting_unit_trace(matrix, where):
+            traces.append(np.shape(matrix))
+            return unit_trace(matrix, where)
+
+        def counting_from_matrix(cls, matrix, where="state"):
+            states.append(np.shape(matrix))
+            return from_matrix(cls, matrix, where)
+
+        monkeypatch.setattr(thermo, "_unit_trace", counting_unit_trace)
+        monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(counting_from_matrix))
+        check = "trace " if fault == "trace" else "minimum eigenvalue -2.000e-01"
+        with pytest.raises(InvalidStateError, match=f"^slice {bad}: {check}"):
+            DensityMatrix.from_matrix(stack, [f"slice {i}" for i in range(4)])
+        assert states == [(4, 3, 3)]
+        assert traces == [(4, 3, 3)] + ([(3, 3)] * (bad + 1) if fault == "trace" else [])
 
 
 class TestEntropyAndEnergy:
@@ -409,6 +446,24 @@ class TestEntropyAndEnergy:
             shannon_entropy([0.7, 0.7])
         with pytest.raises(NotADistributionError):
             shannon_entropy([1.3, -0.3])
+        for p in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):  # a NaN sum is not 1
+            with pytest.raises(NotADistributionError, match="^entries sum to nan, not 1 "):
+                shannon_entropy(p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nats_reads_every_entry_that_is_not_positive_as_zero(self, seed):
+        """``_nats`` of a spectrum with round-off negatives (-1e-17 to -1e-12), -0.0 and
+        NaN among its entries is ``_nats`` of that spectrum clipped at 0, bit for bit, so
+        a caller has no clip to make first."""
+        rng = np.random.default_rng(3000 + seed)
+        for _ in range(500):
+            dim = int(rng.integers(1, 9))
+            x = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
+            negative = -(10.0 ** rng.uniform(-17.0, -12.0, size=dim))
+            kind = rng.integers(5, size=dim)  # 0, 1: kept; 2: round-off negative; 3: -0.0; 4: NaN
+            x = np.select([kind == 2, kind == 3, kind == 4], [negative, -0.0, np.nan], x)
+            clipped = np.clip(x, 0.0, None)
+            assert np.float64(_nats(x)).tobytes() == np.float64(_nats(clipped)).tobytes()
 
 
 class TestTraceDistance:
