@@ -23,7 +23,7 @@ from .errors import (
     InvalidStateError,
     NonUnitaryBlockError,
 )
-from .linalg import dagger, eigvals_hermitian, max_abs
+from .linalg import _eigvals, dagger, max_abs
 from .feedback import plan_branches
 from .measurement import (
     MeasurementModel,
@@ -40,7 +40,7 @@ from .thermo import (
     ThermoReading,
     _check_spectrum_floor,
     _nats,
-    _unit_trace,
+    _normalized,
     trace_distance,
 )
 
@@ -94,11 +94,11 @@ class JointState:
 
     def controller_state(self) -> DensityMatrix:
         """The system traced out: entry (n, m) is the trace of block (n, m)."""
-        return DensityMatrix.from_psd(np.einsum("abcb->ac", self.blocks()), "controller marginal")
+        return DensityMatrix._exact(np.einsum("abcb->ac", self.blocks()), "controller marginal")
 
     def system_state(self) -> DensityMatrix:
         """The controller traced out: the sum of the diagonal blocks."""
-        return DensityMatrix.from_psd(np.einsum("abad->bd", self.blocks()), "system marginal")
+        return DensityMatrix._exact(np.einsum("abad->bd", self.blocks()), "system marginal")
 
 
 @dataclass(frozen=True)
@@ -187,25 +187,26 @@ def decohere_controller(
     The result ⊕ p_n ρ_n is PSD by construction, and has the union of its
     blocks' spectra, so one eigenvalue-only call on all N blocks checks each
     against the -STATE_TOL floor.  The blocks in ``kept``, checked for a positive
-    trace and, over it, by one ``_unit_trace`` call naming each ``branch {n}``, enter
-    that call over their traces, which gives their entropies.  Any other block is
-    checked as it stands: an outcome dropped for its tiny weight holds only round-off,
-    which is no state.  The first failing block raises, and so does an index outside
-    0…N-1 (:class:`ArgumentRangeError`).  Returns the pinched joint and the kept branches.
+    trace and, over it, for a unit trace, each named ``branch {n}``, enter that call
+    over their traces, which gives their entropies.  Any other block is checked as it
+    stands: an outcome dropped for its tiny weight holds only round-off, which is no
+    state.  No block is tested for Hermiticity: the joint was, where it was built, and a
+    diagonal block of it, over a real trace or not, is as exact.  The first failing block
+    raises, and so does an index outside 0…N-1 (:class:`ArgumentRangeError`).  Returns
+    the pinched joint and the kept branches.
     """
     pinched = _block_diagonal(joint.diagonal_blocks())
-    decohered = replace(joint, matrix=DensityMatrix.from_psd(pinched, "decohered joint"))
+    decohered = replace(joint, matrix=DensityMatrix._exact(pinched, "decohered joint"))
     kept = np.array(sorted({decohered._index(n) for n in kept}), dtype=int)
     blocks, p = decohered.diagonal_blocks(), decohered.probabilities()
     positive = p[kept] > 0.0  # NaN is not
     head = kept[: len(kept) if positive.all() else int(positive.argmin())]
-    names = [f"branch {n}" for n in head.tolist()]
     stack = blocks.copy()
-    stack[head] = _unit_trace(blocks[head] / p[head, None, None], names)[0]
+    stack[head] = _normalized(blocks[head] / p[head, None, None], [f"branch {n}" for n in head])[0]
     if len(head) < len(kept):  # kept[len(head)] is the first with no positive trace
         n = int(kept[len(head)])
         raise InvalidStateError(f"branch {n}: block trace {float(p[n])!r} is not positive")
-    spectra = eigvals_hermitian(stack)
+    spectra = _eigvals(stack)
     for n, lam in enumerate(spectra[:, -1].tolist()):
         _check_spectrum_floor(lam, f"branch {n}")
     entropies = np.array([_nats(s) for s in spectra[kept]])
@@ -221,7 +222,8 @@ def finalize_branches(
     """Replace every branch's system state by the isothermal endpoint ρ_T.
 
     A branch that ``branches`` leaves out was dropped and gets weight 0.
-    Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T.  The
+    Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T, exactly
+    Hermitian with a checked ρ_T and real p_n, and only its trace is checked.  The
     bath ledger records S_n - S per branch.
     """
     n = joint.n_outcomes
@@ -230,11 +232,7 @@ def finalize_branches(
     gains[branches.outcomes] = branches.entropies - s_initial
     p_vec = p_vec / p_vec.sum()
     final = np.kron(np.diag(p_vec.astype(complex)), rho_t.matrix)
-    joint_final = JointState(
-        matrix=DensityMatrix.from_psd(final, "finalized joint"),
-        n_outcomes=n,
-        system_dim=joint.system_dim,
-    )
+    joint_final = JointState(DensityMatrix._exact(final, "finalized joint"), n, joint.system_dim)
     return joint_final, BathLedger(branch_entropies=tuple(gains.tolist()))
 
 

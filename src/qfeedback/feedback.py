@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentRangeError, DomainError, InvalidModelError, PlanMismatchError
-from .linalg import dagger, eig_hermitian, eigvals_hermitian, spectral_matrix
+from .linalg import _eigvals, dagger, eig_hermitian, spectral_matrix
 from .measurement import (
     MeasurementModel,
     MeasurementOutcomes,
@@ -215,8 +215,9 @@ def execute_plan(
     extracted: E_n - Tr[H ρ'] from the rotation at fixed H, plus
     Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at fixed state ρ'.  Row n of the
     outcome stacks and slice n of the plan read the H the plan was made for.
-    One ``_unit_trace`` call checks the rotated states, and one eigenvalue-only call over
-    [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], σ_n the Gibbs state of the retuned levels,
+    One ``_unit_trace`` call checks and hermitizes the rotated states, and one unchecked
+    eigenvalue-only call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], exactly Hermitian
+    (σ_n, the Gibbs state of the retuned levels, comes hermitized from ``spectral_matrix``),
     gives the landing distances and the rotated spectra, for the floor and the entropies,
     and the three checks run as one vectorized test.
 
@@ -238,7 +239,7 @@ def execute_plan(
     # work, so Tr[(H_n + c_n) ρ'] sums over the support only
     populations = np.einsum("ij,nij->nj", b.conj(), rotated @ b).real
     expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
-    spectra = eigvals_hermitian(np.concatenate([rotated, rotated - expected]))
+    spectra = _eigvals(np.concatenate([rotated, rotated - expected]))
 
     lam = spectra[:n_out]
     deviations = 0.5 * np.abs(spectra[n_out:]).sum(axis=-1)
@@ -309,9 +310,8 @@ def _run(
     s_initial = step.initial.entropy
     delta_s_meas = entropy_reduction(outcomes.probabilities, outcomes.entropies, s_initial)
     work_total = float(sum((outcomes.probabilities * works).tolist()))
-    final = DensityMatrix.from_psd(
-        sum(p * rho_target.matrix for p in outcomes.probabilities.tolist()), "cycle endpoint"
-    )
+    endpoint = sum(p * rho_target.matrix for p in outcomes.probabilities.tolist())
+    final = DensityMatrix._exact(endpoint, "cycle endpoint")
     ledger = CycleLedger(
         initial=step.initial,
         temperature=temperature,

@@ -109,11 +109,9 @@ def _stack_index(lead: tuple[int, ...], d: int) -> tuple:
     return per_vector, tuple(i[..., None] for i in per_vector), np.arange(d)[:, None], np.arange(d)
 
 
-def _solve_hermitian(m: np.ndarray, solve: Callable):
-    """``solve``, a LAPACK driver of ``numpy.linalg``, run once on ``m`` hermitized, after
-    the checks both eigen routines share: a square matrix or stack (…, d, d), Hermitian
-    within HERMITICITY_TOL (the error names the stack's worst residual) and of finite
-    norm.  A LAPACK failure is a :class:`NoConvergenceError`."""
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """``m`` hermitized, once it is a square matrix or stack (…, d, d), Hermitian within
+    HERMITICITY_TOL (the error names the stack's worst residual) and of finite norm."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -128,10 +126,7 @@ def _solve_hermitian(m: np.ndarray, solve: Callable):
             for x in () if safe else a.reshape(-1, *a.shape[-2:]):
                 if not math.isfinite(_frobenius(x)):
                     raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(x):.3e}")
-    try:
-        return solve(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+    return a
 
 
 def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
@@ -144,7 +139,10 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     worst residual, :class:`DomainError` when a matrix norm is not finite and
     :class:`NoConvergenceError` when LAPACK does not converge.
     """
-    ascending, v = _solve_hermitian(m, np.linalg.eigh)
+    try:  # the one LAPACK eigh call
+        ascending, v = np.linalg.eigh(_hermitian(m))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
     per_vector, per_matrix, row, column = _stack_index(ascending.shape[:-1], ascending.shape[-1])
     order = np.argsort(-ascending, axis=-1, kind="stable")
     eigenvalues = ascending[(*per_vector, order)]
@@ -160,14 +158,22 @@ def eig_hermitian(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """:func:`eigvals_hermitian` unchecked, on a matrix the package built exactly Hermitian."""
+    try:  # the one LAPACK eigvalsh call
+        eigenvalues = np.linalg.eigvalsh(a)[..., ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+    eigenvalues.setflags(write=False)
+    return eigenvalues
+
+
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     """The eigenvalues alone of a Hermitian matrix, or of each in a stack (…, d, d), by one
     LAPACK call (``numpy.linalg.eigvalsh``), descending and read-only, after the checks
     and with the errors of :func:`eig_hermitian`; slice i is the call on matrix i alone.
     They agree with :func:`eig_hermitian`'s to round-off, not bit for bit."""
-    eigenvalues = _solve_hermitian(m, np.linalg.eigvalsh)[..., ::-1]
-    eigenvalues.setflags(write=False)
-    return eigenvalues
+    return _eigvals(_hermitian(m))
 
 
 def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:

@@ -84,39 +84,49 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
+def _name(where: str | Sequence[str], i: int | None = None) -> str:
+    """Slice i's name in ``where``; with no i, the whole stack's, from its first and last."""
+    if isinstance(where, str):
+        return where
+    return where[i] if i is not None else " … ".join(dict.fromkeys([*where[:1], *where[-1:]]))
+
+
 def _unit_trace(matrix, where: str | Sequence[str]) -> tuple[np.ndarray, float | np.ndarray]:
     """The checks every state runs before its spectrum: square, Hermitian within STATE_TOL,
-    finite and of trace 1 within STATE_TOL.  Returns the hermitized matrix over its trace,
-    and that trace; a stack (…, d, d) gets its traces shaped (…, 1, 1), each slice the single
-    call's bytes, and if it fails, its first failing slice's error under the slice's name:
-    ``where`` is one name per slice, or one string for every slice."""
+    then :func:`_normalized`'s trace check, and finite.  Returns the hermitized matrix over
+    its trace, and that trace; a stack (…, d, d) gets its traces shaped (…, 1, 1), each slice
+    the single call's bytes, and if it fails, its first failing slice's error under the
+    slice's name: ``where`` is one name per slice, or one string for every slice."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
-    stack = m.ndim > 2
+        raise DimensionMismatchError(f"{_name(where)}: must be square, got {m.shape}")
     residual, exact, safe = hermitian_residual(m)
     try:
         if not residual <= STATE_TOL:
             raise InvalidStateError(
-                f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
+                f"{_name(where)}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
             )
         # entries near the float maximum overflow in hermitize: the checks below raise,
         # with no warning first
         with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
-            m = m if exact else hermitize(m)
-            tr = m.trace(axis1=-2, axis2=-1).real
-            tr = tr[..., None, None] if stack else float(tr)
-            for t in tr.ravel().tolist() if stack else [tr]:  # a NaN trace fails too
-                if not abs(t - 1.0) <= STATE_TOL:
-                    raise InvalidStateError(f"{where}: trace {t!r} is not 1 within {STATE_TOL:g}")
-            m = m / tr
+            m, tr = _normalized(m if exact else hermitize(m), where)
         if not safe and not np.isfinite(m).all():
-            raise InvalidStateError(f"{where}: entries are not finite")
+            raise InvalidStateError(f"{_name(where)}: entries are not finite")
     except InvalidStateError:  # on a stack, this error only starts the re-run
-        for i, x in enumerate(np.reshape(matrix, (-1, *m.shape[-2:])) if stack else ()):
-            _unit_trace(x, where if isinstance(where, str) else where[i])
+        for i, x in enumerate(np.reshape(matrix, (-1, *m.shape[-2:])) if m.ndim > 2 else ()):
+            _unit_trace(x, _name(where, i))
         raise
     return m, tr
+
+
+def _normalized(m: np.ndarray, where: str | Sequence[str]) -> tuple[np.ndarray, float | np.ndarray]:
+    """:func:`_unit_trace`'s trace check alone, on a matrix the package built exactly Hermitian."""
+    tr = m.trace(axis1=-2, axis2=-1).real
+    tr = tr[..., None, None] if m.ndim > 2 else float(tr)
+    for i, t in enumerate(tr.ravel().tolist() if m.ndim > 2 else [tr]):  # a NaN trace fails
+        if not abs(t - 1.0) <= STATE_TOL:
+            raise InvalidStateError(f"{_name(where, i)}: trace {t!r} is not 1 within {STATE_TOL:g}")
+    return m / tr, tr
 
 
 def _check_spectrum_floor(lam_min: float, where: str) -> None:
@@ -129,7 +139,7 @@ def _state_array(matrix, where: str | Sequence[str], max_ndim: int = 2) -> np.nd
     """``matrix`` as a complex array of 2 to ``max_ndim`` axes, as a state's constructor needs."""
     m = np.asarray(matrix, dtype=complex)
     if not 2 <= m.ndim <= max_ndim:
-        raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
+        raise DimensionMismatchError(f"{_name(where)}: must be square, got {m.shape}")
     return m
 
 
@@ -168,14 +178,19 @@ class DensityMatrix:
         if raw.ndim == 2:
             return cls._with_eig(m, dec, where)
         for i, lam_min in enumerate(dec.eigenvalues[:, -1].tolist()):
-            _check_spectrum_floor(lam_min, where if isinstance(where, str) else where[i])
+            _check_spectrum_floor(lam_min, _name(where, i))
         return read_only(m), dec
 
     @classmethod
     def from_psd(cls, matrix: np.ndarray, where: str = "state") -> "DensityMatrix":
-        """A state PSD by construction, such as X X† or a positive mix of states: every
-        check of :meth:`from_matrix` but the eig."""
+        """A state PSD by construction, such as X X† or U ρ U†: every check of
+        :meth:`from_matrix`, the Hermiticity test included, but the eig."""
         return cls(matrix=read_only(_unit_trace(_state_array(matrix, where), where)[0]))
+
+    @classmethod
+    def _exact(cls, matrix: np.ndarray, where: str) -> "DensityMatrix":
+        """:meth:`from_psd` with no Hermiticity test, on a PSD matrix :func:`_normalized` takes."""
+        return cls(matrix=read_only(_normalized(matrix, where)[0]))
 
     @classmethod
     def _with_eig(cls, m: np.ndarray, dec: EigenDecomposition, where: str) -> "DensityMatrix":
@@ -234,11 +249,12 @@ def gibbs_weights(levels: np.ndarray, kt: float) -> np.ndarray:
 
 
 def gibbs_state(levels: np.ndarray, vectors: np.ndarray, kt: float, where: str) -> DensityMatrix:
-    """The Gibbs state of ``levels`` on the orthonormal columns of ``vectors`` at kT = ``kt``."""
+    """The Gibbs state of ``levels`` on the orthonormal columns of ``vectors`` at kT = ``kt``.
+    Its one check is the trace: ``spectral_matrix`` hermitizes V diag(w) V†, so it is
+    exactly Hermitian, and PSD by construction, the weights in [0, 1], so it keeps them on
+    the given vectors in place of an eig."""
     weights = gibbs_weights(levels, kt)
-    m, tr = _unit_trace(spectral_matrix(vectors, weights), where)
-    # PSD by construction: the weights lie in [0, 1] and the largest is 1 before
-    # normalizing, so the state keeps them on the given vectors in place of an eig
+    m, tr = _normalized(spectral_matrix(vectors, weights), where)
     order = np.argsort(-weights, kind="stable")
     eigenvalues = weights[order] / tr
     eigenvectors = vectors[:, order]

@@ -30,31 +30,40 @@ def rng():
 
 
 def _count_calls(monkeypatch, attr):
-    """Records calls of ``linalg.<attr>`` made through every qfeedback module that binds
-    it: one entry per call, holding the number of matrices in its stack (1 for a matrix)."""
+    """Records calls of ``linalg.<attr>``, in linalg itself and through every qfeedback
+    module that binds it: one entry per call, holding the number of matrices in its stack
+    (1 for a matrix)."""
     calls = []
-    solver = getattr(linalg, attr)
+    function = getattr(linalg, attr)
 
     def counting(m):
         calls.append(math.prod(np.shape(m)[:-2]))
-        return solver(m)
+        return function(m)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qfeedback" and getattr(module, attr, None) is solver:
+        if name.split(".")[0] == "qfeedback" and getattr(module, attr, None) is function:
             monkeypatch.setattr(module, attr, counting)
     return calls
 
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """The stack size of every eig_hermitian call, eigenvectors and all."""
+    """The stack size of every LAPACK eigh call, eigenvectors and all: ``eig_hermitian``
+    is the one place it runs."""
     return _count_calls(monkeypatch, "eig_hermitian")
 
 
 @pytest.fixture
 def eigvals_calls(monkeypatch):
-    """The stack size of every eigvals_hermitian call, eigenvalues only."""
-    return _count_calls(monkeypatch, "eigvals_hermitian")
+    """The stack size of every LAPACK eigvalsh call, eigenvalues only: ``linalg._eigvals``
+    is the one place it runs, so a call made around ``eigvals_hermitian`` counts too."""
+    return _count_calls(monkeypatch, "_eigvals")
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """The stack size of every ``linalg.hermitian_residual`` call, the M - M† test."""
+    return _count_calls(monkeypatch, "hermitian_residual")
 
 
 def assert_hermitian(m, tol=1e-12):

@@ -13,7 +13,10 @@ ceilings: a decomposition made around ``eig_hermitian`` or
 
 The ``eig_calls`` and ``eigvals_calls`` fixtures in conftest.py record one
 entry per call holding the number of matrices in its stack, so each test pins
-both the calls and the matrices of each.  With N outcomes, a fresh H (one eig)
+both the calls and the matrices of each.  They count where each LAPACK routine
+runs, ``eig_hermitian`` for eigh and ``linalg._eigvals`` for eigvalsh, so the
+cycle's eigenvalue-only calls, which skip the public ``eigvals_hermitian``,
+count too.  With N outcomes, a fresh H (one eig)
 and a fresh model (one stacked call on its N operators to validate a bare one,
 none for an efficient one), a cycle makes 2 eig calls (3 bare) on N + 1
 matrices (2N + 1 bare): H and one stacked call in ``apply`` on the N outcome
@@ -33,7 +36,16 @@ its N diagonal blocks, which gives every block's spectrum floor and the
 branch entropies, and one for the system closure distance: 3N + 2 matrices
 in all, as before.  No branch state is built.  The reset reads the
 record entropy from the controller marginal's diagonal, and the controller
-closure compares two equal matrices, which takes no call."""
+closure compares two equal matrices, which takes no call.
+
+The ``residual_calls`` fixture counts ``linalg.hermitian_residual``, the
+M − M† test, likewise.  A matrix is tested once: where a caller hands it to a
+public call or the cycle forms it by a product (X X†, U ρ U†), never where the
+cycle builds it from checked ones by exactly Hermitian steps (a thermal state,
+``execute_plan``'s eigenvalue-only stack, the endpoint, the pinched and
+finalized joints, both marginals, and the decohered blocks and their
+eigenvalue-only call), which ``test_exact_hermitian.py`` holds to residual 0.
+So ``RESIDUAL_BUDGET`` pins every test a fresh run makes."""
 
 import numpy as np
 import pytest
@@ -115,6 +127,50 @@ def test_controller_cycle(eig_calls, eigvals_calls, n):
     assert sum(eig_calls) == 2 * n + 1
     assert eigvals_calls == [n, 1]
     assert sum(eig_calls) + sum(eigvals_calls) == 3 * n + 2
+
+
+def _cycle(h, h2, model):
+    return run_cycle(h, 1.0, model)
+
+
+def _transform(h, h2, model):
+    return run_transform(h, h2, 1.0, model)
+
+
+def _controller(h, h2, model):
+    return run_controller_cycle(h, 1.0, model)
+
+
+# hermitian_residual calls of a fresh run at N = 2, 3, 4.  A measurement cycle makes
+# four, H's eig, apply's check of its X X† / p stack and the eig on that stack, and
+# execute_plan's check of U ρ U†, and one for its closure distance when that takes a
+# call (as CLOSURE_EIG says for an efficient cycle, always for the other runs).  A bare
+# model adds N + 1, its N operators and their one stacked eig, and a transform H2's eig.
+# A bare controller cycle makes H's eig, the model's N + 1, apply's two, the correlated
+# X X†, the rotated U J U† and the system closure's call.
+RESIDUAL_BUDGET = [
+    ("efficient-cycle", random_efficient_model, _cycle, [4, 5, 5]),
+    ("bare-cycle", random_bare_model, _cycle, [8, 9, 10]),
+    ("efficient-transform", random_efficient_model, _transform, [6, 6, 6]),
+    ("bare-transform", random_bare_model, _transform, [9, 10, 11]),
+    ("bare-controller", random_bare_model, _controller, [9, 10, 11]),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "make_model, run, budget",
+    [case[1:] for case in RESIDUAL_BUDGET],
+    ids=[case[0] for case in RESIDUAL_BUDGET],
+)
+def test_residual_budget(residual_calls, n, make_model, run, budget):
+    """Each matrix is tested for Hermiticity once, where it is given or formed by a
+    product: no matrix the run builds exactly Hermitian from checked ones is tested."""
+    h, model = fresh_inputs(make_model, n)
+    h2 = random_hamiltonian(3, np.random.default_rng(200 + n))
+    residual_calls.clear()
+    run(h, h2, model)
+    assert len(residual_calls) == budget[n - 2]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

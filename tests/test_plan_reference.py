@@ -228,7 +228,7 @@ def test_spectra_that_fail_alone_name_their_outcome(monkeypatch, bad, poison, er
     distance, or a least rotated eigenvalue below the floor (which no landing within
     PLAN_TOL rules out), fails it, and it alone is named."""
     records, plan, _ = _good_case()
-    solver = feedback.eigvals_hermitian
+    solver = feedback._eigvals
 
     def spoiled(m):
         spectra = solver(m).copy()
@@ -238,7 +238,7 @@ def test_spectra_that_fail_alone_name_their_outcome(monkeypatch, bad, poison, er
             spectra[bad, -1] = -2e-10
         return spectra
 
-    monkeypatch.setattr(feedback, "eigvals_hermitian", spoiled)
+    monkeypatch.setattr(feedback, "_eigvals", spoiled)
     with pytest.raises(error, match=f"^outcome {plan.outcomes[bad]}: {message}$"):
         execute_plan(records, plan, 0.9)
 

@@ -287,6 +287,17 @@ class TestStackedUnitTrace:
         with pytest.raises(DimensionMismatchError, match=message):
             _unit_trace(np.zeros(shape), "x")
 
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3, 3)])
+    @pytest.mark.parametrize(
+        "names, stack_name", [(["a", "b"], "a … b"), (["a", "b", "c"], "a … c"), (["a"], "a")]
+    )
+    def test_a_whole_stack_error_names_the_stack_in_words(self, shape, names, stack_name):
+        """A shape error concerns the whole stack, which it names by its first and last
+        slice names, not by the list of them."""
+        message = re.escape(f"{stack_name}: must be square, got {shape}")
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            DensityMatrix.from_matrix(np.zeros(shape), names)
+
     # from_matrix also takes an (N, d, d) stack of states, and refuses a stack of stacks
     @pytest.mark.parametrize(
         "build, shape",
