@@ -169,11 +169,11 @@ def _block_diagonal(stack: np.ndarray) -> np.ndarray:
 
 
 def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
-    """ρ → U ρ U† on the joint space, PSD for any U; a U that changes the trace raises."""
-    if u.shape[0] != joint.matrix.dim:
-        raise DimensionMismatchError(
-            f"unitary dim {u.shape[0]} != joint dim {joint.matrix.dim}"
-        )
+    """ρ → U ρ U† on the joint space, PSD for any U; a U that is not D × D, D the joint's
+    dimension, or that changes the trace raises."""
+    u, d = np.asarray(u, dtype=complex), joint.matrix.dim
+    if u.shape != (d, d):
+        raise DimensionMismatchError(f"unitary shape {u.shape} != joint shape {(d, d)}")
     rotated = DensityMatrix.from_psd(u @ joint.matrix.matrix @ dagger(u), "joint state")
     return replace(joint, matrix=rotated)
 

@@ -17,6 +17,7 @@ is kT itself, in the Hamiltonian's energy units.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,6 +266,14 @@ def isothermal_work(s_target: float, s_n: float, temperature: float) -> float:
     return temperature * (s_target - s_n)
 
 
+def _step_count(n_steps: int) -> int:
+    """``n_steps`` as an int of at least 1: a bool is its int, and a float raises TypeError."""
+    n = operator.index(n_steps)
+    if n < 1:
+        raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
+    return n
+
+
 def quasi_static_work(
     h_start: Hamiltonian,
     h_end: Hamiltonian,
@@ -279,8 +288,7 @@ def quasi_static_work(
     independent validator for :func:`isothermal_work`.
     """
     kt = boltzmann_kt(temperature)
-    if n_steps < 1:
-        raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
+    n_steps = _step_count(n_steps)
     a, b = h_start.matrix, h_end.matrix
     s = np.arange(n_steps + 1) / n_steps
     path = eig_hermitian((1.0 - s[:-1, None, None]) * a + s[:-1, None, None] * b)
@@ -368,8 +376,7 @@ def run_continuous(
     lo, hi = CONTINUOUS_EPSILON_RANGE
     if not lo <= epsilon <= hi:
         raise ArgumentRangeError(f"epsilon must lie in [{lo:g}, {hi:g}], got {epsilon!r}")
-    if n_steps < 1:
-        raise ArgumentRangeError(f"n_steps must be >= 1, got {n_steps!r}")
+    n_steps = _step_count(n_steps)
     cycle = run_cycle(h, temperature, model)
     return ContinuousResult(
         epsilon=epsilon,

@@ -1,6 +1,7 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition (LAPACK ``eigh``
 with a fixed order and phase) or spectrum alone (``eigvalsh``), spectral
-rebuilds and matrix functions, read-only copies.
+rebuilds and matrix functions, read-only copies.  Every Hermiticity check is one
+:func:`hermitian_residual` call, which tests M and hermitizes it from one M†.
 
 All routines are pure functions of their arguments and deterministic, so
 repeated calls on identical input give bit-identical output.  Matrices are
@@ -26,7 +27,6 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-10
 SAFE_ENTRY_MAX = 1e150  # below it, neither M + M† nor ||M||_F can overflow
-NEGATIVE_ZERO_BITS = np.iinfo(np.int64).min  # -0.0 read as an int64, and no other double
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -61,24 +61,16 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return hermitian_residual(m)[0] <= HERMITICITY_TOL
-
-
-def hermitian_residual(m: np.ndarray) -> tuple[float, bool, bool]:
-    """max |M - M†|; whether hermitize returns M bit for bit, which it does when M - M† is
-    zero, no entry reaches SAFE_ENTRY_MAX and no component is -0.0 (its complex halving can
-    give +0.0); and whether every entry is below SAFE_ENTRY_MAX, so that nothing a caller
-    forms from M can overflow and it needs no np.errstate."""
-    if not max_abs(m) < SAFE_ENTRY_MAX:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan or overflow: no warning
-            return max_abs(m - dagger(m)), False, False
-    residual = m - dagger(m)
-    if residual.any():
-        return max_abs(residual), False, True
-    bits = np.ascontiguousarray(m).view(np.int64)
-    negative_zero = bits.size > 0 and bits.min() == NEGATIVE_ZERO_BITS
-    return 0.0, not negative_zero, True
+def hermitian_residual(m: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, bool]:
+    """max |M - M†| of M, or one per matrix of a stack (…, d, d); (M + M†)/2, formed from
+    the same M†; and whether every entry is below SAFE_ENTRY_MAX, so that nothing a caller
+    forms from M can overflow and it needs no np.errstate.  A matrix with an entry at or
+    beyond the bound (an inf or nan too) is read under np.errstate, with no warning."""
+    safe = max_abs(m) < SAFE_ENTRY_MAX
+    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
+        m_dagger = dagger(m)
+        residual = np.abs(m - m_dagger).max(axis=(-2, -1), initial=0.0)
+        return residual, (m + m_dagger) / 2.0, safe
 
 
 @dataclass(frozen=True)
@@ -115,15 +107,13 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    residual, exact, safe = hermitian_residual(a)
-    if not residual <= HERMITICITY_TOL:
-        raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {residual:.3e}")
-    # hermitize changes no bit of a matrix that is exact on its own, so a stack is
-    # hermitized whole; below SAFE_ENTRY_MAX no norm can overflow
-    if not exact:
-        with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
-            a = hermitize(a)
-            for x in () if safe else a.reshape(-1, *a.shape[-2:]):
+    residual, a, safe = hermitian_residual(a)
+    worst = residual.max(initial=0.0)
+    if not worst <= HERMITICITY_TOL:
+        raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {worst:.3e}")
+    if not safe:  # below SAFE_ENTRY_MAX no norm can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in a.reshape(-1, *a.shape[-2:]):
                 if not math.isfinite(_frobenius(x)):
                     raise DomainError(f"matrix norm is not finite: max |M| = {max_abs(x):.3e}")
     return a

@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatchError,
     IncompleteModelError,
     InvalidModelError,
-    NotHermitianError,
 )
 from .linalg import (
     HERMITICITY_TOL,
@@ -42,7 +41,6 @@ from .linalg import (
     dagger,
     eig_hermitian,
     hermitian_residual,
-    is_hermitian,
     matrix_function,
     max_abs,
     read_only,
@@ -120,10 +118,9 @@ class MeasurementModel:
 
     @classmethod
     def weak(cls, generator: np.ndarray, strength: float) -> "MeasurementModel":
-        """Two-outcome weak model P_± = sqrt((I ± εB)/2)."""
+        """Two-outcome weak model P_± = sqrt((I ± εB)/2); the eig that reads ||B|| raises
+        :class:`NotHermitianError` for a B that is not Hermitian."""
         (b,) = _square_family([generator], "generator")
-        if not is_hermitian(b):
-            raise NotHermitianError("weak-measurement generator must be Hermitian")
         norm = float(np.abs(eig_hermitian(b).eigenvalues).max())
         if norm > 1.0 + GENERATOR_NORM_TOL:
             raise InvalidModelError(f"generator norm {norm!r} exceeds 1")
@@ -151,7 +148,7 @@ class MeasurementModel:
         # is invalid already, and its spectra cannot be computed
         if self.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
             ops = self.operator_stack[:, 0]  # one operator per outcome
-            worst = np.array([hermitian_residual(p)[0] for p in ops])
+            worst = hermitian_residual(ops)[0]  # one residual per operator
             hermitian = worst <= HERMITICITY_TOL  # the others report their residual
             if hermitian.any():
                 worst[hermitian] = eig_hermitian(ops[hermitian]).eigenvalues[:, -1]

@@ -30,7 +30,6 @@ from .linalg import (
     eig_hermitian,
     eigvals_hermitian,
     hermitian_residual,
-    hermitize,
     max_abs,
     read_only,
     spectral_matrix,
@@ -61,12 +60,9 @@ class Hamiltonian:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"Hamiltonian must be square, got {m.shape}")
-        residual, exact, safe = hermitian_residual(m)
-        if not exact:
-            with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
-                m = hermitize(m)
-            if not np.isfinite(m).all():
-                raise DomainError("Hamiltonian entries are not finite")
+        residual, m, safe = hermitian_residual(m)
+        if not safe and not np.isfinite(m).all():
+            raise DomainError("Hamiltonian entries are not finite")
         if not residual <= HERMITICITY_TOL:
             raise NotHermitianError(f"Hamiltonian is not Hermitian within {HERMITICITY_TOL:g}")
         return cls(matrix=read_only(m))
@@ -100,16 +96,17 @@ def _unit_trace(matrix, where: str | Sequence[str]) -> tuple[np.ndarray, float |
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"{_name(where)}: must be square, got {m.shape}")
-    residual, exact, safe = hermitian_residual(m)
+    residual, m, safe = hermitian_residual(m)
+    worst = residual.max(initial=0.0)
     try:
-        if not residual <= STATE_TOL:
+        if not worst <= STATE_TOL:
             raise InvalidStateError(
-                f"{_name(where)}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
+                f"{_name(where)}: not Hermitian within {STATE_TOL:g} (residual {worst:.3e})"
             )
-        # entries near the float maximum overflow in hermitize: the checks below raise,
-        # with no warning first
+        # entries near the float maximum overflowed in the hermitization: the checks
+        # below raise, with no warning first
         with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
-            m, tr = _normalized(m if exact else hermitize(m), where)
+            m, tr = _normalized(m, where)
         if not safe and not np.isfinite(m).all():
             raise InvalidStateError(f"{_name(where)}: entries are not finite")
     except InvalidStateError:  # on a stack, this error only starts the re-run
@@ -205,10 +202,13 @@ class DensityMatrix:
     def from_vector(cls, vector: np.ndarray) -> "DensityMatrix":
         """Pure state |ψ⟩⟨ψ| from a (not necessarily normalized) vector."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
+        scale = max_abs(v)
+        if scale == 0.0:
             raise InvalidStateError("cannot build a state from the zero vector")
-        v = v / norm
+        if not scale < math.inf:  # inf, or nan
+            raise InvalidStateError("state vector entries are not finite")
+        v = v / scale  # so that the norm neither overflows nor underflows
+        v = v / np.linalg.norm(v)
         return cls(matrix=read_only(np.outer(v, v.conj())))
 
     @property

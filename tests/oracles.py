@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,9 +47,7 @@ from qfeedback.linalg import (
     _frobenius,
     dagger,
     eig_hermitian,
-    hermitian_residual,
     hermitize,
-    is_hermitian,
     max_abs,
     spectral_matrix,
 )
@@ -176,9 +173,9 @@ def eig_hermitian_reference(m: np.ndarray) -> EigenDecomposition:
     """``linalg.eig_hermitian`` without its shortcuts: it always hermitizes,
     always checks the Frobenius norm, and finds each column's peak on its own."""
     a0 = np.asarray(m, dtype=complex)
-    if not is_hermitian(a0):
-        with np.errstate(over="ignore", invalid="ignore"):  # as in linalg: inf or nan, no warning
-            residual = max_abs(a0 - dagger(a0))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in linalg: inf or nan, no warning
+        residual = max_abs(a0 - dagger(a0))
+    if not residual <= HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |M - M†| = {residual:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
         a = hermitize(a0)
@@ -443,7 +440,7 @@ def validation_report_reference(model: MeasurementModel) -> ValidationReport:
     bad = []
     if model.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
         for n, group in enumerate(model.groups):
-            asymmetry = hermitian_residual(group[0])[0]
+            asymmetry = max_abs(group[0] - dagger(group[0]))
             if not asymmetry <= HERMITICITY_TOL:
                 bad.append((n, asymmetry))
                 continue
@@ -460,18 +457,18 @@ def unit_trace_reference(matrix, where: str) -> tuple[np.ndarray, float]:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{where}: must be square, got {m.shape}")
-    residual, exact, safe = hermitian_residual(m)
-    if not residual <= STATE_TOL:
-        raise InvalidStateError(
-            f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
-        )
-    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
-        m = m if exact else hermitize(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the checks below raise
+        residual = max_abs(m - dagger(m))
+        if not residual <= STATE_TOL:
+            raise InvalidStateError(
+                f"{where}: not Hermitian within {STATE_TOL:g} (residual {residual:.3e})"
+            )
+        m = hermitize(m)
         tr = float(m.trace().real)
         if not abs(tr - 1.0) <= STATE_TOL:
             raise InvalidStateError(f"{where}: trace {tr!r} is not 1 within {STATE_TOL:g}")
         m = m / tr
-    if not safe and not np.isfinite(m).all():
+    if not np.isfinite(m).all():
         raise InvalidStateError(f"{where}: entries are not finite")
     return m, tr
 

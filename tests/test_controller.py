@@ -2,6 +2,7 @@
 decoherence, and the universe entropy ledger."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +140,20 @@ class TestCorrelate:
 
 
 class TestFeedbackUnitary:
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (4,), (2, 4, 4), (2, 2)])
+    def test_unitary_of_another_shape_is_a_dimension_error(self, shape):
+        """A U that is not D x D, D the joint's dimension, is the package's error, not
+        numpy's."""
+        joint = correlate(maximally_mixed(2), MeasurementModel.weak(PAULI_Z, 0.4))
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"unitary shape {shape}")):
+            apply_joint_unitary(joint, np.zeros(shape, dtype=complex))
+
+    def test_unitary_as_nested_lists(self):
+        joint = correlate(maximally_mixed(2), MeasurementModel.weak(PAULI_Z, 0.4))
+        u = feedback_unitary([np.eye(2, dtype=complex), PAULI_X])
+        expected = apply_joint_unitary(joint, u).matrix.matrix
+        assert apply_joint_unitary(joint, u.tolist()).matrix.matrix.tobytes() == expected.tobytes()
+
     def test_identity_blocks(self):
         u = feedback_unitary([np.eye(2, dtype=complex)] * 2)
         np.testing.assert_allclose(u, np.eye(4), atol=0)

@@ -272,6 +272,14 @@ class TestIsothermal:
             with pytest.raises(error):
                 integral(h1, h2, temperature, n_steps)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, np.float64(2.0)])
+    def test_quasi_static_step_count_must_be_an_integer(self, n_steps):
+        """A float step count would integrate on a grid s = 0, 1/n, … that runs past H_end."""
+        h1 = Hamiltonian.diagonal([0.0, 2.0])
+        h2 = Hamiltonian.diagonal([0.5, 1.0])
+        with pytest.raises(TypeError):
+            quasi_static_work(h1, h2, 1.0, n_steps)
+
 
 class TestRunCycle:
     def test_szilard(self):
@@ -379,6 +387,21 @@ def weak_z(epsilon):
 
 
 class TestRunContinuous:
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, np.float64(2.0)])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(TypeError):
+            run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.1), n_steps)
+
+    @pytest.mark.parametrize("n_steps", [0, -2, np.int64(0), False])
+    def test_step_count_below_one_is_a_range_error(self, n_steps):
+        with pytest.raises(ArgumentRangeError):
+            run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.1), n_steps)
+
+    def test_numpy_step_count_is_reported_as_an_int(self):
+        result = run_continuous(Hamiltonian.zero(2), 1.0, weak_z(0.1), np.int64(3))
+        assert type(result.n_steps) is int and result.n_steps == 3
+        assert result.cumulative_work_total == 3 * result.per_cycle.work_total
+
     def test_epsilon_guards(self):
         with pytest.raises(ValueError):
             run_continuous(Hamiltonian.zero(2), 1.0, weak_z(1e-7), 1)

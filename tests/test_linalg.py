@@ -15,12 +15,12 @@ from qfeedback.errors import (
     QFeedbackError,
 )
 from qfeedback.linalg import (
+    HERMITICITY_TOL,
     dagger,
     eig_hermitian,
     eigvals_hermitian,
     hermitian_residual,
     hermitize,
-    is_hermitian,
     matrix_function,
     max_abs,
 )
@@ -236,7 +236,8 @@ def test_finite_input_near_float_max_raises_without_a_warning(build, error, m):
 def test_non_finite_input_is_not_hermitian_without_a_warning(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not is_hermitian(np.array(m, dtype=complex))
+        residual, _, safe = hermitian_residual(np.array(m, dtype=complex))
+    assert not residual <= HERMITICITY_TOL and not safe
 
 
 def test_beyond_safe_entries_keep_their_residual():
@@ -246,7 +247,8 @@ def test_beyond_safe_entries_keep_their_residual():
         warnings.simplefilter("error")
         with pytest.raises(NotHermitianError, match="inf"):
             eig_hermitian(m)
-        assert is_hermitian(np.full((2, 2), 1e308, dtype=complex))
+        residual, hermitized, safe = hermitian_residual(np.full((2, 2), 1e308, dtype=complex))
+    assert (residual, safe) == (0.0, False) and np.isinf(hermitized).all()
 
 
 def _with_negative_zero(m, index, part):
@@ -255,27 +257,64 @@ def _with_negative_zero(m, index, part):
     return out
 
 
+def _signed_zeros(base):
+    """-0.0 components of a Hermitian ``base``, alone and in stacks, one of which mixes an
+    exactly Hermitian slice holding -0.0 with one Hermitian only within tolerance."""
+    skew = np.zeros_like(base)
+    skew[0, 1] = 1e-13
+    return {
+        "none": base,
+        "real-part": _with_negative_zero(base, (0, 1), "real"),
+        "imaginary-part": _with_negative_zero(base, (2, 2), "imag"),
+        "one-slice-of-a-stack": np.stack([base, _with_negative_zero(base, (1, 1), "imag"), base]),
+        "exact-and-inexact-slices": np.stack(
+            [_with_negative_zero(base, (0, 1), "real"), base + skew]
+        ),
+    }
+
+
 EYE = np.eye(3, dtype=complex)
 SIGNED_ZEROS = {
-    "none": EYE,
+    **_signed_zeros(EYE),
     "negative-entries": -EYE,
-    "real-part": _with_negative_zero(EYE, (0, 1), "real"),
-    "imaginary-part": _with_negative_zero(EYE, (2, 2), "imag"),
     "stack-none": np.stack([EYE, -EYE, EYE]),
-    "one-slice-of-a-stack": np.stack([EYE, _with_negative_zero(EYE, (1, 1), "imag"), EYE]),
     "0x0": np.zeros((0, 0), dtype=complex),
     "empty-stack": np.zeros((0, 3, 3), dtype=complex),
     "stack-of-0x0": np.zeros((4, 0, 0), dtype=complex),
 }
 
 
+def _as_stack(m):
+    """A matrix as a stack of one; a stack as it is."""
+    return m[None] if m.ndim == 2 else m
+
+
 @pytest.mark.parametrize("m", SIGNED_ZEROS.values(), ids=SIGNED_ZEROS.keys())
-def test_exact_flag_reads_every_negative_zero(m):
-    """An exactly Hermitian matrix is hermitized unchanged unless a component is -0.0."""
-    negative_zero = bool((np.ascontiguousarray(m).view(np.uint64) == 1 << 63).any())
-    assert hermitian_residual(m) == (0.0, not negative_zero, True)
-    if not negative_zero:
-        assert hermitize(m).tobytes() == m.tobytes()
+def test_stacked_eig_keeps_each_slice_bytes(m):
+    """Each check hermitizes, -0.0 components and all, so slice i of a stacked call is the
+    call on matrix i alone byte for byte."""
+    stack = _as_stack(m)
+    dec, values = eig_hermitian(stack), eigvals_hermitian(stack)
+    for i, x in enumerate(stack):
+        alone = eig_hermitian(x)
+        assert dec.eigenvalues[i].tobytes() == alone.eigenvalues.tobytes()
+        assert dec.eigenvectors[i].tobytes() == alone.eigenvectors.tobytes()
+        assert values[i].tobytes() == eigvals_hermitian(x).tobytes()
+
+
+STATE_SIGNED_ZEROS = _signed_zeros(np.diag([0.5, 0.3, 0.2]).astype(complex))
+
+
+@pytest.mark.parametrize("m", STATE_SIGNED_ZEROS.values(), ids=STATE_SIGNED_ZEROS.keys())
+def test_stacked_state_keeps_each_slice_bytes(m):
+    """Slice i of DensityMatrix.from_matrix on a stack is the state of matrix i alone."""
+    stack = _as_stack(m)
+    matrices, dec = DensityMatrix.from_matrix(stack, "slice")
+    for i, x in enumerate(stack):
+        alone = DensityMatrix.from_matrix(x, "slice")
+        assert matrices[i].tobytes() == alone.matrix.tobytes()
+        assert dec.eigenvalues[i].tobytes() == alone.eig.eigenvalues.tobytes()
+        assert dec.eigenvectors[i].tobytes() == alone.eig.eigenvectors.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -95,6 +95,24 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_vector(v)
         np.testing.assert_allclose(rho.matrix, 0.5 * (np.eye(2) + PAULI_X), atol=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1.0, 1e160, 1e200])
+    def test_from_vector_at_any_scale(self, scale):
+        """The norm of a tiny or huge vector would underflow or overflow: the state is
+        |+><+| at every scale."""
+        rho = DensityMatrix.from_vector(np.array([scale, scale]))
+        plus = DensityMatrix.from_vector(np.array([1.0, 1.0]))
+        assert rho.matrix.tobytes() == plus.matrix.tobytes()
+        np.testing.assert_allclose(rho.matrix, 0.5 * (np.eye(2) + PAULI_X), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "v", [[np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, np.nan)], [0.0, 0.0]]
+    )
+    def test_from_vector_rejects_a_non_finite_or_zero_vector(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError):
+                DensityMatrix.from_vector(np.array(v))
+
     @pytest.mark.parametrize(
         "m",
         [
