@@ -30,13 +30,7 @@ from .errors import (
     UnknownParameterError,
     ValidationError,
 )
-from .linalg import (
-    EigenDecomposition,
-    dagger,
-    eig_hermitian,
-    hermitize,
-    matrix_function,
-)
+from .linalg import EigenDecomposition, dagger, eig_hermitian, hermitize, matrix_function
 from .thermo import (
     DensityMatrix,
     Hamiltonian,

@@ -126,6 +126,8 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ValidationError("--values", str(exc)) from None
+    if not values:
+        raise ValidationError("--values", f"no number in {args.values!r}")
     variants = [with_value(config, args.param, v) for v in values]
     rows = [run_scenario(variant)[0] for variant in variants]
     emit(rows, args.format, args.output or sys.stdout)

@@ -17,13 +17,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
-    ArgumentRangeError,
-    DimensionMismatchError,
-    InvalidModelError,
-    InvalidStateError,
+    ArgumentRangeError, DimensionMismatchError, InvalidModelError, InvalidStateError,
     NonUnitaryBlockError,
 )
-from .linalg import _eigvals, dagger, max_abs
+from .linalg import _eigvals, dagger, hermitize, max_abs
 from .feedback import plan_branches
 from .measurement import (
     MeasurementModel,
@@ -125,8 +122,8 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     Implemented as the isometry V = Σ_n |n⟩ ⊗ P_n, which fixes the joint
     blocks to P_n ρ P_m.  V ρ V† = X X†, X = V ρ^½ the stack of the factors
     X_n = P_n ρ^½ that :func:`~qfeedback.measurement.apply` reads, is PSD by
-    construction, and completeness of the model gives it trace 1.  Requires
-    positive (bare or weak) operator families.
+    construction, and completeness of the model gives it trace 1: it is hermitized and only
+    its trace is checked.  Requires positive (bare or weak) operator families.
     """
     if model.kind not in CONTROLLER_KINDS:
         raise InvalidModelError(
@@ -135,9 +132,10 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
     require_valid(model)
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
-    x = _branch_factors(model, rho).reshape(-1, rho.dim)  # the X_n, top to bottom
+    # the X_n, top to bottom, from a checked ρ and a validated model: X X† cannot overflow
+    x = _branch_factors(model, rho).reshape(-1, rho.dim)
     return JointState(
-        matrix=DensityMatrix.from_psd(x @ dagger(x), "correlated joint state"),
+        matrix=DensityMatrix._exact(hermitize(x @ dagger(x)), "correlated joint state"),
         n_outcomes=model.n_outcomes,
         system_dim=rho.dim,
     )
@@ -169,8 +167,9 @@ def _block_diagonal(stack: np.ndarray) -> np.ndarray:
 
 
 def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
-    """ρ → U ρ U† on the joint space, PSD for any U; a U that is not D × D, D the joint's
-    dimension, or that changes the trace raises."""
+    """ρ → U ρ U† on the joint space, PSD for any U, with every check of ``from_psd``, as a
+    caller's U can overflow it; a U that is not D × D (D the joint's dimension) or changes
+    the trace raises."""
     u, d = np.asarray(u, dtype=complex), joint.matrix.dim
     if u.shape != (d, d):
         raise DimensionMismatchError(f"unitary shape {u.shape} != joint shape {(d, d)}")
@@ -230,8 +229,9 @@ def finalize_branches(
     p_vec, gains = np.zeros(n), np.zeros(n)  # an empty branch leaves the bath untouched
     p_vec[branches.outcomes] = branches.probabilities
     gains[branches.outcomes] = branches.entropies - s_initial
-    p_vec = p_vec / p_vec.sum()
-    final = np.kron(np.diag(p_vec.astype(complex)), rho_t.matrix)
+    # diag(p) ⊗ ρ_T as np.kron forms it, -0.0 entries and all: [n, i, m, j] is p_nm ρ_ij
+    p_diag = np.diag((p_vec / p_vec.sum()).astype(complex))[:, None, :, None]
+    final = (p_diag * rho_t.matrix[None, :, None, :]).reshape(joint.matrix.dim, -1)
     joint_final = JointState(DensityMatrix._exact(final, "finalized joint"), n, joint.system_dim)
     return joint_final, BathLedger(branch_entropies=tuple(gains.tolist()))
 
@@ -244,7 +244,7 @@ def reset_controller(
     the controller's record entropy S({p_n}), read from its diagonal: the
     controller must be diagonal in the record basis, so that is its spectrum."""
     record = np.diag(controller.matrix)
-    if max_abs(controller.matrix - np.diag(record)) > STRUCTURE_TOL:
+    if not max_abs(controller.matrix - np.diag(record)) <= STRUCTURE_TOL:  # NaN too
         raise InvalidStateError("controller must be diagonal in the record basis")
     # descending, as an eig orders them, so the sum runs in the same order
     record_entropy = _nats(np.sort(record.real)[::-1])
@@ -279,7 +279,7 @@ def run_controller_cycle(
     step = plan_branches(h, temperature, model)
     kept = step.plan.outcomes.tolist()
     # a dropped outcome's block leaves the system alone
-    blocks = np.tile(np.eye(model.dim, dtype=complex), (model.n_outcomes, 1, 1))
+    blocks = np.eye(model.dim, dtype=complex)[None].repeat(model.n_outcomes, axis=0)
     blocks[kept] = step.plan.basis_unitaries
     joint = apply_joint_unitary(correlate(step.rho, model), feedback_unitary(blocks))
     joint, branches = decohere_controller(joint, kept)

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentRangeError, DomainError, InvalidModelError, PlanMismatchError
+from .errors import (
+    ArgumentRangeError, DimensionMismatchError, DomainError, InvalidModelError, PlanMismatchError
+)
 from .linalg import _eigvals, dagger, eig_hermitian, spectral_matrix
 from .measurement import (
     MeasurementModel,
@@ -289,6 +291,8 @@ def quasi_static_work(
     """
     kt = boltzmann_kt(temperature)
     n_steps = _step_count(n_steps)
+    if h_end.dim != h_start.dim:
+        raise DimensionMismatchError(f"Hamiltonian dims differ: {h_start.dim} vs {h_end.dim}")
     a, b = h_start.matrix, h_end.matrix
     s = np.arange(n_steps + 1) / n_steps
     path = eig_hermitian((1.0 - s[:-1, None, None]) * a + s[:-1, None, None] * b)
@@ -301,6 +305,8 @@ def quasi_static_work(
 def _run(
     h1: Hamiltonian, h2: Hamiltonian, temperature: float, model: MeasurementModel
 ) -> tuple[CycleLedger, ThermoReading]:
+    if h2.dim != h1.dim:
+        raise DimensionMismatchError(f"Hamiltonian dims differ: {h1.dim} vs {h2.dim}")
     step = plan_branches(h1, temperature, model)
     rho_target = step.rho if h2 is h1 else thermal_state(h2, temperature)
     target = step.initial if h2 is h1 else thermo_reading(rho_target, h2, temperature)

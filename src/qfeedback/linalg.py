@@ -41,11 +41,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def spectral_matrix(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(x) V† of one matrix or of each in a stack, hermitized: round-off leaves the
-    product not exactly Hermitian."""
-    d = values.shape[-1]
-    diagonal = np.zeros((*values.shape, d), dtype=complex)
-    diagonal.reshape(*values.shape[:-1], d * d)[..., :: d + 1] = values
-    return hermitize(vectors @ diagonal @ dagger(vectors))
+    product not exactly Hermitian.  V diag(x) is V's columns scaled by x, to the byte."""
+    return hermitize((vectors * values[..., None, :]) @ dagger(vectors))
 
 
 def read_only(m) -> np.ndarray:
@@ -167,7 +164,8 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
 
 
 def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix through its spectrum.
+    """Apply a real scalar function to a Hermitian matrix, or to each in a stack
+    (…, d, d), through its spectrum, from one eig call.
 
     The result is V diag(f(λ)) V†.  Raises :class:`DomainError` when ``f`` is
     undefined (raises, or returns a non-finite or complex value) at an
@@ -175,14 +173,14 @@ def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     """
     dec = eig_hermitian(m)
     values = np.empty(dec.eigenvalues.shape, dtype=float)
-    for i, lam in enumerate(dec.eigenvalues):
-        try:
-            with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i, lam in enumerate(dec.eigenvalues.flat):
+            try:
                 y = f(float(lam))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"f undefined at eigenvalue {lam!r}: {exc}") from exc
-        if isinstance(y, complex) or not math.isfinite(y):
-            raise DomainError(f"f({lam!r}) = {y!r} is not a finite real value")
-        values[i] = y
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"f undefined at eigenvalue {lam!r}: {exc}") from exc
+            if isinstance(y, complex) or not math.isfinite(y):
+                raise DomainError(f"f({lam!r}) = {y!r} is not a finite real value")
+            values.flat[i] = y
     return spectral_matrix(dec.eigenvectors, values)
 

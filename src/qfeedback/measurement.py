@@ -128,9 +128,8 @@ class MeasurementModel:
         if not lo < strength < hi:
             raise InvalidModelError(f"weak strength must lie in ({lo:g}, {hi:g}), got {strength!r}")
         eye = np.eye(b.shape[0], dtype=complex)
-        sqrt = lambda x: math.sqrt(max(x, 0.0))
-        p_plus = matrix_function((eye + strength * b) / 2.0, sqrt)
-        p_minus = matrix_function((eye - strength * b) / 2.0, sqrt)
+        halves = np.stack([(eye + strength * b) / 2.0, (eye - strength * b) / 2.0])
+        p_plus, p_minus = matrix_function(halves, lambda x: math.sqrt(max(x, 0.0)))
         return cls(
             kind=ModelKind.WEAK,
             groups=((read_only(p_plus),), (read_only(p_minus),)),

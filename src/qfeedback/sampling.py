@@ -52,8 +52,7 @@ def _positive_parts(dim: int, n_parts: int, rng: np.random.Generator) -> list[np
 def random_bare_model(dim: int, n_outcomes: int, rng: np.random.Generator) -> MeasurementModel:
     """Positive operators P_n with Σ P_n² = I."""
     parts = _positive_parts(dim, n_outcomes, rng)
-    ops = [matrix_function(m, lambda x: math.sqrt(max(x, 0.0))) for m in parts]
-    return MeasurementModel.bare(ops)
+    return MeasurementModel.bare(matrix_function(np.stack(parts), lambda x: math.sqrt(max(x, 0.0))))
 
 
 def random_efficient_model(dim: int, n_outcomes: int, rng: np.random.Generator) -> MeasurementModel:

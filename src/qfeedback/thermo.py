@@ -208,8 +208,10 @@ class DensityMatrix:
         if not scale < math.inf:  # inf, or nan
             raise InvalidStateError("state vector entries are not finite")
         v = v / scale  # so that the norm neither overflows nor underflows
-        v = v / np.linalg.norm(v)
-        return cls(matrix=read_only(np.outer(v, v.conj())))
+        v = v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))  # as np.linalg.norm sums
+        matrix = v[:, None] * v.conj()[None, :]  # np.outer's product, frozen with no copy
+        matrix.setflags(write=False)
+        return cls(matrix=matrix)
 
     @property
     def dim(self) -> int:

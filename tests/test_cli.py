@@ -354,10 +354,22 @@ class TestSweep:
         assert rows[0].work_fb > rows[2].work_fb > rows[1].work_fb > 0.0
 
     def test_empty_values(self, capsys):
+        """A --values with no number in it is refused, not run as an empty sweep."""
         code = main(["sweep", "weak-sweep", "--param", "measurement.epsilon",
                      "--values", ""])
-        assert code == 0
-        assert parse_csv(capsys.readouterr().out) == []
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --values: no number in ''\n"
+
+    @pytest.mark.parametrize("values", [",", " , ,"])
+    def test_values_with_no_number(self, capsys, values):
+        code = main(["sweep", "weak-sweep", "--param", "measurement.epsilon",
+                     "--values", values])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --values: no number in {values!r}\n"
 
     def test_unknown_param(self, capsys):
         code = main(["sweep", "szilard", "--param", "bath.pressure",

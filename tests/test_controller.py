@@ -683,6 +683,15 @@ class TestFinalizeAndLedger:
         with pytest.raises(InvalidStateError):
             reset_controller(coherent, bath)
 
+    @pytest.mark.parametrize(
+        "m", [[[0.5, np.nan], [np.nan, 0.5]], [[np.nan, 0.0], [0.0, 0.5]]], ids=["off", "on"]
+    )
+    def test_reset_refuses_a_nan_controller(self, m):
+        """A NaN entry, off the diagonal or on it, is not a record-basis controller."""
+        bath = BathLedger(branch_entropies=(0.0, 0.0))
+        with pytest.raises(InvalidStateError, match="diagonal in the record basis"):
+            reset_controller(DensityMatrix(np.array(m, dtype=complex)), bath)
+
 
 class TestFullCycle:
     @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 4)])

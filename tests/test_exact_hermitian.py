@@ -1,10 +1,13 @@
 """The matrices a cycle hands on with no Hermiticity test are exactly Hermitian.
 
 A cycle runs ``linalg.hermitian_residual`` once on each matrix it is given or forms by
-a product (X X†, U ρ U†, every Hamiltonian and model, and every matrix a public call
-takes), and not on the matrices it builds from those by exactly Hermitian steps:
+a product (apply's X_n X_n†, U ρ U†, every Hamiltonian and model, and every matrix a
+public call takes), and not on the matrices it builds from those by exactly Hermitian
+steps:
 
 * ``gibbs_state``'s V diag(w) V†, which ``spectral_matrix`` hermitizes;
+* the controller's correlated joint X X†, which ``correlate`` hermitizes: X comes from
+  the checked thermal state and the validated model, so no entry can overflow;
 * ``execute_plan``'s one eigenvalue-only call over [ρ′, ρ′ − σ]: the checked rotated
   states and their differences from the Gibbs states σ of the retuned levels;
 * the states ``DensityMatrix._exact`` builds: the cycle's endpoint Σ p_n ρ_T,
@@ -124,6 +127,7 @@ def test_unchecked_matrices_are_exactly_hermitian(seed, model_kind, h_kind, dim,
         run_transform(h, random_hamiltonian(dim, rng), kt, m)
         if model_kind in ("bare", "weak", "energy-basis"):
             run_controller_cycle(h, kt, m)
+            assert "correlated joint state" in [where for _, _, where, _ in seen]
         assert_exact(seen)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qfeedback.cli import load_config
 from qfeedback.errors import (
     ArgumentRangeError,
+    DimensionMismatchError,
     DomainError,
     InputError,
     InvalidModelError,
@@ -280,6 +281,10 @@ class TestIsothermal:
         with pytest.raises(TypeError):
             quasi_static_work(h1, h2, 1.0, n_steps)
 
+    def test_quasi_static_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            quasi_static_work(Hamiltonian.diagonal([0.0, 1.0]), Hamiltonian.zero(3), 1.0, 10)
+
 
 class TestRunCycle:
     def test_szilard(self):
@@ -370,6 +375,12 @@ class TestRunTransform:
         exact = LN2 - math.log(1.0 + math.exp(-2.0))
         assert result.delta_f == pytest.approx(exact, abs=1e-12)
         assert result.work_fb == pytest.approx(exact, abs=1e-9)
+
+    def test_dimension_mismatch(self):
+        """A 2-level cycle cannot expand onto a 3-level Hamiltonian."""
+        model = MeasurementModel.bare([PROJ_X_PLUS, PROJ_X_MINUS])
+        with pytest.raises(DimensionMismatchError, match="dims differ: 2 vs 3"):
+            run_transform(H2LEVEL, Hamiltonian.diagonal([0.0, 1.0, 2.0]), 1.0, model)
 
     def test_transform_identity_random_models(self, rng):
         for _ in range(20):

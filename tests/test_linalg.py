@@ -1,6 +1,7 @@
 """Eigensolver (checked against the Jacobi oracle), polar decomposition, and
 matrix functions."""
 
+import math
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from qfeedback.linalg import (
     hermitize,
     matrix_function,
     max_abs,
+    spectral_matrix,
 )
 from qfeedback.sampling import random_hermitian
 from qfeedback.thermo import DensityMatrix, Hamiltonian
@@ -393,6 +395,37 @@ def test_eigvals_agree_with_eig_hermitian(stack):
     assert max_abs(eigvals_hermitian(stack) - expected) <= bound
 
 
+def _diagonal_product(vectors, values):
+    """spectral_matrix's former form: hermitize(V @ D @ V†) with D = diag(x) built complex."""
+    d = values.shape[-1]
+    diagonal = np.zeros((*values.shape, d), dtype=complex)
+    diagonal.reshape(*values.shape[:-1], d * d)[..., :: d + 1] = values
+    return hermitize(vectors @ diagonal @ dagger(vectors))
+
+
+def _spectral_cases():
+    """(vectors, values) stacks: random spectra and Gibbs-like weights on random eigenvectors,
+    and on the signed permutations a diagonal H's eig gives, with exact and signed zeros."""
+    rng = np.random.default_rng(4411)
+    for dim in (1, 2, 3, 5, 8, 16):
+        stack = np.array([random_hermitian(dim, rng) for _ in range(3)])
+        dec = eig_hermitian(stack)
+        weights = np.exp(-rng.uniform(0.0, 800.0, (3, dim)))  # some underflow to 0
+        yield pytest.param(dec.eigenvectors, dec.eigenvalues, id=f"random-spectrum-{dim}")
+        yield pytest.param(dec.eigenvectors, weights, id=f"random-weights-{dim}")
+        perm = np.eye(dim, dtype=complex)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim)
+        signed = np.where(rng.random((3, dim)) < 0.5, -0.0, 0.0) + rng.choice([0.0, 1.0], (3, dim))
+        yield pytest.param(np.stack([perm] * 3), signed, id=f"signed-permutation-{dim}")
+
+
+@pytest.mark.parametrize("vectors, values", _spectral_cases())
+def test_spectral_matrix_keeps_the_diagonal_product_bytes(vectors, values):
+    """Scaling V's columns by x gives the bytes of V diag(x), on a stack and on each slice."""
+    assert spectral_matrix(vectors, values).tobytes() == _diagonal_product(vectors, values).tobytes()
+    for v, x in zip(vectors, values):
+        assert spectral_matrix(v, x).tobytes() == _diagonal_product(v, x).tobytes()
+
+
 class TestMatrixFunction:
     def test_sqrt_of_squared(self, rng):
         for _ in range(10):
@@ -409,6 +442,28 @@ class TestMatrixFunction:
     def test_log_rejects_negative_spectrum(self):
         with pytest.raises(DomainError):
             matrix_function(-np.eye(2, dtype=complex), np.log)
+
+    def test_stack_is_each_slice_alone(self, rng):
+        stack = np.array([random_hermitian(4, rng) for _ in range(3)])
+        out = matrix_function(stack, np.exp)
+        for m, slice_out in zip(stack, out):
+            assert slice_out.tobytes() == matrix_function(m, np.exp).tobytes()
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (math.log, "f undefined at eigenvalue np.float64(-1.0): math domain error"),
+            (np.log, "f(np.float64(-1.0)) = np.float64(nan) is not a finite real value"),
+        ],
+        ids=["raises", "nan"],
+    )
+    def test_a_stack_raises_the_single_call_error(self, f, message):
+        """The first failing eigenvalue of the stack raises, in the single call's words."""
+        stack = np.stack([np.eye(2, dtype=complex), -np.eye(2, dtype=complex)])
+        for m in (stack, stack[1]):
+            with pytest.raises(DomainError) as info:
+                matrix_function(m, f)
+            assert str(info.value) == message
 
 
 class TestPolarDecompose:

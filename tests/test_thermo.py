@@ -105,6 +105,23 @@ class TestDensityMatrix:
         np.testing.assert_allclose(rho.matrix, 0.5 * (np.eye(2) + PAULI_X), atol=1e-15)
 
     @pytest.mark.parametrize(
+        "v",
+        [np.array([scale, scale]) for scale in (1e-200, 1e-160, 1.0, 1e160, 1e200)]
+        + [
+            [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, dim)) * 10.0 ** (seed - 8)
+            for seed, dim in enumerate([1, 2, 3, 4, 5, 8, 16, 32] * 2)
+        ],
+    )
+    def test_from_vector_keeps_the_norm_and_outer_bytes(self, v):
+        """|ψ⟩⟨ψ| has the bytes of the np.linalg.norm and np.outer formula."""
+        u = np.asarray(v, dtype=complex)
+        u = u / np.abs(u).max()
+        u = u / np.linalg.norm(u)
+        matrix = DensityMatrix.from_vector(v).matrix
+        assert matrix.tobytes() == np.outer(u, u.conj()).tobytes()
+        assert not matrix.flags.writeable
+
+    @pytest.mark.parametrize(
         "v", [[np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, np.nan)], [0.0, 0.0]]
     )
     def test_from_vector_rejects_a_non_finite_or_zero_vector(self, v):
