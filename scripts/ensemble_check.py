@@ -12,7 +12,8 @@ residuals of
 
 It then draws as many seeded bare models, and as many seeded weak models
 (generator of spectral norm 1, strength in [1e-3, 0.5]), runs the controller
-cycle on each, and reports for each kind the worst
+cycle on each and on each efficient model drawn above, and reports for each kind
+the worst
 
     p_n and dS_meas against measurement.apply on the same input
     system and controller closure distances
@@ -112,12 +113,14 @@ def main(argv=None) -> int:
     worst_cycle = worst_transform = worst_closure = 0.0
     min_ds_tot = np.inf
     dropped = 0
+    efficient = []
     for i in range(args.models):
         dim = int(rng.integers(2, 5))
         n_out = int(rng.integers(2, 5))
         h1 = random_hamiltonian(dim, rng)
         h2 = random_hamiltonian(dim, rng)
         model = random_efficient_model(dim, n_out, rng)
+        efficient.append((h1, model))
 
         ledger = run_cycle(h1, args.temperature, model)
         worst_cycle = max(worst_cycle, abs(ledger.work_fb - args.temperature * ledger.delta_s_meas))
@@ -131,7 +134,8 @@ def main(argv=None) -> int:
             abs(result.work_fb - (result.delta_f + args.temperature * result.ledger.delta_s_meas)),
         )
 
-    # the controller picture on bare and on weak models, checked against measurement.apply
+    # the controller picture on bare, weak and efficient models, checked against
+    # measurement.apply
     bare = []
     for i in range(args.models):
         dim = int(rng.integers(2, 5))
@@ -167,6 +171,7 @@ def main(argv=None) -> int:
     for label, models, cases in (
         ("controller", "bare models (dims 2-4, 2-4 outcomes)", bare),
         ("weak controller", "weak models (dims 2-4, strength 1e-3-0.5)", weak),
+        ("efficient controller", "efficient models (dims 2-4, 2-4 outcomes)", efficient),
         ("pure controller", "rank-1 projector models (dims 2-4)", pure),
     ):
         p_gap, ds_meas_gap, closure, bath_gap, least_ds_tot = controller_residuals(

@@ -71,7 +71,6 @@ from .feedback import (
     run_transform,
 )
 from .controller import (
-    BathLedger,
     ControllerCycleResult,
     JointState,
     KeptBranches,

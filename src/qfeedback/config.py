@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .controller import CONTROLLER_KINDS
 from .errors import DomainError, ParseError, UnknownParameterError, ValidationError
 from .feedback import CONTINUOUS_EPSILON_RANGE
 from .linalg import HERMITICITY_TOL, dagger
@@ -272,8 +271,6 @@ def parse_dict(data, source: str = "<config>") -> ScenarioConfig:
     temperature = _bounded(bath, "bath", "temperature", "must be > 0, got {!r}", lambda x: x > 0.0)
 
     model = _parse_measurement(data, dim)
-    if mode == "controller" and model.kind not in CONTROLLER_KINDS:
-        raise ValidationError("measurement.kind", "controller mode requires a bare or weak model")
     if mode == "continuous":
         if model.kind.value != "weak":
             raise ValidationError("measurement.kind", "continuous mode requires a weak model")

@@ -2,7 +2,7 @@
 with the system by an isometry, steers it with a controlled unitary, and
 decoheres when the bath branches become macroscopically distinct.
 
-The bath is never a Hilbert space here.  It enters as an entropy ledger: each
+The bath is never a Hilbert space here.  It enters as entropy alone: each
 branch changes the bath entropy by S_n - S, and resetting the controller
 dumps another S({p_n}) into it.  Total-entropy accounting over system,
 controller, and bath then gives ΔS_tot = S({p_n}) - ΔS_meas ≥ 0.
@@ -17,14 +17,12 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
-    ArgumentRangeError, DimensionMismatchError, InvalidModelError, InvalidStateError,
-    NonUnitaryBlockError,
+    ArgumentRangeError, DimensionMismatchError, InvalidStateError, NonUnitaryBlockError,
 )
-from .linalg import _eigvals, dagger, hermitize, max_abs
+from .linalg import _complex_array, _eigvals, dagger, hermitize, max_abs
 from .feedback import plan_branches
 from .measurement import (
     MeasurementModel,
-    ModelKind,
     SecondLawReport,
     _branch_factors,
     entropy_reduction,
@@ -44,7 +42,6 @@ from .thermo import (
 # Largest entry allowed in U†U - I of a feedback block, and in the
 # off-diagonal part of a controller about to be reset.
 STRUCTURE_TOL = 1e-10
-CONTROLLER_KINDS = (ModelKind.BARE, ModelKind.WEAK)  # positive operators, as correlate needs
 
 
 @dataclass(frozen=True)
@@ -108,32 +105,22 @@ class KeptBranches:
     entropies: np.ndarray  # (K,) S_n
 
 
-@dataclass(frozen=True)
-class BathLedger:
-    """Entropy bookkeeping for the bath: its change per branch and from resets."""
-
-    branch_entropies: tuple[float, ...]  # S_n - S per branch, 0 for a dropped one
-    reset_addition: float = 0.0  # entropy dumped by controller resets
-
-
 def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
-    """Correlate a fresh |0⟩ controller with the system.
+    """Correlate a fresh |0⟩ controller with the system, for a model of any kind.
 
-    Implemented as the isometry V = Σ_n |n⟩ ⊗ P_n, which fixes the joint
-    blocks to P_n ρ P_m.  V ρ V† = X X†, X = V ρ^½ the stack of the factors
-    X_n = P_n ρ^½ that :func:`~qfeedback.measurement.apply` reads, is PSD by
-    construction, and completeness of the model gives it trace 1: it is hermitized and only
-    its trace is checked.  Requires positive (bare or weak) operator families.
+    Implemented as the isometry V = Σ_{n,j} |n⟩ ⊗ |j⟩ ⊗ A_nj, with the index j of the
+    Kraus operators within an outcome traced out.  The joint is X X†, X = V ρ^½ read as
+    the (N·d, k·d) stack of the factors X_n = [X_n1 … X_nk] that
+    :func:`~qfeedback.measurement.apply` reads: its block (n, m) is Σ_j A_nj ρ A_mj†.
+    It is PSD by construction for any operators, and completeness of the model gives it
+    trace 1: it is hermitized and only its trace is checked.
     """
-    if model.kind not in CONTROLLER_KINDS:
-        raise InvalidModelError(
-            f"controller correlation needs positive operators, got kind {model.kind.value}"
-        )
     require_valid(model)
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {rho.dim}")
     # the X_n, top to bottom, from a checked ρ and a validated model: X X† cannot overflow
-    x = _branch_factors(model, rho).reshape(-1, rho.dim)
+    x = _branch_factors(model, rho)
+    x = x.reshape(-1, x.shape[-1])
     return JointState(
         matrix=DensityMatrix._exact(hermitize(x @ dagger(x)), "correlated joint state"),
         n_outcomes=model.n_outcomes,
@@ -143,10 +130,7 @@ def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
 
 def feedback_unitary(blocks) -> np.ndarray:
     """Controlled unitary Σ_n |n⟩⟨n| ⊗ U_n from the (N, d, d) stack of blocks U_n."""
-    try:
-        u = np.asarray(blocks, complex)
-    except ValueError as exc:  # ragged blocks
-        raise DimensionMismatchError(f"blocks must form an (N, d, d) stack: {exc}") from None
+    u = _complex_array(blocks, "blocks must form an (N, d, d) stack")
     if u.ndim != 3 or 0 in u.shape or u.shape[1] != u.shape[2]:
         raise DimensionMismatchError(f"blocks must form an (N, d, d) stack, got shape {u.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails below
@@ -170,7 +154,7 @@ def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
     """ρ → U ρ U† on the joint space, PSD for any U, with every check of ``from_psd``, as a
     caller's U can overflow it; a U that is not D × D (D the joint's dimension) or changes
     the trace raises."""
-    u, d = np.asarray(u, dtype=complex), joint.matrix.dim
+    u, d = _complex_array(u, "the unitary must be a numeric matrix"), joint.matrix.dim
     if u.shape != (d, d):
         raise DimensionMismatchError(f"unitary shape {u.shape} != joint shape {(d, d)}")
     rotated = DensityMatrix.from_psd(u @ joint.matrix.matrix @ dagger(u), "joint state")
@@ -213,45 +197,34 @@ def decohere_controller(
 
 
 def finalize_branches(
-    joint: JointState,
-    rho_t: DensityMatrix,
-    branches: KeptBranches,
-    s_initial: float,
-) -> tuple[JointState, BathLedger]:
+    joint: JointState, rho_t: DensityMatrix, branches: KeptBranches
+) -> JointState:
     """Replace every branch's system state by the isothermal endpoint ρ_T.
 
     A branch that ``branches`` leaves out was dropped and gets weight 0.
     Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T, exactly
-    Hermitian with a checked ρ_T and real p_n, and only its trace is checked.  The
-    bath ledger records S_n - S per branch.
+    Hermitian with a checked ρ_T and real p_n, and only its trace is checked.
     """
     n = joint.n_outcomes
-    p_vec, gains = np.zeros(n), np.zeros(n)  # an empty branch leaves the bath untouched
+    p_vec = np.zeros(n)
     p_vec[branches.outcomes] = branches.probabilities
-    gains[branches.outcomes] = branches.entropies - s_initial
     # diag(p) ⊗ ρ_T as np.kron forms it, -0.0 entries and all: [n, i, m, j] is p_nm ρ_ij
     p_diag = np.diag((p_vec / p_vec.sum()).astype(complex))[:, None, :, None]
     final = (p_diag * rho_t.matrix[None, :, None, :]).reshape(joint.matrix.dim, -1)
-    joint_final = JointState(DensityMatrix._exact(final, "finalized joint"), n, joint.system_dim)
-    return joint_final, BathLedger(branch_entropies=tuple(gains.tolist()))
+    return JointState(DensityMatrix._exact(final, "finalized joint"), n, joint.system_dim)
 
 
-def reset_controller(
-    controller: DensityMatrix, bath: BathLedger
-) -> tuple[DensityMatrix, BathLedger]:
-    """Swap the controller against a fresh |0⟩ ancilla and dump the ancilla
-    into the bath: controller returns to |0⟩⟨0| and the bath entropy grows by
-    the controller's record entropy S({p_n}), read from its diagonal: the
-    controller must be diagonal in the record basis, so that is its spectrum."""
+def reset_controller(controller: DensityMatrix) -> tuple[DensityMatrix, float]:
+    """Swap the controller against a fresh |0⟩ ancilla and dump the ancilla into the
+    bath.  Returns the controller's |0⟩⟨0| and the record entropy S({p_n}) the bath
+    gains, read from the controller's diagonal: the controller must be diagonal in the
+    record basis, so that is its spectrum."""
     record = np.diag(controller.matrix)
     if not max_abs(controller.matrix - np.diag(record)) <= STRUCTURE_TOL:  # NaN too
         raise InvalidStateError("controller must be diagonal in the record basis")
     # descending, as an eig orders them, so the sum runs in the same order
     record_entropy = _nats(np.sort(record.real)[::-1])
-    return (
-        DensityMatrix.from_vector(np.eye(controller.dim)[0]),
-        replace(bath, reset_addition=bath.reset_addition + record_entropy),
-    )
+    return DensityMatrix.from_vector(np.eye(controller.dim)[0]), record_entropy
 
 
 @dataclass(frozen=True)
@@ -265,7 +238,6 @@ class ControllerCycleResult:
     delta_s_meas: float
     work_fb: float
     report: SecondLawReport
-    bath: BathLedger
     system_closure: float  # trace distance of final system state from ρ_T
     controller_closure: float  # trace distance of reset controller from |0⟩⟨0|
     bath_entropy_increase: float  # total bath gain over the cycle
@@ -290,18 +262,18 @@ def run_controller_cycle(
     probabilities = branches.probabilities / branches.probabilities.sum()
     delta_s_meas = entropy_reduction(probabilities, branch_entropies, step.initial.entropy)
 
-    joint_final, bath = finalize_branches(joint, step.rho, branches, step.initial.entropy)
+    joint_final = finalize_branches(joint, step.rho, branches)
     report = second_law_verdict(probabilities, delta_s_meas)
     system_closure = trace_distance(joint_final.system_state(), step.rho)
 
-    controller_reset, bath = reset_controller(joint_final.controller_state(), bath)
+    controller_reset, record_entropy = reset_controller(joint_final.controller_state())
     controller_closure = trace_distance(
         controller_reset, DensityMatrix.from_vector(np.eye(model.n_outcomes)[0])
     )
     # bath gain: isothermal stage took (S - S_n) out per branch, reset put
     # S({p_n}) back in; net is ΔS_tot
-    branch_gains = np.asarray(bath.branch_entropies)[branches.outcomes]
-    bath_gain = float(np.dot(probabilities, branch_gains)) + bath.reset_addition
+    branch_gains = branches.entropies - step.initial.entropy
+    bath_gain = float(np.dot(probabilities, branch_gains)) + record_entropy
     return ControllerCycleResult(
         initial=step.initial,
         probabilities=probabilities,
@@ -310,7 +282,6 @@ def run_controller_cycle(
         delta_s_meas=delta_s_meas,
         work_fb=temperature * delta_s_meas,
         report=report,
-        bath=bath,
         system_closure=system_closure,
         controller_closure=controller_closure,
         bath_entropy_increase=bath_gain,

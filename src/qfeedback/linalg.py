@@ -45,6 +45,15 @@ def spectral_matrix(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return hermitize((vectors * values[..., None, :]) @ dagger(vectors))
 
 
+def _complex_array(m, what: str) -> np.ndarray:
+    """``m`` as a complex array; ragged or non-numeric input raises
+    :class:`DimensionMismatchError` whose message starts with ``what``."""
+    try:
+        return np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what}: {exc}") from None
+
+
 def read_only(m) -> np.ndarray:
     """Read-only C-ordered complex copy: what a frozen state, Hamiltonian or
     measurement model stores, so nothing can change it under a kept spectrum."""
@@ -101,7 +110,7 @@ def _stack_index(lead: tuple[int, ...], d: int) -> tuple:
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """``m`` hermitized, once it is a square matrix or stack (…, d, d), Hermitian within
     HERMITICITY_TOL (the error names the stack's worst residual) and of finite norm."""
-    a = np.asarray(m, dtype=complex)
+    a = _complex_array(m, "expected a numeric matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     residual, a, safe = hermitian_residual(a)

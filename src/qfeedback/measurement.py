@@ -139,13 +139,15 @@ class MeasurementModel:
 
     @cached_property
     def report(self) -> "ValidationReport":
-        """Completeness and, for bare and weak operators, positivity: one eig call over
-        every operator that passes the Hermiticity test."""
+        """Completeness and, for bare operators, positivity: one eig call over every
+        operator that passes the Hermiticity test.  A weak model's P± are
+        V diag(√max(λ, 0)) V† hermitized, which neither test can flag, so only its
+        completeness is read."""
         residual = self.completeness_residual()
         bad = []
         # a non-finite residual means operators beyond the float range: the model
         # is invalid already, and its spectra cannot be computed
-        if self.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):
+        if self.kind is ModelKind.BARE and math.isfinite(residual):
             ops = self.operator_stack[:, 0]  # one operator per outcome
             worst = hermitian_residual(ops)[0]  # one residual per operator
             hermitian = worst <= HERMITICITY_TOL  # the others report their residual

@@ -27,6 +27,7 @@ from .errors import (
 from .linalg import (
     HERMITICITY_TOL,
     EigenDecomposition,
+    _complex_array,
     eig_hermitian,
     eigvals_hermitian,
     hermitian_residual,
@@ -57,9 +58,9 @@ class Hamiltonian:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "Hamiltonian":
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"Hamiltonian must be square, got {m.shape}")
+        m = _complex_array(matrix, "Hamiltonian must be a numeric matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise DimensionMismatchError(f"Hamiltonian must be non-empty and square, got {m.shape}")
         residual, m, safe = hermitian_residual(m)
         if not safe and not np.isfinite(m).all():
             raise DomainError("Hamiltonian entries are not finite")
@@ -69,7 +70,7 @@ class Hamiltonian:
 
     @classmethod
     def diagonal(cls, energies) -> "Hamiltonian":
-        return cls.from_matrix(np.diag(np.asarray(energies, dtype=float)))
+        return cls.from_matrix(np.diag(_complex_array(energies, "energies must be numeric")))
 
     @classmethod
     def zero(cls, dim: int) -> "Hamiltonian":
@@ -134,7 +135,7 @@ def _check_spectrum_floor(lam_min: float, where: str) -> None:
 
 def _state_array(matrix, where: str | Sequence[str], max_ndim: int = 2) -> np.ndarray:
     """``matrix`` as a complex array of 2 to ``max_ndim`` axes, as a state's constructor needs."""
-    m = np.asarray(matrix, dtype=complex)
+    m = _complex_array(matrix, "a state must be a numeric matrix")
     if not 2 <= m.ndim <= max_ndim:
         raise DimensionMismatchError(f"{_name(where)}: must be square, got {m.shape}")
     return m
@@ -201,7 +202,7 @@ class DensityMatrix:
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "DensityMatrix":
         """Pure state |ψ⟩⟨ψ| from a (not necessarily normalized) vector."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = _complex_array(vector, "state vector must be numeric").reshape(-1)
         scale = max_abs(v)
         if scale == 0.0:
             raise InvalidStateError("cannot build a state from the zero vector")

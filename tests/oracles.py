@@ -4,7 +4,7 @@ None of these runs in a scenario.  Each is an independent construction of
 something the program computes another way: a cyclic Jacobi eigensolver for
 LAPACK ``eigh``, an explicit ancilla dilation for block dephasing, the
 universe entropy summed literally and read off the assembled final state,
-the controller's joint states formed as V ρ V† and checked by the eig of
+the controller's joint states formed as Σ_j V_j ρ V_j† and checked by the eig of
 ``from_matrix``, the decohered joint checked block by block with its branch
 entropies from a full eig, the average post-measurement state, the quasi-static work
 integral one path step at a time, a measurement model's validation
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qfeedback.controller import BathLedger, JointState, KeptBranches
+from qfeedback.controller import JointState, KeptBranches
 from qfeedback.errors import (
     ArgumentRangeError,
     DegenerateStateError,
@@ -323,12 +323,19 @@ def decohere_controller_reference(joint: JointState, kept=()) -> tuple[JointStat
 
 
 def eig_checked_joint(rho: DensityMatrix, model: MeasurementModel, u: np.ndarray) -> JointState:
-    """The rotated joint U V ρ V† U† formed from V and ρ themselves, with both stages built
-    by ``DensityMatrix.from_matrix``, whose eig checks their spectra.  ``correlate`` forms
-    the joint as X X† from the factors X_n = P_n ρ^½, and ``correlate`` and
-    ``apply_joint_unitary`` store each stage with no eig."""
-    v = np.vstack([group[0] for group in model.groups])
-    correlated = DensityMatrix.from_matrix(v @ rho.matrix @ dagger(v), "correlated joint state")
+    """The rotated joint U (Σ_j V_j ρ V_j†) U† formed from the V_j and ρ themselves, V_j the
+    vertical stack of every outcome's j-th Kraus operator (a zero matrix where an outcome
+    has fewer), with both stages built by ``DensityMatrix.from_matrix``, whose eig checks
+    their spectra.  ``correlate`` forms the joint as X X† from the factors
+    X_n = [A_n1 ρ^½ … A_nk ρ^½], and ``correlate`` and ``apply_joint_unitary`` store each
+    stage with no eig."""
+    k = max(len(group) for group in model.groups)
+    zero = np.zeros((rho.dim, rho.dim), dtype=complex)
+    joint = sum(
+        v @ rho.matrix @ dagger(v)
+        for v in (np.vstack([g[j] if j < len(g) else zero for g in model.groups]) for j in range(k))
+    )
+    correlated = DensityMatrix.from_matrix(joint, "correlated joint state")
     rotated = DensityMatrix.from_matrix(hermitize(u @ correlated.matrix @ dagger(u)), "joint state")
     return JointState(matrix=rotated, n_outcomes=model.n_outcomes, system_dim=rho.dim)
 
@@ -340,13 +347,14 @@ def total_entropy(probabilities, branch_system_entropies, s_bath: float = 0.0) -
     return shannon_entropy(p) + float(np.dot(p, s_n)) + s_bath
 
 
-def total_entropy_assembled(joint_final: JointState, bath: BathLedger) -> float:
-    """Universe entropy read off the assembled final structure: the
-    controller-bath composite is classical over distinguishable branches, and
-    the system factor rides along in its thermal state."""
+def total_entropy_assembled(joint_final: JointState, branch_gains) -> float:
+    """Universe entropy read off the assembled final structure, with ``branch_gains`` the
+    bath's entropy change S_n - S per controller index (0 for a dropped one): the
+    controller-bath composite is classical over distinguishable branches, and the system
+    factor rides along in its thermal state."""
     p = joint_final.probabilities()
     controller_bath = von_neumann_entropy(joint_final.controller_state()) + float(
-        np.dot(p, np.asarray(bath.branch_entropies))
+        np.dot(p, np.asarray(branch_gains))
     )
     return controller_bath + von_neumann_entropy(joint_final.system_state())
 
@@ -435,7 +443,9 @@ def quasi_static_work_reference(
 
 def validation_report_reference(model: MeasurementModel) -> ValidationReport:
     """``MeasurementModel.report`` with one eig call per operator that passes the
-    Hermiticity test, in place of one stacked call over them."""
+    Hermiticity test, in place of one stacked call over them.  It tests a weak model's
+    P± too, which the report leaves to their construction, so the two agree on a weak
+    model only while that construction keeps them positive."""
     residual = model.completeness_residual()
     bad = []
     if model.kind in (ModelKind.BARE, ModelKind.WEAK) and math.isfinite(residual):

@@ -255,14 +255,38 @@ def test_criterion_5_cycle_closure():
     )
 
 
+def _controller_residuals(h, temperature, model) -> tuple[float, float, float, float]:
+    """Gate 6 on one model: the worst joint block against apply's p_n ρ_n, the final
+    joint's trace distance from the product of its marginals, the worst entropy-ledger
+    gap (bath gain against ΔS_tot, and ΔS_tot against run_cycle's) and the worst closure."""
+    rho_t = thermal_state(h, temperature)
+    joint = correlate(rho_t, model)
+    records = apply(model, rho_t, h)
+    block = max(
+        max_abs(joint.blocks()[r.n, :, r.n, :] - r.probability * r.state.matrix) for r in records
+    )
+    e0 = average_energy(rho_t, h)
+    blocks = plan_feedback(records, h, temperature, e_initial=e0).basis_unitaries
+    moved = apply_joint_unitary(joint, feedback_unitary(blocks))
+    decohered, branches = decohere_controller(moved, [r.n for r in records])
+    final = finalize_branches(decohered, rho_t, branches)
+    product = DensityMatrix.from_matrix(
+        np.kron(final.controller_state().matrix, final.system_state().matrix)
+    )
+    factor = trace_distance(final.matrix, product)
+
+    result = run_controller_cycle(h, temperature, model)
+    reference = run_cycle(h, temperature, model)
+    ledger = max(
+        abs(result.bath_entropy_increase - result.report.delta_s_tot),
+        abs(result.report.delta_s_tot - reference.delta_s_tot),
+    )
+    return block, factor, ledger, max(result.system_closure, result.controller_closure)
+
+
 def test_criterion_6_controller_equivalence():
     rng = np.random.default_rng(793)
-    from qfeedback.sampling import random_bare_model
-
-    block_worst = 0.0
-    factor_worst = 0.0
-    ledger_worst = 0.0
-    closure_worst = 0.0
+    cases = {"bare and weak": [], "efficient": [], "inefficient": []}
     for i in range(30):
         dim = int(rng.integers(2, 5))
         h = random_hamiltonian(dim, rng)
@@ -273,45 +297,27 @@ def test_criterion_6_controller_equivalence():
             model = MeasurementModel.weak(b, float(rng.uniform(0.1, 0.9)))
         else:
             model = random_bare_model(dim, int(rng.integers(2, 5)), rng)
-        rho_t = thermal_state(h, temperature)
-        joint = correlate(rho_t, model)
-        records = apply(model, rho_t, h)
-        for record in records:
-            block_worst = max(
-                block_worst,
-                max_abs(
-                    joint.blocks()[record.n, :, record.n, :]
-                    - record.probability * record.state.matrix
-                ),
-            )
+        cases["bare and weak"].append((h, temperature, model))
+    members, _ = efficient_ensemble()
+    cases["efficient"] = [(m.h, m.temperature, m.model) for m in members]
+    rng = np.random.default_rng(794)
+    for _ in range(40):
+        dim, n_out = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        h, temperature = random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0))
+        cases["inefficient"].append((h, temperature, random_inefficient_model(dim, n_out, rng)))
 
-        e0 = average_energy(rho_t, h)
-        s0 = von_neumann_entropy(rho_t)
-        blocks = plan_feedback(records, h, temperature, e_initial=e0).basis_unitaries
-        moved = apply_joint_unitary(joint, feedback_unitary(blocks))
-        decohered, branches = decohere_controller(moved, [r.n for r in records])
-        final, _ = finalize_branches(decohered, rho_t, branches, s_initial=s0)
-        product = DensityMatrix.from_matrix(
-            np.kron(final.controller_state().matrix, final.system_state().matrix)
-        )
-        factor_worst = max(factor_worst, trace_distance(final.matrix, product))
-
-        result = run_controller_cycle(h, temperature, model)
-        reference = run_cycle(h, temperature, model)
-        ledger_worst = max(
-            ledger_worst,
-            abs(result.bath_entropy_increase - result.report.delta_s_tot),
-            abs(result.report.delta_s_tot - reference.delta_s_tot),
-        )
-        closure_worst = max(closure_worst, result.system_closure, result.controller_closure)
+    block_worst, factor_worst, ledger_worst, closure_worst = np.max(
+        [_controller_residuals(*case) for draws in cases.values() for case in draws], axis=0
+    )
     ok = (
         block_worst < 1e-10
         and factor_worst < 1e-8
         and closure_worst < 1e-8
         and ledger_worst < 1e-9
     )
+    counts = ", ".join(f"{len(draws)} {kind}" for kind, draws in cases.items())
     verdict(
-        6, ok, "isometric controller reproduces the measurement picture",
+        6, ok, f"isometric controller reproduces the measurement picture ({counts})",
         f"block resid {block_worst:.2e}, factorization {factor_worst:.2e}, "
         f"closure {closure_worst:.2e}, entropy ledger {ledger_worst:.2e}",
     )
@@ -431,22 +437,90 @@ def test_criterion_11_each_branch_reaches_its_maximal_work():
 
 def test_criterion_12_efficient_readout_adds_no_heat():
     # Groenewold-Lindblad: an efficient measurement never raises the average entropy,
-    # Σ p_n S(ρ_n) ≤ S(ρ), on any state, thermal for the measured system's H or not
+    # Σ p_n S(ρ_n) ≤ S(ρ), on any state, thermal for the measured system's H or not.
+    # The controller picture measures the thermal state of the Hamiltonian it is given,
+    # so it runs on the Hamiltonian whose Gibbs state ρ is.
     rng = np.random.default_rng(1212)
-    worst = math.inf
+    worst = controller_worst = math.inf
     for _ in range(400):
         dim, n_out = int(rng.integers(2, 6)), int(rng.integers(2, 5))
         model = random_efficient_model(dim, n_out, rng)
         h = random_hamiltonian(dim, rng)
         # full rank: the thermal state of an independent Hamiltonian
-        rho = thermal_state(random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0)))
+        h_rho, temperature = random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0))
+        rho = thermal_state(h_rho, temperature)
         records = apply(model, rho, h)
         delta_s = entropy_reduction(
             [r.probability for r in records], [r.entropy for r in records], von_neumann_entropy(rho)
         )
         worst = min(worst, delta_s)
-    ok = worst >= -1e-12
+        controller = run_controller_cycle(h_rho, temperature, model)
+        controller_worst = min(controller_worst, controller.delta_s_meas)
+    ok = worst >= -1e-12 and controller_worst >= -1e-12
     verdict(
         12, ok, "efficient readout never raises the average entropy",
-        f"min dS_meas {worst:.2e} over 400 random states",
+        f"min dS_meas {worst:.2e} (measurement), {controller_worst:.2e} (controller) "
+        f"over 400 random states",
+    )
+
+
+def _bare_part(model: MeasurementModel) -> MeasurementModel:
+    """The bare model √E_n, E_n = Σ_j A_nj†A_nj, of any model."""
+    root = lambda x: math.sqrt(max(x, 0.0))
+    return MeasurementModel.bare(
+        [matrix_function(sum(dagger(a) @ a for a in group), root) for group in model.groups]
+    )
+
+
+def _polar_gaps(h, temperature, model) -> tuple[float, float]:
+    """Gate 13 on one efficient model and its bare part from the polar form
+    A_n = U_n √E_n: the worst gap of p_n, S_n, ΔS_meas and W_fb per unit of max(1, kT),
+    and the gap of ΔE_meas(A) - ΔE_meas(√E) from Σ p_n (Tr[H U_n σ_n U_n†] - Tr[H σ_n]),
+    σ_n = √E_n ρ √E_n / p_n, in the measurement and the controller picture alike."""
+    polar = [polar_decompose(a) for (a,) in model.groups]
+    bare = MeasurementModel.bare([f.positive for f in polar])
+    rho = thermal_state(h, temperature).matrix
+    energy_shift = 0.0
+    for f in polar:
+        sigma = f.positive @ rho @ f.positive
+        moved = f.unitary @ sigma @ dagger(f.unitary)
+        energy_shift += float(np.trace(h.matrix @ (moved - sigma)).real)
+    worst = energy = 0.0
+    for run in (run_cycle, run_controller_cycle):
+        a, b = run(h, temperature, model), run(h, temperature, bare)
+        if run is run_cycle:
+            p = [[o.probability for o in x.outcomes] for x in (a, b)]
+            s = [[o.entropy for o in x.outcomes] for x in (a, b)]
+        else:
+            p = [x.probabilities for x in (a, b)]
+            s = [x.branch_entropies for x in (a, b)]
+        gaps = [
+            max_abs(np.subtract(*p)),
+            max_abs(np.subtract(*s)),
+            abs(a.delta_s_meas - b.delta_s_meas),
+            abs(a.work_fb - b.work_fb),
+        ]
+        worst = max(worst, max(gaps) / max(1.0, temperature))
+        energy = max(energy, abs(a.delta_e_meas - b.delta_e_meas - energy_shift))
+    return worst, energy
+
+
+def test_criterion_13_efficient_is_bare_then_unitary():
+    # A_n = U_n √E_n: the bare part √E_n does the measuring, and U_n moves energy but
+    # not entropy, so a model and its bare part share p_n, S_n, ΔS_meas and W_fb
+    members, _ = efficient_ensemble()
+    worst, energy = np.max([_polar_gaps(m.h, m.temperature, m.model) for m in members], axis=0)
+    # negative control: an inefficient model is no bare model followed by a unitary
+    rng = np.random.default_rng(1313)
+    control = []
+    for _ in range(100):
+        dim, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        h, model = random_hamiltonian(dim, rng), random_inefficient_model(dim, n_out, rng)
+        gap = run_cycle(h, 1.0, model).work_fb - run_cycle(h, 1.0, _bare_part(model)).work_fb
+        control.append(gap)
+    ok = worst < 1e-9 and energy < 1e-9 and max(np.abs(control)) > 1e-3
+    verdict(
+        13, ok, f"each of {len(members)} efficient models measures as its bare part",
+        f"gap {worst:.2e} per max(1, kT), dE_meas shift resid {energy:.2e}, both pictures; "
+        f"inefficient control W_fb gaps {min(control):.3f} to {max(control):.3f} over 100",
     )

@@ -530,6 +530,24 @@ class TestReport:
         assert "FAIL" in out
         assert "0/1 rows satisfy" in out
 
+    # ΔS_tot = S({p_n}) - ΔS_meas leaves out the entropy of the Kraus index j that the
+    # reset readout discards, so its one outcome reads a negative bill.  The controller
+    # traces j out of its joint and reads the same bill: this pin moves in both pictures
+    # once the ledger counts that entropy, H({p_nj}).
+    @pytest.mark.parametrize("mode", ["cycle", "controller"])
+    def test_reset_channel_bill_is_the_same_in_both_pictures(self, tmp_path, capsys, mode):
+        config = tmp_path / "reset.yaml"
+        config.write_text(RESET_CHANNEL_CONFIG.replace("mode: cycle", f"mode: {mode}"))
+        path = tmp_path / "ledger.csv"
+        assert main(["run", str(config), "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["mode"] == mode
+        assert row["delta_S_tot"] == -0.5822031088882179
+        assert row["efficiency_flag"] is False
+        self.run_to_file(str(config), path)
+        assert main(["report", str(path)]) == 1
+        assert "0/1 rows satisfy" in capsys.readouterr().out
+
     def test_negative_bill_fails_and_is_not_efficient(self, tmp_path, capsys):
         config = tmp_path / "reset.yaml"
         config.write_text(RESET_CHANNEL_CONFIG)

@@ -5,11 +5,13 @@ import copy
 import numpy as np
 import pytest
 
+from qfeedback.cli import run_scenario
 from qfeedback.config import parse_config, parse_dict, with_value
 from qfeedback.controller import correlate
 from qfeedback.errors import InvalidModelError, ParseError, UnknownParameterError, ValidationError
+from qfeedback.ledger import COLUMNS
 from qfeedback.measurement import MeasurementModel
-from qfeedback.thermo import Hamiltonian, thermal_state
+from qfeedback.thermo import thermal_state
 
 
 def minimal(mode="cycle"):
@@ -88,6 +90,47 @@ class TestParseDict:
         assert config.model.kind.value == "inefficient"
         assert len(config.model.groups) == 1
         assert len(config.model.groups[0]) == 2
+
+
+# one measurement tree per kind on the minimal two-level system: the x-basis readout
+# (bare), the reset readout |0><0|, |0><1| (efficient), the x-basis pair under one
+# outcome (inefficient) and a weak sigma_z readout
+HALF = [[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]
+HALF_MINUS = [[0.5, 0.0], [-0.5, 0.0]], [[-0.5, 0.0], [0.5, 0.0]]
+MEASUREMENTS = {
+    "bare": {"kind": "bare", "operators": [list(HALF), list(HALF_MINUS)]},
+    "efficient": {
+        "kind": "efficient",
+        "operators": [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        ],
+    },
+    "inefficient": {"kind": "inefficient", "groups": [[list(HALF), list(HALF_MINUS)]]},
+    "weak": minimal("continuous")["measurement"],
+}
+
+
+class TestControllerMode:
+    @pytest.mark.parametrize("kind", MEASUREMENTS)
+    def test_controller_mode_takes_every_kind(self, kind):
+        """Config validation and correlate take a model of any kind, and its controller
+        run gives the row of its measurement cycle."""
+        data = minimal("controller")
+        data["measurement"] = copy.deepcopy(MEASUREMENTS[kind])
+        config = parse_dict(data)
+        assert config.model.kind.value == kind
+        joint = correlate(thermal_state(config.hamiltonian, 1.0), config.model)
+        assert joint.n_outcomes == config.model.n_outcomes
+        controller, _ = run_scenario(config)
+        data["run"]["mode"] = "cycle"
+        cycle, _ = run_scenario(parse_dict(data))
+        for name in COLUMNS:
+            a, b = getattr(cycle, name), getattr(controller, name)
+            if isinstance(a, float):
+                assert abs(a - b) <= 1e-9, name
+            elif name != "mode":
+                assert a == b, name
 
 
 class TestRejection:
@@ -226,24 +269,6 @@ class TestRejection:
         data = minimal()
         data["measurement"]["operators"][0][0][0][1] = value
         self.check(data, "measurement.operators[0][0][0][1]")
-
-    def test_controller_mode_needs_positive_operators(self):
-        data = minimal("controller")
-        data["measurement"]["kind"] = "efficient"
-        self.check(data, "measurement.kind")
-
-    def test_controller_kinds_are_one_rule(self):
-        # config validation and correlate read the same kinds, each with its own message
-        data = minimal("controller")
-        data["measurement"]["kind"] = "efficient"
-        with pytest.raises(ValidationError) as info:
-            parse_dict(data)
-        assert str(info.value) == "measurement.kind: controller mode requires a bare or weak model"
-        rho = thermal_state(Hamiltonian.diagonal([0.0, 1.0]), 1.0)
-        with pytest.raises(InvalidModelError) as info:
-            correlate(rho, MeasurementModel.efficient([np.eye(2)]))
-        message = "controller correlation needs positive operators, got kind efficient"
-        assert str(info.value) == message
 
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_weak_strength_range_is_one_rule(self, eps):

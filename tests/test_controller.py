@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeedback.controller import (
-    BathLedger,
     JointState,
     apply_joint_unitary,
     correlate,
@@ -25,11 +24,10 @@ from qfeedback.errors import (
     DegenerateStateError,
     DimensionMismatchError,
     IncompleteModelError,
-    InvalidModelError,
     InvalidStateError,
     NonUnitaryBlockError,
 )
-from qfeedback.feedback import plan_branches
+from qfeedback.feedback import plan_branches, run_cycle
 from qfeedback.linalg import (
     dagger,
     eig_hermitian,
@@ -51,6 +49,7 @@ from qfeedback.measurement import (
 from qfeedback.sampling import (
     ginibre,
     random_bare_model,
+    random_efficient_model,
     random_hamiltonian,
     random_hermitian,
 )
@@ -72,6 +71,7 @@ from conftest import (
     PROJ_X_MINUS,
     PROJ_X_PLUS,
     maximally_mixed,
+    random_inefficient_model,
     random_unitary,
 )
 from oracles import (
@@ -133,10 +133,29 @@ class TestCorrelate:
         with pytest.raises(IncompleteModelError):
             correlate(maximally_mixed(2), half)
 
-    def test_rejects_general_kraus_model(self):
+    @pytest.mark.parametrize("kind", ["efficient", "inefficient"])
+    def test_general_kraus_model_traces_out_its_kraus_index(self, rng, kind):
+        """Block (n, m) of a general Kraus model's joint is Σ_j A_nj ρ A_mj†: its
+        diagonal blocks are apply's p_n ρ_n, and the joint is the eig-checked sum."""
+        draw = random_efficient_model if kind == "efficient" else random_inefficient_model
+        for _ in range(20):
+            dim, n = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            model = draw(dim, n, rng)
+            rho = thermal_state(random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0)))
+            joint = correlate(rho, model)
+            records = apply(model, rho, Hamiltonian.zero(dim))
+            for record in records:
+                block = joint.blocks()[record.n, :, record.n, :]
+                assert max_abs(block - record.probability * record.state.matrix) < 1e-10
+            checked = eig_checked_joint(rho, model, np.eye(n * dim))
+            assert max_abs(joint.matrix.matrix - checked.matrix.matrix) < 1e-12
+
+    def test_controlled_kraus_operators(self):
+        # A_0 = |0><0| and A_1 = X|1><1| both leave the system in |0>: the joint of I/2
+        # is |0><0| ⊗ |0><0| / 2 + |1><1| ⊗ |0><0| / 2, with no coherence
         model = MeasurementModel.efficient([PROJ_0, PAULI_X @ PROJ_1])
-        with pytest.raises(InvalidModelError):
-            correlate(maximally_mixed(2), model)
+        joint = correlate(maximally_mixed(2), model)
+        np.testing.assert_allclose(joint.matrix.matrix, np.diag([0.5, 0, 0.5, 0]), atol=1e-15)
 
 
 class TestFeedbackUnitary:
@@ -216,14 +235,21 @@ class TestFeedbackUnitary:
             feedback_unitary(blocks)
 
 
-def cycle_inputs(dim, n, temperature):
+DRAWS = {
+    "bare": random_bare_model,
+    "efficient": random_efficient_model,
+    "inefficient": random_inefficient_model,
+}
+
+
+def cycle_inputs(dim, n, temperature, kind="bare"):
     """ρ, the model, the controlled feedback unitary and the kept outcomes of one
-    controller cycle, as run_controller_cycle forms them, on a seeded bare model
-    with n outcomes or, for n = 0, a weak one."""
+    controller cycle, as run_controller_cycle forms them, on a seeded model of the
+    given kind with n outcomes or, for n = 0, a weak one."""
     rng = np.random.default_rng([dim, n])
     h = random_hamiltonian(dim, rng)
     if n:
-        model = random_bare_model(dim, n, rng)
+        model = DRAWS[kind](dim, n, rng)
     else:
         g = random_hermitian(dim, rng)
         strength = float(rng.uniform(1e-3, 0.5))
@@ -235,10 +261,16 @@ def cycle_inputs(dim, n, temperature):
 
 
 CYCLE_CASES = [
-    pytest.param(dim, n, t, id=f"dim{dim}-{f'bare{n}' if n else 'weak'}-T{t:g}")
+    pytest.param(dim, n, t, "bare", id=f"dim{dim}-{f'bare{n}' if n else 'weak'}-T{t:g}")
     for dim in (2, 3, 4, 6, 8)
     for n in (2, 3, 4, 0)
     for t in (1e-3, 1.0, 2.0)
+] + [
+    pytest.param(dim, n, t, kind, id=f"dim{dim}-{kind}{n}-T{t:g}")
+    for kind in ("efficient", "inefficient")
+    for dim in (2, 3, 6)
+    for n in (1, 3)
+    for t in (1e-3, 1.0)
 ]
 
 
@@ -253,19 +285,19 @@ class TestJointsWithoutAnEig:
         apply_joint_unitary(correlate(rho, model), u)
         assert len(eig_calls) == 0
 
-    @pytest.mark.parametrize("dim, n, temperature", CYCLE_CASES)
-    def test_every_joint_is_psd(self, dim, n, temperature):
-        rho, model, u, kept = cycle_inputs(dim, n, temperature)
+    @pytest.mark.parametrize("dim, n, temperature, kind", CYCLE_CASES)
+    def test_every_joint_is_psd(self, dim, n, temperature, kind):
+        rho, model, u, kept = cycle_inputs(dim, n, temperature, kind)
         correlated = correlate(rho, model)
         rotated = apply_joint_unitary(correlated, u)
         decohered, branches = decohere_controller(rotated, kept)
-        final, _ = finalize_branches(decohered, rho, branches, von_neumann_entropy(rho))
+        final = finalize_branches(decohered, rho, branches)
         for joint in (correlated, rotated, decohered, final):
             assert np.linalg.eigvalsh(joint.matrix.matrix).min() >= -1e-12
 
-    @pytest.mark.parametrize("dim, n, temperature", CYCLE_CASES)
-    def test_branches_match_the_eig_checked_path(self, dim, n, temperature):
-        rho, model, u, kept = cycle_inputs(dim, n, temperature)
+    @pytest.mark.parametrize("dim, n, temperature, kind", CYCLE_CASES)
+    def test_branches_match_the_eig_checked_path(self, dim, n, temperature, kind):
+        rho, model, u, kept = cycle_inputs(dim, n, temperature, kind)
         joint, branches = decohere_controller(apply_joint_unitary(correlate(rho, model), u), kept)
         checked, expected = decohere_controller(eig_checked_joint(rho, model, u), kept)
         assert max_abs(joint.probabilities() - checked.probabilities()) <= 1e-12
@@ -420,7 +452,7 @@ class TestBlockSpectra:
             assert s_n == _nats(np.clip(eigvals_hermitian(state.matrix), 0.0, None))
             assert s_n == pytest.approx(von_neumann_entropy(state), abs=1e-13)
 
-        final, _ = finalize_branches(decohered, rho, branches, von_neumann_entropy(rho))
+        final = finalize_branches(decohered, rho, branches)
         p = p / p.sum()
         full = DensityMatrix.from_matrix(np.kron(np.diag(p.astype(complex)), rho.matrix))
         assert final.matrix.matrix.tobytes() == full.matrix.tobytes()
@@ -609,37 +641,35 @@ class TestFinalizeAndLedger:
     def test_factorization(self):
         joint, branches, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        final, bath = finalize_branches(joint, rho, branches, s_initial=s)
+        final = finalize_branches(joint, rho, branches)
         factored = np.kron(final.controller_state().matrix, rho.matrix)
         assert max_abs(final.matrix.matrix - factored) < 1e-8
         # branches were pure, so each bath branch lost the full thermal entropy
-        for value in bath.branch_entropies:
+        for value in branches.entropies - s:
             assert value == pytest.approx(-s, abs=1e-6)
 
     def test_szilard_branches(self):
         rho = maximally_mixed(2)
         model = MeasurementModel.bare([PROJ_0, PROJ_1])
         joint, branches = decohere_controller(correlate(rho, model), [0, 1])
-        final, bath = finalize_branches(
-            joint, thermal_state(Hamiltonian.zero(2), 1.0), branches, s_initial=LN2
-        )
+        final = finalize_branches(joint, thermal_state(Hamiltonian.zero(2), 1.0), branches)
         np.testing.assert_allclose(
             final.controller_state().matrix, np.eye(2) / 2.0, atol=1e-12
         )
-        for value in bath.branch_entropies:
+        for value in branches.entropies - LN2:
             assert value == pytest.approx(-LN2, abs=1e-9)
 
     def test_total_entropy_literal_vs_assembled(self):
         joint, branches, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        final, bath = finalize_branches(joint, rho, branches, s_initial=s)
+        final = finalize_branches(joint, rho, branches)
         p = final.probabilities()
         branch_s = [0.0, 0.0]  # x-projector outcomes are pure
         literal = total_entropy(p, branch_s)
         assert literal == pytest.approx(LN2, abs=1e-6)
         # reading the same number off the assembled final structure: record
         # entropy + classically correlated bath entropies + thermal system
-        assembled = total_entropy_assembled(final, bath)
+        assembled = total_entropy_assembled(final, branches.entropies - s)
         assert assembled == pytest.approx(literal, abs=1e-6)
 
     def test_total_entropy_single_outcome(self):
@@ -671,26 +701,23 @@ class TestFinalizeAndLedger:
         assert judge_second_law(delta_s_tot) == (verdict, efficient)
 
     def test_reset_controller(self):
-        bath = BathLedger(branch_entropies=(0.0, 0.0))
         controller = maximally_mixed(2)
-        reset, updated = reset_controller(controller, bath)
+        reset, record_entropy = reset_controller(controller)
         assert von_neumann_entropy(reset) < 1e-12
-        assert updated.reset_addition == pytest.approx(LN2, abs=1e-12)
+        assert record_entropy == pytest.approx(LN2, abs=1e-12)
 
     def test_reset_requires_diagonal(self):
-        bath = BathLedger(branch_entropies=(0.0, 0.0))
         coherent = DensityMatrix.from_vector(np.array([1.0, 1.0]) / math.sqrt(2.0))
         with pytest.raises(InvalidStateError):
-            reset_controller(coherent, bath)
+            reset_controller(coherent)
 
     @pytest.mark.parametrize(
         "m", [[[0.5, np.nan], [np.nan, 0.5]], [[np.nan, 0.0], [0.0, 0.5]]], ids=["off", "on"]
     )
     def test_reset_refuses_a_nan_controller(self, m):
         """A NaN entry, off the diagonal or on it, is not a record-basis controller."""
-        bath = BathLedger(branch_entropies=(0.0, 0.0))
         with pytest.raises(InvalidStateError, match="diagonal in the record basis"):
-            reset_controller(DensityMatrix(np.array(m, dtype=complex)), bath)
+            reset_controller(DensityMatrix(np.array(m, dtype=complex)))
 
 
 class TestFullCycle:
@@ -784,6 +811,34 @@ class TestFullCycle:
             assert result.probabilities.tolist() == [1.0]
             assert result.delta_s_meas == pytest.approx(ledger.delta_s_meas, abs=1e-12)
             assert result.system_closure < 1e-12 and result.controller_closure == 0.0
+
+    @pytest.mark.parametrize("kind", ["efficient", "inefficient"])
+    def test_general_kraus_models_match_the_measurement_picture(self, kind):
+        """Every kind runs in the controller picture: p_n, ΔS_meas, W_fb and ΔS_tot of a
+        general Kraus model match run_cycle's, the closures vanish and the bath gains
+        ΔS_tot, the Kraus index j traced out of the joint."""
+        rng = np.random.default_rng(8080 + (kind == "inefficient"))
+        draw = random_efficient_model if kind == "efficient" else random_inefficient_model
+        worst = 0.0
+        for _ in range(60):
+            dim, n = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+            h, model = random_hamiltonian(dim, rng), draw(dim, n, rng)
+            temperature = float(10.0 ** rng.uniform(-1.0, 0.5))
+            result = run_controller_cycle(h, temperature, model)
+            ledger = run_cycle(h, temperature, model)
+            p_cycle = [o.probability for o in ledger.outcomes]
+            assert len(result.probabilities) == len(p_cycle)
+            worst = max(
+                worst,
+                max_abs(result.probabilities - p_cycle),
+                abs(result.delta_s_meas - ledger.delta_s_meas),
+                abs(result.work_fb - ledger.work_fb),
+                abs(result.report.delta_s_tot - ledger.report.delta_s_tot),
+            )
+            assert result.delta_e_meas == ledger.delta_e_meas
+            assert result.system_closure < 1e-8 and result.controller_closure < 1e-8
+            assert abs(result.bath_entropy_increase - result.report.delta_s_tot) < 1e-9
+        assert worst < 1e-9
 
     def test_energy_measurement_is_efficient(self):
         result = run_controller_cycle(H2LEVEL, 1.0, MeasurementModel.bare([PROJ_0, PROJ_1]))

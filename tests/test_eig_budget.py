@@ -45,9 +45,10 @@ cycle builds it from checked ones by exactly Hermitian steps (a thermal state,
 ``execute_plan``'s eigenvalue-only stack, the endpoint, the pinched and
 finalized joints, both marginals, and the decohered blocks and their
 eigenvalue-only call), which ``test_exact_hermitian.py`` holds to residual 0.
-The one exception is a bare or weak model's report: one stacked call tests all N
-operators, and the stacked eig on those that pass tests them again.  So
-``RESIDUAL_BUDGET`` pins every test a fresh run makes."""
+The one exception is a bare model's report: one stacked call tests all N
+operators, and the stacked eig on those that pass tests them again.  A weak
+model's P± are tested once, by the eig that builds them, and its report tests
+neither.  So ``RESIDUAL_BUDGET`` pins every test a fresh run makes."""
 
 import numpy as np
 import pytest
@@ -143,20 +144,33 @@ def _controller(h, h2, model):
     return run_controller_cycle(h, 1.0, model)
 
 
-# hermitian_residual calls of a fresh run at N = 2, 3, 4.  A measurement cycle makes
-# four, H's eig, apply's check of its X X† / p stack and the eig on that stack, and
-# execute_plan's check of U ρ U†, and one for its closure distance when that takes a
-# call (as CLOSURE_EIG says for an efficient cycle, always for the other runs).  A bare
-# model adds two at any N, one stacked test of its N operators and their one stacked
-# eig, and a transform H2's eig.  A bare controller cycle makes H's eig, the model's
-# two, apply's two, the rotated U J U† and the system closure's call; the correlated
-# X X†, built from the checked ρ and model, is hermitized and not tested.
+def random_weak_model(dim, n, rng):
+    """A weak model on a random generator of norm 1: two outcomes, whatever n is."""
+    g = random_hermitian(dim, rng)
+    strength = float(rng.uniform(0.1, 0.9))
+    return MeasurementModel.weak(g / np.abs(np.linalg.eigvalsh(g)).max(), strength)
+
+
+# hermitian_residual calls of a fresh run at N = 2, 3, 4 (a weak model has N = 2 at
+# each).  A measurement cycle makes four, H's eig, apply's check of its X X† / p stack
+# and the eig on that stack, and execute_plan's check of U ρ U†, and one for its
+# closure distance when that takes a call (as CLOSURE_EIG says for an efficient cycle,
+# always for the bare and weak cycles and the transforms).  A bare model adds two at
+# any N, one stacked test of its N operators and their one stacked eig, and a
+# transform H2's eig; a weak model's report reads its completeness alone and adds
+# none.  A bare controller cycle makes H's eig, the model's two, apply's two, the
+# rotated U J U† and the system closure's call; the correlated X X†, built from the
+# checked ρ and model, is hermitized and not tested.  A weak controller cycle's system
+# closure takes its call only when the draw's renormalized p_n fail to sum to 1 bit
+# for bit, as the middle draw's do.
 RESIDUAL_BUDGET = [
     ("efficient-cycle", random_efficient_model, _cycle, [4, 5, 5]),
     ("bare-cycle", random_bare_model, _cycle, [7, 7, 7]),
+    ("weak-cycle", random_weak_model, _cycle, [5, 5, 5]),
     ("efficient-transform", random_efficient_model, _transform, [6, 6, 6]),
     ("bare-transform", random_bare_model, _transform, [8, 8, 8]),
     ("bare-controller", random_bare_model, _controller, [7, 7, 7]),
+    ("weak-controller", random_weak_model, _controller, [4, 5, 4]),
 ]
 
 
@@ -184,15 +198,14 @@ def test_reset_reads_the_marginal_without_an_eig(eig_calls, n):
     rho = thermal_state(h, 1.0)
     kept = range(n)
     joint, branches = decohere_controller(correlate(rho, model), kept)
-    s = von_neumann_entropy(rho)
-    final, bath = finalize_branches(joint, rho, branches, s)
+    final = finalize_branches(joint, rho, branches)
     eig_calls.clear()
     marginal = final.controller_state()
-    _, bath = reset_controller(marginal, bath)
+    _, record_entropy = reset_controller(marginal)
     assert eig_calls == []
     spectrum = marginal.eig.eigenvalues
     assert spectrum.tobytes() == np.sort(np.diag(marginal.matrix).real)[::-1].tobytes()
-    assert bath.reset_addition == von_neumann_entropy(marginal)
+    assert record_entropy == von_neumann_entropy(marginal)
 
 
 def test_bare_report_is_one_call(eig_calls):
@@ -206,6 +219,17 @@ def test_bare_report_is_one_call(eig_calls):
     assert eig_calls == [3]
     assert report == validation_report_reference(model)
     assert [n for n, _ in report.non_positive] == [0, 2]
+
+
+def test_weak_model_is_tested_where_it_is_built(residual_calls, eig_calls):
+    """A fresh weak model tests its generator in the eig that reads ||B|| and its P± in
+    the one stacked eig that builds them, and its report tests neither: its P± are
+    V diag(√max(λ, 0)) V† hermitized, which no Hermiticity test or eigenvalue floor
+    can flag."""
+    model = random_weak_model(3, 2, np.random.default_rng(5))
+    report = validate(model)
+    assert (residual_calls, eig_calls) == ([1, 2], [1, 2])
+    assert report.ok and report.non_positive == ()
 
 
 def test_model_is_checked_once(eig_calls):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfeedback.controller import apply_joint_unitary, correlate, feedback_unitary
 from qfeedback.errors import (
+    DimensionMismatchError,
     DomainError,
     InvalidStateError,
     NoConvergenceError,
@@ -26,10 +28,11 @@ from qfeedback.linalg import (
     max_abs,
     spectral_matrix,
 )
+from qfeedback.measurement import MeasurementModel
 from qfeedback.sampling import random_hermitian
 from qfeedback.thermo import DensityMatrix, Hamiltonian
 
-from conftest import PAULI_X, PAULI_Y, random_unitary
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, maximally_mixed, random_unitary
 from oracles import jacobi_eig, polar_decompose, reconstruct
 
 
@@ -201,6 +204,51 @@ def test_non_finite_input_raises_without_a_warning(build, error, m):
         warnings.simplefilter("error")
         with pytest.raises(error):
             build(np.array(m, dtype=complex))
+
+
+# the public calls that take a caller's matrix, each of which reads it through
+# linalg._complex_array
+MATRIX_ENTRY_POINTS = {
+    "Hamiltonian.from_matrix": Hamiltonian.from_matrix,
+    "Hamiltonian.diagonal": Hamiltonian.diagonal,
+    "DensityMatrix.from_matrix": DensityMatrix.from_matrix,
+    "DensityMatrix.from_psd": DensityMatrix.from_psd,
+    "DensityMatrix.from_vector": DensityMatrix.from_vector,
+    "eig_hermitian": eig_hermitian,
+    "eigvals_hermitian": eigvals_hermitian,
+    "apply_joint_unitary": lambda m: apply_joint_unitary(
+        correlate(maximally_mixed(2), MeasurementModel.weak(PAULI_Z, 0.4)), m
+    ),
+    "feedback_unitary": feedback_unitary,
+}
+NOT_AN_ARRAY = {"ragged": [[1, 2], [3]], "string": [["a"]], "mapping": [[{}]]}
+
+
+@pytest.mark.parametrize("m", NOT_AN_ARRAY.values(), ids=NOT_AN_ARRAY.keys())
+@pytest.mark.parametrize(
+    "call", MATRIX_ENTRY_POINTS.values(), ids=MATRIX_ENTRY_POINTS.keys()
+)
+def test_ragged_or_non_numeric_input_is_a_dimension_error(call, m):
+    """Input numpy cannot read as a complex array raises the package's error, not
+    numpy's ValueError or TypeError."""
+    with pytest.raises(DimensionMismatchError):
+        call(m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Hamiltonian.from_matrix(np.zeros((0, 0))),
+        lambda: Hamiltonian.zero(0),
+        lambda: Hamiltonian.diagonal([]),
+    ],
+    ids=["from_matrix", "zero", "diagonal"],
+)
+def test_empty_hamiltonian_is_a_dimension_error(build):
+    """A 0 x 0 Hamiltonian has no thermal state: it is refused where it is built, as an
+    empty operator family is."""
+    with pytest.raises(DimensionMismatchError, match="non-empty and square, got \\(0, 0\\)"):
+        build()
 
 
 NEAR_FLOAT_MAX = {

@@ -28,6 +28,7 @@ from qfeedback.measurement import (
 from qfeedback.sampling import (
     random_bare_model,
     random_efficient_model,
+    random_hermitian,
 )
 from qfeedback.thermo import (
     DensityMatrix,
@@ -47,7 +48,7 @@ from conftest import (
     random_density_matrix,
     random_inefficient_model,
 )
-from oracles import average_post_state, polar_decompose
+from oracles import average_post_state, polar_decompose, validation_report_reference
 
 LN2 = math.log(2.0)
 
@@ -83,6 +84,20 @@ class TestModelConstruction:
             atol=1e-12,
         )
         assert validate(model).completeness_residual < 1e-12
+
+    def test_weak_report_matches_the_reference(self):
+        """A weak model's report reads its completeness alone.  The reference still tests
+        its P± one by one for Hermiticity and positivity, and agrees on every seeded draw,
+        with ε spread over (0, 1) and pressed against both ends."""
+        rng = np.random.default_rng(3434)
+        strengths = [1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12, *rng.uniform(0.0, 1.0, 60)]
+        for strength in strengths:
+            dim = int(rng.integers(1, 7))
+            g = random_hermitian(dim, rng)
+            model = MeasurementModel.weak(g / np.abs(np.linalg.eigvalsh(g)).max(), strength)
+            report = validate(model)
+            assert report == validation_report_reference(model)
+            assert report.ok
 
     def test_weak_rejects_bad_generator(self):
         with pytest.raises(NotHermitianError):

@@ -10,7 +10,6 @@ import pytest
 
 from qfeedback import controller, feedback
 from qfeedback.controller import run_controller_cycle
-from qfeedback.errors import InvalidModelError
 from qfeedback.feedback import plan_branches, run_continuous, run_cycle, run_transform
 from qfeedback.measurement import MeasurementModel, apply, measurement_energy_cost
 from qfeedback.sampling import random_bare_model, random_efficient_model, random_hamiltonian
@@ -159,9 +158,16 @@ def test_negative_round_off_eigenvalue_is_planned_as_kernel(monkeypatch):
     assert step.plan.populations[0].tolist() == [1.0, 0.0]
 
 
-def test_controller_rejects_a_general_kraus_model_after_planning(steps):
+@pytest.mark.parametrize("n", [1, 3])
+def test_controller_runs_a_general_kraus_model_from_one_plan(steps, blocks, n):
+    """An efficient model runs in the controller from the one plan, its blocks the
+    plan's unitaries and its branches the outcomes that plan keeps."""
     h, t, _ = bare_inputs(2)
-    model = random_efficient_model(3, 3, np.random.default_rng(2))
-    with pytest.raises(InvalidModelError):
-        run_controller_cycle(h, t, model)
-    assert len(steps) == 1
+    model = random_efficient_model(3, n, np.random.default_rng(2))
+    result = run_controller_cycle(h, t, model)
+    (step,) = steps
+    (controller_blocks,) = blocks
+    assert controller_blocks[step.plan.outcomes].tobytes() == step.plan.basis_unitaries.tobytes()
+    assert len(result.probabilities) == len(step.outcomes)
+    np.testing.assert_allclose(result.probabilities, step.outcomes.probabilities, atol=1e-12)
+    assert result.delta_e_meas == step.delta_e_meas

@@ -80,6 +80,24 @@ def test_ensemble_check_fails_on_a_broken_weak_controller_pass(
     assert "BREACH: controller" not in err and "BREACH: cycle" not in err
 
 
+def test_ensemble_check_fails_on_a_broken_efficient_controller_pass(
+    ensemble_check, monkeypatch, capsys
+):
+    run_controller_cycle = ensemble_check.run_controller_cycle
+
+    def efficient_entropy_off(h, temperature, model, *args, **kwargs):
+        result = run_controller_cycle(h, temperature, model, *args, **kwargs)
+        if model.kind is ModelKind.EFFICIENT:
+            result = dataclasses.replace(result, delta_s_meas=result.delta_s_meas + 1e-6)
+        return result
+
+    monkeypatch.setattr(ensemble_check, "run_controller_cycle", efficient_entropy_off)
+    assert ensemble_check.main(["--models", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "BREACH: efficient controller dS_meas" in err
+    assert "BREACH: controller" not in err and "BREACH: weak" not in err
+
+
 def test_ensemble_check_holds_pure_outcomes_to_round_off(ensemble_check, monkeypatch, capsys):
     # 2.8e-11, the bias a 1e-12 population floor put on the presets, is a breach
     run_cycle = ensemble_check.run_cycle
