@@ -98,7 +98,7 @@ def pure_residuals(cases, temperature):
         ledger = run_cycle(h, temperature, model)
         residual = abs(ledger.work_fb - temperature * ledger.delta_s_meas)
         worst = max(worst, residual / max(1.0, temperature))
-        dropped += bool(ledger.dropped_outcomes)
+        dropped += bool(ledger.outcomes.dropped)
     return worst, dropped
 
 
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
         worst_cycle = max(worst_cycle, abs(ledger.work_fb - args.temperature * ledger.delta_s_meas))
         worst_closure = max(worst_closure, ledger.closure_distance)
         min_ds_tot = min(min_ds_tot, ledger.report.delta_s_tot)
-        dropped += bool(ledger.dropped_outcomes)
+        dropped += bool(ledger.outcomes.dropped)
 
         result = run_transform(h1, h2, args.temperature, model)
         worst_transform = max(

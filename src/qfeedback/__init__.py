@@ -60,7 +60,6 @@ from .feedback import (
     ContinuousResult,
     CycleLedger,
     FeedbackPlan,
-    OutcomeLedger,
     TransformResult,
     execute_plan,
     isothermal_work,

@@ -51,20 +51,26 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
         n_outcomes, closure = len(ledger.outcomes), ledger.closure_distance
         return ledger_row(config, ledger, n_outcomes=n_outcomes, closure=closure, **columns)
 
+    def outcome_rows(ledger):  # one dict per kept outcome, read from the ledger's stacks
+        o, keys = ledger.outcomes, ("n", "probability", "entropy", "energy", "delta_e", "work")
+        delta_e = o.energies - ledger.initial.energy
+        columns = (o.outcomes, o.probabilities, o.entropies, o.energies, delta_e, ledger.works)
+        return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+
     try:
         if config.mode == "cycle":
             ledger = run_cycle(h, t, config.model)
             row = cycle_row(ledger)
             detail = {
-                "outcomes": [asdict(o) for o in ledger.outcomes],
+                "outcomes": outcome_rows(ledger),
                 "heat_from_bath": ledger.heat_from_bath,
-                "dropped_outcomes": ledger.dropped_outcomes,
+                "dropped_outcomes": ledger.outcomes.dropped,
             }
         elif config.mode == "transform":
             result = run_transform(h, config.h2, t, config.model)
             row = cycle_row(result.ledger, delta_f=result.delta_f)
             detail = {
-                "outcomes": [asdict(o) for o in result.ledger.outcomes],
+                "outcomes": outcome_rows(result.ledger),
                 "free_energy_initial": result.ledger.initial.free_energy,
                 "free_energy_final": result.free_energy_final,
                 "heat_from_bath": result.ledger.heat_from_bath,

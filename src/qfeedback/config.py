@@ -165,16 +165,15 @@ def _parse_entry(node, path: str) -> complex:
     return complex(_as_float(node[0], f"{path}[0]"), _as_float(node[1], f"{path}[1]"))
 
 
-def _parse_matrix(node, path: str, dim: int | None = None) -> np.ndarray:
+def _parse_matrix(node, path: str, dim: int) -> np.ndarray:
     if not isinstance(node, list) or not node:
         raise ValidationError(path, "expected a non-empty list of rows")
-    n = len(node)
-    if dim is not None and n != dim:
-        raise ValidationError(path, f"expected {dim} rows, got {n}")
-    out = np.zeros((n, n), dtype=complex)
+    if len(node) != dim:
+        raise ValidationError(path, f"expected {dim} rows, got {len(node)}")
+    out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValidationError(f"{path}[{i}]", f"expected a row of {n} entries")
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValidationError(f"{path}[{i}]", f"expected a row of {dim} entries")
         for j, entry in enumerate(row):
             out[i, j] = _parse_entry(entry, f"{path}[{i}][{j}]")
     return out

@@ -233,7 +233,7 @@ class ControllerCycleResult:
 
     initial: ThermoReading
     probabilities: np.ndarray
-    branch_entropies: tuple[float, ...]  # S_n per branch
+    branch_entropies: np.ndarray  # (K,) S_n per kept branch
     delta_e_meas: float
     delta_s_meas: float
     work_fb: float
@@ -258,9 +258,8 @@ def run_controller_cycle(
 
     # the kept branches read back from the joint state (pre-finalize blocks hold
     # the rotated p_n ρ_n, whose entropies and probabilities are basis-invariant)
-    branch_entropies = tuple(branches.entropies.tolist())
     probabilities = branches.probabilities / branches.probabilities.sum()
-    delta_s_meas = entropy_reduction(probabilities, branch_entropies, step.initial.entropy)
+    delta_s_meas = entropy_reduction(probabilities, branches.entropies, step.initial.entropy)
 
     joint_final = finalize_branches(joint, step.rho, branches)
     report = second_law_verdict(probabilities, delta_s_meas)
@@ -277,7 +276,7 @@ def run_controller_cycle(
     return ControllerCycleResult(
         initial=step.initial,
         probabilities=probabilities,
-        branch_entropies=branch_entropies,
+        branch_entropies=branches.entropies,
         delta_e_meas=step.delta_e_meas,
         delta_s_meas=delta_s_meas,
         work_fb=temperature * delta_s_meas,

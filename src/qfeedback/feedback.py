@@ -89,18 +89,6 @@ class BranchPlans:
 
 
 @dataclass(frozen=True)
-class OutcomeLedger:
-    """Per-outcome slice of the cycle ledger."""
-
-    n: int
-    probability: float
-    entropy: float  # S_n
-    energy: float  # E_n
-    delta_e: float  # E_n - E
-    work: float  # ΔW_n = step work + isothermal work
-
-
-@dataclass(frozen=True)
 class CycleLedger:
     """Everything one feedback cycle did, with the second-law bottom line.
 
@@ -109,12 +97,16 @@ class CycleLedger:
     energy the measurement itself injected, and for a closed cycle equals
     kT·ΔS_meas.  ``report`` carries ΔS_tot = S({p_n}) - ΔS_meas, the entropy
     change of the universe once the controller's record is reset, with its
-    verdict, as the controller picture's result does.
+    verdict, as the controller picture's result does.  ``outcomes`` is the record
+    :func:`~qfeedback.measurement.apply` built, stacks and dropped indices, and
+    ``works[n]`` the work of its row n, feedback plus isothermal stage.  Holding arrays,
+    a ledger is not hashable, and ``==`` between two distinct ledgers raises.
     """
 
     initial: ThermoReading
     temperature: float  # kT
-    outcomes: tuple[OutcomeLedger, ...]
+    outcomes: MeasurementOutcomes
+    works: np.ndarray  # (N,) ΔW_n, read-only
     delta_e_meas: float
     delta_s_meas: float
     work_total: float
@@ -122,7 +114,6 @@ class CycleLedger:
     report: SecondLawReport
     heat_from_bath: float
     closure_distance: float
-    dropped_outcomes: tuple[int, ...]
 
     # Kept for readers outside the package (perfbench/workloads.py) until they read
     # ``report.delta_s_tot`` and ``temperature`` as kT.
@@ -164,7 +155,7 @@ def plan_feedback(
     outcomes: MeasurementOutcomes,
     h: Hamiltonian,
     temperature: float,
-    e_initial: float = 0.0,
+    e_initial: float,
 ) -> FeedbackPlan:
     """Build the steps (i)-(iv) plan of every outcome in ``outcomes``, each on its support,
     as one stack read from the outcomes' (K, d) eigenvalues and (K, d, d) eigenvectors.
@@ -305,6 +296,8 @@ def quasi_static_work(
 def _run(
     h1: Hamiltonian, h2: Hamiltonian, temperature: float, model: MeasurementModel
 ) -> tuple[CycleLedger, ThermoReading]:
+    """The cycle from H1's thermal state to H2's, and H2's reading; its ledger keeps the
+    outcome stacks :func:`plan_branches` returns and builds no per-outcome object."""
     if h2.dim != h1.dim:
         raise DimensionMismatchError(f"Hamiltonian dims differ: {h1.dim} vs {h2.dim}")
     step = plan_branches(h1, temperature, model)
@@ -318,9 +311,7 @@ def _run(
         (step.initial.energy - target.energy)
         + isothermal_work(target.entropy, outcomes.entropies, temperature)
     )
-    columns = (outcomes.outcomes, outcomes.probabilities, outcomes.entropies, outcomes.energies)
-    columns += (outcomes.energies - step.initial.energy, works)
-    branches = tuple(OutcomeLedger(*row) for row in zip(*(c.tolist() for c in columns)))
+    works.setflags(write=False)
     s_initial = step.initial.entropy
     delta_s_meas = entropy_reduction(outcomes.probabilities, outcomes.entropies, s_initial)
     work_total = float(sum((outcomes.probabilities * works).tolist()))
@@ -329,7 +320,8 @@ def _run(
     ledger = CycleLedger(
         initial=step.initial,
         temperature=temperature,
-        outcomes=branches,
+        outcomes=outcomes,
+        works=works,
         delta_e_meas=step.delta_e_meas,
         delta_s_meas=delta_s_meas,
         work_total=work_total,
@@ -337,7 +329,6 @@ def _run(
         report=second_law_verdict(outcomes.probabilities, delta_s_meas),
         heat_from_bath=temperature * delta_s_meas,
         closure_distance=trace_distance(final, rho_target),
-        dropped_outcomes=outcomes.dropped,
     )
     return ledger, target
 

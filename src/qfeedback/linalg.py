@@ -11,6 +11,7 @@ plain ``numpy`` arrays of complex doubles; nothing here keeps global state.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +53,11 @@ def _complex_array(m, what: str) -> np.ndarray:
         return np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{what}: {exc}") from None
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real scalar: a Python or numpy int, float or bool."""
+    return isinstance(x, (numbers.Real, np.bool_))
 
 
 def read_only(m) -> np.ndarray:
@@ -188,7 +194,7 @@ def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
                 y = f(float(lam))
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise DomainError(f"f undefined at eigenvalue {lam!r}: {exc}") from exc
-            if isinstance(y, complex) or not math.isfinite(y):
+            if not _is_real(y) or not math.isfinite(y):
                 raise DomainError(f"f({lam!r}) = {y!r} is not a finite real value")
             values.flat[i] = y
     return spectral_matrix(dec.eigenvectors, values)

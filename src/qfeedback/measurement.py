@@ -38,6 +38,7 @@ from .errors import (
 from .linalg import (
     HERMITICITY_TOL,
     EigenDecomposition,
+    _is_real,
     dagger,
     eig_hermitian,
     hermitian_residual,
@@ -125,7 +126,7 @@ class MeasurementModel:
         if norm > 1.0 + GENERATOR_NORM_TOL:
             raise InvalidModelError(f"generator norm {norm!r} exceeds 1")
         lo, hi = WEAK_STRENGTH_RANGE
-        if not lo < strength < hi:
+        if not _is_real(strength) or not lo < strength < hi:
             raise InvalidModelError(f"weak strength must lie in ({lo:g}, {hi:g}), got {strength!r}")
         eye = np.eye(b.shape[0], dtype=complex)
         halves = np.stack([(eye + strength * b) / 2.0, (eye - strength * b) / 2.0])

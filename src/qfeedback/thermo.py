@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ArgumentRangeError,
     DimensionMismatchError,
     DomainError,
     InvalidStateError,
@@ -28,6 +29,7 @@ from .linalg import (
     HERMITICITY_TOL,
     EigenDecomposition,
     _complex_array,
+    _is_real,
     eig_hermitian,
     eigvals_hermitian,
     hermitian_residual,
@@ -74,7 +76,8 @@ class Hamiltonian:
 
     @classmethod
     def zero(cls, dim: int) -> "Hamiltonian":
-        return cls.from_matrix(np.zeros((dim, dim)))
+        """The dim x dim zero matrix; a dim below 1 gives the empty one, which is refused."""
+        return cls.from_matrix(np.zeros((max(dim, 0),) * 2))
 
     @property
     def dim(self) -> int:
@@ -201,8 +204,12 @@ class DensityMatrix:
 
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "DensityMatrix":
-        """Pure state |ψ⟩⟨ψ| from a (not necessarily normalized) vector."""
-        v = _complex_array(vector, "state vector must be numeric").reshape(-1)
+        """Pure state |ψ⟩⟨ψ| from a (not necessarily normalized) vector: a row or column of
+        a matrix counts, an array with more than one axis longer than 1 raises."""
+        v = _complex_array(vector, "state vector must be numeric")
+        if sum(n > 1 for n in v.shape) > 1:
+            raise DimensionMismatchError(f"a state vector must be one-dimensional, got {v.shape}")
+        v = v.reshape(-1)
         scale = max_abs(v)
         if scale == 0.0:
             raise InvalidStateError("cannot build a state from the zero vector")
@@ -229,7 +236,9 @@ class ThermoReading:
 
 
 def boltzmann_kt(temperature: float) -> float:
-    """kT, which is ``temperature`` itself, once it is checked positive and finite."""
+    """kT, which is ``temperature`` itself, once it is checked real, positive and finite."""
+    if not _is_real(temperature):
+        raise ArgumentRangeError(f"temperature must be a real number, got {temperature!r}")
     if temperature <= 0.0:
         raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if not temperature < math.inf:  # inf, or nan
@@ -308,7 +317,10 @@ def thermo_reading(rho: DensityMatrix, h: Hamiltonian, temperature: float) -> Th
 
 def shannon_entropy(p) -> float:
     """-Σ p ln p in nats for a probability vector; tiny negatives read as 0, a NaN raises."""
-    p = np.asarray(p, dtype=float).reshape(-1)
+    try:
+        p = np.asarray(p, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:  # not numbers, or ragged
+        raise NotADistributionError(f"not a vector of real numbers: {exc}") from None
     if p.size and float(p.min()) < -DISTRIBUTION_NEGATIVE_TOL:
         raise NotADistributionError(f"negative entry {p.min()!r}")
     total = float(p.sum())

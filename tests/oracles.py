@@ -495,7 +495,7 @@ class OutcomePlan:
     populations: np.ndarray
 
 
-def plan_feedback_reference(record, h: Hamiltonian, temperature: float, e_initial: float = 0.0):
+def plan_feedback_reference(record, h: Hamiltonian, temperature: float, e_initial: float):
     """``feedback.plan_feedback`` for one outcome, on its own spectrum, as an
     :class:`OutcomePlan`."""
     kt = boltzmann_kt(temperature)

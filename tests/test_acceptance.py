@@ -399,8 +399,8 @@ def _branch_work_residual(ledger, model, h1, h2, temperature) -> float:
     records = apply(model, thermal_state(h1, temperature), h1)
     assert [o.n for o in ledger.outcomes] == [r.n for r in records]
     return max(
-        abs(o.work - branch_max_work_reference(r.state.matrix, h1, h2, temperature))
-        for o, r in zip(ledger.outcomes, records)
+        abs(work - branch_max_work_reference(r.state.matrix, h1, h2, temperature))
+        for work, r in zip(ledger.works.tolist(), records)
     )
 
 

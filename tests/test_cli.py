@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qfeedback import measurement
 from qfeedback.cli import load_config, main, run_scenario
 from qfeedback.config import KINDS, MODES, with_value
-from qfeedback.errors import InputError, IoError, ParseError
+from qfeedback.errors import DomainError, InputError, IoError, ParseError
 from qfeedback.feedback import run_transform
 from qfeedback.ledger import COLUMNS, emit, emit_csv, emit_json, parse_csv
 
@@ -147,6 +148,18 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match=f"{path}: not valid UTF-8"):
             load_config(str(path))
 
+    def test_unreadable_file_is_io_error(self, tmp_path, monkeypatch, capsys):
+        # the read fails as it would on a file without read permission, which root reads
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_CONFIG)
+        monkeypatch.setattr(Path, "read_text", refuse)
+        with pytest.raises(IoError, match=f"cannot read {path}: .*Permission denied"):
+            load_config(str(path))
+        assert main(["run", str(path)]) == 3
+
 
 class TestRun:
     def test_stdout_csv(self, capsys):
@@ -185,6 +198,10 @@ class TestRun:
     def test_missing_config_is_io_error(self, capsys):
         assert main(["run", "nowhere.yaml"]) == 3
         assert "i/o error" in capsys.readouterr().err
+
+    def test_output_to_a_directory_is_io_error(self, tmp_path, capsys):
+        assert main(["run", "szilard", "--output", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: cannot write {tmp_path}")
 
     def test_invalid_config_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -442,6 +459,15 @@ class TestValidate:
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: not valid UTF-8")
 
+    def test_non_positive_bare_operator_is_invalid(self, tmp_path, capsys):
+        # diag(1, 0) and diag(0, -1) resolve the identity, but the second is not positive
+        path = tmp_path / "negative.yaml"
+        old = "[[0.0, 0.0], [1.0, 0.0]]]"
+        path.write_text(GOOD_CONFIG.replace(old, old.replace("1.0", "-1.0")))
+        assert main(["validate", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["operator 1: not positive (worst value -1.000e+00)", "INVALID"]
+
     def test_generator_norm_above_one_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "weak.yaml"
         path.write_text(CONTINUOUS_CONFIG.replace("[-1.0, 0.0]]", "[-2.0, 0.0]]"))
@@ -603,6 +629,20 @@ class TestReport:
         assert main(["report", str(path)]) == 3
         assert f"line 2, column {column}: {text!r}" in capsys.readouterr().err
 
+    def test_empty_ledger_file(self, tmp_path, capsys):
+        path = tmp_path / "ledger.csv"
+        path.write_text("")
+        assert main(["report", str(path)]) == 3
+        assert capsys.readouterr().err == "i/o error: empty ledger file\n"
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "ledger.csv"
+        self.run_to_file("szilard", path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header}\n{row}\n\n{row}\n")
+        assert main(["report", str(path)]) == 0
+        assert "2/2 rows satisfy" in capsys.readouterr().out
+
     def test_short_row(self, tmp_path, capsys):
         path = tmp_path / "ledger.csv"
         self.run_to_file("szilard", path)
@@ -691,6 +731,11 @@ class TestSerializationRoundTrip:
                     assert abs(x - y) <= 1e-11 * max(1.0, abs(x))
                 else:
                     assert x == y
+
+    def test_a_non_finite_column_is_refused(self):
+        row = self.rows()[0]
+        with pytest.raises(DomainError, match="ledger column work_fb is not finite: nan"):
+            dataclasses.replace(row, work_fb=math.nan)
 
     def test_unknown_format_is_input_error(self):
         with pytest.raises(InputError, match="format must be csv or json"):

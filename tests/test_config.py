@@ -133,11 +133,44 @@ class TestControllerMode:
                 assert a == b, name
 
 
+def _set(mode, section, key, value):
+    """``minimal(mode)`` with ``data[section][key]`` (or ``data[section]`` if no key) set."""
+    data = minimal(mode)
+    if key is None:
+        data[section] = value
+    else:
+        data[section][key] = value
+    return data
+
+
 class TestRejection:
     def check(self, data, path_prefix):
         with pytest.raises(ValidationError) as err:
             parse_dict(data)
         assert err.value.path.startswith(path_prefix), err.value
+
+    @pytest.mark.parametrize(
+        "data, path, message",
+        [
+            (_set("cycle", "bath", None, 1.0), "bath", "expected a mapping, got float"),
+            (_set("cycle", "scenario_id", None, 3), "scenario_id", "expected a string, got int"),
+            (
+                _set("continuous", "measurement", "generator", "x"),
+                "measurement.generator",
+                "expected a non-empty list of rows",
+            ),
+            (
+                _set("continuous", "continuous", "steps", 0),
+                "continuous.steps",
+                "must be >= 1, got 0",
+            ),
+        ],
+        ids=["bath-not-a-mapping", "id-not-a-string", "generator-not-rows", "no-steps"],
+    )
+    def test_field_error_names_its_path(self, data, path, message):
+        with pytest.raises(ValidationError) as err:
+            parse_dict(data)
+        assert (err.value.path, err.value.message) == (path, message)
 
     def test_negative_temperature(self):
         data = minimal()
@@ -389,6 +422,11 @@ class TestWithValue:
         base = parse_dict(minimal())
         with pytest.raises(UnknownParameterError):
             with_value(base, "system.hamiltonian[7]", 1.0)
+
+    def test_index_that_is_not_a_number(self):
+        base = parse_dict(minimal())
+        with pytest.raises(UnknownParameterError, match="bad index 'x'"):
+            with_value(base, "measurement.operators[x]", 1.0)
 
     def test_non_numeric_field(self):
         base = parse_dict(minimal())

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qfeedback
+from qfeedback import feedback
 from qfeedback.cli import load_config
 from qfeedback.errors import (
     ArgumentRangeError,
@@ -75,7 +77,7 @@ class TestPlanFeedback:
     def test_populations_match_retuned_gibbs_weights(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
         records = apply(model, maximally_mixed(2), Hamiltonian.zero(2))
-        populations = plan_feedback(records, Hamiltonian.zero(2), 1.0).populations[0]
+        populations = plan_feedback(records, Hamiltonian.zero(2), 1.0, e_initial=0.0).populations[0]
         np.testing.assert_allclose(populations, [0.75, 0.25], atol=1e-12)
         levels = np.array([-math.log(0.75), -math.log(0.25)])
         gibbs = np.exp(-levels) / np.exp(-levels).sum()
@@ -94,7 +96,7 @@ class TestPlanFeedback:
     def test_pure_outcome_planned_on_its_support(self):
         h = Hamiltonian.zero(2)
         records = stacked_outcomes([DensityMatrix.from_vector(np.array([1.0, 0.0]))], h)
-        plan = plan_feedback(records, h, 1.0)
+        plan = plan_feedback(records, h, 1.0, e_initial=0.0)
         np.testing.assert_array_equal(plan.populations, [[1.0, 0.0]])
         # the kernel level is raised to +inf, and the shift reads the support only
         assert plan.levels.tolist() == [[0.0, np.inf]]
@@ -198,7 +200,8 @@ class TestExecutePlan:
 
     def test_plans_must_pair_with_outcomes(self):
         rho = thermal_state(H2LEVEL, 1.0)
-        plan = plan_feedback(stacked_outcomes([rho], H2LEVEL), H2LEVEL, 1.0)
+        e = average_energy(rho, H2LEVEL)
+        plan = plan_feedback(stacked_outcomes([rho], H2LEVEL), H2LEVEL, 1.0, e_initial=e)
         with pytest.raises(PlanMismatchError, match="2 outcomes but 1 plans"):
             execute_plan(stacked_outcomes([rho, rho], H2LEVEL), plan, 1.0)
 
@@ -326,6 +329,30 @@ class TestRunCycle:
             assert report.delta_s_tot == report.shannon_outcomes - ledger.delta_s_meas
             assert ledger.closure_distance < 1e-8
             assert ledger.delta_s_tot >= -1e-9
+
+    def test_ledger_keeps_the_outcome_stacks_apply_built(self, monkeypatch, rng):
+        built = []
+
+        def recording_apply(*args):
+            built.append(apply(*args))
+            return built[-1]
+
+        monkeypatch.setattr(feedback, "apply", recording_apply)
+        h, n = random_hamiltonian(3, rng), 3
+        ledger = run_cycle(h, 0.8, random_efficient_model(3, n, rng))
+        assert len(built) == 1 and ledger.outcomes is built[0]
+        works = ledger.works
+        assert works.shape == (n,) and not works.flags.writeable
+        assert ledger.work_total == float(sum((ledger.outcomes.probabilities * works).tolist()))
+        # one record per outcome: the per-outcome copy and its dropped indices are gone
+        assert not hasattr(qfeedback, "OutcomeLedger")
+        assert not hasattr(ledger, "dropped_outcomes")
+
+    def test_ledger_keeps_the_names_perfbench_reads(self, rng):
+        h = random_hamiltonian(2, rng)
+        ledger = run_cycle(h, 1.5, random_efficient_model(2, 2, rng))
+        assert ledger.k == 1.0
+        assert ledger.delta_s_tot == ledger.report.delta_s_tot
 
     def test_boltzmann_constant_threads_through(self):
         # the temperature is kT: k_B·T at 300 K in joules, an SI energy

@@ -10,13 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from qfeedback.controller import apply_joint_unitary, correlate, feedback_unitary
 from qfeedback.errors import (
+    ArgumentRangeError,
     DimensionMismatchError,
     DomainError,
+    InvalidModelError,
     InvalidStateError,
     NoConvergenceError,
+    NotADistributionError,
     NotHermitianError,
     QFeedbackError,
 )
+from qfeedback.feedback import run_cycle
 from qfeedback.linalg import (
     HERMITICITY_TOL,
     dagger,
@@ -30,7 +34,7 @@ from qfeedback.linalg import (
 )
 from qfeedback.measurement import MeasurementModel
 from qfeedback.sampling import random_hermitian
-from qfeedback.thermo import DensityMatrix, Hamiltonian
+from qfeedback.thermo import DensityMatrix, Hamiltonian, shannon_entropy, thermal_state
 
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, maximally_mixed, random_unitary
 from oracles import jacobi_eig, polar_decompose, reconstruct
@@ -249,6 +253,52 @@ def test_empty_hamiltonian_is_a_dimension_error(build):
     empty operator family is."""
     with pytest.raises(DimensionMismatchError, match="non-empty and square, got \\(0, 0\\)"):
         build()
+
+
+H_Z = Hamiltonian.diagonal([0.0, 1.0])
+Z_READOUT = MeasurementModel.bare([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+WRONG_TYPE_CALLS = {
+    "temperature-str": (ArgumentRangeError, lambda: thermal_state(H_Z, "1")),
+    "temperature-none": (ArgumentRangeError, lambda: thermal_state(H_Z, None)),
+    "temperature-complex": (ArgumentRangeError, lambda: thermal_state(H_Z, 1j)),
+    "cycle-temperature-none": (ArgumentRangeError, lambda: run_cycle(H_Z, None, Z_READOUT)),
+    "weak-strength-str": (InvalidModelError, lambda: MeasurementModel.weak(PAULI_Z, "0.3")),
+    "weak-strength-array": (
+        InvalidModelError, lambda: MeasurementModel.weak(PAULI_Z, np.array([0.3]))
+    ),
+    "zero-negative-dim": (DimensionMismatchError, lambda: Hamiltonian.zero(-1)),
+    "f-returns-str": (DomainError, lambda: matrix_function(PAULI_Z, lambda x: "a")),
+    "f-returns-none": (DomainError, lambda: matrix_function(PAULI_Z, lambda x: None)),
+    "entropy-of-str": (NotADistributionError, lambda: shannon_entropy("ab")),
+    "vector-is-a-matrix": (DimensionMismatchError, lambda: DensityMatrix.from_vector(np.eye(2))),
+}
+
+
+@pytest.mark.parametrize(
+    "error, call", WRONG_TYPE_CALLS.values(), ids=WRONG_TYPE_CALLS.keys()
+)
+def test_a_wrong_type_at_an_entry_point_is_a_package_error(error, call):
+    """An argument of the wrong type or shape raises the package's error, as errors.py
+    promises, not a builtin TypeError or numpy's ValueError, and a 2 x 2 matrix is not
+    read as a 4-level pure state."""
+    with pytest.raises(error):
+        call()
+
+
+def test_real_scalars_of_every_kind_are_still_accepted():
+    """Ints, floats, numpy scalars and bools pass the real-number checks as before, a row or
+    column of a matrix is still a state vector, and a float count is still a TypeError."""
+    for kt in (1, 1.0, True, np.float64(1.0), np.int64(1), np.True_):
+        assert thermal_state(H_Z, kt).matrix.tobytes() == thermal_state(H_Z, 1.0).matrix.tobytes()
+    for epsilon in (0.3, np.float64(0.3), np.float32(0.5)):
+        assert MeasurementModel.weak(PAULI_Z, epsilon).strength == float(epsilon)
+    np.testing.assert_array_equal(matrix_function(PAULI_Z, lambda x: x > 0), np.diag([1.0, 0.0]))
+    assert shannon_entropy([True]) == 0.0
+    plus = DensityMatrix.from_vector(np.array([1.0, 1.0])).matrix.tobytes()
+    for v in (np.ones((2, 1)), np.ones((1, 2))):
+        assert DensityMatrix.from_vector(v).matrix.tobytes() == plus
+    with pytest.raises(TypeError):
+        Hamiltonian.zero(2.0)
 
 
 NEAR_FLOAT_MAX = {

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeedback import measurement
+from qfeedback.controller import correlate
 from qfeedback.errors import (
     DegenerateStateError,
     DimensionMismatchError,
@@ -33,8 +34,10 @@ from qfeedback.sampling import (
 from qfeedback.thermo import (
     DensityMatrix,
     Hamiltonian,
+    average_energy,
     shannon_entropy,
     thermal_state,
+    trace_distance,
     von_neumann_entropy,
 )
 
@@ -238,6 +241,31 @@ class TestApply:
                 maximally_mixed(3),
                 Hamiltonian.zero(3),
             )
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: correlate(maximally_mixed(3), MeasurementModel.bare([PROJ_0, PROJ_1])),
+                "model dim 2 != state dim 3",
+            ),
+            (
+                lambda: apply(
+                    MeasurementModel.bare([PROJ_0, PROJ_1]), maximally_mixed(2), Hamiltonian.zero(3)
+                ),
+                "state dim 2 != Hamiltonian dim 3",
+            ),
+            (
+                lambda: average_energy(maximally_mixed(2), Hamiltonian.zero(3)),
+                "state dim 2 != Hamiltonian dim 3",
+            ),
+            (lambda: trace_distance(maximally_mixed(2), maximally_mixed(3)), "dims differ: 2 vs 3"),
+        ],
+        ids=["correlate", "apply-hamiltonian", "average_energy", "trace_distance"],
+    )
+    def test_every_reader_of_two_operands_checks_their_dims(self, call, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            call()
 
     def test_rejects_incomplete_model(self):
         half = MeasurementModel.bare([np.eye(2, dtype=complex) * 0.5])

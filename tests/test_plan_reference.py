@@ -167,7 +167,7 @@ def test_non_finite_level_names_the_outcome(bad):
     records = stacked_outcomes([DensityMatrix.from_matrix(m) for m in states], h, (4, 5, 6))
     _assert_same_error(
         DomainError,
-        lambda: plan_feedback(records, h, 1e308),
+        lambda: plan_feedback(records, h, 1e308, 0.0),
         lambda: _plans(records, h, 1e308, 0.0),
     )
 
@@ -279,7 +279,7 @@ def test_invalid_rotated_state_raises_the_single_check(bad, fault):
 
 def test_no_outcome_is_an_argument_error():
     with pytest.raises(ArgumentRangeError, match="plan_feedback needs at least one outcome"):
-        plan_feedback([], Hamiltonian.zero(2), 1.0)
+        plan_feedback([], Hamiltonian.zero(2), 1.0, 0.0)
     _, plan, _ = _good_case()
     stacked = ("outcomes", "basis_unitaries", "levels", "shifts", "populations")
     empty = dataclasses.replace(plan, **{name: getattr(plan, name)[:0] for name in stacked})
