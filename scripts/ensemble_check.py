@@ -16,6 +16,7 @@ cycle on each and on each efficient model drawn above, and reports for each kind
 the worst
 
     p_n and dS_meas against measurement.apply on the same input
+    work_fb - kT*dS_meas   (work summed from the branches landed from the joint)
     system and controller closure distances
     bath entropy gain - dS_tot
     dS_tot   (second-law floor)
@@ -65,9 +66,10 @@ WEAK_STRENGTHS = (1e-3, 0.5)  # range of the weak models' strength
 
 
 def controller_residuals(cases, temperature):
-    """Worst |p_n - apply|, |dS_meas - apply|, closure distance and |bath gain - dS_tot|,
-    and the least dS_tot, of the controller cycle over ``(h, model)`` pairs."""
-    worst_p = worst_ds_meas = worst_closure = worst_bath = 0.0
+    """Worst |p_n - apply|, |dS_meas - apply|, |work_fb - kT*dS_meas|, closure distance
+    and |bath gain - dS_tot|, and the least dS_tot, of the controller cycle over
+    ``(h, model)`` pairs."""
+    worst_p = worst_ds_meas = worst_work = worst_closure = worst_bath = 0.0
     min_ds_tot = np.inf
     for h, model in cases:
         result = run_controller_cycle(h, temperature, model)
@@ -82,11 +84,12 @@ def controller_residuals(cases, temperature):
         )
         worst_p = max(worst_p, p_gap)
         worst_ds_meas = max(worst_ds_meas, abs(result.delta_s_meas - s_ref))
-        worst_closure = max(worst_closure, result.system_closure, result.controller_closure)
+        worst_work = max(worst_work, abs(result.work_fb - temperature * result.delta_s_meas))
+        worst_closure = max(worst_closure, result.closure_distance, result.controller_closure)
         ds_tot = result.report.delta_s_tot
         worst_bath = max(worst_bath, abs(result.bath_entropy_increase - ds_tot))
         min_ds_tot = min(min_ds_tot, ds_tot)
-    return worst_p, worst_ds_meas, worst_closure, worst_bath, min_ds_tot
+    return worst_p, worst_ds_meas, worst_work, worst_closure, worst_bath, min_ds_tot
 
 
 def pure_residuals(cases, temperature):
@@ -174,18 +177,20 @@ def main(argv=None) -> int:
         ("efficient controller", "efficient models (dims 2-4, 2-4 outcomes)", efficient),
         ("pure controller", "rank-1 projector models (dims 2-4)", pure),
     ):
-        p_gap, ds_meas_gap, closure, bath_gap, least_ds_tot = controller_residuals(
+        p_gap, ds_meas_gap, work_gap, closure, bath_gap, least_ds_tot = controller_residuals(
             cases, args.temperature
         )
         print(f"{label}: {args.models} {models}")
         print(f"worst |p_n - apply|                : {p_gap:.3e}")
         print(f"worst |dS_meas - apply|            : {ds_meas_gap:.3e}")
+        print(f"worst |work_fb - T*dS_meas|        : {work_gap:.3e}")
         print(f"worst controller closure distance  : {closure:.3e}")
         print(f"worst |bath gain - dS_tot|         : {bath_gap:.3e}")
         print(f"min controller dS_tot              : {least_ds_tot:.3e}")
         checks += [
             (f"{label} probabilities", p_gap < IDENTITY_TOL),
             (f"{label} dS_meas", ds_meas_gap < IDENTITY_TOL),
+            (f"{label} work identity", work_gap < IDENTITY_TOL),
             (f"{label} closure distance", closure < IDENTITY_TOL),
             (f"{label} bath gain", bath_gap < BATH_TOL),
             (f"{label} second-law floor", least_ds_tot >= -SECOND_LAW_FLOOR),

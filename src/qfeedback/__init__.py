@@ -72,7 +72,6 @@ from .feedback import (
 from .controller import (
     ControllerCycleResult,
     JointState,
-    KeptBranches,
     apply_joint_unitary,
     correlate,
     decohere_controller,

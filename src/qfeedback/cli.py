@@ -46,11 +46,6 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
     numerical failure is re-raised with the scenario id in front."""
     h, t = config.hamiltonian, config.temperature
 
-    def cycle_row(ledger, **columns):  # a measurement-picture row; columns override its work
-        columns = dict(work_total=ledger.work_total, work_fb=ledger.work_fb) | columns
-        n_outcomes, closure = len(ledger.outcomes), ledger.closure_distance
-        return ledger_row(config, ledger, n_outcomes=n_outcomes, closure=closure, **columns)
-
     def outcome_rows(ledger):  # one dict per kept outcome, read from the ledger's stacks
         o, keys = ledger.outcomes, ("n", "probability", "entropy", "energy", "delta_e", "work")
         delta_e = o.energies - ledger.initial.energy
@@ -60,7 +55,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
     try:
         if config.mode == "cycle":
             ledger = run_cycle(h, t, config.model)
-            row = cycle_row(ledger)
+            row = ledger_row(config, ledger)
             detail = {
                 "outcomes": outcome_rows(ledger),
                 "heat_from_bath": ledger.heat_from_bath,
@@ -68,7 +63,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
             }
         elif config.mode == "transform":
             result = run_transform(h, config.h2, t, config.model)
-            row = cycle_row(result.ledger, delta_f=result.delta_f)
+            row = ledger_row(config, result.ledger, delta_F=result.delta_f)
             detail = {
                 "outcomes": outcome_rows(result.ledger),
                 "free_energy_initial": result.ledger.initial.free_energy,
@@ -78,7 +73,8 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
         elif config.mode == "continuous":
             # work summed over the steps; every other column is one step's
             result = run_continuous(h, t, config.model, config.steps)
-            row = cycle_row(
+            row = ledger_row(
+                config,
                 result.per_cycle,
                 work_total=result.cumulative_work_total,
                 work_fb=result.cumulative_work_fb,
@@ -92,19 +88,13 @@ def run_scenario(config: ScenarioConfig) -> tuple[LedgerRow, dict]:
             }
         else:
             result = run_controller_cycle(h, t, config.model)
-            row = ledger_row(
-                config,
-                result,
-                n_outcomes=len(result.probabilities),
-                work_total=result.work_fb + result.delta_e_meas,
-                work_fb=result.work_fb,
-                closure=max(result.system_closure, result.controller_closure),
-            )
+            closure = max(result.closure_distance, result.controller_closure)
+            row = ledger_row(config, result, closure_distance=closure)
             detail = {
                 "branch_probabilities": list(result.probabilities),
-                "branch_entropies": list(result.branch_entropies),
+                "branch_entropies": list(result.entropies),
                 "bath_entropy_increase": result.bath_entropy_increase,
-                "system_closure": result.system_closure,
+                "system_closure": result.closure_distance,
                 "controller_closure": result.controller_closure,
                 "second_law_verdict": result.report.verdict,
             }

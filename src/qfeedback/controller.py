@@ -20,19 +20,11 @@ from .errors import (
     ArgumentRangeError, DimensionMismatchError, InvalidStateError, NonUnitaryBlockError,
 )
 from .linalg import _complex_array, _eigvals, dagger, hermitize, max_abs
-from .feedback import plan_branches
-from .measurement import (
-    MeasurementModel,
-    SecondLawReport,
-    _branch_factors,
-    entropy_reduction,
-    require_valid,
-    second_law_verdict,
-)
+from .feedback import CycleLedger, _close, _land, plan_branches
+from .measurement import MeasurementModel, _branch_factors, require_valid
 from .thermo import (
     DensityMatrix,
     Hamiltonian,
-    ThermoReading,
     _check_spectrum_floor,
     _nats,
     _normalized,
@@ -54,8 +46,8 @@ class JointState:
     it.  Diagonal blocks hold p_n ρ_n, off-diagonal blocks the coherences between
     controller basis states.  Each joint the cycle builds is PSD by
     construction and takes no eig of its own, nor do its two marginals,
-    partial traces of a PSD matrix.  The branches ρ_n are read off by
-    :func:`decohere_controller`, which returns the kept ones' p_n and S_n.
+    partial traces of a PSD matrix.  The kept branches ρ_n are read off by
+    :func:`decohere_controller`.
     """
 
     matrix: DensityMatrix
@@ -93,16 +85,6 @@ class JointState:
     def system_state(self) -> DensityMatrix:
         """The controller traced out: the sum of the diagonal blocks."""
         return DensityMatrix._exact(np.einsum("abad->bd", self.blocks()), "system marginal")
-
-
-@dataclass(frozen=True)
-class KeptBranches:
-    """The kept branches of a decohered joint, by rising controller index: each one's
-    block trace p_n and the entropy S_n of its state ρ_n, the block over p_n."""
-
-    outcomes: np.ndarray  # (K,) controller indices
-    probabilities: np.ndarray  # (K,) p_n, not renormalized
-    entropies: np.ndarray  # (K,) S_n
 
 
 def correlate(rho: DensityMatrix, model: MeasurementModel) -> JointState:
@@ -163,20 +145,20 @@ def apply_joint_unitary(joint: JointState, u: np.ndarray) -> JointState:
 
 def decohere_controller(
     joint: JointState, kept: Iterable[int] = ()
-) -> tuple[JointState, KeptBranches]:
+) -> tuple[JointState, np.ndarray, np.ndarray]:
     """Remove all controller coherences (block-dephasing pinch), and read off the
     branches in ``kept``.
 
-    The result ⊕ p_n ρ_n is PSD by construction, and has the union of its
-    blocks' spectra, so one eigenvalue-only call on all N blocks checks each
-    against the -STATE_TOL floor.  The blocks in ``kept``, checked for a positive
-    trace and, over it, for a unit trace, each named ``branch {n}``, enter that call
-    over their traces, which gives their entropies.  Any other block is checked as it
-    stands: an outcome dropped for its tiny weight holds only round-off, which is no
-    state.  No block is tested for Hermiticity: the joint was, where it was built, and a
-    diagonal block of it, over a real trace or not, is as exact.  The first failing block
-    raises, and so does an index outside 0…N-1 (:class:`ArgumentRangeError`).  Returns
-    the pinched joint and the kept branches.
+    The result ⊕ p_n ρ_n is PSD by construction.  The blocks in ``kept`` are checked
+    for a positive trace and, over it, for a unit trace, each named ``branch {n}``.
+    Their spectra are the landing's to read, which checks their floor.  Any other block
+    is checked as it stands against the -STATE_TOL floor, by one eigenvalue-only call:
+    an outcome dropped for its tiny weight holds only round-off, which is no state.  No
+    block is tested for Hermiticity: the joint was, where it was built, and a diagonal
+    block of it, over a real trace or not, is as exact.  The first failing block raises,
+    and so does an index outside 0…N-1 (:class:`ArgumentRangeError`).  Returns the
+    pinched joint, and by rising index the kept blocks' traces p_n, not renormalized, as
+    one (K,) array and the blocks over them as one (K, d, d) stack, both read-only.
     """
     pinched = _block_diagonal(joint.diagonal_blocks())
     decohered = replace(joint, matrix=DensityMatrix._exact(pinched, "decohered joint"))
@@ -184,30 +166,33 @@ def decohere_controller(
     blocks, p = decohered.diagonal_blocks(), decohered.probabilities()
     positive = p[kept] > 0.0  # NaN is not
     head = kept[: len(kept) if positive.all() else int(positive.argmin())]
-    stack = blocks.copy()
-    stack[head] = _normalized(blocks[head] / p[head, None, None], [f"branch {n}" for n in head])[0]
+    states, _ = _normalized(blocks[head] / p[head, None, None], [f"branch {n}" for n in head])
     if len(head) < len(kept):  # kept[len(head)] is the first with no positive trace
         n = int(kept[len(head)])
         raise InvalidStateError(f"branch {n}: block trace {float(p[n])!r} is not positive")
-    spectra = _eigvals(stack)
-    for n, lam in enumerate(spectra[:, -1].tolist()):
-        _check_spectrum_floor(lam, f"branch {n}")
-    entropies = np.array([_nats(s) for s in spectra[kept]])
-    return decohered, KeptBranches(kept, p[kept], entropies)
+    if len(kept) < joint.n_outcomes:  # the dropped blocks, as they stand
+        dropped = np.delete(np.arange(joint.n_outcomes), kept)
+        for n, lam in zip(dropped.tolist(), _eigvals(blocks[dropped])[:, -1].tolist()):
+            _check_spectrum_floor(lam, f"branch {n}")
+    p = p[kept]
+    for a in (p, states):
+        a.setflags(write=False)
+    return decohered, p, states
 
 
 def finalize_branches(
-    joint: JointState, rho_t: DensityMatrix, branches: KeptBranches
+    joint: JointState, rho_t: DensityMatrix, kept: Iterable[int], weights: np.ndarray
 ) -> JointState:
     """Replace every branch's system state by the isothermal endpoint ρ_T.
 
-    A branch that ``branches`` leaves out was dropped and gets weight 0.
-    Every branch lands on ρ_T, so the joint state factors as ρ_C ⊗ ρ_T, exactly
-    Hermitian with a checked ρ_T and real p_n, and only its trace is checked.
+    Branch ``kept[k]`` gets weight ``weights[k]``, renormalized over them all, and a
+    branch that ``kept`` leaves out was dropped and gets weight 0.  Every branch lands on
+    ρ_T, so the joint state factors as ρ_C ⊗ ρ_T, exactly Hermitian with a checked ρ_T
+    and real p_n, and only its trace is checked.
     """
     n = joint.n_outcomes
     p_vec = np.zeros(n)
-    p_vec[branches.outcomes] = branches.probabilities
+    p_vec[list(kept)] = weights
     # diag(p) ⊗ ρ_T as np.kron forms it, -0.0 entries and all: [n, i, m, j] is p_nm ρ_ij
     p_diag = np.diag((p_vec / p_vec.sum()).astype(complex))[:, None, :, None]
     final = (p_diag * rho_t.matrix[None, :, None, :]).reshape(joint.matrix.dim, -1)
@@ -228,60 +213,47 @@ def reset_controller(controller: DensityMatrix) -> tuple[DensityMatrix, float]:
 
 
 @dataclass(frozen=True)
-class ControllerCycleResult:
-    """Full quantum-controller cycle: joint dynamics, ledgers, and verdict."""
+class ControllerCycleResult(CycleLedger):
+    """The cycle ledger of the measurement-free picture, read from the controller's joint,
+    and what the controller alone has."""
 
-    initial: ThermoReading
-    probabilities: np.ndarray
-    branch_entropies: np.ndarray  # (K,) S_n per kept branch
-    delta_e_meas: float
-    delta_s_meas: float
-    work_fb: float
-    report: SecondLawReport
-    system_closure: float  # trace distance of final system state from ρ_T
     controller_closure: float  # trace distance of reset controller from |0⟩⟨0|
     bath_entropy_increase: float  # total bath gain over the cycle
+
+    # Kept for readers outside the package (perfbench/workloads.py) until they read
+    # ``closure_distance``, the final system state's trace distance from ρ_T.
+    @property
+    def system_closure(self) -> float:
+        return self.closure_distance
 
 
 def run_controller_cycle(
     h: Hamiltonian, temperature: float, model: MeasurementModel
 ) -> ControllerCycleResult:
     """One full cycle in the measurement-free picture: correlate, feed back, decohere,
-    finalize, reset, over the branches :func:`~qfeedback.feedback.plan_branches` plans."""
+    finalize, reset, over the branches :func:`~qfeedback.feedback.plan_branches` plans.
+    Each kept branch is landed as it left the feedback, its block of the decohered joint
+    over its trace p_n, so the works and S_n of the ledger come from the joint."""
     step = plan_branches(h, temperature, model)
     kept = step.plan.outcomes.tolist()
     # a dropped outcome's block leaves the system alone
     blocks = np.eye(model.dim, dtype=complex)[None].repeat(model.n_outcomes, axis=0)
     blocks[kept] = step.plan.basis_unitaries
     joint = apply_joint_unitary(correlate(step.rho, model), feedback_unitary(blocks))
-    joint, branches = decohere_controller(joint, kept)
+    joint, p, states = decohere_controller(joint, kept)
+    probabilities = p / p.sum()
+    works, entropies = _land(states, step.outcomes, step.plan, temperature)
 
-    # the kept branches read back from the joint state (pre-finalize blocks hold
-    # the rotated p_n ρ_n, whose entropies and probabilities are basis-invariant)
-    probabilities = branches.probabilities / branches.probabilities.sum()
-    delta_s_meas = entropy_reduction(probabilities, branches.entropies, step.initial.entropy)
-
-    joint_final = finalize_branches(joint, step.rho, branches)
-    report = second_law_verdict(probabilities, delta_s_meas)
-    system_closure = trace_distance(joint_final.system_state(), step.rho)
-
+    joint_final = finalize_branches(joint, step.rho, kept, p)
     controller_reset, record_entropy = reset_controller(joint_final.controller_state())
     controller_closure = trace_distance(
         controller_reset, DensityMatrix.from_vector(np.eye(model.n_outcomes)[0])
     )
     # bath gain: isothermal stage took (S - S_n) out per branch, reset put
     # S({p_n}) back in; net is ΔS_tot
-    branch_gains = branches.entropies - step.initial.entropy
-    bath_gain = float(np.dot(probabilities, branch_gains)) + record_entropy
-    return ControllerCycleResult(
-        initial=step.initial,
-        probabilities=probabilities,
-        branch_entropies=branches.entropies,
-        delta_e_meas=step.delta_e_meas,
-        delta_s_meas=delta_s_meas,
-        work_fb=temperature * delta_s_meas,
-        report=report,
-        system_closure=system_closure,
-        controller_closure=controller_closure,
-        bath_entropy_increase=bath_gain,
+    bath_gain = float(np.dot(probabilities, entropies - step.initial.entropy)) + record_entropy
+    branches, end = (probabilities, entropies, works), (step.rho, step.initial)
+    return _close(
+        step, temperature, branches, joint_final.system_state(), end, ControllerCycleResult,
+        controller_closure=controller_closure, bath_entropy_increase=bath_gain,
     )

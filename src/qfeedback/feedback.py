@@ -51,7 +51,7 @@ from .thermo import (
     trace_distance,
 )
 
-# execute_plan's bound on a landed state's distance from thermal and entropy drift
+# the landing's bound on a landed state's distance from thermal and entropy drift
 PLAN_TOL = 1e-9
 # Weak-measurement strengths run_continuous accepts; config validation reads it.
 CONTINUOUS_EPSILON_RANGE = (1e-6, 0.5)
@@ -90,22 +90,27 @@ class BranchPlans:
 
 @dataclass(frozen=True)
 class CycleLedger:
-    """Everything one feedback cycle did, with the second-law bottom line.
+    """Everything one feedback cycle did, with the second-law bottom line, in either
+    picture.
 
-    ``work_total`` is the average work extracted over the whole cycle
-    including the recovery of measurement work; ``work_fb`` nets out the
-    energy the measurement itself injected, and for a closed cycle equals
-    kT·ΔS_meas.  ``report`` carries ΔS_tot = S({p_n}) - ΔS_meas, the entropy
-    change of the universe once the controller's record is reset, with its
-    verdict, as the controller picture's result does.  ``outcomes`` is the record
-    :func:`~qfeedback.measurement.apply` built, stacks and dropped indices, and
-    ``works[n]`` the work of its row n, feedback plus isothermal stage.  Holding arrays,
-    a ledger is not hashable, and ``==`` between two distinct ledgers raises.
+    ``probabilities`` and ``entropies`` are the p_n and S_n that ΔS_meas sums, apply's in
+    the measurement picture and read from the joint in the controller's, and ``works[n]``
+    the work of branch n, feedback plus isothermal stage, each a read-only (N,) array by
+    rising outcome index.
+    ``work_total`` is their p-weighted sum, the average work extracted over the whole
+    cycle including the recovery of measurement work; ``work_fb`` nets out the energy
+    the measurement itself injected, and for a closed cycle equals kT·ΔS_meas.
+    ``report`` carries ΔS_tot = S({p_n}) - ΔS_meas, the entropy change of the universe
+    once the controller's record is reset, with its verdict.  ``outcomes`` is the record
+    :func:`~qfeedback.measurement.apply` built, stacks and dropped indices.  Holding
+    arrays, a ledger is not hashable, and ``==`` between two distinct ledgers raises.
     """
 
     initial: ThermoReading
     temperature: float  # kT
     outcomes: MeasurementOutcomes
+    probabilities: np.ndarray  # (N,) p_n, read-only
+    entropies: np.ndarray  # (N,) S_n, read-only
     works: np.ndarray  # (N,) ΔW_n, read-only
     delta_e_meas: float
     delta_s_meas: float
@@ -201,43 +206,54 @@ def plan_branches(h: Hamiltonian, temperature: float, model: MeasurementModel) -
 
 
 def execute_plan(
-    outcomes: MeasurementOutcomes,
-    plan: FeedbackPlan,
-    temperature: float,
+    outcomes: MeasurementOutcomes, plan: FeedbackPlan, temperature: float
 ) -> np.ndarray:
     """Run steps (i)-(iv) for every kept outcome of a cycle, returning the (N,) works
-    extracted: E_n - Tr[H ρ'] from the rotation at fixed H, plus
-    Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from the retune at fixed state ρ'.  Row n of the
-    outcome stacks and slice n of the plan read the H the plan was made for.
-    One ``_unit_trace`` call checks and hermitizes the rotated states, and one unchecked
-    eigenvalue-only call over [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], exactly Hermitian
-    (σ_n, the Gibbs state of the retuned levels, comes hermitized from ``spectral_matrix``),
-    gives the landing distances and the rotated spectra, for the floor and the entropies,
-    and the three checks run as one vectorized test.
-
-    Raises, for the first outcome that fails, the first of these checks it fails:
-    :class:`PlanMismatchError` if the landed state is not the Gibbs state of its retuned
-    levels (the shift c_n cancels there), :class:`InvalidStateError` if its spectrum is
-    below the floor, :class:`PlanMismatchError` if the rotation did not keep its entropy.
-    A NaN distance or drift fails.  A kernel level holds no population in that Gibbs
-    state, so the distance also bounds the weight the rotation left there.
+    extracted.  Row n of the outcome stacks and slice n of the plan read the H the plan
+    was made for.  The rotation U_n ρ_n U_n† takes one ``_unit_trace`` call, which checks
+    and hermitizes the rotated states, and :func:`_land` checks where they landed and
+    gives their works.
     """
     n_out = len(plan.outcomes)
     if len(outcomes) != n_out:
         raise PlanMismatchError(f"{len(outcomes)} outcomes but {n_out} plans")
     if not n_out:
         raise ArgumentRangeError("execute_plan needs at least one outcome")
-    u, b = plan.basis_unitaries, plan.energy_basis
+    u = plan.basis_unitaries
     rotated, _ = _unit_trace(u @ outcomes.states @ dagger(u), "rotated outcome state")
+    return _land(rotated, outcomes, plan, temperature)[0]
+
+
+def _land(
+    states: np.ndarray, outcomes: MeasurementOutcomes, plan: FeedbackPlan, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check where the feedback of ``plan`` left the (N, d, d) unit-trace, exactly
+    Hermitian ``states``, row n that of outcome n of ``outcomes``, and return their (N,)
+    works and entropies: both pictures land their branches here.  The work of row n is
+    E_n - Tr[H ρ'] from the rotation at fixed H, plus Tr[H ρ'] - Tr[(H_n + c_n) ρ'] from
+    the retune at fixed state ρ'.  One unchecked eigenvalue-only call over
+    [ρ'_1 … ρ'_N, ρ'_1 - σ_1 … ρ'_N - σ_N], exactly Hermitian (σ_n, the Gibbs state of
+    the retuned levels, comes hermitized from ``spectral_matrix``), gives the landing
+    distances and the landed spectra, and the three checks run as one vectorized test.
+
+    Raises, for the first outcome that fails, the first of these checks it fails:
+    :class:`PlanMismatchError` if the landed state is not the Gibbs state of its retuned
+    levels (the shift c_n cancels there), :class:`InvalidStateError` if its spectrum is
+    below the floor, :class:`PlanMismatchError` if its entropy drifted from the outcome's.
+    A NaN distance or drift fails.  A kernel level holds no population in that Gibbs
+    state, so the distance also bounds the weight the feedback left there.
+    """
+    n_out, b = len(states), plan.energy_basis
     # Tr[H ρ'] cancels between the two stages; a kernel level is raised at no
     # work, so Tr[(H_n + c_n) ρ'] sums over the support only
-    populations = np.einsum("ij,nij->nj", b.conj(), rotated @ b).real
+    populations = np.einsum("ij,nij->nj", b.conj(), states @ b).real
     expected = spectral_matrix(b, gibbs_weights(plan.levels, temperature))
-    spectra = _eigvals(np.concatenate([rotated, rotated - expected]))
+    spectra = _eigvals(np.concatenate([states, states - expected]))
 
     lam = spectra[:n_out]
     deviations = 0.5 * np.abs(spectra[n_out:]).sum(axis=-1)
-    drifts = np.abs(np.array([_nats(s) for s in lam]) - outcomes.entropies)
+    entropies = np.array([_nats(s) for s in lam])
+    drifts = np.abs(entropies - outcomes.entropies)
     failed = ~(deviations <= PLAN_TOL) | (lam[:, -1] < -STATE_TOL) | ~(drifts <= PLAN_TOL)
     if failed.any():
         n = int(failed.argmax())
@@ -251,7 +267,46 @@ def execute_plan(
         raise PlanMismatchError(f"outcome {outcome}: entropy drifted by {drifts[n]:.3e}")
     on = np.isfinite(plan.levels)
     rows = zip(plan.levels, plan.shifts, populations, on)
-    return outcomes.energies - np.array([np.dot(e[s] + c, p[s]) for e, c, p, s in rows])
+    works = outcomes.energies - np.array([np.dot(e[s] + c, p[s]) for e, c, p, s in rows])
+    return works, entropies
+
+
+def _close(
+    step: BranchPlans, temperature: float, branches: tuple, final: DensityMatrix,
+    end: tuple[DensityMatrix, ThermoReading], ledger: type = CycleLedger, **extra,
+) -> CycleLedger:
+    """The ledger both pictures end in.  ``branches`` holds the (N,) p_n, S_n and
+    feedback works of the landed branches, ``end`` the thermal state and reading the
+    isothermal stage takes every branch on to, and ``final`` the system's state at the
+    end, which gives the closure; ``extra`` fills a ``ledger`` subclass's own fields."""
+    probabilities, entropies, works = branches
+    rho_target, target = end
+    # isothermal stage from the branch Hamiltonian to the target: the free-energy drop at
+    # fixed T, the state tracking the instantaneous thermal state
+    works = works + (
+        (step.initial.energy - target.energy)
+        + isothermal_work(target.entropy, entropies, temperature)
+    )
+    for a in (probabilities, entropies, works):
+        a.setflags(write=False)
+    delta_s_meas = entropy_reduction(probabilities, entropies, step.initial.entropy)
+    work_total = float(sum((probabilities * works).tolist()))
+    return ledger(
+        initial=step.initial,
+        temperature=temperature,
+        outcomes=step.outcomes,
+        probabilities=probabilities,
+        entropies=entropies,
+        works=works,
+        delta_e_meas=step.delta_e_meas,
+        delta_s_meas=delta_s_meas,
+        work_total=work_total,
+        work_fb=work_total - step.delta_e_meas,
+        report=second_law_verdict(probabilities, delta_s_meas),
+        heat_from_bath=temperature * delta_s_meas,
+        closure_distance=trace_distance(final, rho_target),
+        **extra,
+    )
 
 
 def isothermal_work(s_target: float, s_n: float, temperature: float) -> float:
@@ -305,32 +360,12 @@ def _run(
     target = step.initial if h2 is h1 else thermo_reading(rho_target, h2, temperature)
 
     outcomes = step.outcomes
-    # isothermal stage from the branch Hamiltonian to h2: the free-energy drop at fixed T,
-    # the state tracking the instantaneous thermal state, so every branch ends on rho_target
-    works = execute_plan(outcomes, step.plan, temperature) + (
-        (step.initial.energy - target.energy)
-        + isothermal_work(target.entropy, outcomes.entropies, temperature)
-    )
-    works.setflags(write=False)
-    s_initial = step.initial.entropy
-    delta_s_meas = entropy_reduction(outcomes.probabilities, outcomes.entropies, s_initial)
-    work_total = float(sum((outcomes.probabilities * works).tolist()))
+    works = execute_plan(outcomes, step.plan, temperature)
+    # every branch ends on rho_target
     endpoint = sum(p * rho_target.matrix for p in outcomes.probabilities.tolist())
     final = DensityMatrix._exact(endpoint, "cycle endpoint")
-    ledger = CycleLedger(
-        initial=step.initial,
-        temperature=temperature,
-        outcomes=outcomes,
-        works=works,
-        delta_e_meas=step.delta_e_meas,
-        delta_s_meas=delta_s_meas,
-        work_total=work_total,
-        work_fb=work_total - step.delta_e_meas,
-        report=second_law_verdict(outcomes.probabilities, delta_s_meas),
-        heat_from_bath=temperature * delta_s_meas,
-        closure_distance=trace_distance(final, rho_target),
-    )
-    return ledger, target
+    branches = (outcomes.probabilities, outcomes.entropies, works)
+    return _close(step, temperature, branches, final, (rho_target, target)), target
 
 
 def run_cycle(h: Hamiltonian, temperature: float, model: MeasurementModel) -> CycleLedger:

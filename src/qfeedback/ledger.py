@@ -49,33 +49,32 @@ COLUMNS = tuple(COLUMN_KINDS)
 FLOAT_COLUMNS = tuple(name for name, kind in COLUMN_KINDS.items() if kind == "float")
 
 
-def ledger_row(
-    config, run, *, n_outcomes: int, work_total: float, work_fb: float, closure: float,
-    delta_f: float = 0.0,
-) -> LedgerRow:
-    """The row of a run in ``config.mode``.  ``run`` is a cycle ledger or a
-    controller cycle result; both carry the initial E/S/F reading, the
-    measurement cost and the second-law report.  The caller gives the columns
-    that depend on the run mode."""
-    return LedgerRow(
+def ledger_row(config, ledger, **columns) -> LedgerRow:
+    """The row of a cycle ledger, of either picture, run in ``config.mode``.  Every
+    column comes from the config or the ledger but those in ``columns``, named as the
+    row names them, which a run mode sets itself: the summed work of a continuous run, a
+    transform's ΔF, the controller's closure."""
+    report = ledger.report
+    row = dict(
         scenario_id=config.scenario_id,
         mode=config.mode,
         dim=config.dim,
         T=config.temperature,
-        E=run.initial.energy,
-        S=run.initial.entropy,
-        F=run.initial.free_energy,
-        n_outcomes=n_outcomes,
-        delta_E_meas=run.delta_e_meas,
-        delta_S_meas=run.report.delta_s_meas,
-        shannon_outcomes=run.report.shannon_outcomes,
-        work_total=work_total,
-        work_fb=work_fb,
-        delta_F=delta_f,
-        delta_S_tot=run.report.delta_s_tot,
-        closure_distance=closure,
-        efficiency_flag=run.report.efficiency_flag,
+        E=ledger.initial.energy,
+        S=ledger.initial.entropy,
+        F=ledger.initial.free_energy,
+        n_outcomes=len(ledger.outcomes),
+        delta_E_meas=ledger.delta_e_meas,
+        delta_S_meas=report.delta_s_meas,
+        shannon_outcomes=report.shannon_outcomes,
+        work_total=ledger.work_total,
+        work_fb=ledger.work_fb,
+        delta_F=0.0,
+        delta_S_tot=report.delta_s_tot,
+        closure_distance=ledger.closure_distance,
+        efficiency_flag=report.efficiency_flag,
     )
+    return LedgerRow(**(row | columns))
 
 
 def _format_csv_value(name: str, value):

@@ -189,13 +189,14 @@ def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     dec = eig_hermitian(m)
     values = np.empty(dec.eigenvalues.shape, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i, lam in enumerate(dec.eigenvalues.flat):
+        for i, lam in enumerate(dec.eigenvalues.ravel().tolist()):  # Python floats
             try:
-                y = f(float(lam))
+                y = f(lam)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise DomainError(f"f undefined at eigenvalue {lam!r}: {exc}") from exc
             if not _is_real(y) or not math.isfinite(y):
-                raise DomainError(f"f({lam!r}) = {y!r} is not a finite real value")
+                shown = float(y) if _is_real(y) else y
+                raise DomainError(f"f({lam!r}) = {shown!r} is not a finite real value")
             values.flat[i] = y
     return spectral_matrix(dec.eigenvectors, values)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qfeedback.controller import JointState, KeptBranches
+from qfeedback.controller import JointState
 from qfeedback.errors import (
     ArgumentRangeError,
     DegenerateStateError,
@@ -291,35 +291,32 @@ def pinch_by_slices(joint: JointState) -> np.ndarray:
     return out
 
 
-def decohere_controller_reference(joint: JointState, kept=()) -> tuple[JointState, KeptBranches]:
+def decohere_controller_reference(
+    joint: JointState, kept=()
+) -> tuple[JointState, np.ndarray, np.ndarray]:
     """The block-dephasing pinch checked one kept block at a time, its trace tested
-    positive and its ``_unit_trace`` run on its own, then every block in one stacked
-    ``eig_hermitian`` call, whose sorted, phase-fixed vectors each kept branch state
-    keeps for ``von_neumann_entropy`` to read."""
+    positive and its ``_unit_trace`` run on its own, then every other block in one
+    stacked ``eig_hermitian`` call, checked against the floor as it stands; returns the
+    pinched joint, the kept blocks' traces and the (K, d, d) stack of the kept blocks
+    over their traces."""
     d, n_out = joint.system_dim, joint.n_outcomes
     state = DensityMatrix.from_psd(pinch_by_slices(joint), "decohered joint")
     blocks = [state.matrix[n * d : (n + 1) * d, n * d : (n + 1) * d] for n in range(n_out)]
     kept = sorted(set(kept))
-    stack, probabilities = [], []
-    for n, block in enumerate(blocks):
-        if n in kept:
-            p = float(block.trace().real)
-            if not p > 0.0:
-                raise InvalidStateError(f"branch {n}: block trace {p!r} is not positive")
-            probabilities.append(p)
-            block = _unit_trace(block / p, f"branch {n}")[0]
-        stack.append(block)
-    dec = eig_hermitian(np.stack(stack))
-    entropies = []
-    for n in range(n_out):
-        if n in kept:
-            spectrum = EigenDecomposition(dec.eigenvalues[n], dec.eigenvectors[n])
-            branch = DensityMatrix._with_eig(stack[n], spectrum, f"branch {n}")
-            entropies.append(von_neumann_entropy(branch))
-        else:
-            _check_spectrum_floor(float(dec.eigenvalues[n, -1]), f"branch {n}")
-    branches = KeptBranches(np.array(kept, dtype=int), np.array(probabilities), np.array(entropies))
-    return replace(joint, matrix=state), branches
+    probabilities, states = [], []
+    for n in kept:
+        p = float(blocks[n].trace().real)
+        if not p > 0.0:
+            raise InvalidStateError(f"branch {n}: block trace {p!r} is not positive")
+        probabilities.append(p)
+        states.append(_unit_trace(blocks[n] / p, f"branch {n}")[0])
+    dropped = [n for n in range(n_out) if n not in kept]
+    if dropped:
+        dec = eig_hermitian(np.stack([blocks[n] for n in dropped]))
+        for n, lam in zip(dropped, dec.eigenvalues[:, -1].tolist()):
+            _check_spectrum_floor(lam, f"branch {n}")
+    states = np.array(states).reshape(len(kept), d, d)
+    return replace(joint, matrix=state), np.array(probabilities), states
 
 
 def eig_checked_joint(rho: DensityMatrix, model: MeasurementModel, u: np.ndarray) -> JointState:

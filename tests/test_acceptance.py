@@ -255,10 +255,12 @@ def test_criterion_5_cycle_closure():
     )
 
 
-def _controller_residuals(h, temperature, model) -> tuple[float, float, float, float]:
+def _controller_residuals(h, temperature, model) -> tuple[float, float, float, float, float]:
     """Gate 6 on one model: the worst joint block against apply's p_n ρ_n, the final
     joint's trace distance from the product of its marginals, the worst entropy-ledger
-    gap (bath gain against ΔS_tot, and ΔS_tot against run_cycle's) and the worst closure."""
+    gap (bath gain against ΔS_tot, and ΔS_tot against run_cycle's), the worst closure,
+    and the gap of W_fb from run_cycle's per unit of max(1, kT): the controller's W_fb
+    is summed from the branches it landed from its joint, run_cycle's from apply's."""
     rho_t = thermal_state(h, temperature)
     joint = correlate(rho_t, model)
     records = apply(model, rho_t, h)
@@ -268,8 +270,9 @@ def _controller_residuals(h, temperature, model) -> tuple[float, float, float, f
     e0 = average_energy(rho_t, h)
     blocks = plan_feedback(records, h, temperature, e_initial=e0).basis_unitaries
     moved = apply_joint_unitary(joint, feedback_unitary(blocks))
-    decohered, branches = decohere_controller(moved, [r.n for r in records])
-    final = finalize_branches(decohered, rho_t, branches)
+    kept = [r.n for r in records]
+    decohered, p, _ = decohere_controller(moved, kept)
+    final = finalize_branches(decohered, rho_t, kept, p)
     product = DensityMatrix.from_matrix(
         np.kron(final.controller_state().matrix, final.system_state().matrix)
     )
@@ -281,7 +284,8 @@ def _controller_residuals(h, temperature, model) -> tuple[float, float, float, f
         abs(result.bath_entropy_increase - result.report.delta_s_tot),
         abs(result.report.delta_s_tot - reference.delta_s_tot),
     )
-    return block, factor, ledger, max(result.system_closure, result.controller_closure)
+    work = abs(result.work_fb - reference.work_fb) / max(1.0, temperature)
+    return block, factor, ledger, max(result.closure_distance, result.controller_closure), work
 
 
 def test_criterion_6_controller_equivalence():
@@ -306,7 +310,7 @@ def test_criterion_6_controller_equivalence():
         h, temperature = random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0))
         cases["inefficient"].append((h, temperature, random_inefficient_model(dim, n_out, rng)))
 
-    block_worst, factor_worst, ledger_worst, closure_worst = np.max(
+    block_worst, factor_worst, ledger_worst, closure_worst, work_worst = np.max(
         [_controller_residuals(*case) for draws in cases.values() for case in draws], axis=0
     )
     ok = (
@@ -314,12 +318,14 @@ def test_criterion_6_controller_equivalence():
         and factor_worst < 1e-8
         and closure_worst < 1e-8
         and ledger_worst < 1e-9
+        and work_worst <= 1e-9
     )
     counts = ", ".join(f"{len(draws)} {kind}" for kind, draws in cases.items())
     verdict(
         6, ok, f"isometric controller reproduces the measurement picture ({counts})",
         f"block resid {block_worst:.2e}, factorization {factor_worst:.2e}, "
-        f"closure {closure_worst:.2e}, entropy ledger {ledger_worst:.2e}",
+        f"closure {closure_worst:.2e}, entropy ledger {ledger_worst:.2e}, "
+        f"W_fb vs run_cycle {work_worst:.2e} per max(1, kT)",
     )
 
 
@@ -488,15 +494,9 @@ def _polar_gaps(h, temperature, model) -> tuple[float, float]:
     worst = energy = 0.0
     for run in (run_cycle, run_controller_cycle):
         a, b = run(h, temperature, model), run(h, temperature, bare)
-        if run is run_cycle:
-            p = [[o.probability for o in x.outcomes] for x in (a, b)]
-            s = [[o.entropy for o in x.outcomes] for x in (a, b)]
-        else:
-            p = [x.probabilities for x in (a, b)]
-            s = [x.branch_entropies for x in (a, b)]
         gaps = [
-            max_abs(np.subtract(*p)),
-            max_abs(np.subtract(*s)),
+            max_abs(a.probabilities - b.probabilities),
+            max_abs(a.entropies - b.entropies),
             abs(a.delta_s_meas - b.delta_s_meas),
             abs(a.work_fb - b.work_fb),
         ]

@@ -45,9 +45,10 @@ measurement:
 
 BAD_TEMPERATURE = GOOD_CONFIG.replace("temperature: 1.0", "temperature: -3.0")
 
-# T = 5e-324 passes validation, but the retuned levels -kT ln λ of the weak
-# outcomes round to 0 at that kT, so the landing check of the feedback plan
-# fails numerically (a PlanMismatchError) rather than at validation
+# T = 5e-324 passes validation, but at that kT the retuned levels -kT ln λ of the
+# weak outcomes round to 0 or to kT itself and no longer give back λ, so the landing
+# check fails numerically (a PlanMismatchError) rather than at validation, in the
+# measurement and the controller picture alike: both land their branches in one check
 DEGENERATE_CONFIG = """\
 scenario_id: tmp-degenerate
 run: {mode: cycle}
@@ -236,13 +237,14 @@ class TestRun:
         [row] = json.loads(capsys.readouterr().out)
         assert row["n_outcomes"] == 2
 
-    def test_numerical_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["cycle", "controller"])
+    def test_numerical_failure(self, tmp_path, capsys, mode):
         path = tmp_path / "degenerate.yaml"
-        path.write_text(DEGENERATE_CONFIG)
+        path.write_text(DEGENERATE_CONFIG.replace("mode: cycle", f"mode: {mode}"))
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err
-        assert "tmp-degenerate" in err
+        assert "tmp-degenerate: outcome 0: landed state is" in err
 
     # numpy overflow warnings printed ahead of each of these errors; the runs that
     # exit 0 print their ledger, with ΔS_meas as given, and no warning either

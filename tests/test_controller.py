@@ -3,12 +3,14 @@ decoherence, and the universe entropy ledger."""
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfeedback import controller
+from qfeedback.cli import load_config, run_scenario
 from qfeedback.controller import (
     JointState,
     apply_joint_unitary,
@@ -26,6 +28,7 @@ from qfeedback.errors import (
     IncompleteModelError,
     InvalidStateError,
     NonUnitaryBlockError,
+    PlanMismatchError,
 )
 from qfeedback.feedback import plan_branches, run_cycle
 from qfeedback.linalg import (
@@ -85,6 +88,20 @@ from oracles import (
 
 LN2 = math.log(2.0)
 H2LEVEL = Hamiltonian.diagonal([0.0, 1.0])
+
+
+def arrays(value, name="result"):
+    """(name, array) of every numpy array ``value`` holds, in its nested records too."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif is_dataclass(value):
+        for field in fields(value):
+            yield from arrays(getattr(value, field.name), f"{name}.{field.name}")
+
+
+def entropies(states) -> np.ndarray:
+    """S_n of each branch state of a stack, as the landing reads them: from its spectrum."""
+    return np.array([_nats(eigvals_hermitian(state)) for state in states])
 
 
 class TestCorrelate:
@@ -290,19 +307,19 @@ class TestJointsWithoutAnEig:
         rho, model, u, kept = cycle_inputs(dim, n, temperature, kind)
         correlated = correlate(rho, model)
         rotated = apply_joint_unitary(correlated, u)
-        decohered, branches = decohere_controller(rotated, kept)
-        final = finalize_branches(decohered, rho, branches)
+        decohered, p, _ = decohere_controller(rotated, kept)
+        final = finalize_branches(decohered, rho, kept, p)
         for joint in (correlated, rotated, decohered, final):
             assert np.linalg.eigvalsh(joint.matrix.matrix).min() >= -1e-12
 
     @pytest.mark.parametrize("dim, n, temperature, kind", CYCLE_CASES)
     def test_branches_match_the_eig_checked_path(self, dim, n, temperature, kind):
         rho, model, u, kept = cycle_inputs(dim, n, temperature, kind)
-        joint, branches = decohere_controller(apply_joint_unitary(correlate(rho, model), u), kept)
-        checked, expected = decohere_controller(eig_checked_joint(rho, model, u), kept)
+        joint, p, states = decohere_controller(apply_joint_unitary(correlate(rho, model), u), kept)
+        checked, p_checked, expected = decohere_controller(eig_checked_joint(rho, model, u), kept)
         assert max_abs(joint.probabilities() - checked.probabilities()) <= 1e-12
-        assert branches.outcomes.tolist() == expected.outcomes.tolist() == sorted(kept)
-        for s_n, s_checked in zip(branches.entropies, expected.entropies):
+        assert len(p) == len(p_checked) == len(states) == len(expected) == len(kept)
+        for s_n, s_checked in zip(entropies(states), entropies(expected)):
             assert s_n == pytest.approx(s_checked, abs=1e-12)
 
     def test_trace_changing_unitary_raises(self):
@@ -329,21 +346,21 @@ class TestDecohere:
         joint = correlate(
             maximally_mixed(2), MeasurementModel.bare([PROJ_0, PROJ_1])
         )
-        out, _ = decohere_controller(joint)
+        out, _, _ = decohere_controller(joint)
         assert max_abs(out.matrix.matrix - joint.matrix.matrix) < 1e-14
 
     def test_kills_exactly_the_off_diagonal_blocks(self):
         model = MeasurementModel.weak(PAULI_Z, 0.5)
         joint = correlate(maximally_mixed(2), model)
-        out, _ = decohere_controller(joint)
+        out, _, _ = decohere_controller(joint)
         assert max_abs(out.blocks()[0, :, 1, :]) == 0.0
         assert max_abs(out.blocks()[0, :, 0, :] - joint.blocks()[0, :, 0, :]) < 1e-14
 
     def test_idempotent(self):
         model = MeasurementModel.weak(PAULI_Z, 0.3)
         joint = correlate(thermal_state(H2LEVEL, 1.0), model)
-        once, _ = decohere_controller(joint)
-        twice, _ = decohere_controller(once)
+        once, _, _ = decohere_controller(joint)
+        twice, _, _ = decohere_controller(once)
         # trace renormalization inside the state constructor costs one ulp
         assert max_abs(once.matrix.matrix - twice.matrix.matrix) < 1e-14
 
@@ -354,7 +371,7 @@ class TestDecohere:
             dim = int(rng.integers(2, 4))
             model = random_bare_model(dim, int(rng.integers(2, 4)), rng)
             joint = correlate(thermal_state(random_hamiltonian(dim, rng), 1.0), model)
-            fast, _ = decohere_controller(joint)
+            fast, _, _ = decohere_controller(joint)
             explicit = decohere_via_ancilla(joint)
             assert max_abs(fast.matrix.matrix - explicit.matrix.matrix) < 1e-12
 
@@ -414,7 +431,7 @@ EDGE_JOINTS = [
         (0, 1),
     ),
     ("negative-trace-first", _edge(np.diag([-0.1, 0.0]), np.diag([0.6, 0.5])), (1, 0)),
-    # the floor of kept branch 0 is checked only after every kept trace, so branch 1's fails first
+    # the floor of kept branch 0 is the landing's to check, so branch 1's trace fails
     (
         "trace-before-kept-floor",
         _edge(0.5 * np.diag([1 + 2e-9, -2e-9]), np.diag([-0.1, 0.0]), np.diag([0.3, 0.3])),
@@ -437,22 +454,21 @@ class TestBlockSpectra:
     @pytest.mark.parametrize("joint, rho", seeded_joints())
     def test_same_bytes_as_from_matrix(self, joint, rho, kept):
         outcomes = range(joint.n_outcomes)
-        decohered, branches = decohere_controller(joint, outcomes if kept is None else kept)
+        decohered, p, states = decohere_controller(joint, outcomes if kept is None else kept)
         full = DensityMatrix.from_matrix(pinch_by_slices(joint))
         assert decohered.matrix.matrix.tobytes() == full.matrix.tobytes()
         if kept is not None:  # no branch is read off
-            assert branches.outcomes.size == branches.entropies.size == 0
+            assert p.shape == (0,) and states.shape == (0, joint.system_dim, joint.system_dim)
             return
 
-        p = decohered.probabilities()
-        assert branches.probabilities.tobytes() == p.tobytes()
-        for n, s_n in zip(outcomes, branches.entropies.tolist()):
-            state = DensityMatrix.from_matrix(decohered.blocks()[n, :, n, :] / p[n])
-            # a kept branch's entropy comes from the eigenvalue-only call
-            assert s_n == _nats(np.clip(eigvals_hermitian(state.matrix), 0.0, None))
-            assert s_n == pytest.approx(von_neumann_entropy(state), abs=1e-13)
+        assert p.tobytes() == decohered.probabilities().tobytes()
+        for n, (state, s_n) in enumerate(zip(states, entropies(states))):
+            full = DensityMatrix.from_matrix(decohered.blocks()[n, :, n, :] / p[n])
+            # a kept branch is its block over its trace, as from_matrix builds it
+            assert np.array_equal(state, full.matrix)
+            assert s_n == pytest.approx(von_neumann_entropy(full), abs=1e-13)
 
-        final = finalize_branches(decohered, rho, branches)
+        final = finalize_branches(decohered, rho, outcomes, p)
         p = p / p.sum()
         full = DensityMatrix.from_matrix(np.kron(np.diag(p.astype(complex)), rho.matrix))
         assert final.matrix.matrix.tobytes() == full.matrix.tobytes()
@@ -478,23 +494,25 @@ class TestBlockSpectra:
             ),
         ],
     )
-    def test_one_eig_call_gives_from_matrix_branches(self, eig_calls, eigvals_calls, joint, kept):
+    def test_kept_branches_take_no_eig_call(self, eig_calls, eigvals_calls, joint, kept):
         eig_calls.clear()
-        _, branches = decohere_controller(joint, kept)
-        # one eigenvalue-only call, every block in its stack, and no eigenvectors
-        assert (eig_calls, eigvals_calls) == ([], [joint.n_outcomes])
+        _, p, states = decohere_controller(joint, kept)
+        # the dropped blocks alone take one eigenvalue-only call, and no eigenvectors:
+        # a kept branch's spectrum is the landing's to read
+        dropped = joint.n_outcomes - len(kept)
+        assert (eig_calls, eigvals_calls) == ([], [dropped] if dropped else [])
         pinched = JointState(
             DensityMatrix.from_psd(pinch_by_slices(joint)),
             joint.n_outcomes,
             joint.system_dim,
         )
-        assert branches.outcomes.tolist() == list(kept)
-        for n, p_n, s_n in zip(kept, branches.probabilities.tolist(), branches.entropies.tolist()):
+        assert len(p) == len(states) == len(kept)
+        for n, p_n, state in zip(kept, p.tolist(), states):
             block = pinched.blocks()[n, :, n, :]
             full = DensityMatrix.from_matrix(block / block.trace().real)
-            # p_n and S_n of the branch state from_matrix builds, S_n from its spectrum's bytes
+            # p_n and the branch state from_matrix builds
             assert p_n == block.trace().real
-            assert s_n == _nats(np.clip(eigvals_hermitian(full.matrix), 0.0, None))
+            assert np.array_equal(state, full.matrix)
 
     @pytest.mark.parametrize(
         "joint, kept",
@@ -507,21 +525,19 @@ class TestBlockSpectra:
     )
     def test_matches_the_eigh_oracle(self, joint, kept):
         """The stacked checks and the eigenvalue-only call give the pinched joint and every
-        kept p_n of the block-by-block eigh form byte for byte, its entropies to round-off,
-        and its error on the first failing block."""
+        kept p_n of the block-by-block eigh form byte for byte, its branch states to the
+        sign of a zero, and its error on the first failing block."""
         try:
-            expected, reference = decohere_controller_reference(joint, kept)
+            expected, p_reference, reference = decohere_controller_reference(joint, kept)
         except Exception as exc:
             with pytest.raises(type(exc)) as raised:
                 decohere_controller(joint, kept)
             assert str(raised.value) == str(exc)
             return
-        out, branches = decohere_controller(joint, kept)
+        out, p, states = decohere_controller(joint, kept)
         assert out.matrix.matrix.tobytes() == expected.matrix.matrix.tobytes()
-        assert branches.outcomes.tolist() == reference.outcomes.tolist()
-        assert branches.probabilities.tobytes() == reference.probabilities.tobytes()
-        for s_n, s_reference in zip(branches.entropies.tolist(), reference.entropies.tolist()):
-            assert s_n == pytest.approx(s_reference, abs=1e-13)
+        assert p.tobytes() == p_reference.tobytes()
+        assert np.array_equal(states, reference)
 
     def test_probabilities_are_the_block_traces(self):
         rng = np.random.default_rng(3000)
@@ -541,8 +557,14 @@ class TestBlockSpectra:
 
     @pytest.mark.parametrize("kept", [(), (0, 1)])
     def test_block_below_the_tolerance_raises(self, kept):
+        """A dropped block below the floor raises; a kept one comes back as it stands, for
+        the landing, which reads its spectrum, to check."""
         bad = 0.5 * np.diag([1.0 + 2e-9, -2e-9]).astype(complex)  # eigenvalue -1e-9
         joint = block_diagonal_joint([0.5 * np.diag([0.7, 0.3]).astype(complex), bad])
+        if kept:
+            _, _, states = decohere_controller(joint, kept)
+            assert np.array_equal(states[1], 2.0 * bad)
+            return
         with pytest.raises(InvalidStateError, match="branch 1"):
             decohere_controller(joint, kept)
 
@@ -552,11 +574,11 @@ class TestBlockSpectra:
         # branch entropy reads it as 0
         block = 0.5 * np.diag([1.0 + 1e-12, -1e-12]).astype(complex)
         joint = block_diagonal_joint([0.5 * np.diag([0.7, 0.3]).astype(complex), block])
-        out, branches = decohere_controller(joint, kept)
+        out, _, states = decohere_controller(joint, kept)
         assert out.matrix.matrix.tobytes() == joint.matrix.matrix.tobytes()
-        assert branches.outcomes.tolist() == list(kept)
+        assert len(states) == len(kept)
         if kept:
-            s_0, s_1 = branches.entropies
+            s_0, s_1 = entropies(states)
             assert s_0 == pytest.approx(-(0.7 * math.log(0.7) + 0.3 * math.log(0.3)))
             assert s_1 == 0.0
 
@@ -565,20 +587,22 @@ class TestBlockSpectra:
         # it has an eigenvalue of -1, yet as a block it is within the floor
         noise = np.diag([2e-16, -1e-16]).astype(complex)
         joint = block_diagonal_joint([np.diag([0.6, 0.4 - 1e-16]).astype(complex), noise])
-        out, branches = decohere_controller(joint, [0])
+        out, _, states = decohere_controller(joint, [0])
         assert out.blocks()[1, :, 1, :].tobytes() == noise.tobytes()
-        assert branches.outcomes.tolist() == [0]
-        assert branches.entropies[0] == pytest.approx(
+        assert len(states) == 1
+        assert entropies(states)[0] == pytest.approx(
             -(0.6 * math.log(0.6) + 0.4 * math.log(0.4)), abs=1e-15
         )
-        with pytest.raises(InvalidStateError, match="branch 1"):
-            decohere_controller(joint, [0, 1])  # as a branch, its trace divides the noise up
+        # as a branch, its trace divides the noise up: an eigenvalue near -1, which the
+        # landing's floor check refuses
+        _, _, states = decohere_controller(joint, [0, 1])
+        assert eigvals_hermitian(states[1])[-1] < -0.9
 
     def test_empty_block_has_no_branch(self):
         empty = np.zeros((2, 2), complex)
         joint = block_diagonal_joint([np.diag([0.6, 0.4]).astype(complex), empty])
-        out, branches = decohere_controller(joint, [0])
-        assert branches.outcomes.tolist() == [0]
+        out, _, states = decohere_controller(joint, [0])
+        assert len(states) == 1
         with pytest.raises(InvalidStateError, match="branch 1"):
             decohere_controller(joint, [0, 1])  # as a branch, its trace is 0
         full = DensityMatrix.from_matrix(joint.matrix.matrix)
@@ -639,37 +663,37 @@ class TestFinalizeAndLedger:
         return *decohere_controller(joint, [0, 1]), rho
 
     def test_factorization(self):
-        joint, branches, rho = self._decohered_xbasis_joint()
+        joint, p, states, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        final = finalize_branches(joint, rho, branches)
+        final = finalize_branches(joint, rho, [0, 1], p)
         factored = np.kron(final.controller_state().matrix, rho.matrix)
         assert max_abs(final.matrix.matrix - factored) < 1e-8
         # branches were pure, so each bath branch lost the full thermal entropy
-        for value in branches.entropies - s:
+        for value in entropies(states) - s:
             assert value == pytest.approx(-s, abs=1e-6)
 
     def test_szilard_branches(self):
         rho = maximally_mixed(2)
         model = MeasurementModel.bare([PROJ_0, PROJ_1])
-        joint, branches = decohere_controller(correlate(rho, model), [0, 1])
-        final = finalize_branches(joint, thermal_state(Hamiltonian.zero(2), 1.0), branches)
+        joint, p, states = decohere_controller(correlate(rho, model), [0, 1])
+        final = finalize_branches(joint, thermal_state(Hamiltonian.zero(2), 1.0), [0, 1], p)
         np.testing.assert_allclose(
             final.controller_state().matrix, np.eye(2) / 2.0, atol=1e-12
         )
-        for value in branches.entropies - LN2:
+        for value in entropies(states) - LN2:
             assert value == pytest.approx(-LN2, abs=1e-9)
 
     def test_total_entropy_literal_vs_assembled(self):
-        joint, branches, rho = self._decohered_xbasis_joint()
+        joint, p, states, rho = self._decohered_xbasis_joint()
         s = von_neumann_entropy(rho)
-        final = finalize_branches(joint, rho, branches)
+        final = finalize_branches(joint, rho, [0, 1], p)
         p = final.probabilities()
         branch_s = [0.0, 0.0]  # x-projector outcomes are pure
         literal = total_entropy(p, branch_s)
         assert literal == pytest.approx(LN2, abs=1e-6)
         # reading the same number off the assembled final structure: record
         # entropy + classically correlated bath entropies + thermal system
-        assembled = total_entropy_assembled(final, branches.entropies - s)
+        assembled = total_entropy_assembled(final, entropies(states) - s)
         assert assembled == pytest.approx(literal, abs=1e-6)
 
     def test_total_entropy_single_outcome(self):
@@ -724,7 +748,7 @@ class TestFullCycle:
     @pytest.mark.parametrize("dim, n", [(2, 2), (3, 3), (4, 4)])
     def test_one_cycle_traces_the_blocks_once(self, monkeypatch, rng, dim, n):
         """decohere_controller takes every p_n in one stacked trace, and the cycle and
-        finalize_branches read them from the branches it returns."""
+        finalize_branches read them from the p_n it returns."""
         traced = []
 
         def counting(joint, _original=JointState.probabilities):
@@ -752,7 +776,7 @@ class TestFullCycle:
             model = random_bare_model(dim, int(rng.integers(2, 4)), rng)
             result = run_controller_cycle(h, 1.0, model)
             # controller and system return home; bath absorbs exactly dS_tot
-            assert result.system_closure < 1e-8
+            assert result.closure_distance < 1e-8
             assert result.controller_closure < 1e-8
             assert result.bath_entropy_increase == pytest.approx(
                 result.report.delta_s_tot, abs=1e-8
@@ -810,7 +834,7 @@ class TestFullCycle:
             ledger = run_cycle(h, 1e-3, model)
             assert result.probabilities.tolist() == [1.0]
             assert result.delta_s_meas == pytest.approx(ledger.delta_s_meas, abs=1e-12)
-            assert result.system_closure < 1e-12 and result.controller_closure == 0.0
+            assert result.closure_distance < 1e-12 and result.controller_closure == 0.0
 
     @pytest.mark.parametrize("kind", ["efficient", "inefficient"])
     def test_general_kraus_models_match_the_measurement_picture(self, kind):
@@ -836,9 +860,42 @@ class TestFullCycle:
                 abs(result.report.delta_s_tot - ledger.report.delta_s_tot),
             )
             assert result.delta_e_meas == ledger.delta_e_meas
-            assert result.system_closure < 1e-8 and result.controller_closure < 1e-8
+            assert result.closure_distance < 1e-8 and result.controller_closure < 1e-8
             assert abs(result.bath_entropy_increase - result.report.delta_s_tot) < 1e-9
         assert worst < 1e-9
+
+    def test_identity_feedback_fails_the_landing(self, monkeypatch):
+        """Negative control: the controller's works and S_n come from its joint, so a
+        controller fed identity blocks lands no branch its plan rotates, and raises,
+        on seeded bare and efficient models and on the controller-fullcycle preset.
+        controller-efficient's plan rotates no branch, so it still runs."""
+        original = controller.feedback_unitary
+        monkeypatch.setattr(
+            controller,
+            "feedback_unitary",
+            lambda blocks: original(np.broadcast_to(np.eye(np.shape(blocks)[1]), np.shape(blocks))),
+        )
+        rng = np.random.default_rng(3636)
+        for i in range(40):
+            dim, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            h, temperature = random_hamiltonian(dim, rng), float(rng.uniform(0.5, 2.0))
+            model = (random_bare_model if i % 2 else random_efficient_model)(dim, n, rng)
+            with pytest.raises(PlanMismatchError, match="landed state is"):
+                run_controller_cycle(h, temperature, model)
+        with pytest.raises(PlanMismatchError, match="controller-fullcycle: outcome 0: landed"):
+            run_scenario(load_config("controller-fullcycle"))
+        run_scenario(load_config("controller-efficient"))
+
+    @pytest.mark.parametrize("run", [run_cycle, run_controller_cycle])
+    def test_every_array_of_either_result_is_read_only(self, run):
+        rng = np.random.default_rng(8081)
+        for draw in (random_bare_model, random_efficient_model, random_inefficient_model):
+            dim = int(rng.integers(2, 5))
+            result = run(random_hamiltonian(dim, rng), 1.0, draw(dim, 3, rng))
+            held = list(arrays(result))
+            for name, a in held:
+                assert not a.flags.writeable, name
+            assert len(held) == 10  # the ledger's three and the outcome record's seven
 
     def test_energy_measurement_is_efficient(self):
         result = run_controller_cycle(H2LEVEL, 1.0, MeasurementModel.bare([PROJ_0, PROJ_1]))

@@ -20,10 +20,10 @@ count too.  With N outcomes, a fresh H (one eig)
 and a fresh model (one stacked call on its N operators to validate a bare one,
 none for an efficient one), a cycle makes 2 eig calls (3 bare) on N + 1
 matrices (2N + 1 bare): H and one stacked call in ``apply`` on the N outcome
-states.  It makes two eigenvalue-only calls: one in ``execute_plan``, on the
-N rotated states and their N differences from the landing targets, which
-gives each rotated state's entropy and spectrum floor and each landing
-distance, and one for the closure distance: 3N + 2 matrices in all (4N + 2
+states.  It makes two eigenvalue-only calls: one in the landing ``execute_plan``
+runs, on the N rotated states and their N differences from the landing
+targets, which gives each rotated state's entropy and spectrum floor and each
+landing distance, and one for the closure distance: 3N + 2 matrices in all (4N + 2
 bare), each checked once.  The closure distance compares Σ p_n ρ_T with ρ_T,
 which differ only when the renormalized p_n fail to sum to 1 bit for bit,
 and two equal matrices take no call: the efficient draw with N = 2 has p_n
@@ -31,10 +31,13 @@ that sum to exactly 1, so ``CLOSURE_EIG`` pins it one call and one matrix
 lower.  A transform makes one eig call more, for H2, and its closure
 distance always takes an eigenvalue-only call.  A bare controller cycle makes
 3 eig calls on 2N + 1 matrices: H, the N operators and the N outcome states.
-Its eigenvalue-only calls are one stacked call in ``decohere_controller`` on
-its N diagonal blocks, which gives every block's spectrum floor and the
-branch entropies, and one for the system closure distance: 3N + 2 matrices
-in all, as before.  No branch state is built.  The reset reads the
+Its eigenvalue-only calls are the same two: the landing's, on the N branch
+states read from its decohered joint and their N differences from the
+landing targets, which gives every kept branch's spectrum floor and entropy,
+and one for the system closure distance: 4N + 2 matrices in all, as a bare
+cycle makes.  ``decohere_controller`` takes no call when every block is kept,
+as here: it checks the spectrum of a dropped block only.  No branch
+``DensityMatrix`` is built.  The reset reads the
 record entropy from the controller marginal's diagonal, and the controller
 closure compares two equal matrices, which takes no call.
 
@@ -42,9 +45,9 @@ The ``residual_calls`` fixture counts ``linalg.hermitian_residual``, the
 M − M† test, likewise.  A matrix is tested once: where a caller hands it to a
 public call or the cycle forms it by a product (X X†, U ρ U†), never where the
 cycle builds it from checked ones by exactly Hermitian steps (a thermal state,
-``execute_plan``'s eigenvalue-only stack, the endpoint, the pinched and
-finalized joints, both marginals, and the decohered blocks and their
-eigenvalue-only call), which ``test_exact_hermitian.py`` holds to residual 0.
+the landing's eigenvalue-only stack, the endpoint, the pinched and
+finalized joints, both marginals, and the decohered blocks over their traces),
+which ``test_exact_hermitian.py`` holds to residual 0.
 The one exception is a bare model's report: one stacked call tests all N
 operators, and the stacked eig on those that pass tests them again.  A weak
 model's P± are tested once, by the eig that builds them, and its report tests
@@ -128,8 +131,8 @@ def test_controller_cycle(eig_calls, eigvals_calls, n):
     run_controller_cycle(h, 1.0, model)
     assert len(eig_calls) == 3
     assert sum(eig_calls) == 2 * n + 1
-    assert eigvals_calls == [n, 1]
-    assert sum(eig_calls) + sum(eigvals_calls) == 3 * n + 2
+    assert eigvals_calls == [2 * n, 1]
+    assert sum(eig_calls) + sum(eigvals_calls) == 4 * n + 2
 
 
 def _cycle(h, h2, model):
@@ -160,7 +163,8 @@ def random_weak_model(dim, n, rng):
 # transform H2's eig; a weak model's report reads its completeness alone and adds
 # none.  A bare controller cycle makes H's eig, the model's two, apply's two, the
 # rotated U J U† and the system closure's call; the correlated X X†, built from the
-# checked ρ and model, is hermitized and not tested.  A weak controller cycle's system
+# checked ρ and model, is hermitized and not tested, and so are the branch states
+# its landing reads, blocks of the checked U J U† over their traces.  A weak controller cycle's system
 # closure takes its call only when the draw's renormalized p_n fail to sum to 1 bit
 # for bit, as the middle draw's do.
 RESIDUAL_BUDGET = [
@@ -197,8 +201,8 @@ def test_reset_reads_the_marginal_without_an_eig(eig_calls, n):
     h, model = fresh_inputs(random_bare_model, n)
     rho = thermal_state(h, 1.0)
     kept = range(n)
-    joint, branches = decohere_controller(correlate(rho, model), kept)
-    final = finalize_branches(joint, rho, branches)
+    joint, p, _ = decohere_controller(correlate(rho, model), kept)
+    final = finalize_branches(joint, rho, kept, p)
     eig_calls.clear()
     marginal = final.controller_state()
     _, record_entropy = reset_controller(marginal)

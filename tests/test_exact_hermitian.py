@@ -8,11 +8,13 @@ steps:
 * ``gibbs_state``'s V diag(w) V†, which ``spectral_matrix`` hermitizes;
 * the controller's correlated joint X X†, which ``correlate`` hermitizes: X comes from
   the checked thermal state and the validated model, so no entry can overflow;
-* ``execute_plan``'s one eigenvalue-only call over [ρ′, ρ′ − σ]: the checked rotated
-  states and their differences from the Gibbs states σ of the retuned levels;
+* the landing's one eigenvalue-only call over [ρ′, ρ′ − σ]: the landed states, the
+  checked rotated states of the measurement picture or the controller's branch states,
+  and their differences from the Gibbs states σ of the retuned levels;
 * the states ``DensityMatrix._exact`` builds: the cycle's endpoint Σ p_n ρ_T,
   the pinched and the finalized joints and both marginals;
-* ``decohere_controller``'s kept blocks over their traces and its eigenvalue-only call.
+* ``decohere_controller``'s kept blocks over their traces, and its eigenvalue-only call
+  on the blocks it drops.
 
 The oracle spies on each unchecked entry, ``thermo._normalized`` from any caller but
 ``_unit_trace`` and ``linalg._eigvals`` from any caller but ``eigvals_hermitian``, and

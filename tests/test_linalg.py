@@ -550,13 +550,15 @@ class TestMatrixFunction:
     @pytest.mark.parametrize(
         "f, message",
         [
-            (math.log, "f undefined at eigenvalue np.float64(-1.0): math domain error"),
-            (np.log, "f(np.float64(-1.0)) = np.float64(nan) is not a finite real value"),
+            (math.log, "f undefined at eigenvalue -1.0: math domain error"),
+            (np.log, "f(-1.0) = nan is not a finite real value"),
+            (lambda x: x if x > 0 else "a", "f(-1.0) = 'a' is not a finite real value"),
         ],
-        ids=["raises", "nan"],
+        ids=["raises", "nan", "not-real"],
     )
     def test_a_stack_raises_the_single_call_error(self, f, message):
-        """The first failing eigenvalue of the stack raises, in the single call's words."""
+        """The first failing eigenvalue of the stack raises, in the single call's words,
+        which print the eigenvalue, and a real value of f, as Python floats."""
         stack = np.stack([np.eye(2, dtype=complex), -np.eye(2, dtype=complex)])
         for m in (stack, stack[1]):
             with pytest.raises(DomainError) as info:

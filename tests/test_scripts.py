@@ -62,6 +62,30 @@ def test_ensemble_check_fails_on_a_broken_controller_ledger(ensemble_check, monk
     assert "BREACH: cycle" not in err
 
 
+def test_ensemble_check_gates_the_controller_work(ensemble_check, monkeypatch, capsys):
+    # one work identity line per picture pass: the cycle's and each controller kind's
+    assert ensemble_check.main(["--models", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    works = [line for line in lines if line.startswith("worst |work_fb - T*dS_meas|  ")]
+    assert len(works) == 5
+    assert all(float(line.rsplit(":", 1)[1]) < 1e-12 for line in works)
+
+    run_controller_cycle = ensemble_check.run_controller_cycle
+
+    def bare_work_off(h, temperature, model, *args, **kwargs):
+        result = run_controller_cycle(h, temperature, model, *args, **kwargs)
+        if model.kind is ModelKind.BARE:
+            result = dataclasses.replace(result, work_fb=result.work_fb + 1e-6)
+        return result
+
+    monkeypatch.setattr(ensemble_check, "run_controller_cycle", bare_work_off)
+    assert ensemble_check.main(["--models", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "BREACH: controller work identity" in err
+    assert "BREACH: pure controller work identity" in err  # rank-1 projectors are bare
+    assert err.count("BREACH") == 2
+
+
 def test_ensemble_check_fails_on_a_broken_weak_controller_pass(
     ensemble_check, monkeypatch, capsys
 ):

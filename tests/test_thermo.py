@@ -349,7 +349,7 @@ class TestStackedFromMatrix:
     """``DensityMatrix.from_matrix`` on an (N, d, d) stack: one eig call, no state objects,
     and the read-only checked stack and its decomposition, slice i the single call on
     matrix i byte for byte.  A stack that fails is checked stage by stage, as
-    ``execute_plan`` and ``decohere_controller`` check theirs: every slice's state checks
+    ``execute_plan`` checks its rotated states: every slice's state checks
     (``_unit_trace``) come before any slice's floor check, and within a stage the first
     failing slice raises the error of the single call on it, in one ``from_matrix`` call."""
 
